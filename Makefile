@@ -1,16 +1,17 @@
 GO ?= go
 BENCH_NAME ?= local
 
-.PHONY: check fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke obs-smoke bench bench-adaptive bench-chaos bench-sustained bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
+.PHONY: check fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-sustained bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
 
 # check is the tier-1 verification gate (see ROADMAP.md): formatting,
 # static analysis, a full build, the metrics-name lint, the tracing
-# smoke, the deterministic chaos suite, the bench-artifact lint plus the
-# sustained-bench smoke, and the test suite under the race detector.
+# smoke, the allocation gates, the deterministic chaos suite, the
+# bench-artifact lint plus the sustained-bench smoke, the benchmark
+# module's vet and smoke test, and the test suite under the race detector.
 # Fuzz seed corpora run as ordinary tests. staticcheck runs when the
 # binary is installed and is skipped (with a notice) otherwise, so check
 # works on machines without network access.
-check: fmt vet staticcheck build metrics-lint trace-smoke obs-smoke ingest-smoke chaos bench-lint bench-smoke race
+check: fmt vet staticcheck build metrics-lint trace-smoke alloc-gates obs-smoke ingest-smoke chaos bench-lint bench-smoke benchmark-smoke race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -32,9 +33,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short bounded fuzz session over the catalog round-trip property.
+# Short bounded fuzz sessions over the catalog round-trip property and the
+# sum column's decimal fast path (bit-identical to strconv.ParseFloat).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
 
 # stress re-runs the concurrency suite under the race detector several
 # times: the serving stress test (goroutines + faults + cancellation +
@@ -58,6 +61,22 @@ metrics-lint:
 # trace metrics — plus the always-retain-slow and panic-recovery gates.
 trace-smoke:
 	$(GO) test -race -count=1 -run 'TestServeTraceSmoke|TestServeSlowAlwaysRetained|TestServePanicRecovery|TestColdQueryFragmentSpansMatchTallyAndAnalytic|TestUntracedReadPathZeroAlloc' ./cmd/snakestore ./internal/storage
+
+# alloc-gates pins the read pipeline's allocation counts: the run body and
+# the untraced pool read allocate nothing, a warm Parallelism=1 read + sum
+# allocates the same small constant for one cell as for a multi-run region,
+# and the sum column's decoder allocates nothing. Run without the race
+# detector, under which sync.Pool drops entries at random.
+alloc-gates:
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn' ./internal/storage ./cmd/snakestore
+
+# benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
+# module, which `go build ./...` and `go test ./...` above never see, so
+# vet it and run its smoke test (five workloads against the real daemon,
+# the prefix-sum oracle, the count pass, registry/BENCHMARK.json drift).
+benchmark-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -count=1 ./...
 
 # obs-smoke drives the wide-event / calibration / SLO stack end to end
 # under the race detector: the /debug/events ring with field filters and

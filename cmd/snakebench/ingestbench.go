@@ -295,7 +295,6 @@ func ingestBench(cfg tpcd.Config, name string, o ingestOpts) (*IngestReport, err
 					close(stop)
 					return nil, err
 				}
-				bs.fs.InvalidateCellPlans(pl.cell)
 				rep.MixedWrites++
 				continue
 			}

@@ -275,7 +275,6 @@ func obsBench(cfg tpcd.Config, name string, o obsOpts) (*ObsReport, error) {
 		if err := dlog.Put(p.cell, p.framed); err != nil {
 			return nil, err
 		}
-		bs.fs.InvalidateCellPlans(p.cell)
 		writeBytes += int64(len(p.framed))
 	}
 	rep.OverlayCells = len(payloads)

@@ -293,7 +293,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, err)
 			return
 		}
-		st.InvalidateCellPlans(fc.cell)
 		resp.Accepted++
 		resp.Bytes += int64(len(fc.framed))
 	}

@@ -313,7 +313,6 @@ func runIngestCrashOps(dir, ops string) error {
 			if err != nil {
 				return err
 			}
-			st.InvalidateCellPlans(cell)
 		case op == "tick":
 			srv.ing.mu.Lock()
 			_, err := srv.ing.comp.Tick(context.Background(), st, srv.ing.log)

@@ -333,19 +333,12 @@ func cmdQuery(args []string) error {
 
 	var count int64
 	var total float64
-	var sumErr error
 	err = store.Scan(region, func(cell int, record []byte) error {
 		count++
 		if *sumCol >= 0 {
-			fields := strings.Split(string(record), ",")
-			if *sumCol >= len(fields) {
-				sumErr = fmt.Errorf("record has %d payload columns, -sum asked for %d", len(fields), *sumCol)
-				return sumErr
-			}
-			v, err := strconv.ParseFloat(fields[*sumCol], 64)
+			v, err := payloadColumn(record, *sumCol)
 			if err != nil {
-				sumErr = fmt.Errorf("column %d: %v", *sumCol, err)
-				return sumErr
+				return usagef("%v", err)
 			}
 			total += v
 		}

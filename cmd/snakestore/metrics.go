@@ -105,13 +105,13 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 	pool := func(f func(snakes.PoolStats) int64) func() int64 {
 		return func() int64 { return f(store().Pool().Stats()) }
 	}
-	reg.CounterFunc("snakestore_pool_hits_total", "buffer pool page hits", pool(func(s snakes.PoolStats) int64 { return s.Hits }))
+	reg.CounterFunc("snakestore_pool_hits_total", "buffer pool page pins served from a resident frame", pool(func(s snakes.PoolStats) int64 { return s.Hits }))
 	reg.CounterFunc("snakestore_pool_misses_total", "buffer pool physical page loads", pool(func(s snakes.PoolStats) int64 { return s.Misses }))
 	reg.CounterFunc("snakestore_pool_evictions_total", "buffer pool frame evictions", pool(func(s snakes.PoolStats) int64 { return s.Evictions }))
 	reg.CounterFunc("snakestore_pool_writes_total", "buffer pool physical page write-backs", pool(func(s snakes.PoolStats) int64 { return s.Writes }))
 	reg.CounterFunc("snakestore_pool_retries_total", "transient I/O errors ridden out by the retry policy", pool(func(s snakes.PoolStats) int64 { return s.Retries }))
 	reg.CounterFunc("snakestore_pool_single_flight_waits_total", "goroutines that waited on another goroutine's in-flight load", pool(func(s snakes.PoolStats) int64 { return s.SingleFlightWaits }))
-	reg.GaugeFunc("snakestore_fragment_parallel_inflight", "fragment fetches currently running on the parallel read path", func() float64 { return float64(store().ParallelInflight()) })
+	reg.GaugeFunc("snakestore_fragment_parallel_inflight", "fragment fetches currently running", func() float64 { return float64(store().ParallelInflight()) })
 
 	admf := func(f func(snakes.AdmissionStats) float64) func() float64 {
 		return func() float64 { return f(adm.StatsSnapshot()) }
@@ -134,7 +134,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 		pagesRead:     reg.Histogram("snakestore_query_pages_read", "physical page reads per query observed at the pool", pageBuckets),
 		seeksAnalytic: reg.Histogram("snakestore_query_seeks_analytic", "seeks per query predicted by the analytic cost model", pageBuckets),
 		seeksObserved: reg.Histogram("snakestore_query_seeks_observed", "seeks per query observed at the pool (runs of non-consecutive reads)", pageBuckets),
-		fragSeconds:   reg.Histogram("snakestore_fragment_seconds", "wall time of one fragment fetch on the parallel read path", latencyBuckets),
+		fragSeconds:   reg.Histogram("snakestore_fragment_seconds", "wall time of one fragment (seek run) fetch", latencyBuckets),
 
 		classObserved: make(map[string]*obs.Counter, schema.NumClasses()),
 		reorgRegret:   reg.Gauge("snakestore_reorg_regret", "deployed strategy cost over DP-optimal cost at the last policy evaluation"),
@@ -156,7 +156,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 	}
 	for _, scope := range []string{"cell", "all"} {
 		scope := scope
-		reg.CounterFunc("snakestore_plan_cache_invalidations_total", "parallel read plans invalidated, by scope (cell = targeted by a write, all = cache overflow)", func() int64 {
+		reg.CounterFunc("snakestore_plan_cache_invalidations_total", "cached read plans invalidated, by scope (cell = made stale by a base write, all = cache overflow)", func() int64 {
 			cell, all := store().PlanCacheInvalidations()
 			if scope == "cell" {
 				return cell

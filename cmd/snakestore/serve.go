@@ -57,7 +57,7 @@ type server struct {
 	dims       []snakes.Dimension
 	adm        *snakes.Admission
 	reqTimeout time.Duration
-	readOpts   snakes.ReadOptions // parallel read knobs; zero = sequential path
+	readOpts   snakes.ReadOptions // read schedule; zero = runs in order on the handler goroutine
 	metrics    *serverMetrics
 	log        *slog.Logger
 	pprof      bool // mount /debug/pprof/ on the serving mux
@@ -246,7 +246,7 @@ func (s *server) enableSLO(cfg snakes.SLOConfig) error {
 }
 
 // armFragmentObserver routes a store's per-fragment completion samples
-// from the parallel read path into the fragment latency histogram. Called
+// from the read executor into the fragment latency histogram. Called
 // for every store generation that starts serving, since the observer lives
 // on the store, not the server.
 func (s *server) armFragmentObserver(st *snakes.FileStore) {
@@ -1018,23 +1018,31 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Snapshot the serving store once: prediction, admission weight, and
-	// the read below all run against the same generation even if a
-	// reorganization swaps the pointer mid-request.
+	// Snapshot the serving store once and plan the region once: the plan's
+	// analytic cost is the admission weight and the event's prediction, and
+	// the same plan is what the reader executes — all against one generation
+	// even if a reorganization swaps the pointer mid-request.
 	st := s.st()
 	gen := s.generation.Load()
-	// Admission weight is the query's analytic page count, so one huge scan
-	// and many point queries draw from the same budget.
-	pred := st.Layout().Query(region)
+	var tally snakes.PoolTally
+	ctx = snakes.WithPoolTally(ctx, &tally)
+	plan, err := st.Plan(ctx, region)
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
 	if ev != nil {
 		ev.Generation = gen
-		ev.PredictedPages = pred.Pages
-		ev.PredictedSeeks = pred.Seeks
+		ev.PredictedPages = plan.Pages
+		ev.PredictedSeeks = plan.Seeks
+		ev.PlanCacheHit = tally.PlanHits() > 0
 	}
+	// Admission weight is the query's analytic page count, so one huge scan
+	// and many point queries draw from the same budget.
 	asp := snakes.StartTraceLeaf(ctx, snakes.TraceKindAdmission, "")
-	asp.SetAttr("weight_pages", pred.Pages)
+	asp.SetAttr("weight_pages", plan.Pages)
 	admStart := s.clock()
-	if err := s.adm.Acquire(ctx, pred.Pages); err != nil {
+	if err := s.adm.Acquire(ctx, plan.Pages); err != nil {
 		asp.SetError(err)
 		asp.End()
 		s.writeErr(w, err)
@@ -1044,16 +1052,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ev.AdmissionWaitNs = s.clock().Sub(admStart).Nanoseconds()
 	}
 	asp.End()
-	defer s.adm.Release(pred.Pages)
+	defer s.adm.Release(plan.Pages)
 
-	var tally snakes.PoolTally
-	ctx = snakes.WithPoolTally(ctx, &tally)
-	resp := queryResponse{Region: fmt.Sprint(region), Pages: pred.Pages, Generation: gen}
+	resp := queryResponse{Region: fmt.Sprint(region), Pages: plan.Pages, Generation: gen}
 	if tr := snakes.TraceFromContext(ctx); tr != nil {
 		resp.TraceID = tr.ID()
 	}
 	var total float64
-	err = st.ReadQueryOptCtx(ctx, region, s.readOpts, func(cell int, record []byte) error {
+	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
 		resp.Records++
 		if sumCol >= 0 {
 			v, err := payloadColumn(record, sumCol)
@@ -1078,14 +1084,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ev.PagesRead = resp.PagesRead
 		ev.SeeksObserved = resp.Seeks
 		ev.DeltaHits = resp.DeltaCells
-		ev.PlanCacheHit = tally.PlanHits() > 0
 		ev.Records = resp.Records
 	}
 	s.metrics.queryRecords.Add(resp.Records)
 	s.metrics.queryDeltaCells.Add(resp.DeltaCells)
-	s.metrics.pagesAnalytic.Observe(float64(pred.Pages))
+	s.metrics.pagesAnalytic.Observe(float64(plan.Pages))
 	s.metrics.pagesRead.Observe(float64(resp.PagesRead))
-	s.metrics.seeksAnalytic.Observe(float64(pred.Seeks))
+	s.metrics.seeksAnalytic.Observe(float64(plan.Seeks))
 	s.metrics.seeksObserved.Observe(float64(resp.Seeks))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -1339,22 +1344,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// payloadColumn extracts the idx-th comma-separated payload column as a
-// float64 (the same framing the query subcommand sums).
-func payloadColumn(record []byte, idx int) (float64, error) {
-	start, col := 0, 0
-	for i := 0; i <= len(record); i++ {
-		if i == len(record) || record[i] == ',' {
-			if col == idx {
-				return strconv.ParseFloat(string(record[start:i]), 64)
-			}
-			col++
-			start = i + 1
-		}
-	}
-	return 0, fmt.Errorf("record has %d payload columns, sum asked for %d", col, idx)
-}
-
 // runReorgLoop is the daemon's background reorganization ticker: each tick
 // runs one policy step under a forced trace, so a migration's DP, copy,
 // flush, catalog-commit, swap, drain, and verify spans all land in
@@ -1424,8 +1413,8 @@ func cmdServe(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	readParallel := fs.Int("read-parallel", 1, "concurrent fragment fetches per query (1 = sequential read path)")
-	readAhead := fs.Int("read-ahead", 8, "pages prefetched ahead of the decoder within a fragment; effective when -read-parallel > 1")
+	readParallel := fs.Int("read-parallel", 1, "concurrent fragment fetches per query (1 = fragments in order on the request goroutine)")
+	readAhead := fs.Int("read-ahead", 8, "pages a fragment loads per span read; effective when -read-parallel > 1")
 	scrubRate := fs.Float64("scrub-rate", 128, "background scrub pace in pages/sec; 0 disables the scrubber")
 	parityGroup := fs.Int("parity-group", snakes.DefaultParityGroup, "data pages per parity page when (re)building sidecars")
 	traceSample := fs.Int("trace-sample", 16, "trace every Nth request for /debug/traces; 0 disables head sampling")

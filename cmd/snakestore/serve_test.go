@@ -258,7 +258,11 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Trigger the drain; serve must return cleanly and close the store.
+	// Trigger the drain; serve must return cleanly and close the store. The
+	// client's transport may hold connections it dialed speculatively and
+	// never sent a request on; the server cannot tell those from a request
+	// about to arrive and Shutdown waits 5 s for them, so close them first.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	cancel()
 	select {
 	case err := <-done:

@@ -112,11 +112,7 @@ func (in *Ingestor) PutCell(coords []int, records ...[]byte) error {
 	if cap := in.fs.Layout().CellCapacity(cell); int64(len(framed)) > cap {
 		return fmt.Errorf("snakes: %d bytes of records exceed cell capacity %d", len(framed), cap)
 	}
-	if err := in.log.Put(cell, framed); err != nil {
-		return err
-	}
-	in.fs.InvalidateCellPlans(cell)
-	return nil
+	return in.log.Put(cell, framed)
 }
 
 // Flush forces the delta log to stable storage regardless of SyncPolicy.

@@ -286,7 +286,6 @@ func TestCompactorDrainsWorstFirst(t *testing.T) {
 		if err := log.Put(cell, framed); err != nil {
 			t.Fatal(err)
 		}
-		fs.InvalidateCellPlans(cell)
 	}
 	put(2, 1)  // region 0: light
 	put(9, 4)  // region 1: heavy
@@ -400,7 +399,6 @@ func TestMigrateRegionsMatchesWholeFile(t *testing.T) {
 	if err := log.Put(11, storage.FrameRecords([]byte(fresh[0]), []byte(fresh[1]))); err != nil {
 		t.Fatal(err)
 	}
-	fs.InvalidateCellPlans(11)
 
 	dir := t.TempDir()
 	incPath := filepath.Join(dir, "inc.db")

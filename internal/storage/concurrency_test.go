@@ -656,3 +656,72 @@ func TestPermanentFaultDoesNotPoisonPool(t *testing.T) {
 		t.Error("pool never recovered after the permanent fault passed")
 	}
 }
+
+// TestPoolMissWaitsForUnpin: a miss that finds every frame pinned waits for
+// a pin to drop instead of failing — for one page and for a span, which
+// must give back the frames it took before it waits — and a waiter whose
+// context ends returns its context's error.
+func TestPoolMissWaitsForUnpin(t *testing.T) {
+	o := concurrentOrder(t)
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "wait.db"), o, uniformBytes(o.Len(), 2*FrameSize(8)), 128, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	loadConcurrentStore(t, fs, o)
+	bp, ctx := fs.pool, context.Background()
+	var held []*frame
+	for page := int64(0); page < 3; page++ {
+		fr, err := bp.get(ctx, nil, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, fr)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := bp.get(cctx, nil, 5)
+		cancelled <- err
+	}()
+	type result struct {
+		frames []*frame
+		err    error
+	}
+	one, span := make(chan result, 1), make(chan result, 1)
+	go func() {
+		fr, err := bp.get(ctx, nil, 3)
+		one <- result{[]*frame{fr}, err}
+	}()
+	go func() {
+		frames, err := bp.getSpan(ctx, nil, 6, 2, nil)
+		span <- result{frames, err}
+	}()
+	waitFor(t, "misses to queue behind the pins", func() bool {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		return bp.freed != nil
+	})
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	select {
+	case r := <-one:
+		t.Fatalf("miss returned %v with every frame pinned", r.err)
+	case r := <-span:
+		t.Fatalf("span returned %v with every frame pinned", r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	bp.unpinSpan(held)
+	for _, ch := range []chan result{one, span} {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("waiter failed after the unpin: %v", r.err)
+		}
+		bp.unpinSpan(r.frames)
+	}
+	if err := bp.Reset(ctx); err != nil {
+		t.Errorf("pins left behind: %v", err)
+	}
+}

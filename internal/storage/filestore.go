@@ -30,7 +30,7 @@ type FileStore struct {
 	file   *ChecksumFile // the pool's backing store; Verify reads it directly
 	pool   *BufferPool
 
-	mu     sync.RWMutex // guards fill, plan and closed
+	mu     sync.RWMutex // guards fill, plan, epoch and closed
 	fill   []int64
 	plan   []posPlan // fused per-position layout; see posPlan
 	closed bool
@@ -42,26 +42,24 @@ type FileStore struct {
 	repairMu sync.Mutex
 	parity   *parityState
 
-	// Parallel read path state (parallel.go): fragment fetches currently in
-	// flight, the optional per-fragment completion observer, and recycled
-	// position bitmaps for query planning (readRuns returns them zeroed).
+	// epoch counts base writes (PutRecord, PutCellBytes); guarded by mu. A
+	// QueryPlan's seek runs depend on which cells are filled, so it is valid
+	// only for the epoch it was planned under (see plan.go).
+	epoch uint64
+
+	// Read executor state (exec.go): fragment fetches currently in flight
+	// and the optional per-fragment completion observer.
 	parInflight atomic.Int64
 	fragObs     atomic.Pointer[func(pagesRead int64, seconds float64)]
-	planBits    sync.Pool
 
-	// Prepared-plan cache for the parallel read path: region → seek runs.
-	// Runs are immutable while queries execute (workers only read them), so
-	// concurrent queries share one entry. Plans embed per-cell fill counts,
-	// so writes invalidate them — but only the entries whose region contains
-	// the written cell (see invalidateCellPlans); under mixed read/write
-	// load a drop-all policy would empty the cache on every upsert. Guarded
-	// by planMu, not fs.mu: the cache is touched under fs.mu's read lock
-	// from many queries at once.
-	planMu       sync.Mutex
-	planCache    map[string]planEntry
-	planInvCell  atomic.Int64 // entries dropped by cell-intersection invalidation
-	planInvAll   atomic.Int64 // entries dropped by the overflow drop-all
-	coordScratch []int        // invalidation scratch; guarded by fs.mu (writers only)
+	// Prepared-plan cache: region → plan. Plans are immutable, so concurrent
+	// queries share one entry; an entry from an older epoch is replaced at
+	// its next lookup. Guarded by planMu, not fs.mu: the cache is touched
+	// under fs.mu's read lock from many queries at once.
+	planMu      sync.Mutex
+	planCache   map[string]*QueryPlan
+	planInvCell atomic.Int64 // stale entries replaced after a write
+	planInvAll  atomic.Int64 // entries dropped by the overflow drop-all
 
 	// Delta overlay (merge-on-read): when set, reads consult it per cell
 	// before touching base pages, and a hit substitutes the overlay's framed
@@ -69,12 +67,6 @@ type FileStore struct {
 	// block on ingest; the function itself must be safe for concurrent use.
 	overlay atomic.Pointer[func(cell int) ([]byte, bool)]
 }
-
-// planCacheCap bounds the prepared-plan cache. On overflow the whole cache
-// is dropped rather than evicted piecemeal: workloads cycle through a small
-// set of query shapes, so hitting the cap means the shape set churned and
-// the old entries are dead weight anyway.
-const planCacheCap = 1024
 
 // CreateFileStore creates a new page file sized for the layout and wraps it
 // in a checksumming pool with the given frame capacity.
@@ -158,8 +150,8 @@ func NewFileStoreOn(pf PagedFile, o *linear.Order, bytesPerCell []int64, poolFra
 	return fs, nil
 }
 
-// posPlan fuses the per-position state the parallel planner reads — extent,
-// fill, cell id — into one 32-byte entry, so building a query's seek runs
+// posPlan fuses the per-position state the planner and the run body read —
+// extent, fill, cell id — into one 32-byte entry, so walking a fragment
 // touches one array sequentially instead of gathering from layout.start,
 // fill and the order's cell sequence separately (three cache misses per
 // cell on large grids). fill is mirrored here by PutRecord under fs.mu;
@@ -221,7 +213,7 @@ func (fs *FileStore) PutRecord(cell int, payload []byte) error {
 		copy(neu[4:], payload)
 		fs.patchParity(off, old, neu)
 	}
-	fs.invalidateCellPlans(cell)
+	fs.epoch++
 	return nil
 }
 
@@ -231,8 +223,8 @@ func (fs *FileStore) PutRecord(cell int, payload []byte) error {
 // framing never resurrects stale bytes. The replace is idempotent: applying
 // the same bytes twice converges to the same state, which is what makes the
 // delta log's redo-on-recovery protocol safe. Like PutRecord, the write
-// patches an attached parity sidecar in place and invalidates only the
-// read plans whose region contains the cell.
+// patches an attached parity sidecar in place and moves the write epoch,
+// so plans prepared before it are re-planned.
 func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 	if err := walkRecords(cell, framed, func(int, []byte) error { return nil }); err != nil {
 		return fmt.Errorf("storage: PutCellBytes rejects malformed framing: %w", err)
@@ -274,7 +266,7 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 		copy(neu, framed)
 		fs.patchParity(lo, old, neu)
 	}
-	fs.invalidateCellPlans(cell)
+	fs.epoch++
 	return nil
 }
 
@@ -315,48 +307,6 @@ func (fs *FileStore) overlayFn() func(cell int) ([]byte, bool) {
 		return *p
 	}
 	return nil
-}
-
-// invalidateCellPlans drops cached read plans whose region contains the
-// written cell — they embed its fill count — leaving disjoint plans hot.
-// Callers hold fs.mu exclusively (coordScratch relies on it).
-func (fs *FileStore) invalidateCellPlans(cell int) {
-	if fs.coordScratch == nil {
-		fs.coordScratch = make([]int, len(fs.layout.order.Shape()))
-	}
-	coords := fs.layout.order.Coords(cell, fs.coordScratch)
-	dropped := int64(0)
-	fs.planMu.Lock()
-	for key, e := range fs.planCache {
-		if e.region.Contains(coords) {
-			delete(fs.planCache, key)
-			dropped++
-		}
-	}
-	fs.planMu.Unlock()
-	if dropped > 0 {
-		fs.planInvCell.Add(dropped)
-	}
-}
-
-// InvalidateCellPlans drops cached read plans whose region contains the
-// cell. Writes through the store invalidate automatically; this export is
-// for the ingest layer, whose delta-log upserts change what a plan's
-// region will return without touching the base file.
-func (fs *FileStore) InvalidateCellPlans(cell int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return
-	}
-	fs.invalidateCellPlans(cell)
-}
-
-// PlanCacheInvalidations reports how many prepared plans have been dropped,
-// split by scope: cell-intersection invalidation on writes vs the
-// drop-everything overflow path when the cache hits planCacheCap.
-func (fs *FileStore) PlanCacheInvalidations() (cell, all int64) {
-	return fs.planInvCell.Load(), fs.planInvAll.Load()
 }
 
 // capturePreWrite returns the current logical bytes of [off, off+n) when a
@@ -439,158 +389,6 @@ func (fs *FileStore) degradeParity() {
 		fs.parity.stale = true
 	}
 	fs.repairMu.Unlock()
-}
-
-// walkRecords parses the length-prefixed framing of one cell's filled
-// bytes, calling fn per record.
-func walkRecords(cell int, buf []byte, fn func(cell int, record []byte) error) error {
-	filled := int64(len(buf))
-	off := int64(0)
-	for off < filled {
-		if filled-off < 4 {
-			return fmt.Errorf("storage: corrupt record header in cell %d", cell)
-		}
-		n := int64(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if off+n > filled {
-			return fmt.Errorf("storage: truncated record in cell %d", cell)
-		}
-		if err := fn(cell, buf[off:off+n]); err != nil {
-			return err
-		}
-		off += n
-	}
-	return nil
-}
-
-// ReadQueryCtx streams every record in the region in disk order through the
-// pool, checking ctx between cells (and, inside the pool, between page
-// loads), so a cancelled or expired query stops issuing I/O immediately.
-// When ctx carries a trace (internal/trace), each maximal run of contiguous
-// cell reads is recorded as a fragment span with its tally deltas attached;
-// without one the tracing hooks cost nothing. Returns ErrClosed if the
-// store has been closed.
-func (fs *FileStore) ReadQueryCtx(ctx context.Context, r linear.Region, fn func(cell int, record []byte) error) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if fs.closed {
-		return ErrClosed
-	}
-	ov := fs.overlayFn()
-	var buf []byte
-	var ft fragmentTracer
-	ft.start(ctx)
-	for _, pos := range fs.layout.order.Positions(r) {
-		if err := ctx.Err(); err != nil {
-			ft.close(err)
-			return err
-		}
-		if ov != nil {
-			if ob, ok := ov(fs.layout.order.CellAt(pos)); ok {
-				// Overlay hit: the cell's freshest content lives in the delta
-				// index, so its base range is skipped entirely — a half-applied
-				// base rewrite behind the overlay is never parsed.
-				if t := tallyFrom(ctx); t != nil {
-					t.deltaHit()
-				}
-				ft.deltaHit()
-				if err := walkRecords(fs.layout.order.CellAt(pos), ob, fn); err != nil {
-					ft.close(nil)
-					return err
-				}
-				continue
-			}
-		}
-		filled := fs.fill[pos]
-		if filled == 0 {
-			continue
-		}
-		lo := fs.layout.start[pos]
-		cctx := ft.cellCtx(ctx, lo, fs.layout.start[pos+1], filled)
-		if int64(cap(buf)) < filled {
-			buf = make([]byte, filled)
-		}
-		buf = buf[:filled]
-		if err := fs.pool.ReadAtCtx(cctx, buf, lo); err != nil {
-			ft.close(err)
-			return err
-		}
-		if err := walkRecords(fs.layout.order.CellAt(pos), buf, fn); err != nil {
-			ft.close(nil)
-			return err
-		}
-	}
-	ft.close(nil)
-	return nil
-}
-
-// ReadCellCtx streams the records of a single cell through the pool under
-// the same cancellation contract as ReadQueryCtx.
-func (fs *FileStore) ReadCellCtx(ctx context.Context, cell int, fn func(record []byte) error) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if fs.closed {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ov := fs.overlayFn(); ov != nil {
-		if ob, ok := ov(cell); ok {
-			if t := tallyFrom(ctx); t != nil {
-				t.deltaHit()
-			}
-			return walkRecords(cell, ob, func(_ int, record []byte) error { return fn(record) })
-		}
-	}
-	pos := fs.layout.order.PosOf(cell)
-	filled := fs.fill[pos]
-	if filled == 0 {
-		return nil
-	}
-	buf := make([]byte, filled)
-	if err := fs.pool.ReadAtCtx(ctx, buf, fs.layout.start[pos]); err != nil {
-		return err
-	}
-	return walkRecords(cell, buf, func(_ int, record []byte) error { return fn(record) })
-}
-
-// Scan streams every record in the region in disk order through the pool.
-// It is ReadQueryCtx without a deadline.
-func (fs *FileStore) Scan(r linear.Region, fn func(cell int, record []byte) error) error {
-	return fs.ReadQueryCtx(context.Background(), r, fn)
-}
-
-// SumCtx executes an aggregate grid query against the file store under the
-// given context, returning the total and the pool traffic this query alone
-// generated. Attribution is exact under concurrency: the traffic is
-// counted in a request-local tally (WithPoolTally) rather than as a delta
-// over the shared pool counters, so concurrent queries never contaminate
-// each other's stats and a racing ResetStats cannot produce negative
-// numbers. A tally already attached to ctx by the caller is replaced for
-// the duration of this query.
-func (fs *FileStore) SumCtx(ctx context.Context, r linear.Region, decode func(record []byte) float64) (float64, PoolStats, error) {
-	// Reuse a caller-installed tally (callers that also want seek counts
-	// install one via WithPoolTally); otherwise account under a private one.
-	tally := tallyFrom(ctx)
-	if tally == nil {
-		tally = new(PoolTally)
-		ctx = WithPoolTally(ctx, tally)
-	}
-	total := 0.0
-	err := fs.ReadQueryCtx(ctx, r, func(cell int, record []byte) error {
-		total += decode(record)
-		return nil
-	})
-	if err != nil {
-		return 0, PoolStats{}, err
-	}
-	return total, tally.Stats(), nil
-}
-
-// Sum is SumCtx without a deadline.
-func (fs *FileStore) Sum(r linear.Region, decode func(record []byte) float64) (float64, PoolStats, error) {
-	return fs.SumCtx(context.Background(), r, decode)
 }
 
 // Close flushes the pool and closes the file. A flush or sync failure is

@@ -198,9 +198,13 @@ type PoolStats struct {
 // on the same page coalesce into a single disk read (single-flight — the
 // extra goroutines wait for the first load and are counted in
 // PoolStats.SingleFlightWaits). Frames are pinned while a caller copies in
-// or out of them, and only unpinned frames are eviction victims, so the
-// frame capacity must exceed the number of goroutines touching the pool at
-// once (each goroutine pins at most one frame at a time).
+// or out of them, and only unpinned frames are eviction victims; a miss
+// that finds every frame pinned waits for an unpin instead of failing.
+// Nothing in the pool or above it asks for a frame while holding
+// a pin (ReadAt/WriteAt hold one at a time; the read executor releases its
+// window before pinning the next, and before blocking on anything else), so
+// the wait cannot deadlock; a pool smaller than the pins readers hold at
+// once just serializes them.
 //
 // Transient I/O errors (errors matching ErrTransient) are retried with
 // exponential backoff under the pool's RetryPolicy; the backoff sleeps are
@@ -211,8 +215,9 @@ type BufferPool struct {
 
 	mu     sync.Mutex // guards frames, lru, free, and every frame's pins field
 	frames map[int64]*list.Element
-	lru    *list.List // front = most recently used
-	free   [][]byte   // page buffers recycled from evicted frames, ≤ capacity
+	lru    *list.List    // front = most recently used
+	free   [][]byte      // page buffers recycled from evicted frames, ≤ capacity
+	freed  chan struct{} // non-nil while a miss waits for an unpin; closed by the next one
 
 	retryMu sync.Mutex
 	retry   RetryPolicy
@@ -284,12 +289,11 @@ func (bp *BufferPool) ResetStats() {
 // withRetry runs op, retrying transient failures per the pool's policy with
 // doubling backoff. The sleeps select on ctx, so a cancelled caller stops
 // retrying immediately.
-func (bp *BufferPool) withRetry(ctx context.Context, op func() error) error {
+func (bp *BufferPool) withRetry(ctx context.Context, tally *PoolTally, op func() error) error {
 	bp.retryMu.Lock()
 	rp := bp.retry
 	bp.retryMu.Unlock()
 	backoff := rp.Backoff
-	tally := tallyFrom(ctx)
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil || attempt >= rp.MaxRetries || !errors.Is(err, ErrTransient) {
@@ -327,24 +331,66 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// get returns the page's frame, pinned; the caller must unpin it. A miss
+// errPoolPinned is evictLocked's "every frame is pinned": internal, never
+// surfaced — the caller waits for an unpin and retries.
+var errPoolPinned = errors.New("storage: all pool frames are pinned")
+
+// abandoned reports whether a coalesced load failed only because its loader
+// gave up (its context ended, or it had to back off a fully pinned pool) —
+// not because the page is unreadable — so a waiter with a live context
+// should load the page itself.
+func abandoned(err error) bool { return isCtxErr(err) || err == errPoolPinned }
+
+// awaitUnpin is called with bp.mu held after errPoolPinned: it releases the
+// mutex, runs unwind (the caller's cleanup of what it took under it) and
+// blocks until some frame's pins drop to zero (or ctx ends). The wake-up
+// channel is taken before the mutex is released, so no unpin is missed.
+func (bp *BufferPool) awaitUnpin(ctx context.Context, unwind func()) error {
+	if bp.freed == nil {
+		bp.freed = make(chan struct{})
+	}
+	freed := bp.freed
+	bp.mu.Unlock()
+	if unwind != nil {
+		unwind()
+	}
+	select {
+	case <-freed:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// releaseLocked drops one pin, waking any miss that waits for a victim.
+// Called with bp.mu held.
+func (bp *BufferPool) releaseLocked(fr *frame) {
+	fr.pins--
+	if fr.pins == 0 && bp.freed != nil {
+		close(bp.freed)
+		bp.freed = nil
+	}
+}
+
+// get returns the page's frame, pinned; the caller must unpin it. Traffic
+// is counted in tally (when non-nil) as well as in the pool's counters; the
+// caller resolves it from its context once, not per page. A miss
 // loads the page outside the pool mutex; concurrent misses on the same page
 // wait for the first loader instead of issuing duplicate reads. If the
 // loader abandons the load because its own context ended, waiters with a
 // live context retry the load themselves, so one query's cancellation never
 // surfaces as another query's error.
-func (bp *BufferPool) get(ctx context.Context, page int64) (*frame, error) {
+func (bp *BufferPool) get(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
 	for {
-		fr, err := bp.getOnce(ctx, page)
-		if err != nil && isCtxErr(err) && ctx.Err() == nil {
-			continue // the coalesced loader was cancelled, not us: reload
+		fr, err := bp.getOnce(ctx, tally, page)
+		if err != nil && abandoned(err) && ctx.Err() == nil {
+			continue // the coalesced loader gave up, not us: reload
 		}
 		return fr, err
 	}
 }
 
-func (bp *BufferPool) getOnce(ctx context.Context, page int64) (*frame, error) {
-	tally := tallyFrom(ctx)
+func (bp *BufferPool) getOnce(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
 	bp.mu.Lock()
 	if el, ok := bp.frames[page]; ok {
 		fr := el.Value.(*frame)
@@ -375,15 +421,20 @@ func (bp *BufferPool) getOnce(ctx context.Context, page int64) (*frame, error) {
 		}
 		return fr, nil
 	}
-	bp.misses.Add(1)
-	if tally != nil {
-		tally.misses.Add(1)
-	}
 	if bp.lru.Len() >= bp.capacity {
-		if err := bp.evictLocked(ctx); err != nil {
+		if err := bp.evictLocked(ctx, tally); err == errPoolPinned {
+			if err := bp.awaitUnpin(ctx, nil); err != nil {
+				return nil, err
+			}
+			return nil, errPoolPinned // get retries
+		} else if err != nil {
 			bp.mu.Unlock()
 			return nil, err
 		}
+	}
+	bp.misses.Add(1)
+	if tally != nil {
+		tally.misses.Add(1)
 	}
 	fr := &frame{page: page, data: bp.frameDataLocked(), pins: 1, ready: make(chan struct{})}
 	bp.frames[page] = bp.lru.PushFront(fr)
@@ -391,7 +442,7 @@ func (bp *BufferPool) getOnce(ctx context.Context, page int64) (*frame, error) {
 
 	sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
 	sp.SetAttr("page", page)
-	if err := bp.withRetry(ctx, func() error { return bp.pf.ReadPage(page, fr.data) }); err != nil {
+	if err := bp.withRetry(ctx, tally, func() error { return bp.pf.ReadPage(page, fr.data) }); err != nil {
 		sp.SetError(err)
 		sp.End()
 		// Failed loads leave no frame behind: drop it so a later access
@@ -401,7 +452,7 @@ func (bp *BufferPool) getOnce(ctx context.Context, page int64) (*frame, error) {
 			bp.lru.Remove(el)
 			delete(bp.frames, page)
 		}
-		fr.pins--
+		bp.releaseLocked(fr)
 		bp.mu.Unlock()
 		fr.err = err
 		close(fr.ready)
@@ -418,7 +469,7 @@ func (bp *BufferPool) getOnce(ctx context.Context, page int64) (*frame, error) {
 // unpin releases a pin taken by get.
 func (bp *BufferPool) unpin(fr *frame) {
 	bp.mu.Lock()
-	fr.pins--
+	bp.releaseLocked(fr)
 	bp.mu.Unlock()
 }
 
@@ -426,7 +477,7 @@ func (bp *BufferPool) unpin(fr *frame) {
 func (bp *BufferPool) unpinSpan(frames []*frame) {
 	bp.mu.Lock()
 	for _, fr := range frames {
-		fr.pins--
+		bp.releaseLocked(fr)
 	}
 	bp.mu.Unlock()
 }
@@ -453,14 +504,14 @@ func (bp *BufferPool) frameDataLocked() []byte {
 // each other. On error no pins are retained. The caller must release the
 // returned frames with unpinSpan. Frames are returned in page order:
 // frames[base+i] holds page lo+i.
-func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*frame) ([]*frame, error) {
+func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n int, frames []*frame) ([]*frame, error) {
 	sr, _ := bp.pf.(PageSpanReader)
 	if sr == nil || n == 1 {
 		// No span capability underneath (e.g. a bare test PagedFile):
 		// degrade to per-page gets with identical semantics.
 		base := len(frames)
 		for i := 0; i < n; i++ {
-			fr, err := bp.get(ctx, lo+int64(i))
+			fr, err := bp.get(ctx, tally, lo+int64(i))
 			if err != nil {
 				bp.unpinSpan(frames[base:])
 				return nil, err
@@ -470,7 +521,6 @@ func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*fr
 		return frames, nil
 	}
 
-	tally := tallyFrom(ctx)
 	base := len(frames)
 	var claimed []*frame // absent pages this call must load, ascending
 	bp.mu.Lock()
@@ -483,7 +533,7 @@ func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*fr
 			continue
 		}
 		if bp.lru.Len() >= bp.capacity {
-			if err := bp.evictLocked(ctx); err != nil {
+			if err := bp.evictLocked(ctx, tally); err != nil {
 				// Unwind everything taken so far: pins on resident frames
 				// and the claims (which nobody has loaded).
 				for _, fr := range claimed {
@@ -493,14 +543,29 @@ func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*fr
 					}
 				}
 				for _, fr := range frames[base:] {
-					fr.pins--
+					bp.releaseLocked(fr)
 				}
-				bp.mu.Unlock()
-				for _, fr := range claimed {
-					fr.err = err
-					close(fr.ready)
+				publish := func() {
+					for _, fr := range claimed {
+						fr.err = err
+						close(fr.ready)
+					}
 				}
-				return nil, err
+				if err != errPoolPinned {
+					bp.mu.Unlock()
+					publish()
+					return nil, err
+				}
+				// Every frame is pinned: give back what this call took, wait
+				// for an unpin, and start the span over.
+				bp.misses.Add(-int64(len(claimed)))
+				if tally != nil {
+					tally.misses.Add(-int64(len(claimed)))
+				}
+				if err := bp.awaitUnpin(ctx, publish); err != nil {
+					return nil, err
+				}
+				return bp.getSpan(ctx, tally, lo, n, frames[:base])
 			}
 		}
 		bp.misses.Add(1)
@@ -530,7 +595,7 @@ func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*fr
 		sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
 		sp.SetAttr("page", group[0].page)
 		sp.SetAttr("pages", int64(len(group)))
-		err := bp.withRetry(ctx, func() error { return sr.ReadPageSpan(group[0].page, bufs) })
+		err := bp.withRetry(ctx, tally, func() error { return sr.ReadPageSpan(group[0].page, bufs) })
 		if err != nil {
 			sp.SetError(err)
 			sp.End()
@@ -585,8 +650,8 @@ func (bp *BufferPool) getSpan(ctx context.Context, lo int64, n int, frames []*fr
 			// ourselves; otherwise propagate.
 			err := fr.err
 			bp.unpin(fr)
-			if isCtxErr(err) && ctx.Err() == nil {
-				fr2, err2 := bp.get(ctx, fr.page)
+			if abandoned(err) && ctx.Err() == nil {
+				fr2, err2 := bp.get(ctx, tally, fr.page)
 				if err2 == nil {
 					frames[idx] = fr2
 					continue
@@ -611,7 +676,7 @@ func (bp *BufferPool) failSpanClaims(claims []*frame, err error) {
 			bp.lru.Remove(el)
 			delete(bp.frames, fr.page)
 		}
-		fr.pins--
+		bp.releaseLocked(fr)
 	}
 	bp.mu.Unlock()
 	for _, fr := range claims {
@@ -631,7 +696,7 @@ outer:
 				continue outer
 			}
 		}
-		fr.pins--
+		bp.releaseLocked(fr)
 	}
 	bp.mu.Unlock()
 }
@@ -669,7 +734,7 @@ func (bp *BufferPool) Reset(ctx context.Context) error {
 // evictLocked writes back and drops the least recently used unpinned frame.
 // Called with the pool mutex held; the write-back happens under it, which
 // keeps a concurrent miss on the victim page from reading stale bytes.
-func (bp *BufferPool) evictLocked(ctx context.Context) error {
+func (bp *BufferPool) evictLocked(ctx context.Context, tally *PoolTally) error {
 	for el := bp.lru.Back(); el != nil; el = el.Prev() {
 		fr := el.Value.(*frame)
 		if fr.pins > 0 {
@@ -677,9 +742,8 @@ func (bp *BufferPool) evictLocked(ctx context.Context) error {
 		}
 		// pins == 0 ⇒ no latch holder, so data/dirty are stable here.
 		// Eviction work is attributed to the request whose miss forced it.
-		tally := tallyFrom(ctx)
 		if fr.dirty {
-			if err := bp.withRetry(ctx, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
+			if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
 				return err
 			}
 			bp.writes.Add(1)
@@ -702,7 +766,7 @@ func (bp *BufferPool) evictLocked(ctx context.Context) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("storage: all %d pool frames are pinned; size the pool above the number of concurrent readers", bp.capacity)
+	return errPoolPinned
 }
 
 // ReadAt copies n bytes at the byte offset into dst, faulting pages as
@@ -715,11 +779,12 @@ func (bp *BufferPool) ReadAt(dst []byte, off int64) error {
 // page accesses and during load waits and retry backoffs.
 func (bp *BufferPool) ReadAtCtx(ctx context.Context, dst []byte, off int64) error {
 	ps := int64(bp.pf.PageSize())
+	tally := tallyFrom(ctx)
 	for len(dst) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fr, err := bp.get(ctx, off/ps)
+		fr, err := bp.get(ctx, tally, off/ps)
 		if err != nil {
 			return err
 		}
@@ -742,11 +807,12 @@ func (bp *BufferPool) WriteAt(src []byte, off int64) error {
 // WriteAtCtx is WriteAt with cancellation.
 func (bp *BufferPool) WriteAtCtx(ctx context.Context, src []byte, off int64) error {
 	ps := int64(bp.pf.PageSize())
+	tally := tallyFrom(ctx)
 	for len(src) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fr, err := bp.get(ctx, off/ps)
+		fr, err := bp.get(ctx, tally, off/ps)
 		if err != nil {
 			return err
 		}
@@ -769,6 +835,7 @@ func (bp *BufferPool) Flush() error { return bp.FlushCtx(context.Background()) }
 
 // FlushCtx is Flush with cancellation.
 func (bp *BufferPool) FlushCtx(ctx context.Context) error {
+	tally := tallyFrom(ctx)
 	bp.mu.Lock()
 	pages := make([]int64, 0, bp.lru.Len())
 	for el := bp.lru.Front(); el != nil; el = el.Next() {
@@ -790,7 +857,7 @@ func (bp *BufferPool) FlushCtx(ctx context.Context) error {
 		if fr.err == nil {
 			fr.mu.Lock()
 			if fr.dirty {
-				if err := bp.withRetry(ctx, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
+				if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
 					if firstErr == nil {
 						firstErr = fmt.Errorf("storage: flushing page %d: %w", fr.page, err)
 					}
@@ -806,7 +873,7 @@ func (bp *BufferPool) FlushCtx(ctx context.Context) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := bp.withRetry(ctx, bp.pf.Sync); err != nil {
+	if err := bp.withRetry(ctx, tally, bp.pf.Sync); err != nil {
 		return fmt.Errorf("storage: sync: %w", err)
 	}
 	return nil

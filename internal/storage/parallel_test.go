@@ -135,8 +135,9 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelismOneIsSequentialPath: Parallelism <= 1 must delegate to
-// the sequential methods — bit-identical sums and identical tallies.
+// TestParallelismOneIsSequentialPath: Parallelism <= 1 with a readahead
+// window is the same schedule as the zero options — bit-identical sums and
+// identical tallies.
 func TestParallelismOneIsSequentialPath(t *testing.T) {
 	fs, o, sizes, path, _ := buildParallelStore(t, 128)
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
@@ -193,16 +194,30 @@ func TestParallelRunsMatchAnalyticModel(t *testing.T) {
 		regions = append(regions, r)
 	}
 	for _, r := range regions {
-		fs.mu.RLock()
-		runs := fs.readRuns(context.Background(), r)
-		fs.mu.RUnlock()
+		p, err := fs.Plan(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		pred := fs.Layout().Query(r)
+		if p.Stats != pred {
+			t.Errorf("region %v: plan stats %+v, Layout.Query %+v", r, p.Stats, pred)
+		}
+		var runs []planRun
+		for _, run := range p.runs {
+			if run.pageHi < run.pageLo { // only base-empty cells: kept for overlay probes
+				if run.cells != 0 {
+					t.Fatalf("region %v: pageless run with %d filled cells", r, run.cells)
+				}
+				continue
+			}
+			runs = append(runs, run)
+		}
 		if int64(len(runs)) != pred.Seeks {
 			t.Errorf("region %v: %d runs, analytic predicts %d seeks", r, len(runs), pred.Seeks)
 		}
 		var pages int64
 		for i := range runs {
-			if runs[i].pageHi < runs[i].pageLo || len(runs[i].cells) == 0 {
+			if runs[i].cells == 0 || runs[i].fragHi <= runs[i].fragLo {
 				t.Fatalf("region %v: malformed run %+v", r, runs[i])
 			}
 			if i > 0 && runs[i].pageLo <= runs[i-1].pageHi+1 {
@@ -473,37 +488,40 @@ func TestParallelClosedStore(t *testing.T) {
 	}
 }
 
-// TestSumRunKernelZeroAlloc: the batched decode kernel must not allocate
-// in steady state on a warm pool.
+// TestSumRunKernelZeroAlloc: the run body must not allocate in steady
+// state on a warm pool — not per record, per cell, per page or per run.
 func TestSumRunKernelZeroAlloc(t *testing.T) {
 	fs, _, _, _, _ := buildParallelStore(t, 128)
 	defer fs.Close()
-	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
+	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 3, Hi: 4}} // one column: a run per row
 	if _, _, err := fs.Sum(r, decodeF64); err != nil { // warm the pool
 		t.Fatal(err)
 	}
-	fs.mu.RLock()
-	runs := fs.readRuns(context.Background(), r)
-	fs.mu.RUnlock()
-	if len(runs) == 0 {
-		t.Fatal("no runs")
-	}
 	ctx := context.Background()
-	pr := &runProgress{}
+	p, err := fs.Plan(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.runs) < 2 {
+		t.Fatalf("want a multi-run region, got %d runs", len(p.runs))
+	}
+	total := 0.0
+	x := &execution{fs: fs, plan: p, fn: func(_ int, rec []byte) error {
+		total += decodeF64(rec)
+		return nil
+	}}
 	sc := &runScratch{}
-	for _, window := range []int{1, 4} {
-		if _, err := fs.sumRun(ctx, &runs[0], pr, nil, decodeF64, sc, window); err != nil { // size the scratch buffers
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			for i := range runs {
-				if _, err := fs.sumRun(ctx, &runs[i], pr, nil, decodeF64, sc, window); err != nil {
+	for _, x.window = range []int{1, 4} {
+		kernel := func() {
+			for i := range p.runs {
+				if err := x.readRun(ctx, &p.runs[i], sc, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("sum kernel (window %d) allocates %v times per warm query, want 0", window, allocs)
+		}
+		kernel() // size the scratch buffers
+		if allocs := testing.AllocsPerRun(100, kernel); allocs != 0 {
+			t.Errorf("run body (window %d) allocates %v times per warm query, want 0", x.window, allocs)
 		}
 	}
 }
@@ -560,7 +578,10 @@ func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
 		var gotErr error
 		for len(rest) > 0 && gotErr == nil {
 			k := 1 + rng.Intn(len(rest))
-			gotErr = w.feed(rest[:k], &gotSum, decode)
+			gotErr = w.feed(rest[:k], func(_ int, rec []byte) error {
+				gotSum += decode(rec)
+				return nil
+			})
 			rest = rest[k:]
 		}
 		if gotErr == nil {
@@ -692,7 +713,7 @@ func TestPoolResetRefusesPinnedFrames(t *testing.T) {
 	fs, _, _, _, _ := buildParallelStore(t, 128)
 	defer fs.Close()
 	ctx := context.Background()
-	fr, err := fs.pool.get(ctx, 0)
+	fr, err := fs.pool.get(ctx, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,8 +726,8 @@ func TestPoolResetRefusesPinnedFrames(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidatedByPut: the parallel path's prepared plans embed
-// fill counts, so a PutRecord between queries must invalidate them — a
+// TestPlanCacheInvalidatedByPut: prepared plans embed fills and run
+// grouping, so a PutRecord between queries must move the write epoch — a
 // stale plan would silently drop the new record.
 func TestPlanCacheInvalidatedByPut(t *testing.T) {
 	o := concurrentOrder(t)

@@ -7,6 +7,8 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/linear"
 )
@@ -26,6 +28,8 @@ type Layout struct {
 	// one extra entry holding the total size, so the cell at position p
 	// spans [start[p], start[p+1]).
 	start []int64
+
+	posBits sync.Pool // *[]uint64 position bitmaps for eachFragment, returned zeroed
 }
 
 // NewLayout packs the cells of the order, where bytesPerCell[cell] is the
@@ -103,58 +107,104 @@ type Stats struct {
 	NormPages float64 // Pages / MinPages; 0 when the query selects nothing
 }
 
-// byteRun is a maximal contiguous byte interval of selected data.
-type byteRun struct{ lo, hi int64 } // half-open
-
 // Query measures the pages and seeks needed to read all records in the
-// region under this layout. Empty cells occupy no bytes, so runs are merged
-// across them; two byte runs landing on the same or adjacent pages are read
-// with a single sequential access.
+// region under this layout: it builds the region's fragments and prices
+// them (see statsAcc), with no position slice and no sort.
 func (l *Layout) Query(r linear.Region) Stats {
-	positions := l.order.Positions(r)
-	var runs []byteRun
-	for _, p := range positions {
-		lo, hi := l.start[p], l.start[p+1]
-		if lo == hi {
-			continue // empty cell: no data, no seek boundary
-		}
-		if n := len(runs); n > 0 && runs[n-1].hi == lo {
-			runs[n-1].hi = hi
-			continue
-		}
-		runs = append(runs, byteRun{lo, hi})
+	var acc statsAcc
+	l.eachFragment(r, func(lo, hi int) { acc.add(l, lo, hi) })
+	return acc.stats(l.usable())
+}
+
+// statsAcc prices a query fragment by fragment. A fragment's cells are
+// byte-contiguous, so it is one byte run; empty cells occupy no bytes, and
+// byte runs landing on the same or adjacent pages are read with a single
+// sequential access. Logical offsets map to pages by usable bytes, so
+// trailer overhead shows up in the counts exactly as it does on disk.
+type statsAcc struct {
+	bytes, pages, seeks int64
+	pageHi              int64 // last page of the current merged page range
+}
+
+// add prices the fragment of disk positions [lo, hi); fragments must
+// arrive in ascending position order.
+func (a *statsAcc) add(l *Layout, lo, hi int) {
+	bLo, bHi := l.start[lo], l.start[hi]
+	if bLo == bHi {
+		return // only empty cells: no data, no seek boundary
 	}
-	var st Stats
-	if len(runs) == 0 {
-		return st
-	}
-	// Convert byte runs to inclusive page ranges and merge ranges that
-	// overlap or are adjacent (consecutive pages need no seek). Logical
-	// offsets map to pages by usable bytes, so trailer overhead shows up in
-	// the counts exactly as it does on disk.
 	u := l.usable()
-	type pageRange struct{ lo, hi int64 }
-	var merged []pageRange
-	for _, run := range runs {
-		st.Bytes += run.hi - run.lo
-		pr := pageRange{run.lo / u, (run.hi - 1) / u}
-		if n := len(merged); n > 0 && pr.lo <= merged[n-1].hi+1 {
-			if pr.hi > merged[n-1].hi {
-				merged[n-1].hi = pr.hi
-			}
-			continue
-		}
-		merged = append(merged, pr)
+	a.bytes += bHi - bLo
+	pLo, pHi := bLo/u, (bHi-1)/u
+	switch {
+	case a.seeks == 0 || pLo > a.pageHi+1:
+		a.seeks++
+		a.pages += pHi - pLo + 1
+	case pHi > a.pageHi:
+		a.pages += pHi - a.pageHi
+	default:
+		return
 	}
-	for _, pr := range merged {
-		st.Pages += pr.hi - pr.lo + 1
-	}
-	st.Seeks = int64(len(merged))
-	st.MinPages = (st.Bytes + u - 1) / u
+	a.pageHi = pHi
+}
+
+func (a *statsAcc) stats(usable int64) Stats {
+	st := Stats{Bytes: a.bytes, Pages: a.pages, Seeks: a.seeks, MinPages: (a.bytes + usable - 1) / usable}
 	if st.MinPages > 0 {
 		st.NormPages = float64(st.Pages) / float64(st.MinPages)
 	}
 	return st
+}
+
+// eachFragment calls f with every fragment of the region — a maximal run
+// [lo, hi) of consecutive disk positions, the paper's unit of query cost —
+// in ascending disk order. One EachPosition pass marks the region in a
+// pooled bitmap; the scan then visits (and clears) only the words between
+// the lowest and highest position marked, so a single-cell region costs
+// O(1) and a clustered one O(cells/64 + fragments).
+func (l *Layout) eachFragment(r linear.Region, f func(lo, hi int)) {
+	pb, _ := l.posBits.Get().(*[]uint64)
+	if pb == nil {
+		words := make([]uint64, (l.order.Len()+63)/64)
+		pb = &words
+	}
+	words := *pb
+	minW, maxW := len(words), -1
+	l.order.EachPosition(r, func(pos int) {
+		w := pos >> 6
+		words[w] |= 1 << (uint(pos) & 63)
+		if w < minW {
+			minW = w
+		}
+		if w > maxW {
+			maxW = w
+		}
+	})
+	lo, hi := -1, -1 // the open fragment
+	for wi := minW; wi <= maxW; wi++ {
+		w := words[wi]
+		words[wi] = 0 // scan-and-clear: the bitmap returns to the pool zeroed
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			ones := bits.TrailingZeros64(^(w >> uint(tz)))
+			if tz+ones == 64 {
+				w = 0
+			} else {
+				w &^= (1<<uint(ones) - 1) << uint(tz)
+			}
+			if pos := wi<<6 + tz; pos != hi {
+				if hi >= 0 {
+					f(lo, hi)
+				}
+				lo = pos
+			}
+			hi = wi<<6 + tz + ones
+		}
+	}
+	if hi >= 0 {
+		f(lo, hi)
+	}
+	l.posBits.Put(pb)
 }
 
 // DiskModel estimates wall-clock I/O time from seek and transfer costs; the

@@ -23,16 +23,9 @@ type PoolTally struct {
 	hits, misses, evictions, writes, retries, sfWaits atomic.Int64
 	seeks                                             atomic.Int64
 	deltaHits                                         atomic.Int64 // cells served from a delta overlay instead of base pages
-	planHits, planMisses                              atomic.Int64 // prepared-plan cache lookups on the parallel read path
+	planHits, planMisses                              atomic.Int64 // prepared-plan cache lookups
 	lastPage                                          atomic.Int64 // page+2 of the last physical read; 0 = none yet
 
-	// sink, when set, replaces the run-detection above: physical reads are
-	// recorded in an order-independent page bitmap instead of bumping seeks
-	// as they happen. The parallel read path uses this — its prefetchers and
-	// decoder load pages out of order, which would make the sequential
-	// last-page heuristic nondeterministic — and stores the bitmap's run
-	// count into seeks when the fragment completes.
-	sink *pageRecorder
 }
 
 // Stats returns the tallied traffic as a PoolStats snapshot.
@@ -63,7 +56,7 @@ func (t *PoolTally) deltaHit() { t.deltaHits.Add(1) }
 
 // PlanHits returns how many of this request's read plans were served from
 // the prepared-plan cache; PlanMisses counts the plans it had to compute.
-// Both stay zero on the sequential read path, which does not plan.
+// A request plans once (FileStore.Plan), on either read schedule.
 func (t *PoolTally) PlanHits() int64   { return t.planHits.Load() }
 func (t *PoolTally) PlanMisses() int64 { return t.planMisses.Load() }
 
@@ -79,14 +72,13 @@ func (t *PoolTally) planLookup(hit bool) {
 // physRead records one physical page read for seek accounting: a read
 // that does not continue the previous page starts a new run.
 func (t *PoolTally) physRead(page int64) {
-	if t.sink != nil {
-		t.sink.record(page)
-		return
-	}
 	if prev := t.lastPage.Swap(page + 2); prev != page+1 {
 		t.seeks.Add(1)
 	}
 }
+
+// reset clears a fragment tally for reuse by the next run.
+func (t *PoolTally) reset() { *t = PoolTally{} }
 
 // merge folds a completed fragment tally into the request tally. lastPage
 // is deliberately not transferred: fragments are page-disjoint seek runs,

@@ -22,12 +22,10 @@ func attrVal(t *testing.T, sp trace.Span, key string) int64 {
 // TestColdQueryFragmentSpansMatchTallyAndAnalytic is the tracing
 // counterpart of TestSumStatsColdMatchesAnalytic: on a cold pool, a traced
 // query's fragment spans must account for exactly the traffic the tally
-// observed and the analytic model predicted — one fragment span per run of
-// byte-contiguous cells, one page_load child per analytic page, and
-// per-fragment tally deltas whose sums equal both the tally totals and the
-// analytic prediction. (Fragment count is cell-run granularity; the seek
-// model merges at page granularity, so the exact cross-check is the
-// per-fragment seek deltas summing to the analytic seek count.)
+// observed and the analytic model predicted — one fragment span per seek
+// run (the same definition on every read schedule), one page_load child per
+// analytic page, and per-fragment tallies whose sums equal both the tally
+// totals and the analytic prediction.
 func TestColdQueryFragmentSpansMatchTallyAndAnalytic(t *testing.T) {
 	regions := []linear.Region{
 		{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, // full grid: one contiguous run
@@ -72,16 +70,8 @@ func TestColdQueryFragmentSpansMatchTallyAndAnalytic(t *testing.T) {
 				loads++
 			}
 		}
-		wantFrags := int64(0)
-		next := int64(-1)
-		for _, pos := range fs.layout.order.Positions(r) {
-			if lo := fs.layout.start[pos]; lo != next {
-				wantFrags++
-			}
-			next = fs.layout.start[pos+1]
-		}
-		if frags != wantFrags {
-			t.Errorf("region %v: %d fragment spans, want %d byte-contiguous cell runs", r, frags, wantFrags)
+		if frags != pred.Seeks {
+			t.Errorf("region %v: %d fragment spans, want one per analytic seek run %d", r, frags, pred.Seeks)
 		}
 		if spanSeeks != tally.Seeks() || spanSeeks != pred.Seeks {
 			t.Errorf("region %v: fragment seek attrs sum to %d, tally %d, analytic %d",

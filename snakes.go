@@ -311,11 +311,11 @@ func FrameSize(payloadLen int) int64 { return storage.FrameSize(payloadLen) }
 // the context ends.
 type FileStore = storage.FileStore
 
-// ReadOptions tunes the parallel fragment read path
-// (FileStore.ReadQueryOptCtx / SumOptCtx): Parallelism bounds the
-// concurrent fragment fetches of one query (<= 1 selects the sequential
-// path), Readahead the pages prefetched ahead of the decoder within a
-// fragment.
+// ReadOptions selects the read executor's schedule (FileStore.ReadPlanCtx,
+// ReadQueryOptCtx, SumOptCtx): Parallelism bounds the concurrent fragment
+// fetches of one query (<= 1 reads the fragments in order on the caller's
+// goroutine, delivering records in place), Readahead the pages a fragment
+// loads per span read when Parallelism > 1.
 type ReadOptions = storage.ReadOptions
 
 // PoolStats counts a FileStore buffer pool's traffic since creation.
