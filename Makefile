@@ -33,11 +33,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short bounded fuzz sessions over the catalog round-trip property and the
-# sum column's decimal fast path (bit-identical to strconv.ParseFloat).
+# Short bounded fuzz sessions over the catalog round-trip property, the
+# sum column's decimal fast path (bit-identical to strconv.ParseFloat) and
+# the row codec (lossless, shape-sized, column-for-column equal to the text
+# decoder). Their seed corpora run as ordinary tests in `make check`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodec -fuzztime=10s ./cmd/snakestore
 
 # stress re-runs the concurrency suite under the race detector several
 # times: the serving stress test (goroutines + faults + cancellation +
@@ -65,10 +68,11 @@ trace-smoke:
 # alloc-gates pins the read pipeline's allocation counts: the run body and
 # the untraced pool read allocate nothing, a warm Parallelism=1 read + sum
 # allocates the same small constant for one cell as for a multi-run region,
-# and the sum column's decoder allocates nothing. Run without the race
-# detector, under which sync.Pool drops entries at random.
+# and the row codec allocates nothing to read a column, size a row or encode
+# one into a warm buffer. Run without the race detector, under which
+# sync.Pool drops entries at random.
 alloc-gates:
-	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn' ./internal/storage ./cmd/snakestore
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs' ./internal/storage ./cmd/snakestore
 
 # benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
 # module, which `go build ./...` and `go test ./...` above never see, so
@@ -162,10 +166,11 @@ chaos-long:
 # ingest-smoke drives the daemon's write path end to end under the race
 # detector: POST /ingest merge-on-read with delta attribution, validation
 # and backlog shedding, the kill-subprocess crash matrix (mid-append,
-# mid-compaction, post-catalog-commit), and a reorganization carrying
-# pending deltas into the new generation.
+# mid-compaction, post-catalog-commit), a reorganization carrying pending
+# deltas into the new generation, and the encoded-row differential (same-shape
+# rewrites fit; every sum equals the text oracle's bits).
 ingest-smoke:
-	$(GO) test -race -count=1 -run 'TestIngest|TestCrashPointIngestMatrix|TestReorgCarriesDeltas' ./cmd/snakestore
+	$(GO) test -race -count=1 -run 'TestIngest|TestCrashPointIngestMatrix|TestReorgCarriesDeltas|TestEncodedRowsEndToEnd' ./cmd/snakestore
 
 # reorg-smoke exercises the daemon's zero-downtime reorganization path
 # once under the race detector: automatic trigger, hot swap under load,

@@ -160,6 +160,9 @@ func (s *server) runCompactorLoop(ctx context.Context, interval time.Duration) {
 				s.log.Warn("compact", "err", err)
 				continue
 			}
+			if stats.Oversize > 0 {
+				s.log.Warn("compact", "msg", "pending cells exceed their extents and stay in the delta log", "cells", stats.Oversize)
+			}
 			if stats.CellsApplied > 0 {
 				s.log.Info("compact", "cells", stats.CellsApplied, "bytes", stats.BytesApplied,
 					"regions", stats.Regions, "pendingCells", stats.PendingCells, "pendingBytes", stats.PendingBytes)
@@ -256,9 +259,18 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, usagef("cell %d: no rows", i))
 			return
 		}
+		// The cell's rows are encoded back to back into one buffer; a row
+		// encodes to at most its length plus one, so it never moves.
+		size := len(c.Rows)
+		for _, row := range c.Rows {
+			size += len(row)
+		}
+		enc := make([]byte, 0, size)
 		records := make([][]byte, len(c.Rows))
 		for j, row := range c.Rows {
-			records[j] = []byte(row)
+			at := len(enc)
+			enc = encodeRow(enc, row)
+			records[j] = enc[at:]
 		}
 		cell := order.CellIndex(c.Coords)
 		framed := snakes.FrameRecords(records...)

@@ -308,7 +308,7 @@ func runIngestCrashOps(dir, ops string) error {
 			}
 			cell := st.Layout().Order().CellIndex([]int{x, y})
 			srv.ing.mu.Lock()
-			err := srv.ing.log.Put(cell, snakes.FrameRecords([]byte(val)))
+			err := srv.ing.log.Put(cell, snakes.FrameRecords(encodeRow(nil, val)))
 			srv.ing.mu.Unlock()
 			if err != nil {
 				return err
@@ -378,8 +378,9 @@ func cellRecord(t *testing.T, srv *server, x, y int) string {
 	cell := st.Layout().Order().CellIndex([]int{x, y})
 	var rows []string
 	if err := st.ReadCellCtx(context.Background(), cell, func(rec []byte) error {
-		rows = append(rows, string(rec))
-		return nil
+		row, err := decodeRow(nil, rec)
+		rows = append(rows, string(row))
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,12 @@
 // to 503 "draining"). /metrics exposes pool, admission, and request
 // telemetry in the Prometheus text format; -pprof mounts net/http/pprof
 // under /debug/pprof/; every request is logged in key=value form with a
-// unique request id.
+// unique request id, through a buffer flushed every 100 ms and at once after
+// any warning.
 //
 // CSV layout: the first k columns are the record's leaf coordinates, one
-// per dimension in schema order; remaining columns are payload. The catalog
+// per dimension in schema order; remaining columns are payload, stored
+// through the row codec (rowcodec.go) and summed in place. The catalog
 // JSON written by optimize (and updated by build) carries the schema, the
 // chosen strategy, and the load state, so query needs no other input.
 //
@@ -58,10 +60,24 @@ import (
 	snakes "repro"
 )
 
-// catalogVersion is the current catalog format. Version 1 (no dirty flag)
-// and version 2 (no generations) are still readable; writes always upgrade
+// catalogVersion is the current catalog format. Version 4 says the store's
+// rows went through the row codec (rowcodec.go). Older versions are still
+// readable — an optimize output of any version feeds build, and verify works
+// on the framing alone — but a store loaded under one holds text rows, which
+// nothing decodes any more: checkRowFormat refuses it. Writes always upgrade
 // to the current version.
-const catalogVersion = 3
+const catalogVersion = 4
+
+// errOldStore marks a store loaded before rows were encoded.
+var errOldStore = errors.New("built by an older snakestore: re-run build")
+
+// checkRowFormat is the gate in front of every row decoder.
+func checkRowFormat(cat *catalog, path string) error {
+	if cat.Version < catalogVersion {
+		return fmt.Errorf("catalog %s (version %d): store %w", path, cat.Version, errOldStore)
+	}
+	return nil
+}
 
 // catalog is the persistent description of one snakestore database.
 type catalog struct {
@@ -248,27 +264,29 @@ func cmdBuild(args []string) error {
 		return err
 	}
 
-	// Pass 1: size every cell.
+	// Pass 1: size every cell by its rows' encoded lengths.
 	bytesPerCell := make([]int64, schema.NumCells())
 	order, err := strat.Materialize()
 	if err != nil {
 		return err
 	}
-	if err := scanCSV(*csvPath, k, order, func(cell int, payload []byte) error {
-		bytesPerCell[cell] += snakes.FrameSize(len(payload))
+	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
+		bytesPerCell[cell] += snakes.FrameSize(encodedLen(row))
 		return nil
 	}); err != nil {
 		return err
 	}
-	// Pass 2: load.
+	// Pass 2: load, encoding every row into one buffer PutRecord copies from.
 	store, err := strat.CreateFileStore(*storePath, bytesPerCell, cat.PageBytes, *frames)
 	if err != nil {
 		return err
 	}
 	var records int64
-	if err := scanCSV(*csvPath, k, order, func(cell int, payload []byte) error {
+	var enc []byte
+	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
 		records++
-		return store.PutRecord(cell, payload)
+		enc = encodeRow(enc[:0], row)
+		return store.PutRecord(cell, enc)
 	}); err != nil {
 		store.Close()
 		return err
@@ -321,6 +339,9 @@ func cmdQuery(args []string) error {
 	if cat.BytesPer == nil {
 		return fmt.Errorf("catalog has no load state; run build first")
 	}
+	if err := checkRowFormat(cat, *catPath); err != nil {
+		return err
+	}
 	region, err := parseRegion(schema, schemaDims(cat), wheres)
 	if err != nil {
 		return usagef("%v", err)
@@ -336,7 +357,7 @@ func cmdQuery(args []string) error {
 	err = store.Scan(region, func(cell int, record []byte) error {
 		count++
 		if *sumCol >= 0 {
-			v, err := payloadColumn(record, *sumCol)
+			v, err := rowColumn(record, *sumCol)
 			if err != nil {
 				return usagef("%v", err)
 			}
@@ -548,8 +569,9 @@ func parseRegion(s *snakes.Schema, dims []snakes.Dimension, wheres []string) (sn
 }
 
 // scanCSV streams the CSV, mapping each row's first k columns to a cell and
-// re-encoding the remaining columns (comma-joined) as the payload.
-func scanCSV(path string, k int, order *snakes.Order, fn func(cell int, payload []byte) error) error {
+// handing fn the remaining columns, comma-joined, as the row's text — in a
+// buffer the next row overwrites.
+func scanCSV(path string, k int, order *snakes.Order, fn func(cell int, row []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -559,6 +581,7 @@ func scanCSV(path string, k int, order *snakes.Order, fn func(cell int, payload 
 	r.ReuseRecord = true
 	line := 0
 	coords := make([]int, k)
+	var row []byte
 	for {
 		rec, err := r.Read()
 		if err == io.EOF {
@@ -582,8 +605,14 @@ func scanCSV(path string, k int, order *snakes.Order, fn func(cell int, payload 
 			coords[d] = v
 		}
 		cell := order.CellIndex(coords)
-		payload := strings.Join(rec[k:], ",")
-		if err := fn(cell, []byte(payload)); err != nil {
+		row = row[:0]
+		for i, col := range rec[k:] {
+			if i > 0 {
+				row = append(row, ',')
+			}
+			row = append(row, col...)
+		}
+		if err := fn(cell, row); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
 	}

@@ -86,7 +86,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	var got float64
 	var count int
 	if err := fs.Scan(region, func(cell int, rec []byte) error {
-		v, err := strconv.ParseFloat(string(rec), 64)
+		v, err := rowColumn(rec, 0)
 		if err != nil {
 			return err
 		}
@@ -190,6 +190,84 @@ func TestDirtyCatalogBlocksQueriesUntilRebuilt(t *testing.T) {
 	}
 	if err := cmdQuery([]string{"-catalog", cat, "-store", store}); err != nil {
 		t.Fatalf("query after recovery build: %v", err)
+	}
+}
+
+// TestOldStoreRefusedUntilRebuilt: a catalog of version 3 or older that
+// carries load state describes a store of text rows, which nothing decodes
+// any more. serve and query refuse it with the typed error (exit 1, not a
+// usage error) before touching a file — stale generations of a crashed
+// reorganization included — while verify and verify -repair, which read
+// framing only, keep working; re-running build is the way back. An optimize
+// output of any version, which has no load state, feeds build as before.
+func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
+	for _, version := range []int{1, 2, 3} {
+		dir := t.TempDir()
+		cat := filepath.Join(dir, "cat.json")
+		store := filepath.Join(dir, "facts.db")
+		csvPath := filepath.Join(dir, "facts.csv")
+		writeFactsCSV(t, csvPath)
+		if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", cat}); err != nil {
+			t.Fatal(err)
+		}
+		c, _, _, err := loadCatalog(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Version = version
+		if err := writeCatalog(cat, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", store}); err != nil {
+			t.Fatalf("build from a version %d optimize output: %v", version, err)
+		}
+		if c, _, _, err = loadCatalog(cat); err != nil || c.Version != catalogVersion {
+			t.Fatalf("build left catalog version %d, %v; want %d", c.Version, err, catalogVersion)
+		}
+		if err := cmdQuery([]string{"-catalog", cat, "-store", store, "-sum", "0"}); err != nil {
+			t.Fatalf("query on a fresh build: %v", err)
+		}
+
+		// The same store under an old catalog, mid-reorganization: the
+		// catalog names generation 1 and generation 0 was never swept.
+		if err := os.Rename(store, genPath(store, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(snakes.ParityPath(store), snakes.ParityPath(genPath(store, 1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(store, []byte("stale generation 0"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c.Version, c.Generation, c.StoreFile = version, 1, filepath.Base(genPath(store, 1))
+		if err := writeCatalog(cat, c); err != nil {
+			t.Fatal(err)
+		}
+		for name, cmd := range map[string]func([]string) error{"serve": cmdServe, "query": cmdQuery} {
+			err := cmd([]string{"-catalog", cat, "-store", store})
+			if !errors.Is(err, errOldStore) || errors.Is(err, errUsage) {
+				t.Errorf("%s on a version %d store: err = %v, want errOldStore and exit 1", name, version, err)
+			}
+		}
+		if _, err := os.Stat(store); err != nil {
+			t.Errorf("a refused serve swept the stale generation: %v", err)
+		}
+		if err := cmdVerify([]string{"-catalog", cat, "-store", store}); err != nil {
+			t.Errorf("verify on a version %d store: %v", version, err)
+		}
+		if err := cmdVerify([]string{"-catalog", cat, "-store", store, "-repair"}); err != nil {
+			t.Errorf("verify -repair on a version %d store: %v", version, err)
+		}
+
+		if err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", store}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdQuery([]string{"-catalog", cat, "-store", store, "-sum", "0"}); err != nil {
+			t.Errorf("query after the rebuild: %v", err)
+		}
+		if _, err := os.Stat(genPath(store, 1)); !os.IsNotExist(err) {
+			t.Errorf("the rebuild left generation 1 behind (err = %v)", err)
+		}
 	}
 }
 

@@ -1,0 +1,327 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strconv"
+)
+
+// The row codec: the one place that knows what a stored payload looks like.
+// build and POST /ingest encode the CSV text of a row, /query and the query
+// subcommand decode it; the store, the WAL and the repair sidecar carry the
+// encoded bytes as opaque records.
+//
+//	row  = hdr col* tail
+//	hdr  = 1 byte: bits 0-3 the number n of binary columns, bit 4 set when
+//	       text follows them; hdr 0 is a raw row, the tail is its whole text
+//	col  = meta mantissa: meta bits 0-2 the mantissa's width w in bytes,
+//	       bits 3-6 the fraction digits, bit 7 the sign; then w bytes,
+//	       little-endian
+//	tail = the rest of the row's text, after the comma that follows the
+//	       last binary column
+//
+// The binary columns are the longest leading run (at most 15) of canonical
+// decimals: an optional '-', digits without a leading zero, an optional
+// '.' with at least one digit after it — spellings the mantissa, sign and
+// fraction count reproduce byte for byte and parseDecimal's fast path
+// evaluates as float64(mantissa) / 10^fraction, the expression rowColumn
+// evaluates. A column's width is a function of the length of its text alone
+// (the bytes 10^L − 1 needs), never of its digits, and a row the encoding
+// would lengthen by more than a byte is stored raw: two rows whose columns
+// have the same lengths and the same canonical run encode to the same
+// length, which is what lets a cell be rewritten in place.
+
+const (
+	maxBinaryCols = 15   // hdr's low nibble
+	hdrTail       = 0x10 // text follows the binary columns
+	maxFrac       = 15   // meta's four fraction bits
+	maxDigits     = 19   // parseDecimal's fast path: what a uint64 mantissa holds
+	maxMantissa   = 1 << 53
+)
+
+// mantissaWidth[L] is the bytes 10^L − 1 needs, capped at the 7 that hold
+// 2^53; a canonical column is at most sign + 19 digits + point long.
+var mantissaWidth = [...]uint8{0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 7, 7, 7, 7, 7}
+
+var errMalformedRow = errors.New("malformed encoded row")
+
+// text is a row as build (bytes of a CSV line) or /ingest (a JSON string)
+// holds it.
+type text interface{ ~string | ~[]byte }
+
+// scanCanonical reads the column that starts t and ends at the first comma
+// or the end of t, and reports whether it is a canonical decimal; end is
+// then the length of its text.
+func scanCanonical[T text](t T) (mant uint64, meta byte, end int, ok bool) {
+	i := 0
+	if len(t) > 0 && t[0] == '-' {
+		meta = 0x80
+		i = 1
+	}
+	first := i
+	for ; i < len(t) && t[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(t[i]-'0')
+	}
+	digits := i - first
+	if digits == 0 || (digits > 1 && t[first] == '0') {
+		return 0, 0, 0, false
+	}
+	frac := 0
+	if i < len(t) && t[i] == '.' {
+		i++
+		point := i
+		for ; i < len(t) && t[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(t[i]-'0')
+		}
+		if frac = i - point; frac == 0 {
+			return 0, 0, 0, false
+		}
+	}
+	if (i < len(t) && t[i] != ',') || digits+frac > maxDigits || frac > maxFrac || mant > maxMantissa {
+		return 0, 0, 0, false
+	}
+	return mant, meta | byte(frac)<<3 | mantissaWidth[i], i, true
+}
+
+// encodeRow appends the encoded form of the row t to dst. It allocates only
+// when dst must grow.
+func encodeRow[T text](dst []byte, t T) []byte {
+	base := len(dst)
+	dst = append(dst, 0)
+	n, pos := 0, 0 // binary columns written; where the next column starts in t
+	for n < maxBinaryCols {
+		mant, meta, end, ok := scanCanonical(t[pos:])
+		if !ok {
+			break
+		}
+		dst = append(dst, meta)
+		for w := meta & 7; w > 0; w-- {
+			dst = append(dst, byte(mant))
+			mant >>= 8
+		}
+		n++
+		if pos += end; pos == len(t) {
+			pos = -1 // the row ends with this column
+			break
+		}
+		pos++
+	}
+	switch {
+	case n > 0 && pos < 0:
+		dst[base] = byte(n)
+	case n > 0:
+		dst[base] = byte(n) | hdrTail
+		dst = append(dst, t[pos:]...)
+	}
+	if n == 0 || len(dst)-base > len(t)+1 {
+		dst = append(dst[:base], 0)
+		dst = append(dst, t...)
+	}
+	return dst
+}
+
+// encodedLen is len(encodeRow(nil, t)) without writing anything: what
+// build's sizing pass needs.
+func encodedLen[T text](t T) int {
+	size, n, pos := 1, 0, 0
+	for n < maxBinaryCols {
+		_, meta, end, ok := scanCanonical(t[pos:])
+		if !ok {
+			break
+		}
+		size += 1 + int(meta&7)
+		n++
+		if pos += end; pos == len(t) {
+			pos = -1
+			break
+		}
+		pos++
+	}
+	if n > 0 && pos >= 0 {
+		size += len(t) - pos
+	}
+	if n == 0 || size > len(t)+1 {
+		return len(t) + 1
+	}
+	return size
+}
+
+// binaryColumn reads the binary column at rec[p:] and returns where the
+// next one starts.
+func binaryColumn(rec []byte, p int) (mant uint64, meta byte, next int, err error) {
+	if p >= len(rec) {
+		return 0, 0, 0, errMalformedRow
+	}
+	meta = rec[p]
+	next = p + 1 + int(meta&7)
+	if next > len(rec) {
+		return 0, 0, 0, errMalformedRow
+	}
+	for k := next - 1; k > p; k-- {
+		mant = mant<<8 | uint64(rec[k])
+	}
+	return mant, meta, next, nil
+}
+
+// decodeRow appends the text of an encoded row to dst: the exact bytes
+// encodeRow was given.
+func decodeRow(dst, rec []byte) ([]byte, error) {
+	if len(rec) == 0 || rec[0]&^(hdrTail|maxBinaryCols) != 0 || rec[0] == hdrTail {
+		return dst, errMalformedRow
+	}
+	n, p := int(rec[0]&maxBinaryCols), 1
+	for c := 0; c < n; c++ {
+		mant, meta, next, err := binaryColumn(rec, p)
+		if err != nil {
+			return dst, err
+		}
+		p = next
+		if c > 0 {
+			dst = append(dst, ',')
+		}
+		if meta&0x80 != 0 {
+			dst = append(dst, '-')
+		}
+		var buf [20]byte
+		digits := strconv.AppendUint(buf[:0], mant, 10)
+		frac := int(meta >> 3 & maxFrac)
+		if frac == 0 {
+			dst = append(dst, digits...)
+			continue
+		}
+		// The integer part is what is left of the last frac digits, "0"
+		// when the mantissa has no more than those.
+		whole := len(digits) - frac
+		if whole <= 0 {
+			dst = append(dst, '0')
+		} else {
+			dst = append(dst, digits[:whole]...)
+		}
+		dst = append(dst, '.')
+		for ; whole < 0; whole++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, digits[whole:]...)
+	}
+	switch {
+	case rec[0]&hdrTail != 0:
+		dst = append(dst, ',')
+		fallthrough
+	case n == 0:
+		dst = append(dst, rec[p:]...)
+	case p != len(rec):
+		return dst, errMalformedRow
+	}
+	return dst, nil
+}
+
+// rowColumn extracts the idx-th payload column of an encoded row as a
+// float64 without allocating. It is the one payload decoder: the daemon's
+// /query sum and the query subcommand's -sum both go through it. A binary
+// column is float64(mantissa) / 10^fraction, the value parseDecimal gives
+// the column's text, to the bit; any other column is read from the row's
+// text by payloadColumn's rules, so a short row or a non-numeric column
+// reads the same as it did as text.
+func rowColumn(rec []byte, idx int) (float64, error) {
+	if len(rec) == 0 {
+		return 0, errMalformedRow
+	}
+	n, p := int(rec[0]&maxBinaryCols), 1
+	for c := 0; c < min(n, idx); c++ {
+		if p >= len(rec) {
+			return 0, errMalformedRow
+		}
+		p += 1 + int(rec[p]&7)
+	}
+	if idx < n {
+		mant, meta, _, err := binaryColumn(rec, p)
+		if err != nil {
+			return 0, err
+		}
+		f := float64(mant) / pow10[meta>>3&maxFrac]
+		if meta&0x80 != 0 {
+			f = -f
+		}
+		return f, nil
+	}
+	if p > len(rec) {
+		return 0, errMalformedRow
+	}
+	if n > 0 && rec[0]&hdrTail == 0 {
+		return 0, shortRow(n, idx)
+	}
+	return textColumn(rec[p:], idx-n, idx)
+}
+
+// payloadColumn is rowColumn on a row held as text: the idx-th
+// comma-separated column, parsed by parseDecimal.
+func payloadColumn(record []byte, idx int) (float64, error) {
+	return textColumn(record, idx, idx)
+}
+
+// textColumn parses the column skip commas into text; idx is the column
+// the caller asked the whole row for.
+func textColumn(text []byte, skip, idx int) (float64, error) {
+	for col := 0; col < skip; col++ {
+		end := bytes.IndexByte(text, ',')
+		if end < 0 {
+			return 0, shortRow(idx-skip+col+1, idx)
+		}
+		text = text[end+1:]
+	}
+	return parseDecimal(text)
+}
+
+func shortRow(columns, idx int) error {
+	return fmt.Errorf("record has %d payload columns, sum asked for %d", columns, idx)
+}
+
+// pow10 holds the powers of ten a float64 represents exactly, up to the
+// longest fraction the fast path admits.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// parseDecimal parses the field that starts b and ends at the first comma
+// (or the end of b). It is strconv.ParseFloat on that field with an exact
+// fast path for plain decimals — optional sign, digits, optional fraction,
+// at most 19 digits in all and a mantissa of at most 2^53: the mantissa
+// and 10^k (k <= 19 < 23) are then both exact float64s, so their IEEE
+// quotient is the correctly rounded value, which is what ParseFloat
+// returns. Every other spelling (exponents, inf, nan, hex, underscores,
+// longer mantissas, the empty field) goes to ParseFloat itself, so accepted
+// inputs, rejected inputs and error texts are ParseFloat's.
+func parseDecimal(b []byte) (float64, error) {
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
+	if neg || (len(b) > 0 && b[0] == '+') {
+		i = 1
+	}
+	var mant uint64
+	digits := -i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(b[i]-'0')
+	}
+	digits += i
+	frac := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac = -i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+		}
+		frac += i
+		digits += frac
+	}
+	if (i < len(b) && b[i] != ',') || digits == 0 || digits > 19 || mant > 1<<53 {
+		if end := bytes.IndexByte(b, ','); end >= 0 {
+			b = b[:end]
+		}
+		return strconv.ParseFloat(string(b), 64)
+	}
+	f := float64(mant) / pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f, nil
+}

@@ -1,0 +1,276 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	snakes "repro"
+)
+
+// measureRows is a 4x6 warehouse of rows shaped like the benchmark's: three
+// measures and two text columns, one to three rows a cell. The third measure
+// cycles through spellings the codec keeps as text (a sign, leading zeros, a
+// bare point, an exponent), so sums cross the binary columns and the tail.
+func measureRows() map[[2]int][]string {
+	odd := []string{"0.05", "+0.5", "007", "5.", "1e-2", ".25"}
+	rows := map[[2]int][]string{}
+	n := 0
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 6; y++ {
+			for r := 0; r <= (x+y)%3; r++ {
+				n++
+				rows[[2]int{x, y}] = append(rows[[2]int{x, y}], fmt.Sprintf("%d.%02d,%d,%s,N,row %04d of the warehouse",
+					10000+7919*n%90000, 37*n%100, 1+n%50, odd[n%len(odd)], n))
+			}
+		}
+	}
+	return rows
+}
+
+// regionRows lists the text of the region's rows, cell by cell in the
+// store's disk order and row by row in load order.
+func regionRows(st *snakes.FileStore, rows map[[2]int][]string, region snakes.Region) []string {
+	var texts []string
+	order := st.Layout().Order()
+	for _, pos := range order.Positions(region) {
+		co := order.Coords(order.CellAt(pos), make([]int, 2))
+		texts = append(texts, rows[[2]int{co[0], co[1]}]...)
+	}
+	return texts
+}
+
+// textOracle sums column col of the region from the rows' text in disk
+// order: what the store must answer to the bit.
+func textOracle(t *testing.T, st *snakes.FileStore, rows map[[2]int][]string, region snakes.Region, col int) (records int64, sum float64) {
+	t.Helper()
+	for _, row := range regionRows(st, rows, region) {
+		v, err := payloadColumn([]byte(row), col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records++
+		sum += v
+	}
+	return records, sum
+}
+
+var querySumLine = regexp.MustCompile(`: (\d+) records, sum\(col \d+\) = (\S+)`)
+
+// cliSum runs the query subcommand and parses the count and the sum it
+// prints (%g: the shortest text that reads back to the same float64).
+func cliSum(t *testing.T, catPath, storePath string, region snakes.Region, col int) (int64, float64) {
+	t.Helper()
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	qerr := cmdQuery([]string{"-catalog", catPath, "-store", storePath, "-sum", strconv.Itoa(col),
+		"-where", fmt.Sprintf("x=%d..%d", region[0].Lo, region[0].Hi), "-where", fmt.Sprintf("y=%d..%d", region[1].Lo, region[1].Hi)})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if qerr != nil {
+		t.Fatalf("query -sum %d over %v: %v", col, region, qerr)
+	}
+	m := querySumLine.FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("query printed %q", out)
+	}
+	n, _ := strconv.ParseInt(string(m[1]), 10, 64)
+	sum, err := strconv.ParseFloat(string(m[2]), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, sum
+}
+
+// TestEncodedRowsEndToEnd drives the row codec through every door of the
+// store: build encodes the CSV, the daemon (on both read schedules) and the
+// query subcommand answer every region with the text oracle's exact bits,
+// every stored record decodes back to its CSV text, a same-shape rewrite
+// through /ingest fits its extent and is summed exactly from the overlay,
+// from the base file after a compaction tick and from the next generation
+// after a reorganization, and a longer row is refused without a trace.
+func TestEncodedRowsEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	catPath, storePath, csvPath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), filepath.Join(dir, "facts.csv")
+	rows := measureRows()
+	var csv strings.Builder
+	var textBytes int64
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 6; y++ {
+			for _, row := range rows[[2]int{x, y}] {
+				fmt.Fprintf(&csv, "%d,%d,%s\n", x, y, row)
+				textBytes += snakes.FrameSize(len(row))
+			}
+		}
+	}
+	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-workload", "0,2:1", "-page", "256", "-catalog", catPath}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-catalog", catPath, "-csv", csvPath, "-store", storePath, "-frames", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	c, schema, strat, err := loadCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored int64
+	for _, b := range c.BytesPer {
+		stored += b
+	}
+	if c.Version != catalogVersion || stored >= textBytes {
+		t.Fatalf("catalog version %d reserves %d bytes for rows whose framed text is %d", c.Version, stored, textBytes)
+	}
+	store, err := strat.OpenFileStore(storePath, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm, err := snakes.NewAdmission(1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(store, schema, schemaDims(c), adm, 0, c.Generation, snakes.TraceConfig{})
+	defer srv.closeStore()
+	if err := srv.enableReorg(catPath, storePath, 8, c, strat, adaptiveConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.enableIngest(catPath, storePath, srv.cat, testDeltaOptions(), testIngestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.closeIngest()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	regions := []snakes.Region{
+		{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 2}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 4}, {Lo: 3, Hi: 4}},
+		{{Lo: 2, Hi: 4}, {Lo: 2, Hi: 6}}, {{Lo: 1, Hi: 2}, {Lo: 3, Hi: 4}}, {{Lo: 0, Hi: 2}, {Lo: 0, Hi: 3}},
+	}
+	// agree holds the daemon to the oracle on every region, column and
+	// schedule, and every stored or pending record to its text.
+	agree := func(when string) {
+		t.Helper()
+		st := srv.st()
+		for _, region := range regions {
+			texts := regionRows(st, rows, region)
+			i := 0
+			if err := st.Scan(region, func(_ int, rec []byte) error {
+				row, err := decodeRow(nil, rec)
+				if err != nil || i >= len(texts) || string(row) != texts[i] {
+					return fmt.Errorf("record %d decodes to %q, %v; the CSV has %q", i, row, err, texts[min(i, len(texts)-1)])
+				}
+				i++
+				return nil
+			}); err != nil || i != len(texts) {
+				t.Fatalf("%s, region %v: %d of %d records read back: %v", when, region, i, len(texts), err)
+			}
+			for col := 0; col < 3; col++ {
+				wantN, want := textOracle(t, st, rows, region, col)
+				v := url.Values{"sum": {strconv.Itoa(col)}, "where": {
+					fmt.Sprintf("x=%d..%d", region[0].Lo, region[0].Hi), fmt.Sprintf("y=%d..%d", region[1].Lo, region[1].Hi)}}
+				for _, par := range []int{1, 3} {
+					srv.readOpts = snakes.ReadOptions{Parallelism: par, Readahead: 2}
+					var q queryResponse
+					getJSON(t, ts, "/query?"+v.Encode(), http.StatusOK, &q)
+					if q.Records != wantN || q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
+						t.Fatalf("%s, region %v column %d parallelism %d: %d records sum %v, text oracle %d records sum %v",
+							when, region, col, par, q.Records, *q.Sum, wantN, want)
+					}
+				}
+			}
+		}
+	}
+	agree("as built")
+
+	// Past the last column the row is short, in the text decoder's words.
+	var body struct{ Error string }
+	getJSON(t, ts, "/query?sum=5", http.StatusBadRequest, &body)
+	if want := "usage error: record has 5 payload columns, sum asked for 5"; body.Error != want {
+		t.Errorf("sum past the last column: %q, want %q", body.Error, want)
+	}
+
+	// A same-shape rewrite: every column keeps its length, the digits move.
+	cell := [2]int{1, 3}
+	fresh := make([]string, len(rows[cell]))
+	for i, row := range rows[cell] {
+		fresh[i] = string(sameShape([]byte(row)))
+	}
+	if fresh[0] == rows[cell][0] {
+		t.Fatal("the rewrite changed nothing")
+	}
+	if resp := ingestOne(t, ts, cell[:], fresh...); resp.Accepted != 1 || resp.PendingCells != 1 {
+		t.Fatalf("same-shape rewrite: %+v", resp)
+	}
+	rows[cell] = fresh
+	agree("with the rewrite pending")
+
+	// One more byte of text in one row no longer fits the extent: 400, and
+	// nothing about the store or the log changes.
+	longer := append([]string(nil), fresh...)
+	longer[0] += "!"
+	postJSON(t, ts, "/ingest", ingestRequest{Cells: []ingestCellReq{{Coords: cell[:], Rows: longer}}}, http.StatusBadRequest, &body)
+	if !strings.Contains(body.Error, "exceed cell capacity") || srv.ing.log.PendingCells() != 1 {
+		t.Fatalf("longer row: %q with %d cells pending", body.Error, srv.ing.log.PendingCells())
+	}
+	agree("after the refused row")
+
+	if tick := tickIngest(t, srv); tick.CellsApplied != 1 || tick.Oversize != 0 || tick.PendingCells != 0 {
+		t.Fatalf("compaction tick: %+v", tick)
+	}
+	agree("after the compaction tick")
+
+	// A second rewrite rides a reorganization into the next generation.
+	cell = [2]int{2, 4}
+	fresh = make([]string, len(rows[cell]))
+	for i, row := range rows[cell] {
+		fresh[i] = string(sameShape([]byte(row)))
+	}
+	ingestOne(t, ts, cell[:], fresh...)
+	rows[cell] = fresh
+	for i := 0; i < 50; i++ {
+		getJSON(t, ts, "/query?where=y%3D3..4", http.StatusOK, nil)
+	}
+	if d, err := srv.reorg.Trigger(context.Background(), true); err != nil || d.Generation != 1 {
+		t.Fatalf("forced reorganization: %+v, %v", d, err)
+	}
+	agree("after the cutover")
+
+	// The query subcommand reads the same bits cold from the new generation.
+	srv.closeIngest()
+	if err := srv.closeStore(); err != nil {
+		t.Fatal(err)
+	}
+	c2, _, strat2, err := loadCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := strat2.OpenFileStore(activeStorePath(c2, storePath), c2.BytesPer, c2.PageBytes, 8, c2.LoadedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	for _, region := range regions {
+		for col := 0; col < 3; col++ {
+			wantN, want := textOracle(t, cold, rows, region, col)
+			if n, sum := cliSum(t, catPath, storePath, region, col); n != wantN || math.Float64bits(sum) != math.Float64bits(want) {
+				t.Errorf("query -sum %d over %v: %d records sum %v, text oracle %d records sum %v", col, region, n, sum, wantN, want)
+			}
+		}
+	}
+}

@@ -60,7 +60,8 @@ type server struct {
 	readOpts   snakes.ReadOptions // read schedule; zero = runs in order on the handler goroutine
 	metrics    *serverMetrics
 	log        *slog.Logger
-	pprof      bool // mount /debug/pprof/ on the serving mux
+	flushLog   func() // pushes out what log buffers; a no-op on an unbuffered log
+	pprof      bool   // mount /debug/pprof/ on the serving mux
 	traces     *snakes.TraceRecorder
 	started    time.Time
 	clock      func() time.Time // injectable for deterministic latency/SLO tests
@@ -113,6 +114,7 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, dims []snakes.Dim
 		adm:         adm,
 		reqTimeout:  reqTimeout,
 		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+		flushLog:    func() {},
 		quarantine:  make(map[int64]string),
 		parityGroup: snakes.DefaultParityGroup,
 		traces:      snakes.NewTraceRecorder(tcfg),
@@ -754,6 +756,7 @@ func (s *server) beginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.metrics.draining.Set(1)
 		s.log.Info("drain", "msg", "graceful shutdown started")
+		s.flushLog()
 	}
 }
 
@@ -1054,7 +1057,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	asp.End()
 	defer s.adm.Release(plan.Pages)
 
-	resp := queryResponse{Region: fmt.Sprint(region), Pages: plan.Pages, Generation: gen}
+	resp := queryResponse{Region: region.String(), Pages: plan.Pages, Generation: gen}
 	if tr := snakes.TraceFromContext(ctx); tr != nil {
 		resp.TraceID = tr.ID()
 	}
@@ -1062,7 +1065,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
 		resp.Records++
 		if sumCol >= 0 {
-			v, err := payloadColumn(record, sumCol)
+			v, err := rowColumn(record, sumCol)
 			if err != nil {
 				return usagef("%v", err)
 			}
@@ -1450,6 +1453,9 @@ func cmdServe(args []string) error {
 	if cat.BytesPer == nil {
 		return fmt.Errorf("catalog has no load state; run build first")
 	}
+	if err := checkRowFormat(cat, *catPath); err != nil {
+		return err
+	}
 	adm, err := snakes.NewAdmission(*maxInflight, *queueTimeout)
 	if err != nil {
 		return usagef("%v", err)
@@ -1491,7 +1497,9 @@ func cmdServe(args []string) error {
 		RetainedCapacity: *traceCapacity / 4,
 	}
 	srv := newServer(store, schema, schemaDims(cat), adm, *reqTimeout, cat.Generation, tcfg)
-	srv.log = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	var stopLog func()
+	srv.log, srv.flushLog, stopLog = newBufferedLogger(os.Stderr, accessLogFlushEvery)
+	defer stopLog()
 	srv.pprof = *pprofOn
 	srv.readOpts = snakes.ReadOptions{Parallelism: *readParallel, Readahead: *readAhead}
 	if *parityGroup > 0 {

@@ -53,6 +53,7 @@ type TickStats struct {
 	CellsApplied int
 	BytesApplied int64
 	Regions      int // regions the applied cells spanned
+	Oversize     int // pending cells larger than their extent, left in the log
 	PendingCells int // left after the tick
 	PendingBytes int64
 }
@@ -143,6 +144,12 @@ func (c *Compactor) Tick(ctx context.Context, fs *storage.FileStore, log *Log) (
 			if err := ctx.Err(); err != nil {
 				sp.SetError(err)
 				return stats, err
+			}
+			if int64(len(p.Payload)) > fs.Layout().CellCapacity(p.Cell) {
+				// The base file has no room for this cell: it stays pending,
+				// answered from the overlay, and must not hold back the rest.
+				stats.Oversize++
+				continue
 			}
 			if err := fs.PutCellBytes(p.Cell, p.Payload); err != nil {
 				sp.SetError(err)

@@ -343,6 +343,47 @@ func TestCompactorDrainsWorstFirst(t *testing.T) {
 	}
 }
 
+// TestCompactorLeavesOversizeCellPending: a pending cell larger than the
+// extent the base file reserved for it is not folded and does not stop the
+// tick — it stays in the log, reads keep getting it from the overlay, and
+// the cells that fit are applied and checkpointed around it.
+func TestCompactorLeavesOversizeCellPending(t *testing.T) {
+	o := testOrder(t)
+	fs, path := testStore(t, o, 2, 2, 11)
+	log, err := Open(DeltaPath(path), 0, Options{Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	fs.SetOverlay(log.Overlay())
+	big := []byte(deltaRec(3, 0, 40))
+	if err := log.Put(3, storage.FrameRecords(big)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Put(4, storage.FrameRecords([]byte(deltaRec(4, 0, 11)))); err != nil {
+		t.Fatal(err)
+	}
+	comp := NewCompactor(CompactorConfig{})
+	for tick := 0; tick < 2; tick++ {
+		st, err := comp.Tick(context.Background(), fs, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Oversize != 1 || st.CellsApplied != 1-tick || st.PendingCells != 1 {
+			t.Fatalf("tick %d: %+v, want the oversize cell skipped and the other applied once", tick, st)
+		}
+	}
+	if _, ok := log.Get(4); ok {
+		t.Error("the cell that fits is still pending")
+	}
+	if got := readCell(t, fs, 3); len(got) != 1 || got[0] != string(big) {
+		t.Errorf("oversize cell reads %v, want its pending record from the overlay", got)
+	}
+	if got := readCell(t, fs, 4); len(got) != 1 || got[0] != deltaRec(4, 0, 11) {
+		t.Errorf("cell 4 after compaction = %v", got)
+	}
+}
+
 func TestRecoverReplaysPending(t *testing.T) {
 	o := testOrder(t)
 	fs, path := testStore(t, o, 4, 2, 11)

@@ -3,6 +3,7 @@ package linear
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/lattice"
 )
@@ -36,14 +37,18 @@ func (r Region) Contains(coords []int) bool {
 }
 
 func (r Region) String() string {
-	s := ""
+	b := make([]byte, 0, 16*len(r))
 	for d, rng := range r {
 		if d > 0 {
-			s += "×"
+			b = append(b, "×"...)
 		}
-		s += fmt.Sprintf("[%d,%d)", rng.Lo, rng.Hi)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(rng.Lo), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(rng.Hi), 10)
+		b = append(b, ')')
 	}
-	return s
+	return string(b)
 }
 
 // ClassRegion returns the region of the block of class c whose per-dimension
