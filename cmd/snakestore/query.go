@@ -1,0 +1,221 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+
+	snakes "repro"
+)
+
+// handleEvents serves GET /debug/events: the ring's retained wide events
+// newest-first, optionally narrowed by handler, class, outcome, a minimum
+// latency, a sequence floor, and a result cap. The ring is a window, not
+// an archive — overwritten counts what scrolled off.
+func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	f := snakes.EventFilter{
+		Handler: q.Get("handler"),
+		Class:   q.Get("class"),
+		Outcome: q.Get("outcome"),
+	}
+	if v := q.Get("min_latency"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			s.writeErr(w, usagef("min_latency=%q: want a non-negative duration", v))
+			return
+		}
+		f.MinLatency = d
+	}
+	if v := q.Get("since_seq"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			s.writeErr(w, usagef("since_seq=%q: want a sequence number", v))
+			return
+		}
+		f.SinceSeq = n
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			s.writeErr(w, usagef("limit=%q: want a non-negative count", v))
+			return
+		}
+		f.Limit = n
+	}
+	events := s.events.Query(f)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(map[string]any{
+		"published":   s.events.Published(),
+		"overwritten": s.events.Overwritten(),
+		"capacity":    s.events.Capacity(),
+		"returned":    len(events),
+		"events":      events,
+	})
+}
+
+type queryResponse struct {
+	Region     string   `json:"region"`
+	Records    int64    `json:"records"`
+	Sum        *float64 `json:"sum,omitempty"`
+	Pages      int64    `json:"analyticPages"`
+	PagesRead  int64    `json:"pagesRead"`
+	Seeks      int64    `json:"observedSeeks"`
+	DeltaCells int64    `json:"deltaCells,omitempty"` // cells served from the delta store
+	Generation int64    `json:"generation"`
+	TraceID    uint64   `json:"traceId,omitempty"` // set when this request was traced
+}
+
+// handleQuery answers GET /query?where=dim=lo..hi&...&sum=N. Unrestricted
+// dimensions select their full range, like the query subcommand. The
+// response reports both sides of the paper's cost model: the analytic page
+// prediction and the physical reads/seeks this request actually caused,
+// measured by a request-local pool tally — plus the store generation that
+// served it, so clients can watch reorganizations land.
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+	q := r.URL.Query()
+	region, err := parseRegion(s.schema, s.dims, q["where"])
+	if err != nil {
+		s.writeErr(w, usagef("%v", err))
+		return
+	}
+	sumCol := -1
+	if v := q.Get("sum"); v != "" {
+		if sumCol, err = strconv.Atoi(v); err != nil || sumCol < 0 {
+			s.writeErr(w, usagef("sum=%q: want a non-negative column index", v))
+			return
+		}
+	}
+	ev := snakes.EventFromContext(ctx)
+	// Every valid query is demand evidence, observed before admission so
+	// shed load still teaches the reorganizer what clients wanted.
+	if class, cerr := s.schema.ClassOfRegion(region); cerr == nil {
+		s.metrics.observeClass(class)
+		if ev != nil {
+			ev.Class = classLabel(class)
+		}
+		if s.reorg != nil {
+			if oerr := s.reorg.Observe(class); oerr != nil {
+				s.log.Warn("reorg", "msg", "observing query class", "err", oerr)
+			}
+		}
+	}
+	// Snapshot the serving store once and plan the region once: the plan's
+	// analytic cost is the admission weight and the event's prediction, and
+	// the same plan is what the reader executes — all against one generation
+	// even if a reorganization swaps the pointer mid-request.
+	st := s.st()
+	gen := s.generation.Load()
+	var tally snakes.PoolTally
+	ctx = snakes.WithPoolTally(ctx, &tally)
+	plan, err := st.Plan(ctx, region)
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	if ev != nil {
+		ev.Generation = gen
+		ev.PredictedPages = plan.Pages
+		ev.PredictedSeeks = plan.Seeks
+		ev.PlanCacheHit = tally.PlanHits() > 0
+	}
+	// Admission weight is the query's analytic page count, so one huge scan
+	// and many point queries draw from the same budget.
+	asp := snakes.StartTraceLeaf(ctx, snakes.TraceKindAdmission, "")
+	asp.SetAttr("weight_pages", plan.Pages)
+	admStart := s.clock()
+	if err := s.adm.Acquire(ctx, plan.Pages); err != nil {
+		asp.SetError(err)
+		asp.End()
+		s.writeErr(w, err)
+		return
+	}
+	if ev != nil {
+		ev.AdmissionWaitNs = s.clock().Sub(admStart).Nanoseconds()
+	}
+	asp.End()
+	defer s.adm.Release(plan.Pages)
+
+	resp := queryResponse{Region: region.String(), Pages: plan.Pages, Generation: gen}
+	if tr := snakes.TraceFromContext(ctx); tr != nil {
+		resp.TraceID = tr.ID()
+	}
+	var total float64
+	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
+		resp.Records++
+		if sumCol >= 0 {
+			v, err := rowColumn(record, sumCol)
+			if err != nil {
+				return usagef("%v", err)
+			}
+			total += v
+		}
+		return nil
+	})
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	if sumCol >= 0 {
+		resp.Sum = &total
+	}
+	resp.PagesRead = tally.Stats().Misses
+	resp.Seeks = tally.Seeks()
+	resp.DeltaCells = tally.DeltaHits()
+	if ev != nil {
+		ev.PagesRead = resp.PagesRead
+		ev.SeeksObserved = resp.Seeks
+		ev.DeltaHits = resp.DeltaCells
+		ev.Records = resp.Records
+	}
+	s.metrics.queryRecords.Add(resp.Records)
+	s.metrics.queryDeltaCells.Add(resp.DeltaCells)
+	s.metrics.pagesAnalytic.Observe(float64(plan.Pages))
+	s.metrics.pagesRead.Observe(float64(resp.PagesRead))
+	s.metrics.seeksAnalytic.Observe(float64(plan.Seeks))
+	s.metrics.seeksObserved.Observe(float64(resp.Seeks))
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
+}
+
+// handleTraces serves /debug/traces: without parameters, the retained
+// traces newest-first as summary lines plus the recorder's retention
+// stats; with ?id=N, the full span tree of one retained trace. A trace
+// that was never retained (or has been overwritten in its ring) answers
+// 404 — retention is a window, not an archive.
+func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if idStr := r.URL.Query().Get("id"); idStr != "" {
+		id, err := strconv.ParseUint(idStr, 10, 64)
+		if err != nil {
+			s.writeErr(w, usagef("id=%q: want a trace id", idStr))
+			return
+		}
+		tr := s.traces.Get(id)
+		if tr == nil {
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("trace %d is not retained", id)})
+			return
+		}
+		json.NewEncoder(w).Encode(tr.DetailView())
+		return
+	}
+	snap := s.traces.Snapshot()
+	sums := make([]snakes.TraceSummary, 0, len(snap))
+	for _, tr := range snap {
+		sums = append(sums, tr.Summarize())
+	}
+	json.NewEncoder(w).Encode(map[string]any{
+		"enabled": s.traces.Enabled(),
+		"config": map[string]any{
+			"sampleEvery":     s.traces.Config().SampleEvery,
+			"slowThresholdMs": float64(s.traces.Config().SlowThreshold.Nanoseconds()) / 1e6,
+		},
+		"stats":  s.traces.Stats(),
+		"traces": sums,
+	})
+}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,12 +12,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -272,216 +268,6 @@ func (s *server) closeStore() error {
 	return st.Close()
 }
 
-// enableReorg wires the adaptive reorganizer onto the server: the policy
-// watches the classes handleQuery observes, and when it fires the server's
-// reorgMigrate runs the migration and the generation swap.
-func (s *server) enableReorg(catPath, storeBase string, frames int, cat *catalog, strat *snakes.Strategy, cfg snakes.ReorgConfig) error {
-	s.catPath, s.storeBase, s.frames, s.cat = catPath, storeBase, frames, cat
-	r, err := snakes.NewReorganizer(strat, cat.Generation, s.reorgMigrate, cfg)
-	if err != nil {
-		return err
-	}
-	r.OnEvaluate(func(e snakes.ReorgEvaluation) { s.metrics.reorgRegret.Set(e.Regret) })
-	if s.calibrateRegret {
-		// Regret in observed cost: the calibration watch's global seek
-		// ratio maps the analytic model onto what the store actually pays.
-		r.SetCostCorrection(s.calib.SeekCorrection)
-	}
-	r.OnReorg(func(outcome string, d time.Duration) {
-		s.metrics.observeReorg(outcome, d.Seconds())
-		s.log.Info("reorg", "outcome", outcome, "dur", d.Round(time.Millisecond), "gen", s.generation.Load())
-	})
-	s.reorg = r
-	s.generation.Store(int64(cat.Generation))
-	return nil
-}
-
-// reorgMigrate is the mechanism half of a reorganization: copy the store
-// into the next generation file under the new strategy, persist the catalog
-// (atomically, before anything is deleted), hot-swap the serving pointer,
-// drain readers off the old generation, and delete the old file only after
-// the new one passes a full scrub. A failure at any point before the
-// catalog write aborts with the old generation untouched and no partial
-// files; a crash after the catalog write leaves at most a stale file that
-// startup cleanup removes.
-func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) error {
-	old := s.st()
-	newPath := genPath(s.storeBase, d.Generation)
-	// The copy is incremental: the target linearization is cut into regions
-	// scored by (1 + pending delta bytes) × (1 + clustering violation), and
-	// the worst-clustered regions are rewritten first in paced bounded
-	// ticks, so the migration converges toward the DP-optimal layout
-	// without ever rewriting the whole file in one burst. Pending delta
-	// upserts are folded in through the overlay as their cells are copied.
-	var migLog *snakes.DeltaLog
-	if s.ing != nil {
-		s.ing.mu.Lock()
-		migLog = s.ing.log
-		s.ing.mu.Unlock()
-	}
-	dst, ticks, err := d.Strategy.MigrateRegionsCtx(ctx, old, newPath, s.frames, migLog, snakes.RegionMigrateOptions{
-		RegionCells:     d.Pacing.RegionCells,
-		MaxCellsPerTick: d.Pacing.MaxCellsPerTick,
-		Pause:           d.Pacing.TickPause,
-		Progress:        d.Progress,
-	})
-	if err != nil {
-		return err
-	}
-	s.log.Info("reorg", "msg", "incremental region copy complete", "ticks", ticks, "gen", d.Generation)
-	s.armFragmentObserver(dst)
-	var newLog *snakes.DeltaLog
-	abort := func(err error) error {
-		if newLog != nil {
-			newLog.Close()
-			os.Remove(newLog.Path())
-		}
-		dst.Close()
-		os.Remove(newPath)
-		os.Remove(snakes.ParityPath(newPath))
-		return err
-	}
-	// Cutover: block puts and compaction ticks, fold every entry still in
-	// the log into the new generation (upserts that landed during the copy,
-	// plus already-copied ones — PutCellBytes is an idempotent replace), and
-	// open the new generation's fresh log. ing.mu is held through the swap
-	// below so no put can land in the old log after its tail was carried.
-	ingLocked := false
-	unlockIngest := func() {
-		if ingLocked {
-			s.ing.mu.Unlock()
-			ingLocked = false
-		}
-	}
-	if s.ing != nil {
-		s.ing.mu.Lock()
-		ingLocked = true
-	}
-	defer unlockIngest()
-	if s.ing != nil {
-		for _, p := range s.ing.log.SnapshotPending() {
-			if perr := dst.PutCellBytes(p.Cell, p.Payload); perr != nil {
-				return abort(fmt.Errorf("reorg: carrying delta for cell %d: %w", p.Cell, perr))
-			}
-		}
-		if ferr := dst.Pool().Flush(); ferr != nil {
-			return abort(ferr)
-		}
-		newLog, err = snakes.OpenDeltaLog(snakes.DeltaPath(newPath), int64(d.Generation), s.ing.opt)
-		if err != nil {
-			return abort(err)
-		}
-		snakes.AttachDeltaLog(dst, newLog)
-	}
-	// The new generation's parity sidecar is written before the catalog
-	// commit, so a generation is never live without its repair coverage; a
-	// crash in between leaves stale files that startup cleanup sweeps.
-	if err := dst.WriteParity(snakes.ParityPath(newPath), s.parityGroup); err != nil {
-		return abort(err)
-	}
-	stratJSON, err := snakes.MarshalStrategy(d.Strategy)
-	if err != nil {
-		return abort(err)
-	}
-
-	// Commit point: catalog first (atomic rename), then the serving
-	// pointer, all under swapMu so a concurrent drain either beats the
-	// commit (we abort) or closes the store we just installed. Each phase
-	// gets its own span, so a migration trace shows catalog commit, swap,
-	// drain, and verify separately.
-	s.swapMu.Lock()
-	if s.draining.Load() {
-		s.swapMu.Unlock()
-		return abort(fmt.Errorf("reorg aborted: daemon draining: %w", snakes.ErrClosed))
-	}
-	oldPath := activeStorePath(s.cat, s.storeBase)
-	cat := *s.cat
-	cat.Version = catalogVersion
-	cat.Strategy = stratJSON
-	cat.Generation = d.Generation
-	cat.StoreFile = filepath.Base(newPath)
-	cat.LoadedBytes = dst.LoadedBytes()
-	csp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
-	if err := writeCatalog(s.catPath, &cat); err != nil {
-		csp.SetError(err)
-		csp.End()
-		s.swapMu.Unlock()
-		return abort(err)
-	}
-	csp.End()
-	ssp := snakes.StartTraceLeaf(ctx, snakes.TraceKindSwap, "")
-	ssp.SetAttr("generation", int64(d.Generation))
-	*s.cat = cat
-	s.store.Store(dst)
-	s.generation.Store(int64(d.Generation))
-	ssp.End()
-	s.swapMu.Unlock()
-
-	// The new generation is serving; retire the old delta log. Its entries
-	// were all folded into dst under ing.mu above, so the file is dead
-	// weight (and would fail its generation check on the next startup).
-	if s.ing != nil {
-		oldLog := s.ing.log
-		s.ing.log = newLog
-		newLog = nil // the abort path must not remove the serving log
-		if cerr := oldLog.Close(); cerr != nil {
-			s.log.Warn("reorg", "msg", "closing retired delta log", "err", cerr)
-		}
-		if rerr := os.Remove(oldLog.Path()); rerr != nil && !os.IsNotExist(rerr) {
-			s.log.Warn("reorg", "msg", "removing retired delta log", "err", rerr)
-		}
-	}
-	unlockIngest()
-
-	// The quarantine describes pages of the generation that just retired;
-	// carrying its page ids against the new file would keep /healthz
-	// degraded forever on damage that no longer exists. The post-swap scrub
-	// below re-detects anything actually wrong with the new generation.
-	s.mu.Lock()
-	s.quarantine = make(map[int64]string)
-	s.healing = false
-	s.mu.Unlock()
-
-	// The swap is committed: new requests already run on dst. Close the
-	// old generation — Close blocks until its in-flight readers drain —
-	// then gate the old file's deletion on a clean scrub of the new one.
-	// The post-swap work keeps the trace but drops ctx's cancellation: a
-	// canceled trigger must not abandon a committed swap half-tidied.
-	pctx := context.WithoutCancel(ctx)
-	dsp := snakes.StartTraceLeaf(pctx, snakes.TraceKindDrain, "")
-	if err := old.Close(); err != nil && !errors.Is(err, snakes.ErrClosed) {
-		s.log.Warn("reorg", "msg", "closing old generation", "err", err)
-	}
-	dsp.End()
-	vctx, vsp := snakes.StartTraceSpan(pctx, snakes.TraceKindVerify, "")
-	rep, verr := dst.VerifyCtx(vctx)
-	vsp.SetError(verr)
-	vsp.End()
-	if verr != nil || !rep.OK() {
-		if verr == nil {
-			verr = fmt.Errorf("%d problem(s)", len(rep.Problems))
-			for _, p := range rep.Problems {
-				if errors.Is(p.Err, snakes.ErrCorruptPage) {
-					s.noteCorrupt(fmt.Errorf("post-reorg scrub: %w", p.Err))
-				}
-			}
-		}
-		// The swap stands (the catalog already points at the new
-		// generation) but the old file is kept as a recovery artifact.
-		s.log.Warn("reorg", "msg", "post-swap scrub not clean; keeping old generation file", "err", verr)
-		return nil
-	}
-	if oldPath != newPath {
-		if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "msg", "removing old generation file", "err", err)
-		}
-		if err := os.Remove(snakes.ParityPath(oldPath)); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "msg", "removing old generation parity sidecar", "err", err)
-		}
-	}
-	return nil
-}
-
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.instrument("query", true, s.handleQuery))
@@ -509,246 +295,6 @@ func (s *server) handler() http.Handler {
 // is not given.
 const defaultEventCapacity = 1024
 
-// statusWriter captures the response code for metrics and logs, and
-// carries the request's in-flight wide event so writeErr can record the
-// error string without changing its signature.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-	ev   *snakes.Event
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// reqIDKey carries the request id so handlers can tag their own log lines.
-type reqIDKey struct{}
-
-func reqIDFrom(ctx context.Context) uint64 {
-	id, _ := ctx.Value(reqIDKey{}).(uint64)
-	return id
-}
-
-// instrument wraps an endpoint with the shared telemetry: request counter,
-// in-flight gauge, latency histogram, per-status response counters, and one
-// canonical wide Event per request — built here, filled by the handler via
-// the request context (class, predicted/observed cost, delta and plan-cache
-// hits, admission wait), published into the ring behind /debug/events, and
-// rendered as the single access-log line. Query events additionally feed
-// the cost-model calibration watch and, when -slo is configured, the
-// per-class burn-rate engine. A handler panic is recovered here — logged
-// with its stack under the request id, answered with a typed 500 if nothing
-// was written yet, and counted — so one bad request can never take the
-// daemon down.
-//
-// Endpoints marked traced additionally run under a trace from the server's
-// recorder: the root span covers the whole request, handlers hang child
-// spans off the request context, and the recorder's policy decides at
-// finish whether the trace is retained for /debug/traces. A kept-slow
-// trace also emits a slow-query log line with its per-kind span breakdown.
-func (s *server) instrument(name string, traced bool, fn http.HandlerFunc) http.HandlerFunc {
-	hm := s.metrics.handlers[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := s.reqID.Add(1)
-		hm.requests.Inc()
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		start := s.clock()
-		ev := &snakes.Event{
-			TimeUnixNs: start.UnixNano(),
-			Handler:    name,
-			Method:     r.Method,
-			Path:       r.URL.Path,
-			RequestID:  id,
-		}
-		sw := &statusWriter{ResponseWriter: w, ev: ev}
-		ctx := context.WithValue(r.Context(), reqIDKey{}, id)
-		ctx = snakes.WithEvent(ctx, ev)
-		var tr *snakes.Trace
-		if traced {
-			ctx, tr = s.traces.Start(ctx, name)
-			if tr != nil {
-				ev.TraceID = tr.ID()
-			}
-		}
-		panicErr := s.callHandler(sw, r.WithContext(ctx), fn, id)
-		elapsed := s.clock().Sub(start)
-		code := sw.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		hm.response(code)
-		hm.latency.Observe(elapsed.Seconds())
-		ev.Status = code
-		ev.Outcome = snakes.EventOutcomeOf(code)
-		ev.LatencyNs = elapsed.Nanoseconds()
-		if panicErr != nil && ev.Error == "" {
-			ev.Error = panicErr.Error()
-		}
-		// Attribution closes here: a reconciled 200 query teaches the
-		// calibration watch, and every class-attributed request with a
-		// definite server-side outcome (2xx/5xx; client errors are the
-		// caller's fault) feeds its SLO series.
-		if ev.Class != "" && code == http.StatusOK {
-			s.calib.Observe(ev.Class, ev.PredictedPages, ev.PagesRead, ev.PredictedSeeks, ev.SeeksObserved)
-		}
-		if s.slo != nil && ev.Class != "" && (code < 400 || code >= 500) {
-			s.slo.Observe(ev.Class, elapsed, code >= 500)
-		}
-		// Publish after every field is final: ring events are immutable.
-		s.events.Publish(ev)
-		s.logEvent(ev)
-		if tr != nil {
-			finishErr := panicErr
-			if finishErr == nil && code >= 500 {
-				finishErr = fmt.Errorf("http %d", code)
-			}
-			res := tr.Finish(finishErr)
-			s.metrics.observeTrace(tr, res)
-			if res.Kept && res.Slow {
-				s.log.Warn("slow-query",
-					"req", id, "trace", tr.ID(), "handler", name, "url", r.URL.String(),
-					"dur", res.Duration.Round(time.Microsecond), "spans", spanBreakdown(tr.Spans()))
-			}
-		}
-	}
-}
-
-// logEvent renders one published wide event as the access-log line — the
-// event is the single source, so the log carries exactly what
-// /debug/events retains. Attribution fields appear only when set, keeping
-// healthz/metrics probes to one short line.
-func (s *server) logEvent(ev *snakes.Event) {
-	args := []any{
-		"req", ev.RequestID, "handler", ev.Handler, "method", ev.Method, "path", ev.Path,
-		"status", ev.Status, "outcome", ev.Outcome,
-		"dur", (time.Duration(ev.LatencyNs) * time.Nanosecond).Round(time.Microsecond),
-	}
-	if ev.TraceID != 0 {
-		args = append(args, "trace", ev.TraceID)
-	}
-	if ev.Class != "" {
-		args = append(args,
-			"class", ev.Class, "gen", ev.Generation,
-			"pagesAnalytic", ev.PredictedPages, "pagesRead", ev.PagesRead,
-			"seeksAnalytic", ev.PredictedSeeks, "seeksObserved", ev.SeeksObserved,
-			"deltaHits", ev.DeltaHits, "planCacheHit", ev.PlanCacheHit,
-			"admissionWait", (time.Duration(ev.AdmissionWaitNs) * time.Nanosecond).Round(time.Microsecond))
-	}
-	if ev.Records != 0 {
-		args = append(args, "records", ev.Records)
-	}
-	if ev.Error != "" {
-		args = append(args, "err", ev.Error)
-	}
-	s.log.Info("request", args...)
-}
-
-// handleEvents serves GET /debug/events: the ring's retained wide events
-// newest-first, optionally narrowed by handler, class, outcome, a minimum
-// latency, a sequence floor, and a result cap. The ring is a window, not
-// an archive — overwritten counts what scrolled off.
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	f := snakes.EventFilter{
-		Handler: q.Get("handler"),
-		Class:   q.Get("class"),
-		Outcome: q.Get("outcome"),
-	}
-	if v := q.Get("min_latency"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			s.writeErr(w, usagef("min_latency=%q: want a non-negative duration", v))
-			return
-		}
-		f.MinLatency = d
-	}
-	if v := q.Get("since_seq"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.writeErr(w, usagef("since_seq=%q: want a sequence number", v))
-			return
-		}
-		f.SinceSeq = n
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeErr(w, usagef("limit=%q: want a non-negative count", v))
-			return
-		}
-		f.Limit = n
-	}
-	events := s.events.Query(f)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"published":   s.events.Published(),
-		"overwritten": s.events.Overwritten(),
-		"capacity":    s.events.Capacity(),
-		"returned":    len(events),
-		"events":      events,
-	})
-}
-
-// callHandler runs the handler under the panic guard, returning the panic
-// (as an error) when one was recovered.
-func (s *server) callHandler(w *statusWriter, r *http.Request, fn http.HandlerFunc, id uint64) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-			s.metrics.httpPanics.Inc()
-			s.log.Error("panic", "req", id, "err", p, "stack", string(debug.Stack()))
-			if w.code == 0 {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusInternalServerError)
-				json.NewEncoder(w).Encode(map[string]string{"error": "internal server error"})
-			}
-		}
-	}()
-	fn(w, r)
-	return nil
-}
-
-// spanBreakdown renders a finished trace's non-root spans as
-// "kind×count=totalms" pairs for the slow-query log line.
-func spanBreakdown(spans []snakes.TraceSpan) string {
-	type agg struct {
-		n  int
-		ns int64
-	}
-	byKind := make(map[string]*agg)
-	var order []string
-	for _, sp := range spans {
-		if sp.Kind == snakes.TraceKindRequest || sp.Dur < 0 {
-			continue
-		}
-		a := byKind[sp.Kind]
-		if a == nil {
-			a = &agg{}
-			byKind[sp.Kind] = a
-			order = append(order, sp.Kind)
-		}
-		a.n++
-		a.ns += sp.Dur
-	}
-	parts := make([]string, 0, len(order))
-	for _, k := range order {
-		parts = append(parts, fmt.Sprintf("%s×%d=%.2fms", k, byKind[k].n, float64(byKind[k].ns)/1e6))
-	}
-	return strings.Join(parts, " ")
-}
-
 // beginDrain flips the daemon into draining: /healthz starts failing so load
 // balancers pull the instance while in-flight requests finish, and no
 // reorganization may commit a swap afterwards.
@@ -766,615 +312,6 @@ func (s *server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 		return context.WithTimeout(r.Context(), s.reqTimeout)
 	}
 	return context.WithCancel(r.Context())
-}
-
-// noteCorrupt records a corrupt page in the quarantine set.
-func (s *server) noteCorrupt(err error) {
-	var cpe *snakes.CorruptPageError
-	page := int64(-1)
-	if errors.As(err, &cpe) {
-		page = cpe.Page
-	}
-	s.markQuarantined(page, err.Error())
-}
-
-// markQuarantined records one page in the quarantine set, keeping the first
-// error seen for it.
-func (s *server) markQuarantined(page int64, reason string) {
-	s.mu.Lock()
-	if _, seen := s.quarantine[page]; !seen {
-		s.quarantine[page] = reason
-	}
-	s.mu.Unlock()
-}
-
-// clearQuarantined re-admits one page after it verified clean. The healing
-// state ends when the quarantine empties — the scrubber has worked through
-// everything it detected.
-func (s *server) clearQuarantined(page int64) {
-	s.mu.Lock()
-	delete(s.quarantine, page)
-	if len(s.quarantine) == 0 {
-		s.healing = false
-	}
-	s.mu.Unlock()
-}
-
-// quarantinedPages snapshots the quarantine set, sorted.
-func (s *server) quarantinedPages() []int64 {
-	s.mu.Lock()
-	pages := make([]int64, 0, len(s.quarantine))
-	for p := range s.quarantine {
-		pages = append(pages, p)
-	}
-	s.mu.Unlock()
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	return pages
-}
-
-// healthState reports the serving health state machine's current state.
-func (s *server) healthState() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.healing:
-		return "healing"
-	case len(s.quarantine) > 0:
-		return "degraded"
-	default:
-		return "ok"
-	}
-}
-
-// repairPage attempts one parity repair on behalf of the scrubber, driving
-// the health state machine and the repair metrics. Returns true when the
-// page now reads clean.
-func (s *server) repairPage(ctx context.Context, st *snakes.FileStore, page int64) bool {
-	s.mu.Lock()
-	s.healing = true
-	s.mu.Unlock()
-	rsp := snakes.StartTraceLeaf(ctx, snakes.TraceKindRepair, "")
-	rsp.SetAttr("page", page)
-	err := st.RepairPage(page)
-	rsp.SetError(err)
-	rsp.End()
-	if err != nil {
-		s.metrics.repairFailures.Inc()
-		s.markQuarantined(page, err.Error())
-		s.mu.Lock()
-		s.healing = false // damage this pass cannot heal: back to degraded
-		s.mu.Unlock()
-		s.log.Warn("repair", "page", page, "err", err)
-		return false
-	}
-	s.metrics.pagesRepaired.Inc()
-	s.clearQuarantined(page)
-	s.log.Info("repair", "page", page, "msg", "reconstructed from parity")
-	return true
-}
-
-// runScrubLoop is the paced background scrubber: it walks the store's pages
-// continuously at about rate pages/sec (in batches, so the pacing costs one
-// timer per batch rather than one per page), re-checks quarantined pages
-// first, repairs checksum failures from parity on the spot, and re-admits
-// repaired pages from quarantine. The loop follows generation hot-swaps by
-// re-snapshotting the serving store every batch, rides out ErrClosed races
-// with a swap, and stops when the daemon drains or ctx ends. Batches that
-// performed repairs are retained as forced traces (a scrub span with repair
-// children); uneventful batches discard their trace.
-func (s *server) runScrubLoop(ctx context.Context, rate float64) {
-	if rate <= 0 {
-		return
-	}
-	batch := int64(rate / 10)
-	if batch < 1 {
-		batch = 1
-	}
-	interval := time.Duration(float64(batch) / rate * float64(time.Second))
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var cursor int64
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if s.draining.Load() {
-				return
-			}
-			cursor = s.scrubBatch(ctx, cursor, batch)
-		}
-	}
-}
-
-// scrubBatch checks up to n pages starting at cursor against the current
-// generation and returns the cursor for the next batch (wrapping at the end
-// of the store, so the walk is continuous).
-func (s *server) scrubBatch(ctx context.Context, cursor, n int64) int64 {
-	st := s.st()
-	total := st.Layout().TotalPages()
-	if total == 0 {
-		return 0
-	}
-	if cursor >= total {
-		cursor = 0
-	}
-	tctx, tr := s.traces.StartForced(ctx, "scrub")
-	sctx, ssp := snakes.StartTraceSpan(tctx, snakes.TraceKindScrub, "")
-	checked, repairs := int64(0), 0
-	check := func(p int64) {
-		if p >= total {
-			return // quarantined id from an older, larger generation
-		}
-		err := st.CheckPage(p)
-		checked++
-		s.metrics.scrubPages.Inc()
-		switch {
-		case err == nil:
-			s.clearQuarantined(p)
-		case errors.Is(err, snakes.ErrClosed):
-			// Generation swapped or daemon closing mid-batch; the next
-			// batch re-snapshots the store.
-		case errors.Is(err, snakes.ErrCorruptPage):
-			repairs++
-			s.repairPage(sctx, st, p)
-		default:
-			s.log.Warn("scrub", "page", p, "err", err)
-		}
-	}
-	// Quarantined pages jump the queue: a page a query tripped over gets
-	// repaired within one batch instead of waiting for the cursor.
-	for _, p := range s.quarantinedPages() {
-		check(p)
-	}
-	end := cursor + n
-	if end > total {
-		end = total
-	}
-	for p := cursor; p < end; p++ {
-		check(p)
-	}
-	ssp.SetAttr("pages", checked)
-	ssp.End()
-	if repairs == 0 {
-		tr.Discard()
-	} else if tr != nil {
-		res := tr.Finish(nil)
-		s.metrics.observeTrace(tr, res)
-	}
-	if end >= total {
-		return 0
-	}
-	return end
-}
-
-// writeErr maps the serving error taxonomy onto HTTP statuses: bad input
-// 400, a reorganization already running 409, shed or closed 503, timed out
-// 504, corruption 500 (after quarantining the page).
-func (s *server) writeErr(w http.ResponseWriter, err error) {
-	if sw, ok := w.(*statusWriter); ok && sw.ev != nil {
-		sw.ev.Error = err.Error()
-	}
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, errUsage):
-		status = http.StatusBadRequest
-	case errors.Is(err, snakes.ErrReorgInProgress):
-		status = http.StatusConflict
-	case errors.Is(err, snakes.ErrOverloaded), errors.Is(err, snakes.ErrClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, snakes.ErrCorruptPage):
-		s.noteCorrupt(err)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-type queryResponse struct {
-	Region     string   `json:"region"`
-	Records    int64    `json:"records"`
-	Sum        *float64 `json:"sum,omitempty"`
-	Pages      int64    `json:"analyticPages"`
-	PagesRead  int64    `json:"pagesRead"`
-	Seeks      int64    `json:"observedSeeks"`
-	DeltaCells int64    `json:"deltaCells,omitempty"` // cells served from the delta store
-	Generation int64    `json:"generation"`
-	TraceID    uint64   `json:"traceId,omitempty"` // set when this request was traced
-}
-
-// handleQuery answers GET /query?where=dim=lo..hi&...&sum=N. Unrestricted
-// dimensions select their full range, like the query subcommand. The
-// response reports both sides of the paper's cost model: the analytic page
-// prediction and the physical reads/seeks this request actually caused,
-// measured by a request-local pool tally — plus the store generation that
-// served it, so clients can watch reorganizations land.
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	q := r.URL.Query()
-	region, err := parseRegion(s.schema, s.dims, q["where"])
-	if err != nil {
-		s.writeErr(w, usagef("%v", err))
-		return
-	}
-	sumCol := -1
-	if v := q.Get("sum"); v != "" {
-		if sumCol, err = strconv.Atoi(v); err != nil || sumCol < 0 {
-			s.writeErr(w, usagef("sum=%q: want a non-negative column index", v))
-			return
-		}
-	}
-	ev := snakes.EventFromContext(ctx)
-	// Every valid query is demand evidence, observed before admission so
-	// shed load still teaches the reorganizer what clients wanted.
-	if class, cerr := s.schema.ClassOfRegion(region); cerr == nil {
-		s.metrics.observeClass(class)
-		if ev != nil {
-			ev.Class = classLabel(class)
-		}
-		if s.reorg != nil {
-			if oerr := s.reorg.Observe(class); oerr != nil {
-				s.log.Warn("reorg", "msg", "observing query class", "err", oerr)
-			}
-		}
-	}
-	// Snapshot the serving store once and plan the region once: the plan's
-	// analytic cost is the admission weight and the event's prediction, and
-	// the same plan is what the reader executes — all against one generation
-	// even if a reorganization swaps the pointer mid-request.
-	st := s.st()
-	gen := s.generation.Load()
-	var tally snakes.PoolTally
-	ctx = snakes.WithPoolTally(ctx, &tally)
-	plan, err := st.Plan(ctx, region)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if ev != nil {
-		ev.Generation = gen
-		ev.PredictedPages = plan.Pages
-		ev.PredictedSeeks = plan.Seeks
-		ev.PlanCacheHit = tally.PlanHits() > 0
-	}
-	// Admission weight is the query's analytic page count, so one huge scan
-	// and many point queries draw from the same budget.
-	asp := snakes.StartTraceLeaf(ctx, snakes.TraceKindAdmission, "")
-	asp.SetAttr("weight_pages", plan.Pages)
-	admStart := s.clock()
-	if err := s.adm.Acquire(ctx, plan.Pages); err != nil {
-		asp.SetError(err)
-		asp.End()
-		s.writeErr(w, err)
-		return
-	}
-	if ev != nil {
-		ev.AdmissionWaitNs = s.clock().Sub(admStart).Nanoseconds()
-	}
-	asp.End()
-	defer s.adm.Release(plan.Pages)
-
-	resp := queryResponse{Region: region.String(), Pages: plan.Pages, Generation: gen}
-	if tr := snakes.TraceFromContext(ctx); tr != nil {
-		resp.TraceID = tr.ID()
-	}
-	var total float64
-	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
-		resp.Records++
-		if sumCol >= 0 {
-			v, err := rowColumn(record, sumCol)
-			if err != nil {
-				return usagef("%v", err)
-			}
-			total += v
-		}
-		return nil
-	})
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if sumCol >= 0 {
-		resp.Sum = &total
-	}
-	resp.PagesRead = tally.Stats().Misses
-	resp.Seeks = tally.Seeks()
-	resp.DeltaCells = tally.DeltaHits()
-	if ev != nil {
-		ev.PagesRead = resp.PagesRead
-		ev.SeeksObserved = resp.Seeks
-		ev.DeltaHits = resp.DeltaCells
-		ev.Records = resp.Records
-	}
-	s.metrics.queryRecords.Add(resp.Records)
-	s.metrics.queryDeltaCells.Add(resp.DeltaCells)
-	s.metrics.pagesAnalytic.Observe(float64(plan.Pages))
-	s.metrics.pagesRead.Observe(float64(resp.PagesRead))
-	s.metrics.seeksAnalytic.Observe(float64(plan.Seeks))
-	s.metrics.seeksObserved.Observe(float64(resp.Seeks))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleVerify scrubs the store under the request's context and records the
-// outcome for /healthz.
-func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	rep, err := s.st().VerifyCtx(ctx)
-	if err != nil {
-		s.mu.Lock()
-		s.lastScrub = "aborted: " + err.Error()
-		s.mu.Unlock()
-		s.writeErr(w, err)
-		return
-	}
-	problems := make([]string, 0, len(rep.Problems))
-	for _, p := range rep.Problems {
-		problems = append(problems, p.String())
-		if errors.Is(p.Err, snakes.ErrCorruptPage) {
-			s.noteCorrupt(fmt.Errorf("scrub: %w", p.Err))
-		}
-	}
-	summary := fmt.Sprintf("clean: %d pages, %d records", rep.Pages, rep.Records)
-	if !rep.OK() {
-		summary = fmt.Sprintf("%d problem(s) in %d pages", len(rep.Problems), rep.Pages)
-	}
-	s.mu.Lock()
-	s.lastScrub = summary
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"pages":    rep.Pages,
-		"records":  rep.Records,
-		"ok":       rep.OK(),
-		"problems": problems,
-	})
-}
-
-// handleReorg exposes the adaptive reorganizer: GET reports the policy's
-// status (generation, regret, hysteresis, migration progress, last
-// outcome), POST triggers one policy step now — with ?force=1 the
-// thresholds are bypassed and the current DP optimum deployed
-// unconditionally. A POST while a migration is already running answers 409.
-func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	switch r.Method {
-	case http.MethodGet:
-		if s.reorg == nil {
-			json.NewEncoder(w).Encode(map[string]any{"enabled": false, "generation": s.generation.Load()})
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{"enabled": true, "status": s.reorg.Status()})
-	case http.MethodPost:
-		if s.reorg == nil {
-			s.writeErr(w, usagef("adaptive reorganization is disabled; restart serve with -adapt"))
-			return
-		}
-		// Migrations can legitimately outlast the per-request timeout, so
-		// the trigger runs under the raw request context: a disconnecting
-		// client cancels the migration cleanly (partial output removed).
-		d, err := s.reorg.Trigger(r.Context(), r.URL.Query().Get("force") == "1")
-		switch {
-		case err == nil:
-			json.NewEncoder(w).Encode(map[string]any{
-				"triggered":  true,
-				"generation": d.Generation,
-				"regret":     d.Regret,
-			})
-		case snakes.ReorgSkipped(err):
-			json.NewEncoder(w).Encode(map[string]any{"triggered": false, "reason": err.Error()})
-		default:
-			s.writeErr(w, err)
-		}
-	default:
-		s.writeErr(w, usagef("method %s not allowed on /reorg", r.Method))
-	}
-}
-
-// handleRepair serves POST /repair: one full repair sweep of the current
-// generation, on demand — the synchronous counterpart of the background
-// scrubber for operators who do not want to wait for the cursor to come
-// around. Repaired pages leave quarantine immediately; unrepairable damage
-// is quarantined with its typed error and reported in the response.
-func (s *server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, usagef("method %s not allowed on /repair; POST to run a repair sweep", r.Method))
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	st := s.st()
-	s.mu.Lock()
-	s.healing = len(s.quarantine) > 0
-	s.mu.Unlock()
-	rep, err := st.RepairCtx(ctx)
-	s.metrics.scrubPages.Add(rep.Pages)
-	if err != nil {
-		s.mu.Lock()
-		s.healing = false
-		s.mu.Unlock()
-		s.writeErr(w, err)
-		return
-	}
-	for _, p := range rep.Repaired {
-		s.metrics.pagesRepaired.Inc()
-		s.clearQuarantined(p)
-	}
-	failed := make([]string, 0, len(rep.Failed))
-	for _, pr := range rep.Failed {
-		s.metrics.repairFailures.Inc()
-		s.markQuarantined(pr.Page, pr.String())
-		failed = append(failed, pr.String())
-	}
-	if rep.OK() {
-		// Everything detectable was repaired: any quarantine leftovers are
-		// stale entries for pages that now read clean.
-		s.mu.Lock()
-		s.quarantine = make(map[int64]string)
-		s.healing = false
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		s.healing = false
-		s.mu.Unlock()
-	}
-	s.log.Info("repair",
-		"req", reqIDFrom(ctx), "pages", rep.Pages, "repaired", len(rep.Repaired), "failed", len(rep.Failed))
-	if ev := snakes.EventFromContext(ctx); ev != nil {
-		ev.Records = rep.Pages
-	}
-	body := map[string]any{
-		"pages":    rep.Pages,
-		"repaired": rep.Repaired,
-		"failed":   failed,
-		"ok":       rep.OK(),
-		"health":   s.healthState(),
-	}
-	if tr := snakes.TraceFromContext(ctx); tr != nil {
-		body["traceId"] = tr.ID()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(body)
-}
-
-// handleTraces serves /debug/traces: without parameters, the retained
-// traces newest-first as summary lines plus the recorder's retention
-// stats; with ?id=N, the full span tree of one retained trace. A trace
-// that was never retained (or has been overwritten in its ring) answers
-// 404 — retention is a window, not an archive.
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if idStr := r.URL.Query().Get("id"); idStr != "" {
-		id, err := strconv.ParseUint(idStr, 10, 64)
-		if err != nil {
-			s.writeErr(w, usagef("id=%q: want a trace id", idStr))
-			return
-		}
-		tr := s.traces.Get(id)
-		if tr == nil {
-			w.WriteHeader(http.StatusNotFound)
-			json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("trace %d is not retained", id)})
-			return
-		}
-		json.NewEncoder(w).Encode(tr.DetailView())
-		return
-	}
-	snap := s.traces.Snapshot()
-	sums := make([]snakes.TraceSummary, 0, len(snap))
-	for _, tr := range snap {
-		sums = append(sums, tr.Summarize())
-	}
-	json.NewEncoder(w).Encode(map[string]any{
-		"enabled": s.traces.Enabled(),
-		"config": map[string]any{
-			"sampleEvery":     s.traces.Config().SampleEvery,
-			"slowThresholdMs": float64(s.traces.Config().SlowThreshold.Nanoseconds()) / 1e6,
-		},
-		"stats":  s.traces.Stats(),
-		"traces": sums,
-	})
-}
-
-// handleHealthz reports serving health: pool and admission stats, the
-// quarantined page set, and the last scrub outcome. Status degrades when
-// any page is quarantined, and the endpoint fails outright with 503
-// "draining" the moment graceful shutdown begins — a load balancer probing
-// /healthz must pull the instance immediately, not keep routing to it for
-// the rest of the drain window.
-func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"status": "draining"})
-		return
-	}
-	s.mu.Lock()
-	lastScrub := s.lastScrub
-	s.mu.Unlock()
-	pages := s.quarantinedPages()
-	st := s.st()
-	body := map[string]any{
-		"status":           s.healthState(),
-		"generation":       s.generation.Load(),
-		"startedAt":        s.started.UTC().Format(time.RFC3339),
-		"uptimeSeconds":    time.Since(s.started).Seconds(),
-		"pool":             st.Pool().Stats(),
-		"admission":        s.adm.StatsSnapshot(),
-		"quarantinedPages": pages,
-		"lastScrub":        lastScrub,
-		"parity":           map[string]any{"attached": st.HasParity(), "group": st.ParityGroup()},
-		"events": map[string]any{
-			"published":   s.events.Published(),
-			"overwritten": s.events.Overwritten(),
-			"capacity":    s.events.Capacity(),
-		},
-	}
-	if calib := s.calib.Snapshot(); len(calib) > 0 {
-		body["calibration"] = map[string]any{
-			"classes": calib,
-			"drifted": s.calib.DriftedClasses(),
-		}
-	}
-	if s.slo != nil {
-		classes, worst := s.slo.Status()
-		body["slo"] = map[string]any{
-			"state":   worst,
-			"classes": classes,
-		}
-		body["sloState"] = worst
-	}
-	if s.ing != nil {
-		s.ing.mu.Lock()
-		l := s.ing.log
-		ticks, cells, bytes := s.ing.comp.Ticks()
-		ingest := map[string]any{
-			"pendingCells":       l.PendingCells(),
-			"pendingBytes":       l.PendingBytes(),
-			"puts":               l.Puts(),
-			"compactionTicks":    ticks,
-			"compactedCells":     cells,
-			"compactedBytes":     bytes,
-			"compactionLagSecs":  l.OldestPendingAge(time.Now()).Seconds(),
-			"writeRateBytesPerS": s.ing.rate.Rate(time.Now()),
-		}
-		s.ing.mu.Unlock()
-		body["ingest"] = ingest
-	}
-	json.NewEncoder(w).Encode(body)
-}
-
-// runReorgLoop is the daemon's background reorganization ticker: each tick
-// runs one policy step under a forced trace, so a migration's DP, copy,
-// flush, catalog-commit, swap, drain, and verify spans all land in
-// /debug/traces. Ticks where the policy declines (or a migration is
-// already running) discard their candidate trace — an uneventful tick is
-// not worth a retained slot. Errors are absorbed into the reorganizer's
-// status and metrics, exactly like Reorganizer.Run; only ctx ends the loop.
-func (s *server) runReorgLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			tctx, tr := s.traces.StartForced(ctx, "reorg-tick")
-			_, err := s.reorg.Trigger(tctx, false)
-			switch {
-			case snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress):
-				tr.Discard()
-			default:
-				res := tr.Finish(err)
-				if tr != nil {
-					s.metrics.observeTrace(tr, res)
-				}
-			}
-		}
-	}
 }
 
 // serve runs the HTTP server on ln until ctx is cancelled, then drains
