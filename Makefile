@@ -1,9 +1,10 @@
 GO ?= go
 BENCH_NAME ?= local
 
-.PHONY: check fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-sustained bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
+.PHONY: check gate-names fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-sustained bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
 
-# check is the tier-1 verification gate (see ROADMAP.md): formatting,
+# check is the tier-1 verification gate (see ROADMAP.md): the gate-name
+# lint (every test a target below names exists), formatting,
 # static analysis, a full build, the metrics-name lint, the tracing
 # smoke, the allocation gates, the deterministic chaos suite, the
 # bench-artifact lint plus the sustained-bench smoke, the benchmark
@@ -11,7 +12,14 @@ BENCH_NAME ?= local
 # Fuzz seed corpora run as ordinary tests. staticcheck runs when the
 # binary is installed and is skipped (with a notice) otherwise, so check
 # works on machines without network access.
-check: fmt vet staticcheck build metrics-lint trace-smoke alloc-gates obs-smoke ingest-smoke chaos bench-lint bench-smoke benchmark-smoke race
+check: gate-names fmt vet staticcheck build metrics-lint trace-smoke alloc-gates obs-smoke ingest-smoke chaos bench-lint bench-smoke benchmark-smoke race
+
+# gate-names resolves every alternative of every -run '...' pattern (and
+# every -fuzz= target) in this file against `go test -list` of that line's
+# packages and fails when one matches nothing: a gate whose test was renamed
+# or moved would otherwise print "no tests to run" and pass.
+gate-names:
+	GATE_NAMES=1 $(GO) test -count=1 -run 'TestMakefileGateNames' .
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -36,7 +44,9 @@ race:
 # Short bounded fuzz sessions over the catalog round-trip property, the
 # sum column's decimal fast path (bit-identical to strconv.ParseFloat) and
 # the row codec (lossless, shape-sized, column-for-column equal to the text
-# decoder). Their seed corpora run as ordinary tests in `make check`.
+# decoder). The codec lives in internal/rowcodec; its fuzz targets drive it
+# through its exported functions from cmd/snakestore, beside its caller.
+# Their seed corpora run as ordinary tests in `make check`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore

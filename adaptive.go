@@ -86,16 +86,22 @@ func (s *Schema) ClassOfRegion(r Region) (Class, error) {
 	return c, nil
 }
 
+// MigrateOptions paces a migration; the zero value copies the whole file
+// in one unpaced tick. See Strategy.MigrateCtx.
+type MigrateOptions = storage.MigrateOptions
+
 // MigrateCtx physically re-clusters a file store onto this strategy's
-// order, writing the new store at newPath. Cancellation is honored between
-// cells and progress, when non-nil, is reported after each copied cell; on
-// any failure (including cancellation) the partial output is deleted.
-func (st *Strategy) MigrateCtx(ctx context.Context, old *FileStore, newPath string, poolFrames int, progress func(done, total int)) (*FileStore, error) {
+// order, writing the new store at newPath: the worst-clustered regions of
+// the target order first, in ticks paced by opt, with the upserts pending
+// in the old store's delta overlay riding along. On any failure (including
+// cancellation, honored between cells) the partial output is deleted.
+// Returns the new store, flushed and ready to query, and the tick count.
+func (st *Strategy) MigrateCtx(ctx context.Context, old *FileStore, newPath string, poolFrames int, opt MigrateOptions) (*FileStore, int, error) {
 	o, err := st.Materialize()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return storage.MigrateCtx(ctx, old, newPath, o, poolFrames, progress)
+	return storage.MigrateCtx(ctx, old, newPath, o, poolFrames, opt)
 }
 
 // ReorgConfig tunes the adaptive reorganizer's decision policy; see
@@ -123,8 +129,9 @@ func ReorgSkipped(err error) bool { return adaptive.Skipped(err) }
 
 // ReorgDecision is what the reorganizer hands the migrator when the policy
 // fires: the new strategy, the evidence behind it, and the generation the
-// new store assumes on success. The migrator must call Progress as it
-// copies cells so status reporting can show completion.
+// new store assumes on success. Migrate is the policy's pacing plus the
+// progress hook behind status reporting, ready to hand to
+// Strategy.MigrateCtx.
 type ReorgDecision struct {
 	Strategy    *Strategy
 	Workload    *Workload
@@ -132,14 +139,20 @@ type ReorgDecision struct {
 	OptimalCost float64
 	Regret      float64
 	Generation  int
-	Pacing      ReorgPacing
-	Progress    func(done, total int)
+	Migrate     MigrateOptions
 }
 
-// ReorgPacing is the I/O budget a decision hands the incremental migrator
-// (regions per scoring window, cells per tick, pause between ticks); see
-// Strategy.MigrateRegionsCtx.
-type ReorgPacing = adaptive.Pacing
+func newReorgDecision(schema *Schema, d *adaptive.Decision) *ReorgDecision {
+	return &ReorgDecision{
+		Strategy:    &Strategy{schema: schema, Path: d.Path, Snaked: d.Snaked},
+		Workload:    &Workload{schema: schema, w: d.Workload},
+		CurrentCost: d.CurrentCost,
+		OptimalCost: d.OptimalCost,
+		Regret:      d.Regret,
+		Generation:  d.Generation,
+		Migrate:     d.Migrate,
+	}
+}
 
 // ReorgMigrator executes a reorganization decision: build the new
 // generation (typically Strategy.MigrateCtx), persist metadata, swap the
@@ -166,16 +179,7 @@ func NewReorganizer(st *Strategy, generation int, migrate ReorgMigrator, cfg Reo
 	}
 	r := &Reorganizer{schema: st.schema}
 	inner := func(ctx context.Context, d *adaptive.Decision) error {
-		return migrate(ctx, &ReorgDecision{
-			Strategy:    &Strategy{schema: st.schema, Path: d.Path, Snaked: d.Snaked},
-			Workload:    &Workload{schema: st.schema, w: d.Workload},
-			CurrentCost: d.CurrentCost,
-			OptimalCost: d.OptimalCost,
-			Regret:      d.Regret,
-			Generation:  d.Generation,
-			Pacing:      d.Pacing,
-			Progress:    d.Progress,
-		})
+		return migrate(ctx, newReorgDecision(st.schema, d))
 	}
 	c, err := adaptive.New(st.schema.lat, st.Path, st.Snaked, generation, inner, cfg)
 	if err != nil {
@@ -239,14 +243,5 @@ func (r *Reorganizer) Trigger(ctx context.Context, force bool) (*ReorgDecision, 
 	if d == nil {
 		return nil, err
 	}
-	return &ReorgDecision{
-		Strategy:    &Strategy{schema: r.schema, Path: d.Path, Snaked: d.Snaked},
-		Workload:    &Workload{schema: r.schema, w: d.Workload},
-		CurrentCost: d.CurrentCost,
-		OptimalCost: d.OptimalCost,
-		Regret:      d.Regret,
-		Generation:  d.Generation,
-		Pacing:      d.Pacing,
-		Progress:    d.Progress,
-	}, err
+	return newReorgDecision(r.schema, d), err
 }

@@ -125,7 +125,7 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	var r *snakes.Reorganizer
 	migrate := func(ctx context.Context, d *snakes.ReorgDecision) error {
 		newPath := filepath.Join(dir, "g1.db")
-		dst, err := d.Strategy.MigrateCtx(ctx, fs, newPath, 8, d.Progress)
+		dst, _, err := d.Strategy.MigrateCtx(ctx, fs, newPath, 8, d.Migrate)
 		if err != nil {
 			return err
 		}

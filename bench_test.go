@@ -6,7 +6,9 @@ package snakes
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -369,8 +371,9 @@ func BenchmarkTPCDGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreSum measures an aggregate query against the in-memory
-// store on a 64×64 grid, one record per cell.
+// BenchmarkStoreSum measures an aggregate query against a warm file store
+// on a 64×64 grid, one record per cell, after checking that the same query
+// cold costs the pages and seeks the layout predicts.
 func BenchmarkStoreSum(b *testing.B) {
 	s := hierarchy.MustSchema(hierarchy.Binary("A", 6), hierarchy.Binary("B", 6))
 	o, err := linear.GrayOrder(s)
@@ -381,10 +384,11 @@ func BenchmarkStoreSum(b *testing.B) {
 	for i := range bytes {
 		bytes[i] = storage.FrameSize(8)
 	}
-	st, err := storage.NewStore(o, bytes, 256)
+	st, err := storage.CreateFileStore(filepath.Join(b.TempDir(), "bench.db"), o, bytes, 256, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer st.Close()
 	rec := make([]byte, 8)
 	for c := 0; c < o.Len(); c++ {
 		if err := st.PutRecord(c, rec); err != nil {
@@ -393,6 +397,17 @@ func BenchmarkStoreSum(b *testing.B) {
 	}
 	region := linear.Region{{Lo: 8, Hi: 24}, {Lo: 16, Hi: 48}}
 	decode := func([]byte) float64 { return 1 }
+	ctx := context.Background()
+	if err := st.Pool().Reset(ctx); err != nil {
+		b.Fatal(err)
+	}
+	var tally storage.PoolTally
+	if _, _, err := st.SumCtx(storage.WithPoolTally(ctx, &tally), region, decode); err != nil {
+		b.Fatal(err)
+	}
+	if want := st.Layout().Query(region); tally.Stats().Misses != want.Pages || tally.Seeks() != want.Seeks {
+		b.Fatalf("cold read took %d pages %d seeks, layout predicts %d pages %d seeks", tally.Stats().Misses, tally.Seeks(), want.Pages, want.Seeks)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

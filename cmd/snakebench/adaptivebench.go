@@ -243,7 +243,7 @@ func adaptiveBench(cfg tpcd.Config, name string, queries, frames int) (*Adaptive
 		if err != nil {
 			return err
 		}
-		dst, err := storage.MigrateCtx(ctx, fs, newPath, o, frames, d.Progress)
+		dst, _, err := storage.MigrateCtx(ctx, fs, newPath, o, frames, d.Migrate)
 		if err != nil {
 			return err
 		}

@@ -443,9 +443,9 @@ func ingestReclusterPhase(ctx context.Context, bs *benchStore, regions []linear.
 	rowFS.SetOverlay(rlog.Overlay())
 
 	total := rowOrder.Len()
-	opt := ingest.RegionMigrateOptions{RegionCells: 64, MaxCellsPerTick: total/16 + 1}
+	opt := storage.MigrateOptions{RegionCells: 64, MaxCellsPerTick: total/16 + 1}
 	rep.ReclusterMaxTickFraction = float64(opt.MaxCellsPerTick) / float64(total)
-	dst, ticks, err := ingest.MigrateRegionsCtx(ctx, rowFS, filepath.Join(bs.dir, "recluster.opt.db"), bs.order, bs.frames, rlog, opt)
+	dst, ticks, err := storage.MigrateCtx(ctx, rowFS, filepath.Join(bs.dir, "recluster.opt.db"), bs.order, bs.frames, opt)
 	if err != nil {
 		return err
 	}

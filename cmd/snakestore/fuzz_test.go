@@ -42,10 +42,13 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejecting malformed input is the correct behavior
 		}
-		// Whatever parses, the row-format gate splits on the version alone
-		// and refuses with the one typed error.
-		if err := checkRowFormat(cat, path); (err != nil) != (cat.Version < catalogVersion) || (err != nil && !errors.Is(err, errOldStore)) {
-			t.Fatalf("checkRowFormat on a version %d catalog: %v", cat.Version, err)
+		// Whatever parses, the gate in front of the row decoders admits
+		// exactly the clean, built, current-version catalogs, and refuses a
+		// clean built one of an older version with the one typed error.
+		built := !cat.Dirty && cat.BytesPer != nil
+		_, _, _, gateErr := loadServableCatalog(path)
+		if (gateErr == nil) != (built && cat.Version == catalogVersion) || errors.Is(gateErr, errOldStore) != (built && cat.Version < catalogVersion) {
+			t.Fatalf("loadServableCatalog on a version %d catalog (dirty=%v, built=%v): %v", cat.Version, cat.Dirty, cat.BytesPer != nil, gateErr)
 		}
 		if err := writeCatalog(path, cat); err != nil {
 			t.Fatalf("rewriting a valid catalog: %v", err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // The daemon's write path: POST /ingest lands whole-cell upserts in a
@@ -269,7 +270,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		records := make([][]byte, len(c.Rows))
 		for j, row := range c.Rows {
 			at := len(enc)
-			enc = encodeRow(enc, row)
+			enc = rowcodec.Encode(enc, row)
 			records[j] = enc[at:]
 		}
 		cell := order.CellIndex(c.Coords)

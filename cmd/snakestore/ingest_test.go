@@ -18,6 +18,7 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // testDeltaOptions is the crash-safe default for tests: every Put is
@@ -308,7 +309,7 @@ func runIngestCrashOps(dir, ops string) error {
 			}
 			cell := st.Layout().Order().CellIndex([]int{x, y})
 			srv.ing.mu.Lock()
-			err := srv.ing.log.Put(cell, snakes.FrameRecords(encodeRow(nil, val)))
+			err := srv.ing.log.Put(cell, snakes.FrameRecords(rowcodec.Encode(nil, val)))
 			srv.ing.mu.Unlock()
 			if err != nil {
 				return err
@@ -378,7 +379,7 @@ func cellRecord(t *testing.T, srv *server, x, y int) string {
 	cell := st.Layout().Order().CellIndex([]int{x, y})
 	var rows []string
 	if err := st.ReadCellCtx(context.Background(), cell, func(rec []byte) error {
-		row, err := decodeRow(nil, rec)
+		row, err := rowcodec.Decode(nil, rec)
 		rows = append(rows, string(row))
 		return err
 	}); err != nil {

@@ -30,7 +30,7 @@
 //
 // CSV layout: the first k columns are the record's leaf coordinates, one
 // per dimension in schema order; remaining columns are payload, stored
-// through the row codec (rowcodec.go) and summed in place. The catalog
+// through the row codec (internal/rowcodec) and summed in place. The catalog
 // JSON written by optimize (and updated by build) carries the schema, the
 // chosen strategy, and the load state, so query needs no other input.
 //
@@ -58,25 +58,36 @@ import (
 	"strings"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // catalogVersion is the current catalog format. Version 4 says the store's
-// rows went through the row codec (rowcodec.go). Older versions are still
+// rows went through the row codec (internal/rowcodec). Older versions are still
 // readable — an optimize output of any version feeds build, and verify works
 // on the framing alone — but a store loaded under one holds text rows, which
-// nothing decodes any more: checkRowFormat refuses it. Writes always upgrade
-// to the current version.
+// nothing decodes any more: loadServableCatalog refuses it. Writes always
+// upgrade to the current version.
 const catalogVersion = 4
 
 // errOldStore marks a store loaded before rows were encoded.
 var errOldStore = errors.New("built by an older snakestore: re-run build")
 
-// checkRowFormat is the gate in front of every row decoder.
-func checkRowFormat(cat *catalog, path string) error {
-	if cat.Version < catalogVersion {
-		return fmt.Errorf("catalog %s (version %d): store %w", path, cat.Version, errOldStore)
+// loadServableCatalog is loadCatalog for the commands that decode rows
+// (query, serve): the gate in front of every row decoder. It refuses a
+// catalog whose build was interrupted, that was never built, or whose store
+// holds pre-codec rows.
+func loadServableCatalog(path string) (*catalog, *snakes.Schema, *snakes.Strategy, error) {
+	cat, schema, strat, err := loadCatalog(path)
+	switch {
+	case err != nil:
+	case cat.Dirty:
+		err = fmt.Errorf("catalog %s is dirty: a build was interrupted before completion; re-run build to restore a consistent store", path)
+	case cat.BytesPer == nil:
+		err = fmt.Errorf("catalog has no load state; run build first")
+	case cat.Version < catalogVersion:
+		err = fmt.Errorf("catalog %s (version %d): store %w", path, cat.Version, errOldStore)
 	}
-	return nil
+	return cat, schema, strat, err
 }
 
 // catalog is the persistent description of one snakestore database.
@@ -271,7 +282,7 @@ func cmdBuild(args []string) error {
 		return err
 	}
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
-		bytesPerCell[cell] += snakes.FrameSize(encodedLen(row))
+		bytesPerCell[cell] += snakes.FrameSize(rowcodec.EncodedLen(row))
 		return nil
 	}); err != nil {
 		return err
@@ -285,7 +296,7 @@ func cmdBuild(args []string) error {
 	var enc []byte
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
 		records++
-		enc = encodeRow(enc[:0], row)
+		enc = rowcodec.Encode(enc[:0], row)
 		return store.PutRecord(cell, enc)
 	}); err != nil {
 		store.Close()
@@ -329,17 +340,8 @@ func cmdQuery(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cat, schema, strat, err := loadCatalog(*catPath)
+	cat, schema, strat, err := loadServableCatalog(*catPath)
 	if err != nil {
-		return err
-	}
-	if cat.Dirty {
-		return fmt.Errorf("catalog %s is dirty: a build was interrupted before completion; re-run build to restore a consistent store", *catPath)
-	}
-	if cat.BytesPer == nil {
-		return fmt.Errorf("catalog has no load state; run build first")
-	}
-	if err := checkRowFormat(cat, *catPath); err != nil {
 		return err
 	}
 	region, err := parseRegion(schema, schemaDims(cat), wheres)
@@ -357,7 +359,7 @@ func cmdQuery(args []string) error {
 	err = store.Scan(region, func(cell int, record []byte) error {
 		count++
 		if *sumCol >= 0 {
-			v, err := rowColumn(record, *sumCol)
+			v, err := rowcodec.Column(record, *sumCol)
 			if err != nil {
 				return usagef("%v", err)
 			}

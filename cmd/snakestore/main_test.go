@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // writeFactsCSV writes a small deterministic fact file and returns the
@@ -86,7 +87,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	var got float64
 	var count int
 	if err := fs.Scan(region, func(cell int, rec []byte) error {
-		v, err := rowColumn(rec, 0)
+		v, err := rowcodec.Column(rec, 0)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // handleEvents serves GET /debug/events: the ring's retained wide events
@@ -148,7 +149,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
 		resp.Records++
 		if sumCol >= 0 {
-			v, err := rowColumn(record, sumCol)
+			v, err := rowcodec.Column(record, sumCol)
 			if err != nil {
 				return usagef("%v", err)
 			}

@@ -48,24 +48,9 @@ func (s *server) enableReorg(catPath, storeBase string, frames int, cat *catalog
 func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) error {
 	old := s.st()
 	newPath := genPath(s.storeBase, d.Generation)
-	// The copy is incremental: the target linearization is cut into regions
-	// scored by (1 + pending delta bytes) × (1 + clustering violation), and
-	// the worst-clustered regions are rewritten first in paced bounded
-	// ticks, so the migration converges toward the DP-optimal layout
-	// without ever rewriting the whole file in one burst. Pending delta
-	// upserts are folded in through the overlay as their cells are copied.
-	var migLog *snakes.DeltaLog
-	if s.ing != nil {
-		s.ing.mu.Lock()
-		migLog = s.ing.log
-		s.ing.mu.Unlock()
-	}
-	dst, ticks, err := d.Strategy.MigrateRegionsCtx(ctx, old, newPath, s.frames, migLog, snakes.RegionMigrateOptions{
-		RegionCells:     d.Pacing.RegionCells,
-		MaxCellsPerTick: d.Pacing.MaxCellsPerTick,
-		Pause:           d.Pacing.TickPause,
-		Progress:        d.Progress,
-	})
+	// The copy is paced by the policy's budget (d.Migrate), never the whole
+	// file in one burst; upserts pending in old's overlay ride along.
+	dst, ticks, err := d.Strategy.MigrateCtx(ctx, old, newPath, s.frames, d.Migrate)
 	if err != nil {
 		return err
 	}

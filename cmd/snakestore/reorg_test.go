@@ -280,7 +280,7 @@ func TestServeReorgCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	newPath := genPath(storePath, 1)
-	dst, err := stratB.MigrateCtx(context.Background(), store, newPath, 8, nil)
+	dst, _, err := stratB.MigrateCtx(context.Background(), store, newPath, 8, snakes.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // measureRows is a 4x6 warehouse of rows shaped like the benchmark's: three
@@ -171,7 +172,7 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 			texts := regionRows(st, rows, region)
 			i := 0
 			if err := st.Scan(region, func(_ int, rec []byte) error {
-				row, err := decodeRow(nil, rec)
+				row, err := rowcodec.Decode(nil, rec)
 				if err != nil || i >= len(texts) || string(row) != texts[i] {
 					return fmt.Errorf("record %d decodes to %q, %v; the CSV has %q", i, row, err, texts[min(i, len(texts)-1)])
 				}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"math"
-	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,7 +11,20 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
+
+// These tests hold internal/rowcodec to its contract through the functions
+// the daemon calls. The codec's text-side decoders are reached the same
+// way: a row under header 0 is stored raw, and rowcodec.Column reads a raw
+// row's columns by the text decoder's rules.
+func rawRow(text []byte) []byte { return append([]byte{0}, text...) }
+
+// parseDecimal is the codec's decimal parser on the field that starts b.
+func parseDecimal(b []byte) (float64, error) { return rowcodec.Column(rawRow(b), 0) }
+
+// payloadColumn is the idx-th column of a row held as text.
+func payloadColumn(row []byte, idx int) (float64, error) { return rowcodec.Column(rawRow(row), idx) }
 
 // checkParseDecimal holds parseDecimal to strconv.ParseFloat on the field
 // that ends at the first comma: the same bits, and the same error text.
@@ -80,9 +92,10 @@ func TestPayloadColumn(t *testing.T) {
 		t.Errorf("short row err = %v", err)
 	}
 	var sink float64
+	raw := rawRow(rec)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 2; idx++ {
-			v, _ := payloadColumn(rec, idx)
+			v, _ := rowcodec.Column(raw, idx)
 			sink += v
 		}
 	}); allocs != 0 {
@@ -91,31 +104,31 @@ func TestPayloadColumn(t *testing.T) {
 }
 
 // checkRowCodec holds one row to the codec's contract: the encoding is
-// lossless and at most a byte longer than the text, encodedLen agrees with
+// lossless and at most a byte longer than the text, EncodedLen agrees with
 // it, a string encodes as its bytes do, and every column — one past the
 // last included — reads from the encoded row exactly as payloadColumn reads
 // it from the text: the same bits, the same error text.
 func checkRowCodec(t *testing.T, row []byte) []byte {
 	t.Helper()
-	enc := encodeRow(nil, row)
-	if got := encodeRow([]byte("x"), string(row)); !bytes.Equal(got[1:], enc) {
-		t.Fatalf("encodeRow(%q) as a string = %x, as bytes %x", row, got[1:], enc)
+	enc := rowcodec.Encode(nil, row)
+	if got := rowcodec.Encode([]byte("x"), string(row)); !bytes.Equal(got[1:], enc) {
+		t.Fatalf("rowcodec.Encode(%q) as a string = %x, as bytes %x", row, got[1:], enc)
 	}
-	if len(enc) > len(row)+1 || encodedLen(row) != len(enc) || encodedLen(string(row)) != len(enc) {
-		t.Fatalf("encodeRow(%q) is %d bytes, encodedLen says %d, the text is %d", row, len(enc), encodedLen(row), len(row))
+	if len(enc) > len(row)+1 || rowcodec.EncodedLen(row) != len(enc) || rowcodec.EncodedLen(string(row)) != len(enc) {
+		t.Fatalf("rowcodec.Encode(%q) is %d bytes, rowcodec.EncodedLen says %d, the text is %d", row, len(enc), rowcodec.EncodedLen(row), len(row))
 	}
-	dec, err := decodeRow(nil, enc)
+	dec, err := rowcodec.Decode(nil, enc)
 	if err != nil || !bytes.Equal(dec, row) {
-		t.Fatalf("decodeRow(encodeRow(%q)) = %q, %v", row, dec, err)
+		t.Fatalf("rowcodec.Decode(rowcodec.Encode(%q)) = %q, %v", row, dec, err)
 	}
 	for idx := 0; idx <= bytes.Count(row, []byte(","))+1; idx++ {
 		want, wantErr := payloadColumn(row, idx)
-		got, gotErr := rowColumn(enc, idx)
+		got, gotErr := rowcodec.Column(enc, idx)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("row %q column %d: rowColumn err = %v, payloadColumn err = %v", row, idx, gotErr, wantErr)
+			t.Fatalf("row %q column %d: rowcodec.Column err = %v, payloadColumn err = %v", row, idx, gotErr, wantErr)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("row %q column %d: rowColumn = %v (%#x), payloadColumn = %v (%#x)", row, idx, got, math.Float64bits(got), want, math.Float64bits(want))
+			t.Fatalf("row %q column %d: rowcodec.Column = %v (%#x), payloadColumn = %v (%#x)", row, idx, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 	return enc
@@ -170,31 +183,19 @@ func TestRowCodec(t *testing.T) {
 			t.Fatalf("%q encodes to %d bytes, a row of its shape to %d", row, got, want)
 		}
 	}
-	// The width table is the bytes 10^L − 1 needs, capped at 2^53's 7.
-	pow := uint64(1)
-	for L := 1; L < len(mantissaWidth); L++ {
-		need := 7
-		if L <= maxDigits {
-			pow *= 10
-			need = min(7, (bits.Len64(pow-1)+7)/8)
-		}
-		if int(mantissaWidth[L]) != need {
-			t.Errorf("mantissaWidth[%d] = %d, want %d", L, mantissaWidth[L], need)
-		}
-	}
 }
 
 // TestRowCodecRejectsMalformed: bytes no encoder wrote are an error from
 // both decoders, never a panic.
 func TestRowCodecRejectsMalformed(t *testing.T) {
 	for _, rec := range [][]byte{nil, {0x10}, {0x20}, {0x01}, {0x01, 0x04, 1, 2}, {0x02, 0x01, 5}, {0x01, 0x01, 5, 'x'}} {
-		if dec, err := decodeRow(nil, rec); err == nil {
-			t.Errorf("decodeRow(%x) = %q, want an error", rec, dec)
+		if dec, err := rowcodec.Decode(nil, rec); err == nil {
+			t.Errorf("rowcodec.Decode(%x) = %q, want an error", rec, dec)
 		}
 	}
 	for _, rec := range [][]byte{nil, {0x01}, {0x01, 0x04, 1, 2}, {0x02, 0x01, 5}} {
-		if v, err := rowColumn(rec, 1); err == nil {
-			t.Errorf("rowColumn(%x, 1) = %v, want an error", rec, v)
+		if v, err := rowcodec.Column(rec, 1); err == nil {
+			t.Errorf("rowcodec.Column(%x, 1) = %v, want an error", rec, v)
 		}
 	}
 }
@@ -203,18 +204,18 @@ func TestRowCodecRejectsMalformed(t *testing.T) {
 // sizing a row and encoding into a warm buffer allocate nothing.
 func TestRowCodecAllocs(t *testing.T) {
 	row := []byte(rowSeeds[0])
-	enc := encodeRow(nil, row)
+	enc := rowcodec.Encode(nil, row)
 	buf := make([]byte, 0, len(row)+1)
 	var sink float64
 	var size int
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 4; idx++ {
-			v, _ := rowColumn(enc, idx)
+			v, _ := rowcodec.Column(enc, idx)
 			sink += v
 		}
-		size += encodedLen(row) + encodedLen(rowSeeds[0])
-		buf = encodeRow(buf[:0], row)
-		buf = encodeRow(buf[:0], rowSeeds[0])
+		size += rowcodec.EncodedLen(row) + rowcodec.EncodedLen(rowSeeds[0])
+		buf = rowcodec.Encode(buf[:0], row)
+		buf = rowcodec.Encode(buf[:0], rowSeeds[0])
 	}); allocs != 0 {
 		t.Errorf("the row codec allocates %v times per row, want 0", allocs)
 	}
@@ -227,9 +228,9 @@ func FuzzRowCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkShapeSized(t, in)
 		// The same bytes read as an encoded row: an answer or an error.
-		decodeRow(nil, in)
+		rowcodec.Decode(nil, in)
 		for idx := 0; idx < 18; idx++ {
-			rowColumn(in, idx)
+			rowcodec.Column(in, idx)
 		}
 	})
 }
@@ -283,37 +284,4 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	if len(er.Events) != 2 || !er.Events[0].PlanCacheHit || er.Events[1].PlanCacheHit {
 		t.Errorf("plan cache hits of the two identical queries, newest first: %+v", er.Events)
 	}
-}
-
-// BenchmarkSumColumn prices the sum kernel's per-record work on the
-// benchmark's row shape: the text decoder against the encoded row.
-func BenchmarkSumColumn(b *testing.B) {
-	row := []byte(rowSeeds[0])
-	enc := encodeRow(nil, row)
-	var sink float64
-	b.Run("text", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v, _ := payloadColumn(row, 0)
-			sink += v
-		}
-	})
-	b.Run("encoded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v, _ := rowColumn(enc, 0)
-			sink += v
-		}
-	})
-	b.Run("encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(row)+1)
-		for i := 0; i < b.N; i++ {
-			buf = encodeRow(buf[:0], row)
-		}
-	})
-	b.Run("encodedLen", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			n += encodedLen(row)
-		}
-	})
-	_ = sink
 }

@@ -380,17 +380,8 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cat, schema, strat, err := loadCatalog(*catPath)
+	cat, schema, strat, err := loadServableCatalog(*catPath)
 	if err != nil {
-		return err
-	}
-	if cat.Dirty {
-		return fmt.Errorf("catalog %s is dirty: a build was interrupted before completion; re-run build before serving", *catPath)
-	}
-	if cat.BytesPer == nil {
-		return fmt.Errorf("catalog has no load state; run build first")
-	}
-	if err := checkRowFormat(cat, *catPath); err != nil {
 		return err
 	}
 	adm, err := snakes.NewAdmission(*maxInflight, *queueTimeout)

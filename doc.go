@@ -11,8 +11,9 @@
 // expected seek cost for a workload via dynamic programming (linear in the
 // lattice size), applies snaking — which never increases cost and removes
 // all diagonal disk jumps — and materializes the result as a concrete
-// linearization of the fact table's cells, with a page-level disk simulator
-// to measure real layouts.
+// linearization of the fact table's cells. One store, FileStore, packs
+// records along it and reads them in the pages and seeks the layout
+// predicts; one migration, Strategy.MigrateCtx, re-clusters it onto another.
 //
 // # Quick start
 //
@@ -30,6 +31,6 @@
 // the DP), internal/cost and internal/cv (the characteristic-vector theory,
 // Lemma 2–4 and the Theorem-2 sandwich construction), internal/linear
 // (linearizations: snaked paths, row-major, Hilbert, Z, Gray), and
-// internal/storage + internal/tpcd + internal/experiments (the Section-6
-// evaluation).
+// internal/storage + internal/tpcd + internal/experiments (the store and
+// the Section-6 evaluation).
 package snakes

@@ -80,7 +80,7 @@ func main() {
 	}
 	migrate := func(ctx context.Context, d *snakes.ReorgDecision) error {
 		old := store.Load()
-		dst, err := d.Strategy.MigrateCtx(ctx, old, newPath(d.Generation), 16, d.Progress)
+		dst, _, err := d.Strategy.MigrateCtx(ctx, old, newPath(d.Generation), 16, d.Migrate)
 		if err != nil {
 			return err
 		}

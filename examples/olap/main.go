@@ -1,16 +1,20 @@
 // OLAP: a drilldown/rollup session against a labeled star schema — the
 // introduction's observation that "even a typical OLAP session … repeatedly
 // invokes various grid queries". Queries are phrased against hierarchy node
-// labels, executed against a packed store with real page accounting, fed to
-// the workload estimator, and the learned workload drives re-clustering,
-// whose chosen strategy is persisted as JSON.
+// labels, executed cold against a packed file store — the pages and seeks
+// the layout predicts printed next to the ones the buffer pool observed —
+// fed to the workload estimator, and the learned workload drives
+// re-clustering, whose chosen strategy is persisted as JSON.
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	snakes "repro"
 )
@@ -47,10 +51,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := start.NewStore(bytes, 32)
+	dir, err := os.MkdirTemp("", "olap-example")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	store, err := start.CreateFileStore(filepath.Join(dir, "sales.db"), bytes, 32, 64)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
 	rng := rand.New(rand.NewSource(7))
 	sales := make([]float64, schema.NumCells())
 	buf := make([]byte, 8)
@@ -75,6 +85,7 @@ func main() {
 		schema.Query().Where("region", "west"),                             // pivot west
 		schema.Query().Where("product", "home").Where("region", "west"),    // drill home/west
 	}
+	ctx := context.Background()
 	fmt.Println("OLAP session (row-major layout):")
 	for _, q := range session {
 		region, err := q.Region()
@@ -85,14 +96,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		total, io, err := store.Sum(region, decode)
+		// A cold read: what the pool misses is what the disk would serve.
+		predicted := store.Layout().Query(region)
+		if err := store.Pool().Reset(ctx); err != nil {
+			log.Fatal(err)
+		}
+		var tally snakes.PoolTally
+		total, _, err := store.SumCtx(snakes.WithPoolTally(ctx, &tally), region, decode)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := est.Observe(class); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  class %v  sum=%6.0f  pages=%d seeks=%d\n", class, total, io.Pages, io.Seeks)
+		fmt.Printf("  class %v  sum=%6.0f  predicted %d pages %d seeks, observed %d pages %d seeks\n",
+			class, total, predicted.Pages, predicted.Seeks, tally.Stats().Misses, tally.Seeks())
 	}
 
 	// Re-cluster for the observed session shape.

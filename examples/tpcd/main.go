@@ -4,9 +4,12 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -76,9 +79,9 @@ func main() {
 	runAggregate(ds, opt)
 }
 
-// runAggregate loads the LineItem records into a paged store clustered by
-// the snaked optimal path and executes SUM(quantity) for one grid query,
-// reporting the I/O it actually cost.
+// runAggregate loads the LineItem records into a file store clustered by
+// the snaked optimal path and executes SUM(quantity) for one grid query
+// cold, reporting the I/O the layout predicts next to what it cost.
 func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 	order, err := linear.FromPath(ds.Schema, opt.Path, true)
 	if err != nil {
@@ -91,10 +94,16 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 		records := b / int64(ds.Config.RecordBytes)
 		bytes[i] = records * storage.FrameSize(4)
 	}
-	store, err := storage.NewStore(order, bytes, ds.Config.PageBytes)
+	dir, err := os.MkdirTemp("", "tpcd-example")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	store, err := storage.CreateFileStore(filepath.Join(dir, "lineitem.db"), order, bytes, int(ds.Config.PageBytes), 256)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
 	shape := ds.Schema.LeafCounts()
 	payload := make([]byte, 4)
 	var want int64
@@ -118,12 +127,19 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 		}
 		return true
 	})
-	got, io, err := store.Sum(region, func(rec []byte) float64 {
+	ctx := context.Background()
+	predicted := store.Layout().Query(region)
+	if err := store.Pool().Reset(ctx); err != nil {
+		log.Fatal(err)
+	}
+	var tally storage.PoolTally
+	got, _, err := store.SumCtx(storage.WithPoolTally(ctx, &tally), region, func(rec []byte) float64 {
 		return float64(binary.LittleEndian.Uint32(rec))
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nSUM(quantity) for manufacturer 2 × year 1: %.0f (expected %d)\n", got, want)
-	fmt.Printf("executed in %d page reads, %d seeks\n", io.Pages, io.Seeks)
+	fmt.Printf("executed in: predicted %d pages %d seeks, observed %d pages %d seeks\n",
+		predicted.Pages, predicted.Seeks, tally.Stats().Misses, tally.Seeks())
 }

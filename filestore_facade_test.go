@@ -1,6 +1,7 @@
 package snakes
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -58,7 +59,7 @@ func TestFileStoreFacadeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	migrated, err := rm.Migrate(fs2, filepath.Join(dir, "facts2.db"), 8)
+	migrated, _, err := rm.MigrateCtx(context.Background(), fs2, filepath.Join(dir, "facts2.db"), 8, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package snakes_test
 import (
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -19,22 +20,28 @@ func runGo(t *testing.T, pkg string, args ...string) string {
 	return string(out)
 }
 
+// costLine matches what the examples that execute queries against a file
+// store print per query: the layout's prediction beside the cold read.
+var costLine = regexp.MustCompile(`predicted (\d+) pages (\d+) seeks, observed (\d+) pages (\d+) seeks`)
+
 // TestExamplesRun executes every example binary end to end and checks a
-// marker line from each, so examples cannot silently rot.
+// marker line from each, so examples cannot silently rot; where an example
+// prints predicted and observed query costs, they must agree.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	cases := []struct {
-		pkg    string
-		marker string
+		pkg       string
+		marker    string
+		costLines int // queries the example executes and prices
 	}{
-		{"./examples/quickstart", "optimal strategy: snaked"},
-		{"./examples/retail", "the optimum"},
-		{"./examples/telecom", "optimized the unbalanced-region schema successfully"},
-		{"./examples/tpcd", "executed in"},
-		{"./examples/adaptive", "after reorg: the same scans cost"},
-		{"./examples/olap", "persisted strategy"},
+		{"./examples/quickstart", "optimal strategy: snaked", 0},
+		{"./examples/retail", "the optimum", 0},
+		{"./examples/telecom", "optimized the unbalanced-region schema successfully", 0},
+		{"./examples/tpcd", "executed in", 1},
+		{"./examples/adaptive", "after reorg: the same scans cost", 0},
+		{"./examples/olap", "persisted strategy", 8},
 	}
 	for _, c := range cases {
 		c := c
@@ -43,6 +50,15 @@ func TestExamplesRun(t *testing.T) {
 			out := runGo(t, c.pkg)
 			if !strings.Contains(out, c.marker) {
 				t.Errorf("%s output missing %q:\n%s", c.pkg, c.marker, out)
+			}
+			costs := costLine.FindAllStringSubmatch(out, -1)
+			if len(costs) != c.costLines {
+				t.Errorf("%s prints %d predicted/observed lines, want %d:\n%s", c.pkg, len(costs), c.costLines, out)
+			}
+			for _, m := range costs {
+				if m[1] != m[3] || m[2] != m[4] {
+					t.Errorf("%s: %s", c.pkg, m[0])
+				}
 			}
 		})
 	}

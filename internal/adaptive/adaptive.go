@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lattice"
+	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -65,19 +66,12 @@ type Config struct {
 	Pacing Pacing
 }
 
-// Pacing is the controller's I/O budget for a reorganization: the
-// incremental migrator copies the store in region-scored ticks of at most
-// MaxCellsPerTick cells, sleeping TickPause between them, so a re-cluster
-// never rewrites the whole file in one burst and concurrent queries keep
-// their latency. The zero value lets the migrator pick its own defaults.
-type Pacing struct {
-	// RegionCells is the scoring window in consecutive target positions.
-	RegionCells int
-	// MaxCellsPerTick bounds the cells copied per tick.
-	MaxCellsPerTick int
-	// TickPause is slept between ticks.
-	TickPause time.Duration
-}
+// Pacing is the controller's I/O budget for a reorganization, in the
+// migrator's own terms: copying in region-scored ticks of at most
+// MaxCellsPerTick cells with Pause slept between them, a re-cluster never
+// rewrites the whole file in one burst and concurrent queries keep their
+// latency. The controller sets Progress itself, on each decision.
+type Pacing = storage.MigrateOptions
 
 // Defaults returns a conservative production-shaped policy.
 func Defaults() Config {
@@ -92,7 +86,7 @@ func Defaults() Config {
 		Pacing: Pacing{
 			RegionCells:     64,
 			MaxCellsPerTick: 256,
-			TickPause:       10 * time.Millisecond,
+			Pause:           10 * time.Millisecond,
 		},
 	}
 }
@@ -116,16 +110,16 @@ func (c Config) validate() error {
 	if c.MinInterval < 0 {
 		return fmt.Errorf("adaptive: negative MinInterval %v", c.MinInterval)
 	}
-	if c.Pacing.RegionCells < 0 || c.Pacing.MaxCellsPerTick < 0 || c.Pacing.TickPause < 0 {
-		return fmt.Errorf("adaptive: negative pacing %+v", c.Pacing)
+	if c.Pacing.RegionCells < 0 || c.Pacing.MaxCellsPerTick < 0 || c.Pacing.Pause < 0 {
+		return fmt.Errorf("adaptive: negative pacing: %d cells a region, %d a tick, pause %v", c.Pacing.RegionCells, c.Pacing.MaxCellsPerTick, c.Pacing.Pause)
 	}
 	return nil
 }
 
 // Decision is what the controller hands the migrator when it decides to
 // re-cluster: the new strategy, the evidence, and the generation number the
-// new store file should carry. Progress must be called by the migrator as
-// cells are copied so /reorg can report completion.
+// new store file should carry. Migrate is the configured pacing plus the
+// progress hook behind Status, ready to hand to storage.MigrateCtx.
 type Decision struct {
 	Path        *core.Path
 	Snaked      bool
@@ -134,8 +128,7 @@ type Decision struct {
 	OptimalCost float64 // expected seeks/query of Path
 	Regret      float64 // CurrentCost / OptimalCost
 	Generation  int     // generation the new store assumes on success
-	Pacing      Pacing  // I/O budget for the incremental migrator
-	Progress    func(done, total int)
+	Migrate     storage.MigrateOptions
 }
 
 // Migrator performs the mechanism of a reorganization: build the new
@@ -359,7 +352,7 @@ func (c *Controller) evaluate(ctx context.Context) (_ Evaluation, _ *Decision, r
 			OptimalCost: optCost,
 			Regret:      ev.Regret,
 			Generation:  c.generation + 1,
-			Pacing:      c.cfg.Pacing,
+			Migrate:     c.cfg.Pacing,
 		}
 	}
 	c.mu.Unlock()
@@ -431,7 +424,7 @@ func (c *Controller) Trigger(ctx context.Context, force bool) (*Decision, error)
 			OptimalCost: ev.OptimalCost,
 			Regret:      ev.Regret,
 			Generation:  c.generation + 1,
-			Pacing:      c.cfg.Pacing,
+			Migrate:     c.cfg.Pacing,
 		}
 		c.mu.Unlock()
 	}
@@ -463,7 +456,7 @@ func (c *Controller) reorganize(ctx context.Context, d *Decision) error {
 	c.lastReorg = c.now()
 	c.mu.Unlock()
 
-	d.Progress = func(done, total int) {
+	d.Migrate.Progress = func(done, total int) {
 		c.mu.Lock()
 		c.migrated, c.totalCells = done, total
 		c.mu.Unlock()

@@ -70,8 +70,8 @@ func (m *recordingMigrator) migrate(ctx context.Context, d *Decision) error {
 	m.mu.Lock()
 	m.decisions = append(m.decisions, d)
 	m.mu.Unlock()
-	if d.Progress != nil {
-		d.Progress(16, 16)
+	if d.Migrate.Progress != nil {
+		d.Migrate.Progress(16, 16)
 	}
 	return m.err
 }

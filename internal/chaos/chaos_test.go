@@ -234,18 +234,18 @@ func TestCrashPointMidMigrate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	crashAt := 12 // half of the 24 cells
-	_, err = storage.MigrateCtx(ctx, fs, newPath, newOrder, 8, func(done, total int) {
+	_, _, err = storage.MigrateCtx(ctx, fs, newPath, newOrder, 8, storage.MigrateOptions{MaxCellsPerTick: 1, Progress: func(done, total int) {
 		if done == crashAt {
 			cancel()
 		}
-	})
+	}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("migrate with mid-flight crash = %v, want context.Canceled", err)
 	}
 	if _, statErr := storage.OpenPageFile(newPath, 64); statErr == nil {
 		t.Fatal("crashed migration left a partial output file")
 	}
-	dst, err := storage.MigrateCtx(context.Background(), fs, newPath, newOrder, 8, nil)
+	dst, _, err := storage.MigrateCtx(context.Background(), fs, newPath, newOrder, 8, storage.MigrateOptions{})
 	if err != nil {
 		t.Fatalf("retry after crash: %v", err)
 	}

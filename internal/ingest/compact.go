@@ -5,31 +5,17 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
-	"repro/internal/linear"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
 // This file is the background half of the write path: paced compaction of
-// the delta log into the base file, and the incremental region migration
-// that replaces whole-file MigrateCtx as the adaptive controller's default
-// action.
-//
-// Both share one scoring idea. The linearization is cut into fixed-size
-// windows of consecutive positions ("regions"), and each region scores
-//
-//	score = (1 + deltaBytes) × (1 + violation)
-//
-// where deltaBytes is the pending upsert payload in the region and
-// violation is the region's mean displacement |targetPos − deployedPos|
-// against the current DP-optimal order. In-place compaction runs with the
-// deployed order as target (violation = 0), so the score degenerates to
-// the delta mass and the compactor simply drains the heaviest regions
-// first; a reorganization decision supplies the new target order, and the
-// same formula makes the migrator rewrite the worst-clustered regions
-// first, amortizing the O(N) reorg over bounded ticks.
+// the delta log into the base file. The compactor cuts the linearization
+// into fixed-size windows of consecutive positions ("regions") and drains
+// the regions with the most pending delta bytes first — storage.MigrateCtx's
+// region score, (1 + deltaBytes) × (1 + violation), with the deployed order
+// as the target, so the violation term is zero.
 
 // CompactorConfig tunes the paced compactor.
 type CompactorConfig struct {
@@ -217,161 +203,4 @@ func Recover(ctx context.Context, fs *storage.FileStore, log *Log) (map[int]uint
 		return nil, 0, fmt.Errorf("ingest: recovery flush: %w", err)
 	}
 	return applied, len(pend), nil
-}
-
-// RegionMigrateOptions paces an incremental migration.
-type RegionMigrateOptions struct {
-	// RegionCells is the copy unit in consecutive target positions
-	// (default 64).
-	RegionCells int
-	// MaxCellsPerTick bounds the cells copied per tick (default: one
-	// region). The migration never rewrites the whole file in one tick as
-	// long as this is below the cell count.
-	MaxCellsPerTick int
-	// Pause is slept between ticks (0 = no pacing), keeping the copy's I/O
-	// from starving concurrent queries.
-	Pause time.Duration
-	// Progress, when non-nil, is called after each tick with (cellsCopied,
-	// totalCells); it runs on the migrating goroutine and must be cheap.
-	Progress func(done, total int)
-}
-
-// MigrateRegionsCtx re-clusters a store onto a new linearization the
-// incremental way: the target order is cut into regions, regions are
-// scored by (1 + deltaBytes) × (1 + violation distance) — pending upserts
-// from log count toward deltaBytes, and violation is the mean |targetPos −
-// deployedPos| of the region's cells — and copied worst-first in paced,
-// bounded ticks. Reads through the old store are overlay-aware, so cells
-// with pending deltas are copied with their freshest content; entries put
-// *during* the copy carry newer seqs and survive the caller's checkpoint
-// into the next generation's log.
-//
-// Like MigrateCtx, the partial output is removed on any failure and the
-// returned store is flushed and ready to swap. The returned tick count and
-// per-tick ceiling let callers assert the full file was never rewritten in
-// one tick.
-func MigrateRegionsCtx(ctx context.Context, old *storage.FileStore, newPath string, newOrder *linear.Order, poolFrames int, log *Log, opt RegionMigrateOptions) (*storage.FileStore, int, error) {
-	if opt.RegionCells <= 0 {
-		opt.RegionCells = 64
-	}
-	if opt.MaxCellsPerTick <= 0 {
-		opt.MaxCellsPerTick = opt.RegionCells
-	}
-	oldOrder := old.Layout().Order()
-	total := oldOrder.Len()
-	if newOrder.Len() != total {
-		return nil, 0, fmt.Errorf("ingest: migrating %d cells onto an order with %d", total, newOrder.Len())
-	}
-	bytesPerCell := make([]int64, total)
-	for cell := 0; cell < total; cell++ {
-		bytesPerCell[cell] = old.Layout().CellCapacity(cell)
-	}
-	dst, err := storage.CreateFileStore(newPath, newOrder, bytesPerCell, int(old.Layout().PageSize()), poolFrames)
-	if err != nil {
-		return nil, 0, err
-	}
-	abort := func(err error) (*storage.FileStore, int, error) {
-		dst.Close()
-		os.Remove(newPath)
-		return nil, 0, err
-	}
-	// Score target regions: windows of consecutive *new* positions, so each
-	// copied region lands contiguously in the destination.
-	type migRegion struct {
-		lo, hi int // target position range [lo, hi)
-		score  float64
-	}
-	nRegions := (total + opt.RegionCells - 1) / opt.RegionCells
-	regions := make([]migRegion, 0, nRegions)
-	for w := 0; w < nRegions; w++ {
-		lo := w * opt.RegionCells
-		hi := lo + opt.RegionCells
-		if hi > total {
-			hi = total
-		}
-		var delta, violation int64
-		for pos := lo; pos < hi; pos++ {
-			cell := newOrder.CellAt(pos)
-			d := pos - oldOrder.PosOf(cell)
-			if d < 0 {
-				d = -d
-			}
-			violation += int64(d)
-			if log != nil {
-				if b, ok := log.Get(cell); ok {
-					delta += int64(len(b))
-				}
-			}
-		}
-		mean := float64(violation) / float64(hi-lo)
-		regions = append(regions, migRegion{lo: lo, hi: hi, score: (1 + float64(delta)) * (1 + mean)})
-	}
-	sort.Slice(regions, func(i, j int) bool {
-		if regions[i].score != regions[j].score {
-			return regions[i].score > regions[j].score
-		}
-		return regions[i].lo < regions[j].lo
-	})
-	cctx, copySpan := trace.Start(ctx, trace.KindCopy, "")
-	copySpan.SetAttr("cells", int64(total))
-	copySpan.SetAttr("regions", int64(len(regions)))
-	done, ticks, inTick := 0, 0, 0
-	for _, rg := range regions {
-		for pos := rg.lo; pos < rg.hi; pos++ {
-			if err := ctx.Err(); err != nil {
-				copySpan.SetError(err)
-				copySpan.End()
-				return abort(err)
-			}
-			if inTick >= opt.MaxCellsPerTick {
-				ticks++
-				inTick = 0
-				if opt.Progress != nil {
-					opt.Progress(done, total)
-				}
-				if opt.Pause > 0 {
-					select {
-					case <-ctx.Done():
-						copySpan.SetError(ctx.Err())
-						copySpan.End()
-						return abort(ctx.Err())
-					case <-time.After(opt.Pause):
-					}
-				}
-			}
-			cell := newOrder.CellAt(pos)
-			// Overlay-aware read: pending deltas ride along into the copy.
-			records, err := storage.ReadCellRepairing(cctx, old, cell)
-			if err != nil {
-				copySpan.SetError(err)
-				copySpan.End()
-				return abort(fmt.Errorf("ingest: region copy of cell %d: %w", cell, err))
-			}
-			for _, rec := range records {
-				if err := dst.PutRecord(cell, rec); err != nil {
-					copySpan.SetError(err)
-					copySpan.End()
-					return abort(fmt.Errorf("ingest: region copy of cell %d: %w", cell, err))
-				}
-			}
-			done++
-			inTick++
-		}
-	}
-	if inTick > 0 {
-		ticks++
-	}
-	if opt.Progress != nil {
-		opt.Progress(done, total)
-	}
-	copySpan.SetAttr("ticks", int64(ticks))
-	copySpan.End()
-	fsp := trace.StartLeaf(ctx, trace.KindFlush, "")
-	if err := dst.Pool().Flush(); err != nil {
-		fsp.SetError(err)
-		fsp.End()
-		return abort(fmt.Errorf("ingest: migration flush: %w", err))
-	}
-	fsp.End()
-	return dst, ticks, nil
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
@@ -20,17 +19,6 @@ func testOrder(t *testing.T) *linear.Order {
 	t.Helper()
 	s := hierarchy.MustSchema(hierarchy.Uniform("A", 2, 2), hierarchy.Uniform("B", 1, 6))
 	o, err := linear.RowMajor(s, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
-// colMajor returns the transposed linearization of testOrder's schema.
-func colMajor(t *testing.T) *linear.Order {
-	t.Helper()
-	s := hierarchy.MustSchema(hierarchy.Uniform("A", 2, 2), hierarchy.Uniform("B", 1, 6))
-	o, err := linear.RowMajor(s, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,67 +410,5 @@ func TestRecoverReplaysPending(t *testing.T) {
 	}
 	if got := readCell(t, fs, 7); len(got) != 1 || got[0] != deltaRec(7, 0, 11) {
 		t.Fatalf("cell 7 after double recovery = %v", got)
-	}
-}
-
-func TestMigrateRegionsMatchesWholeFile(t *testing.T) {
-	o := testOrder(t)
-	fs, path := testStore(t, o, 4, 3, 11)
-	newOrder := colMajor(t)
-	log, err := Open(DeltaPath(path), 0, Options{Policy: SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	fs.SetOverlay(log.Overlay())
-	// A pending delta must ride into the migrated file.
-	fresh := []string{deltaRec(11, 0, 11), deltaRec(11, 1, 11)}
-	if err := log.Put(11, storage.FrameRecords([]byte(fresh[0]), []byte(fresh[1]))); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	incPath := filepath.Join(dir, "inc.db")
-	ctx := context.Background()
-	var lastDone, total int
-	dst, ticks, err := MigrateRegionsCtx(ctx, fs, incPath, newOrder, 8, log, RegionMigrateOptions{
-		RegionCells:     4,
-		MaxCellsPerTick: 5,
-		Pause:           time.Microsecond,
-		Progress:        func(d, tot int) { lastDone, total = d, tot },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if lastDone != o.Len() || total != o.Len() {
-		t.Fatalf("progress ended at %d/%d, want %d/%d", lastDone, total, o.Len(), o.Len())
-	}
-	// Never the whole file in one tick: 24 cells at ≤5 per tick.
-	if ticks < 24/5 {
-		t.Fatalf("migration took %d ticks for 24 cells at ≤5/tick", ticks)
-	}
-
-	// Whole-file migration of the same source is the ground truth.
-	wholePath := filepath.Join(dir, "whole.db")
-	whole, err := storage.MigrateCtx(ctx, fs, wholePath, newOrder, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer whole.Close()
-	for cell := 0; cell < o.Len(); cell++ {
-		a, b := readCell(t, dst, cell), readCell(t, whole, cell)
-		if len(a) != len(b) {
-			t.Fatalf("cell %d: incremental has %d records, whole-file %d", cell, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("cell %d record %d: %q vs %q", cell, i, a[i], b[i])
-			}
-		}
-	}
-	// And the delta actually landed.
-	if got := readCell(t, dst, 11); len(got) != 2 || got[0] != fresh[0] || got[1] != fresh[1] {
-		t.Fatalf("cell 11 in migrated store = %v, want %v", got, fresh)
 	}
 }

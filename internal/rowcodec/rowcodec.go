@@ -1,16 +1,7 @@
-package main
-
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"strconv"
-)
-
-// The row codec: the one place that knows what a stored payload looks like.
-// build and POST /ingest encode the CSV text of a row, /query and the query
-// subcommand decode it; the store, the WAL and the repair sidecar carry the
-// encoded bytes as opaque records.
+// Package rowcodec is the one place that knows what a stored payload looks
+// like. snakestore's build and POST /ingest encode the CSV text of a row,
+// /query and the query subcommand decode it; the store, the WAL and the
+// repair sidecar carry the encoded bytes as opaque records.
 //
 //	row  = hdr col* tail
 //	hdr  = 1 byte: bits 0-3 the number n of binary columns, bit 4 set when
@@ -25,12 +16,20 @@ import (
 // decimals: an optional '-', digits without a leading zero, an optional
 // '.' with at least one digit after it — spellings the mantissa, sign and
 // fraction count reproduce byte for byte and parseDecimal's fast path
-// evaluates as float64(mantissa) / 10^fraction, the expression rowColumn
+// evaluates as float64(mantissa) / 10^fraction, the expression Column
 // evaluates. A column's width is a function of the length of its text alone
 // (the bytes 10^L − 1 needs), never of its digits, and a row the encoding
 // would lengthen by more than a byte is stored raw: two rows whose columns
 // have the same lengths and the same canonical run encode to the same
 // length, which is what lets a cell be rewritten in place.
+package rowcodec
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strconv"
+)
 
 const (
 	maxBinaryCols = 15   // hdr's low nibble
@@ -44,7 +43,8 @@ const (
 // 2^53; a canonical column is at most sign + 19 digits + point long.
 var mantissaWidth = [...]uint8{0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 7, 7, 7, 7, 7}
 
-var errMalformedRow = errors.New("malformed encoded row")
+// ErrMalformed marks bytes no encoder wrote.
+var ErrMalformed = errors.New("malformed encoded row")
 
 // text is a row as build (bytes of a CSV line) or /ingest (a JSON string)
 // holds it.
@@ -84,9 +84,9 @@ func scanCanonical[T text](t T) (mant uint64, meta byte, end int, ok bool) {
 	return mant, meta | byte(frac)<<3 | mantissaWidth[i], i, true
 }
 
-// encodeRow appends the encoded form of the row t to dst. It allocates only
+// Encode appends the encoded form of the row t to dst. It allocates only
 // when dst must grow.
-func encodeRow[T text](dst []byte, t T) []byte {
+func Encode[T text](dst []byte, t T) []byte {
 	base := len(dst)
 	dst = append(dst, 0)
 	n, pos := 0, 0 // binary columns written; where the next column starts in t
@@ -121,9 +121,9 @@ func encodeRow[T text](dst []byte, t T) []byte {
 	return dst
 }
 
-// encodedLen is len(encodeRow(nil, t)) without writing anything: what
+// EncodedLen is len(Encode(nil, t)) without writing anything: what
 // build's sizing pass needs.
-func encodedLen[T text](t T) int {
+func EncodedLen[T text](t T) int {
 	size, n, pos := 1, 0, 0
 	for n < maxBinaryCols {
 		_, meta, end, ok := scanCanonical(t[pos:])
@@ -151,12 +151,12 @@ func encodedLen[T text](t T) int {
 // next one starts.
 func binaryColumn(rec []byte, p int) (mant uint64, meta byte, next int, err error) {
 	if p >= len(rec) {
-		return 0, 0, 0, errMalformedRow
+		return 0, 0, 0, ErrMalformed
 	}
 	meta = rec[p]
 	next = p + 1 + int(meta&7)
 	if next > len(rec) {
-		return 0, 0, 0, errMalformedRow
+		return 0, 0, 0, ErrMalformed
 	}
 	for k := next - 1; k > p; k-- {
 		mant = mant<<8 | uint64(rec[k])
@@ -164,11 +164,11 @@ func binaryColumn(rec []byte, p int) (mant uint64, meta byte, next int, err erro
 	return mant, meta, next, nil
 }
 
-// decodeRow appends the text of an encoded row to dst: the exact bytes
-// encodeRow was given.
-func decodeRow(dst, rec []byte) ([]byte, error) {
+// Decode appends the text of an encoded row to dst: the exact bytes
+// Encode was given.
+func Decode(dst, rec []byte) ([]byte, error) {
 	if len(rec) == 0 || rec[0]&^(hdrTail|maxBinaryCols) != 0 || rec[0] == hdrTail {
-		return dst, errMalformedRow
+		return dst, ErrMalformed
 	}
 	n, p := int(rec[0]&maxBinaryCols), 1
 	for c := 0; c < n; c++ {
@@ -211,26 +211,26 @@ func decodeRow(dst, rec []byte) ([]byte, error) {
 	case n == 0:
 		dst = append(dst, rec[p:]...)
 	case p != len(rec):
-		return dst, errMalformedRow
+		return dst, ErrMalformed
 	}
 	return dst, nil
 }
 
-// rowColumn extracts the idx-th payload column of an encoded row as a
+// Column extracts the idx-th payload column of an encoded row as a
 // float64 without allocating. It is the one payload decoder: the daemon's
 // /query sum and the query subcommand's -sum both go through it. A binary
 // column is float64(mantissa) / 10^fraction, the value parseDecimal gives
 // the column's text, to the bit; any other column is read from the row's
-// text by payloadColumn's rules, so a short row or a non-numeric column
-// reads the same as it did as text.
-func rowColumn(rec []byte, idx int) (float64, error) {
+// text by parseDecimal, so a short row or a non-numeric column reads the
+// same as it did as text.
+func Column(rec []byte, idx int) (float64, error) {
 	if len(rec) == 0 {
-		return 0, errMalformedRow
+		return 0, ErrMalformed
 	}
 	n, p := int(rec[0]&maxBinaryCols), 1
 	for c := 0; c < min(n, idx); c++ {
 		if p >= len(rec) {
-			return 0, errMalformedRow
+			return 0, ErrMalformed
 		}
 		p += 1 + int(rec[p]&7)
 	}
@@ -246,18 +246,12 @@ func rowColumn(rec []byte, idx int) (float64, error) {
 		return f, nil
 	}
 	if p > len(rec) {
-		return 0, errMalformedRow
+		return 0, ErrMalformed
 	}
 	if n > 0 && rec[0]&hdrTail == 0 {
 		return 0, shortRow(n, idx)
 	}
 	return textColumn(rec[p:], idx-n, idx)
-}
-
-// payloadColumn is rowColumn on a row held as text: the idx-th
-// comma-separated column, parsed by parseDecimal.
-func payloadColumn(record []byte, idx int) (float64, error) {
-	return textColumn(record, idx, idx)
 }
 
 // textColumn parses the column skip commas into text; idx is the column

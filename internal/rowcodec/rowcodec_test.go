@@ -1,0 +1,60 @@
+package rowcodec
+
+import (
+	"math/bits"
+	"testing"
+)
+
+// The codec's contract — lossless, shape-sized, column for column equal to
+// the text decoder, allocation-free, fuzzed — is tested through the
+// exported functions beside their caller, in cmd/snakestore/rowcodec_test.go.
+// Here is only what needs the package's internals.
+
+// TestMantissaWidth: the width table is the bytes 10^L − 1 needs, capped at
+// 2^53's 7.
+func TestMantissaWidth(t *testing.T) {
+	pow := uint64(1)
+	for L := 1; L < len(mantissaWidth); L++ {
+		need := 7
+		if L <= maxDigits {
+			pow *= 10
+			need = min(7, (bits.Len64(pow-1)+7)/8)
+		}
+		if int(mantissaWidth[L]) != need {
+			t.Errorf("mantissaWidth[%d] = %d, want %d", L, mantissaWidth[L], need)
+		}
+	}
+}
+
+// BenchmarkSumColumn prices the sum kernel's per-record work on the
+// benchmark's row shape: the text decoder against the encoded row.
+func BenchmarkSumColumn(b *testing.B) {
+	row := []byte("12345.67,17,0.05,0.02,N,O,TRUCK,lineitem 000000042 v0000 carefully final deposits")
+	enc := Encode(nil, row)
+	var sink float64
+	b.Run("text", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v, _ := textColumn(row, 0, 0)
+			sink += v
+		}
+	})
+	b.Run("encoded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v, _ := Column(enc, 0)
+			sink += v
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(row)+1)
+		for i := 0; i < b.N; i++ {
+			buf = Encode(buf[:0], row)
+		}
+	})
+	b.Run("encodedLen", func(b *testing.B) {
+		n := 0
+		for i := 0; i < b.N; i++ {
+			n += EncodedLen(row)
+		}
+	})
+	_ = sink
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -321,8 +322,12 @@ func TestCloseWhileReadersInFlight(t *testing.T) {
 	if err := fs.Scan(all, func(int, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("Scan after Close = %v, want ErrClosed", err)
 	}
-	if _, err := Migrate(fs, filepath.Join(t.TempDir(), "new.db"), o, 4); !errors.Is(err, ErrClosed) {
-		t.Errorf("Migrate after Close = %v, want ErrClosed", err)
+	newPath := filepath.Join(t.TempDir(), "new.db")
+	if _, _, err := MigrateCtx(context.Background(), fs, newPath, o, 4, MigrateOptions{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("MigrateCtx after Close = %v, want ErrClosed", err)
+	}
+	if _, err := os.Stat(newPath); !os.IsNotExist(err) {
+		t.Errorf("MigrateCtx from a closed store created %s (stat err: %v)", newPath, err)
 	}
 }
 
@@ -366,7 +371,7 @@ func TestMigrateWhileReadersInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := Migrate(fs, filepath.Join(dir, "new.db"), newOrder, 16)
+	dst, _, err := MigrateCtx(context.Background(), fs, filepath.Join(dir, "new.db"), newOrder, 16, MigrateOptions{})
 	close(stop)
 	wg.Wait()
 	if err != nil {

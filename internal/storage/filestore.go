@@ -10,10 +10,10 @@ import (
 	"repro/internal/linear"
 )
 
-// FileStore is the file-backed counterpart of Store: records are packed
-// along the layout into a PageFile and all access goes through a
-// BufferPool, so real page traffic (pool misses) can be compared against
-// the analytic seek/page model. Between the pool and the file sits a
+// FileStore is the queryable packed fact table: records are packed along
+// the layout into a PageFile and all access goes through a BufferPool, so
+// real page traffic (pool misses) can be compared against the analytic
+// seek/page model. Between the pool and the file sits a
 // ChecksumFile, so every pool miss verifies the page's CRC32C trailer and
 // surfaces silent corruption as ErrCorruptPage.
 //
@@ -269,6 +269,10 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 	fs.epoch++
 	return nil
 }
+
+// FrameSize returns the stored size of a payload of the given length under
+// the store's length-prefixed record framing, for sizing bytesPerCell.
+func FrameSize(payloadLen int) int64 { return int64(4 + payloadLen) }
 
 // FrameRecords packs records into the store's length-prefixed cell framing
 // — the byte shape PutCellBytes replaces a cell with and walkRecords parses.

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -165,7 +167,8 @@ func TestBufferPoolCrossPageIO(t *testing.T) {
 	}
 }
 
-// buildFileStore mirrors buildStore against a temp file.
+// buildFileStore is buildStore with a chosen pool size, returning what a
+// reopen needs.
 func buildFileStore(t *testing.T, frames int) (*FileStore, [][]float64, string, []int64) {
 	t.Helper()
 	o := rowMajor4x4(t)
@@ -332,5 +335,195 @@ func TestCreateFileStoreErrors(t *testing.T) {
 	}
 	if _, err := CreateFileStore(filepath.Join(dir, "nodir", "s"), o, bytes, 64, 2); err == nil {
 		t.Error("missing directory should fail")
+	}
+}
+
+// buildStore packs a 4×4 grid with one float64 measure per record and a
+// varying number of records per cell, on a pool larger than the file.
+func buildStore(t *testing.T, recsPerCell func(cell int) int) (*FileStore, [][]float64) {
+	t.Helper()
+	o := rowMajor4x4(t)
+	values := make([][]float64, o.Len())
+	bytes := make([]int64, o.Len())
+	rng := rand.New(rand.NewSource(12))
+	for c := range values {
+		n := recsPerCell(c)
+		values[c] = make([]float64, n)
+		for i := range values[c] {
+			values[c][i] = float64(rng.Intn(100))
+		}
+		bytes[c] = int64(n) * FrameSize(8)
+	}
+	st := newTempStore(t, o, bytes, 64)
+	buf := make([]byte, 8)
+	for c, vs := range values {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
+			if err := st.PutRecord(c, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st, values
+}
+
+// newTempStore creates an empty store in the test's temp dir, closed with
+// the test.
+func newTempStore(t *testing.T, o *linear.Order, bytes []int64, pageSize int) *FileStore {
+	t.Helper()
+	st, err := CreateFileStore(filepath.Join(t.TempDir(), "store.db"), o, bytes, pageSize, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func decodeF64(rec []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec))
+}
+
+func TestStoreSumMatchesNaive(t *testing.T) {
+	st, values := buildStore(t, func(cell int) int { return 1 + cell%3 })
+	o := st.Layout().Order()
+	rng := rand.New(rand.NewSource(5))
+	coords := make([]int, 2)
+	for trial := 0; trial < 60; trial++ {
+		r := make(linear.Region, 2)
+		for d, n := range o.Shape() {
+			lo := rng.Intn(n)
+			r[d] = linear.Range{Lo: lo, Hi: lo + 1 + rng.Intn(n-lo)}
+		}
+		got, _, err := st.Sum(r, decodeF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for c := range values {
+			o.Coords(c, coords)
+			if r.Contains(coords) {
+				for _, v := range values[c] {
+					want += v
+				}
+			}
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("region %v: Sum = %v, want %v", r, got, want)
+		}
+	}
+}
+
+func TestStoreIOMatchesLayoutQuery(t *testing.T) {
+	st, _ := buildStore(t, func(cell int) int { return 2 })
+	r := linear.Region{{Lo: 0, Hi: 4}, {Lo: 1, Hi: 2}}
+	predicted := st.Layout().Query(r)
+	if err := st.Pool().Reset(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var tally PoolTally
+	if _, _, err := st.SumCtx(WithPoolTally(context.Background(), &tally), r, decodeF64); err != nil {
+		t.Fatal(err)
+	}
+	if pages, seeks := tally.Stats().Misses, tally.Seeks(); pages != predicted.Pages || seeks != predicted.Seeks {
+		t.Errorf("cold read took %d pages, %d seeks; Layout.Query predicts %d, %d",
+			pages, seeks, predicted.Pages, predicted.Seeks)
+	}
+}
+
+func TestStoreEmptyCells(t *testing.T) {
+	st, values := buildStore(t, func(cell int) int {
+		if cell%4 == 0 {
+			return 0
+		}
+		return 1
+	})
+	got, _, err := st.Sum(linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, decodeF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, vs := range values {
+		for _, v := range vs {
+			want += v
+		}
+	}
+	if got != want {
+		t.Errorf("Sum = %v, want %v", got, want)
+	}
+}
+
+func TestStorePutOverflow(t *testing.T) {
+	o := rowMajor4x4(t)
+	bytes := make([]int64, o.Len())
+	bytes[0] = FrameSize(8)
+	st := newTempStore(t, o, bytes, 64)
+	rec := make([]byte, 8)
+	if err := st.PutRecord(0, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutRecord(0, rec); err == nil {
+		t.Error("second record should overflow the cell's reservation")
+	}
+	if err := st.PutRecord(1, rec); err == nil {
+		t.Error("record in a zero-capacity cell should fail")
+	}
+}
+
+func TestScanErrorPropagation(t *testing.T) {
+	st, _ := buildStore(t, func(cell int) int { return 1 })
+	calls := 0
+	err := st.Scan(linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(cell int, rec []byte) error {
+		calls++
+		if calls == 3 {
+			return errStop
+		}
+		return nil
+	})
+	if err != errStop {
+		t.Errorf("err = %v, want errStop", err)
+	}
+	if calls != 3 {
+		t.Errorf("fn called %d times, want 3", calls)
+	}
+}
+
+var errStop = &scanTestError{}
+
+type scanTestError struct{}
+
+func (*scanTestError) Error() string { return "stop" }
+
+func TestVariableLengthRecords(t *testing.T) {
+	o := rowMajor4x4(t)
+	bytes := make([]int64, o.Len())
+	payloads := [][]byte{[]byte("a"), []byte("longer record"), []byte("xx")}
+	var reserve int64
+	for _, p := range payloads {
+		reserve += FrameSize(len(p))
+	}
+	bytes[5] = reserve
+	st := newTempStore(t, o, bytes, 16)
+	for _, p := range payloads {
+		if err := st.PutRecord(5, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][]byte
+	coords := make([]int, 2)
+	o.Coords(5, coords)
+	r := linear.Region{{Lo: coords[0], Hi: coords[0] + 1}, {Lo: coords[1], Hi: coords[1] + 1}}
+	if err := st.Scan(r, func(cell int, rec []byte) error {
+		got = append(got, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(payloads) {
+		t.Fatalf("scanned %d records, want %d", len(got), len(payloads))
+	}
+	for i := range got {
+		if string(got[i]) != string(payloads[i]) {
+			t.Errorf("record %d = %q, want %q", i, got[i], payloads[i])
+		}
 	}
 }

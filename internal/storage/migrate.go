@@ -5,98 +5,190 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
+	"time"
 
 	"repro/internal/linear"
 	"repro/internal/trace"
 )
 
-// MigrateCtx re-clusters a file store onto a new linearization: every
-// record is streamed out of the old store cell by cell in its disk order
-// and written into a new store at newPath packed along newOrder. Cell
-// payload capacities carry over (they are a property of the data, not the
-// order). The old store is left open and untouched; callers typically
-// Close and delete it after the swap.
+// MigrateOptions paces a migration. The zero value copies the whole file
+// as one region in one unpaced tick.
+type MigrateOptions struct {
+	// RegionCells is the copy unit in consecutive target positions
+	// (default: every cell, one region).
+	RegionCells int
+	// MaxCellsPerTick bounds the cells copied per tick (default: one
+	// region). The migration never rewrites the whole file in one tick as
+	// long as this is below the cell count.
+	MaxCellsPerTick int
+	// Pause is slept between ticks (0 = no pacing), keeping the copy's I/O
+	// from starving concurrent queries.
+	Pause time.Duration
+	// Progress, when non-nil, is called after each tick with (cellsCopied,
+	// totalCells); it runs on the migrating goroutine and must be cheap.
+	Progress func(done, total int)
+}
+
+// MigrateCtx re-clusters a file store onto a new linearization, writing the
+// new store at newPath packed along newOrder. Cell payload capacities carry
+// over (they are a property of the data, not the order). The target order
+// is cut into regions of RegionCells consecutive positions, so each copied
+// region lands contiguously in the destination; regions are scored
 //
-// Cancellation is checked between cells (and inside each cell read), so a
-// long migration can be abandoned promptly; progress, when non-nil, is
-// called after each copied cell with (done, total) counts — it runs on the
-// migrating goroutine and must be cheap. Each cell is read under the old
-// store's shared lock but the lock is released between cells, so in-flight
-// readers and even a concurrent Close interleave cleanly: Close surfaces
-// here as a typed ErrClosed instead of a race on the underlying file.
+//	(1 + deltaBytes) × (1 + violation)
+//
+// where deltaBytes is what the old store's overlay holds pending for the
+// region's cells and violation is the mean |targetPos − deployedPos| of
+// those cells, and are copied worst-first in ticks of at most
+// MaxCellsPerTick cells with Pause slept between ticks. Reads of the old
+// store are overlay-aware, so a cell with a pending delta is copied with
+// its freshest content; entries put *during* the copy are the caller's to
+// carry over at cutover.
+//
+// Each cell is read under the old store's shared lock but the lock is
+// released between cells, so in-flight readers and even a concurrent Close
+// interleave cleanly: Close surfaces here as a typed ErrClosed instead of
+// a race on the underlying file. Cancellation is checked between cells,
+// inside each cell read and during a pause. A corrupt source page is
+// repaired from the old store's parity sidecar and the cell re-read.
 //
 // On any failure — including cancellation — the partial output file is
 // deleted, so newPath either holds a complete, flushed store or does not
-// exist. Returns the new store, flushed and ready to query.
-func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames int, progress func(done, total int)) (*FileStore, error) {
+// exist. Returns the new store, flushed and ready to query, and the number
+// of ticks the copy took (at least ⌈cells / MaxCellsPerTick⌉). The old
+// store is left open and untouched; callers typically Close and delete it
+// after the swap.
+func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames int, opt MigrateOptions) (*FileStore, int, error) {
 	oldOrder := old.layout.order
-	if newOrder.Len() != oldOrder.Len() {
-		return nil, fmt.Errorf("storage: migrating %d cells onto an order with %d", oldOrder.Len(), newOrder.Len())
+	total := oldOrder.Len()
+	if newOrder.Len() != total {
+		return nil, 0, fmt.Errorf("storage: migrating %d cells onto an order with %d", total, newOrder.Len())
 	}
 	old.mu.RLock()
 	closed := old.closed
 	old.mu.RUnlock()
 	if closed {
-		return nil, fmt.Errorf("storage: migrating from a closed store: %w", ErrClosed)
+		return nil, 0, fmt.Errorf("storage: migrating from a closed store: %w", ErrClosed)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Reconstruct per-cell capacities from the old layout.
-	total := oldOrder.Len()
+	if opt.RegionCells <= 0 {
+		opt.RegionCells = total
+	}
+	if opt.MaxCellsPerTick <= 0 {
+		opt.MaxCellsPerTick = opt.RegionCells
+	}
 	bytesPerCell := make([]int64, total)
-	for pos := 0; pos < total; pos++ {
-		bytesPerCell[oldOrder.CellAt(pos)] = old.layout.start[pos+1] - old.layout.start[pos]
+	for cell := range bytesPerCell {
+		bytesPerCell[cell] = old.layout.CellCapacity(cell)
 	}
 	dst, err := CreateFileStore(newPath, newOrder, bytesPerCell, int(old.layout.pageSize), poolFrames)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	abort := func(err error) error {
-		dst.file.Close()
-		os.Remove(newPath)
-		return err
-	}
-	// Copy cell by cell in the old disk order (sequential on the source
-	// file), checking the context at each cell boundary. Under a trace,
-	// the whole copy is one span (with the cell count attached) and the
-	// final flush is another, so a migration trace shows where the time
-	// went.
+	// The copy is one span (cells, regions and ticks attached) and the final
+	// flush another, so a migration trace shows where the time went.
 	cctx, copySpan := trace.Start(ctx, trace.KindCopy, "")
 	copySpan.SetAttr("cells", int64(total))
-	for pos := 0; pos < total; pos++ {
-		if err := ctx.Err(); err != nil {
-			copySpan.SetError(err)
-			copySpan.End()
-			return nil, abort(err)
-		}
-		cell := oldOrder.CellAt(pos)
-		records, err := ReadCellRepairing(cctx, old, cell)
-		if err != nil {
-			copySpan.SetError(err)
-			copySpan.End()
-			return nil, abort(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
-		}
-		for _, rec := range records {
-			if err := dst.PutRecord(cell, rec); err != nil {
-				copySpan.SetError(err)
-				copySpan.End()
-				return nil, abort(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
+	// abort drops the partial output unflushed: its dirty frames belong to a
+	// file that is about to be removed.
+	abort := func(sp trace.SpanRef, err error) (*FileStore, int, error) {
+		sp.SetError(err)
+		sp.End()
+		dst.file.Close()
+		os.Remove(newPath)
+		return nil, 0, err
+	}
+
+	type region struct {
+		lo, hi int // target positions [lo, hi)
+		score  float64
+	}
+	ov := old.overlayFn()
+	regions := make([]region, 0, (total+opt.RegionCells-1)/opt.RegionCells)
+	for lo := 0; lo < total; lo += opt.RegionCells {
+		hi := min(lo+opt.RegionCells, total)
+		var delta, violation int64
+		for pos := lo; pos < hi; pos++ {
+			cell := newOrder.CellAt(pos)
+			d := pos - oldOrder.PosOf(cell)
+			if d < 0 {
+				d = -d
+			}
+			violation += int64(d)
+			if ov != nil {
+				if b, ok := ov(cell); ok {
+					delta += int64(len(b))
+				}
 			}
 		}
-		if progress != nil {
-			progress(pos+1, total)
+		mean := float64(violation) / float64(hi-lo)
+		regions = append(regions, region{lo: lo, hi: hi, score: (1 + float64(delta)) * (1 + mean)})
+	}
+	sort.Slice(regions, func(i, j int) bool {
+		if regions[i].score != regions[j].score {
+			return regions[i].score > regions[j].score
+		}
+		return regions[i].lo < regions[j].lo
+	})
+	copySpan.SetAttr("regions", int64(len(regions)))
+
+	var pause *time.Timer
+	if opt.Pause > 0 {
+		pause = time.NewTimer(opt.Pause)
+		pause.Stop()
+		defer pause.Stop()
+	}
+	done, ticks, inTick := 0, 0, 0
+	for _, rg := range regions {
+		for pos := rg.lo; pos < rg.hi; pos++ {
+			if inTick >= opt.MaxCellsPerTick {
+				ticks++
+				inTick = 0
+				if opt.Progress != nil {
+					opt.Progress(done, total)
+				}
+				if pause != nil {
+					pause.Reset(opt.Pause)
+					select {
+					case <-ctx.Done():
+					case <-pause.C:
+					}
+				}
+			}
+			if err := ctx.Err(); err != nil {
+				return abort(copySpan, err)
+			}
+			cell := newOrder.CellAt(pos)
+			records, err := readCellRepairing(cctx, old, cell)
+			if err != nil {
+				return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
+			}
+			for _, rec := range records {
+				if err := dst.PutRecord(cell, rec); err != nil {
+					return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
+				}
+			}
+			done++
+			inTick++
 		}
 	}
+	if inTick > 0 {
+		ticks++
+	}
+	if opt.Progress != nil {
+		opt.Progress(done, total)
+	}
+	copySpan.SetAttr("ticks", int64(ticks))
 	copySpan.End()
 	fsp := trace.StartLeaf(ctx, trace.KindFlush, "")
 	if err := dst.pool.Flush(); err != nil {
-		fsp.SetError(err)
-		fsp.End()
-		return nil, abort(fmt.Errorf("storage: migration flush: %w", err))
+		return abort(fsp, fmt.Errorf("storage: migration flush: %w", err))
 	}
 	fsp.End()
-	return dst, nil
+	return dst, ticks, nil
 }
 
 // migrateRepairAttempts bounds the repair-and-reread loop per cell. A cell
@@ -106,15 +198,13 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 // reread getting further.
 const migrateRepairAttempts = 16
 
-// ReadCellRepairing reads all of a cell's records into memory, repairing
+// readCellRepairing reads all of a cell's records into memory, repairing
 // the source store's corrupt pages from its parity sidecar and retrying
 // when possible. Records are buffered — not streamed to the destination —
 // because a retry re-reads the whole cell and the destination's fill state
 // cannot be rewound, so streaming would duplicate records copied before
-// the error. Each repair is a trace span with the page attached. Both the
-// whole-file migration here and the ingest layer's incremental region
-// migration copy through it.
-func ReadCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte, error) {
+// the error. Each repair is a trace span with the page attached.
+func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte, error) {
 	var records [][]byte
 	read := func() error {
 		records = records[:0]
@@ -143,9 +233,4 @@ func ReadCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte,
 		return nil, err
 	}
 	return records, nil
-}
-
-// Migrate is MigrateCtx without a deadline or progress reporting.
-func Migrate(old *FileStore, newPath string, newOrder *linear.Order, poolFrames int) (*FileStore, error) {
-	return MigrateCtx(context.Background(), old, newPath, newOrder, poolFrames, nil)
 }

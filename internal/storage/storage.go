@@ -1,8 +1,8 @@
-// Package storage simulates the disk layer of Section 6.1: records are
-// packed along a chosen linearization into fixed-size pages, splitting cells
-// (but never records) across page boundaries, and queries are measured by
-// the pages they touch and the seeks (maximal runs of consecutive pages)
-// they need.
+// Package storage is the disk layer of Section 6.1: records are packed
+// along a chosen linearization into fixed-size pages, splitting cells (but
+// never records) across page boundaries, and queries are measured by the
+// pages they touch and the seeks (maximal runs of consecutive pages) they
+// need — predicted by Layout, read for real by FileStore.
 package storage
 
 import (

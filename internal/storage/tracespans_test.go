@@ -98,7 +98,7 @@ func TestTracedMigrationRecordsCopyAndFlush(t *testing.T) {
 	defer fs.Close()
 	rec := trace.NewRecorder(trace.Config{SampleEvery: 1})
 	ctx, tr := rec.Start(context.Background(), "migrate")
-	dst, err := MigrateCtx(ctx, fs, path+".new", fs.Layout().Order(), 64, nil)
+	dst, _, err := MigrateCtx(ctx, fs, path+".new", fs.Layout().Order(), 64, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,36 +279,21 @@ func (st *Strategy) Pack(bytesPerCell []int64, pageSize int64) (*Layout, error) 
 	return storage.NewLayout(o, bytesPerCell, pageSize)
 }
 
-// Store is a queryable packed fact table: Put records into cells, then
-// Scan or Sum over grid-query regions with the same page/seek accounting
-// the analytic model predicts.
-type Store = storage.Store
-
-// NewStore materializes the strategy and allocates a paged store with the
-// given per-cell byte capacities. Write records with Store.PutRecord (size
-// each cell with snakes.FrameSize) and query with Store.Sum or Store.Scan.
-func (st *Strategy) NewStore(bytesPerCell []int64, pageSize int64) (*Store, error) {
-	o, err := st.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	return storage.NewStore(o, bytesPerCell, pageSize)
-}
-
 // FrameSize returns the stored size of one record payload under the
-// Store's length-prefixed framing.
+// FileStore's length-prefixed framing, for sizing a cell's capacity.
 func FrameSize(payloadLen int) int64 { return storage.FrameSize(payloadLen) }
 
-// FileStore is the file-backed Store: records live in a fixed-page file
-// accessed through an LRU buffer pool, so real page traffic can be compared
-// against the analytic model. See also Migrate for physical re-clustering.
+// FileStore is the queryable packed fact table: Put records into cells,
+// then Scan or Sum grid queries. Records live in a fixed-page file accessed
+// through an LRU buffer pool, so real page traffic can be compared against
+// the analytic model (Layout().Query). See Strategy.MigrateCtx for physical
+// re-clustering.
 //
-// Unlike the in-memory Store (a single-threaded simulator), a FileStore may
-// be shared across goroutines: reads run concurrently, the pool coalesces
-// concurrent misses on the same page into one disk read, and Close waits
-// for in-flight readers before releasing the file. Context-accepting
-// methods (ReadQueryCtx, SumCtx, VerifyCtx) stop between page reads when
-// the context ends.
+// A FileStore may be shared across goroutines: reads run concurrently, the
+// pool coalesces concurrent misses on the same page into one disk read, and
+// Close waits for in-flight readers before releasing the file.
+// Context-accepting methods (ReadQueryCtx, SumCtx, VerifyCtx) stop between
+// page reads when the context ends.
 type FileStore = storage.FileStore
 
 // ReadOptions selects the read executor's schedule (FileStore.ReadPlanCtx,
@@ -383,16 +368,6 @@ func (st *Strategy) OpenFileStore(path string, bytesPerCell []int64, pageSize, p
 		return nil, err
 	}
 	return storage.OpenFileStore(path, o, bytesPerCell, pageSize, poolFrames, loadedBytes)
-}
-
-// Migrate physically re-clusters a file store onto this strategy's order,
-// writing the new store at newPath and returning it ready to query.
-func (st *Strategy) Migrate(old *FileStore, newPath string, poolFrames int) (*FileStore, error) {
-	o, err := st.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	return storage.Migrate(old, newPath, o, poolFrames)
 }
 
 // DefaultPageSize is the paper's 8 KB disk page.

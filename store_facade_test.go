@@ -1,8 +1,10 @@
 package snakes
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
+	"path/filepath"
 	"testing"
 )
 
@@ -49,10 +51,11 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 	for i := range bytes {
 		bytes[i] = FrameSize(8)
 	}
-	store, err := st.NewStore(bytes, 64)
+	store, err := st.CreateFileStore(filepath.Join(t.TempDir(), "facts.db"), bytes, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	buf := make([]byte, 8)
 	for c := 0; c < s.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
@@ -60,7 +63,12 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	total, io, err := store.Sum(Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(rec []byte) float64 {
+	all := Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
+	if err := store.Pool().Reset(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var tally PoolTally
+	total, _, err := store.SumCtx(WithPoolTally(context.Background(), &tally), all, func(rec []byte) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(rec))
 	})
 	if err != nil {
@@ -69,7 +77,7 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 	if want := float64(15 * 16 / 2); total != want {
 		t.Errorf("Sum = %v, want %v", total, want)
 	}
-	if io.Seeks != 1 {
-		t.Errorf("full scan took %d seeks, want 1", io.Seeks)
+	if predicted := store.Layout().Query(all).Seeks; predicted != 1 || tally.Seeks() != 1 {
+		t.Errorf("full scan: %d seeks predicted, %d observed, want 1 and 1", predicted, tally.Seeks())
 	}
 }
