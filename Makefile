@@ -79,10 +79,12 @@ trace-smoke:
 # the untraced pool read allocate nothing, a warm Parallelism=1 read + sum
 # allocates the same small constant for one cell as for a multi-run region,
 # and the row codec allocates nothing to read a column, size a row or encode
-# one into a warm buffer. Run without the race detector, under which
-# sync.Pool drops entries at random.
+# one into a warm buffer — and the memory model: a miss on a full pool
+# allocates nothing (get and getSpan), touching frames does not grow the Go
+# heap by their size, and an open store keeps 24 bytes a cell. Run without
+# the race detector, under which sync.Pool drops entries at random.
 alloc-gates:
-	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs' ./internal/storage ./cmd/snakestore
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore
 
 # benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
 # module, which `go build ./...` and `go test ./...` above never see, so

@@ -68,8 +68,7 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 		}
 		// Catalog before checkpoint: once the log forgets an entry, the
 		// catalog must already describe the base file that absorbed it.
-		cat.LoadedBytes = st.LoadedBytes()
-		if err := writeCatalog(catPath, cat); err != nil {
+		if err := s.commitCatalog(*cat, st); err != nil {
 			l.Close()
 			return fmt.Errorf("delta recovery catalog: %w", err)
 		}
@@ -87,7 +86,7 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 		comp: snakes.NewCompactor(snakes.CompactorConfig{
 			RegionCells:     cfg.regionCells,
 			MaxBytesPerTick: cfg.tickBytes,
-			Commit:          s.commitLoadedBytes,
+			Commit:          s.commitFills,
 		}),
 		rate: snakes.NewRateTracker(time.Minute),
 	}
@@ -95,22 +94,45 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 	return nil
 }
 
-// commitLoadedBytes is the compactor's catalog hook: persist the new fill
+// commitFills is the compactor's catalog hook: persist the new fill
 // state atomically before the log checkpoint forgets the entries behind
-// it. Serialized against generation swaps by swapMu.
-func (s *server) commitLoadedBytes(ctx context.Context, loaded []int64) error {
+// it. Serialized against generation swaps by swapMu. A tick whose folds were
+// all same-length rewrites left every fill where the catalog on disk already
+// has it, so there is nothing to write; the comparison is against the last
+// catalog that reached the disk, so a failed commit is retried by the next
+// tick.
+func (s *server) commitFills(ctx context.Context, st *snakes.FileStore) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	cat := *s.cat
-	cat.LoadedBytes = loaded
+	if st.FillEpoch() == s.catFill {
+		return nil
+	}
 	sp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
-	err := writeCatalog(s.catPath, &cat)
+	err := s.commitCatalog(*s.cat, st)
 	sp.SetError(err)
 	sp.End()
-	if err == nil {
-		*s.cat = cat
-	}
 	return err
+}
+
+// commitCatalog persists cat as the description of st and, once it is
+// durable, makes it the daemon's catalog and remembers which of st's fills it
+// recorded. The daemon keeps cat without its two per-cell arrays (cmdServe
+// drops them once the store has validated them): the file gets them read back
+// from the store. Callers hold swapMu (or run before serving starts).
+func (s *server) commitCatalog(cat catalog, st *snakes.FileStore) error {
+	fill := st.FillEpoch()
+	full := cat
+	full.BytesPer = make([]int64, st.Layout().Order().Len())
+	for cell := range full.BytesPer {
+		full.BytesPer[cell] = st.Layout().CellCapacity(cell)
+	}
+	full.LoadedBytes = st.LoadedBytes()
+	if err := writeCatalog(s.catPath, &full); err != nil {
+		return err
+	}
+	cat.BytesPer, cat.LoadedBytes = nil, nil
+	*s.cat, s.catFill = cat, fill
+	return nil
 }
 
 // registerIngestMetrics adds the write-path families that need the live

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,79 @@ func TestIngestMergeOnReadAndCompaction(t *testing.T) {
 			t.Errorf("/metrics missing %s", fam)
 		}
 	}
+}
+
+// TestCompactionCommitsCatalogOnlyWhenFillsMove: a tick whose folds were all
+// same-length rewrites leaves the catalog file alone (it already says what
+// the store holds) yet still checkpoints; a fold that moves a fill rewrites
+// it with both per-cell arrays read back from the store — the daemon keeps
+// neither; and a commit that failed is retried by the next tick.
+func TestCompactionCommitsCatalogOnlyWhenFillsMove(t *testing.T) {
+	srv, catPath, storePath, _ := buildIngestServed(t, testDeltaOptions(), testIngestConfig())
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	built, _, _, err := loadCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.cat.BytesPer, srv.cat.LoadedBytes = nil, nil // as cmdServe leaves it
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(catPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+
+	before := stat()
+	ingestOne(t, ts, []int{1, 2}, "99.0") // replaces "12.0": same shape, same length
+	if stats := tickIngest(t, srv); stats.CellsApplied != 1 || stats.PendingCells != 0 {
+		t.Fatalf("tick = %+v, want 1 cell applied and an empty backlog", stats)
+	}
+	if !os.SameFile(before, stat()) {
+		t.Error("a tick of same-length rewrites replaced the catalog file")
+	}
+
+	// A shorter row moves the cell's fill. The first commit fails (its
+	// directory is gone), so the entry stays pending; the next tick retries.
+	ingestOne(t, ts, []int{1, 2}, "9")
+	srv.catPath = filepath.Join(filepath.Dir(catPath), "missing", "cat.json")
+	srv.ing.mu.Lock()
+	_, err = srv.ing.comp.Tick(context.Background(), srv.st(), srv.ing.log)
+	srv.ing.mu.Unlock()
+	if err == nil || srv.ing.log.PendingCells() != 1 {
+		t.Fatalf("tick with an unwritable catalog: err = %v, %d pending; want an error and the entry kept", err, srv.ing.log.PendingCells())
+	}
+	srv.catPath = catPath
+	if !os.SameFile(before, stat()) {
+		t.Error("the failed commit replaced the catalog file")
+	}
+	if stats := tickIngest(t, srv); stats.PendingCells != 0 {
+		t.Fatalf("retry tick = %+v, want an empty backlog", stats)
+	}
+	if os.SameFile(before, stat()) {
+		t.Fatal("a fold that moved a fill did not rewrite the catalog")
+	}
+	if srv.cat.BytesPer != nil || srv.cat.LoadedBytes != nil {
+		t.Error("the daemon's catalog copy grew its per-cell arrays back")
+	}
+	after, _, strat, err := loadServableCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.BytesPer, built.BytesPer) || !reflect.DeepEqual(after.LoadedBytes, srv.st().LoadedBytes()) {
+		t.Errorf("committed catalog does not describe the store:\n bytesPerCell %v (built %v)\n loadedBytes  %v (store %v)",
+			after.BytesPer, built.BytesPer, after.LoadedBytes, srv.st().LoadedBytes())
+	}
+	if reflect.DeepEqual(after.LoadedBytes, built.LoadedBytes) {
+		t.Error("the shorter row did not move any fill")
+	}
+	reopened, err := strat.OpenFileStore(storePath, after.BytesPer, after.PageBytes, 8, after.LoadedBytes)
+	if err != nil {
+		t.Fatalf("reopening under the committed catalog: %v", err)
+	}
+	reopened.Close()
 }
 
 // TestIngestValidation: a malformed batch is rejected atomically with 400

@@ -250,7 +250,7 @@ func cmdBuild(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cat, schema, strat, err := loadCatalog(*catPath)
+	cat, _, strat, err := loadCatalog(*catPath)
 	if err != nil {
 		return err
 	}
@@ -275,12 +275,14 @@ func cmdBuild(args []string) error {
 		return err
 	}
 
-	// Pass 1: size every cell by its rows' encoded lengths.
-	bytesPerCell := make([]int64, schema.NumCells())
+	// Pass 1: size every cell by its rows' encoded lengths. The order comes
+	// first: it refuses a grid too large to index before anything is sized
+	// by its cell count.
 	order, err := strat.Materialize()
 	if err != nil {
 		return err
 	}
+	bytesPerCell := make([]int64, order.Len())
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
 		bytesPerCell[cell] += snakes.FrameSize(rowcodec.EncodedLen(row))
 		return nil
@@ -625,16 +627,46 @@ func numeric(s string) bool {
 	return err == nil
 }
 
+// marshalCatalog renders the catalog as indented JSON with the two per-cell
+// arrays last, one line each: at one number a line they were most of a
+// 115,200-cell catalog's 1.8 MB. Same keys, so any JSON reader — and a
+// catalog written the old way — still loads.
+func marshalCatalog(cat *catalog) ([]byte, error) {
+	head := *cat
+	head.BytesPer, head.LoadedBytes = nil, nil
+	data, err := json.MarshalIndent(&head, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	data = data[:len(data)-len("\n}")]
+	for _, arr := range []struct {
+		key  string
+		vals []int64
+	}{{"bytesPerCell", cat.BytesPer}, {"loadedBytes", cat.LoadedBytes}} {
+		if len(arr.vals) == 0 {
+			continue
+		}
+		data = append(data, ",\n  \""+arr.key+"\": ["...)
+		for i, v := range arr.vals {
+			if i > 0 {
+				data = append(data, ',')
+			}
+			data = strconv.AppendInt(data, v, 10)
+		}
+		data = append(data, ']')
+	}
+	return append(data, "\n}\n"...), nil
+}
+
 // writeCatalog replaces the catalog atomically: the new content is written
 // to a temp file, fsynced, and renamed over the old one, and the directory
 // is fsynced so the rename survives a crash. A crash at any point leaves
 // either the old or the new catalog intact — never a torn mix.
 func writeCatalog(path string, cat *catalog) error {
-	data, err := json.MarshalIndent(cat, "", "  ")
+	data, err := marshalCatalog(cat)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

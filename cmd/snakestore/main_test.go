@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -334,6 +336,29 @@ func TestExitClassification(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesOversizedGrid: build on a schema whose grid int32 cannot
+// index exits 1 with the typed error before it sizes anything by the cell
+// count (its per-cell array would be 32 GiB here), and leaves no store file.
+func TestBuildRefusesOversizedGrid(t *testing.T) {
+	dir := t.TempDir()
+	cat := filepath.Join(dir, "cat.json")
+	store := filepath.Join(dir, "facts.db")
+	csvPath := filepath.Join(dir, "facts.csv")
+	if err := os.WriteFile(csvPath, []byte("0,0,1.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdOptimize([]string{"-dims", "a:65536 b:65536", "-catalog", cat}); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", store})
+	if !errors.Is(err, snakes.ErrGridTooLarge) || errors.Is(err, errUsage) {
+		t.Fatalf("build on a 2^32-cell grid: err = %v, want ErrGridTooLarge and exit 1", err)
+	}
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Errorf("the refused build left a store file (err = %v)", err)
+	}
+}
+
 func TestParseRegion(t *testing.T) {
 	schema, err := parseSchema("a:4 b:2,3")
 	if err != nil {
@@ -394,6 +419,57 @@ func TestScanCSVErrors(t *testing.T) {
 	}
 	if err := scanCSV(write("ok.csv", "x,y,v\n1,1,5\n"), 2, order, nop); err != nil {
 		t.Errorf("header row should be skipped: %v", err)
+	}
+}
+
+// TestCatalogPerCellArraysOneLineEach: the two per-cell arrays are written on
+// one line each under their old keys, the rest of the catalog stays indented,
+// any JSON reader gets the same values back, and a catalog written the old
+// way — one number a line — still loads to the same state.
+func TestCatalogPerCellArraysOneLineEach(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cat.json")
+	if err := cmdOptimize([]string{"-dims", "a:2 b:2", "-catalog", path}); err != nil {
+		t.Fatal(err)
+	}
+	cat, _, _, err := loadCatalog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.BytesPer, cat.LoadedBytes = []int64{16, 0, 32, 4096}, []int64{8, 0, 32, 0}
+	cat.Generation, cat.StoreFile = 2, "facts.db.g2"
+	if err := writeCatalog(path, cat); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"\n  \"bytesPerCell\": [16,0,32,4096],\n", "\n  \"loadedBytes\": [8,0,32,0]\n}\n", "\n  \"generation\": 2,\n"} {
+		if !strings.Contains(string(data), line) {
+			t.Errorf("catalog lacks the line %q:\n%s", line, data)
+		}
+	}
+	var generic struct {
+		BytesPer    []int64 `json:"bytesPerCell"`
+		LoadedBytes []int64 `json:"loadedBytes"`
+	}
+	if err := json.Unmarshal(data, &generic); err != nil || !reflect.DeepEqual(generic.BytesPer, cat.BytesPer) || !reflect.DeepEqual(generic.LoadedBytes, cat.LoadedBytes) {
+		t.Errorf("a plain JSON reader sees %+v, %v", generic, err)
+	}
+	back, _, _, err := loadCatalog(path)
+	if err != nil || !reflect.DeepEqual(back, cat) {
+		t.Fatalf("round trip: %+v, %v; want %+v", back, err, cat)
+	}
+	old, err := json.MarshalIndent(cat, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if back, _, _, err = loadCatalog(path); err != nil || !reflect.DeepEqual(back, cat) {
+		t.Fatalf("parent-format catalog: %+v, %v; want %+v", back, err, cat)
 	}
 }
 

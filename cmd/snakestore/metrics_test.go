@@ -216,6 +216,23 @@ func TestMetricsLint(t *testing.T) {
 			t.Errorf("series %s has no # TYPE declaration", key)
 		}
 	}
+	// Resident bytes by owner: a gauge over the closed owner set, the
+	// per-cell owners exact (16 B a directory entry plus the end entry, 8 B a
+	// cell for the order), the pool's touched after the query.
+	if types["snakestore_resident_bytes"] != "gauge" {
+		t.Errorf("snakestore_resident_bytes declared as %q, want gauge", types["snakestore_resident_bytes"])
+	}
+	cells := float64(srv.st().Layout().Order().Len())
+	for _, owner := range residentOwners {
+		v, ok := samples[`snakestore_resident_bytes{owner="`+owner+`"}`]
+		switch {
+		case !ok:
+			t.Errorf("no snakestore_resident_bytes series for owner %q", owner)
+		case owner == "cell_directory" && v != 16*(cells+1), owner == "order" && v != 8*cells,
+			(owner == "pool_frames" || owner == "go_heap_other" || owner == "event_ring") && v <= 0:
+			t.Errorf("snakestore_resident_bytes{owner=%q} = %v for %v cells", owner, v, cells)
+		}
+	}
 }
 
 // TestMetricsTraceFamilies: the tracing metric families are declared with

@@ -126,9 +126,8 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	cat.Strategy = stratJSON
 	cat.Generation = d.Generation
 	cat.StoreFile = filepath.Base(newPath)
-	cat.LoadedBytes = dst.LoadedBytes()
 	csp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
-	if err := writeCatalog(s.catPath, &cat); err != nil {
+	if err := s.commitCatalog(cat, dst); err != nil {
 		csp.SetError(err)
 		csp.End()
 		s.swapMu.Unlock()
@@ -137,7 +136,6 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	csp.End()
 	ssp := snakes.StartTraceLeaf(ctx, snakes.TraceKindSwap, "")
 	ssp.SetAttr("generation", int64(d.Generation))
-	*s.cat = cat
 	s.store.Store(dst)
 	s.generation.Store(int64(d.Generation))
 	ssp.End()

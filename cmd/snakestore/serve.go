@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -85,7 +86,8 @@ type server struct {
 	catPath         string
 	storeBase       string
 	frames          int
-	cat             *catalog
+	cat             *catalog // kept without its per-cell arrays; see commitCatalog
+	catFill         uint64   // the serving store's FillEpoch the catalog on disk records
 
 	draining atomic.Bool   // set once graceful shutdown begins
 	reqID    atomic.Uint64 // request id sequence for log correlation
@@ -178,9 +180,62 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, dims []snakes.Dim
 			return 0
 		}, "class", lbl)
 	}
+	s.registerResidentBytes()
 	s.metrics.reg.GaugeFunc("snakestore_calibration_seek_correction", "global observed/predicted seek ratio applied to the reorg policy's deployed cost", func() float64 { return s.calib.SeekCorrection() })
 	s.armFragmentObserver(store)
 	return s
+}
+
+// residentOwners is the closed owner set of snakestore_resident_bytes: what
+// the daemon keeps resident, measured from lengths and capacities. pool_frames
+// lives outside the Go heap (the touched part of the frame slab); the rest is
+// heap, and go_heap_other is the live heap none of them accounts for, so the
+// family sums to slab + live heap and the distance to RssAnon is collector
+// headroom, stacks and runtime metadata.
+var residentOwners = []string{"pool_frames", "cell_directory", "order", "plan_cache", "overlay", "event_ring", "trace_ring", "go_heap_other"}
+
+// residentBytes measures one owner against the store now serving.
+func (s *server) residentBytes(owner string) float64 {
+	st := s.st()
+	switch owner {
+	case "pool_frames":
+		return float64(st.Pool().SlabBytes())
+	case "cell_directory":
+		dir, _ := st.ResidentBytes()
+		return float64(dir)
+	case "order":
+		return float64(st.Layout().Order().TableBytes())
+	case "plan_cache":
+		_, plans := st.ResidentBytes()
+		return float64(plans)
+	case "overlay":
+		if s.ing == nil {
+			return 0
+		}
+		s.ing.mu.Lock()
+		defer s.ing.mu.Unlock()
+		return float64(s.ing.log.ResidentBytes())
+	case "event_ring":
+		return float64(s.events.ResidentBytes())
+	case "trace_ring":
+		return float64(s.traces.ResidentBytes())
+	}
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	other := float64(heap[0].Value.Uint64())
+	for _, o := range residentOwners {
+		if o != "pool_frames" && o != "go_heap_other" {
+			other -= s.residentBytes(o)
+		}
+	}
+	return max(other, 0)
+}
+
+func (s *server) registerResidentBytes() {
+	for _, owner := range residentOwners {
+		s.metrics.reg.GaugeFunc("snakestore_resident_bytes", "bytes the daemon keeps resident, by owner (pool_frames is off the Go heap; go_heap_other is the live heap no other owner accounts for)",
+			func() float64 { return s.residentBytes(owner) }, "owner", owner)
+	}
 }
 
 // enableSLO wires per-class latency objectives onto the server: every
@@ -400,6 +455,9 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The store has validated the two per-cell arrays and keeps its own
+	// 16-byte directory; a commit reads them back from it (commitCatalog).
+	cat.BytesPer, cat.LoadedBytes = nil, nil
 	// Attach the parity sidecar so the scrubber can repair, rebuilding it
 	// when missing or mismatched (older builds, changed geometry). A store
 	// too damaged to build parity still serves — detection keeps working,

@@ -27,11 +27,11 @@ type CompactorConfig struct {
 	// region's overshoot, so compaction cost stays amortized no matter how
 	// large the backlog grows.
 	MaxBytesPerTick int64
-	// Commit, when non-nil, persists the store's catalog (the new
+	// Commit, when non-nil, persists the store's catalog (its new
 	// LoadedBytes) after the tick's cells are applied and flushed, before
 	// the log is checkpointed — the catalog-first commit point. A failed
 	// commit aborts the checkpoint; the entries simply remain pending.
-	Commit func(ctx context.Context, loadedBytes []int64) error
+	Commit func(ctx context.Context, fs *storage.FileStore) error
 }
 
 // TickStats reports one compaction tick.
@@ -159,7 +159,7 @@ func (c *Compactor) Tick(ctx context.Context, fs *storage.FileStore, log *Log) (
 		return stats, fmt.Errorf("ingest: compaction flush: %w", err)
 	}
 	if c.cfg.Commit != nil {
-		if err := c.cfg.Commit(ctx, fs.LoadedBytes()); err != nil {
+		if err := c.cfg.Commit(ctx, fs); err != nil {
 			sp.SetError(err)
 			return stats, fmt.Errorf("ingest: compaction catalog commit: %w", err)
 		}

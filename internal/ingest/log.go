@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // SyncPolicy selects when the delta log fsyncs. Record bytes are always
@@ -464,6 +465,14 @@ func (l *Log) PendingBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.pending
+}
+
+// ResidentBytes returns the heap behind the overlay reads consult: the
+// pending payloads plus their index entries.
+func (l *Log) ResidentBytes() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.pending + int64(len(l.index))*int64(unsafe.Sizeof(entry{})+unsafe.Sizeof(int(0)))
 }
 
 // PendingCells returns the number of cells with unapplied upserts.

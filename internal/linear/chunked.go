@@ -58,7 +58,10 @@ func Chunked(
 		return nil, fmt.Errorf("linear: inner order: %w", err)
 	}
 
-	o := newOrder(s, fmt.Sprintf("chunked[%v outer=%s inner=%s]", chunkLevels, oo.Name, io.Name))
+	o, err := newOrder(s, fmt.Sprintf("chunked[%v outer=%s inner=%s]", chunkLevels, oo.Name, io.Name))
+	if err != nil {
+		return nil, err
+	}
 	k := s.K()
 	chunkCoords := make([]int, k)
 	cellCoords := make([]int, k)
@@ -72,7 +75,7 @@ func Chunked(
 			for d := 0; d < k; d++ {
 				coords[d] = chunkCoords[d]*innerSchema.Dims[d].Leaves() + cellCoords[d]
 			}
-			o.seq[pos] = o.CellIndex(coords)
+			o.seq[pos] = int32(o.CellIndex(coords))
 			pos++
 		}
 	}

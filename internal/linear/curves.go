@@ -27,37 +27,27 @@ func pow2Shape(s *hierarchy.Schema) ([]int, error) {
 // linearization. Every side must be a power of two; dimensions of unequal
 // width contribute bits only while they still have them, most significant
 // bits interleaved first.
-func ZOrder(s *hierarchy.Schema) (*Order, error) {
-	widths, err := pow2Shape(s)
-	if err != nil {
-		return nil, err
-	}
-	o := newOrder(s, "z-order")
-	coords := make([]int, s.K())
-	for pos := range o.seq {
-		decodeInterleaved(pos, widths, coords, false)
-		o.seq[pos] = o.CellIndex(coords)
-	}
-	if err := o.fill(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
+func ZOrder(s *hierarchy.Schema) (*Order, error) { return interleaved(s, "z-order", false) }
 
 // GrayOrder returns the Gray-code curve (Faloutsos) linearization: positions
 // enumerate the interleaved bits in binary-reflected Gray order, so
 // consecutive cells differ in exactly one coordinate bit. Every side must be
 // a power of two.
-func GrayOrder(s *hierarchy.Schema) (*Order, error) {
+func GrayOrder(s *hierarchy.Schema) (*Order, error) { return interleaved(s, "gray-order", true) }
+
+func interleaved(s *hierarchy.Schema, name string, gray bool) (*Order, error) {
 	widths, err := pow2Shape(s)
 	if err != nil {
 		return nil, err
 	}
-	o := newOrder(s, "gray-order")
+	o, err := newOrder(s, name)
+	if err != nil {
+		return nil, err
+	}
 	coords := make([]int, s.K())
 	for pos := range o.seq {
-		decodeInterleaved(pos, widths, coords, true)
-		o.seq[pos] = o.CellIndex(coords)
+		decodeInterleaved(pos, widths, coords, gray)
+		o.seq[pos] = int32(o.CellIndex(coords))
 	}
 	if err := o.fill(); err != nil {
 		return nil, err
@@ -112,7 +102,10 @@ func Hilbert(s *hierarchy.Schema) (*Order, error) {
 		}
 	}
 	k := s.K()
-	o := newOrder(s, "hilbert")
+	o, err := newOrder(s, "hilbert")
+	if err != nil {
+		return nil, err
+	}
 	coords := make([]int, k)
 	x := make([]uint32, k)
 	for pos := range o.seq {
@@ -120,7 +113,7 @@ func Hilbert(s *hierarchy.Schema) (*Order, error) {
 		for d := range coords {
 			coords[d] = int(x[d])
 		}
-		o.seq[pos] = o.CellIndex(coords)
+		o.seq[pos] = int32(o.CellIndex(coords))
 	}
 	if err := o.fill(); err != nil {
 		return nil, err
@@ -178,13 +171,16 @@ func Hilbert2D(s *hierarchy.Schema) (*Order, error) {
 		return nil, fmt.Errorf("linear: Hilbert2D needs a square grid, got widths %v", widths)
 	}
 	side := 1 << widths[0]
-	o := newOrder(s, "hilbert2d")
+	o, err := newOrder(s, "hilbert2d")
+	if err != nil {
+		return nil, err
+	}
 	for pos := range o.seq {
 		// The x/y swap orients the curve as in the paper's Figure 2(b), so
 		// its characteristic vector is (6,2;6,1) in (dim 0; dim 1) order on
 		// the 4×4 grid — the paper's (6,1;6,2) with its dimension labels.
 		y, x := hilbertD2XY(side, pos)
-		o.seq[pos] = o.CellIndex([]int{x, y})
+		o.seq[pos] = int32(o.CellIndex([]int{x, y}))
 	}
 	if err := o.fill(); err != nil {
 		return nil, err

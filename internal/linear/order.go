@@ -10,7 +10,9 @@
 package linear
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/hierarchy"
@@ -23,29 +25,51 @@ type Order struct {
 	Name   string
 	schema *hierarchy.Schema
 	shape  []int
-	stride []int // cell-index strides per dimension
-	seq    []int // seq[pos] = cell at disk position pos
-	pos    []int // pos[cell] = disk position of cell
+	stride []int   // cell-index strides per dimension
+	seq    []int32 // seq[pos] = cell at disk position pos
+	pos    []int32 // pos[cell] = disk position of cell
+}
+
+// ErrGridTooLarge marks a schema whose grid has 2^31 cells or more: cell ids
+// and disk positions are kept as int32 (8 bytes a cell for the two tables).
+var ErrGridTooLarge = errors.New("linear: grid has 2^31 cells or more")
+
+// gridCells returns the cell count of a grid of the given shape, refusing
+// one that int32 cannot index; a side that is not positive is a leaf count
+// that already overflowed.
+func gridCells(shape []int) (int, error) {
+	n := 1
+	for _, side := range shape {
+		if side <= 0 || n > math.MaxInt32/side {
+			return 0, fmt.Errorf("%w: shape %v", ErrGridTooLarge, shape)
+		}
+		n *= side
+	}
+	return n, nil
 }
 
 // newOrder allocates an order for the schema with the given name; seq must
-// be filled by the caller via fill.
-func newOrder(s *hierarchy.Schema, name string) *Order {
+// be filled by the caller via fill. The grid is sized before anything is
+// allocated, so an oversized schema costs an error, not memory.
+func newOrder(s *hierarchy.Schema, name string) (*Order, error) {
 	shape := s.LeafCounts()
+	n, err := gridCells(shape)
+	if err != nil {
+		return nil, err
+	}
 	stride := make([]int, len(shape))
-	n := 1
-	for d := len(shape) - 1; d >= 0; d-- {
-		stride[d] = n
-		n *= shape[d]
+	for d, at := len(shape)-1, 1; d >= 0; d-- {
+		stride[d] = at
+		at *= shape[d]
 	}
 	return &Order{
 		Name:   name,
 		schema: s,
 		shape:  shape,
 		stride: stride,
-		seq:    make([]int, n),
-		pos:    make([]int, n),
-	}
+		seq:    make([]int32, n),
+		pos:    make([]int32, n),
+	}, nil
 }
 
 // fill completes the inverse index and validates that seq is a permutation.
@@ -54,13 +78,13 @@ func (o *Order) fill() error {
 		o.pos[i] = -1
 	}
 	for p, c := range o.seq {
-		if c < 0 || c >= len(o.seq) {
+		if c < 0 || int(c) >= len(o.seq) {
 			return fmt.Errorf("linear: order %q places invalid cell %d at position %d", o.Name, c, p)
 		}
 		if o.pos[c] != -1 {
 			return fmt.Errorf("linear: order %q visits cell %d twice", o.Name, c)
 		}
-		o.pos[c] = p
+		o.pos[c] = int32(p)
 	}
 	return nil
 }
@@ -74,11 +98,14 @@ func (o *Order) Len() int { return len(o.seq) }
 // Shape returns the per-dimension leaf counts.
 func (o *Order) Shape() []int { return append([]int(nil), o.shape...) }
 
+// TableBytes returns the heap behind the order's two position tables.
+func (o *Order) TableBytes() int64 { return 4 * int64(cap(o.seq)+cap(o.pos)) }
+
 // CellAt returns the cell stored at disk position p.
-func (o *Order) CellAt(p int) int { return o.seq[p] }
+func (o *Order) CellAt(p int) int { return int(o.seq[p]) }
 
 // PosOf returns the disk position of the given cell.
-func (o *Order) PosOf(cell int) int { return o.pos[cell] }
+func (o *Order) PosOf(cell int) int { return int(o.pos[cell]) }
 
 // CellIndex returns the cell index of the given per-dimension coordinates.
 func (o *Order) CellIndex(coords []int) int {
@@ -134,7 +161,10 @@ func FromPath(s *hierarchy.Schema, p *core.Path, snaked bool) (*Order, error) {
 	if snaked {
 		name = "snaked-" + name
 	}
-	o := newOrder(s, name)
+	o, err := newOrder(s, name)
+	if err != nil {
+		return nil, err
+	}
 	loops := pathLoops(s, p)
 	// prefix[i] = product of fanouts of loops 0..i−1 (cells per full run of
 	// the loops inside loop i).
@@ -158,7 +188,7 @@ func FromPath(s *hierarchy.Schema, p *core.Path, snaked bool) (*Order, error) {
 			}
 			coords[loops[i].dim] += digit * loops[i].place
 		}
-		o.seq[pos] = o.CellIndex(coords)
+		o.seq[pos] = int32(o.CellIndex(coords))
 	}
 	if err := o.fill(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package linear
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -195,6 +196,57 @@ func TestCoordsRoundTrip(t *testing.T) {
 		o.Coords(c, coords)
 		if got := o.CellIndex(coords); got != c {
 			t.Errorf("CellIndex(Coords(%d)) = %d", c, got)
+		}
+	}
+}
+
+// TestGridTooLargeRefusedBeforeAllocation: a grid is accepted exactly when
+// int32 can index its cells, on random shapes and at the boundary, and every
+// constructor refuses an oversized schema with the typed error instead of
+// sizing its tables by it.
+func TestGridTooLargeRefusedBeforeAllocation(t *testing.T) {
+	const limit = 1 << 31
+	check := func(shape []int) {
+		t.Helper()
+		prod, fits := uint64(1), true
+		for _, side := range shape {
+			if prod *= uint64(side); prod >= limit {
+				fits = false
+				break
+			}
+		}
+		n, err := gridCells(shape)
+		if fits != (err == nil) || (fits && uint64(n) != prod) || (!fits && !errors.Is(err, ErrGridTooLarge)) {
+			t.Errorf("gridCells(%v) = %d, %v; product %d fits int32: %v", shape, n, err, prod, fits)
+		}
+	}
+	for _, shape := range [][]int{
+		{limit - 1}, {limit}, {1 << 16, 1 << 15}, {1<<16 - 1, 1 << 15}, {1 << 16, 1<<15 - 1},
+		{2, 3, 5, 7, 11, 13, 17, 19, 23}, {46341, 46341}, {46340, 46341}, {1 << 21, 1 << 21, 1 << 21}, {1},
+	} {
+		check(shape)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 2000; i++ {
+		shape := make([]int, 1+rng.Intn(4))
+		for d := range shape {
+			shape[d] = 1 + rng.Intn(1<<uint(1+rng.Intn(16)))
+		}
+		check(shape)
+	}
+
+	huge := hierarchy.MustSchema(
+		hierarchy.Dimension{Name: "x", Fanouts: []int{1 << 16}},
+		hierarchy.Dimension{Name: "y", Fanouts: []int{1 << 16}},
+	)
+	for name, build := range map[string]func() (*Order, error){
+		"FromPath": func() (*Order, error) { return FromPath(huge, AlternatingPath(huge), true) },
+		"RowMajor": func() (*Order, error) { return RowMajor(huge, []int{0, 1}) },
+		"ZOrder":   func() (*Order, error) { return ZOrder(huge) },
+		"Hilbert":  func() (*Order, error) { return Hilbert(huge) },
+	} {
+		if _, err := build(); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("%s on a 2^32-cell grid: err = %v, want ErrGridTooLarge", name, err)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func (o *Order) EachPosition(r Region, f func(pos int)) {
 		idx += r[d].Lo * o.stride[d]
 	}
 	for {
-		f(o.pos[idx])
+		f(int(o.pos[idx]))
 		d := len(coords) - 1
 		for d >= 0 {
 			coords[d]++
@@ -138,8 +138,8 @@ func (o *Order) EdgeTypes(l *lattice.Lattice) []int64 {
 	b := make([]int, k)
 	t := make(lattice.Point, k)
 	for p := 0; p+1 < len(o.seq); p++ {
-		o.Coords(o.seq[p], a)
-		o.Coords(o.seq[p+1], b)
+		o.Coords(int(o.seq[p]), a)
+		o.Coords(int(o.seq[p+1]), b)
 		for d := 0; d < k; d++ {
 			t[d] = sharedLevel(o.schema.Dims[d], a[d], b[d])
 		}
@@ -172,8 +172,8 @@ func (o *Order) IsDiagonal() bool {
 	a := make([]int, k)
 	b := make([]int, k)
 	for p := 0; p+1 < len(o.seq); p++ {
-		o.Coords(o.seq[p], a)
-		o.Coords(o.seq[p+1], b)
+		o.Coords(int(o.seq[p]), a)
+		o.Coords(int(o.seq[p+1]), b)
 		diffs := 0
 		for d := 0; d < k; d++ {
 			if a[d] != b[d] {
@@ -199,7 +199,7 @@ func (o *Order) RenderGrid() ([][]int, error) {
 	for i := range g {
 		g[i] = make([]int, cols)
 		for j := range g[i] {
-			g[i][j] = o.pos[o.CellIndex([]int{i, j})] + 1
+			g[i][j] = o.PosOf(o.CellIndex([]int{i, j})) + 1
 		}
 	}
 	return g, nil

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Event is one request's wide record. The serving middleware allocates
@@ -112,6 +113,18 @@ func (r *Ring) Published() uint64 { return r.seq.Load() }
 
 // Capacity returns the ring's slot count.
 func (r *Ring) Capacity() int { return len(r.slots) }
+
+// ResidentBytes returns the heap the ring retains: its slots and the fixed
+// part of every event they point at (class and handler strings are shared).
+func (r *Ring) ResidentBytes() int64 {
+	n := int64(len(r.slots)) * int64(unsafe.Sizeof(r.slots[0]))
+	for i := range r.slots {
+		if r.slots[i].Load() != nil {
+			n += int64(unsafe.Sizeof(Event{}))
+		}
+	}
+	return n
+}
 
 // Overwritten returns how many published events have been pushed out of
 // the retention window.

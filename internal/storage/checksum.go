@@ -56,10 +56,11 @@ func (cf *ChecksumFile) PageSize() int { return cf.inner.PageSize() - PageTraile
 // Pages returns the number of pages in the file.
 func (cf *ChecksumFile) Pages() int64 { return cf.inner.Pages() }
 
-// ReadPage reads and verifies one page, filling buf with its data region.
+// ReadPage reads and verifies one page, filling buf with its data region; a
+// nil buf asks for the verdict alone (the scrubber's read).
 func (cf *ChecksumFile) ReadPage(page int64, buf []byte) error {
 	usable := cf.PageSize()
-	if len(buf) != usable {
+	if buf != nil && len(buf) != usable {
 		return fmt.Errorf("storage: read buffer is %d bytes, want %d", len(buf), usable)
 	}
 	sp := cf.scratch.Get().(*[]byte)

@@ -699,8 +699,9 @@ func TestPoolMissWaitsForUnpin(t *testing.T) {
 		one <- result{[]*frame{fr}, err}
 	}()
 	go func() {
-		frames, err := bp.getSpan(ctx, nil, 6, 2, nil)
-		span <- result{frames, err}
+		var sc spanScratch
+		err := bp.getSpan(ctx, nil, 6, 2, &sc)
+		span <- result{sc.frames, err}
 	}()
 	waitFor(t, "misses to queue behind the pins", func() bool {
 		bp.mu.Lock()

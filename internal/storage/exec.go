@@ -73,9 +73,9 @@ type execution struct {
 // runScratch is per-worker reusable state, so steady-state runs allocate
 // nothing per record, page or run.
 type runScratch struct {
-	tally  PoolTally // the current fragment's traffic
-	spill  []byte
-	frames []*frame // the pinned window
+	tally PoolTally // the current fragment's traffic
+	spill []byte
+	span  spanScratch // the pinned window
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -228,7 +228,7 @@ type pageCursor struct {
 	pool              *BufferPool
 	fr                *frame // latched; covers bytes [pageBase, pageEnd)
 	pageBase, pageEnd int64
-	win               []*frame // pinned; pages [winLo, winEnd)
+	win               *spanScratch // win.frames are pinned; pages [winLo, winEnd)
 	winLo, winEnd     int64
 }
 
@@ -238,9 +238,9 @@ func (c *pageCursor) release() {
 		c.fr.mu.Unlock()
 		c.fr = nil
 	}
-	if len(c.win) > 0 {
-		c.pool.unpinSpan(c.win)
-		c.win = c.win[:0]
+	if len(c.win.frames) > 0 {
+		c.pool.unpinSpan(c.win.frames)
+		c.win.frames = c.win.frames[:0]
 	}
 	c.pageEnd, c.winEnd = 0, 0
 }
@@ -262,13 +262,12 @@ func (c *pageCursor) seek(ctx context.Context, t *PoolTally, off, lastPage int64
 	if page >= c.winEnd {
 		c.release()
 		n := min(lastPage-page+1, int64(window))
-		win, err := c.pool.getSpan(ctx, t, page, int(n), c.win)
-		if err != nil {
+		if err := c.pool.getSpan(ctx, t, page, int(n), c.win); err != nil {
 			return err
 		}
-		c.win, c.winLo, c.winEnd = win, page, page+n
+		c.winLo, c.winEnd = page, page+n
 	}
-	c.fr = c.win[page-c.winLo]
+	c.fr = c.win.frames[page-c.winLo]
 	c.fr.mu.Lock()
 	c.pageBase, c.pageEnd = page*u, (page+1)*u
 	return nil
@@ -283,16 +282,16 @@ func (c *pageCursor) seek(ctx context.Context, t *PoolTally, off, lastPage int64
 func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch, out *chunkStream) (err error) {
 	fs := x.fs
 	t := &sc.tally
-	c := pageCursor{pool: fs.pool, win: sc.frames[:0]}
+	c := pageCursor{pool: fs.pool, win: &sc.span}
 	w := recordWalker{spill: sc.spill[:0]}
 	defer func() {
 		c.release()
-		sc.frames, sc.spill = c.win, w.spill[:0]
+		sc.spill = w.spill[:0]
 	}()
 	for _, fg := range x.plan.frags[run.fragLo:run.fragHi] {
 		for pos := fg.lo; pos < fg.hi; pos++ {
-			pp := &fs.plan[pos]
-			cell := int(pp.cell)
+			e := &fs.dir[pos]
+			cell := int(e.cell)
 			if x.ov != nil {
 				if ob, ok := x.ov(cell); ok {
 					t.deltaHit()
@@ -304,7 +303,7 @@ func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch, o
 					continue
 				}
 			}
-			rem := pp.fill
+			rem := int64(e.fill)
 			if rem == 0 {
 				continue
 			}
@@ -316,7 +315,7 @@ func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch, o
 			} else {
 				w.begin(cell)
 			}
-			for off := pp.lo; rem > 0; {
+			for off := e.start; rem > 0; {
 				if off >= c.pageEnd {
 					if err = c.seek(ctx, t, off, run.pageHi, x.window); err != nil {
 						return err

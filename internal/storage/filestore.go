@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,9 +31,8 @@ type FileStore struct {
 	file   *ChecksumFile // the pool's backing store; Verify reads it directly
 	pool   *BufferPool
 
-	mu     sync.RWMutex // guards fill, plan, epoch and closed
-	fill   []int64
-	plan   []posPlan // fused per-position layout; see posPlan
+	mu     sync.RWMutex // guards dir's fills, epoch, fillEpoch and closed
+	dir    []dirEntry   // the layout's cell directory; this store owns the fills
 	closed bool
 
 	// Self-healing state (parity.go): the attached parity sidecar and the
@@ -44,8 +44,10 @@ type FileStore struct {
 
 	// epoch counts base writes (PutRecord, PutCellBytes); guarded by mu. A
 	// QueryPlan's seek runs depend on which cells are filled, so it is valid
-	// only for the epoch it was planned under (see plan.go).
-	epoch uint64
+	// only for the epoch it was planned under (see plan.go). fillEpoch counts
+	// the writes among them that changed a cell's fill, which is what a
+	// persisted LoadedBytes copy goes stale by.
+	epoch, fillEpoch uint64
 
 	// Read executor state (exec.go): fragment fetches currently in flight
 	// and the optional per-fragment completion observer.
@@ -79,7 +81,7 @@ func CreateFileStore(path string, o *linear.Order, bytesPerCell []int64, pageSiz
 	if err != nil {
 		return nil, err
 	}
-	fs, err := NewFileStoreOn(pf, o, bytesPerCell, poolFrames, nil)
+	fs, err := newFileStore(pf, layout, poolFrames, nil)
 	if err != nil {
 		pf.Close()
 		return nil, err
@@ -91,7 +93,8 @@ func CreateFileStore(path string, o *linear.Order, bytesPerCell []int64, pageSiz
 // order and cell sizes the file was created with plus the per-cell written
 // byte counts saved from FileStore.LoadedBytes (persist them with the
 // catalog); nil loadedBytes opens the store as empty. Geometry and fill
-// state are validated against the file instead of being trusted.
+// state are validated against the file instead of being trusted; neither
+// slice is retained.
 func OpenFileStore(path string, o *linear.Order, bytesPerCell []int64, pageSize int, poolFrames int, loadedBytes []int64) (*FileStore, error) {
 	pf, err := OpenPageFile(path, pageSize)
 	if err != nil {
@@ -114,6 +117,12 @@ func NewFileStoreOn(pf PagedFile, o *linear.Order, bytesPerCell []int64, poolFra
 	if err != nil {
 		return nil, err
 	}
+	return newFileStore(pf, layout, poolFrames, loadedBytes)
+}
+
+// newFileStore takes over the layout's directory: the fills it validates go
+// into it. The pool comes last, so no error path leaves a slab mapped.
+func newFileStore(pf PagedFile, layout *Layout, poolFrames int, loadedBytes []int64) (*FileStore, error) {
 	if pf.Pages() != layout.TotalPages() {
 		return nil, fmt.Errorf("storage: file has %d pages, layout needs exactly %d", pf.Pages(), layout.TotalPages())
 	}
@@ -121,47 +130,25 @@ func NewFileStoreOn(pf PagedFile, o *linear.Order, bytesPerCell []int64, poolFra
 	if err != nil {
 		return nil, err
 	}
+	dir := layout.dir
+	if loadedBytes != nil {
+		if len(loadedBytes) != len(dir)-1 {
+			return nil, fmt.Errorf("storage: %d loaded sizes for %d cells", len(loadedBytes), len(dir)-1)
+		}
+		for pos := range loadedBytes {
+			e := &dir[pos]
+			b := loadedBytes[e.cell]
+			if reserved := dir[pos+1].start - e.start; b < 0 || b > reserved {
+				return nil, fmt.Errorf("storage: cell %d claims %d loaded bytes, reserved range holds %d", e.cell, b, reserved)
+			}
+			e.fill = uint32(b)
+		}
+	}
 	pool, err := NewBufferPool(cf, poolFrames)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FileStore{layout: layout, file: cf, pool: pool, fill: make([]int64, o.Len())}
-	if loadedBytes != nil {
-		if len(loadedBytes) != o.Len() {
-			return nil, fmt.Errorf("storage: %d loaded sizes for %d cells", len(loadedBytes), o.Len())
-		}
-		for cell, b := range loadedBytes {
-			pos := o.PosOf(cell)
-			if reserved := layout.start[pos+1] - layout.start[pos]; b < 0 || b > reserved {
-				return nil, fmt.Errorf("storage: cell %d claims %d loaded bytes, reserved range holds %d", cell, b, reserved)
-			}
-			fs.fill[pos] = b
-		}
-	}
-	fs.plan = make([]posPlan, o.Len())
-	for pos := range fs.plan {
-		fs.plan[pos] = posPlan{
-			lo:   layout.start[pos],
-			end:  layout.start[pos+1],
-			fill: fs.fill[pos],
-			cell: int32(o.CellAt(pos)),
-		}
-	}
-	return fs, nil
-}
-
-// posPlan fuses the per-position state the planner and the run body read —
-// extent, fill, cell id — into one 32-byte entry, so walking a fragment
-// touches one array sequentially instead of gathering from layout.start,
-// fill and the order's cell sequence separately (three cache misses per
-// cell on large grids). fill is mirrored here by PutRecord under fs.mu;
-// fs.fill stays the source of truth for every other path.
-type posPlan struct {
-	lo   int64
-	end  int64 // reserved end == next position's lo
-	fill int64
-	cell int32
-	_    int32
+	return &FileStore{layout: layout, file: cf, pool: pool, dir: dir}, nil
 }
 
 // Layout returns the store's packing.
@@ -175,11 +162,20 @@ func (fs *FileStore) Pool() *BufferPool { return fs.pool }
 func (fs *FileStore) LoadedBytes() []int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	out := make([]int64, len(fs.fill))
-	for pos, b := range fs.fill {
-		out[fs.layout.order.CellAt(pos)] = b
+	cells := fs.dir[:len(fs.dir)-1]
+	out := make([]int64, len(cells))
+	for _, e := range cells {
+		out[e.cell] = int64(e.fill)
 	}
 	return out
+}
+
+// FillEpoch counts the writes that changed some cell's fill. While it stands
+// still, a LoadedBytes snapshot taken earlier is still exact.
+func (fs *FileStore) FillEpoch() uint64 {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.fillEpoch
 }
 
 // PutRecord appends a length-prefixed record to the cell, through the pool.
@@ -190,9 +186,10 @@ func (fs *FileStore) PutRecord(cell int, payload []byte) error {
 		return ErrClosed
 	}
 	pos := fs.layout.order.PosOf(cell)
-	lo, hi := fs.layout.start[pos], fs.layout.start[pos+1]
+	e := &fs.dir[pos]
+	lo, hi := e.start, fs.dir[pos+1].start
 	need := FrameSize(len(payload))
-	off := lo + fs.fill[pos]
+	off := lo + int64(e.fill)
 	if off+need > hi {
 		return fmt.Errorf("storage: cell %d overflows its %d reserved bytes", cell, hi-lo)
 	}
@@ -205,8 +202,8 @@ func (fs *FileStore) PutRecord(cell int, payload []byte) error {
 	if err := fs.pool.WriteAt(payload, off+4); err != nil {
 		return err
 	}
-	fs.fill[pos] += need
-	fs.plan[pos].fill += need
+	e.fill += uint32(need)
+	fs.fillEpoch++
 	if old != nil {
 		neu := make([]byte, need)
 		copy(neu, hdr[:])
@@ -235,12 +232,13 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 		return ErrClosed
 	}
 	pos := fs.layout.order.PosOf(cell)
-	lo, hi := fs.layout.start[pos], fs.layout.start[pos+1]
+	e := &fs.dir[pos]
+	lo, hi := e.start, fs.dir[pos+1].start
 	need := int64(len(framed))
 	if need > hi-lo {
 		return fmt.Errorf("storage: cell %d replacement of %d bytes overflows its %d reserved bytes", cell, need, hi-lo)
 	}
-	oldFill := fs.fill[pos]
+	oldFill := int64(e.fill)
 	span := need
 	if oldFill > span {
 		span = oldFill
@@ -259,8 +257,10 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 			return err
 		}
 	}
-	fs.fill[pos] = need
-	fs.plan[pos].fill = need
+	if need != oldFill {
+		e.fill = uint32(need)
+		fs.fillEpoch++
+	}
 	if old != nil {
 		neu := make([]byte, span)
 		copy(neu, framed)
@@ -395,12 +395,12 @@ func (fs *FileStore) degradeParity() {
 	fs.repairMu.Unlock()
 }
 
-// Close flushes the pool and closes the file. A flush or sync failure is
-// reported — never swallowed — and the file is closed regardless, so a
-// caller that sees an error knows the on-disk state may be behind. Close
-// waits for in-flight readers to drain before touching the file; once it
-// begins, every later operation (including a second Close) returns
-// ErrClosed.
+// Close flushes the pool, unmaps its frames and closes the file. A flush or
+// sync failure is reported — never swallowed — and the file is closed
+// regardless, so a caller that sees an error knows the on-disk state may be
+// behind. Close waits for in-flight readers to drain before touching the
+// file or the frames; once it begins, every later operation (including a
+// second Close) returns ErrClosed.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -408,16 +408,17 @@ func (fs *FileStore) Close() error {
 		return ErrClosed
 	}
 	fs.closed = true
-	flushErr := fs.pool.Flush()
-	closeErr := fs.file.Close()
+	err := fs.pool.Flush()
 	fs.repairMu.Lock()
 	if fs.parity != nil {
 		fs.parity.inner.Close()
 		fs.parity = nil
 	}
 	fs.repairMu.Unlock()
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	return errors.Join(err, fs.discard())
+}
+
+// discard releases the frames and the file without writing anything back.
+func (fs *FileStore) discard() error {
+	return errors.Join(fs.pool.Close(), fs.file.Close())
 }

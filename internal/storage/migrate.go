@@ -97,7 +97,7 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	abort := func(sp trace.SpanRef, err error) (*FileStore, int, error) {
 		sp.SetError(err)
 		sp.End()
-		dst.file.Close()
+		dst.discard()
 		os.Remove(newPath)
 		return nil, 0, err
 	}

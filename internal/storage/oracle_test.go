@@ -17,7 +17,7 @@ func oracleQuery(l *Layout, r linear.Region) Stats {
 	type span struct{ lo, hi int64 }
 	var runs []span
 	for _, p := range l.order.Positions(r) {
-		lo, hi := l.start[p], l.start[p+1]
+		lo, hi := l.dir[p].start, l.dir[p+1].start
 		if lo == hi {
 			continue
 		}
@@ -75,11 +75,11 @@ func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cel
 				continue
 			}
 		}
-		if fs.fill[pos] == 0 {
+		if fs.dir[pos].fill == 0 {
 			continue
 		}
-		buf := make([]byte, fs.fill[pos])
-		if err := fs.pool.ReadAtCtx(ctx, buf, fs.layout.start[pos]); err != nil {
+		buf := make([]byte, fs.dir[pos].fill)
+		if err := fs.pool.ReadAtCtx(ctx, buf, fs.dir[pos].start); err != nil {
 			return err
 		}
 		if err := walkRecords(cell, buf, fn); err != nil {

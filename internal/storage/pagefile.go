@@ -1,10 +1,10 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -193,7 +193,7 @@ type PoolStats struct {
 
 // BufferPool caches page frames over a PagedFile with LRU replacement and
 // write-back, the classic database buffer manager. It is safe for
-// concurrent use: a short pool mutex guards the page table and LRU list,
+// concurrent use: a short pool mutex guards the page table and the LRU ring,
 // each frame carries its own latch for data access, and concurrent misses
 // on the same page coalesce into a single disk read (single-flight — the
 // extra goroutines wait for the first load and are counted in
@@ -206,6 +206,13 @@ type PoolStats struct {
 // the wait cannot deadlock; a pool smaller than the pins readers hold at
 // once just serializes them.
 //
+// Memory: page buffers are carved in address order, on first use, from one
+// anonymous mapping of capacity × PageSize bytes, so the collector never sees
+// them and an untouched frame costs nothing (heap slices when the mapping
+// cannot be made). A frame — struct, buffer, load state — is made once and
+// then only changes hands: eviction gives the victim straight to the page
+// that forced it, so a miss on a full pool allocates nothing.
+//
 // Transient I/O errors (errors matching ErrTransient) are retried with
 // exponential backoff under the pool's RetryPolicy; the backoff sleeps are
 // context-aware. All other errors propagate to the caller.
@@ -213,11 +220,13 @@ type BufferPool struct {
 	pf       PagedFile
 	capacity int
 
-	mu     sync.Mutex // guards frames, lru, free, and every frame's pins field
-	frames map[int64]*list.Element
-	lru    *list.List    // front = most recently used
-	free   [][]byte      // page buffers recycled from evicted frames, ≤ capacity
-	freed  chan struct{} // non-nil while a miss waits for an unpin; closed by the next one
+	mu     sync.Mutex       // guards everything below and every frame's pool-side fields
+	table  map[int64]*frame // page → the frame in the ring that holds it
+	lru    frame            // ring sentinel: lru.next is the most recently used frame, lru.prev the least
+	free   *frame           // frames no page holds (after Reset or a failed load), linked through next
+	slab   []byte           // the mapping buffers are carved from; nil when it could not be made
+	carved int              // frames made so far, ≤ capacity
+	freed  chan struct{}    // non-nil while a miss waits for an unpin; closed by the next one
 
 	retryMu sync.Mutex
 	retry   RetryPolicy
@@ -225,18 +234,25 @@ type BufferPool struct {
 	hits, misses, evictions, writes, retries, sfWaits atomic.Int64
 }
 
-// frame is one cached page. The pool mutex guards pins and list membership;
-// the latch guards data and dirty. Latch holders always hold a pin, so a
-// frame with zero pins has no latch holder and may be evicted.
+// frame is one cached page. The latch guards data and dirty; the pool mutex
+// guards the rest. Latch holders always hold a pin, so a frame with zero
+// pins has no latch holder and may be evicted.
 type frame struct {
 	page  int64
 	data  []byte
 	mu    sync.Mutex // latch
 	dirty bool
-	pins  int
-	ready chan struct{} // closed once the initial load finished
-	err   error         // load error; set before ready is closed
+
+	pins       int
+	loading    bool          // the goroutine that claimed the frame is still reading the page
+	err        error         // why the load failed; set as the frame leaves the table
+	ready      chan struct{} // made by the first goroutine to wait out the load, closed when it ends
+	prev, next *frame
 }
+
+// ErrFramePinned marks a BufferPool.Close refused because a caller still
+// holds a frame: the slab stays mapped rather than fault under a reader.
+var ErrFramePinned = errors.New("storage: buffer pool closed with a frame pinned")
 
 // NewBufferPool wraps a paged file with a pool of the given frame capacity
 // under the DefaultRetry policy.
@@ -244,13 +260,45 @@ func NewBufferPool(pf PagedFile, capacity int) (*BufferPool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("storage: buffer pool capacity %d must be positive", capacity)
 	}
-	return &BufferPool{
-		pf:       pf,
-		capacity: capacity,
-		frames:   make(map[int64]*list.Element, capacity),
-		lru:      list.New(),
-		retry:    DefaultRetry,
-	}, nil
+	bp := &BufferPool{pf: pf, capacity: capacity, table: make(map[int64]*frame, min(capacity, 4096)), retry: DefaultRetry}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	if ps := pf.PageSize(); capacity <= math.MaxInt/ps {
+		// Lazily faulted: the mapping reserves addresses, not memory.
+		bp.slab, _ = syscall.Mmap(-1, 0, capacity*ps, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	}
+	return bp, nil
+}
+
+// SlabBytes returns the bytes of the frame mapping touched so far — what the
+// pool adds to the resident set beside the Go heap (0 when frames are heap
+// slices). Frames are carved in address order and kept, so it only grows.
+func (bp *BufferPool) SlabBytes() int64 {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if bp.slab == nil {
+		return 0
+	}
+	return int64(bp.carved) * int64(bp.pf.PageSize())
+}
+
+// Close unmaps the frame slab and forgets every page. A FileStore closes its
+// pool only after its readers have drained: should a frame still be pinned,
+// Close refuses with ErrFramePinned and leaves the mapping in place.
+func (bp *BufferPool) Close() error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if fr := bp.pinnedLocked(); fr != nil {
+		return fmt.Errorf("%w: page %d", ErrFramePinned, fr.page)
+	}
+	clear(bp.table)
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	bp.free, bp.carved = nil, 0
+	slab := bp.slab
+	bp.slab = nil
+	if slab == nil {
+		return nil
+	}
+	return syscall.Munmap(slab)
 }
 
 // SetRetry replaces the pool's transient-error retry policy.
@@ -331,8 +379,8 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// errPoolPinned is evictLocked's "every frame is pinned": internal, never
-// surfaced — the caller waits for an unpin and retries.
+// errPoolPinned is claimLocked's "no frame can be had until someone unpins":
+// internal, never surfaced — the caller waits for an unpin and retries.
 var errPoolPinned = errors.New("storage: all pool frames are pinned")
 
 // abandoned reports whether a coalesced load failed only because its loader
@@ -342,18 +390,14 @@ var errPoolPinned = errors.New("storage: all pool frames are pinned")
 func abandoned(err error) bool { return isCtxErr(err) || err == errPoolPinned }
 
 // awaitUnpin is called with bp.mu held after errPoolPinned: it releases the
-// mutex, runs unwind (the caller's cleanup of what it took under it) and
-// blocks until some frame's pins drop to zero (or ctx ends). The wake-up
-// channel is taken before the mutex is released, so no unpin is missed.
-func (bp *BufferPool) awaitUnpin(ctx context.Context, unwind func()) error {
+// mutex and blocks until some frame's pins drop to zero (or ctx ends). The
+// wake-up channel is taken under the mutex, so no unpin is missed.
+func (bp *BufferPool) awaitUnpin(ctx context.Context) error {
 	if bp.freed == nil {
 		bp.freed = make(chan struct{})
 	}
 	freed := bp.freed
 	bp.mu.Unlock()
-	if unwind != nil {
-		unwind()
-	}
 	select {
 	case <-freed:
 		return nil
@@ -362,13 +406,164 @@ func (bp *BufferPool) awaitUnpin(ctx context.Context, unwind func()) error {
 	}
 }
 
-// releaseLocked drops one pin, waking any miss that waits for a victim.
-// Called with bp.mu held.
+// releaseLocked drops one pin, waking any miss that waits for a frame. The
+// last pin off a frame whose load failed recycles it: until then a waiter may
+// still be reading the error out of it. Called with bp.mu held.
 func (bp *BufferPool) releaseLocked(fr *frame) {
 	fr.pins--
-	if fr.pins == 0 && bp.freed != nil {
+	if fr.pins > 0 {
+		return
+	}
+	if fr.err != nil {
+		fr.err = nil
+		fr.next, bp.free = bp.free, fr
+	}
+	if bp.freed != nil {
 		close(bp.freed)
 		bp.freed = nil
+	}
+}
+
+// unlinkLocked takes fr out of the LRU ring; touchLocked (re)inserts it at
+// the most recently used end.
+func (bp *BufferPool) unlinkLocked(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
+func (bp *BufferPool) touchLocked(fr *frame) {
+	if fr.prev != nil {
+		fr.prev.next, fr.next.prev = fr.next, fr.prev
+	}
+	fr.prev, fr.next = &bp.lru, bp.lru.next
+	fr.prev.next, fr.next.prev = fr, fr
+}
+
+// pinnedLocked returns some pinned frame of the ring, or nil.
+func (bp *BufferPool) pinnedLocked() *frame {
+	for fr := bp.lru.next; fr != &bp.lru; fr = fr.next {
+		if fr.pins > 0 {
+			return fr
+		}
+	}
+	return nil
+}
+
+// awaitLoad blocks until the load of fr, on which the caller holds a pin, has
+// ended, and returns how it ended. Only a goroutine that has to wait makes
+// the frame's channel, so an uncontended load never allocates one.
+func (bp *BufferPool) awaitLoad(ctx context.Context, fr *frame) error {
+	bp.mu.Lock()
+	wait := fr.ready
+	if fr.loading && wait == nil {
+		wait = make(chan struct{})
+		fr.ready = wait
+	}
+	bp.mu.Unlock()
+	if wait != nil {
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return fr.err
+}
+
+// claimLocked puts page in the table on a frame of its own, pinned once and
+// marked loading; the caller reads the page into it and ends the load with
+// finishLoads. The frame is a recycled one, a new one while fewer than
+// capacity exist, or else the eviction victim. errPoolPinned when every frame
+// is pinned (or still held by the waiters of a failed load).
+func (bp *BufferPool) claimLocked(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
+	fr := bp.free
+	switch {
+	case fr != nil:
+		bp.free, fr.next = fr.next, nil
+	case bp.carved < bp.capacity:
+		fr = new(frame)
+		if ps := bp.pf.PageSize(); bp.slab != nil {
+			fr.data = bp.slab[bp.carved*ps : (bp.carved+1)*ps : (bp.carved+1)*ps]
+		} else {
+			fr.data = make([]byte, ps)
+		}
+		bp.carved++
+	default:
+		var err error
+		if fr, err = bp.evictLocked(ctx, tally); err != nil {
+			return nil, err
+		}
+	}
+	fr.page, fr.pins, fr.loading = page, 1, true
+	bp.table[page] = fr
+	bp.touchLocked(fr)
+	bp.misses.Add(1)
+	if tally != nil {
+		tally.misses.Add(1)
+	}
+	return fr, nil
+}
+
+// evictLocked writes back the least recently used unpinned frame — under the
+// pool mutex, which keeps a concurrent miss on its page from reading stale
+// bytes — takes it out of the table and returns it. The work is attributed to
+// the request whose miss forced it.
+func (bp *BufferPool) evictLocked(ctx context.Context, tally *PoolTally) (*frame, error) {
+	for fr := bp.lru.prev; fr != &bp.lru; fr = fr.prev {
+		if fr.pins > 0 {
+			continue // pinned or still loading (loaders hold a pin)
+		}
+		// pins == 0 ⇒ no latch holder, so data/dirty are stable here.
+		if fr.dirty {
+			if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
+				return nil, err
+			}
+			bp.writes.Add(1)
+			if tally != nil {
+				tally.writes.Add(1)
+			}
+			fr.dirty = false
+		}
+		bp.unlinkLocked(fr)
+		delete(bp.table, fr.page)
+		bp.evictions.Add(1)
+		if tally != nil {
+			tally.evictions.Add(1)
+		}
+		return fr, nil
+	}
+	return nil, errPoolPinned
+}
+
+// finishLoads ends the loads of claims (frames this goroutine claimed and has
+// not published yet) in one pool-mutex round. With err nil the pages are in:
+// the frames stop loading and their waiters wake. Otherwise — the one unwind
+// of a failed or never started load — the frames leave the table, so a later
+// access retries from disk, their waiters wake to err, and every pin in
+// pinned (the claims' own and, for a span, its other frames') is dropped.
+func (bp *BufferPool) finishLoads(claims, pinned []*frame, err error) {
+	bp.mu.Lock()
+	bp.finishLoadsLocked(claims, pinned, err)
+	bp.mu.Unlock()
+}
+
+func (bp *BufferPool) finishLoadsLocked(claims, pinned []*frame, err error) {
+	for _, fr := range claims {
+		fr.loading = false
+		if err != nil {
+			bp.unlinkLocked(fr)
+			delete(bp.table, fr.page)
+			fr.err = err
+		}
+		if fr.ready != nil {
+			close(fr.ready)
+			fr.ready = nil
+		}
+	}
+	if err != nil {
+		for _, fr := range pinned {
+			bp.releaseLocked(fr)
+		}
 	}
 }
 
@@ -392,77 +587,53 @@ func (bp *BufferPool) get(ctx context.Context, tally *PoolTally, page int64) (*f
 
 func (bp *BufferPool) getOnce(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
 	bp.mu.Lock()
-	if el, ok := bp.frames[page]; ok {
-		fr := el.Value.(*frame)
+	if fr := bp.table[page]; fr != nil {
 		fr.pins++
-		bp.lru.MoveToFront(el)
+		bp.touchLocked(fr)
+		loading := fr.loading
 		bp.mu.Unlock()
-		select {
-		case <-fr.ready: // already loaded
+		if !loading {
 			bp.hits.Add(1)
 			if tally != nil {
 				tally.hits.Add(1)
 			}
-		default: // someone else's load is in flight: wait for it
-			bp.sfWaits.Add(1)
-			if tally != nil {
-				tally.sfWaits.Add(1)
-			}
-			select {
-			case <-fr.ready:
-			case <-ctx.Done():
-				bp.unpin(fr)
-				return nil, ctx.Err()
-			}
+			return fr, nil
 		}
-		if fr.err != nil {
+		// Someone else's load is in flight: wait for it.
+		bp.sfWaits.Add(1)
+		if tally != nil {
+			tally.sfWaits.Add(1)
+		}
+		if err := bp.awaitLoad(ctx, fr); err != nil {
 			bp.unpin(fr)
-			return nil, fr.err
+			return nil, err
 		}
 		return fr, nil
 	}
-	if bp.lru.Len() >= bp.capacity {
-		if err := bp.evictLocked(ctx, tally); err == errPoolPinned {
-			if err := bp.awaitUnpin(ctx, nil); err != nil {
-				return nil, err
-			}
-			return nil, errPoolPinned // get retries
-		} else if err != nil {
-			bp.mu.Unlock()
+	fr, err := bp.claimLocked(ctx, tally, page)
+	if err == errPoolPinned {
+		if err := bp.awaitUnpin(ctx); err != nil {
 			return nil, err
 		}
+		return nil, errPoolPinned // get retries
 	}
-	bp.misses.Add(1)
-	if tally != nil {
-		tally.misses.Add(1)
-	}
-	fr := &frame{page: page, data: bp.frameDataLocked(), pins: 1, ready: make(chan struct{})}
-	bp.frames[page] = bp.lru.PushFront(fr)
 	bp.mu.Unlock()
-
-	sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
-	sp.SetAttr("page", page)
-	if err := bp.withRetry(ctx, tally, func() error { return bp.pf.ReadPage(page, fr.data) }); err != nil {
-		sp.SetError(err)
-		sp.End()
-		// Failed loads leave no frame behind: drop it so a later access
-		// retries from disk, then wake the waiters with the error.
-		bp.mu.Lock()
-		if el, ok := bp.frames[page]; ok && el.Value.(*frame) == fr {
-			bp.lru.Remove(el)
-			delete(bp.frames, page)
-		}
-		bp.releaseLocked(fr)
-		bp.mu.Unlock()
-		fr.err = err
-		close(fr.ready)
+	if err != nil {
 		return nil, err
 	}
+	sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
+	sp.SetAttr("page", page)
+	err = bp.withRetry(ctx, tally, func() error { return bp.pf.ReadPage(page, fr.data) })
+	sp.SetError(err)
 	sp.End()
+	one := [1]*frame{fr}
+	bp.finishLoads(one[:], one[:], err)
+	if err != nil {
+		return nil, err
+	}
 	if tally != nil {
 		tally.physRead(page)
 	}
-	close(fr.ready)
 	return fr, nil
 }
 
@@ -482,291 +653,177 @@ func (bp *BufferPool) unpinSpan(frames []*frame) {
 	bp.mu.Unlock()
 }
 
-// frameDataLocked returns a page-sized buffer for a new frame, recycling an
-// evicted frame's buffer when one is available. Called with bp.mu held.
-func (bp *BufferPool) frameDataLocked() []byte {
-	if n := len(bp.free); n > 0 {
-		d := bp.free[n-1]
-		bp.free[n-1] = nil
-		bp.free = bp.free[:n-1]
-		return d
-	}
-	return make([]byte, bp.pf.PageSize())
+// spanScratch is getSpan's caller-owned working memory, reused from span to
+// span so a window of misses allocates nothing.
+type spanScratch struct {
+	frames []*frame // the span: frames[i] holds page lo+i, pinned and loaded
+	claims []*frame // the absent pages this call loads, ascending
+	bufs   [][]byte // one contiguous group of claims, as ReadPageSpan wants it
 }
 
-// getSpan returns pinned, ready frames for the n consecutive pages starting
-// at lo, appended to frames (a caller-owned scratch slice). Resident pages
-// are pinned in one pool-mutex pass; absent pages are claimed as loading
-// frames and then fetched with as few physical reads as possible — each
-// contiguous group of absent pages becomes one PageSpanReader call. Claims
-// are published (ready closed) before the call waits on any other
-// goroutine's in-flight load, so two overlapping spans cannot deadlock on
-// each other. On error no pins are retained. The caller must release the
-// returned frames with unpinSpan. Frames are returned in page order:
-// frames[base+i] holds page lo+i.
-func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n int, frames []*frame) ([]*frame, error) {
+// getSpan leaves pinned, loaded frames for the n consecutive pages starting
+// at lo in sc.frames. Resident pages are pinned in one pool-mutex pass;
+// absent pages are claimed as loading frames and then fetched with as few
+// physical reads as possible — each contiguous group of absent pages becomes
+// one PageSpanReader call. Claims are published before the call waits on any
+// other goroutine's in-flight load, so two overlapping spans cannot deadlock
+// on each other. On error no pin is retained and sc.frames is empty; otherwise
+// the caller releases the span with unpinSpan(sc.frames).
+func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n int, sc *spanScratch) (err error) {
+	sc.frames = sc.frames[:0]
+	defer func() {
+		if err != nil {
+			sc.frames = sc.frames[:0]
+		}
+	}()
 	sr, _ := bp.pf.(PageSpanReader)
 	if sr == nil || n == 1 {
 		// No span capability underneath (e.g. a bare test PagedFile):
 		// degrade to per-page gets with identical semantics.
-		base := len(frames)
 		for i := 0; i < n; i++ {
 			fr, err := bp.get(ctx, tally, lo+int64(i))
 			if err != nil {
-				bp.unpinSpan(frames[base:])
-				return nil, err
+				bp.unpinSpan(sc.frames)
+				return err
 			}
-			frames = append(frames, fr)
+			sc.frames = append(sc.frames, fr)
 		}
-		return frames, nil
+		return nil
 	}
 
-	base := len(frames)
-	var claimed []*frame // absent pages this call must load, ascending
-	bp.mu.Lock()
-	for p := lo; p < lo+int64(n); p++ {
-		if el, ok := bp.frames[p]; ok {
-			fr := el.Value.(*frame)
-			fr.pins++
-			bp.lru.MoveToFront(el)
-			frames = append(frames, fr)
-			continue
-		}
-		if bp.lru.Len() >= bp.capacity {
-			if err := bp.evictLocked(ctx, tally); err != nil {
-				// Unwind everything taken so far: pins on resident frames
-				// and the claims (which nobody has loaded).
-				for _, fr := range claimed {
-					if el, ok := bp.frames[fr.page]; ok && el.Value.(*frame) == fr {
-						bp.lru.Remove(el)
-						delete(bp.frames, fr.page)
-					}
+	// Counting mirrors getOnce: a resident frame whose page is in is a hit, one
+	// still loading a single-flight wait, a claim a miss.
+	var hits, waits int64
+	for {
+		sc.frames, sc.claims = sc.frames[:0], sc.claims[:0]
+		hits, waits = 0, 0
+		bp.mu.Lock()
+		for p := lo; p < lo+int64(n); p++ {
+			fr := bp.table[p]
+			if fr == nil {
+				if fr, err = bp.claimLocked(ctx, tally, p); err != nil {
+					break
 				}
-				for _, fr := range frames[base:] {
-					bp.releaseLocked(fr)
+				sc.claims = append(sc.claims, fr)
+			} else {
+				if fr.loading {
+					waits++
+				} else {
+					hits++
 				}
-				publish := func() {
-					for _, fr := range claimed {
-						fr.err = err
-						close(fr.ready)
-					}
-				}
-				if err != errPoolPinned {
-					bp.mu.Unlock()
-					publish()
-					return nil, err
-				}
-				// Every frame is pinned: give back what this call took, wait
-				// for an unpin, and start the span over.
-				bp.misses.Add(-int64(len(claimed)))
-				if tally != nil {
-					tally.misses.Add(-int64(len(claimed)))
-				}
-				if err := bp.awaitUnpin(ctx, publish); err != nil {
-					return nil, err
-				}
-				return bp.getSpan(ctx, tally, lo, n, frames[:base])
+				fr.pins++
+				bp.touchLocked(fr)
 			}
+			sc.frames = append(sc.frames, fr)
 		}
-		bp.misses.Add(1)
+		if err == nil {
+			bp.mu.Unlock()
+			break
+		}
+		// No frame for page p: give back everything this call took — the
+		// pins on resident frames and the claims, which nobody has loaded.
+		bp.finishLoadsLocked(sc.claims, sc.frames, err)
+		if err != errPoolPinned {
+			bp.mu.Unlock()
+			return err
+		}
+		// Every frame is pinned: wait for an unpin and start the span over.
+		bp.misses.Add(-int64(len(sc.claims)))
 		if tally != nil {
-			tally.misses.Add(1)
+			tally.misses.Add(-int64(len(sc.claims)))
 		}
-		fr := &frame{page: p, data: bp.frameDataLocked(), pins: 1, ready: make(chan struct{})}
-		bp.frames[p] = bp.lru.PushFront(fr)
-		claimed = append(claimed, fr)
-		frames = append(frames, fr)
+		if err = bp.awaitUnpin(ctx); err != nil {
+			return err
+		}
 	}
-	bp.mu.Unlock()
+	bp.hits.Add(hits)
+	bp.sfWaits.Add(waits)
+	if tally != nil {
+		tally.hits.Add(hits)
+		tally.sfWaits.Add(waits)
+	}
 
-	// Load our claims: one span read per contiguous page group. Claims must
-	// all be published (ready closed, with or without error) before this
-	// call returns or blocks on anyone else's load.
-	for i := 0; i < len(claimed); {
+	// Load our claims: one span read per contiguous page group.
+	for i := 0; i < len(sc.claims); {
 		j := i + 1
-		for j < len(claimed) && claimed[j].page == claimed[j-1].page+1 {
+		for j < len(sc.claims) && sc.claims[j].page == sc.claims[j-1].page+1 {
 			j++
 		}
-		group := claimed[i:j]
-		bufs := make([][]byte, len(group))
-		for k, fr := range group {
-			bufs[k] = fr.data
+		group := sc.claims[i:j]
+		sc.bufs = sc.bufs[:0]
+		for _, fr := range group {
+			sc.bufs = append(sc.bufs, fr.data)
 		}
 		sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
 		sp.SetAttr("page", group[0].page)
 		sp.SetAttr("pages", int64(len(group)))
-		err := bp.withRetry(ctx, tally, func() error { return sr.ReadPageSpan(group[0].page, bufs) })
-		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			bp.failSpanClaims(claimed[i:], err)
-			bp.unpinSpanExcept(frames[base:], claimed[i:])
-			return nil, err
-		}
+		err = bp.withRetry(ctx, tally, func() error { return sr.ReadPageSpan(group[0].page, sc.bufs) })
+		sp.SetError(err)
 		sp.End()
-		for _, fr := range group {
-			if tally != nil {
+		if err != nil {
+			bp.finishLoads(sc.claims[i:], sc.frames, err)
+			return err
+		}
+		bp.finishLoads(group, nil, nil)
+		if tally != nil {
+			for _, fr := range group {
 				tally.physRead(fr.page)
 			}
-			close(fr.ready)
 		}
 		i = j
 	}
+	if waits == 0 {
+		return nil
+	}
 
-	// Resolve resident frames whose load (by another goroutine) is still in
-	// flight. Our own claims are already published, so waiting here cannot
+	// Wait out the loads other goroutines had in flight on our resident
+	// frames. Our own claims are already published, so waiting here cannot
 	// deadlock against a peer doing the same dance on an overlapping span.
-	// Counting mirrors getOnce: a resident frame that was ready is a hit, a
-	// wait on a peer's load is a single-flight wait, our claims were already
-	// counted as misses.
-	ci := 0
-	for idx := base; idx < len(frames); idx++ {
-		fr := frames[idx]
-		if ci < len(claimed) && claimed[ci] == fr {
-			ci++
+	for idx, fr := range sc.frames {
+		if err = bp.awaitLoad(ctx, fr); err == nil {
 			continue
 		}
-		select {
-		case <-fr.ready:
-			bp.hits.Add(1)
-			if tally != nil {
-				tally.hits.Add(1)
-			}
-		default:
-			bp.sfWaits.Add(1)
-			if tally != nil {
-				tally.sfWaits.Add(1)
-			}
-			select {
-			case <-fr.ready:
-			case <-ctx.Done():
-				bp.unpinSpan(frames[base:])
-				return nil, ctx.Err()
-			}
-		}
-		if fr.err != nil {
-			// The peer's load failed. Mirror get(): if it was only the
-			// peer's cancellation and our context is live, reload the page
-			// ourselves; otherwise propagate.
-			err := fr.err
+		// Our context ended or the peer's load failed. Mirror get(): if it was
+		// only the peer's cancellation and our context is live, reload the
+		// page ourselves; otherwise propagate.
+		if abandoned(err) && ctx.Err() == nil {
 			bp.unpin(fr)
-			if abandoned(err) && ctx.Err() == nil {
-				fr2, err2 := bp.get(ctx, tally, fr.page)
-				if err2 == nil {
-					frames[idx] = fr2
-					continue
-				}
-				err = err2
+			if sc.frames[idx], err = bp.get(ctx, tally, lo+int64(idx)); err == nil {
+				continue
 			}
-			copy(frames[idx:], frames[idx+1:])
-			frames = frames[:len(frames)-1]
-			bp.unpinSpan(frames[base:])
-			return nil, err
+			sc.frames = append(sc.frames[:idx], sc.frames[idx+1:]...)
 		}
+		bp.unpinSpan(sc.frames)
+		return err
 	}
-	return frames, nil
-}
-
-// failSpanClaims drops unloaded claim frames from the pool and publishes the
-// error to any waiters, mirroring getOnce's failed-load path.
-func (bp *BufferPool) failSpanClaims(claims []*frame, err error) {
-	bp.mu.Lock()
-	for _, fr := range claims {
-		if el, ok := bp.frames[fr.page]; ok && el.Value.(*frame) == fr {
-			bp.lru.Remove(el)
-			delete(bp.frames, fr.page)
-		}
-		bp.releaseLocked(fr)
-	}
-	bp.mu.Unlock()
-	for _, fr := range claims {
-		fr.err = err
-		close(fr.ready)
-	}
-}
-
-// unpinSpanExcept unpins every frame in frames that is not in skip (whose
-// pins were already dropped by failSpanClaims).
-func (bp *BufferPool) unpinSpanExcept(frames, skip []*frame) {
-	bp.mu.Lock()
-outer:
-	for _, fr := range frames {
-		for _, s := range skip {
-			if fr == s {
-				continue outer
-			}
-		}
-		bp.releaseLocked(fr)
-	}
-	bp.mu.Unlock()
+	return nil
 }
 
 // Reset empties the pool: dirty frames are written back and the file synced
-// (via FlushCtx), then every frame is dropped and its buffer recycled. The
-// next access to any page misses and reloads it from the file, exactly as if
-// the pool had just been created — without discarding the store above it or
-// any prepared state it holds. Reset is a quiescent-point operation (cold
-// benchmark passes, maintenance windows): it fails if any frame is pinned
-// rather than yank pages out from under a live reader.
+// (via FlushCtx), then every frame lets go of its page and waits, buffer and
+// all, for the next miss. The next access to any page misses and reloads it
+// from the file, exactly as if the pool had just been created — without
+// discarding the store above it or any prepared state it holds. Reset is a
+// quiescent-point operation (cold benchmark passes, maintenance windows): it
+// fails if any frame is pinned rather than yank pages out from under a live
+// reader.
 func (bp *BufferPool) Reset(ctx context.Context) error {
 	if err := bp.FlushCtx(ctx); err != nil {
 		return err
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		if fr := el.Value.(*frame); fr.pins > 0 {
-			return fmt.Errorf("storage: reset with page %d pinned", fr.page)
-		}
+	if fr := bp.pinnedLocked(); fr != nil {
+		return fmt.Errorf("storage: reset with page %d pinned", fr.page)
 	}
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
-		if fr.data != nil && len(bp.free) < bp.capacity {
-			bp.free = append(bp.free, fr.data)
-			fr.data = nil
-		}
+	for fr := bp.lru.next; fr != &bp.lru; {
+		next := fr.next
+		fr.prev, fr.next, bp.free = nil, bp.free, fr
+		fr = next
 	}
-	bp.frames = make(map[int64]*list.Element, bp.capacity)
-	bp.lru = list.New()
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	clear(bp.table)
 	return nil
-}
-
-// evictLocked writes back and drops the least recently used unpinned frame.
-// Called with the pool mutex held; the write-back happens under it, which
-// keeps a concurrent miss on the victim page from reading stale bytes.
-func (bp *BufferPool) evictLocked(ctx context.Context, tally *PoolTally) error {
-	for el := bp.lru.Back(); el != nil; el = el.Prev() {
-		fr := el.Value.(*frame)
-		if fr.pins > 0 {
-			continue // pinned or still loading (loaders hold a pin)
-		}
-		// pins == 0 ⇒ no latch holder, so data/dirty are stable here.
-		// Eviction work is attributed to the request whose miss forced it.
-		if fr.dirty {
-			if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
-				return err
-			}
-			bp.writes.Add(1)
-			if tally != nil {
-				tally.writes.Add(1)
-			}
-			fr.dirty = false
-		}
-		bp.lru.Remove(el)
-		delete(bp.frames, fr.page)
-		// Recycle the victim's buffer: with pins == 0 nobody holds the
-		// latch, so no reader can still be copying out of it.
-		if fr.data != nil && len(bp.free) < bp.capacity {
-			bp.free = append(bp.free, fr.data)
-			fr.data = nil
-		}
-		bp.evictions.Add(1)
-		if tally != nil {
-			tally.evictions.Add(1)
-		}
-		return nil
-	}
-	return errPoolPinned
 }
 
 // ReadAt copies n bytes at the byte offset into dst, faulting pages as
@@ -837,37 +894,35 @@ func (bp *BufferPool) Flush() error { return bp.FlushCtx(context.Background()) }
 func (bp *BufferPool) FlushCtx(ctx context.Context) error {
 	tally := tallyFrom(ctx)
 	bp.mu.Lock()
-	pages := make([]int64, 0, bp.lru.Len())
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		pages = append(pages, el.Value.(*frame).page)
+	pages := make([]int64, 0, len(bp.table))
+	for fr := bp.lru.next; fr != &bp.lru; fr = fr.next {
+		pages = append(pages, fr.page)
 	}
 	bp.mu.Unlock()
 	var firstErr error
 	for _, page := range pages {
 		bp.mu.Lock()
-		el, ok := bp.frames[page]
-		if !ok {
+		fr := bp.table[page]
+		if fr == nil || fr.loading {
+			// Evicted since the snapshot: its write-back already happened.
+			// Loading: its bytes are coming off the disk right now.
 			bp.mu.Unlock()
-			continue // evicted since the snapshot: its write-back already happened
+			continue
 		}
-		fr := el.Value.(*frame)
 		fr.pins++
 		bp.mu.Unlock()
-		<-fr.ready
-		if fr.err == nil {
-			fr.mu.Lock()
-			if fr.dirty {
-				if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("storage: flushing page %d: %w", fr.page, err)
-					}
-				} else {
-					bp.writes.Add(1)
-					fr.dirty = false
+		fr.mu.Lock()
+		if fr.dirty {
+			if err := bp.withRetry(ctx, tally, func() error { return bp.pf.WritePage(fr.page, fr.data) }); err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("storage: flushing page %d: %w", fr.page, err)
 				}
+			} else {
+				bp.writes.Add(1)
+				fr.dirty = false
 			}
-			fr.mu.Unlock()
 		}
+		fr.mu.Unlock()
 		bp.unpin(fr)
 	}
 	if firstErr != nil {

@@ -452,7 +452,7 @@ func TestParallelReadErrorsMatchSequential(t *testing.T) {
 	// Corrupt cell 13's record framing: an absurd length prefix makes the
 	// record overrun the cell.
 	pos := fs.layout.order.PosOf(13)
-	if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fs.layout.start[pos]); err != nil {
+	if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fs.dir[pos].start); err != nil {
 		t.Fatal(err)
 	}
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}

@@ -304,8 +304,7 @@ func (fs *FileStore) CheckPage(page int64) error {
 	if page < 0 || page >= fs.layout.TotalPages() {
 		return fmt.Errorf("storage: page %d out of range [0,%d)", page, fs.layout.TotalPages())
 	}
-	buf := make([]byte, fs.layout.usable())
-	return fs.file.ReadPage(page, buf)
+	return fs.file.ReadPage(page, nil)
 }
 
 // RepairPage reconstructs a damaged page from its parity group: XOR of the

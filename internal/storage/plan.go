@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"encoding/binary"
+	"unsafe"
 
 	"repro/internal/linear"
 )
@@ -58,11 +59,11 @@ func (b *planBuilder) addFragment(lo, hi int) {
 	}
 	run := &p.runs[len(p.runs)-1]
 	for pos := lo; pos < hi; pos++ {
-		pp := &fs.plan[pos]
-		if pp.fill == 0 {
+		e := &fs.dir[pos]
+		if e.fill == 0 {
 			continue
 		}
-		pLo, pHi := pp.lo/u, (pp.end-1)/u
+		pLo, pHi := e.start/u, (fs.dir[pos+1].start-1)/u
 		switch {
 		case run.pageHi < run.pageLo: // first filled cell of the run
 			run.pageLo, run.pageHi = pLo, pHi
@@ -78,7 +79,7 @@ func (b *planBuilder) addFragment(lo, hi int) {
 			run.pageHi = pHi
 		}
 		run.cells++
-		run.bytes += pp.fill
+		run.bytes += int64(e.fill)
 	}
 	p.frags = append(p.frags, posRange{int32(lo), int32(hi)})
 	run.fragHi = int32(len(p.frags))
@@ -151,6 +152,18 @@ func (fs *FileStore) Plan(ctx context.Context, r linear.Region) (*QueryPlan, err
 		t.planLookup(hit)
 	}
 	return p, nil
+}
+
+// ResidentBytes reports the heap behind the store's per-cell and per-plan
+// state: the cell directory it shares with its layout, and the plan cache.
+func (fs *FileStore) ResidentBytes() (directory, planCache int64) {
+	fs.planMu.Lock()
+	defer fs.planMu.Unlock()
+	for key, p := range fs.planCache {
+		planCache += int64(len(key)) + int64(unsafe.Sizeof(*p)) + int64(cap(p.region))*int64(unsafe.Sizeof(linear.Range{})) +
+			int64(cap(p.frags))*int64(unsafe.Sizeof(posRange{})) + int64(cap(p.runs))*int64(unsafe.Sizeof(planRun{}))
+	}
+	return int64(cap(fs.dir)) * int64(unsafe.Sizeof(dirEntry{})), planCache
 }
 
 // PlanCacheInvalidations reports how many prepared plans have been dropped,

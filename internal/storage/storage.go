@@ -6,7 +6,9 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -24,13 +26,27 @@ type Layout struct {
 	order    *linear.Order
 	pageSize int64
 	trailer  int64 // bytes per page reserved for the checksum trailer
-	// start[p] is the byte offset of the cell at disk position p; start has
-	// one extra entry holding the total size, so the cell at position p
-	// spans [start[p], start[p+1]).
-	start []int64
+	// dir is the cell directory, one entry per disk position plus a last one
+	// holding the total size, so the cell at position p spans
+	// [dir[p].start, dir[p+1].start). A FileStore on the layout uses it in place.
+	dir []dirEntry
 
 	posBits sync.Pool // *[]uint64 position bitmaps for eachFragment, returned zeroed
 }
+
+// dirEntry is what the planner and the run body need to know about a disk
+// position, in 16 bytes read sequentially along a fragment: where the cell's
+// extent starts, how much of it is written, and which cell it is. The layout
+// never touches fill: it belongs to the FileStore on the layout, under its lock.
+type dirEntry struct {
+	start int64
+	fill  uint32
+	cell  int32
+}
+
+// ErrCellTooLarge marks a cell whose reserved extent is 4 GiB or more: the
+// directory keeps a cell's fill as a uint32.
+var ErrCellTooLarge = errors.New("storage: cell extent is 4 GiB or more")
 
 // NewLayout packs the cells of the order, where bytesPerCell[cell] is the
 // payload of each cell (record count × record size; zero for empty cells).
@@ -53,17 +69,21 @@ func newLayout(o *linear.Order, bytesPerCell []int64, pageSize, trailer int64) (
 	if pageSize <= trailer {
 		return nil, fmt.Errorf("storage: page size %d must exceed the %d-byte trailer", pageSize, trailer)
 	}
-	l := &Layout{order: o, pageSize: pageSize, trailer: trailer, start: make([]int64, o.Len()+1)}
+	l := &Layout{order: o, pageSize: pageSize, trailer: trailer, dir: make([]dirEntry, o.Len()+1)}
 	var off int64
 	for p := 0; p < o.Len(); p++ {
-		l.start[p] = off
-		b := bytesPerCell[o.CellAt(p)]
+		cell := o.CellAt(p)
+		b := bytesPerCell[cell]
 		if b < 0 {
-			return nil, fmt.Errorf("storage: cell %d has negative size %d", o.CellAt(p), b)
+			return nil, fmt.Errorf("storage: cell %d has negative size %d", cell, b)
 		}
+		if b > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: cell %d reserves %d bytes", ErrCellTooLarge, cell, b)
+		}
+		l.dir[p] = dirEntry{start: off, cell: int32(cell)}
 		off += b
 	}
-	l.start[o.Len()] = off
+	l.dir[o.Len()] = dirEntry{start: off, cell: -1}
 	return l, nil
 }
 
@@ -74,7 +94,7 @@ func (l *Layout) usable() int64 { return l.pageSize - l.trailer }
 func (l *Layout) Order() *linear.Order { return l.order }
 
 // TotalBytes returns the packed size of the fact data.
-func (l *Layout) TotalBytes() int64 { return l.start[len(l.start)-1] }
+func (l *Layout) TotalBytes() int64 { return l.dir[len(l.dir)-1].start }
 
 // TotalPages returns the number of pages the layout occupies, counting
 // only usable (non-trailer) bytes per page.
@@ -95,7 +115,7 @@ func (l *Layout) TrailerBytes() int64 { return l.trailer }
 // The ingest layer sizes delta upserts and migration targets against it.
 func (l *Layout) CellCapacity(cell int) int64 {
 	pos := l.order.PosOf(cell)
-	return l.start[pos+1] - l.start[pos]
+	return l.dir[pos+1].start - l.dir[pos].start
 }
 
 // Stats measures one query's disk cost.
@@ -129,7 +149,7 @@ type statsAcc struct {
 // add prices the fragment of disk positions [lo, hi); fragments must
 // arrive in ascending position order.
 func (a *statsAcc) add(l *Layout, lo, hi int) {
-	bLo, bHi := l.start[lo], l.start[hi]
+	bLo, bHi := l.dir[lo].start, l.dir[hi].start
 	if bLo == bHi {
 		return // only empty cells: no data, no seek boundary
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -52,6 +53,35 @@ func TestLayoutErrors(t *testing.T) {
 	bad[3] = -1
 	if _, err := NewLayout(o, bad, 100); err == nil {
 		t.Error("negative cell size should fail")
+	}
+}
+
+// TestCellTooLargeRefused: a cell's fill lives in a uint32, so an extent of
+// 4 GiB or more is refused with the typed error — by both layouts and by the
+// store constructor — and one byte less is packed exactly.
+func TestCellTooLargeRefused(t *testing.T) {
+	o := rowMajor4x4(t)
+	for _, cell := range []int{0, 7, 15} {
+		bytes := uniformBytes(16, 100)
+		bytes[cell] = 1<<32 - 1
+		l, err := NewFileLayout(o, bytes, DefaultPageSize)
+		if err != nil {
+			t.Fatalf("an extent of 4 GiB − 1 in cell %d: %v", cell, err)
+		}
+		if got := l.CellCapacity(cell); got != 1<<32-1 || l.TotalBytes() != 1<<32-1+1500 {
+			t.Errorf("cell %d packed as %d of %d bytes", cell, got, l.TotalBytes())
+		}
+		bytes[cell] = 1 << 32
+		if _, err := NewLayout(o, bytes, DefaultPageSize); !errors.Is(err, ErrCellTooLarge) {
+			t.Errorf("NewLayout with a 4 GiB cell %d: err = %v, want ErrCellTooLarge", cell, err)
+		}
+		if _, err := NewFileLayout(o, bytes, DefaultPageSize); !errors.Is(err, ErrCellTooLarge) {
+			t.Errorf("NewFileLayout with a 4 GiB cell %d: err = %v, want ErrCellTooLarge", cell, err)
+		}
+		pf := &gatedFile{pageSize: DefaultPageSize}
+		if _, err := NewFileStoreOn(pf, o, bytes, 4, nil); !errors.Is(err, ErrCellTooLarge) {
+			t.Errorf("NewFileStoreOn with a 4 GiB cell %d: err = %v, want ErrCellTooLarge", cell, err)
+		}
 	}
 }
 

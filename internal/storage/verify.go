@@ -108,10 +108,10 @@ func (fs *FileStore) VerifyCtx(ctx context.Context) (*VerifyReport, error) {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		lo, hi := fs.layout.start[pos], fs.layout.start[pos+1]
-		filled := fs.fill[pos]
-		cell := fs.layout.order.CellAt(pos)
-		if filled < 0 || lo+filled > hi {
+		lo, hi := fs.dir[pos].start, fs.dir[pos+1].start
+		filled := int64(fs.dir[pos].fill)
+		cell := int(fs.dir[pos].cell)
+		if lo+filled > hi {
 			rep.Problems = append(rep.Problems, VerifyProblem{
 				Page: -1, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
 				Err: fmt.Errorf("cell %d fill %d outside its %d reserved bytes", cell, filled, hi-lo),
@@ -166,12 +166,12 @@ func (fs *FileStore) problemAt(page int64, err error) VerifyProblem {
 func (fs *FileStore) cellOnPage(page int64) (int, []int) {
 	u := fs.layout.usable()
 	lo, hi := page*u, (page+1)*u
-	start := fs.layout.start
-	n := fs.layout.order.Len()
-	pos := sort.Search(n, func(i int) bool { return start[i+1] > lo })
-	for ; pos < n && start[pos] < hi; pos++ {
-		if start[pos+1] > start[pos] {
-			cell := fs.layout.order.CellAt(pos)
+	dir := fs.dir
+	n := len(dir) - 1
+	pos := sort.Search(n, func(i int) bool { return dir[i+1].start > lo })
+	for ; pos < n && dir[pos].start < hi; pos++ {
+		if dir[pos+1].start > dir[pos].start {
+			cell := int(dir[pos].cell)
 			return cell, fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape())))
 		}
 	}

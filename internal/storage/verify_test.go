@@ -114,12 +114,12 @@ func TestVerifyReportsFramingDamage(t *testing.T) {
 	// Overwrite the first cell's length prefix with a giant value through
 	// the pool, so checksums stay valid but the framing is broken.
 	pos := 0
-	for fs.fill[pos] == 0 {
+	for fs.dir[pos].fill == 0 {
 		pos++
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-	if err := fs.pool.WriteAt(hdr[:], fs.layout.start[pos]); err != nil {
+	if err := fs.pool.WriteAt(hdr[:], fs.dir[pos].start); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := fs.Verify()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Config tunes a Recorder. The zero value records nothing (sampling off,
@@ -63,6 +64,22 @@ func (r *ring) collect(out []*Trace) []*Trace {
 		}
 	}
 	return out
+}
+
+// ResidentBytes returns the heap the two rings retain: their slots, and each
+// sealed trace's span and attribute arrays by capacity.
+func (r *Recorder) ResidentBytes() int64 {
+	var n int64
+	for _, rg := range []*ring{r.sampled, r.retained} {
+		n += int64(len(rg.slots)) * int64(unsafe.Sizeof(rg.slots[0]))
+		for _, t := range rg.collect(nil) {
+			n += int64(unsafe.Sizeof(*t)) + int64(cap(t.spans))*int64(unsafe.Sizeof(Span{}))
+			for i := range t.spans {
+				n += int64(cap(t.spans[i].Attrs)) * int64(unsafe.Sizeof(Attr{}))
+			}
+		}
+	}
+	return n
 }
 
 // Stats counts a Recorder's retention decisions.

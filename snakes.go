@@ -329,6 +329,14 @@ var ErrTransient = storage.ErrTransient
 // match with errors.Is.
 var ErrClosed = storage.ErrClosed
 
+// ErrGridTooLarge marks a schema with 2^31 grid cells or more, ErrCellTooLarge
+// a cell whose reserved extent is 4 GiB or more: both are refused before
+// anything is sized by them; match with errors.Is.
+var (
+	ErrGridTooLarge = linear.ErrGridTooLarge
+	ErrCellTooLarge = storage.ErrCellTooLarge
+)
+
 // ErrOverloaded marks a query shed by admission control; match with
 // errors.Is and surface backpressure (e.g. HTTP 503) instead of retrying
 // immediately.
