@@ -42,15 +42,17 @@ race:
 	$(GO) test -race ./...
 
 # Short bounded fuzz sessions over the catalog round-trip property, the
-# sum column's decimal fast path (bit-identical to strconv.ParseFloat) and
+# column decoder's decimal fast path (bit-identical to strconv.ParseFloat),
 # the row codec (lossless, shape-sized, column-for-column equal to the text
-# decoder). The codec lives in internal/rowcodec; its fuzz targets drive it
-# through its exported functions from cmd/snakestore, beside its caller.
-# Their seed corpora run as ordinary tests in `make check`.
+# decoder) and the exact sum (equal to a math/big oracle in any order). The
+# codec lives in internal/rowcodec; the first three drive it through its
+# exported functions from cmd/snakestore, beside its caller. Their seed
+# corpora run as ordinary tests in `make check`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzRowCodec -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s ./internal/rowcodec
 
 # stress re-runs the concurrency suite under the race detector several
 # times: the serving stress test (goroutines + faults + cancellation +
@@ -78,13 +80,14 @@ trace-smoke:
 # alloc-gates pins the read pipeline's allocation counts: the run body and
 # the untraced pool read allocate nothing, a warm Parallelism=1 read + sum
 # allocates the same small constant for one cell as for a multi-run region,
-# and the row codec allocates nothing to read a column, size a row or encode
-# one into a warm buffer — and the memory model: a miss on a full pool
-# allocates nothing (get and getSpan), touching frames does not grow the Go
-# heap by their size, and an open store keeps 24 bytes a cell. Run without
-# the race detector, under which sync.Pool drops entries at random.
+# the row codec allocates nothing to read a column, size a row or encode
+# one into a warm buffer, and /query's record kernel and the exact sum's
+# integer legs allocate nothing — and the memory model: a miss on a full
+# pool allocates nothing (get and getSpan), touching frames does not grow
+# the Go heap by their size, and an open store keeps 24 bytes a cell. Run
+# without the race detector, under which sync.Pool drops entries at random.
 alloc-gates:
-	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestSumKernelZeroAlloc|TestSumAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore ./internal/rowcodec
 
 # benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
 # module, which `go build ./...` and `go test ./...` above never see, so
@@ -180,7 +183,7 @@ chaos-long:
 # and backlog shedding, the kill-subprocess crash matrix (mid-append,
 # mid-compaction, post-catalog-commit), a reorganization carrying pending
 # deltas into the new generation, and the encoded-row differential (same-shape
-# rewrites fit; every sum equals the text oracle's bits).
+# rewrites fit; every sum is the exactly rounded decimal total, to the bit).
 ingest-smoke:
 	$(GO) test -race -count=1 -run 'TestIngest|TestCrashPointIngestMatrix|TestReorgCarriesDeltas|TestEncodedRowsEndToEnd' ./cmd/snakestore
 

@@ -356,19 +356,12 @@ func cmdQuery(args []string) error {
 	}
 	defer store.Close()
 
-	var count int64
-	var total float64
-	err = store.Scan(region, func(cell int, record []byte) error {
-		count++
-		if *sumCol >= 0 {
-			v, err := rowcodec.Column(record, *sumCol)
-			if err != nil {
-				return usagef("%v", err)
-			}
-			total += v
-		}
-		return nil
-	})
+	ctx := context.Background()
+	plan, err := store.Plan(ctx, region)
+	if err != nil {
+		return err
+	}
+	count, total, err := readSum(ctx, store, plan, snakes.ReadOptions{}, *sumCol)
 	if err != nil {
 		if errors.Is(err, snakes.ErrCorruptPage) {
 			reportCorruption(store, err)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -146,18 +148,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = tr.ID()
 	}
 	var total float64
-	err = st.ReadPlanCtx(ctx, plan, s.readOpts, func(cell int, record []byte) error {
-		resp.Records++
-		if sumCol >= 0 {
-			v, err := rowcodec.Column(record, sumCol)
-			if err != nil {
-				return usagef("%v", err)
-			}
-			total += v
-		}
-		return nil
-	})
-	if err != nil {
+	if resp.Records, total, err = readSum(ctx, st, plan, s.readOpts, sumCol); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -181,6 +172,52 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.seeksObserved.Observe(float64(resp.Seeks))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// readSum executes plan through the one record kernel /query and the query
+// subcommand share: the region's record count and, for col >= 0, the exact
+// sum of payload column col (rowcodec.Sum). A column that does not read as
+// a number, or a sum that is not a finite number, is a usage error.
+func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, opt snakes.ReadOptions, col int) (records int64, sum float64, err error) {
+	k := &sumKernel{col: col, sum: rowcodec.NewSum(col)}
+	if err := st.ReadPlanCellsCtx(ctx, plan, opt, k.cell); err != nil {
+		return 0, 0, err
+	}
+	if col >= 0 {
+		if sum, err = k.sum.Total(); err != nil {
+			return 0, 0, usagef("%v", err)
+		}
+	}
+	return k.records, sum, nil
+}
+
+// sumKernel walks each cell's framing in place, counts its records and adds
+// their column to the sum: a direct call per record, no allocation.
+type sumKernel struct {
+	records int64
+	col     int // -1: count only
+	sum     rowcodec.Sum
+}
+
+func (k *sumKernel) cell(cell int, framed []byte) error {
+	for len(framed) >= 4 {
+		end := 4 + uint64(binary.LittleEndian.Uint32(framed))
+		if end > uint64(len(framed)) {
+			break
+		}
+		k.records++
+		if k.col >= 0 {
+			if err := k.sum.Add(framed[4:end]); err != nil {
+				return usagef("%v", err)
+			}
+		}
+		framed = framed[end:]
+	}
+	if len(framed) > 0 {
+		_, _, err := snakes.NextRecord(cell, framed) // the broken framing, in the store's words
+		return err
+	}
+	return nil
 }
 
 // handleTraces serves /debug/traces: without parameters, the retained

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -51,19 +52,39 @@ func regionRows(st *snakes.FileStore, rows map[[2]int][]string, region snakes.Re
 	return texts
 }
 
-// textOracle sums column col of the region from the rows' text in disk
-// order: what the store must answer to the bit.
-func textOracle(t *testing.T, st *snakes.FileStore, rows map[[2]int][]string, region snakes.Region, col int) (records int64, sum float64) {
+// plainDecimal is a column that spells a decimal without an exponent.
+var plainDecimal = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$`)
+
+// exactOracle sums column col of the region's rows from their text with
+// math/big: a plain decimal is the exact rational it spells, any other
+// spelling the float64 strconv.ParseFloat reads, and the total is rounded
+// to float64 once — what the store must answer to the bit, whatever order
+// its cells arrive in.
+func exactOracle(t *testing.T, st *snakes.FileStore, rows map[[2]int][]string, region snakes.Region, col int) (records int64, sum float64) {
 	t.Helper()
+	var total big.Rat
 	for _, row := range regionRows(st, rows, region) {
-		v, err := payloadColumn([]byte(row), col)
-		if err != nil {
-			t.Fatal(err)
-		}
 		records++
-		sum += v
+		total.Add(&total, exactValue(t, strings.Split(row, ",")[col]))
 	}
+	sum, _ = total.Float64()
 	return records, sum
+}
+
+func exactValue(t *testing.T, text string) *big.Rat {
+	t.Helper()
+	if plainDecimal.MatchString(text) {
+		r, ok := new(big.Rat).SetString(text)
+		if !ok {
+			t.Fatalf("big.Rat cannot read %q", text)
+		}
+		return r
+	}
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return new(big.Rat).SetFloat64(v)
 }
 
 var querySumLine = regexp.MustCompile(`: (\d+) records, sum\(col \d+\) = (\S+)`)
@@ -100,11 +121,12 @@ func cliSum(t *testing.T, catPath, storePath string, region snakes.Region, col i
 
 // TestEncodedRowsEndToEnd drives the row codec through every door of the
 // store: build encodes the CSV, the daemon (on both read schedules) and the
-// query subcommand answer every region with the text oracle's exact bits,
-// every stored record decodes back to its CSV text, a same-shape rewrite
-// through /ingest fits its extent and is summed exactly from the overlay,
-// from the base file after a compaction tick and from the next generation
-// after a reorganization, and a longer row is refused without a trace.
+// query subcommand answer every region with the exactly rounded decimal
+// total of the CSV's column to the bit (exactOracle), every stored record
+// decodes back to its CSV text, a same-shape rewrite through /ingest fits
+// its extent and is summed exactly from the overlay, from the base file
+// after a compaction tick and from the next generation after a
+// reorganization, and a longer row is refused without a trace.
 func TestEncodedRowsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	catPath, storePath, csvPath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), filepath.Join(dir, "facts.csv")
@@ -182,7 +204,7 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 				t.Fatalf("%s, region %v: %d of %d records read back: %v", when, region, i, len(texts), err)
 			}
 			for col := 0; col < 3; col++ {
-				wantN, want := textOracle(t, st, rows, region, col)
+				wantN, want := exactOracle(t, st, rows, region, col)
 				v := url.Values{"sum": {strconv.Itoa(col)}, "where": {
 					fmt.Sprintf("x=%d..%d", region[0].Lo, region[0].Hi), fmt.Sprintf("y=%d..%d", region[1].Lo, region[1].Hi)}}
 				for _, par := range []int{1, 3} {
@@ -190,8 +212,8 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 					var q queryResponse
 					getJSON(t, ts, "/query?"+v.Encode(), http.StatusOK, &q)
 					if q.Records != wantN || q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
-						t.Fatalf("%s, region %v column %d parallelism %d: %d records sum %v, text oracle %d records sum %v",
-							when, region, col, par, q.Records, *q.Sum, wantN, want)
+						t.Fatalf("%s, region %v column %d parallelism %d: %d records sum %v, exact oracle %d records sum %v",
+							when, region, col, par, q.Records, fmtSum(q.Sum), wantN, want)
 					}
 				}
 			}
@@ -268,9 +290,9 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 	defer cold.Close()
 	for _, region := range regions {
 		for col := 0; col < 3; col++ {
-			wantN, want := textOracle(t, cold, rows, region, col)
+			wantN, want := exactOracle(t, cold, rows, region, col)
 			if n, sum := cliSum(t, catPath, storePath, region, col); n != wantN || math.Float64bits(sum) != math.Float64bits(want) {
-				t.Errorf("query -sum %d over %v: %d records sum %v, text oracle %d records sum %v", col, region, n, sum, wantN, want)
+				t.Errorf("query -sum %d over %v: %d records sum %v, exact oracle %d records sum %v", col, region, n, sum, wantN, want)
 			}
 		}
 	}

@@ -235,10 +235,11 @@ func FuzzRowCodec(f *testing.F) {
 	})
 }
 
-// TestQuerySumOneDecoder: the query subcommand and the daemon decode the
-// sum column with the same function — a short row is the same error from
-// both — and on the default sequential schedule a repeated query reports
-// the plan-cache hit its one plan lookup made.
+// TestQuerySumOneDecoder: the query subcommand and the daemon sum with the
+// same kernel — a short row is the same error from both, and both answer
+// the exactly rounded decimal total on every schedule — and on the default
+// sequential schedule a repeated query reports the plan-cache hit its one
+// plan lookup made.
 func TestQuerySumOneDecoder(t *testing.T) {
 	dir := t.TempDir()
 	cat, store, csvPath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), filepath.Join(dir, "facts.csv")
@@ -283,5 +284,27 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	getJSON(t, ts, "/debug/events?handler=query&outcome=ok", http.StatusOK, &er)
 	if len(er.Events) != 2 || !er.Events[0].PlanCacheHit || er.Events[1].PlanCacheHit {
 		t.Errorf("plan cache hits of the two identical queries, newest first: %+v", er.Events)
+	}
+
+	// writeFactsCSV's amounts are x*10+y with one decimal: the region's
+	// exact total is a whole number of tenths.
+	region := snakes.Region{{Lo: 1, Hi: 3}, {Lo: 1, Hi: 6}}
+	tenths := 0
+	for x := 1; x < 3; x++ {
+		for y := 1; y < 6; y++ {
+			tenths += 10 * (x*10 + y)
+		}
+	}
+	want := float64(tenths) / 10
+	if _, sum := cliSum(t, cat, store, region, 0); math.Float64bits(sum) != math.Float64bits(want) {
+		t.Errorf("query -sum 0 over %v: %v, exact total %v", region, sum, want)
+	}
+	for _, par := range []int{1, 3} {
+		srv.readOpts = snakes.ReadOptions{Parallelism: par, Readahead: 2}
+		var q queryResponse
+		getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
+		if q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
+			t.Errorf("parallelism %d: daemon sum %v, exact total %v", par, fmtSum(q.Sum), want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package rowcodec is the one place that knows what a stored payload looks
 // like. snakestore's build and POST /ingest encode the CSV text of a row,
-// /query and the query subcommand decode it; the store, the WAL and the
-// repair sidecar carry the encoded bytes as opaque records.
+// /query and the query subcommand sum its columns exactly (Sum); the store,
+// the WAL and the repair sidecar carry the encoded bytes as opaque records.
 //
 //	row  = hdr col* tail
 //	hdr  = 1 byte: bits 0-3 the number n of binary columns, bit 4 set when
@@ -26,6 +26,7 @@ package rowcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -217,54 +218,68 @@ func Decode(dst, rec []byte) ([]byte, error) {
 }
 
 // Column extracts the idx-th payload column of an encoded row as a
-// float64 without allocating. It is the one payload decoder: the daemon's
-// /query sum and the query subcommand's -sum both go through it. A binary
-// column is float64(mantissa) / 10^fraction, the value parseDecimal gives
-// the column's text, to the bit; any other column is read from the row's
-// text by parseDecimal, so a short row or a non-numeric column reads the
-// same as it did as text.
+// float64 without allocating: the value one column reads as on its own.
+// A binary column is float64(mantissa) / 10^fraction, the value
+// parseDecimal gives the column's text, to the bit; any other column is
+// read from the row's text by parseDecimal, so a short row or a
+// non-numeric column reads the same as it did as text. Sums do not add
+// these values up: they go through Sum, which adds the decimals exactly.
 func Column(rec []byte, idx int) (float64, error) {
+	mant, meta, rest, err := locate(rec, idx)
+	if err != nil {
+		return 0, err
+	}
+	if rest != nil {
+		return parseDecimal(rest)
+	}
+	f := float64(mant) / pow10[meta>>3&maxFrac]
+	if meta&0x80 != 0 {
+		f = -f
+	}
+	return f, nil
+}
+
+// locate finds payload column idx of an encoded row without allocating. A
+// binary column comes back as its mantissa and meta with a nil rest; any
+// other column as rest, the row's text from the column's first byte on
+// (never nil), for parseDecimal or Sum to read up to the next comma. The mantissa
+// is one masked little-endian 8-byte load when the row has 8 bytes past
+// the meta, the byte loop otherwise.
+func locate(rec []byte, idx int) (mant uint64, meta byte, rest []byte, err error) {
 	if len(rec) == 0 {
-		return 0, ErrMalformed
+		return 0, 0, nil, ErrMalformed
 	}
 	n, p := int(rec[0]&maxBinaryCols), 1
 	for c := 0; c < min(n, idx); c++ {
 		if p >= len(rec) {
-			return 0, ErrMalformed
+			return 0, 0, nil, ErrMalformed
 		}
 		p += 1 + int(rec[p]&7)
 	}
 	if idx < n {
-		mant, meta, _, err := binaryColumn(rec, p)
-		if err != nil {
-			return 0, err
+		if p+9 <= len(rec) {
+			meta = rec[p]
+			mant = binary.LittleEndian.Uint64(rec[p+1:]) & (1<<(8*(meta&7)) - 1)
+			return mant, meta, nil, nil
 		}
-		f := float64(mant) / pow10[meta>>3&maxFrac]
-		if meta&0x80 != 0 {
-			f = -f
-		}
-		return f, nil
+		mant, meta, _, err = binaryColumn(rec, p)
+		return mant, meta, nil, err
 	}
 	if p > len(rec) {
-		return 0, ErrMalformed
+		return 0, 0, nil, ErrMalformed
 	}
 	if n > 0 && rec[0]&hdrTail == 0 {
-		return 0, shortRow(n, idx)
+		return 0, 0, nil, shortRow(n, idx)
 	}
-	return textColumn(rec[p:], idx-n, idx)
-}
-
-// textColumn parses the column skip commas into text; idx is the column
-// the caller asked the whole row for.
-func textColumn(text []byte, skip, idx int) (float64, error) {
-	for col := 0; col < skip; col++ {
-		end := bytes.IndexByte(text, ',')
+	rest = rec[p:]
+	for col := n; col < idx; col++ {
+		end := bytes.IndexByte(rest, ',')
 		if end < 0 {
-			return 0, shortRow(idx-skip+col+1, idx)
+			return 0, 0, nil, shortRow(col+1, idx)
 		}
-		text = text[end+1:]
+		rest = rest[end+1:]
 	}
-	return parseDecimal(text)
+	return 0, 0, rest, nil
 }
 
 func shortRow(columns, idx int) error {
@@ -272,46 +287,59 @@ func shortRow(columns, idx int) error {
 }
 
 // pow10 holds the powers of ten a float64 represents exactly, up to the
-// longest fraction the fast path admits.
+// longest fraction a plain decimal of maxDigits digits has.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
-// parseDecimal parses the field that starts b and ends at the first comma
-// (or the end of b). It is strconv.ParseFloat on that field with an exact
-// fast path for plain decimals — optional sign, digits, optional fraction,
-// at most 19 digits in all and a mantissa of at most 2^53: the mantissa
-// and 10^k (k <= 19 < 23) are then both exact float64s, so their IEEE
-// quotient is the correctly rounded value, which is what ParseFloat
-// returns. Every other spelling (exponents, inf, nan, hex, underscores,
-// longer mantissas, the empty field) goes to ParseFloat itself, so accepted
-// inputs, rejected inputs and error texts are ParseFloat's.
-func parseDecimal(b []byte) (float64, error) {
+// scanDecimal reads the field that starts b and ends at the first comma
+// (or the end of b). plain reports a plain decimal: an optional sign,
+// digits, an optional '.' and digits, at least one digit in all; digits
+// counts them, and when there are at most maxDigits of them the field is
+// exactly ±mant / 10^frac.
+func scanDecimal(b []byte) (mant uint64, frac, digits int, neg, plain bool) {
 	i := 0
-	neg := len(b) > 0 && b[0] == '-'
+	neg = len(b) > 0 && b[0] == '-'
 	if neg || (len(b) > 0 && b[0] == '+') {
 		i = 1
 	}
-	var mant uint64
-	digits := -i
+	first := i
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
 		mant = mant*10 + uint64(b[i]-'0')
 	}
-	digits += i
-	frac := 0
+	digits = i - first
 	if i < len(b) && b[i] == '.' {
 		i++
-		frac = -i
+		point := i
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
 			mant = mant*10 + uint64(b[i]-'0')
 		}
-		frac += i
+		frac = i - point
 		digits += frac
 	}
-	if (i < len(b) && b[i] != ',') || digits == 0 || digits > 19 || mant > 1<<53 {
-		if end := bytes.IndexByte(b, ','); end >= 0 {
-			b = b[:end]
-		}
-		return strconv.ParseFloat(string(b), 64)
+	return mant, frac, digits, neg, digits > 0 && (i == len(b) || b[i] == ',')
+}
+
+// field is b up to its first comma.
+func field(b []byte) []byte {
+	if end := bytes.IndexByte(b, ','); end >= 0 {
+		return b[:end]
+	}
+	return b
+}
+
+// parseDecimal parses the field that starts b and ends at the first comma
+// (or the end of b). It is strconv.ParseFloat on that field with an exact
+// fast path for plain decimals of at most 19 digits and a mantissa of at
+// most 2^53: the mantissa and 10^k (k <= 19 < 23) are then both exact
+// float64s, so their IEEE quotient is the correctly rounded value, which is
+// what ParseFloat returns. Every other spelling (exponents, inf, nan, hex,
+// underscores, longer mantissas, the empty field) goes to ParseFloat
+// itself, so accepted inputs, rejected inputs and error texts are
+// ParseFloat's.
+func parseDecimal(b []byte) (float64, error) {
+	mant, frac, digits, neg, plain := scanDecimal(b)
+	if !plain || digits > maxDigits || mant > maxMantissa {
+		return strconv.ParseFloat(string(field(b)), 64)
 	}
 	f := float64(mant) / pow10[frac]
 	if neg {

@@ -27,14 +27,15 @@ func TestMantissaWidth(t *testing.T) {
 }
 
 // BenchmarkSumColumn prices the sum kernel's per-record work on the
-// benchmark's row shape: the text decoder against the encoded row.
+// benchmark's row shape: the text decoder and Column, which round every
+// value, against Sum, which adds the mantissa.
 func BenchmarkSumColumn(b *testing.B) {
 	row := []byte("12345.67,17,0.05,0.02,N,O,TRUCK,lineitem 000000042 v0000 carefully final deposits")
 	enc := Encode(nil, row)
 	var sink float64
 	b.Run("text", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v, _ := textColumn(row, 0, 0)
+			v, _ := parseDecimal(row)
 			sink += v
 		}
 	})
@@ -43,6 +44,14 @@ func BenchmarkSumColumn(b *testing.B) {
 			v, _ := Column(enc, 0)
 			sink += v
 		}
+	})
+	b.Run("sum", func(b *testing.B) {
+		s := NewSum(0)
+		for i := 0; i < b.N; i++ {
+			s.Add(enc)
+		}
+		v, _ := s.Total()
+		sink += v
 	})
 	b.Run("encode", func(b *testing.B) {
 		buf := make([]byte, 0, len(row)+1)

@@ -16,17 +16,20 @@ import (
 // and executed by one run body. The body walks a seek run's cells in disk
 // order holding one pin and one latch per page — consecutive pages are
 // pinned a window at a time with one pool round trip and, for runs of
-// misses, one physical span read — and parses records straight out of the
-// frames. Schedules differ only in who runs the body and where records go:
+// misses, one physical span read — and hands over each filled or overlaid
+// cell's framed bytes once: in place when the cell lies inside one page,
+// gathered into the run's spill buffer when it straddles pages. Schedules
+// differ only in who runs the body and where cells go:
 //
 //   - Parallelism <= 1 runs it over the plan's runs in order on the caller's
-//     goroutine and hands fn each record in place.
+//     goroutine and hands fn each cell.
 //   - Parallelism > 1 has run-claiming workers run it and copy cells into
 //     pooled chunk buffers; the caller drains the runs in order, so fn still
 //     sees exact disk order on its own goroutine.
 //
 // In-place contract: fn runs under a page latch and must not retain the
-// record slice or call back into the store.
+// cell's bytes or call back into the store. Record-at-a-time readers
+// (ReadPlanCtx and its wrappers) are walkRecords over this stream.
 //
 // Accounting: each run is one fragment. It counts its pool traffic in a
 // private tally whose physical reads ascend page by page, so its seek count
@@ -65,16 +68,16 @@ type execution struct {
 	plan   *QueryPlan
 	tally  *PoolTally // the request tally, or nil
 	ov     func(cell int) ([]byte, bool)
-	fn     func(cell int, record []byte) error
+	fn     func(cell int, framed []byte) error
 	traced bool
 	window int
 }
 
 // runScratch is per-worker reusable state, so steady-state runs allocate
-// nothing per record, page or run.
+// nothing per cell, page or run.
 type runScratch struct {
-	tally PoolTally // the current fragment's traffic
-	spill []byte
+	tally PoolTally   // the current fragment's traffic
+	spill []byte      // a page-straddling cell, gathered
 	span  spanScratch // the pinned window
 }
 
@@ -82,12 +85,22 @@ var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // ReadPlanCtx executes a prepared plan: every record of its region is
 // delivered to fn in exact disk order on the caller's goroutine, under the
-// schedule opt selects. A plan whose write epoch has passed is re-planned
-// here, under the same read lock the read runs under. When ctx carries a
-// trace, each seek run is recorded as a fragment span with its tally
-// (pages_read, seeks, pool_hits) attached. Returns ErrClosed if the store
-// has been closed.
+// schedule opt selects — ReadPlanCellsCtx with each cell's framing walked.
 func (fs *FileStore) ReadPlanCtx(ctx context.Context, p *QueryPlan, opt ReadOptions, fn func(cell int, record []byte) error) error {
+	return fs.ReadPlanCellsCtx(ctx, p, opt, func(cell int, framed []byte) error {
+		return walkRecords(cell, framed, fn)
+	})
+}
+
+// ReadPlanCellsCtx executes a prepared plan a cell at a time: every filled
+// or overlaid cell of its region is handed to fn once, as its framed
+// records (see FrameRecords), in exact disk order on the caller's
+// goroutine, under the schedule opt selects. A plan whose write epoch has
+// passed is re-planned here, under the same read lock the read runs under.
+// When ctx carries a trace, each seek run is recorded as a fragment span
+// with its tally (pages_read, seeks, pool_hits) attached. Returns ErrClosed
+// if the store has been closed.
+func (fs *FileStore) ReadPlanCellsCtx(ctx context.Context, p *QueryPlan, opt ReadOptions, fn func(cell int, framed []byte) error) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -115,7 +128,7 @@ func (fs *FileStore) ReadPlanCtx(ctx context.Context, p *QueryPlan, opt ReadOpti
 	return nil
 }
 
-// parallel fetches the runs with a worker set while records are delivered
+// parallel fetches the runs with a worker set while cells are delivered
 // in run order on the caller's goroutine. Cancelling the query stops every
 // worker promptly; a worker's I/O error does not cancel its siblings, and
 // the error reported is the first in run order, so failures are
@@ -172,7 +185,7 @@ func (x *execution) parallel(ctx context.Context, workers int) error {
 				return chunk.err
 			}
 			for _, cc := range chunk.cells {
-				if err := walkRecords(cc.cell, cc.data, x.fn); err != nil {
+				if err := x.fn(cc.cell, cc.data); err != nil {
 					return err
 				}
 			}
@@ -273,21 +286,18 @@ func (c *pageCursor) seek(ctx context.Context, t *PoolTally, off, lastPage int64
 	return nil
 }
 
-// readRun is the run body: it walks the run's cells in disk order, feeding
-// each filled cell's bytes from latched frames either through the record
-// walker into x.fn (out == nil) or into out's chunk buffers. Cells present
-// in the overlay are served from it and their base range is never parsed,
-// so a half-applied base rewrite behind the overlay is invisible. Pool
-// traffic lands in sc.tally. On return no latch and no pin is held.
+// readRun is the run body: it walks the run's cells in disk order and hands
+// each filled cell's bytes, read from latched frames, either to x.fn (out ==
+// nil) or into out's chunk buffers. x.fn gets a cell that lies inside one
+// page in place and one that straddles pages gathered into sc.spill. Cells
+// present in the overlay are served from it and their base range is never
+// read, so a half-applied base rewrite behind the overlay is invisible.
+// Pool traffic lands in sc.tally. On return no latch and no pin is held.
 func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch, out *chunkStream) (err error) {
 	fs := x.fs
 	t := &sc.tally
 	c := pageCursor{pool: fs.pool, win: &sc.span}
-	w := recordWalker{spill: sc.spill[:0]}
-	defer func() {
-		c.release()
-		sc.spill = w.spill[:0]
-	}()
+	defer c.release()
 	for _, fg := range x.plan.frags[run.fragLo:run.fragHi] {
 		for pos := fg.lo; pos < fg.hi; pos++ {
 			e := &fs.dir[pos]
@@ -297,44 +307,55 @@ func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch, o
 					t.deltaHit()
 					if out != nil {
 						out.add(cell, ob)
-					} else if err = walkRecords(cell, ob, x.fn); err != nil {
+					} else if err = x.fn(cell, ob); err != nil {
 						return err
 					}
 					continue
 				}
 			}
-			rem := int64(e.fill)
-			if rem == 0 {
+			n := int64(e.fill)
+			if n == 0 {
 				continue
 			}
 			var dst []byte
 			if out != nil {
-				if dst, err = out.reserve(ctx, cell, rem, &c); err != nil {
+				// Reserving may release the cursor, so it comes before the seek.
+				if dst, err = out.reserve(ctx, cell, n, &c); err != nil {
 					return err
 				}
-			} else {
-				w.begin(cell)
 			}
-			for off := e.start; rem > 0; {
-				if off >= c.pageEnd {
-					if err = c.seek(ctx, t, off, run.pageHi, x.window); err != nil {
+			off := e.start
+			if off >= c.pageEnd {
+				if err = c.seek(ctx, t, off, run.pageHi, x.window); err != nil {
+					return err
+				}
+			}
+			b := c.fr.data[off-c.pageBase:]
+			if out == nil {
+				if int64(len(b)) >= n {
+					if err = x.fn(cell, b[:n:n]); err != nil {
 						return err
 					}
+					continue
 				}
-				b := c.fr.data[off-c.pageBase:]
-				if int64(len(b)) > rem {
-					b = b[:rem]
+				if int64(cap(sc.spill)) < n {
+					sc.spill = make([]byte, n)
 				}
-				if out != nil {
-					dst = dst[copy(dst, b):]
-				} else if err = w.feed(b, x.fn); err != nil {
+				dst = sc.spill[:n]
+			}
+			for {
+				k := copy(dst, b)
+				if dst = dst[k:]; len(dst) == 0 {
+					break
+				}
+				off += int64(k)
+				if err = c.seek(ctx, t, off, run.pageHi, x.window); err != nil {
 					return err
 				}
-				off += int64(len(b))
-				rem -= int64(len(b))
+				b = c.fr.data[off-c.pageBase:]
 			}
 			if out == nil {
-				if err = w.finish(); err != nil {
+				if err = x.fn(cell, sc.spill[:n:n]); err != nil {
 					return err
 				}
 			}
@@ -434,105 +455,33 @@ func (s *chunkStream) flush(ctx context.Context, c *pageCursor) error {
 // walkRecords parses the length-prefixed framing of one cell's filled
 // bytes, calling fn per record.
 func walkRecords(cell int, buf []byte, fn func(cell int, record []byte) error) error {
-	filled := int64(len(buf))
-	off := int64(0)
-	for off < filled {
-		if filled-off < 4 {
-			return fmt.Errorf("storage: corrupt record header in cell %d", cell)
-		}
-		n := int64(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if off+n > filled {
-			return fmt.Errorf("storage: truncated record in cell %d", cell)
-		}
-		if err := fn(cell, buf[off:off+n]); err != nil {
+	for len(buf) > 0 {
+		rec, rest, err := NextRecord(cell, buf)
+		if err != nil {
 			return err
 		}
-		off += n
+		if err := fn(cell, rec); err != nil {
+			return err
+		}
+		buf = rest
 	}
 	return nil
 }
 
-// recordWalker is walkRecords' incremental counterpart: it parses the same
-// length-prefixed framing from page-sized byte windows, carrying header
-// bytes and record tails across page boundaries in a reusable spill
-// buffer. Records never span cells, so framing restarts at every begin;
-// the error messages match walkRecords exactly.
-type recordWalker struct {
-	cell   int
-	recLen int64 // pending record length; -1 while reading the header
-	hdr    [4]byte
-	hdrN   int
-	spill  []byte // bytes of the pending record gathered from earlier windows
-}
-
-func (w *recordWalker) begin(cell int) {
-	w.cell = cell
-	w.recLen = -1
-	w.hdrN = 0
-	w.spill = w.spill[:0]
-}
-
-// feed consumes one window of the cell's bytes, handing fn every record
-// that completes within it.
-func (w *recordWalker) feed(b []byte, fn func(cell int, record []byte) error) error {
-	if w.recLen < 0 && w.hdrN == 0 {
-		// Fast path: records that lie whole in this window are sliced out in
-		// place, touching no walker state.
-		for len(b) >= 4 {
-			end := 4 + int64(binary.LittleEndian.Uint32(b))
-			if end > int64(len(b)) {
-				break
-			}
-			if err := fn(w.cell, b[4:end:end]); err != nil {
-				return err
-			}
-			b = b[end:]
-		}
+// NextRecord splits the first record off a non-empty run of the cell's
+// framed bytes (see FrameRecords): its payload, and the bytes after it. A
+// cell's records are NextRecord applied until nothing is left; a reader of
+// ReadPlanCellsCtx that walks the framing itself calls it for the error
+// when the framing is broken, so the error reads the same.
+func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
+	if len(framed) < 4 {
+		return nil, nil, fmt.Errorf("storage: corrupt record header in cell %d", cell)
 	}
-	for {
-		if w.recLen < 0 {
-			if len(b) == 0 {
-				return nil
-			}
-			n := copy(w.hdr[w.hdrN:], b)
-			w.hdrN += n
-			b = b[n:]
-			if w.hdrN < 4 {
-				return nil
-			}
-			w.recLen = int64(binary.LittleEndian.Uint32(w.hdr[:]))
-			w.spill = w.spill[:0]
-		}
-		need := w.recLen - int64(len(w.spill))
-		if int64(len(b)) < need {
-			w.spill = append(w.spill, b...)
-			return nil
-		}
-		rec := b[:need:need]
-		if len(w.spill) > 0 {
-			w.spill = append(w.spill, rec...)
-			rec = w.spill
-		}
-		b = b[need:]
-		w.recLen = -1
-		w.hdrN = 0
-		if err := fn(w.cell, rec); err != nil {
-			return err
-		}
+	end := 4 + uint64(binary.LittleEndian.Uint32(framed))
+	if end > uint64(len(framed)) {
+		return nil, nil, fmt.Errorf("storage: truncated record in cell %d", cell)
 	}
-}
-
-// finish checks that the cell ended on a record boundary, mirroring
-// walkRecords' partial-header and truncated-record errors.
-func (w *recordWalker) finish() error {
-	if w.recLen >= 0 {
-		return fmt.Errorf("storage: truncated record in cell %d", w.cell)
-	}
-	if w.hdrN != 0 {
-		return fmt.Errorf("storage: corrupt record header in cell %d", w.cell)
-	}
-	return nil
+	return framed[4:end:end], framed[end:], nil
 }
 
 // ReadQueryOptCtx plans the region and executes the plan: every record is
@@ -573,7 +522,9 @@ func (fs *FileStore) ReadCellCtx(ctx context.Context, cell int, fn func(record [
 	b := planBuilder{fs: fs, p: new(QueryPlan)}
 	b.addFragment(pos, pos+1)
 	x := &execution{fs: fs, plan: b.p, ov: fs.overlayFn(), window: 1,
-		fn: func(_ int, record []byte) error { return fn(record) }}
+		fn: func(cell int, framed []byte) error {
+			return walkRecords(cell, framed, func(_ int, record []byte) error { return fn(record) })
+		}}
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
 	sc.tally.reset()

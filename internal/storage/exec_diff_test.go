@@ -186,12 +186,20 @@ func coldOutcome(t *testing.T, fs *FileStore, read func(ctx context.Context, fn 
 // unbalanced hierarchies under every order kind, random fills and random
 // regions, with and without an overlay, the planner must price a region
 // exactly as the enumerate-sort-merge oracle does, and the executor must
-// deliver the per-cell copy reader's exact (cell, record) sequence — with a
-// bit-identical sum — on every schedule. On a cold pool its page and seek
-// counts equal the oracle reader's at Parallelism 1, and the plan's analytic
-// prediction on every schedule once the store is exactly filled.
+// deliver the per-cell copy reader's exact (cell, framed bytes) sequence —
+// each filled or overlaid cell once, in disk order, page-straddling cells
+// included — and its exact (cell, record) sequence, with a bit-identical
+// sum, on every schedule. On a cold pool its page and seek counts equal the
+// oracle reader's at Parallelism 1, and the plan's analytic prediction on
+// every schedule once the store is exactly filled.
 func TestReadPipelineMatchesOracles(t *testing.T) {
 	schedules := []ReadOptions{{}, {Parallelism: 1, Readahead: 3}, {Parallelism: 2}, {Parallelism: 2, Readahead: 3}, {Parallelism: 4, Readahead: 8}}
+	straddling := 0 // base cells the oracle read across a page boundary
+	defer func() {
+		if straddling == 0 {
+			t.Error("no cell straddled a page: the cell API's gathering leg went untested")
+		}
+	}()
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, o := range diffOrders(t, rng) {
@@ -219,7 +227,22 @@ func TestReadPipelineMatchesOracles(t *testing.T) {
 						ref := coldOutcome(t, fs, func(ctx context.Context, fn func(int, []byte) error) error {
 							return oracleRead(ctx, fs, r, fn)
 						})
+						refCells := collectReads(t, func(fn func(int, []byte) error) error {
+							return oracleCells(context.Background(), fs, r, fn)
+						})
+						for _, c := range refCells {
+							e := fs.dir[fs.layout.order.PosOf(c.cell)]
+							if u := fs.layout.usable(); !withOverlay && len(c.rec) > 0 && e.start/u != (e.start+int64(len(c.rec))-1)/u {
+								straddling++
+							}
+						}
 						for _, opt := range schedules {
+							cells := collectReads(t, func(fn func(int, []byte) error) error {
+								return fs.ReadPlanCellsCtx(context.Background(), plan, opt, fn)
+							})
+							if fmt.Sprint(cells) != fmt.Sprint(refCells) {
+								t.Fatalf("%s opt %+v: cells %v, oracle %v", label, opt, cells, refCells)
+							}
 							got := coldOutcome(t, fs, func(ctx context.Context, fn func(int, []byte) error) error {
 								return fs.ReadQueryOptCtx(ctx, r, opt, fn)
 							})

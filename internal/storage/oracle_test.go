@@ -55,10 +55,10 @@ func oracleQuery(l *Layout, r linear.Region) Stats {
 	return st
 }
 
-// oracleRead is the per-cell copy reader: every position of the region in
+// oracleCells is the per-cell copy reader: every position of the region in
 // sorted order, the overlay consulted per cell, each filled cell copied out
-// of the pool with ReadAtCtx and parsed with walkRecords.
-func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
+// of the pool with ReadAtCtx and handed to fn whole.
+func oracleCells(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, framed []byte) error) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	ov := fs.overlayFn()
@@ -69,7 +69,7 @@ func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cel
 				if t := tallyFrom(ctx); t != nil {
 					t.deltaHit()
 				}
-				if err := walkRecords(cell, ob, fn); err != nil {
+				if err := fn(cell, ob); err != nil {
 					return err
 				}
 				continue
@@ -82,9 +82,14 @@ func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cel
 		if err := fs.pool.ReadAtCtx(ctx, buf, fs.dir[pos].start); err != nil {
 			return err
 		}
-		if err := walkRecords(cell, buf, fn); err != nil {
+		if err := fn(cell, buf); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// oracleRead is oracleCells with each cell parsed by walkRecords.
+func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
+	return oracleCells(ctx, fs, r, func(cell int, framed []byte) error { return walkRecords(cell, framed, fn) })
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hierarchy"
 	"repro/internal/linear"
 	"repro/internal/trace"
 )
@@ -506,9 +508,12 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 		t.Fatalf("want a multi-run region, got %d runs", len(p.runs))
 	}
 	total := 0.0
-	x := &execution{fs: fs, plan: p, fn: func(_ int, rec []byte) error {
+	add := func(_ int, rec []byte) error {
 		total += decodeF64(rec)
 		return nil
+	}
+	x := &execution{fs: fs, plan: p, fn: func(cell int, framed []byte) error {
+		return walkRecords(cell, framed, add)
 	}}
 	sc := &runScratch{}
 	for _, x.window = range []int{1, 4} {
@@ -526,79 +531,97 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecordWalkerMatchesWalkRecords feeds the incremental walker the same
-// framed cells as walkRecords, split at every possible window boundary,
-// and requires identical decoded streams and identical errors — including
-// zero-length records, partial headers, and truncated records.
+// TestRecordWalkerMatchesWalkRecords holds cell assembly to the bytes
+// written: random framings — zero-length records, partial headers and
+// truncated records included — laid at every offset from a page boundary,
+// so a boundary splits them at every possible place, come back from
+// ReadPlanCellsCtx whole, once each and in disk order on both schedules, and
+// ReadPlanCtx walks them into walkRecords' records and error.
 func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
+	o, err := linear.RowMajor(hierarchy.MustSchema(hierarchy.Binary("A", 4), hierarchy.Binary("B", 3)), []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const page = 64
+	usable := int64(page - PageTrailerSize)
+	ctx := context.Background()
+	full := linear.Region{{Lo: 0, Hi: 16}, {Lo: 0, Hi: 8}}
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		// Random framing, sometimes deliberately damaged.
 		var buf []byte
-		var want []float64
-		for r := 0; r < rng.Intn(5); r++ {
-			n := rng.Intn(20)
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-			buf = append(buf, hdr[:]...)
-			p := make([]byte, n)
-			if n >= 8 {
-				v := float64(rng.Intn(1000))
-				binary.LittleEndian.PutUint64(p, math.Float64bits(v))
-				want = append(want, v)
-			} else {
-				want = append(want, float64(n))
+		for r := 0; r < 1+rng.Intn(5); r++ {
+			n := rng.Intn(30)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+			for i := 0; i < n; i++ {
+				buf = append(buf, byte(rng.Intn(256)))
 			}
-			buf = append(buf, p...)
 		}
 		switch rng.Intn(4) {
 		case 0:
-			if len(buf) > 0 {
-				buf = buf[:rng.Intn(len(buf))] // truncate anywhere
-			}
+			buf = buf[:1+rng.Intn(len(buf))] // truncate anywhere
 		case 1:
 			buf = append(buf, byte(rng.Intn(3))) // trailing partial header
 		}
-		decode := func(rec []byte) float64 {
-			if len(rec) >= 8 {
-				return math.Float64frombits(binary.LittleEndian.Uint64(rec))
-			}
-			return float64(len(rec))
+		// Position 2k reserves padding that starts position 2k+1, which holds
+		// buf, k bytes past a page boundary.
+		sizes := make([]int64, o.Len())
+		end := int64(0)
+		for k := 0; k < o.Len()/2; k++ {
+			pad := ((int64(k)-end)%usable + usable) % usable
+			sizes[o.CellAt(2*k)], sizes[o.CellAt(2*k+1)] = pad, int64(len(buf))
+			end += pad + int64(len(buf))
 		}
-		wantSum := 0.0
-		wantErr := walkRecords(5, buf, func(_ int, rec []byte) error {
-			wantSum += decode(rec)
-			return nil
-		})
-		// Feed the same bytes in random windows.
-		var w recordWalker
-		w.begin(5)
-		gotSum := 0.0
-		rest := buf
-		var gotErr error
-		for len(rest) > 0 && gotErr == nil {
-			k := 1 + rng.Intn(len(rest))
-			gotErr = w.feed(rest[:k], func(_ int, rec []byte) error {
-				gotSum += decode(rec)
+		fs, err := CreateFileStore(filepath.Join(t.TempDir(), "walk.db"), o, sizes, page, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int // the buf cells, in disk order
+		offsets := map[int64]bool{}
+		for pos := 1; pos < o.Len(); pos += 2 {
+			e := &fs.dir[pos]
+			if err := fs.pool.WriteAt(buf, e.start); err != nil {
+				t.Fatal(err)
+			}
+			e.fill = uint32(len(buf))
+			want = append(want, int(e.cell))
+			offsets[e.start%usable] = true
+		}
+		if int64(len(offsets)) != usable {
+			t.Fatalf("buf starts at %d of the %d offsets into a page", len(offsets), usable)
+		}
+		fs.epoch++
+		plan, err := fs.Plan(ctx, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []ReadOptions{{}, {Parallelism: 2, Readahead: 3}} {
+			var got []int
+			if err := fs.ReadPlanCellsCtx(ctx, plan, opt, func(cell int, framed []byte) error {
+				if !bytes.Equal(framed, buf) {
+					t.Fatalf("trial %d opt %+v: cell %d came back as %x, written %x", trial, opt, cell, framed, buf)
+				}
+				got = append(got, cell)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d opt %+v: cells %v, want %v", trial, opt, got, want)
+			}
+			var wantRecs, gotRecs [][]byte
+			wantErr := walkRecords(want[0], buf, func(_ int, rec []byte) error { wantRecs = append(wantRecs, rec); return nil })
+			gotErr := fs.ReadPlanCtx(ctx, plan, opt, func(cell int, rec []byte) error {
+				if cell == want[0] {
+					gotRecs = append(gotRecs, append([]byte(nil), rec...))
+				}
 				return nil
 			})
-			rest = rest[k:]
-		}
-		if gotErr == nil {
-			gotErr = w.finish()
-		}
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d buf %x: walker err %v, walkRecords err %v", trial, buf, gotErr, wantErr)
-		}
-		if wantErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("trial %d buf %x: walker err %q, walkRecords err %q", trial, buf, gotErr, wantErr)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(gotRecs) != fmt.Sprint(wantRecs) {
+				t.Fatalf("trial %d opt %+v buf %x: records %x err %v; walkRecords %x err %v", trial, opt, buf, gotRecs, gotErr, wantRecs, wantErr)
 			}
-			continue
 		}
-		if gotSum != wantSum {
-			t.Fatalf("trial %d buf %x: walker sum %v, walkRecords sum %v", trial, buf, gotSum, wantSum)
-		}
+		fs.Close()
 	}
 }
 

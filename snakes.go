@@ -283,6 +283,17 @@ func (st *Strategy) Pack(bytesPerCell []int64, pageSize int64) (*Layout, error) 
 // FileStore's length-prefixed framing, for sizing a cell's capacity.
 func FrameSize(payloadLen int) int64 { return storage.FrameSize(payloadLen) }
 
+// NextRecord splits the first record off a non-empty run of a cell's
+// framed bytes, as FileStore.ReadPlanCellsCtx hands them over: its payload
+// and the bytes after it, or the framing error that names the cell.
+func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
+	return storage.NextRecord(cell, framed)
+}
+
+// QueryPlan is a region prepared once by FileStore.Plan: its analytic cost
+// and its seek runs, executed by ReadPlanCtx or ReadPlanCellsCtx.
+type QueryPlan = storage.QueryPlan
+
 // FileStore is the queryable packed fact table: Put records into cells,
 // then Scan or Sum grid queries. Records live in a fixed-page file accessed
 // through an LRU buffer pool, so real page traffic can be compared against
@@ -297,10 +308,10 @@ func FrameSize(payloadLen int) int64 { return storage.FrameSize(payloadLen) }
 type FileStore = storage.FileStore
 
 // ReadOptions selects the read executor's schedule (FileStore.ReadPlanCtx,
-// ReadQueryOptCtx, SumOptCtx): Parallelism bounds the concurrent fragment
-// fetches of one query (<= 1 reads the fragments in order on the caller's
-// goroutine, delivering records in place), Readahead the pages a fragment
-// loads per span read when Parallelism > 1.
+// ReadPlanCellsCtx, ReadQueryOptCtx, SumOptCtx): Parallelism bounds the
+// concurrent fragment fetches of one query (<= 1 reads the fragments in
+// order on the caller's goroutine, delivering cells in place), Readahead
+// the pages a fragment loads per span read when Parallelism > 1.
 type ReadOptions = storage.ReadOptions
 
 // PoolStats counts a FileStore buffer pool's traffic since creation.
