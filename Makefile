@@ -1,13 +1,13 @@
 GO ?= go
 BENCH_NAME ?= local
 
-.PHONY: check gate-names fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-sustained bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
+.PHONY: check gate-names fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
 
 # check is the tier-1 verification gate (see ROADMAP.md): the gate-name
 # lint (every test a target below names exists), formatting,
 # static analysis, a full build, the metrics-name lint, the tracing
 # smoke, the allocation gates, the deterministic chaos suite, the
-# bench-artifact lint plus the sustained-bench smoke, the benchmark
+# bench-artifact lint plus the ingest and obs bench smokes, the benchmark
 # module's vet and smoke test, and the test suite under the race detector.
 # Fuzz seed corpora run as ordinary tests. staticcheck runs when the
 # binary is installed and is skipped (with a notice) otherwise, so check
@@ -73,13 +73,16 @@ metrics-lint:
 # race detector: a fault-injected store plus retry backoff manufacture a
 # genuinely slow query, which must be retained in /debug/traces with its
 # span tree, echoed as traceId, logged as slow-query, and counted in the
-# trace metrics — plus the always-retain-slow and panic-recovery gates.
+# trace metrics — plus the always-retain-slow and panic-recovery gates, a
+# cold read whose fragment spans and span-window page loads add up to the
+# tally and the analytic model, and the untraced pool read at 0 allocs.
 trace-smoke:
 	$(GO) test -race -count=1 -run 'TestServeTraceSmoke|TestServeSlowAlwaysRetained|TestServePanicRecovery|TestColdQueryFragmentSpansMatchTallyAndAnalytic|TestUntracedReadPathZeroAlloc' ./cmd/snakestore ./internal/storage
 
-# alloc-gates pins the read pipeline's allocation counts: the run body and
-# the untraced pool read allocate nothing, a warm Parallelism=1 read + sum
-# allocates the same small constant for one cell as for a multi-run region,
+# alloc-gates pins the read pipeline's allocation counts: the run body (at
+# window 1 and wider) and the untraced pool read allocate nothing, a warm
+# read + sum allocates the same small constant for one cell as for a
+# multi-run region,
 # the row codec allocates nothing to read a column, size a row or encode
 # one into a warm buffer, and /query's record kernel and the exact sum's
 # integer legs allocate nothing — and the memory model: a miss on a full
@@ -126,14 +129,6 @@ bench-chaos:
 	$(GO) run ./cmd/snakebench -figures=false -tables "" \
 		-name $(BENCH_NAME) -chaos-json BENCH_chaos.json
 
-# bench-sustained runs the sustained-load benchmark of the parallel
-# fragment read path — cold sequential vs parallel QPS, Parallelism=1
-# bit-identity, exact analytic-model reconciliation, and a 30-second
-# open-loop phase with SLO percentiles — and writes BENCH_sustained.json.
-bench-sustained:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -sustained-json BENCH_sustained.json
-
 # bench-ingest runs the write-path benchmark — delta-store ingest under
 # mixed load (>= 10% writes), merge-on-read, paced compaction that drains
 # without ever rewriting the whole file in one tick, exact cold
@@ -151,17 +146,17 @@ bench-obs:
 	$(GO) run ./cmd/snakebench -figures=false -tables "" \
 		-name $(BENCH_NAME) -obs-json BENCH_obs.json
 
-# bench-smoke drives every phase of the sustained benchmark on a tiny
-# warehouse: the deterministic gates (bit-identity, predicted == observed
-# pages/seeks) are hard errors, so a broken parallel read path fails here
-# in seconds instead of in a 30-second bench run.
+# bench-smoke drives every phase of the ingest and obs benchmarks on a tiny
+# warehouse: their deterministic gates (exact cold reconciliation and
+# calibration, closed-form burn rates) are hard errors, so a broken read or
+# write path fails here in seconds instead of in a full bench run.
 bench-smoke:
-	$(GO) test -count=1 -run 'TestSustainedBenchSmoke|TestIngestBenchSmoke|TestObsBenchSmoke' ./cmd/snakebench
+	$(GO) test -count=1 -run 'TestIngestBenchSmoke|TestObsBenchSmoke' ./cmd/snakebench
 
 # bench-lint parses every committed BENCH_*.json under its registered
 # schema (unknown fields, trailing bytes, and unknown suffixes all fail)
-# and checks each artifact's own sanity gate — e.g. BENCH_sustained.json
-# must show the >= 3x cold speedup it was committed to demonstrate.
+# and checks each artifact's own sanity gate — e.g. BENCH_obs.json must
+# show exactly calibrated cold classes.
 bench-lint:
 	$(GO) test -count=1 -run 'TestBenchArtifacts|TestReportWriter' ./cmd/snakebench
 

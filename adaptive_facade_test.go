@@ -185,7 +185,11 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	var tally snakes.PoolTally
 	ctx := snakes.WithPoolTally(context.Background(), &tally)
 	sum := 0.0
-	err = fs.ReadQueryCtx(ctx, colRegion, func(cell int, rec []byte) error {
+	plan, err := fs.Plan(ctx, colRegion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fs.ReadPlanCtx(ctx, plan, func(cell int, rec []byte) error {
 		sum += math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
 		return nil
 	})
@@ -206,8 +210,13 @@ func TestReorganizerEndToEnd(t *testing.T) {
 
 	// The store still holds every record.
 	all := snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
-	total, _, err := fs.Sum(all, func(rec []byte) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
+	total := 0.0
+	if plan, err = fs.Plan(context.Background(), all); err != nil {
+		t.Fatal(err)
+	}
+	err = fs.ReadPlanCtx(context.Background(), plan, func(_ int, rec []byte) error {
+		total += math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

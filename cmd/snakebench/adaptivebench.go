@@ -308,7 +308,7 @@ func runPhase(fs *storage.FileStore, name string, regions []linear.Region) (Adap
 		pred := fs.Layout().Query(r)
 		var tally storage.PoolTally
 		ctx := storage.WithPoolTally(context.Background(), &tally)
-		err := fs.ReadQueryCtx(ctx, r, func(cell int, record []byte) error {
+		err := readRegion(ctx, fs, r, func(cell int, record []byte) error {
 			p.RecordsRead++
 			return nil
 		})

@@ -160,7 +160,7 @@ func chaosBench(cfg tpcd.Config, name string, queries, frames int) (*ChaosReport
 		lat := make([]float64, 0, len(regions))
 		for _, r := range regions {
 			q0 := time.Now()
-			if err := fs.ReadQueryCtx(context.Background(), r, func(cell int, record []byte) error {
+			if err := readRegion(context.Background(), fs, r, func(cell int, record []byte) error {
 				return nil
 			}); err != nil {
 				return nil, err

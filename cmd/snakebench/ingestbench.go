@@ -191,7 +191,7 @@ func ingestBench(cfg tpcd.Config, name string, o ingestOpts) (*IngestReport, err
 	// first-contact misses.
 	refSums := make([]float64, len(regions))
 	for i, r := range regions {
-		if refSums[i], _, err = bs.fs.SumCtx(ctx, r, decodeMeasure); err != nil {
+		if refSums[i], err = sumMeasure(ctx, bs.fs, r); err != nil {
 			return nil, err
 		}
 	}
@@ -208,7 +208,7 @@ func ingestBench(cfg tpcd.Config, name string, o ingestOpts) (*IngestReport, err
 	for p := 0; p < o.passes; p++ {
 		for i, r := range regions {
 			q0 := time.Now()
-			got, _, err := bs.fs.SumCtx(ctx, r, decodeMeasure)
+			got, err := sumMeasure(ctx, bs.fs, r)
 			if err != nil {
 				return nil, err
 			}
@@ -301,7 +301,7 @@ func ingestBench(cfg tpcd.Config, name string, o ingestOpts) (*IngestReport, err
 			var tally storage.PoolTally
 			tctx := storage.WithPoolTally(ctx, &tally)
 			q0 := time.Now()
-			got, _, err := bs.fs.SumCtx(tctx, r, decodeMeasure)
+			got, err := sumMeasure(tctx, bs.fs, r)
 			if err != nil {
 				close(stop)
 				return nil, err
@@ -352,7 +352,7 @@ func ingestBench(cfg tpcd.Config, name string, o ingestOpts) (*IngestReport, err
 		pred := bs.fs.Layout().Query(r)
 		var tally storage.PoolTally
 		tctx := storage.WithPoolTally(ctx, &tally)
-		got, _, err := bs.fs.SumCtx(tctx, r, decodeMeasure)
+		got, err := sumMeasure(tctx, bs.fs, r)
 		if err != nil {
 			return nil, err
 		}
@@ -461,13 +461,13 @@ func ingestReclusterPhase(ctx context.Context, bs *benchStore, regions []linear.
 		}
 		var tally storage.PoolTally
 		tctx := storage.WithPoolTally(ctx, &tally)
-		got, _, err := dst.SumCtx(tctx, r, decodeMeasure)
+		got, err := sumMeasure(tctx, dst, r)
 		if err != nil {
 			return err
 		}
 		obsSeeks += tally.Seeks()
 		var want float64
-		if want, _, err = bs.fs.SumCtx(ctx, r, decodeMeasure); err != nil {
+		if want, err = sumMeasure(ctx, bs.fs, r); err != nil {
 			return err
 		}
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {

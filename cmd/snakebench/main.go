@@ -18,23 +18,14 @@
 // runs can be compared as a trajectory. `make bench` writes
 // BENCH_<name>.json this way.
 //
-// -sustained-json runs the sustained-load benchmark of the parallel
-// fragment read path: cold-pool sequential vs parallel QPS, a bit-identity
-// check of Parallelism=1 against the sequential path, exact reconciliation
-// of observed pages/seeks against the analytic model, and an open-loop
-// phase (deterministic Poisson arrivals, bounded inflight) whose latency
-// percentiles are measured from each query's scheduled arrival.
-// -sustained-seconds, -read-parallel and -read-ahead tune it.
-//
 // -obs-json runs the observability benchmark: exact per-class cost-model
 // calibration on a cold store, drift detection under a full delta
 // overlay, recovery through paced compaction, and deterministic SLO
 // burn-rate transitions on an injected clock.
 //
 // Flag combinations that would silently ignore input are usage errors:
-// positional arguments, benchmark knobs (-bench-queries, -bench-frames,
-// -name) without a benchmark mode flag, and sustained-phase knobs without
-// -sustained-json.
+// positional arguments and benchmark knobs (-bench-queries, -bench-frames,
+// -name) without a benchmark mode flag.
 //
 // Exit status: 0 on success, 1 on computation errors, 2 on usage errors.
 package main
@@ -69,16 +60,11 @@ type benchOpts struct {
 	jsonPath   string
 	adaptPath  string
 	chaosPath  string
-	sustPath   string
 	ingestPath string
 	obsPath    string
 	queries    int
 	frames     int
 	framesSet  bool
-
-	sustSeconds  float64
-	readParallel int
-	readAhead    int
 }
 
 // run is the testable entry point: it parses args, writes reports to
@@ -99,14 +85,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.jsonPath, "json", "", "run the store benchmark and write its JSON report to this path")
 	fs.StringVar(&o.adaptPath, "adaptive-json", "", "run the adaptive reorganization benchmark and write its JSON report to this path")
 	fs.StringVar(&o.chaosPath, "chaos-json", "", "run the self-healing benchmark (repair throughput, scrub overhead, time-to-healthy) and write its JSON report to this path")
-	fs.StringVar(&o.sustPath, "sustained-json", "", "run the sustained-load benchmark (parallel read path: cold speedup, model reconciliation, open-loop SLO percentiles) and write its JSON report to this path")
 	fs.StringVar(&o.ingestPath, "ingest-json", "", "run the write-path benchmark (delta-store ingest under mixed load, compaction convergence, incremental re-clustering) and write its JSON report to this path")
 	fs.StringVar(&o.obsPath, "obs-json", "", "run the observability benchmark (exact cold calibration, overlay drift detection, compaction recovery, deterministic SLO burn rates) and write its JSON report to this path")
 	fs.IntVar(&o.queries, "bench-queries", 256, "queries executed by the benchmark modes")
-	fs.IntVar(&o.frames, "bench-frames", 256, "buffer pool frames for the benchmark modes (the sustained benchmark defaults to a pool sized above the store instead)")
-	fs.Float64Var(&o.sustSeconds, "sustained-seconds", 30, "duration of the sustained benchmark's open-loop phase")
-	fs.IntVar(&o.readParallel, "read-parallel", 3, "concurrent fragment fetches per query in the sustained benchmark")
-	fs.IntVar(&o.readAhead, "read-ahead", 32, "pages of intra-fragment readahead in the sustained benchmark")
+	fs.IntVar(&o.frames, "bench-frames", 256, "buffer pool frames for the benchmark modes")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -127,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // validateFlags rejects flag combinations that would otherwise run and
 // silently ignore half their input: positional arguments (every input is a
-// flag), benchmark knobs without any benchmark mode, and sustained-phase
-// knobs without -sustained-json. Returns 2 (usage error) on rejection.
+// flag) and benchmark knobs without any benchmark mode. Returns 2 (usage
+// error) on rejection.
 func validateFlags(fs *flag.FlagSet, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "snakebench: unexpected arguments: %v\n", fs.Args())
@@ -137,17 +119,10 @@ func validateFlags(fs *flag.FlagSet, stderr io.Writer) int {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	anyMode := set["json"] || set["adaptive-json"] || set["chaos-json"] || set["sustained-json"] || set["ingest-json"] || set["obs-json"]
+	anyMode := set["json"] || set["adaptive-json"] || set["chaos-json"] || set["ingest-json"] || set["obs-json"]
 	for _, name := range []string{"bench-queries", "bench-frames", "name"} {
 		if set[name] && !anyMode {
-			fmt.Fprintf(stderr, "snakebench: -%s has no effect without a benchmark mode (-json, -adaptive-json, -chaos-json, -sustained-json, -ingest-json or -obs-json)\n", name)
-			fs.Usage()
-			return 2
-		}
-	}
-	for _, name := range []string{"sustained-seconds", "read-parallel", "read-ahead"} {
-		if set[name] && !set["sustained-json"] {
-			fmt.Fprintf(stderr, "snakebench: -%s has no effect without -sustained-json\n", name)
+			fmt.Fprintf(stderr, "snakebench: -%s has no effect without a benchmark mode (-json, -adaptive-json, -chaos-json, -ingest-json or -obs-json)\n", name)
 			fs.Usage()
 			return 2
 		}
@@ -396,25 +371,5 @@ func bench(out io.Writer, o benchOpts) error {
 		fmt.Fprintf(out, "report written to %s\n", o.obsPath)
 	}
 
-	if o.sustPath != "" {
-		so := defaultSustainedOpts()
-		so.queries = o.queries
-		so.seconds = o.sustSeconds
-		so.parallel = o.readParallel
-		so.readahead = o.readAhead
-		if o.framesSet {
-			so.frames = o.frames
-		}
-		rep, err := sustainedBench(warehouseConfig(o.full, o.seed), o.name, so)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.sustPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Sustained bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.sustPath)
-	}
 	return nil
 }

@@ -80,20 +80,3 @@ func TestRunRejectsBenchKnobsWithoutMode(t *testing.T) {
 		}
 	}
 }
-
-func TestRunRejectsSustainedKnobsWithoutSustainedMode(t *testing.T) {
-	for _, args := range [][]string{
-		{"-sustained-seconds", "1"},
-		{"-read-parallel", "2"},
-		{"-read-ahead", "4"},
-		{"-json", "x.json", "-read-parallel", "2"}, // a mode, but not the sustained one
-	} {
-		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("run(%v) = %d, want 2", args, code)
-		}
-		if !strings.Contains(errOut.String(), "without -sustained-json") {
-			t.Errorf("run(%v) stderr = %q, want a sustained-mode diagnostic", args, errOut.String())
-		}
-	}
-}

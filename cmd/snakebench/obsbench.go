@@ -193,9 +193,9 @@ func obsBench(cfg tpcd.Config, name string, o obsOpts) (*ObsReport, error) {
 			tctx := storage.WithPoolTally(ctx, &tally)
 			var records int64
 			q0 := time.Now()
-			_, _, err := bs.fs.SumCtx(tctx, r, func(rec []byte) float64 {
+			err := readRegion(tctx, bs.fs, r, func(int, []byte) error {
 				records++
-				return decodeMeasure(rec)
+				return nil
 			})
 			if err != nil {
 				return 0, err

@@ -77,7 +77,7 @@ func (r *BenchReport) WriteFile(path string) error {
 
 // benchStore is a generated warehouse loaded into a paged store in a temp
 // directory, plus everything needed to reopen it cold and sample queries
-// against it. It is the shared substrate of the store and sustained
+// against it. It is the shared substrate of the store, ingest and obs
 // benchmarks.
 type benchStore struct {
 	ds     *tpcd.Dataset
@@ -231,7 +231,7 @@ func storeBench(cfg tpcd.Config, name string, queries, frames int) (*BenchReport
 		ctx := storage.WithPoolTally(context.Background(), &tally)
 		ctx, tr := rec.Start(ctx, "bench-query")
 		t0 := time.Now()
-		err := fs.ReadQueryCtx(ctx, r, func(cell int, record []byte) error {
+		err := readRegion(ctx, fs, r, func(cell int, record []byte) error {
 			rep.RecordsRead++
 			return nil
 		})
@@ -342,4 +342,28 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i]
+}
+
+// decodeMeasure reads the benchmark record's 8-byte measure.
+func decodeMeasure(rec []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
+}
+
+// readRegion plans r and reads its records in disk order.
+func readRegion(ctx context.Context, fs *storage.FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
+	p, err := fs.Plan(ctx, r)
+	if err != nil {
+		return err
+	}
+	return fs.ReadPlanCtx(ctx, p, fn)
+}
+
+// sumMeasure totals the measure of r's records in disk order.
+func sumMeasure(ctx context.Context, fs *storage.FileStore, r linear.Region) (float64, error) {
+	total := 0.0
+	err := readRegion(ctx, fs, r, func(_ int, rec []byte) error {
+		total += decodeMeasure(rec)
+		return nil
+	})
+	return total, err
 }

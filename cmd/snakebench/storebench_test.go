@@ -86,8 +86,10 @@ func TestStoreBenchDeterministicAndMeasured(t *testing.T) {
 	if kindCount(a.SpanSummary, trace.KindFragment) == 0 || kindCount(a.SpanSummary, trace.KindPageLoad) == 0 {
 		t.Errorf("span summary missing read-path kinds: %+v", a.SpanSummary)
 	}
-	if got := int64(kindCount(a.SpanSummary, trace.KindPageLoad)); got != a.ObservedPageReads {
-		t.Errorf("page_load spans = %d, want one per observed page read (%d)", got, a.ObservedPageReads)
+	// One page_load span per physical read, and a read loads a span window:
+	// at least one per seek run, at most one per page.
+	if got := int64(kindCount(a.SpanSummary, trace.KindPageLoad)); got < a.ObservedSeeks || got > a.ObservedPageReads {
+		t.Errorf("page_load spans = %d, want between the %d seek runs and the %d pages read", got, a.ObservedSeeks, a.ObservedPageReads)
 	}
 
 	// The same seed must reproduce the data-dependent numbers exactly.

@@ -361,7 +361,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	count, total, err := readSum(ctx, store, plan, snakes.ReadOptions{}, *sumCol)
+	count, total, err := readSum(ctx, store, plan, *sumCol)
 	if err != nil {
 		if errors.Is(err, snakes.ErrCorruptPage) {
 			reportCorruption(store, err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -88,7 +89,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	defer fs.Close()
 	var got float64
 	var count int
-	if err := fs.Scan(region, func(cell int, rec []byte) error {
+	if err := readRegion(context.Background(), fs, region, func(cell int, rec []byte) error {
 		v, err := rowcodec.Column(rec, 0)
 		if err != nil {
 			return err
@@ -501,4 +502,13 @@ func TestCatalogRoundTrip(t *testing.T) {
 	if _, _, _, err := loadCatalog(path); err == nil {
 		t.Error("corrupt catalog should fail")
 	}
+}
+
+// readRegion plans r and reads its records, as a record caller does.
+func readRegion(ctx context.Context, st *snakes.FileStore, r snakes.Region, fn func(cell int, rec []byte) error) error {
+	plan, err := st.Plan(ctx, r)
+	if err != nil {
+		return err
+	}
+	return st.ReadPlanCtx(ctx, plan, fn)
 }

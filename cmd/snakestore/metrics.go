@@ -111,7 +111,6 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 	reg.CounterFunc("snakestore_pool_writes_total", "buffer pool physical page write-backs", pool(func(s snakes.PoolStats) int64 { return s.Writes }))
 	reg.CounterFunc("snakestore_pool_retries_total", "transient I/O errors ridden out by the retry policy", pool(func(s snakes.PoolStats) int64 { return s.Retries }))
 	reg.CounterFunc("snakestore_pool_single_flight_waits_total", "goroutines that waited on another goroutine's in-flight load", pool(func(s snakes.PoolStats) int64 { return s.SingleFlightWaits }))
-	reg.GaugeFunc("snakestore_fragment_parallel_inflight", "fragment fetches currently running", func() float64 { return float64(store().ParallelInflight()) })
 
 	admf := func(f func(snakes.AdmissionStats) float64) func() float64 {
 		return func() float64 { return f(adm.StatsSnapshot()) }

@@ -148,7 +148,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = tr.ID()
 	}
 	var total float64
-	if resp.Records, total, err = readSum(ctx, st, plan, s.readOpts, sumCol); err != nil {
+	if resp.Records, total, err = readSum(ctx, st, plan, sumCol); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -178,9 +178,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // subcommand share: the region's record count and, for col >= 0, the exact
 // sum of payload column col (rowcodec.Sum). A column that does not read as
 // a number, or a sum that is not a finite number, is a usage error.
-func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, opt snakes.ReadOptions, col int) (records int64, sum float64, err error) {
+func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, col int) (records int64, sum float64, err error) {
 	k := &sumKernel{col: col, sum: rowcodec.NewSum(col)}
-	if err := st.ReadPlanCellsCtx(ctx, plan, opt, k.cell); err != nil {
+	if err := st.ReadPlanCellsCtx(ctx, plan, k.cell); err != nil {
 		return 0, 0, err
 	}
 	if col >= 0 {

@@ -227,7 +227,7 @@ func TestServeAdaptiveReorgEndToEnd(t *testing.T) {
 	var tally snakes.PoolTally
 	qctx := snakes.WithPoolTally(context.Background(), &tally)
 	var records int64
-	if err := store.ReadQueryCtx(qctx, region, func(cell int, rec []byte) error {
+	if err := readRegion(qctx, store, region, func(cell int, rec []byte) error {
 		records++
 		return nil
 	}); err != nil {

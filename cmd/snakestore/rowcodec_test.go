@@ -299,12 +299,9 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	if _, sum := cliSum(t, cat, store, region, 0); math.Float64bits(sum) != math.Float64bits(want) {
 		t.Errorf("query -sum 0 over %v: %v, exact total %v", region, sum, want)
 	}
-	for _, par := range []int{1, 3} {
-		srv.readOpts = snakes.ReadOptions{Parallelism: par, Readahead: 2}
-		var q queryResponse
-		getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
-		if q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
-			t.Errorf("parallelism %d: daemon sum %v, exact total %v", par, fmtSum(q.Sum), want)
-		}
+	var q queryResponse
+	getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
+	if q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
+		t.Errorf("daemon sum %v, exact total %v", fmtSum(q.Sum), want)
 	}
 }

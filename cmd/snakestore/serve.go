@@ -54,7 +54,6 @@ type server struct {
 	dims       []snakes.Dimension
 	adm        *snakes.Admission
 	reqTimeout time.Duration
-	readOpts   snakes.ReadOptions // read schedule; zero = runs in order on the handler goroutine
 	metrics    *serverMetrics
 	log        *slog.Logger
 	flushLog   func() // pushes out what log buffers; a no-op on an unbuffered log
@@ -408,8 +407,10 @@ func cmdServe(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	readParallel := fs.Int("read-parallel", 1, "concurrent fragment fetches per query (1 = fragments in order on the request goroutine)")
-	readAhead := fs.Int("read-ahead", 8, "pages a fragment loads per span read; effective when -read-parallel > 1")
+	// Accepted so existing command lines still start; every query reads its
+	// seek runs in order, in span windows sized by -frames.
+	fs.Int("read-parallel", 1, "ignored: kept so existing command lines start")
+	fs.Int("read-ahead", 8, "ignored: kept so existing command lines start")
 	scrubRate := fs.Float64("scrub-rate", 128, "background scrub pace in pages/sec; 0 disables the scrubber")
 	parityGroup := fs.Int("parity-group", snakes.DefaultParityGroup, "data pages per parity page when (re)building sidecars")
 	traceSample := fs.Int("trace-sample", 16, "trace every Nth request for /debug/traces; 0 disables head sampling")
@@ -487,7 +488,6 @@ func cmdServe(args []string) error {
 	srv.log, srv.flushLog, stopLog = newBufferedLogger(os.Stderr, accessLogFlushEvery)
 	defer stopLog()
 	srv.pprof = *pprofOn
-	srv.readOpts = snakes.ReadOptions{Parallelism: *readParallel, Readahead: *readAhead}
 	if *parityGroup > 0 {
 		srv.parityGroup = *parityGroup
 	}

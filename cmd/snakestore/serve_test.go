@@ -117,37 +117,33 @@ func TestServeQueryAndHealthz(t *testing.T) {
 	}
 }
 
-// TestServeParallelReadPath: with -read-parallel style options armed, the
-// query handler returns the same results as the sequential path, the
-// analytic prediction still matches the observed page reads on a cold
-// store, and the parallel-path metrics are exported.
+// TestServeParallelReadPath: a cold whole-grid query on the 8-frame pool
+// reads its multi-page seek runs in 4-page span windows, and still reads
+// exactly the
+// pages and seeks the analytic model predicts, sums exactly, and counts
+// every seek run in the fragment histogram.
 func TestServeParallelReadPath(t *testing.T) {
-	srv, want := buildServed(t, 64, time.Second, 5*time.Second)
-	srv.readOpts = snakes.ReadOptions{Parallelism: 4, Readahead: 4}
+	srv, _ := buildServed(t, 64, time.Second, 5*time.Second)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	var q queryResponse
-	getJSON(t, ts, "/query?where=x%3D1..2&where=y%3D2..6&sum=0", http.StatusOK, &q)
-	if q.Records != 4 {
-		t.Errorf("records = %d, want 4", q.Records)
+	getJSON(t, ts, "/query?sum=0", http.StatusOK, &q)
+	if q.Records != 24 || q.Sum == nil || *q.Sum != 420 { // Σ 10x+y over the 4×6 grid
+		t.Errorf("records = %d, sum = %v; want 24, 420", q.Records, fmtSum(q.Sum))
 	}
-	if q.Sum == nil || math.Abs(*q.Sum-want) > 1e-9 {
-		t.Errorf("sum = %v, want %v", q.Sum, want)
+	pred := srv.st().Layout().Query(snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}})
+	if pred.Pages <= pred.Seeks {
+		t.Fatalf("the grid plans %d pages in %d seek runs: no run for a window to span", pred.Pages, pred.Seeks)
 	}
-	if q.PagesRead != q.Pages {
-		t.Errorf("cold parallel query read %d pages, analytic predicts %d", q.PagesRead, q.Pages)
+	if q.Pages != pred.Pages || q.PagesRead != pred.Pages || q.Seeks != pred.Seeks {
+		t.Errorf("cold query: analytic %d pages, read %d pages %d seeks; Layout.Query %d pages %d seeks",
+			q.Pages, q.PagesRead, q.Seeks, pred.Pages, pred.Seeks)
 	}
 
-	samples, types := scrape(t, ts.URL)
-	if types["snakestore_fragment_parallel_inflight"] != "gauge" {
-		t.Errorf("snakestore_fragment_parallel_inflight type = %q, want gauge", types["snakestore_fragment_parallel_inflight"])
-	}
-	if got := samples["snakestore_fragment_parallel_inflight"]; got != 0 {
-		t.Errorf("inflight gauge = %v while idle, want 0", got)
-	}
-	if got := samples["snakestore_fragment_seconds_count"]; got <= 0 {
-		t.Errorf("snakestore_fragment_seconds_count = %v, want positive (observer not armed?)", got)
+	samples, _ := scrape(t, ts.URL)
+	if got := samples["snakestore_fragment_seconds_count"]; got != float64(pred.Seeks) {
+		t.Errorf("snakestore_fragment_seconds_count = %v, want one per seek run (%d)", got, pred.Seeks)
 	}
 }
 

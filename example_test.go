@@ -107,7 +107,6 @@ func ExampleFileStore_concurrent() {
 		store.PutRecord(c, rec)
 	}
 
-	decode := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 	quadrants := []snakes.Region{
 		{{Lo: 0, Hi: 2}, {Lo: 0, Hi: 2}},
 		{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}},
@@ -120,7 +119,15 @@ func ExampleFileStore_concurrent() {
 		wg.Add(1)
 		go func(i int, q snakes.Region) {
 			defer wg.Done()
-			sums[i], _, _ = store.SumCtx(context.Background(), q, decode)
+			ctx := context.Background()
+			plan, err := store.Plan(ctx, q)
+			if err != nil {
+				return
+			}
+			store.ReadPlanCtx(ctx, plan, func(_ int, rec []byte) error {
+				sums[i] += math.Float64frombits(binary.LittleEndian.Uint64(rec))
+				return nil
+			})
 		}(i, q)
 	}
 	wg.Wait()

@@ -119,7 +119,11 @@ func main() {
 		for {
 			var tally snakes.PoolTally
 			qctx := snakes.WithPoolTally(context.Background(), &tally)
-			err := store.Load().ReadQueryCtx(qctx, r, func(int, []byte) error { return nil })
+			st := store.Load()
+			plan, err := st.Plan(qctx, r)
+			if err == nil {
+				err = st.ReadPlanCtx(qctx, plan, func(int, []byte) error { return nil })
+			}
 			if errors.Is(err, snakes.ErrClosed) {
 				continue
 			}

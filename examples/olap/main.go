@@ -71,7 +71,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	decode := func(rec []byte) float64 { return float64(binary.LittleEndian.Uint64(rec)) }
 
 	// The session: rollup and drilldown, every step a grid query.
 	est := schema.NewEstimator()
@@ -102,14 +101,22 @@ func main() {
 			log.Fatal(err)
 		}
 		var tally snakes.PoolTally
-		total, _, err := store.SumCtx(snakes.WithPoolTally(ctx, &tally), region, decode)
+		qctx := snakes.WithPoolTally(ctx, &tally)
+		plan, err := store.Plan(qctx, region)
 		if err != nil {
+			log.Fatal(err)
+		}
+		var total uint64
+		if err := store.ReadPlanCtx(qctx, plan, func(_ int, rec []byte) error {
+			total += binary.LittleEndian.Uint64(rec)
+			return nil
+		}); err != nil {
 			log.Fatal(err)
 		}
 		if err := est.Observe(class); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  class %v  sum=%6.0f  predicted %d pages %d seeks, observed %d pages %d seeks\n",
+		fmt.Printf("  class %v  sum=%6d  predicted %d pages %d seeks, observed %d pages %d seeks\n",
 			class, total, predicted.Pages, predicted.Seeks, tally.Stats().Misses, tally.Seeks())
 	}
 

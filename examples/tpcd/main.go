@@ -133,13 +133,19 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 		log.Fatal(err)
 	}
 	var tally storage.PoolTally
-	got, _, err := store.SumCtx(storage.WithPoolTally(ctx, &tally), region, func(rec []byte) float64 {
-		return float64(binary.LittleEndian.Uint32(rec))
-	})
+	qctx := storage.WithPoolTally(ctx, &tally)
+	plan, err := store.Plan(qctx, region)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSUM(quantity) for manufacturer 2 × year 1: %.0f (expected %d)\n", got, want)
+	var got int64
+	if err := store.ReadPlanCtx(qctx, plan, func(_ int, rec []byte) error {
+		got += int64(binary.LittleEndian.Uint32(rec))
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nSUM(quantity) for manufacturer 2 × year 1: %d (expected %d)\n", got, want)
 	fmt.Printf("executed in: predicted %d pages %d seeks, observed %d pages %d seeks\n",
 		predicted.Pages, predicted.Seeks, tally.Stats().Misses, tally.Seeks())
 }

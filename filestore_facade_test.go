@@ -44,9 +44,7 @@ func TestFileStoreFacadeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, _, err := fs2.Sum(Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(rec []byte) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(rec))
-	})
+	count, err := sumFloat64s(context.Background(), fs2, Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +65,7 @@ func TestFileStoreFacadeLifecycle(t *testing.T) {
 	if err := fs2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	count2, _, err := migrated.Sum(Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(rec []byte) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(rec))
-	})
+	count2, err := sumFloat64s(context.Background(), migrated, Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

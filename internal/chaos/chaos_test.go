@@ -55,11 +55,21 @@ func chaosFixture(t *testing.T, pageSize, group int) (*storage.FileStore, string
 	return fs, path, truth
 }
 
+// scan plans r and reads its records.
+func scan(fs *storage.FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
+	ctx := context.Background()
+	p, err := fs.Plan(ctx, r)
+	if err != nil {
+		return err
+	}
+	return fs.ReadPlanCtx(ctx, p, fn)
+}
+
 func assertTruth(t *testing.T, fs *storage.FileStore, truth map[int][]string) {
 	t.Helper()
 	got := make(map[int][]string)
 	full := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
-	if err := fs.Scan(full, func(cell int, record []byte) error {
+	if err := scan(fs, full, func(cell int, record []byte) error {
 		got[cell] = append(got[cell], string(record))
 		return nil
 	}); err != nil {
@@ -153,7 +163,9 @@ func TestScheduleRepairRoundTrip(t *testing.T) {
 }
 
 // stormFixture reopens a built store through a FaultInjector carrying the
-// given schedule, so reads hit the storm.
+// given schedule, so reads hit the storm. The retry policy covers one
+// physical read; on the 2-frame pool a read loads one page (a window of
+// 1), so every operation of the storm meets the retry budget on its own.
 func stormFixture(t *testing.T, faults []storage.Fault) *storage.FileStore {
 	t.Helper()
 	o := chaosOrder(t)
@@ -182,7 +194,7 @@ func stormFixture(t *testing.T, faults []storage.Fault) *storage.FileStore {
 		t.Fatal(err)
 	}
 	fi := storage.NewFaultInjector(pf, 99, faults...)
-	fs2, err := storage.NewFileStoreOn(fi, o, bytesPerCell, 4, loaded)
+	fs2, err := storage.NewFileStoreOn(fi, o, bytesPerCell, 2, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +212,7 @@ func TestStormWithinRetryBudgetRidesOut(t *testing.T) {
 	fs := stormFixture(t, faults)
 	full := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
 	n := 0
-	if err := fs.Scan(full, func(cell int, record []byte) error { n++; return nil }); err != nil {
+	if err := scan(fs, full, func(cell int, record []byte) error { n++; return nil }); err != nil {
 		t.Fatalf("scan through storm: %v", err)
 	}
 	if n != 4*24 {
@@ -214,7 +226,7 @@ func TestStormWithinRetryBudgetRidesOut(t *testing.T) {
 func TestStormPastRetryBudgetSurfacesTyped(t *testing.T) {
 	fs := stormFixture(t, Storm(5, 12, 1, 16, storage.OpRead))
 	full := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
-	err := fs.Scan(full, func(cell int, record []byte) error { return nil })
+	err := scan(fs, full, func(cell int, record []byte) error { return nil })
 	if !errors.Is(err, storage.ErrTransient) || !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("scan through wide storm = %v, want typed ErrTransient/ErrInjected", err)
 	}

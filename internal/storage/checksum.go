@@ -124,18 +124,6 @@ func (cf *ChecksumFile) ReadPageSpan(page int64, bufs [][]byte) error {
 		}
 	}
 	phys := cf.inner.PageSize()
-	if mr, ok := cf.inner.(MappedReader); ok {
-		// Zero-copy span: verify each page straight out of the file's
-		// mapping, one copy (data region into the frame) per page.
-		if m := mr.MappedPages(page, int64(len(bufs))); m != nil {
-			for i, buf := range bufs {
-				if err := cf.verifyInto(page+int64(i), m[i*phys:(i+1)*phys], buf); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
 	need := len(bufs) * phys
 	var scratch []byte
 	if len(bufs) <= MaxSpanPages {

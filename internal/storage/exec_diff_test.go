@@ -189,11 +189,11 @@ func coldOutcome(t *testing.T, fs *FileStore, read func(ctx context.Context, fn 
 // deliver the per-cell copy reader's exact (cell, framed bytes) sequence —
 // each filled or overlaid cell once, in disk order, page-straddling cells
 // included — and its exact (cell, record) sequence, with a bit-identical
-// sum, on every schedule. On a cold pool its page and seek counts equal the
-// oracle reader's at Parallelism 1, and the plan's analytic prediction on
-// every schedule once the store is exactly filled.
+// sum, on pools whose read windows are 1, 2, 4 and MaxSpanPages pages. On a
+// cold pool its page and seek counts equal the oracle reader's at window 1,
+// and the plan's analytic prediction on every window once the store is
+// exactly filled.
 func TestReadPipelineMatchesOracles(t *testing.T) {
-	schedules := []ReadOptions{{}, {Parallelism: 1, Readahead: 3}, {Parallelism: 2}, {Parallelism: 2, Readahead: 3}, {Parallelism: 4, Readahead: 8}}
 	straddling := 0 // base cells the oracle read across a page boundary
 	defer func() {
 		if straddling == 0 {
@@ -236,41 +236,43 @@ func TestReadPipelineMatchesOracles(t *testing.T) {
 								straddling++
 							}
 						}
-						for _, opt := range schedules {
+						for _, frames := range windowFrames {
+							setPoolFrames(t, fs, frames)
+							window := fs.spanWindow()
 							cells := collectReads(t, func(fn func(int, []byte) error) error {
-								return fs.ReadPlanCellsCtx(context.Background(), plan, opt, fn)
+								return fs.ReadPlanCellsCtx(context.Background(), plan, fn)
 							})
 							if fmt.Sprint(cells) != fmt.Sprint(refCells) {
-								t.Fatalf("%s opt %+v: cells %v, oracle %v", label, opt, cells, refCells)
+								t.Fatalf("%s window %d: cells %v, oracle %v", label, window, cells, refCells)
 							}
 							got := coldOutcome(t, fs, func(ctx context.Context, fn func(int, []byte) error) error {
-								return fs.ReadQueryOptCtx(ctx, r, opt, fn)
+								return readRegion(ctx, fs, r, fn)
 							})
 							if len(got.events) != len(ref.events) {
-								t.Fatalf("%s opt %+v: %d records, oracle %d", label, opt, len(got.events), len(ref.events))
+								t.Fatalf("%s window %d: %d records, oracle %d", label, window, len(got.events), len(ref.events))
 							}
 							for i := range got.events {
 								if got.events[i].cell != ref.events[i].cell || !bytes.Equal(got.events[i].rec, ref.events[i].rec) {
-									t.Fatalf("%s opt %+v: record %d = cell %d %q, oracle cell %d %q", label, opt, i,
+									t.Fatalf("%s window %d: record %d = cell %d %q, oracle cell %d %q", label, window, i,
 										got.events[i].cell, got.events[i].rec, ref.events[i].cell, ref.events[i].rec)
 								}
 							}
 							if math.Float64bits(got.sum) != math.Float64bits(ref.sum) {
-								t.Errorf("%s opt %+v: sum %v not bit-identical to oracle %v", label, opt, got.sum, ref.sum)
+								t.Errorf("%s window %d: sum %v not bit-identical to oracle %v", label, window, got.sum, ref.sum)
 							}
 							if got.deltaHits != ref.deltaHits {
-								t.Errorf("%s opt %+v: %d delta hits, oracle %d", label, opt, got.deltaHits, ref.deltaHits)
+								t.Errorf("%s window %d: %d delta hits, oracle %d", label, window, got.deltaHits, ref.deltaHits)
 							}
 							if got.plans != 1 || got.planHit != 1 {
-								t.Errorf("%s opt %+v: %d plan lookups, %d hits; want one lookup, a hit", label, opt, got.plans, got.planHit)
+								t.Errorf("%s window %d: %d plan lookups, %d hits; want one lookup, a hit", label, window, got.plans, got.planHit)
 							}
-							if opt.Parallelism <= 1 && (got.misses != ref.misses || got.seeks != ref.seeks) {
-								t.Errorf("%s opt %+v: cold %d pages %d seeks, oracle reader %d pages %d seeks",
-									label, opt, got.misses, got.seeks, ref.misses, ref.seeks)
+							if window == 1 && (got.misses != ref.misses || got.seeks != ref.seeks) {
+								t.Errorf("%s window %d: cold %d pages %d seeks, oracle reader %d pages %d seeks",
+									label, window, got.misses, got.seeks, ref.misses, ref.seeks)
 							}
 							if loaded && !withOverlay && (got.misses != want.Pages || got.seeks != want.Seeks) {
-								t.Errorf("%s opt %+v: cold %d pages %d seeks, plan predicts %d pages %d seeks",
-									label, opt, got.misses, got.seeks, want.Pages, want.Seeks)
+								t.Errorf("%s window %d: cold %d pages %d seeks, plan predicts %d pages %d seeks",
+									label, window, got.misses, got.seeks, want.Pages, want.Seeks)
 							}
 						}
 					}
@@ -298,18 +300,17 @@ func multiRunFixture(t *testing.T) (*FileStore, linear.Region) {
 }
 
 // TestReadCancelledMidRunStopsAtPageBoundary: a context cancelled from
-// inside fn stops the read before it pins another page, on either
-// schedule, and leaves no pin behind.
+// inside fn stops the read before it pins another page, at window 1 and on
+// wider windows, and leaves no pin behind.
 func TestReadCancelledMidRunStopsAtPageBoundary(t *testing.T) {
 	fs, r := multiRunFixture(t)
-	for _, opt := range []ReadOptions{{}, {Parallelism: 4, Readahead: 2}} {
-		if err := fs.Pool().Reset(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	for _, frames := range []int{2, 4, 2 * MaxSpanPages} {
+		setPoolFrames(t, fs, frames)
+		window := fs.spanWindow()
 		ctx, cancel := context.WithCancel(context.Background())
 		pinned := func() int64 { st := fs.Pool().Stats(); return st.Hits + st.Misses }
 		var atCancel int64
-		err := fs.ReadQueryOptCtx(ctx, r, opt, func(int, []byte) error {
+		err := readRegion(ctx, fs, r, func(int, []byte) error {
 			if ctx.Err() == nil {
 				atCancel = pinned()
 				cancel()
@@ -317,13 +318,13 @@ func TestReadCancelledMidRunStopsAtPageBoundary(t *testing.T) {
 			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("opt %+v: err = %v, want context.Canceled", opt, err)
+			t.Fatalf("window %d: err = %v, want context.Canceled", window, err)
 		}
-		if got := pinned(); opt.Parallelism <= 1 && got != atCancel {
-			t.Errorf("opt %+v: %d pages pinned at the cancel, %d when the read returned", opt, atCancel, got)
+		if got := pinned(); got != atCancel {
+			t.Errorf("window %d: %d pages pinned at the cancel, %d when the read returned", window, atCancel, got)
 		}
 		if err := fs.Pool().Reset(context.Background()); err != nil {
-			t.Errorf("opt %+v: pins left behind: %v", opt, err)
+			t.Errorf("window %d: pins left behind: %v", window, err)
 		}
 	}
 }
@@ -343,7 +344,7 @@ func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 	full := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
 	read := func(p *QueryPlan) (cells []int, n int) {
 		t.Helper()
-		if err := fs.ReadPlanCtx(ctx, p, ReadOptions{}, func(cell int, rec []byte) error {
+		if err := fs.ReadPlanCtx(ctx, p, func(cell int, rec []byte) error {
 			cells = append(cells, cell)
 			n += len(rec)
 			return nil
@@ -387,7 +388,7 @@ func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 }
 
 // TestWarmReadAllocatesPerRequestOnly is the allocation gate of the read
-// pipeline: a warm, untraced Parallelism=1 read + sum allocates a small
+// pipeline: a warm, untraced read + sum allocates a small
 // constant per request — the same for one cell as for a multi-run region,
 // so nothing is allocated per run, page, cell or record.
 func TestWarmReadAllocatesPerRequestOnly(t *testing.T) {
@@ -399,7 +400,7 @@ func TestWarmReadAllocatesPerRequestOnly(t *testing.T) {
 	allocs := func(r linear.Region) float64 {
 		sum := func() {
 			var tally PoolTally
-			if _, _, err := fs.SumOptCtx(WithPoolTally(ctx, &tally), r, ReadOptions{Parallelism: 1, Readahead: 8}, diffDecode); err != nil {
+			if _, _, err := sumRegion(WithPoolTally(ctx, &tally), fs, r, diffDecode); err != nil {
 				t.Fatal(err)
 			}
 		}

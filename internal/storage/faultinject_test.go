@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,7 +72,7 @@ func (fx *faultFixture) run(pf PagedFile) ([]int64, error) {
 	if err := fs.pool.Flush(); err != nil {
 		return nil, err
 	}
-	got, _, err := fs.Sum(fx.fullRegion(), decodeF64)
+	got, _, err := sumRegion(context.Background(), fs, fx.fullRegion(), decodeF64)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +271,7 @@ func (fx *faultFixture) checkSurvivor(t *testing.T, dir, name string, loaded []i
 		}
 		return // silent write flip detected by the scrub: contract held
 	}
-	got, _, err := fs.Sum(fx.fullRegion(), decodeF64)
+	got, _, err := sumRegion(context.Background(), fs, fx.fullRegion(), decodeF64)
 	if err != nil {
 		t.Fatalf("%s: querying survivor: %v", label, err)
 	}

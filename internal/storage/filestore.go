@@ -19,8 +19,8 @@ import (
 // surfaces silent corruption as ErrCorruptPage.
 //
 // Concurrency contract: a FileStore may be shared freely across
-// goroutines. Reads (ReadQueryCtx, ReadCellCtx, Scan, Sum, Verify) run
-// concurrently with each other under a read lock; writers (PutRecord,
+// goroutines. Reads (ReadPlanCtx, ReadPlanCellsCtx, ReadCellCtx, Verify)
+// run concurrently with each other under a read lock; writers (PutRecord,
 // Close) are exclusive. Close is safe to call while readers are in flight:
 // it waits for them to drain, and any operation issued after (or a second
 // Close) fails with the typed ErrClosed instead of racing on the
@@ -49,10 +49,9 @@ type FileStore struct {
 	// persisted LoadedBytes copy goes stale by.
 	epoch, fillEpoch uint64
 
-	// Read executor state (exec.go): fragment fetches currently in flight
-	// and the optional per-fragment completion observer.
-	parInflight atomic.Int64
-	fragObs     atomic.Pointer[func(pagesRead int64, seconds float64)]
+	// Read executor state (exec.go): the optional per-fragment completion
+	// observer.
+	fragObs atomic.Pointer[func(pagesRead int64, seconds float64)]
 
 	// Prepared-plan cache: region → plan. Plans are immutable, so concurrent
 	// queries share one entry; an entry from an older epoch is replaced at

@@ -203,7 +203,7 @@ func TestFileStoreSumMatchesMemoryStore(t *testing.T) {
 	fs, values, _, _ := buildFileStore(t, 4)
 	defer fs.Close()
 	region := linear.Region{{Lo: 0, Hi: 4}, {Lo: 1, Hi: 3}}
-	got, _, err := fs.Sum(region, decodeF64)
+	got, _, err := sumRegion(context.Background(), fs, region, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestFileStorePersistence(t *testing.T) {
 	}
 	defer fs2.Close()
 	region := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
-	got, _, err := fs2.Sum(region, decodeF64)
+	got, _, err := sumRegion(context.Background(), fs2, region, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestFileStorePoolPressure(t *testing.T) {
 	fs, _, _, _ := buildFileStore(t, 1)
 	defer fs.Close()
 	region := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
-	first, io1, err := fs.Sum(region, decodeF64)
+	first, io1, err := sumRegion(context.Background(), fs, region, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, io2, err := fs.Sum(region, decodeF64)
+	second, io2, err := sumRegion(context.Background(), fs, region, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestFileStorePoolPressure(t *testing.T) {
 	// A big pool turns the second scan into pure hits.
 	fsBig, _, _, _ := buildFileStore(t, 64)
 	defer fsBig.Close()
-	if _, _, err := fsBig.Sum(region, decodeF64); err != nil {
+	if _, _, err := sumRegion(context.Background(), fsBig, region, decodeF64); err != nil {
 		t.Fatal(err)
 	}
-	_, ioHot, err := fsBig.Sum(region, decodeF64)
+	_, ioHot, err := sumRegion(context.Background(), fsBig, region, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +383,51 @@ func decodeF64(rec []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(rec))
 }
 
+// readRegion plans r and reads its records, as a record caller does.
+func readRegion(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, rec []byte) error) error {
+	p, err := fs.Plan(ctx, r)
+	if err != nil {
+		return err
+	}
+	return fs.ReadPlanCtx(ctx, p, fn)
+}
+
+// sumRegion reads r and totals decode over its records in disk order, with
+// the pool traffic the read generated: into the tally ctx carries, or a
+// fresh one.
+func sumRegion(ctx context.Context, fs *FileStore, r linear.Region, decode func(rec []byte) float64) (float64, PoolStats, error) {
+	tally := tallyFrom(ctx)
+	if tally == nil {
+		tally = new(PoolTally)
+		ctx = WithPoolTally(ctx, tally)
+	}
+	total := 0.0
+	if err := readRegion(ctx, fs, r, func(_ int, rec []byte) error {
+		total += decode(rec)
+		return nil
+	}); err != nil {
+		return 0, PoolStats{}, err
+	}
+	return total, tally.Stats(), nil
+}
+
+// setPoolFrames writes fs's pool back and replaces it with an empty one of
+// the given capacity, which sets the read window (spanWindow).
+func setPoolFrames(t *testing.T, fs *FileStore, frames int) {
+	t.Helper()
+	if err := fs.pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewBufferPool(fs.file, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.pool = pool
+}
+
 func TestStoreSumMatchesNaive(t *testing.T) {
 	st, values := buildStore(t, func(cell int) int { return 1 + cell%3 })
 	o := st.Layout().Order()
@@ -394,7 +439,7 @@ func TestStoreSumMatchesNaive(t *testing.T) {
 			lo := rng.Intn(n)
 			r[d] = linear.Range{Lo: lo, Hi: lo + 1 + rng.Intn(n-lo)}
 		}
-		got, _, err := st.Sum(r, decodeF64)
+		got, _, err := sumRegion(context.Background(), st, r, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +466,7 @@ func TestStoreIOMatchesLayoutQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tally PoolTally
-	if _, _, err := st.SumCtx(WithPoolTally(context.Background(), &tally), r, decodeF64); err != nil {
+	if _, _, err := sumRegion(WithPoolTally(context.Background(), &tally), st, r, decodeF64); err != nil {
 		t.Fatal(err)
 	}
 	if pages, seeks := tally.Stats().Misses, tally.Seeks(); pages != predicted.Pages || seeks != predicted.Seeks {
@@ -437,7 +482,7 @@ func TestStoreEmptyCells(t *testing.T) {
 		}
 		return 1
 	})
-	got, _, err := st.Sum(linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, decodeF64)
+	got, _, err := sumRegion(context.Background(), st, linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +517,7 @@ func TestStorePutOverflow(t *testing.T) {
 func TestScanErrorPropagation(t *testing.T) {
 	st, _ := buildStore(t, func(cell int) int { return 1 })
 	calls := 0
-	err := st.Scan(linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(cell int, rec []byte) error {
+	err := readRegion(context.Background(), st, linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, func(cell int, rec []byte) error {
 		calls++
 		if calls == 3 {
 			return errStop
@@ -512,7 +557,7 @@ func TestVariableLengthRecords(t *testing.T) {
 	coords := make([]int, 2)
 	o.Coords(5, coords)
 	r := linear.Region{{Lo: coords[0], Hi: coords[0] + 1}, {Lo: coords[1], Hi: coords[1] + 1}}
-	if err := st.Scan(r, func(cell int, rec []byte) error {
+	if err := readRegion(context.Background(), st, r, func(cell int, rec []byte) error {
 		got = append(got, append([]byte(nil), rec...))
 		return nil
 	}); err != nil {

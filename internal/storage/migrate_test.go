@@ -57,11 +57,11 @@ func TestMigratePreservesDataAndImprovesLayout(t *testing.T) {
 		{{Lo: 0, Hi: 4}, {Lo: 2, Hi: 3}},
 		{{Lo: 2, Hi: 4}, {Lo: 0, Hi: 2}},
 	} {
-		a, _, err := src.Sum(r, decodeF64)
+		a, _, err := sumRegion(context.Background(), src, r, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := dst.Sum(r, decodeF64)
+		b, _, err := sumRegion(context.Background(), dst, r, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	}
 	// The source store is still fully readable afterwards.
 	all := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
-	sum, _, err := src.Sum(all, decodeF64)
+	sum, _, err := sumRegion(context.Background(), src, all, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 							for _, r := range diffRegions(rng, newOrder) {
 								want := dst.Layout().Query(r)
 								got := coldOutcome(t, dst, func(ctx context.Context, fn func(int, []byte) error) error {
-									return dst.ReadQueryCtx(ctx, r, fn)
+									return readRegion(ctx, dst, r, fn)
 								})
 								if got.misses != want.Pages || got.seeks != want.Seeks {
 									t.Errorf("%s region %v: cold %d pages %d seeks, layout predicts %d pages %d seeks",

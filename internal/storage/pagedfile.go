@@ -48,14 +48,6 @@ type PageSpanReader interface {
 	ReadPageSpan(page int64, bufs [][]byte) error
 }
 
-// MappedReader is an optional PagedFile capability: zero-copy read-only
-// access to n consecutive pages' raw bytes, or nil when no mapping backs
-// the file. Callers must treat the returned bytes as immutable and must not
-// hold them across a Close.
-type MappedReader interface {
-	MappedPages(page, n int64) []byte
-}
-
 // MaxSpanPages bounds one span read: the buffer pool never asks a
 // PageSpanReader for more pages than this in a single call, so
 // implementations can size pooled scratch to MaxSpanPages physical pages.

@@ -16,23 +16,13 @@ import (
 
 // PageFile is a fixed-page-size file: the real-disk counterpart of the
 // in-memory simulator, with the same page-granular access pattern.
-// ReadPage, WritePage, and Sync are safe for concurrent use (they map to
-// positioned pread/pwrite on disjoint or idempotent ranges); Close must not
-// race with in-flight operations.
-//
-// Bulk reads (ReadPages) go through a lazily established read-only mmap of
-// the file when the platform provides one: a span lands in the caller's
-// buffer with one copy out of the page cache and no syscall per window.
-// Writes keep using pwrite, which Linux keeps coherent with the mapping (a
-// single shared page cache backs both). When mmap is unavailable the bulk
-// path falls back to a single positioned read.
+// ReadPage, ReadPages, WritePage, and Sync are safe for concurrent use (they
+// map to positioned pread/pwrite on disjoint or idempotent ranges); Close
+// must not race with in-flight operations.
 type PageFile struct {
 	f        *os.File
 	pageSize int
 	pages    int64
-
-	mapOnce sync.Once
-	mapped  []byte // read-only mapping of the whole file; nil if unavailable
 }
 
 // CreatePageFile creates (truncating) a page file with the given number of
@@ -102,7 +92,7 @@ func (pf *PageFile) ReadPage(page int64, buf []byte) error {
 // ReadPages fills buf — a whole number of PageSize units — with the
 // consecutive pages starting at page, in one positioned read. This is the
 // BulkReader fast path the span read stack bottoms out in: one pread per
-// readahead window instead of one per page.
+// span window instead of one per page.
 func (pf *PageFile) ReadPages(page int64, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
@@ -114,44 +104,8 @@ func (pf *PageFile) ReadPages(page int64, buf []byte) error {
 	if page < 0 || page+n > pf.pages {
 		return fmt.Errorf("storage: pages [%d,%d) out of range [0,%d)", page, page+n, pf.pages)
 	}
-	off := page * int64(pf.pageSize)
-	if m := pf.mmapped(); m != nil {
-		copy(buf, m[off:off+int64(len(buf))])
-		return nil
-	}
-	_, err := pf.f.ReadAt(buf, off)
+	_, err := pf.f.ReadAt(buf, page*int64(pf.pageSize))
 	return err
-}
-
-// MappedPages returns the raw bytes of n consecutive pages straight from
-// the file's read-only mapping, or nil when mapping is unavailable.
-func (pf *PageFile) MappedPages(page, n int64) []byte {
-	if page < 0 || n <= 0 || page+n > pf.pages {
-		return nil
-	}
-	m := pf.mmapped()
-	if m == nil {
-		return nil
-	}
-	ps := int64(pf.pageSize)
-	return m[page*ps : (page+n)*ps]
-}
-
-// mmapped returns the file's read-only mapping, establishing it on first
-// use. Returns nil (and ReadPages preads instead) if the file is empty or
-// the mapping fails.
-func (pf *PageFile) mmapped() []byte {
-	pf.mapOnce.Do(func() {
-		size := int64(pf.pageSize) * pf.pages
-		if size <= 0 || size != int64(int(size)) {
-			return
-		}
-		m, err := syscall.Mmap(int(pf.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-		if err == nil {
-			pf.mapped = m
-		}
-	})
-	return pf.mapped
 }
 
 // WritePage writes buf (of PageSize bytes) to the page.
@@ -169,15 +123,8 @@ func (pf *PageFile) WritePage(page int64, buf []byte) error {
 // Sync flushes the file to stable storage.
 func (pf *PageFile) Sync() error { return pf.f.Sync() }
 
-// Close closes the underlying file, releasing the bulk-read mapping if one
-// was established.
-func (pf *PageFile) Close() error {
-	if pf.mapped != nil {
-		syscall.Munmap(pf.mapped)
-		pf.mapped = nil
-	}
-	return pf.f.Close()
-}
+// Close closes the underlying file.
+func (pf *PageFile) Close() error { return pf.f.Close() }
 
 // PoolStats counts buffer pool traffic. It is a point-in-time snapshot;
 // under concurrent load the fields are individually exact but need not be
@@ -321,7 +268,7 @@ func (bp *BufferPool) Stats() PoolStats {
 }
 
 // ResetStats clears the pool's global traffic counters. Per-query
-// accounting (SumCtx, WithPoolTally) uses request-local tallies, never
+// accounting (WithPoolTally) uses request-local tallies, never
 // deltas over these counters, so resetting mid-flight cannot corrupt any
 // query's reported stats — it only rewinds the process-lifetime totals
 // that Stats (and the /metrics endpoint) expose.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,87 +99,85 @@ func collectReads(t *testing.T, read func(fn func(cell int, record []byte) error
 	return got
 }
 
-// TestParallelReadMatchesSequential: for every region and parallelism, the
-// parallel read path must deliver the exact record sequence of the
-// sequential path — same cells, same order, same bytes.
+// windowFrames are pool capacities whose read windows (spanWindow) are 1,
+// 2, 4 and MaxSpanPages pages.
+var windowFrames = []int{2, 4, 8, 2 * MaxSpanPages}
+
+// TestParallelReadMatchesSequential: for every region, a read in wide span
+// windows delivers the exact record sequence and sum a read one page at a
+// time does — same cells, same order, same bytes.
 func TestParallelReadMatchesSequential(t *testing.T) {
-	fs, _, _, _, _ := buildParallelStore(t, 128)
-	defer fs.Close()
 	ctx := context.Background()
+	stores := make([]*FileStore, len(windowFrames))
+	for i, frames := range windowFrames {
+		stores[i], _, _, _, _ = buildParallelStore(t, frames)
+		defer stores[i].Close()
+	}
 	for _, r := range parallelTestRegions() {
 		want := collectReads(t, func(fn func(int, []byte) error) error {
-			return fs.ReadQueryCtx(ctx, r, fn)
+			return readRegion(ctx, stores[0], r, fn)
 		})
-		wantSum, _, err := fs.SumCtx(ctx, r, decodeF64)
+		wantSum, _, err := sumRegion(ctx, stores[0], r, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []ReadOptions{{Parallelism: 2}, {Parallelism: 4, Readahead: 2}, {Parallelism: 8, Readahead: 8}} {
+		for i, fs := range stores[1:] {
+			window := fs.spanWindow()
+			if want := windowFrames[i+1] / 2; window != want {
+				t.Fatalf("%d frames: window %d, want %d", windowFrames[i+1], window, want)
+			}
 			got := collectReads(t, func(fn func(int, []byte) error) error {
-				return fs.ReadQueryOptCtx(ctx, r, opt, fn)
+				return readRegion(ctx, fs, r, fn)
 			})
-			if len(got) != len(want) {
-				t.Fatalf("region %v opt %+v: %d records, want %d", r, opt, len(got), len(want))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("region %v window %d: records %v, window 1 %v", r, window, got, want)
 			}
-			for i := range got {
-				if got[i].cell != want[i].cell || !bytes.Equal(got[i].rec, want[i].rec) {
-					t.Fatalf("region %v opt %+v: record %d = cell %d %x, want cell %d %x",
-						r, opt, i, got[i].cell, got[i].rec, want[i].cell, want[i].rec)
-				}
-			}
-			gotSum, _, err := fs.SumOptCtx(ctx, r, opt, decodeF64)
+			gotSum, _, err := sumRegion(ctx, fs, r, decodeF64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(gotSum-wantSum) > 1e-9*(1+math.Abs(wantSum)) {
-				t.Errorf("region %v opt %+v: sum %v, want %v", r, opt, gotSum, wantSum)
+			if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
+				t.Errorf("region %v window %d: sum %v, window 1 %v", r, window, gotSum, wantSum)
 			}
 		}
 	}
 }
 
-// TestParallelismOneIsSequentialPath: Parallelism <= 1 with a readahead
-// window is the same schedule as the zero options — bit-identical sums and
-// identical tallies.
+// goid is the calling goroutine's id, read off its stack header.
+func goid() string {
+	var buf [64]byte
+	f := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	return string(f[1])
+}
+
+// TestParallelismOneIsSequentialPath: every read runs on the caller's
+// goroutine — fn is called there and nowhere else, whatever the window —
+// and a cold read costs the analytic pages and seeks on every window.
 func TestParallelismOneIsSequentialPath(t *testing.T) {
 	fs, o, sizes, path, _ := buildParallelStore(t, 128)
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
-
-	fs = reopenCold(t, fs, path, o, sizes, 128)
-	seqSum, seqStats, err := fs.SumCtx(context.Background(), r, decodeF64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSeeks := int64(-1)
-	{
-		var tally PoolTally
-		ctx := WithPoolTally(context.Background(), &tally)
-		fs = reopenCold(t, fs, path, o, sizes, 128)
-		if err := fs.ReadQueryCtx(ctx, r, func(int, []byte) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		seqSeeks = tally.Seeks()
-	}
-
-	fs = reopenCold(t, fs, path, o, sizes, 128)
-	defer fs.Close()
-	optSum, optStats, err := fs.SumOptCtx(context.Background(), r, ReadOptions{Parallelism: 1, Readahead: 8}, decodeF64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(optSum) != math.Float64bits(seqSum) {
-		t.Errorf("Parallelism=1 sum %v not bit-identical to sequential %v", optSum, seqSum)
-	}
-	if optStats != seqStats {
-		t.Errorf("Parallelism=1 stats %+v, sequential %+v", optStats, seqStats)
-	}
 	pred := fs.Layout().Query(r)
-	if seqSeeks != pred.Seeks {
-		t.Errorf("sequential seeks %d, analytic %d", seqSeeks, pred.Seeks)
+	caller := goid()
+	for _, frames := range windowFrames {
+		fs = reopenCold(t, fs, path, o, sizes, frames)
+		var tally PoolTally
+		err := readRegion(WithPoolTally(context.Background(), &tally), fs, r, func(int, []byte) error {
+			if id := goid(); id != caller {
+				return fmt.Errorf("fn ran on goroutine %s, the caller is %s", id, caller)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("window %d: %v", fs.spanWindow(), err)
+		}
+		if got := tally.Stats().Misses; got != pred.Pages || tally.Seeks() != pred.Seeks {
+			t.Errorf("window %d: cold %d pages %d seeks, analytic %d pages %d seeks", fs.spanWindow(), got, tally.Seeks(), pred.Pages, pred.Seeks)
+		}
 	}
+	fs.Close()
 }
 
-// TestParallelRunsMatchAnalyticModel: the parallel fetch plan's seek runs
+// TestParallelRunsMatchAnalyticModel: the plan's seek runs
 // are page-disjoint (separated by at least one full page) and — on an
 // exactly-filled store — equal the analytic model's merged page ranges:
 // one run per predicted seek, summing to the predicted page count.
@@ -234,15 +233,16 @@ func TestParallelRunsMatchAnalyticModel(t *testing.T) {
 	}
 }
 
-// TestParallelColdQueryReconcilesWithAnalytic: on a cold pool, the
-// parallel path's merged tally and its fragment trace spans must equal the
+// TestParallelColdQueryReconcilesWithAnalytic: on a cold pool, on every
+// window, the merged tally and the fragment trace spans must equal the
 // analytic prediction exactly — same pages, same seeks, one fragment span
-// per seek run — just like the sequential reconciliation test.
+// per seek run — and the sum the warm one.
 func TestParallelColdQueryReconcilesWithAnalytic(t *testing.T) {
-	for _, opt := range []ReadOptions{{Parallelism: 4}, {Parallelism: 4, Readahead: 4}, {Parallelism: 16, Readahead: 2}} {
+	for _, frames := range windowFrames {
 		for _, r := range parallelTestRegions() {
 			fs, o, sizes, path, _ := buildParallelStore(t, 128)
-			fs = reopenCold(t, fs, path, o, sizes, 128)
+			fs = reopenCold(t, fs, path, o, sizes, frames)
+			window := fs.spanWindow()
 			pred := fs.Layout().Query(r)
 
 			rec := trace.NewRecorder(trace.Config{SampleEvery: 1})
@@ -250,26 +250,21 @@ func TestParallelColdQueryReconcilesWithAnalytic(t *testing.T) {
 			if tr == nil {
 				t.Fatal("recorder did not trace")
 			}
-			sum, stats, err := fs.SumOptCtx(ctx, r, opt, decodeF64)
+			sum, stats, err := sumRegion(ctx, fs, r, decodeF64)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr.Finish(nil)
 
-			var tally PoolTally
-			ctx2 := WithPoolTally(context.Background(), &tally)
-			if err := fs.ReadQueryCtx(ctx2, r, func(int, []byte) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-			warmSum, _, err := fs.SumCtx(context.Background(), r, decodeF64)
+			warmSum, _, err := sumRegion(context.Background(), fs, r, decodeF64)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Abs(sum-warmSum) > 1e-9*(1+math.Abs(warmSum)) {
-				t.Errorf("opt %+v region %v: parallel sum %v, sequential %v", opt, r, sum, warmSum)
+				t.Errorf("window %d region %v: cold sum %v, warm %v", window, r, sum, warmSum)
 			}
 			if stats.Misses != pred.Pages {
-				t.Errorf("opt %+v region %v: cold misses %d, analytic pages %d", opt, r, stats.Misses, pred.Pages)
+				t.Errorf("window %d region %v: cold misses %d, analytic pages %d", window, r, stats.Misses, pred.Pages)
 			}
 
 			var frags, spanSeeks, spanPages int64
@@ -281,13 +276,13 @@ func TestParallelColdQueryReconcilesWithAnalytic(t *testing.T) {
 				}
 			}
 			if spanSeeks != pred.Seeks {
-				t.Errorf("opt %+v region %v: fragment seek attrs sum to %d, analytic %d", opt, r, spanSeeks, pred.Seeks)
+				t.Errorf("window %d region %v: fragment seek attrs sum to %d, analytic %d", window, r, spanSeeks, pred.Seeks)
 			}
 			if spanPages != pred.Pages {
-				t.Errorf("opt %+v region %v: fragment pages_read sum to %d, analytic %d", opt, r, spanPages, pred.Pages)
+				t.Errorf("window %d region %v: fragment pages_read sum to %d, analytic %d", window, r, spanPages, pred.Pages)
 			}
 			if pred.Seeks > 0 && frags != pred.Seeks {
-				t.Errorf("opt %+v region %v: %d fragment spans, want one per analytic seek run %d", opt, r, frags, pred.Seeks)
+				t.Errorf("window %d region %v: %d fragment spans, want one per analytic seek run %d", window, r, frags, pred.Seeks)
 			}
 			fs.Close()
 		}
@@ -348,8 +343,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestParallelSingleFlightCoalesces: when a run's prefetcher and decoder —
-// and two whole concurrent queries — all want the same pages at once, the
+// TestParallelSingleFlightCoalesces: when two whole concurrent queries want
+// the same span windows at once, the
 // pool's single-flight load must keep every page at exactly one physical
 // read, and the per-query tallies must attribute every load exactly once.
 func TestParallelSingleFlightCoalesces(t *testing.T) {
@@ -360,14 +355,13 @@ func TestParallelSingleFlightCoalesces(t *testing.T) {
 
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
 	pred := fs.Layout().Query(r)
-	opt := ReadOptions{Parallelism: 4, Readahead: 4}
 	var stats [2]PoolStats
 	var wg sync.WaitGroup
 	for q := 0; q < 2; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			_, st, err := fs.SumOptCtx(context.Background(), r, opt, decodeF64)
+			_, st, err := sumRegion(context.Background(), fs, r, decodeF64)
 			if err != nil {
 				t.Errorf("query %d: %v", q, err)
 			}
@@ -404,10 +398,9 @@ func TestParallelSingleFlightCoalesces(t *testing.T) {
 	}
 }
 
-// TestParallelCancelStopsSiblings: cancelling a query's context while its
-// parallel fragment reads are stuck in the file must stop the sibling
-// workers promptly — the query returns Canceled, no loads remain in
-// flight after it returns, and most of the scan never happened.
+// TestParallelCancelStopsSiblings: cancelling a query while its span read
+// is stuck in the file stops it promptly — the query returns Canceled, no
+// load is in flight after it returns, and most of the scan never happened.
 func TestParallelCancelStopsSiblings(t *testing.T) {
 	fs, o, sizes, path, _ := buildParallelStore(t, 128)
 	gate := make(chan struct{})
@@ -416,14 +409,12 @@ func TestParallelCancelStopsSiblings(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	// A column region fragments into one seek run per row, so several
-	// workers issue page loads at once.
+	// A column region fragments into one seek run per row.
 	go func() {
-		_, _, err := fs.SumOptCtx(ctx, linear.Region{{Lo: 0, Hi: 8}, {Lo: 3, Hi: 4}},
-			ReadOptions{Parallelism: 4}, decodeF64)
+		_, _, err := sumRegion(ctx, fs, linear.Region{{Lo: 0, Hi: 8}, {Lo: 3, Hi: 4}}, decodeF64)
 		errc <- err
 	}()
-	waitFor(t, "workers blocked in page loads", func() bool { return sf.reads.Load() >= 2 })
+	waitFor(t, "a span read blocked in the file", func() bool { return sf.reads.Load() >= 1 })
 	cancel()
 	close(gate)
 	var err error
@@ -445,48 +436,49 @@ func TestParallelCancelStopsSiblings(t *testing.T) {
 	}
 }
 
-// TestParallelErrorIsFirstInRunOrder: a failing page surfaces as the same
-// deterministic error regardless of which worker hits it first, and the
-// error matches the sequential path's.
+// TestParallelReadErrorsMatchSequential: a failing cell surfaces as the same
+// deterministic error on every window.
 func TestParallelReadErrorsMatchSequential(t *testing.T) {
-	fs, _, _, _, _ := buildParallelStore(t, 128)
-	defer fs.Close()
-	// Corrupt cell 13's record framing: an absurd length prefix makes the
-	// record overrun the cell.
-	pos := fs.layout.order.PosOf(13)
-	if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fs.dir[pos].start); err != nil {
-		t.Fatal(err)
-	}
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
-	_, _, seqErr := fs.SumCtx(context.Background(), r, decodeF64)
-	if seqErr == nil {
-		t.Fatal("sequential path missed the corrupt framing")
-	}
-	for _, opt := range []ReadOptions{{Parallelism: 4}, {Parallelism: 8, Readahead: 4}} {
-		_, _, parErr := fs.SumOptCtx(context.Background(), r, opt, decodeF64)
-		if parErr == nil || parErr.Error() != seqErr.Error() {
-			t.Errorf("opt %+v: parallel err %v, sequential %v", opt, parErr, seqErr)
+	var want string
+	for _, frames := range windowFrames {
+		fs, _, _, _, _ := buildParallelStore(t, frames)
+		// Corrupt cell 13's record framing: an absurd length prefix makes the
+		// record overrun the cell.
+		pos := fs.layout.order.PosOf(13)
+		if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, fs.dir[pos].start); err != nil {
+			t.Fatal(err)
 		}
-		rdErr := fs.ReadQueryOptCtx(context.Background(), r, opt, func(int, []byte) error { return nil })
-		if rdErr == nil || rdErr.Error() != seqErr.Error() {
-			t.Errorf("opt %+v: parallel read err %v, sequential %v", opt, rdErr, seqErr)
+		_, _, err := sumRegion(context.Background(), fs, r, decodeF64)
+		if err == nil {
+			t.Fatalf("window %d missed the corrupt framing", fs.spanWindow())
 		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("window %d: err %v, window 1 %v", fs.spanWindow(), err, want)
+		}
+		fs.Close()
 	}
 }
 
-// TestParallelClosedStore: both parallel entry points fail with ErrClosed
-// after Close, like their sequential counterparts.
+// TestParallelClosedStore: planning and reading a plan prepared before
+// Close both fail with ErrClosed.
 func TestParallelClosedStore(t *testing.T) {
 	fs, _, _, _, _ := buildParallelStore(t, 16)
+	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
+	p, err := fs.Plan(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
-	if err := fs.ReadQueryOptCtx(context.Background(), r, ReadOptions{Parallelism: 4}, func(int, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadQueryOptCtx err = %v, want ErrClosed", err)
+	if err := fs.ReadPlanCtx(context.Background(), p, func(int, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("ReadPlanCtx err = %v, want ErrClosed", err)
 	}
-	if _, _, err := fs.SumOptCtx(context.Background(), r, ReadOptions{Parallelism: 4}, decodeF64); !errors.Is(err, ErrClosed) {
-		t.Errorf("SumOptCtx err = %v, want ErrClosed", err)
+	if _, err := fs.Plan(context.Background(), r); !errors.Is(err, ErrClosed) {
+		t.Errorf("Plan err = %v, want ErrClosed", err)
 	}
 }
 
@@ -496,7 +488,8 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 	fs, _, _, _, _ := buildParallelStore(t, 128)
 	defer fs.Close()
 	r := linear.Region{{Lo: 0, Hi: 8}, {Lo: 3, Hi: 4}} // one column: a run per row
-	if _, _, err := fs.Sum(r, decodeF64); err != nil { // warm the pool
+	// Warm the pool.
+	if _, _, err := sumRegion(context.Background(), fs, r, decodeF64); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -519,7 +512,7 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 	for _, x.window = range []int{1, 4} {
 		kernel := func() {
 			for i := range p.runs {
-				if err := x.readRun(ctx, &p.runs[i], sc, nil); err != nil {
+				if err := x.readRun(ctx, &p.runs[i], sc); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -535,7 +528,7 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 // written: random framings — zero-length records, partial headers and
 // truncated records included — laid at every offset from a page boundary,
 // so a boundary splits them at every possible place, come back from
-// ReadPlanCellsCtx whole, once each and in disk order on both schedules, and
+// ReadPlanCellsCtx whole, once each and in disk order at window 1 and 3, and
 // ReadPlanCtx walks them into walkRecords' records and error.
 func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
 	o, err := linear.RowMajor(hierarchy.MustSchema(hierarchy.Binary("A", 4), hierarchy.Binary("B", 3)), []int{0, 1})
@@ -595,11 +588,13 @@ func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []ReadOptions{{}, {Parallelism: 2, Readahead: 3}} {
+		for _, frames := range []int{2, 6} {
+			setPoolFrames(t, fs, frames)
+			window := fs.spanWindow()
 			var got []int
-			if err := fs.ReadPlanCellsCtx(ctx, plan, opt, func(cell int, framed []byte) error {
+			if err := fs.ReadPlanCellsCtx(ctx, plan, func(cell int, framed []byte) error {
 				if !bytes.Equal(framed, buf) {
-					t.Fatalf("trial %d opt %+v: cell %d came back as %x, written %x", trial, opt, cell, framed, buf)
+					t.Fatalf("trial %d window %d: cell %d came back as %x, written %x", trial, window, cell, framed, buf)
 				}
 				got = append(got, cell)
 				return nil
@@ -607,76 +602,38 @@ func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d opt %+v: cells %v, want %v", trial, opt, got, want)
+				t.Fatalf("trial %d window %d: cells %v, want %v", trial, window, got, want)
 			}
 			var wantRecs, gotRecs [][]byte
 			wantErr := walkRecords(want[0], buf, func(_ int, rec []byte) error { wantRecs = append(wantRecs, rec); return nil })
-			gotErr := fs.ReadPlanCtx(ctx, plan, opt, func(cell int, rec []byte) error {
+			gotErr := fs.ReadPlanCtx(ctx, plan, func(cell int, rec []byte) error {
 				if cell == want[0] {
 					gotRecs = append(gotRecs, append([]byte(nil), rec...))
 				}
 				return nil
 			})
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(gotRecs) != fmt.Sprint(wantRecs) {
-				t.Fatalf("trial %d opt %+v buf %x: records %x err %v; walkRecords %x err %v", trial, opt, buf, gotRecs, gotErr, wantRecs, wantErr)
+				t.Fatalf("trial %d window %d buf %x: records %x err %v; walkRecords %x err %v", trial, window, buf, gotRecs, gotErr, wantRecs, wantErr)
 			}
 		}
 		fs.Close()
 	}
 }
 
-// TestParallelInflightGaugeSettles: the inflight gauge rises while
-// fragments are being fetched and returns to zero after.
-func TestParallelInflightGaugeSettles(t *testing.T) {
-	fs, o, sizes, path, _ := buildParallelStore(t, 128)
-	gate := make(chan struct{})
-	fs, sf := openGated(t, fs, path, o, sizes, 128, gate)
-	defer fs.Close()
-	var peak atomic.Int64
-	fs.SetFragmentObserver(func(pages int64, seconds float64) {
-		if pages < 0 || seconds < 0 {
-			t.Errorf("observer got pages=%d seconds=%v", pages, seconds)
-		}
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _, err := fs.SumOptCtx(context.Background(), linear.Region{{Lo: 0, Hi: 8}, {Lo: 3, Hi: 4}},
-			ReadOptions{Parallelism: 4}, decodeF64)
-		if err != nil {
-			t.Errorf("SumOptCtx: %v", err)
-		}
-	}()
-	waitFor(t, "inflight fragments", func() bool {
-		if v := fs.ParallelInflight(); v > peak.Load() {
-			peak.Store(v)
-		}
-		return peak.Load() > 0 && sf.reads.Load() >= 2
-	})
-	close(gate)
-	<-done
-	if got := fs.ParallelInflight(); got != 0 {
-		t.Errorf("inflight gauge = %d after queries drained, want 0", got)
-	}
-	if peak.Load() < 1 {
-		t.Errorf("inflight gauge never rose above 0")
-	}
-}
-
-// TestReadRunsEmptyRegion: a region of only-empty cells yields no runs and
-// the parallel paths return immediately.
+// TestParallelEmptyRegion: a region of only-empty cells reads nothing and
+// touches no page.
 func TestParallelEmptyRegion(t *testing.T) {
 	fs, _, _, _, _ := buildParallelStore(t, 16)
 	defer fs.Close()
 	r := linear.Region{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}} // cell 0 is empty
 	calls := 0
-	if err := fs.ReadQueryOptCtx(context.Background(), r, ReadOptions{Parallelism: 4}, func(int, []byte) error { calls++; return nil }); err != nil {
+	if err := readRegion(context.Background(), fs, r, func(int, []byte) error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
 		t.Errorf("%d records from an empty region", calls)
 	}
-	sum, stats, err := fs.SumOptCtx(context.Background(), r, ReadOptions{Parallelism: 4}, decodeF64)
+	sum, stats, err := sumRegion(context.Background(), fs, r, decodeF64)
 	if err != nil || sum != 0 {
 		t.Errorf("empty region sum = %v, err %v", sum, err)
 	}
@@ -700,7 +657,7 @@ func TestPoolResetColdReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum1, st1, err := fs.SumCtx(ctx, full, decodeF64)
+	sum1, st1, err := sumRegion(ctx, fs, full, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +667,7 @@ func TestPoolResetColdReload(t *testing.T) {
 	if st1.Misses == 0 {
 		t.Fatal("cold pass took no misses")
 	}
-	_, warm, err := fs.SumCtx(ctx, full, decodeF64)
+	_, warm, err := sumRegion(ctx, fs, full, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +677,7 @@ func TestPoolResetColdReload(t *testing.T) {
 	if err := fs.Pool().Reset(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := fs.SumCtx(ctx, full, decodeF64)
+	_, st2, err := sumRegion(ctx, fs, full, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,9 +736,8 @@ func TestPlanCacheInvalidatedByPut(t *testing.T) {
 	}
 	ctx := context.Background()
 	full := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
-	opt := ReadOptions{Parallelism: 4, Readahead: 4}
 	for pass := 0; pass < 2; pass++ { // second pass serves from the plan cache
-		got, _, err := fs.SumOptCtx(ctx, full, opt, decodeF64)
+		got, _, err := sumRegion(ctx, fs, full, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -791,7 +747,7 @@ func TestPlanCacheInvalidatedByPut(t *testing.T) {
 	}
 	put(3, 1000) // grows cell 3's fill: every cached plan is now stale
 	want += 1000
-	got, _, err := fs.SumOptCtx(ctx, full, opt, decodeF64)
+	got, _, err := sumRegion(ctx, fs, full, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,7 +755,7 @@ func TestPlanCacheInvalidatedByPut(t *testing.T) {
 		t.Fatalf("post-put sum = %v, want %v (stale plan dropped the new record?)", got, want)
 	}
 	count := 0
-	if err := fs.ReadQueryOptCtx(ctx, full, opt, func(int, []byte) error {
+	if err := readRegion(ctx, fs, full, func(int, []byte) error {
 		count++
 		return nil
 	}); err != nil {

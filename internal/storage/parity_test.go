@@ -85,7 +85,7 @@ func assertTruth(t *testing.T, fs *FileStore, truth map[int][]string) {
 	t.Helper()
 	got := make(map[int][]string)
 	full := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
-	if err := fs.Scan(full, func(cell int, record []byte) error {
+	if err := readRegion(context.Background(), fs, full, func(cell int, record []byte) error {
 		got[cell] = append(got[cell], string(record))
 		return nil
 	}); err != nil {

@@ -56,7 +56,7 @@ func (t *PoolTally) deltaHit() { t.deltaHits.Add(1) }
 
 // PlanHits returns how many of this request's read plans were served from
 // the prepared-plan cache; PlanMisses counts the plans it had to compute.
-// A request plans once (FileStore.Plan), on either read schedule.
+// A request plans once (FileStore.Plan).
 func (t *PoolTally) PlanHits() int64   { return t.planHits.Load() }
 func (t *PoolTally) PlanMisses() int64 { return t.planMisses.Load() }
 

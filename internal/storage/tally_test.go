@@ -34,7 +34,7 @@ func TestSumStatsColdMatchesAnalytic(t *testing.T) {
 		pred := fs.Layout().Query(r)
 		var tally PoolTally
 		ctx := WithPoolTally(context.Background(), &tally)
-		if err := fs.ReadQueryCtx(ctx, r, func(int, []byte) error { return nil }); err != nil {
+		if err := readRegion(ctx, fs, r, func(int, []byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if pred.Pages == 0 {
@@ -61,10 +61,10 @@ func TestSumStatsIsolatedUnderConcurrency(t *testing.T) {
 	b := linear.Region{{Lo: 0, Hi: 4}, {Lo: 2, Hi: 4}}
 
 	// Warm the whole store, then measure each query solo.
-	if _, _, err := fs.Sum(linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, decodeF64); err != nil {
+	if _, _, err := sumRegion(context.Background(), fs, linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}, decodeF64); err != nil {
 		t.Fatal(err)
 	}
-	_, soloA, err := fs.Sum(a, decodeF64)
+	_, soloA, err := sumRegion(context.Background(), fs, a, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSumStatsIsolatedUnderConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := fs.Sum(b, decodeF64); err != nil {
+				if _, _, err := sumRegion(context.Background(), fs, b, decodeF64); err != nil {
 					t.Error(err)
 					return
 				}
@@ -94,7 +94,7 @@ func TestSumStatsIsolatedUnderConcurrency(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		_, got, err := fs.Sum(a, decodeF64)
+		_, got, err := sumRegion(context.Background(), fs, a, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestResetStatsCannotCorruptQueryStats(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		_, st, err := fs.Sum(all, decodeF64)
+		_, st, err := sumRegion(context.Background(), fs, all, decodeF64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestTallyCountsEvictionTraffic(t *testing.T) {
 	fs, _, _, _ := buildFileStore(t, 1) // single frame: every new page evicts
 	defer fs.Close()
 	all := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 4}}
-	_, st, err := fs.Sum(all, decodeF64)
+	_, st, err := sumRegion(context.Background(), fs, all, decodeF64)
 	if err != nil {
 		t.Fatal(err)
 	}

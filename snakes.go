@@ -295,7 +295,10 @@ func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
 type QueryPlan = storage.QueryPlan
 
 // FileStore is the queryable packed fact table: Put records into cells,
-// then Scan or Sum grid queries. Records live in a fixed-page file accessed
+// then Plan grid queries and read them with ReadPlanCtx (records) or
+// ReadPlanCellsCtx (whole cells; rowcodec sums them exactly). Each query
+// reads its seek runs in disk order, in span windows sized by the pool.
+// Records live in a fixed-page file accessed
 // through an LRU buffer pool, so real page traffic can be compared against
 // the analytic model (Layout().Query). See Strategy.MigrateCtx for physical
 // re-clustering.
@@ -303,15 +306,14 @@ type QueryPlan = storage.QueryPlan
 // A FileStore may be shared across goroutines: reads run concurrently, the
 // pool coalesces concurrent misses on the same page into one disk read, and
 // Close waits for in-flight readers before releasing the file.
-// Context-accepting methods (ReadQueryCtx, SumCtx, VerifyCtx) stop between
-// page reads when the context ends.
+// Context-accepting methods (ReadPlanCtx, ReadPlanCellsCtx, VerifyCtx) stop
+// between page reads when the context ends.
 type FileStore = storage.FileStore
 
-// ReadOptions selects the read executor's schedule (FileStore.ReadPlanCtx,
-// ReadPlanCellsCtx, ReadQueryOptCtx, SumOptCtx): Parallelism bounds the
-// concurrent fragment fetches of one query (<= 1 reads the fragments in
-// order on the caller's goroutine, delivering cells in place), Readahead
-// the pages a fragment loads per span read when Parallelism > 1.
+// ReadOptions is accepted and ignored by FileStore.ReadQueryOptCtx.
+//
+// Deprecated: every read runs one schedule, sized by the pool. Kept only for
+// the benchmark module until its re-baseline (ROADMAP item 1) drops it.
 type ReadOptions = storage.ReadOptions
 
 // PoolStats counts a FileStore buffer pool's traffic since creation.

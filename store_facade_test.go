@@ -68,9 +68,7 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tally PoolTally
-	total, _, err := store.SumCtx(WithPoolTally(context.Background(), &tally), all, func(rec []byte) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(rec))
-	})
+	total, err := sumFloat64s(WithPoolTally(context.Background(), &tally), store, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,4 +78,19 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 	if predicted := store.Layout().Query(all).Seeks; predicted != 1 || tally.Seeks() != 1 {
 		t.Errorf("full scan: %d seeks predicted, %d observed, want 1 and 1", predicted, tally.Seeks())
 	}
+}
+
+// sumFloat64s plans r and totals its float64 records in the caller's own
+// accumulator.
+func sumFloat64s(ctx context.Context, fs *FileStore, r Region) (float64, error) {
+	plan, err := fs.Plan(ctx, r)
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	err = fs.ReadPlanCtx(ctx, plan, func(_ int, rec []byte) error {
+		total += math.Float64frombits(binary.LittleEndian.Uint64(rec))
+		return nil
+	})
+	return total, err
 }
