@@ -43,15 +43,17 @@ race:
 
 # Short bounded fuzz sessions over the catalog round-trip property, the
 # column decoder's decimal fast path (bit-identical to strconv.ParseFloat),
-# the row codec (lossless, shape-sized, column-for-column equal to the text
-# decoder) and the exact sum (equal to a math/big oracle in any order). The
-# codec lives in internal/rowcodec; the first three drive it through its
-# exported functions from cmd/snakestore, beside its caller. Their seed
-# corpora run as ordinary tests in `make check`.
+# the row codec without and with a row dictionary (lossless, shape-sized,
+# column-for-column and sum-for-sum equal to the dictionary-free decoder)
+# and the exact sum (equal to a math/big oracle in any order). The codec
+# lives in internal/rowcodec; the first four drive it through its exported
+# functions from cmd/snakestore, beside its caller. Their seed corpora run
+# as ordinary tests in `make check`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzRowCodec -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodec$$ -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodecDict -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s ./internal/rowcodec
 
 # stress re-runs the concurrency suite under the race detector several
@@ -84,13 +86,14 @@ trace-smoke:
 # read + sum allocates the same small constant for one cell as for a
 # multi-run region,
 # the row codec allocates nothing to read a column, size a row or encode
-# one into a warm buffer, and /query's record kernel and the exact sum's
+# one into a warm buffer — under a row dictionary too, where summing a
+# coded column allocates nothing either — and /query's record kernel and the exact sum's
 # integer legs allocate nothing — and the memory model: a miss on a full
 # pool allocates nothing (get and getSpan), touching frames does not grow
 # the Go heap by their size, and an open store keeps 24 bytes a cell. Run
 # without the race detector, under which sync.Pool drops entries at random.
 alloc-gates:
-	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestSumKernelZeroAlloc|TestSumAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore ./internal/rowcodec
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestRowCodecDictAllocs|TestSumKernelZeroAlloc|TestSumAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore ./internal/rowcodec
 
 # benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
 # module, which `go build ./...` and `go test ./...` above never see, so

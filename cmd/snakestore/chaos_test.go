@@ -56,7 +56,7 @@ func buildChaosServed(t *testing.T) (srv *server, storePath string, pageBytes in
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = newServer(store, schema, schemaDims(c), adm, 5*time.Second, c.Generation, snakes.TraceConfig{})
+	srv = newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
 	srv.parityGroup = store.ParityGroup()
 	return srv, storePath, c.PageBytes, want
 }

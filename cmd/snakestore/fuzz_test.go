@@ -11,9 +11,11 @@ import (
 // FuzzCatalogRoundTrip feeds arbitrary bytes through loadCatalog and, for
 // anything that parses, requires the atomic writer to reach a stable
 // fixpoint: write → load → write must reproduce the same bytes, so no
-// catalog state is lost or mangled across a save/restore cycle. Version 3
-// and version 4 catalogs with load state are seeded: both round-trip, and
-// only the first is refused by the row-format gate.
+// catalog state is lost or mangled across a save/restore cycle. Version 3,
+// 4 and 5 catalogs with load state are seeded, the last with a row
+// dictionary: all round-trip, and only the first is refused by the
+// row-format gate. A malformed dictionary is seeded too: loadCatalog
+// refuses it.
 func FuzzCatalogRoundTrip(f *testing.F) {
 	seedDir := f.TempDir()
 	seedCat := filepath.Join(seedDir, "cat.json")
@@ -30,8 +32,10 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"version":1,"schema":{},"strategy":{},"pageBytes":8192}`))
 	f.Add([]byte(`{"version":99,"schema":{},"strategy":{}}`))
 	f.Add([]byte(`{"version":2,"dirty":true,"schema":{},"strategy":{}}`))
-	f.Add(bytes.Replace(seed, []byte(`"version": 4`), []byte(`"version": 3, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
-	f.Add(bytes.Replace(seed, []byte(`"version": 4`), []byte(`"version": 4, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 3, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 4, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": 4, "skeletons": ["N", "R", "A"]}, {"column": 7, "skeletons": ["lineitem 9 v4 carefully", ""]}]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": -4, "skeletons": ["N", "N"]}]`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cat.json")
@@ -43,11 +47,12 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 			return // rejecting malformed input is the correct behavior
 		}
 		// Whatever parses, the gate in front of the row decoders admits
-		// exactly the clean, built, current-version catalogs, and refuses a
-		// clean built one of an older version with the one typed error.
+		// exactly the clean, built catalogs of an encoded store (version 4
+		// on), and refuses a clean built one of an older version with the one
+		// typed error.
 		built := !cat.Dirty && cat.BytesPer != nil
 		_, _, _, gateErr := loadServableCatalog(path)
-		if (gateErr == nil) != (built && cat.Version == catalogVersion) || errors.Is(gateErr, errOldStore) != (built && cat.Version < catalogVersion) {
+		if (gateErr == nil) != (built && cat.Version >= minServableVersion) || errors.Is(gateErr, errOldStore) != (built && cat.Version < minServableVersion) {
 			t.Fatalf("loadServableCatalog on a version %d catalog (dirty=%v, built=%v): %v", cat.Version, cat.Dirty, cat.BytesPer != nil, gateErr)
 		}
 		if err := writeCatalog(path, cat); err != nil {

@@ -292,7 +292,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		records := make([][]byte, len(c.Rows))
 		for j, row := range c.Rows {
 			at := len(enc)
-			enc = rowcodec.Encode(enc, row)
+			enc = rowcodec.Encode(s.dict, enc, row)
 			records[j] = enc[at:]
 		}
 		cell := order.CellIndex(c.Coords)

@@ -351,7 +351,7 @@ func openIngestServer(dir string) (*server, error) {
 		store.Close()
 		return nil, err
 	}
-	srv := newServer(store, schema, schemaDims(c), adm, 5*time.Second, c.Generation, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
 	srv.parityGroup = store.ParityGroup()
 	if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
 		store.Close()
@@ -383,7 +383,7 @@ func runIngestCrashOps(dir, ops string) error {
 			}
 			cell := st.Layout().Order().CellIndex([]int{x, y})
 			srv.ing.mu.Lock()
-			err := srv.ing.log.Put(cell, snakes.FrameRecords(rowcodec.Encode(nil, val)))
+			err := srv.ing.log.Put(cell, snakes.FrameRecords(rowcodec.Encode(nil, nil, val)))
 			srv.ing.mu.Unlock()
 			if err != nil {
 				return err
@@ -453,7 +453,7 @@ func cellRecord(t *testing.T, srv *server, x, y int) string {
 	cell := st.Layout().Order().CellIndex([]int{x, y})
 	var rows []string
 	if err := st.ReadCellCtx(context.Background(), cell, func(rec []byte) error {
-		row, err := rowcodec.Decode(nil, rec)
+		row, err := rowcodec.Decode(srv.dict, nil, rec)
 		rows = append(rows, string(row))
 		return err
 	}); err != nil {

@@ -5,7 +5,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,7 +93,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	var got float64
 	var count int
 	if err := readRegion(context.Background(), fs, region, func(cell int, rec []byte) error {
-		v, err := rowcodec.Column(rec, 0)
+		v, err := rowcodec.Column(c.Dict, rec, 0)
 		if err != nil {
 			return err
 		}
@@ -203,7 +206,9 @@ func TestDirtyCatalogBlocksQueriesUntilRebuilt(t *testing.T) {
 // usage error) before touching a file — stale generations of a crashed
 // reorganization included — while verify and verify -repair, which read
 // framing only, keep working; re-running build is the way back. An optimize
-// output of any version, which has no load state, feeds build as before.
+// output of any version, which has no load state, feeds build as before. A
+// version 4 store, encoded without a row dictionary, is not old: it serves
+// the sums a rebuild serves.
 func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 	for _, version := range []int{1, 2, 3} {
 		dir := t.TempDir()
@@ -271,6 +276,120 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 		}
 		if _, err := os.Stat(genPath(store, 1)); !os.IsNotExist(err) {
 			t.Errorf("the rebuild left generation 1 behind (err = %v)", err)
+		}
+	}
+
+	// A version 4 store — rows encoded before there was a row dictionary, as
+	// that release's build wrote testdata/v4store — still serves, and answers
+	// every sum, and every error, as a rebuild of its CSV under the current
+	// version does.
+	v4, fresh := t.TempDir(), t.TempDir()
+	for _, name := range []string{"cat.json", "facts.csv", "facts.db", "facts.db.parity"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v4store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{v4, fresh} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v4Cat, v4Store := filepath.Join(v4, "cat.json"), filepath.Join(v4, "facts.db")
+	freshCat, freshStore := filepath.Join(fresh, "cat.json"), filepath.Join(fresh, "facts.db")
+	if c, _, _, err := loadServableCatalog(v4Cat); err != nil || c.Version != 4 || c.Dict != nil {
+		t.Fatalf("the version 4 catalog: %v", err)
+	}
+	if err := cmdBuild([]string{"-catalog", freshCat, "-csv", filepath.Join(fresh, "facts.csv"), "-store", freshStore, "-frames", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	if c, _, _, err := loadCatalog(freshCat); err != nil || c.Version != catalogVersion || c.Dict == nil {
+		t.Fatalf("the rebuild's catalog: %v", err)
+	}
+	for _, region := range []snakes.Region{{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 3}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}}} {
+		for col := 0; col < 4; col++ {
+			n4, s4 := cliSum(t, v4Cat, v4Store, region, col)
+			n5, s5 := cliSum(t, freshCat, freshStore, region, col)
+			if n4 != n5 || math.Float64bits(s4) != math.Float64bits(s5) {
+				t.Errorf("sum of column %d over %v: version 4 store %d records %v, rebuilt %d records %v", col, region, n4, s4, n5, s5)
+			}
+		}
+	}
+	for _, col := range []string{"4", "7", "8"} {
+		err4 := cmdQuery([]string{"-catalog", v4Cat, "-store", v4Store, "-sum", col})
+		err5 := cmdQuery([]string{"-catalog", freshCat, "-store", freshStore, "-sum", col})
+		if err4 == nil || err5 == nil || err4.Error() != err5.Error() {
+			t.Errorf("sum of text column %s: version 4 store %v, rebuilt %v", col, err4, err5)
+		}
+	}
+	c, schema, strat, err := loadServableCatalog(v4Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := strat.OpenFileStore(v4Store, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm, err := snakes.NewAdmission(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
+	defer srv.closeStore()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	region := snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
+	_, want := cliSum(t, freshCat, freshStore, region, 0)
+	var q queryResponse
+	getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
+	if q.Records != 48 || q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
+		t.Errorf("serving the version 4 store: %d records sum %v, rebuilt store %v", q.Records, fmtSum(q.Sum), want)
+	}
+}
+
+// TestCatalogDictionaryRefused: a catalog whose row dictionary no build
+// wrote — too many skeletons in a column, an over-long or repeated
+// skeleton, a negative column index — is refused at load with the codec's
+// typed error, by every command and as a state error (exit 1), so no
+// decoder ever indexes into it.
+func TestCatalogDictionaryRefused(t *testing.T) {
+	dir := t.TempDir()
+	cat, store, csvPath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), filepath.Join(dir, "facts.csv")
+	writeFactsCSV(t, csvPath)
+	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", cat}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", store}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := make([]string, 256)
+	for i := range many {
+		many[i] = fmt.Sprintf("v%d", i%9+1) + strings.Repeat("x", i)
+	}
+	manyJSON, _ := json.Marshal(many)
+	for name, dict := range map[string]string{
+		"256 skeletons":      `[{"column":0,"skeletons":` + string(manyJSON) + `}]`,
+		"over-long":          `[{"column":0,"skeletons":["` + strings.Repeat("x", 256) + `"]}]`,
+		"duplicate":          `[{"column":1,"skeletons":["N","N"]}]`,
+		"negative column":    `[{"column":-1,"skeletons":["N"]}]`,
+		"a run of 20 digits": `[{"column":2,"skeletons":["v20"]}]`,
+	} {
+		bad := strings.Replace(string(good), `"pageBytes"`, `"dictionary": `+dict+`, "pageBytes"`, 1)
+		if err := os.WriteFile(cat, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var de *rowcodec.DictError
+		if _, _, _, err := loadCatalog(cat); !errors.As(err, &de) {
+			t.Errorf("%s: loadCatalog err = %v, want a *rowcodec.DictError", name, err)
+		}
+		for cmdName, cmd := range map[string]func([]string) error{"serve": cmdServe, "query": cmdQuery, "verify": cmdVerify} {
+			if err := cmd([]string{"-catalog", cat, "-store", store}); !errors.As(err, &de) || errors.Is(err, errUsage) {
+				t.Errorf("%s: %s err = %v, want the dictionary error and exit 1", name, cmdName, err)
+			}
 		}
 	}
 }

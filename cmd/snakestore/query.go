@@ -148,7 +148,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = tr.ID()
 	}
 	var total float64
-	if resp.Records, total, err = readSum(ctx, st, plan, sumCol); err != nil {
+	if resp.Records, total, err = readSum(ctx, st, plan, s.dict, sumCol); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -176,10 +176,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // readSum executes plan through the one record kernel /query and the query
 // subcommand share: the region's record count and, for col >= 0, the exact
-// sum of payload column col (rowcodec.Sum). A column that does not read as
-// a number, or a sum that is not a finite number, is a usage error.
-func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, col int) (records int64, sum float64, err error) {
-	k := &sumKernel{col: col, sum: rowcodec.NewSum(col)}
+// sum of payload column col (rowcodec.Sum) of rows encoded under d. A column
+// that does not read as a number, or a sum that is not a finite number, is a
+// usage error.
+func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, d *rowcodec.Dict, col int) (records int64, sum float64, err error) {
+	k := &sumKernel{col: col, sum: rowcodec.NewSum(d, col)}
 	if err := st.ReadPlanCellsCtx(ctx, plan, k.cell); err != nil {
 		return 0, 0, err
 	}

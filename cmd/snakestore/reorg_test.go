@@ -60,7 +60,7 @@ func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig) (*server, string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, schemaDims(c), adm, 5*time.Second, c.Generation, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
 	if err := srv.enableReorg(catPath, storePath, 8, c, strat, cfg); err != nil {
 		store.Close()
 		t.Fatal(err)
@@ -129,8 +129,11 @@ func TestServeAdaptiveReorgEndToEnd(t *testing.T) {
 			}
 		}()
 	}
+	// The serving generation flips mid-migration; the policy records the
+	// reorganization only once the post-swap drain and scrub return, so wait
+	// for both.
 	deadline := time.Now().Add(15 * time.Second)
-	for srv.generation.Load() != 1 && time.Now().Before(deadline) {
+	for (srv.generation.Load() != 1 || srv.reorg.Status().Reorgs == 0) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,10 +24,12 @@ import (
 func rawRow(text []byte) []byte { return append([]byte{0}, text...) }
 
 // parseDecimal is the codec's decimal parser on the field that starts b.
-func parseDecimal(b []byte) (float64, error) { return rowcodec.Column(rawRow(b), 0) }
+func parseDecimal(b []byte) (float64, error) { return rowcodec.Column(nil, rawRow(b), 0) }
 
 // payloadColumn is the idx-th column of a row held as text.
-func payloadColumn(row []byte, idx int) (float64, error) { return rowcodec.Column(rawRow(row), idx) }
+func payloadColumn(row []byte, idx int) (float64, error) {
+	return rowcodec.Column(nil, rawRow(row), idx)
+}
 
 // checkParseDecimal holds parseDecimal to strconv.ParseFloat on the field
 // that ends at the first comma: the same bits, and the same error text.
@@ -95,7 +100,7 @@ func TestPayloadColumn(t *testing.T) {
 	raw := rawRow(rec)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 2; idx++ {
-			v, _ := rowcodec.Column(raw, idx)
+			v, _ := rowcodec.Column(nil, raw, idx)
 			sink += v
 		}
 	}); allocs != 0 {
@@ -103,35 +108,53 @@ func TestPayloadColumn(t *testing.T) {
 	}
 }
 
-// checkRowCodec holds one row to the codec's contract: the encoding is
-// lossless and at most a byte longer than the text, EncodedLen agrees with
-// it, a string encodes as its bytes do, and every column — one past the
-// last included — reads from the encoded row exactly as payloadColumn reads
-// it from the text: the same bits, the same error text.
-func checkRowCodec(t *testing.T, row []byte) []byte {
+// checkRowCodec holds one row to the codec's contract under dictionary d
+// (nil: none): the encoding is lossless and at most a byte longer than the
+// text, EncodedLen agrees with it, a string encodes as its bytes do, and
+// every column — one past the last included — reads from the encoded row
+// exactly as payloadColumn reads it from the text, and sums (Sum) exactly
+// as it does from the row encoded without a dictionary: the same bits, the
+// same error text.
+func checkRowCodec(t *testing.T, d *rowcodec.Dict, row []byte) []byte {
 	t.Helper()
-	enc := rowcodec.Encode(nil, row)
-	if got := rowcodec.Encode([]byte("x"), string(row)); !bytes.Equal(got[1:], enc) {
+	enc := rowcodec.Encode(d, nil, row)
+	if got := rowcodec.Encode(d, []byte("x"), string(row)); !bytes.Equal(got[1:], enc) {
 		t.Fatalf("rowcodec.Encode(%q) as a string = %x, as bytes %x", row, got[1:], enc)
 	}
-	if len(enc) > len(row)+1 || rowcodec.EncodedLen(row) != len(enc) || rowcodec.EncodedLen(string(row)) != len(enc) {
-		t.Fatalf("rowcodec.Encode(%q) is %d bytes, rowcodec.EncodedLen says %d, the text is %d", row, len(enc), rowcodec.EncodedLen(row), len(row))
+	if len(enc) > len(row)+1 || rowcodec.EncodedLen(d, row) != len(enc) || rowcodec.EncodedLen(d, string(row)) != len(enc) {
+		t.Fatalf("rowcodec.Encode(%q) is %d bytes, rowcodec.EncodedLen says %d, the text is %d", row, len(enc), rowcodec.EncodedLen(d, row), len(row))
 	}
-	dec, err := rowcodec.Decode(nil, enc)
+	dec, err := rowcodec.Decode(d, nil, enc)
 	if err != nil || !bytes.Equal(dec, row) {
 		t.Fatalf("rowcodec.Decode(rowcodec.Encode(%q)) = %q, %v", row, dec, err)
 	}
+	plain := rowcodec.Encode(nil, nil, row)
 	for idx := 0; idx <= bytes.Count(row, []byte(","))+1; idx++ {
 		want, wantErr := payloadColumn(row, idx)
-		got, gotErr := rowcodec.Column(enc, idx)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("row %q column %d: rowcodec.Column err = %v, payloadColumn err = %v", row, idx, gotErr, wantErr)
+		got, gotErr := rowcodec.Column(d, enc, idx)
+		sameReading(t, fmt.Sprintf("row %q column %d", row, idx), got, gotErr, want, wantErr)
+		ws, gs := rowcodec.NewSum(nil, idx), rowcodec.NewSum(d, idx)
+		wantErr, gotErr = ws.Add(plain), gs.Add(enc)
+		if wantErr == nil && gotErr == nil {
+			wantErr, gotErr = ws.Add(plain), gs.Add(enc)
 		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("row %q column %d: rowcodec.Column = %v (%#x), payloadColumn = %v (%#x)", row, idx, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
+		want, _ = ws.Total()
+		got, _ = gs.Total()
+		sameReading(t, fmt.Sprintf("row %q twice, sum of column %d", row, idx), got, gotErr, want, wantErr)
 	}
 	return enc
+}
+
+// sameReading fails unless two readings of one column agree: the same bits,
+// or the same error text.
+func sameReading(t *testing.T, what string, got float64, gotErr error, want float64, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: err = %v, want %v", what, gotErr, wantErr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %v (%#x), want %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
 }
 
 // sameShape rewrites a row the way a same-shape upsert does: every column
@@ -146,11 +169,13 @@ func sameShape(row []byte) []byte {
 	return out
 }
 
-// checkShapeSized: two rows whose columns have pairwise equal lengths and
-// the same canonical run (their headers agree) encode to the same length.
-func checkShapeSized(t *testing.T, row []byte) {
+// checkShapeSized: two rows whose columns have pairwise equal lengths, the
+// same canonical run (their headers agree) and, under a dictionary, the
+// same skeletons (sameShape keeps every digit run's length) encode to the
+// same length.
+func checkShapeSized(t *testing.T, d *rowcodec.Dict, row []byte) {
 	t.Helper()
-	a, b := checkRowCodec(t, row), checkRowCodec(t, sameShape(row))
+	a, b := checkRowCodec(t, d, row), checkRowCodec(t, d, sameShape(row))
 	if a[0] == b[0] && len(a) != len(b) {
 		t.Fatalf("rows %q and %q have one shape and encode to %d and %d bytes", row, sameShape(row), len(a), len(b))
 	}
@@ -170,16 +195,16 @@ var rowSeeds = []string{
 // cent amount of the benchmark's row shape.
 func TestRowCodec(t *testing.T) {
 	for _, s := range rowSeeds {
-		checkShapeSized(t, []byte(s))
+		checkShapeSized(t, nil, []byte(s))
 	}
 	row := []byte("12345.67,17,0.05,0.02,N,O,TRUCK,comment")
-	want := len(checkRowCodec(t, row))
+	want := len(checkRowCodec(t, nil, row))
 	if saved := len(row) - want; saved != 8 {
 		t.Errorf("the four measures of %q encode %d bytes shorter than their text, want 8", row, saved)
 	}
 	for cents := 1_000_000; cents < 10_000_000; cents += 9973 {
 		row := append(strconv.AppendFloat(nil, float64(cents)/100, 'f', 2, 64), ",17,0.05,0.02,N,O,TRUCK,comment"...)
-		if got := len(checkRowCodec(t, row)); got != want {
+		if got := len(checkRowCodec(t, nil, row)); got != want {
 			t.Fatalf("%q encodes to %d bytes, a row of its shape to %d", row, got, want)
 		}
 	}
@@ -189,12 +214,12 @@ func TestRowCodec(t *testing.T) {
 // both decoders, never a panic.
 func TestRowCodecRejectsMalformed(t *testing.T) {
 	for _, rec := range [][]byte{nil, {0x10}, {0x20}, {0x01}, {0x01, 0x04, 1, 2}, {0x02, 0x01, 5}, {0x01, 0x01, 5, 'x'}} {
-		if dec, err := rowcodec.Decode(nil, rec); err == nil {
+		if dec, err := rowcodec.Decode(nil, nil, rec); err == nil {
 			t.Errorf("rowcodec.Decode(%x) = %q, want an error", rec, dec)
 		}
 	}
 	for _, rec := range [][]byte{nil, {0x01}, {0x01, 0x04, 1, 2}, {0x02, 0x01, 5}} {
-		if v, err := rowcodec.Column(rec, 1); err == nil {
+		if v, err := rowcodec.Column(nil, rec, 1); err == nil {
 			t.Errorf("rowcodec.Column(%x, 1) = %v, want an error", rec, v)
 		}
 	}
@@ -204,18 +229,18 @@ func TestRowCodecRejectsMalformed(t *testing.T) {
 // sizing a row and encoding into a warm buffer allocate nothing.
 func TestRowCodecAllocs(t *testing.T) {
 	row := []byte(rowSeeds[0])
-	enc := rowcodec.Encode(nil, row)
+	enc := rowcodec.Encode(nil, nil, row)
 	buf := make([]byte, 0, len(row)+1)
 	var sink float64
 	var size int
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 4; idx++ {
-			v, _ := rowcodec.Column(enc, idx)
+			v, _ := rowcodec.Column(nil, enc, idx)
 			sink += v
 		}
-		size += rowcodec.EncodedLen(row) + rowcodec.EncodedLen(rowSeeds[0])
-		buf = rowcodec.Encode(buf[:0], row)
-		buf = rowcodec.Encode(buf[:0], rowSeeds[0])
+		size += rowcodec.EncodedLen(nil, row) + rowcodec.EncodedLen(nil, rowSeeds[0])
+		buf = rowcodec.Encode(nil, buf[:0], row)
+		buf = rowcodec.Encode(nil, buf[:0], rowSeeds[0])
 	}); allocs != 0 {
 		t.Errorf("the row codec allocates %v times per row, want 0", allocs)
 	}
@@ -226,11 +251,131 @@ func FuzzRowCodec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		checkShapeSized(t, in)
+		checkShapeSized(t, nil, in)
 		// The same bytes read as an encoded row: an answer or an error.
-		rowcodec.Decode(nil, in)
+		rowcodec.Decode(nil, nil, in)
 		for idx := 0; idx < 18; idx++ {
-			rowcodec.Column(in, idx)
+			rowcodec.Column(nil, in, idx)
+		}
+	})
+}
+
+// dictSeeds are the seed rows plus the shapes a dictionary codes: the
+// benchmark's row over its seven ship modes, digit runs of every length up
+// to 19 and past it, and a column offered more skeletons than it holds.
+var dictSeeds = func() []string {
+	seeds := append([]string(nil), rowSeeds...)
+	for i, mode := range []string{"TRUCK", "MAIL", "SHIP", "AIR", "RAIL", "FOB", "REG AIR"} {
+		seeds = append(seeds, fmt.Sprintf("%d.%02d,%d,0.0%d,0.0%d,%c,%c,%s,lineitem %09d v%04d carefully final deposits sl",
+			1000+i*7919, i*13%100, 1+i, i%9, i%9, "ANR"[i%3], "OF"[i%2], mode, i*104729, i))
+	}
+	for L := 1; L <= 21; L++ {
+		seeds = append(seeds, "x,"+strings.Repeat("7", L)+"-"+strings.Repeat("0", L), strings.Repeat("9", L)+",+0."+strings.Repeat("5", L))
+	}
+	for i := 0; i < 260; i++ {
+		seeds = append(seeds, "1,w"+strings.Repeat("q", i))
+	}
+	return seeds
+}()
+
+// seedDict is the dictionary build would learn from dictSeeds, frozen as a
+// served catalog's is.
+var seedDict = func() *rowcodec.Dict {
+	d := rowcodec.NewDict()
+	for _, s := range dictSeeds {
+		d.Learn([]byte(s))
+	}
+	return d
+}()
+
+// TestRowCodecDict: a row Learn sized encodes to that length under the
+// final dictionary; the benchmark's row codes its text columns to a byte
+// each plus their digit runs; a row the dictionary does not help is stored
+// exactly as without one; and a coded row read without its dictionary is
+// malformed, never a panic.
+func TestRowCodecDict(t *testing.T) {
+	learned := rowcodec.NewDict()
+	sized := make([]int, len(dictSeeds))
+	for i, s := range dictSeeds {
+		var plain int
+		if sized[i], plain = learned.Learn([]byte(s)); plain != rowcodec.EncodedLen(nil, s) {
+			t.Fatalf("Learn says %q is %d bytes without a dictionary, EncodedLen says %d", s, plain, rowcodec.EncodedLen(nil, s))
+		}
+	}
+	for i, s := range dictSeeds { // FuzzRowCodecDict's seeds hold each to the contract
+		if got := rowcodec.EncodedLen(learned, s); got != sized[i] {
+			t.Fatalf("Learn sized %q at %d bytes, the final dictionary encodes it to %d", s, sized[i], got)
+		}
+	}
+	if got := learned.Entries(); got[1] != 255 || got[4] != 3 || got[5] != 2 || got[6] != 7 {
+		t.Errorf("skeletons per column %v: want 255 in the full column 1, 3/2/7 for the benchmark's flags and ship modes", got)
+	}
+
+	row := "12345.67,17,0.05,0.02,N,O,TRUCK,lineitem 000000042 v0001 carefully final deposits sl"
+	enc := checkRowCodec(t, seedDict, []byte(row))
+	// 14 bytes of header and measures; a code each for the flags and the
+	// ship mode; the comment's code, 4 bytes for 9 digits and 2 for 4.
+	if len(enc) != 14+3+7 {
+		t.Errorf("the benchmark's row encodes to %d bytes under its dictionary, want 24", len(enc))
+	}
+	if _, err := rowcodec.Decode(nil, nil, enc); !errors.Is(err, rowcodec.ErrMalformed) {
+		t.Errorf("a coded row decoded without its dictionary: %v, want ErrMalformed", err)
+	}
+	if _, err := rowcodec.Column(nil, enc, 7); !errors.Is(err, rowcodec.ErrMalformed) {
+		t.Errorf("a coded column read without its dictionary: %v, want ErrMalformed", err)
+	}
+	for _, free := range []string{
+		"12345.67,17,0.05,0.02,Q,Z,BIKE,a comment no build saw 12",
+		"1,w" + strings.Repeat("q", 300),
+		"x,12345678901234567890",
+		"free text, in every column",
+	} {
+		if got, want := rowcodec.Encode(seedDict, nil, free), rowcodec.Encode(nil, nil, free); !bytes.Equal(got, want) {
+			t.Errorf("%q encodes to %x under the dictionary, %x without", free, got, want)
+		}
+	}
+}
+
+// TestRowCodecDictAllocs is the coded half of the allocation gate: sizing
+// and encoding a row under a dictionary, and summing a coded column, into
+// warm buffers allocate nothing.
+func TestRowCodecDictAllocs(t *testing.T) {
+	row := []byte("12345.67,17,0.05,N,+0.75,lineitem 000000042 v0000 carefully final deposits sl")
+	d := rowcodec.NewDict()
+	d.Learn(row)
+	buf := make([]byte, 0, len(row)+1)
+	sum := rowcodec.NewSum(d, 4)
+	var size int
+	if allocs := testing.AllocsPerRun(1000, func() {
+		size += rowcodec.EncodedLen(d, row)
+		buf = rowcodec.Encode(d, buf[:0], row)
+		if err := sum.Add(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("encoding and summing under a dictionary allocates %v times per row, want 0", allocs)
+	}
+	if len(buf) >= rowcodec.EncodedLen(nil, row) {
+		t.Errorf("the gate's row is not coded: %d bytes, %d without the dictionary", len(buf), rowcodec.EncodedLen(nil, row))
+	}
+	if got, err := sum.Total(); err != nil || got != 0.75*1001 {
+		t.Errorf("sum of the coded column = %v, %v; want %v", got, err, 0.75*1001)
+	}
+}
+
+func FuzzRowCodecDict(f *testing.F) {
+	for _, s := range dictSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkShapeSized(t, seedDict, in)
+		// The same bytes read as a row coded under the dictionary: an
+		// answer or an error.
+		rowcodec.Decode(seedDict, nil, in)
+		for idx := 0; idx < 18; idx++ {
+			rowcodec.Column(seedDict, in, idx)
+			s := rowcodec.NewSum(seedDict, idx)
+			s.Add(in)
 		}
 	})
 }
@@ -268,7 +413,7 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fs, schema, schemaDims(c), adm, 5*time.Second, c.Generation, snakes.TraceConfig{})
+	srv := newServer(fs, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	var body struct{ Error string }

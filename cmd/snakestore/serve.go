@@ -22,6 +22,7 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // buildVersion identifies the binary in snakestore_build_info; override at
@@ -52,6 +53,7 @@ type server struct {
 	store      atomic.Pointer[snakes.FileStore]
 	schema     *snakes.Schema
 	dims       []snakes.Dimension
+	dict       *rowcodec.Dict // the catalog's row dictionary: fixed at build
 	adm        *snakes.Admission
 	reqTimeout time.Duration
 	metrics    *serverMetrics
@@ -104,10 +106,12 @@ type server struct {
 	lastScrub  string           // outcome of the most recent /verify
 }
 
-func newServer(store *snakes.FileStore, schema *snakes.Schema, dims []snakes.Dimension, adm *snakes.Admission, reqTimeout time.Duration, gen int, tcfg snakes.TraceConfig) *server {
+func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm *snakes.Admission, reqTimeout time.Duration, tcfg snakes.TraceConfig) *server {
+	gen := cat.Generation
 	s := &server{
 		schema:      schema,
-		dims:        dims,
+		dims:        schemaDims(cat),
+		dict:        cat.Dict,
 		adm:         adm,
 		reqTimeout:  reqTimeout,
 		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -483,7 +487,7 @@ func cmdServe(args []string) error {
 		Capacity:         *traceCapacity,
 		RetainedCapacity: *traceCapacity / 4,
 	}
-	srv := newServer(store, schema, schemaDims(cat), adm, *reqTimeout, cat.Generation, tcfg)
+	srv := newServer(store, schema, cat, adm, *reqTimeout, tcfg)
 	var stopLog func()
 	srv.log, srv.flushLog, stopLog = newBufferedLogger(os.Stderr, accessLogFlushEvery)
 	defer stopLog()

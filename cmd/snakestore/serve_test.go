@@ -45,7 +45,7 @@ func buildServed(t *testing.T, capacity int64, queueTimeout, reqTimeout time.Dur
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(store, schema, schemaDims(c), adm, reqTimeout, c.Generation, snakes.TraceConfig{}), want
+	return newServer(store, schema, c, adm, reqTimeout, snakes.TraceConfig{}), want
 }
 
 func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out any) {
@@ -187,7 +187,7 @@ func TestServeQuarantinesCorruptPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, schemaDims(c), adm, 5*time.Second, c.Generation, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

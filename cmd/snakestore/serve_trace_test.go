@@ -110,8 +110,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, schemaDims(c), adm, 5*time.Second, c.Generation,
-		snakes.TraceConfig{SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
+	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
 	var buf syncBuf
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.handler())

@@ -54,7 +54,7 @@ func serveRows(t *testing.T, rows map[[2]int][]string) (srv *server, ts *httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = newServer(store, schema, schemaDims(c), adm, 0, c.Generation, snakes.TraceConfig{})
+	srv = newServer(store, schema, c, adm, 0, snakes.TraceConfig{})
 	t.Cleanup(func() { srv.closeStore() })
 	ts = httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -176,11 +176,11 @@ func TestNonFiniteSumIsUsageError(t *testing.T) {
 func TestSumKernelZeroAlloc(t *testing.T) {
 	var recs [][]byte
 	for _, row := range []string{"12345.67,17,0.05,N,comment", "-0.25,3,0.10,O,x", "+1.75,007,.5,A,raw"} {
-		recs = append(recs, rowcodec.Encode(nil, row))
+		recs = append(recs, rowcodec.Encode(nil, nil, row))
 	}
 	framed := snakes.FrameRecords(recs...)
 	for col := 0; col < 3; col++ {
-		k := &sumKernel{col: col, sum: rowcodec.NewSum(col)}
+		k := &sumKernel{col: col, sum: rowcodec.NewSum(nil, col)}
 		if allocs := testing.AllocsPerRun(1000, func() {
 			if err := k.cell(3, framed); err != nil {
 				t.Fatal(err)

@@ -26,12 +26,13 @@ func TestMantissaWidth(t *testing.T) {
 	}
 }
 
-// BenchmarkSumColumn prices the sum kernel's per-record work on the
-// benchmark's row shape: the text decoder and Column, which round every
-// value, against Sum, which adds the mantissa.
+// BenchmarkSumColumn prices the codec's per-record work on the benchmark's
+// row shape: the text decoder and Column, which round every value, against
+// Sum, which adds the mantissa; encoding and sizing without and with a
+// dictionary.
 func BenchmarkSumColumn(b *testing.B) {
 	row := []byte("12345.67,17,0.05,0.02,N,O,TRUCK,lineitem 000000042 v0000 carefully final deposits")
-	enc := Encode(nil, row)
+	enc := Encode(nil, nil, row)
 	var sink float64
 	b.Run("text", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -41,12 +42,12 @@ func BenchmarkSumColumn(b *testing.B) {
 	})
 	b.Run("encoded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v, _ := Column(enc, 0)
+			v, _ := Column(nil, enc, 0)
 			sink += v
 		}
 	})
 	b.Run("sum", func(b *testing.B) {
-		s := NewSum(0)
+		s := NewSum(nil, 0)
 		for i := 0; i < b.N; i++ {
 			s.Add(enc)
 		}
@@ -56,13 +57,40 @@ func BenchmarkSumColumn(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		buf := make([]byte, 0, len(row)+1)
 		for i := 0; i < b.N; i++ {
-			buf = Encode(buf[:0], row)
+			buf = Encode(nil, buf[:0], row)
 		}
 	})
 	b.Run("encodedLen", func(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
-			n += EncodedLen(row)
+			n += EncodedLen(nil, row)
+		}
+	})
+	// Under a dictionary: build's pass 1 (Learn) and pass 2 (Encode), and
+	// the sum of a coded column.
+	d := NewDict()
+	d.Learn(row)
+	b.Run("learn", func(b *testing.B) {
+		n := 0
+		for i := 0; i < b.N; i++ {
+			size, _ := d.Learn(row)
+			n += size
+		}
+	})
+	b.Run("encodeDict", func(b *testing.B) {
+		buf := make([]byte, 0, len(row)+1)
+		for i := 0; i < b.N; i++ {
+			buf = Encode(d, buf[:0], row)
+		}
+	})
+	b.Run("sumCoded", func(b *testing.B) {
+		rec := []byte("12345.67,17,N,+0.75,lineitem 000000042 v0000")
+		dd := NewDict()
+		dd.Learn(rec)
+		enc := Encode(dd, nil, rec)
+		s := NewSum(dd, 3)
+		for i := 0; i < b.N; i++ {
+			s.Add(enc)
 		}
 	})
 	_ = sink

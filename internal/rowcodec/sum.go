@@ -10,7 +10,7 @@ import (
 
 // Sum adds up one payload column of encoded rows exactly: /query's sum and
 // the query subcommand's -sum. A plain decimal of at most maxDigits digits
-// — every binary column, and every text column that spells one — is the
+// — every binary column, and every text or coded column that spells one — is the
 // integer ±mantissa at its fraction count, and the mantissas of each
 // fraction count are added in a 128-bit integer, so nothing rounds while
 // rows are added and the order they come in cannot change the answer.
@@ -19,27 +19,41 @@ import (
 // Two rarer legs keep the sum exact too. A longer plain decimal is added
 // as the rational its text spells; any other spelling strconv.ParseFloat
 // accepts (an exponent, hex, inf, nan) is added as the float64 ParseFloat
-// reads, whose value is exact once read. Only these legs allocate.
+// reads, whose value is exact once read. Only these legs allocate, and the
+// first coded column added, whose text is rebuilt in buf so it reads exactly
+// as it did as text.
 type Sum struct {
 	col  int
+	d    *Dict
 	used uint32                // bit k: a value with k fraction digits was added
 	lo   [maxDigits + 1]uint64 // per fraction count, the low and high words
 	hi   [maxDigits + 1]int64  // of a 128-bit two's-complement mantissa sum
 	rat  *big.Rat              // the long plain decimals and ParseFloat's finite values
 	odd  float64               // the sum of the infinities and NaNs added
+	buf  *[maxColumnText]byte  // a coded column's text; made when first needed
 }
 
-// NewSum returns an empty sum of payload column col.
-func NewSum(col int) Sum { return Sum{col: col} }
+// NewSum returns an empty sum of payload column col of rows encoded under
+// d (nil: no dictionary).
+func NewSum(d *Dict, col int) Sum { return Sum{col: col, d: d} }
 
 // Add adds column col of the encoded row rec. Its errors are Column's: a
 // short row, a column ParseFloat rejects, bytes no encoder wrote.
 func (s *Sum) Add(rec []byte) error {
-	mant, meta, rest, err := locate(rec, s.col)
-	if err != nil {
+	mant, meta, rest, e, at, err := locate(s.d, rec, s.col)
+	switch {
+	case err != nil:
 		return err
-	}
-	if rest != nil {
+	case e != nil:
+		if s.buf == nil {
+			s.buf = new([maxColumnText]byte)
+		}
+		text, _, err := expand(s.buf[:0], e, rec, at)
+		if err != nil {
+			return err
+		}
+		return s.addText(text)
+	case rest != nil:
 		return s.addText(rest)
 	}
 	s.add(mant, int(meta>>3&maxFrac), meta&0x80 != 0)

@@ -25,7 +25,7 @@ func bigSum(rows [][]byte, col int) (float64, error) {
 	var total big.Rat
 	odd := 0.0
 	for _, row := range rows {
-		if _, err := Column(append([]byte{0}, row...), col); err != nil {
+		if _, err := Column(nil, append([]byte{0}, row...), col); err != nil {
 			return 0, err
 		}
 		text := strings.Split(string(row), ",")[col]
@@ -49,9 +49,9 @@ func bigSum(rows [][]byte, col int) (float64, error) {
 
 // encodedSum adds column col of the rows, encoded, in the given order.
 func encodedSum(rows [][]byte, order []int, col int) (float64, error) {
-	s := NewSum(col)
+	s := NewSum(nil, col)
 	for _, i := range order {
-		if err := s.Add(Encode(nil, rows[i])); err != nil {
+		if err := s.Add(Encode(nil, nil, rows[i])); err != nil {
 			return 0, err
 		}
 	}
@@ -142,7 +142,7 @@ func TestExactSumMatchesBig(t *testing.T) {
 		// Mostly sum a numeric column: draw again over words in it.
 		for i, row := range rows {
 			for k := 0; k < 20; k++ {
-				if _, err := Column(append([]byte{0}, row...), col); err == nil {
+				if _, err := Column(nil, append([]byte{0}, row...), col); err == nil {
 					break
 				}
 				fields := bytes.Split(row, []byte(","))
@@ -177,9 +177,9 @@ func TestExactSumCarries(t *testing.T) {
 			t.Errorf("%s and its negation 2^12 times each: %v, %v", text, got, err)
 		}
 	}
-	s := NewSum(0)
+	s := NewSum(nil, 0)
 	for range 1 << 12 {
-		s.Add(Encode(nil, "9007199254740992"))
+		s.Add(Encode(nil, nil, "9007199254740992"))
 	}
 	if got, err := s.Total(); err != nil || got != 0x1p65 {
 		t.Errorf("2^12 × 2^53 = %v, %v; want 2^65", got, err)
@@ -199,9 +199,9 @@ func TestExactSumNonFinite(t *testing.T) {
 		{[]string{"1,inf", "1,-inf"}, "sum of column 1 is NaN, not a finite number"},
 		{[]string{"1,1e308", "2,1e308"}, "sum of column 1 is +Inf, not a finite number"},
 	} {
-		s := NewSum(1)
+		s := NewSum(nil, 1)
 		for _, row := range tc.rows {
-			if err := s.Add(Encode(nil, row)); err != nil {
+			if err := s.Add(Encode(nil, nil, row)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -214,11 +214,11 @@ func TestExactSumNonFinite(t *testing.T) {
 // TestSumAllocs: the integer legs allocate nothing, and neither does a
 // total of one fraction count.
 func TestSumAllocs(t *testing.T) {
-	recs := [][]byte{Encode(nil, "12345.67,17,0.05,N,comment"), Encode(nil, "+1.25,-3"), Encode(nil, "-0.25,007")}
+	recs := [][]byte{Encode(nil, nil, "12345.67,17,0.05,N,comment"), Encode(nil, nil, "+1.25,-3"), Encode(nil, nil, "-0.25,007")}
 	var sink float64
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for col := 0; col < 2; col++ {
-			s := NewSum(col)
+			s := NewSum(nil, col)
 			for _, rec := range recs {
 				s.Add(rec)
 			}
