@@ -1,18 +1,17 @@
 GO ?= go
-BENCH_NAME ?= local
 
-.PHONY: check gate-names fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke bench bench-adaptive bench-chaos bench-ingest bench-obs bench-smoke bench-lint reorg-smoke ingest-smoke chaos chaos-long
+.PHONY: check gate-names fmt vet build test race fuzz stress staticcheck metrics-lint trace-smoke alloc-gates benchmark-smoke obs-smoke paper reorg-smoke ingest-smoke chaos chaos-long
 
 # check is the tier-1 verification gate (see ROADMAP.md): the gate-name
 # lint (every test a target below names exists), formatting,
 # static analysis, a full build, the metrics-name lint, the tracing
-# smoke, the allocation gates, the deterministic chaos suite, the
-# bench-artifact lint plus the ingest and obs bench smokes, the benchmark
-# module's vet and smoke test, and the test suite under the race detector.
+# smoke, the allocation gates, the obs and ingest smokes, the
+# deterministic chaos suite, the benchmark module's vet and smoke test, and
+# the test suite under the race detector.
 # Fuzz seed corpora run as ordinary tests. staticcheck runs when the
 # binary is installed and is skipped (with a notice) otherwise, so check
 # works on machines without network access.
-check: gate-names fmt vet staticcheck build metrics-lint trace-smoke alloc-gates obs-smoke ingest-smoke chaos bench-lint bench-smoke benchmark-smoke race
+check: gate-names fmt vet staticcheck build metrics-lint trace-smoke alloc-gates obs-smoke ingest-smoke chaos benchmark-smoke race
 
 # gate-names resolves every alternative of every -run '...' pattern (and
 # every -fuzz= target) in this file against `go test -list` of that line's
@@ -111,57 +110,17 @@ benchmark-smoke:
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestServeWideEventsAndCalibration|TestServeSLOBurnRateTransitions|TestServeIngestRepairObservability|TestServeCalibrationDriftAndCompaction' ./cmd/snakestore
 
-# bench runs the end-to-end store benchmark on the reduced warehouse and
-# writes a machine-readable report; override BENCH_NAME to label runs
-# (e.g. `make bench BENCH_NAME=pr12` -> BENCH_pr12.json).
-bench:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -json BENCH_$(BENCH_NAME).json
-
-# bench-adaptive runs the workload-drift scenario end to end (serve under
-# workload A, drift to B, adaptive reorganization) and writes the
-# before/drift/after seek measurements as BENCH_adaptive.json.
-bench-adaptive:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -adaptive-json BENCH_adaptive.json
-
-# bench-chaos measures the self-healing layer (repair throughput, paced
-# scrub overhead on query p99, time-to-healthy after a corruption burst)
-# and writes BENCH_chaos.json.
-bench-chaos:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -chaos-json BENCH_chaos.json
-
-# bench-ingest runs the write-path benchmark — delta-store ingest under
-# mixed load (>= 10% writes), merge-on-read, paced compaction that drains
-# without ever rewriting the whole file in one tick, exact cold
-# reconciliation, and incremental re-clustering onto the DP-optimal order
-# — and writes BENCH_ingest.json.
-bench-ingest:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -ingest-json BENCH_ingest.json
-
-# bench-obs runs the observability benchmark — exact per-class cost-model
-# calibration on a cold store, drift detection under a full delta
-# overlay, recovery through paced compaction, and deterministic SLO
-# burn-rate transitions on an injected clock — and writes BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/snakebench -figures=false -tables "" \
-		-name $(BENCH_NAME) -obs-json BENCH_obs.json
-
-# bench-smoke drives every phase of the ingest and obs benchmarks on a tiny
-# warehouse: their deterministic gates (exact cold reconciliation and
-# calibration, closed-form burn rates) are hard errors, so a broken read or
-# write path fails here in seconds instead of in a full bench run.
-bench-smoke:
-	$(GO) test -count=1 -run 'TestIngestBenchSmoke|TestObsBenchSmoke' ./cmd/snakebench
-
-# bench-lint parses every committed BENCH_*.json under its registered
-# schema (unknown fields, trailing bytes, and unknown suffixes all fail)
-# and checks each artifact's own sanity gate — e.g. BENCH_obs.json must
-# show exactly calibrated cold classes.
-bench-lint:
-	$(GO) test -count=1 -run 'TestBenchArtifacts|TestReportWriter' ./cmd/snakebench
+# paper regenerates the two archived paper reproductions at the repo root:
+# every table and figure on the paper's full warehouse, and Table 4 over
+# all 27 Section-6.2 workloads. Both are deterministic in the default seed,
+# so on an unchanged tree the files come back byte for byte; each lands by
+# rename, so a failed run leaves the archive as it was. Not part of check:
+# it takes about 40 s.
+paper:
+	$(GO) run ./cmd/snakebench -full > full_results.txt.tmp
+	mv full_results.txt.tmp full_results.txt
+	$(GO) run ./cmd/snakebench -full -all27 -tables 4 -figures=false > full_table4_all27.txt.tmp
+	mv full_table4_all27.txt.tmp full_table4_all27.txt
 
 # chaos runs the deterministic self-healing suite under the race
 # detector: seeded fault schedules against parity repair, the live serve

@@ -4,28 +4,16 @@
 // Usage:
 //
 //	snakebench [-full] [-samples n] [-tables 1,2,3,4,5,6] [-figures]
-//	    [-seed n] [-json BENCH_name.json]
+//	    [-all27] [-validate] [-robustness] [-seed n]
 //
 // By default the TPC-D tables run on a reduced warehouse that finishes in
 // seconds; -full uses the paper's dimensions (5×40 parts, 10 suppliers,
-// 7 years of days), which takes a few minutes.
+// 7 years of days), which takes a few minutes. `make paper` regenerates
+// the archived full_results.txt and full_table4_all27.txt this way.
 //
-// -json additionally runs an end-to-end store benchmark — build the
-// warehouse, load it into a paged file clustered by the snaked optimal
-// path, and execute a workload-sampled query stream — and writes a
-// machine-readable report (queries/sec, latency percentiles, pool stats,
-// predicted vs observed pages and seeks) to the given path, so successive
-// runs can be compared as a trajectory. `make bench` writes
-// BENCH_<name>.json this way.
-//
-// -obs-json runs the observability benchmark: exact per-class cost-model
-// calibration on a cold store, drift detection under a full delta
-// overlay, recovery through paced compaction, and deterministic SLO
-// burn-rate transitions on an injected clock.
-//
-// Flag combinations that would silently ignore input are usage errors:
-// positional arguments and benchmark knobs (-bench-queries, -bench-frames,
-// -name) without a benchmark mode flag.
+// Input that would silently print nothing or nonsense is a usage error:
+// positional arguments, a non-positive -samples, and a -tables id outside
+// 1–6.
 //
 // Exit status: 0 on success, 1 on computation errors, 2 on usage errors.
 package main
@@ -45,8 +33,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchOpts bundles every knob of a bench run; one seed feeds every
-// generated dataset so the whole run is reproducible from the flag.
+// benchOpts bundles every knob of a run; one seed feeds every generated
+// dataset so the whole run is reproducible from the flag.
 type benchOpts struct {
 	full       bool
 	samples    int
@@ -56,15 +44,6 @@ type benchOpts struct {
 	validate   bool
 	robustness bool
 	seed       uint64
-	name       string
-	jsonPath   string
-	adaptPath  string
-	chaosPath  string
-	ingestPath string
-	obsPath    string
-	queries    int
-	frames     int
-	framesSet  bool
 }
 
 // run is the testable entry point: it parses args, writes reports to
@@ -81,53 +60,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.validate, "validate", false, "cross-check the analytic cost model against the storage simulator")
 	fs.BoolVar(&o.robustness, "robustness", false, "measure sensitivity of the optimized path to workload estimation error")
 	fs.Uint64Var(&o.seed, "seed", tpcd.DefaultConfig().Seed, "seed for every generated dataset and sampled query stream")
-	fs.StringVar(&o.name, "name", "local", "benchmark name recorded in the -json report")
-	fs.StringVar(&o.jsonPath, "json", "", "run the store benchmark and write its JSON report to this path")
-	fs.StringVar(&o.adaptPath, "adaptive-json", "", "run the adaptive reorganization benchmark and write its JSON report to this path")
-	fs.StringVar(&o.chaosPath, "chaos-json", "", "run the self-healing benchmark (repair throughput, scrub overhead, time-to-healthy) and write its JSON report to this path")
-	fs.StringVar(&o.ingestPath, "ingest-json", "", "run the write-path benchmark (delta-store ingest under mixed load, compaction convergence, incremental re-clustering) and write its JSON report to this path")
-	fs.StringVar(&o.obsPath, "obs-json", "", "run the observability benchmark (exact cold calibration, overlay drift detection, compaction recovery, deterministic SLO burn rates) and write its JSON report to this path")
-	fs.IntVar(&o.queries, "bench-queries", 256, "queries executed by the benchmark modes")
-	fs.IntVar(&o.frames, "bench-frames", 256, "buffer pool frames for the benchmark modes")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if code := validateFlags(fs, stderr); code != 0 {
+	want, code := validateFlags(fs, o, stderr)
+	if code != 0 {
 		return code
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "bench-frames" {
-			o.framesSet = true
-		}
-	})
-	if err := bench(stdout, o); err != nil {
+	if err := bench(stdout, o, want); err != nil {
 		fmt.Fprintln(stderr, "snakebench:", err)
 		return 1
 	}
 	return 0
 }
 
-// validateFlags rejects flag combinations that would otherwise run and
-// silently ignore half their input: positional arguments (every input is a
-// flag) and benchmark knobs without any benchmark mode. Returns 2 (usage
-// error) on rejection.
-func validateFlags(fs *flag.FlagSet, stderr io.Writer) int {
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "snakebench: unexpected arguments: %v\n", fs.Args())
+// validateFlags rejects input that would otherwise run and print nothing
+// or nonsense: positional arguments (every input is a flag), a
+// non-positive -samples (a Table 4 of zeros), and a -tables id outside 1–6
+// (silently skipped). It returns the requested tables, or exit code 2 (a
+// usage error) on rejection. An empty -tables requests no table.
+func validateFlags(fs *flag.FlagSet, o benchOpts, stderr io.Writer) (map[string]bool, int) {
+	usage := func(format string, args ...any) (map[string]bool, int) {
+		fmt.Fprintf(stderr, "snakebench: "+format+"\n", args...)
 		fs.Usage()
-		return 2
+		return nil, 2
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	anyMode := set["json"] || set["adaptive-json"] || set["chaos-json"] || set["ingest-json"] || set["obs-json"]
-	for _, name := range []string{"bench-queries", "bench-frames", "name"} {
-		if set[name] && !anyMode {
-			fmt.Fprintf(stderr, "snakebench: -%s has no effect without a benchmark mode (-json, -adaptive-json, -chaos-json, -ingest-json or -obs-json)\n", name)
-			fs.Usage()
-			return 2
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments: %v", fs.Args())
+	}
+	if o.samples <= 0 {
+		return usage("-samples %d: want a positive number of queries per class", o.samples)
+	}
+	want := map[string]bool{}
+	for _, t := range strings.Split(o.tables, ",") {
+		switch t = strings.TrimSpace(t); t {
+		case "":
+		case "1", "2", "3", "4", "5", "6":
+			want[t] = true
+		default:
+			return usage("-tables: no table %q, the paper has Tables 1-6", t)
 		}
 	}
-	return 0
+	return want, 0
 }
 
 // validateConfig is the tiny uniform grid the model validation runs on.
@@ -140,9 +114,9 @@ func validateConfig(seed uint64) tpcd.Config {
 	}
 }
 
-// warehouseConfig is the TPC-D warehouse for Tables 4-6 and the store
-// benchmark: the paper's dimensions when full, a reduced grid otherwise,
-// always generated from the caller's seed.
+// warehouseConfig is the TPC-D warehouse for Tables 4-6: the paper's
+// dimensions when full, a reduced grid otherwise, always generated from the
+// caller's seed.
 func warehouseConfig(full bool, seed uint64) tpcd.Config {
 	cfg := tpcd.DefaultConfig()
 	cfg.Seed = seed
@@ -154,12 +128,7 @@ func warehouseConfig(full bool, seed uint64) tpcd.Config {
 	return cfg
 }
 
-func bench(out io.Writer, o benchOpts) error {
-	want := map[string]bool{}
-	for _, t := range strings.Split(o.tables, ",") {
-		want[strings.TrimSpace(t)] = true
-	}
-
+func bench(out io.Writer, o benchOpts, want map[string]bool) error {
 	if o.figures {
 		fmt.Fprintln(out, "== Figure 3: query class lattice of the example schema ==")
 		fmt.Fprintln(out, experiments.Figure3())
@@ -294,81 +263,6 @@ func bench(out io.Writer, o benchOpts) error {
 				fmt.Fprintln(out, experiments.FormatTable6(rows))
 			}
 		}
-	}
-
-	if o.jsonPath != "" {
-		rep, err := storeBench(warehouseConfig(o.full, o.seed), o.name, o.queries, o.frames)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.jsonPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Store bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.jsonPath)
-	}
-
-	if o.adaptPath != "" {
-		rep, err := adaptiveBench(warehouseConfig(o.full, o.seed), o.name, o.queries, o.frames)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.adaptPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Adaptive bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.adaptPath)
-	}
-
-	if o.chaosPath != "" {
-		rep, err := chaosBench(warehouseConfig(o.full, o.seed), o.name, o.queries, o.frames)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.chaosPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Chaos bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.chaosPath)
-	}
-
-	if o.ingestPath != "" {
-		iop := defaultIngestOpts()
-		iop.queries = o.queries
-		if o.framesSet {
-			iop.frames = o.frames
-		}
-		rep, err := ingestBench(warehouseConfig(o.full, o.seed), o.name, iop)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.ingestPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Ingest bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.ingestPath)
-	}
-
-	if o.obsPath != "" {
-		oop := defaultObsOpts()
-		oop.queries = o.queries
-		if o.framesSet {
-			oop.frames = o.frames
-		}
-		rep, err := obsBench(warehouseConfig(o.full, o.seed), o.name, oop)
-		if err != nil {
-			return err
-		}
-		rep.Full = o.full
-		if err := rep.WriteFile(o.obsPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Obs bench %q: %s ==\n", o.name, rep.Summary())
-		fmt.Fprintf(out, "report written to %s\n", o.obsPath)
 	}
 
 	return nil

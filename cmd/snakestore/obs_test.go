@@ -436,6 +436,14 @@ func TestServeCalibrationDriftAndCompaction(t *testing.T) {
 		if q.DeltaCells != 0 {
 			t.Fatalf("post-compaction query still hits the overlay: %+v", q)
 		}
+		// Compaction leaves the store as the model describes it: a cold
+		// read reconciles exactly again, pages and seeks.
+		var er eventsResp
+		getJSON(t, ts, "/debug/events?handler=query&limit=1", http.StatusOK, &er)
+		if len(er.Events) != 1 || q.PagesRead != q.Pages ||
+			er.Events[0].PagesRead != er.Events[0].PredictedPages || er.Events[0].SeeksObserved != er.Events[0].PredictedSeeks {
+			t.Fatalf("post-compaction cold query does not reconcile: %+v, events %+v", q, er.Events)
+		}
 		if cc, _ = srv.calib.Class(class); !cc.Drifted {
 			break
 		}

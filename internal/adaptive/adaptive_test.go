@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -327,6 +328,48 @@ func TestControllerForceTrigger(t *testing.T) {
 	}
 	if c.Status().Generation != 1 {
 		t.Errorf("forced trigger did not commit")
+	}
+}
+
+// TestControllerTracedTriggerRecordsDPAndMigrate: a traced policy step
+// that fires records exactly one DP rerun and one migrate span carrying the
+// new generation, and runs the migrator under the migrate span, so the copy
+// and flush spans of storage.MigrateCtx (TestTracedMigrationRecordsCopyAndFlush)
+// nest beneath it — a slow reorganization is attributable to its phase.
+func TestControllerTracedTriggerRecordsDPAndMigrate(t *testing.T) {
+	l := testLattice()
+	migrate := func(ctx context.Context, d *Decision) error {
+		trace.StartLeaf(ctx, trace.KindCopy, "").End()
+		return nil
+	}
+	cfg := testConfig()
+	cfg.Hysteresis = 1
+	c, err := New(l, optimalFor(t, l, rowClass), true, 0, migrate, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observeN(t, c, colClass, 500)
+	rec := trace.NewRecorder(trace.Config{Capacity: 1, RetainedCapacity: 1})
+	ctx, tr := rec.StartForced(context.Background(), "reorg-tick")
+	d, err := c.Trigger(ctx, false)
+	tr.Finish(err)
+	if err != nil || d == nil || d.Generation != 1 {
+		t.Fatalf("traced trigger = %+v, %v; want a generation-1 reorganization", d, err)
+	}
+	kinds := map[string][]trace.Span{}
+	for _, sp := range tr.Spans() {
+		kinds[sp.Kind] = append(kinds[sp.Kind], sp)
+	}
+	if len(kinds[trace.KindDP]) != 1 || len(kinds[trace.KindMigrate]) != 1 || len(kinds[trace.KindCopy]) != 1 {
+		t.Fatalf("trace has %d dp, %d migrate, %d copy spans, want one each: %+v",
+			len(kinds[trace.KindDP]), len(kinds[trace.KindMigrate]), len(kinds[trace.KindCopy]), tr.Spans())
+	}
+	mig := kinds[trace.KindMigrate][0]
+	if len(mig.Attrs) != 1 || mig.Attrs[0].Key != "generation" || mig.Attrs[0].Value != 1 {
+		t.Errorf("migrate span attrs = %+v, want generation 1", mig.Attrs)
+	}
+	if cp := kinds[trace.KindCopy][0]; cp.Parent != mig.ID {
+		t.Errorf("the migrator's copy span has parent %d, want the migrate span %d", cp.Parent, mig.ID)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -410,5 +412,149 @@ func TestRecoverReplaysPending(t *testing.T) {
 	}
 	if got := readCell(t, fs, 7); len(got) != 1 || got[0] != deltaRec(7, 0, 11) {
 		t.Fatalf("cell 7 after double recovery = %v", got)
+	}
+}
+
+// TestCompactorTicksBesideConcurrentReads is the mixed-load gate: readers
+// scan the whole grid while a writer flips cells between two same-shape
+// versions through the log and a compactor folds the backlog in ticks of
+// one small region. Every read sees each cell whole — both records, one
+// version, never a torn mix of overlay and base. No tick folds more than
+// its region, the drain leaves the last version of every cell in the base
+// file, the store scrubs clean, and cold reads reconcile exactly with the
+// analytic model again.
+func TestCompactorTicksBesideConcurrentReads(t *testing.T) {
+	o := testOrder(t)
+	fs, path := testStore(t, o, 2, 0, 11)
+	version := func(v, cell int) [][]byte {
+		return [][]byte{[]byte(deltaRec(cell, 10*v, 11)), []byte(deltaRec(cell, 10*v+1, 11))}
+	}
+	for c := 0; c < o.Len(); c++ {
+		for _, rec := range version(0, c) {
+			if err := fs.PutRecord(c, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	log, err := Open(DeltaPath(path), 0, Options{Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	fs.SetOverlay(log.Overlay())
+	ctx := context.Background()
+	full := linear.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
+
+	const regionCells = 4
+	comp := NewCompactor(CompactorConfig{RegionCells: regionCells, MaxBytesPerTick: 1})
+	var tickMu sync.Mutex
+	tick := func() (TickStats, error) {
+		tickMu.Lock()
+		defer tickMu.Unlock()
+		st, err := comp.Tick(ctx, fs, log)
+		if err == nil && st.CellsApplied > regionCells {
+			err = fmt.Errorf("a tick folded %d cells, more than its %d-cell region", st.CellsApplied, regionCells)
+		}
+		return st, err
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // compactor
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := tick(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		go func() { // reader
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cells := map[int][]string{}
+				p, err := fs.Plan(ctx, full)
+				if err == nil {
+					err = fs.ReadPlanCtx(ctx, p, func(cell int, rec []byte) error {
+						cells[cell] = append(cells[cell], string(rec))
+						return nil
+					})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for c := 0; c < o.Len(); c++ {
+					got := strings.Join(cells[c], " ")
+					if got != strings.Join([]string{deltaRec(c, 0, 11), deltaRec(c, 1, 11)}, " ") &&
+						got != strings.Join([]string{deltaRec(c, 10, 11), deltaRec(c, 11, 11)}, " ") {
+						errs <- fmt.Errorf("cell %d read as %q: not one whole version", c, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	last := make([]int, o.Len())
+	for i := 0; i < 20*o.Len(); i++ {
+		c := (7 * i) % o.Len()
+		last[c] = 1 - last[c]
+		if err := log.Put(c, storage.FrameRecords(version(last[c], c)...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for log.PendingCells() > 0 {
+		if _, err := tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.SetOverlay(nil)
+	for c := 0; c < o.Len(); c++ {
+		want := version(last[c], c)
+		if got := readCell(t, fs, c); len(got) != 2 || got[0] != string(want[0]) || got[1] != string(want[1]) {
+			t.Fatalf("cell %d after the drain = %v, want its last version %q", c, got, want)
+		}
+	}
+	if rep, err := fs.Verify(); err != nil || !rep.OK() {
+		t.Fatalf("scrub after the drain: %v, %v", err, rep.Err())
+	}
+	for _, r := range []linear.Region{full, {{Lo: 1, Hi: 2}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 4}, {Lo: 2, Hi: 3}}} {
+		if err := fs.Pool().Reset(ctx); err != nil {
+			t.Fatal(err)
+		}
+		pred := fs.Layout().Query(r)
+		var tally storage.PoolTally
+		tctx := storage.WithPoolTally(ctx, &tally)
+		p, err := fs.Plan(tctx, r)
+		if err == nil {
+			err = fs.ReadPlanCtx(tctx, p, func(int, []byte) error { return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tally.Stats().Misses != pred.Pages || tally.Seeks() != pred.Seeks {
+			t.Errorf("region %v after the drain: cold %d pages %d seeks, model predicts %d and %d",
+				r, tally.Stats().Misses, tally.Seeks(), pred.Pages, pred.Seeks)
+		}
 	}
 }

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/tpcd"
 )
 
 func TestMigratePreservesDataAndImprovesLayout(t *testing.T) {
@@ -415,5 +417,211 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMigrateReclustersRowMajorOntoOptimum is incremental re-clustering on
+// a tiny TPC-D warehouse: a store loaded row-major, with one pending overlay
+// delta, migrates in bounded ticks onto the DP-optimal snaked order of the
+// featured workload. Row-major predicts more expected seeks than the
+// optimum; afterwards every query of the workload reads, cold, exactly the
+// pages and seeks the optimal layout predicts — regret 1, not merely near
+// it — and every sum, the delta's included, is the sum of what the store
+// was given.
+func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
+	ctx := context.Background()
+	cfg := tpcd.Config{
+		Manufacturers: 2, PartsPerMfr: 3, Suppliers: 3,
+		Years: 2, MonthsPerYear: 2, DaysPerMonth: 3,
+		RecordBytes: 16, PageBytes: 64, MeanRecordsPerCell: 2, Seed: 13,
+	}
+	ds, err := tpcd.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ds.Workload(tpcd.PaperWorkload7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := core.Optimal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optOrder, err := linear.FromPath(ds.Schema, best.Path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowOrder, err := linear.RowMajor(ds.Schema, []int{tpcd.DimParts, tpcd.DimSupplier, tpcd.DimTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Load every record row-major, its measure in the first 8 bytes; truth
+	// keeps each cell's measures in load order.
+	sizes := make([]int64, len(ds.BytesPerCell))
+	for c, b := range ds.BytesPerCell {
+		sizes[c] = b / int64(cfg.RecordBytes) * FrameSize(cfg.RecordBytes)
+	}
+	dir := t.TempDir()
+	src, err := CreateFileStore(filepath.Join(dir, "rowmajor.db"), rowOrder, sizes, int(cfg.PageBytes), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	shape := ds.Schema.LeafCounts()
+	cellOf := func(part, supp, day int) int { return (part*shape[1]+supp)*shape[2] + day }
+	record := func(v float64) []byte {
+		rec := make([]byte, cfg.RecordBytes)
+		binary.LittleEndian.PutUint64(rec, math.Float64bits(v))
+		return rec
+	}
+	truth := map[int][]float64{}
+	var loadErr error
+	ds.EachRecord(func(li *tpcd.LineItem) bool {
+		cell := cellOf(li.Cell())
+		truth[cell] = append(truth[cell], li.ExtendedPrice)
+		loadErr = src.PutRecord(cell, record(li.ExtendedPrice))
+		return loadErr == nil
+	})
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+
+	// One pending delta: the fullest cell rewritten with every measure
+	// raised by 1000, the same size, so it fits its extent. Only the overlay
+	// holds it; the migration must carry it into the new order.
+	pending := -1
+	for c, vs := range truth {
+		if pending < 0 || len(vs) > len(truth[pending]) || len(vs) == len(truth[pending]) && c < pending {
+			pending = c
+		}
+	}
+	recs := make([][]byte, len(truth[pending]))
+	for i := range truth[pending] {
+		truth[pending][i] += 1000
+		recs[i] = record(truth[pending][i])
+	}
+	framed := FrameRecords(recs...)
+	src.SetOverlay(func(cell int) ([]byte, bool) { return framed, cell == pending })
+
+	// Every query of the workload, weighted by its probability: a class's
+	// probability spread evenly over its blocks.
+	type query struct {
+		r linear.Region
+		p float64
+	}
+	var queries []query
+	for _, c := range w.Support() {
+		blocks := 1
+		for d, lv := range c {
+			blocks *= ds.Schema.Dims[d].NodesAt(lv)
+		}
+		nodes := make([]int, len(c))
+		for b := 0; b < blocks; b++ {
+			for d, rest := len(c)-1, b; d >= 0; d-- {
+				k := ds.Schema.Dims[d].NodesAt(c[d])
+				nodes[d], rest = rest%k, rest/k
+			}
+			queries = append(queries, query{linear.ClassRegion(optOrder, c, nodes), w.Prob(c) / float64(blocks)})
+		}
+	}
+	truthSum := func(r linear.Region) (sum float64, records int64) {
+		for p := r[0].Lo; p < r[0].Hi; p++ {
+			for s := r[1].Lo; s < r[1].Hi; s++ {
+				for d := r[2].Lo; d < r[2].Hi; d++ {
+					for _, v := range truth[cellOf(p, s, d)] {
+						sum += v
+						records++
+					}
+				}
+			}
+		}
+		return sum, records
+	}
+
+	rowLayout, err := NewFileLayout(rowOrder, sizes, cfg.PageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optLayout, err := NewFileLayout(optOrder, sizes, cfg.PageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowSeeks, optSeeks float64
+	for _, q := range queries {
+		rowSeeks += q.p * float64(rowLayout.Query(q.r).Seeks)
+		optSeeks += q.p * float64(optLayout.Query(q.r).Seeks)
+	}
+	if rowSeeks <= optSeeks {
+		t.Fatalf("row-major predicts %.3f expected seeks, the DP optimum %.3f: nothing to re-cluster", rowSeeks, optSeeks)
+	}
+	t.Logf("%d queries; expected seeks row-major %.3f, optimal %.3f (regret %.2f)", len(queries), rowSeeks, optSeeks, rowSeeks/optSeeks)
+
+	var perTick []int
+	copied := 0
+	opt := MigrateOptions{
+		RegionCells:     8,
+		MaxCellsPerTick: rowOrder.Len()/8 + 1,
+		Progress: func(done, _ int) {
+			perTick = append(perTick, done-copied)
+			copied = done
+		},
+	}
+	dst, ticks, err := MigrateCtx(ctx, src, filepath.Join(dir, "optimal.db"), optOrder, 64, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if ticks < 2 || ticks != len(perTick) || copied != rowOrder.Len() {
+		t.Fatalf("%d ticks, progress %v copied %d of %d cells: want an incremental copy of every cell", ticks, perTick, copied, rowOrder.Len())
+	}
+	for i, n := range perTick {
+		if n <= 0 || n > opt.MaxCellsPerTick {
+			t.Errorf("tick %d copied %d cells, want 1..%d", i, n, opt.MaxCellsPerTick)
+		}
+	}
+
+	// The migrated store has no overlay: the delta lives in its pages now.
+	var got []float64
+	if err := dst.ReadCellCtx(ctx, pending, func(rec []byte) error {
+		got = append(got, decodeF64(rec[:8]))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(truth[pending]) {
+		t.Fatalf("pending cell %d after migration holds %v, want the delta's %v", pending, got, truth[pending])
+	}
+
+	var obsSeeks float64
+	for _, q := range queries {
+		pred := dst.Layout().Query(q.r)
+		if want := optLayout.Query(q.r); pred.Pages != want.Pages || pred.Seeks != want.Seeks {
+			t.Fatalf("region %v: migrated layout predicts %d pages %d seeks, the optimal layout %d and %d", q.r, pred.Pages, pred.Seeks, want.Pages, want.Seeks)
+		}
+		if err := dst.Pool().Reset(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var tally PoolTally
+		var records int64
+		sum := 0.0
+		if err := readRegion(WithPoolTally(ctx, &tally), dst, q.r, func(_ int, rec []byte) error {
+			sum += decodeF64(rec[:8])
+			records++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if pages, seeks := tally.Stats().Misses, tally.Seeks(); pages != pred.Pages || seeks != pred.Seeks {
+			t.Errorf("region %v: cold %d pages %d seeks, the DP-optimal layout predicts %d and %d", q.r, pages, seeks, pred.Pages, pred.Seeks)
+		}
+		obsSeeks += q.p * float64(tally.Seeks())
+		wantSum, wantRecords := truthSum(q.r)
+		if records != wantRecords || math.Abs(sum-wantSum) > 1e-9*(1+math.Abs(wantSum)) {
+			t.Errorf("region %v: %d records sum %v, want %d records sum %v", q.r, records, sum, wantRecords, wantSum)
+		}
+	}
+	if obsSeeks != optSeeks {
+		t.Errorf("migrated store observes %v expected seeks, the DP optimum predicts %v", obsSeeks, optSeeks)
 	}
 }
