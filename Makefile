@@ -124,11 +124,11 @@ paper:
 
 # chaos runs the deterministic self-healing suite under the race
 # detector: seeded fault schedules against parity repair, the live serve
-# loop with the paced scrubber, repair-under-migration, and the storm /
-# crash-point storage tests. Every schedule is a pure function of its
-# seed, so a failure replays exactly.
+# loop with the paced scrubber, repair-under-migration, the scrub walk
+# (TestVerify*), and the storm / crash-point storage tests. Every schedule
+# is a pure function of its seed, so a failure replays exactly.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestParity|TestRepair|TestMigrate|TestStorm|TestCrashPoint|TestPlan|TestSchedule' ./internal/chaos ./internal/storage ./cmd/snakestore
+	$(GO) test -race -count=1 -run 'TestChaos|TestParity|TestRepair|TestVerify|TestMigrate|TestStorm|TestCrashPoint|TestPlan|TestSchedule' ./internal/chaos ./internal/storage ./cmd/snakestore
 
 # chaos-long is the randomized long-haul variant: fresh seeds each run,
 # logged (go test -v) so any failure can be replayed deterministically.

@@ -70,31 +70,23 @@ func (s *server) healthState() string {
 	}
 }
 
-// repairPage attempts one parity repair on behalf of the scrubber, driving
-// the health state machine and the repair metrics. Returns true when the
-// page now reads clean.
-func (s *server) repairPage(ctx context.Context, st *snakes.FileStore, page int64) bool {
-	s.mu.Lock()
-	s.healing = true
-	s.mu.Unlock()
-	rsp := snakes.StartTraceLeaf(ctx, snakes.TraceKindRepair, "")
-	rsp.SetAttr("page", page)
-	err := st.RepairPage(page)
-	rsp.SetError(err)
-	rsp.End()
-	if err != nil {
-		s.metrics.repairFailures.Inc()
-		s.markQuarantined(page, err.Error())
-		s.mu.Lock()
-		s.healing = false // damage this pass cannot heal: back to degraded
-		s.mu.Unlock()
-		s.log.Warn("repair", "page", page, "err", err)
-		return false
+// noteRepair books one page's repair outcome for the scrubber and for
+// POST /repair alike: the repair metrics, the quarantine (a repaired page
+// leaves it, damage repair cannot fix enters it with its typed error), the
+// healing flag and the log line.
+func (s *server) noteRepair(page int64, err error) {
+	if err == nil {
+		s.metrics.pagesRepaired.Inc()
+		s.clearQuarantined(page)
+		s.log.Info("repair", "page", page, "msg", "reconstructed from parity")
+		return
 	}
-	s.metrics.pagesRepaired.Inc()
-	s.clearQuarantined(page)
-	s.log.Info("repair", "page", page, "msg", "reconstructed from parity")
-	return true
+	s.metrics.repairFailures.Inc()
+	s.markQuarantined(page, err.Error())
+	s.mu.Lock()
+	s.healing = false // damage this pass cannot heal: back to degraded
+	s.mu.Unlock()
+	s.log.Warn("repair", "page", page, "err", err)
 }
 
 // runScrubLoop is the paced background scrubber: it walks the store's pages
@@ -161,7 +153,15 @@ func (s *server) scrubBatch(ctx context.Context, cursor, n int64) int64 {
 			// batch re-snapshots the store.
 		case errors.Is(err, snakes.ErrCorruptPage):
 			repairs++
-			s.repairPage(sctx, st, p)
+			s.mu.Lock()
+			s.healing = true
+			s.mu.Unlock()
+			rsp := snakes.StartTraceLeaf(sctx, snakes.TraceKindRepair, "")
+			rsp.SetAttr("page", p)
+			err = st.RepairPage(p)
+			rsp.SetError(err)
+			rsp.End()
+			s.noteRepair(p, err)
 		default:
 			s.log.Warn("scrub", "page", p, "err", err)
 		}
@@ -254,27 +254,21 @@ func (s *server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, p := range rep.Repaired {
-		s.metrics.pagesRepaired.Inc()
-		s.clearQuarantined(p)
+		s.noteRepair(p, nil)
 	}
 	failed := make([]string, 0, len(rep.Failed))
 	for _, pr := range rep.Failed {
-		s.metrics.repairFailures.Inc()
-		s.markQuarantined(pr.Page, pr.String())
+		s.noteRepair(pr.Page, pr.Err)
 		failed = append(failed, pr.String())
 	}
+	s.mu.Lock()
 	if rep.OK() {
 		// Everything detectable was repaired: any quarantine leftovers are
 		// stale entries for pages that now read clean.
-		s.mu.Lock()
 		s.quarantine = make(map[int64]string)
-		s.healing = false
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		s.healing = false
-		s.mu.Unlock()
 	}
+	s.healing = false
+	s.mu.Unlock()
 	s.log.Info("repair",
 		"req", reqIDFrom(ctx), "pages", rep.Pages, "repaired", len(rep.Repaired), "failed", len(rep.Failed))
 	if ev := snakes.EventFromContext(ctx); ev != nil {

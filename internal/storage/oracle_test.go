@@ -2,13 +2,16 @@ package storage
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"repro/internal/linear"
 )
 
-// The two implementations the read pipeline replaced, kept as test-only
-// oracles: they are slow and obviously right, and the differential suite
-// holds the planner and the executor to them.
+// The implementations the read pipeline and the one scrub walk replaced,
+// kept as test-only oracles: they are slow and obviously right, and the
+// differential suites hold the planner, the executor and the scrub to them.
 
 // oracleQuery is the enumerate-sort-merge Layout.Query: sorted positions,
 // byte runs merged across empty cells, then page ranges merged when they
@@ -92,4 +95,120 @@ func oracleCells(ctx context.Context, fs *FileStore, r linear.Region, fn func(ce
 // oracleRead is oracleCells with each cell parsed by walkRecords.
 func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
 	return oracleCells(ctx, fs, r, func(cell int, framed []byte) error { return walkRecords(cell, framed, fn) })
+}
+
+// oracleVerify is the two-pass VerifyCtx: a page pass through the checksum
+// layer, then every filled cell re-read page by page (skipped when it
+// touches a corrupt page) and its framing walked by an inline length
+// parser.
+func oracleVerify(ctx context.Context, fs *FileStore) (*VerifyReport, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if fs.closed {
+		return nil, ErrClosed
+	}
+	if err := fs.pool.FlushCtx(ctx); err != nil {
+		return nil, fmt.Errorf("storage: verify flush: %w", err)
+	}
+	rep := &VerifyReport{}
+	u := fs.layout.usable()
+	buf := make([]byte, u)
+	corrupt := make(map[int64]bool)
+	for p := int64(0); p < fs.layout.TotalPages(); p++ {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		rep.Pages++
+		err := fs.file.ReadPage(p, buf)
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, ErrCorruptPage) {
+			corrupt[p] = true
+			cell, coords := fs.cellOnPage(p)
+			rep.Problems = append(rep.Problems, VerifyProblem{Page: p, Cell: cell, Coords: coords, Err: err})
+			continue
+		}
+		return rep, err
+	}
+	// Fill invariants and record framing, cell by cell.
+	for pos := 0; pos < fs.layout.order.Len(); pos++ {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		lo, hi := fs.dir[pos].start, fs.dir[pos+1].start
+		filled := int64(fs.dir[pos].fill)
+		cell := int(fs.dir[pos].cell)
+		if lo+filled > hi {
+			rep.Problems = append(rep.Problems, VerifyProblem{
+				Page: -1, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
+				Err: fmt.Errorf("cell %d fill %d outside its %d reserved bytes", cell, filled, hi-lo),
+			})
+			continue
+		}
+		if filled == 0 {
+			continue
+		}
+		if pagesTouchCorrupt(lo, lo+filled, u, corrupt) {
+			continue // already reported as a page problem
+		}
+		data := make([]byte, filled)
+		if err := oracleReadFileRange(fs, data, lo); err != nil {
+			return rep, err
+		}
+		off := int64(0)
+		ok := true
+		for off < filled {
+			if filled-off < 4 {
+				ok = false
+				break
+			}
+			n := int64(binary.LittleEndian.Uint32(data[off:]))
+			off += 4
+			if off+n > filled {
+				ok = false
+				break
+			}
+			off += n
+			rep.Records++
+		}
+		if !ok {
+			rep.Problems = append(rep.Problems, VerifyProblem{
+				Page: (lo + off) / u, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
+				Err: fmt.Errorf("record framing broken at byte %d of cell %d's fill", off, cell),
+			})
+		}
+	}
+	return rep, nil
+}
+
+// pagesTouchCorrupt reports whether the byte range [lo, hi) overlaps any
+// page in the corrupt set.
+func pagesTouchCorrupt(lo, hi, usable int64, corrupt map[int64]bool) bool {
+	if len(corrupt) == 0 || hi <= lo {
+		return false
+	}
+	for p := lo / usable; p <= (hi-1)/usable; p++ {
+		if corrupt[p] {
+			return true
+		}
+	}
+	return false
+}
+
+// oracleReadFileRange reads logical bytes straight from the checksum layer,
+// bypassing the pool (for scrubbing: the pool would serve cached frames).
+func oracleReadFileRange(fs *FileStore, dst []byte, off int64) error {
+	u := fs.layout.usable()
+	buf := make([]byte, u)
+	for len(dst) > 0 {
+		page := off / u
+		if err := fs.file.ReadPage(page, buf); err != nil {
+			return err
+		}
+		n := copy(dst, buf[off%u:])
+		dst = dst[n:]
+		off += int64(n)
+	}
+	return nil
 }

@@ -296,6 +296,12 @@ func (fs *FileStore) attachParityLocked(path string) error {
 // returns nil; damage returns the typed CorruptPageError. Safe to call
 // concurrently with queries.
 func (fs *FileStore) CheckPage(page int64) error {
+	return fs.onPage(page, func() error { return fs.file.ReadPage(page, nil) })
+}
+
+// onPage runs op under the store's read lock once page is known to be a
+// page of an open store.
+func (fs *FileStore) onPage(page int64, op func() error) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -304,7 +310,7 @@ func (fs *FileStore) CheckPage(page int64) error {
 	if page < 0 || page >= fs.layout.TotalPages() {
 		return fmt.Errorf("storage: page %d out of range [0,%d)", page, fs.layout.TotalPages())
 	}
-	return fs.file.ReadPage(page, nil)
+	return op()
 }
 
 // RepairPage reconstructs a damaged page from its parity group: XOR of the
@@ -321,14 +327,13 @@ func (fs *FileStore) CheckPage(page int64) error {
 // clean frame the pool already caches stays consistent, and a failed pool
 // load never leaves a frame behind to go stale.
 func (fs *FileStore) RepairPage(page int64) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if fs.closed {
-		return ErrClosed
-	}
-	if page < 0 || page >= fs.layout.TotalPages() {
-		return fmt.Errorf("storage: page %d out of range [0,%d)", page, fs.layout.TotalPages())
-	}
+	return fs.onPage(page, func() error { return fs.repairPageLocked(page, make([]byte, fs.layout.usable())) })
+}
+
+// repairPageLocked is RepairPage for a caller holding fs.mu for reading (a
+// second RLock deadlocks against a waiting writer). img is one usable page
+// of scratch; on success it holds the page's verified data region.
+func (fs *FileStore) repairPageLocked(page int64, img []byte) error {
 	fs.repairMu.Lock()
 	defer fs.repairMu.Unlock()
 	ps := fs.parity
@@ -344,9 +349,7 @@ func (fs *FileStore) RepairPage(page int64) error {
 	if err := fs.pool.Flush(); err != nil {
 		return fmt.Errorf("storage: pre-repair flush: %w", err)
 	}
-	u := fs.layout.usable()
-	buf := make([]byte, u)
-	if err := fs.file.ReadPage(page, buf); err == nil {
+	if err := fs.file.ReadPage(page, img); err == nil {
 		return nil // already clean: nothing to repair
 	} else if !errors.Is(err, ErrCorruptPage) {
 		return err // transient or positional failure: not parity's problem
@@ -358,7 +361,7 @@ func (fs *FileStore) RepairPage(page int64) error {
 		cell, coords := fs.cellOnPage(page)
 		return &UnrepairableError{Page: page, Group: g, BadPages: bad, Cell: cell, Coords: coords, Reason: reason}
 	}
-	acc := make([]byte, u)
+	acc := make([]byte, len(img))
 	if err := ps.file.ReadPage(1+g, acc); err != nil {
 		if errors.Is(err, ErrCorruptPage) {
 			return unrepairable([]int64{page}, "parity page is itself damaged")
@@ -374,14 +377,14 @@ func (fs *FileStore) RepairPage(page int64) error {
 		if p == page {
 			continue
 		}
-		if err := fs.file.ReadPage(p, buf); err != nil {
+		if err := fs.file.ReadPage(p, img); err != nil {
 			if errors.Is(err, ErrCorruptPage) {
 				bad = append(bad, p)
 				continue
 			}
 			return err
 		}
-		xorInto(acc, buf)
+		xorInto(acc, img)
 	}
 	if len(bad) > 1 {
 		return unrepairable(bad, fmt.Sprintf("%d damaged pages share one parity group; XOR parity recovers at most one", len(bad)))
@@ -392,7 +395,7 @@ func (fs *FileStore) RepairPage(page int64) error {
 	if err := fs.file.Sync(); err != nil {
 		return fmt.Errorf("storage: repair sync of page %d: %w", page, err)
 	}
-	if err := fs.file.ReadPage(page, buf); err != nil {
+	if err := fs.file.ReadPage(page, img); err != nil {
 		return unrepairable([]int64{page}, fmt.Sprintf("reconstruction failed re-verification: %v", err))
 	}
 	return nil
@@ -408,48 +411,34 @@ type RepairReport struct {
 // OK reports whether the sweep left the store clean.
 func (r *RepairReport) OK() bool { return len(r.Failed) == 0 }
 
-// RepairCtx sweeps the whole store like VerifyCtx but heals as it goes:
-// every page is re-read from disk and any checksum failure is repaired
-// from parity on the spot. Damage that repair cannot fix lands in the
-// report's Failed list with its typed error; the returned error is non-nil
-// only for I/O failures or cancellation that stopped the sweep itself.
-// When ctx carries a trace, the sweep is a scrub span with one repair
-// child span per damaged page.
+// RepairCtx is VerifyCtx's walk healing as it goes: a page that fails its
+// checksum is repaired from parity under the walk's read lock, and its
+// cells are walked from the repaired image. What repair cannot fix — a
+// page it could not reconstruct, with its typed error, or fill and framing
+// damage — lands in Failed, in VerifyReport order. The error is VerifyCtx's;
+// the sweep is a scrub span with one repair child per damaged page.
 func (fs *FileStore) RepairCtx(ctx context.Context) (*RepairReport, error) {
 	rep := &RepairReport{}
-	total := fs.Layout().TotalPages()
 	sctx, ssp := trace.Start(ctx, trace.KindScrub, "")
-	defer func() {
-		ssp.SetAttr("pages", rep.Pages)
-		ssp.SetAttr("repaired", int64(len(rep.Repaired)))
-		ssp.End()
-	}()
-	for p := int64(0); p < total; p++ {
-		if err := ctx.Err(); err != nil {
-			ssp.SetError(err)
-			return rep, err
-		}
-		rep.Pages++
-		err := fs.CheckPage(p)
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrCorruptPage) {
-			ssp.SetError(err)
-			return rep, err
-		}
+	vrep, err := fs.scrub(ctx, func(page int64, img []byte) error {
 		rsp := trace.StartLeaf(sctx, trace.KindRepair, "")
-		rsp.SetAttr("page", p)
-		if rerr := fs.RepairPage(p); rerr != nil {
-			rsp.SetError(rerr)
-			rsp.End()
-			rep.Failed = append(rep.Failed, fs.problemAt(p, rerr))
-			continue
-		}
+		rsp.SetAttr("page", page)
+		err := fs.repairPageLocked(page, img)
+		rsp.SetError(err)
 		rsp.End()
-		rep.Repaired = append(rep.Repaired, p)
+		if err == nil {
+			rep.Repaired = append(rep.Repaired, page)
+		}
+		return err
+	})
+	if vrep != nil {
+		rep.Pages, rep.Failed = vrep.Pages, vrep.Problems
 	}
-	return rep, nil
+	ssp.SetAttr("pages", rep.Pages)
+	ssp.SetAttr("repaired", int64(len(rep.Repaired)))
+	ssp.SetError(err)
+	ssp.End()
+	return rep, err
 }
 
 // xorInto accumulates src into dst byte-wise.

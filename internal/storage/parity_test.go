@@ -336,6 +336,35 @@ func TestRepairCtxSweep(t *testing.T) {
 	assertTruth(t, fs, truth)
 }
 
+// TestRepairCtxWalksRepairedPage: the sweep walks a page's cells from its
+// repaired image, so framing damage parity cannot undo lands in Failed,
+// word for word the problem a scrub reports afterwards.
+func TestRepairCtxWalksRepairedPage(t *testing.T) {
+	const pageSize = 64
+	fs, path, _ := parityFixture(t, pageSize, 4)
+	lo := fs.dir[1].start
+	if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0x7f}, lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteParity(ParityPath(path), 4); err != nil {
+		t.Fatal(err)
+	}
+	page := lo / fs.layout.usable()
+	corruptOnDisk(t, path, pageSize, page, 3)
+	rep, err := fs.RepairCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrep, err := fs.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Repaired) != 1 || rep.Repaired[0] != page || len(rep.Failed) != 1 || len(vrep.Problems) != 1 ||
+		rep.Failed[0].String() != vrep.Problems[0].String() {
+		t.Fatalf("sweep repaired %v, failed %v; scrub after it: %v", rep.Repaired, rep.Failed, vrep.Problems)
+	}
+}
+
 // TestMigrateRepairsCorruptSource: a corrupt page in the source store no
 // longer strands a migration — MigrateCtx repairs it from the parity
 // sidecar, retries the cell, and the new generation carries the complete,

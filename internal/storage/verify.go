@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -65,16 +64,26 @@ func (fs *FileStore) Verify() (*VerifyReport, error) {
 	return fs.VerifyCtx(context.Background())
 }
 
-// VerifyCtx scrubs the store: it flushes the pool, re-reads every physical
-// page through the checksum layer (bypassing the pool cache, so cached
-// frames cannot mask on-disk damage), and then walks every cell's record
-// framing against its fill state. It returns a report of everything found;
-// the error is non-nil only for I/O failures (or cancellation) that
-// stopped the scrub itself, not for corruption, which lands in the report.
-// The context is checked between pages, so a cancelled scrub stops
-// promptly; the scrub runs under the store's read lock and concurrently
-// with queries, and returns ErrClosed on a closed store.
+// VerifyCtx scrubs the store in one walk under its read lock: it flushes
+// the pool once, reads every page exactly once, in page order, through the
+// checksum layer (bypassing the pool, whose cached frames could mask
+// on-disk damage), and checks each cell's fill and record framing from the
+// page images it passes. Problems list damaged pages in page order, then
+// fill and framing damage in cell order; a cell with data on a damaged page
+// gets no framing check. The error is non-nil only for I/O failures or
+// cancellation (checked between pages) that stopped the scrub, and
+// ErrClosed on a closed store. Queries run beside the walk; writers wait
+// for all of it.
 func (fs *FileStore) VerifyCtx(ctx context.Context) (*VerifyReport, error) {
+	return fs.scrub(ctx, nil)
+}
+
+// scrub is the walk behind VerifyCtx and RepairCtx. A page that fails its
+// checksum is reported as is when heal is nil; otherwise heal(page, img)
+// repairs it under the walk's read lock and, on success, leaves the page's
+// verified image in img for the cell walk. A heal error is the page's
+// problem.
+func (fs *FileStore) scrub(ctx context.Context, heal func(page int64, img []byte) error) (*VerifyReport, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -84,81 +93,110 @@ func (fs *FileStore) VerifyCtx(ctx context.Context) (*VerifyReport, error) {
 		return nil, fmt.Errorf("storage: verify flush: %w", err)
 	}
 	rep := &VerifyReport{}
-	u := fs.layout.usable()
-	buf := make([]byte, u)
-	corrupt := make(map[int64]bool)
-	for p := int64(0); p < fs.layout.TotalPages(); p++ {
+	w := cellWalk{fs: fs}
+	img := make([]byte, fs.layout.usable())
+	total := fs.layout.TotalPages()
+	for p := int64(0); p < total; p++ {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
 		rep.Pages++
-		err := fs.file.ReadPage(p, buf)
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, ErrCorruptPage) {
-			corrupt[p] = true
-			rep.Problems = append(rep.Problems, fs.problemAt(p, err))
-			continue
-		}
-		return rep, err
-	}
-	// Fill invariants and record framing, cell by cell.
-	for pos := 0; pos < fs.layout.order.Len(); pos++ {
-		if err := ctx.Err(); err != nil {
+		err := fs.file.ReadPage(p, img)
+		if err != nil && !errors.Is(err, ErrCorruptPage) {
 			return rep, err
 		}
-		lo, hi := fs.dir[pos].start, fs.dir[pos+1].start
-		filled := int64(fs.dir[pos].fill)
-		cell := int(fs.dir[pos].cell)
-		if lo+filled > hi {
-			rep.Problems = append(rep.Problems, VerifyProblem{
-				Page: -1, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
-				Err: fmt.Errorf("cell %d fill %d outside its %d reserved bytes", cell, filled, hi-lo),
-			})
-			continue
+		if err != nil && heal != nil {
+			err = heal(p, img)
 		}
-		if filled == 0 {
-			continue
+		if err != nil {
+			cell, coords := fs.cellOnPage(p)
+			rep.Problems = append(rep.Problems, VerifyProblem{Page: p, Cell: cell, Coords: coords, Err: err})
 		}
-		if pagesTouchCorrupt(lo, lo+filled, u, corrupt) {
-			continue // already reported as a page problem
-		}
-		data := make([]byte, filled)
-		if err := fs.readFileRange(data, lo); err != nil {
-			return rep, err
-		}
-		off := int64(0)
-		ok := true
-		for off < filled {
-			if filled-off < 4 {
-				ok = false
-				break
-			}
-			n := int64(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			if off+n > filled {
-				ok = false
-				break
-			}
-			off += n
-			rep.Records++
-		}
-		if !ok {
-			rep.Problems = append(rep.Problems, VerifyProblem{
-				Page: (lo + off) / u, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
-				Err: fmt.Errorf("record framing broken at byte %d of cell %d's fill", off, cell),
-			})
-		}
+		w.page(p, img, err != nil, p == total-1)
 	}
+	rep.Records = w.records
+	rep.Problems = append(rep.Problems, w.problems...)
 	return rep, nil
 }
 
-// problemAt annotates a corrupt-page error with the first cell that has
-// data on the page.
-func (fs *FileStore) problemAt(page int64, err error) VerifyProblem {
-	cell, coords := fs.cellOnPage(page)
-	return VerifyProblem{Page: page, Cell: cell, Coords: coords, Err: err}
+// cellWalk checks fill and record framing from page images handed to it in
+// page order. The bytes of a record that straddles pages are carried over;
+// a cell's framing is judged once its last byte has been seen.
+type cellWalk struct {
+	fs       *FileStore
+	pos      int    // the cell being walked
+	off      int64  // its bytes split into whole records so far
+	n        int64  // and those records
+	carry    []byte // its bytes since, from earlier pages
+	damaged  bool   // it has data on a damaged page
+	records  int64  // records of finished cells without damaged pages
+	problems []VerifyProblem
+}
+
+// page walks the cells with bytes on page p. The last page also takes the
+// cells that start past the end of the file: they reserve no bytes, so
+// only their fill can be wrong.
+func (w *cellWalk) page(p int64, img []byte, damaged, last bool) {
+	dir := w.fs.dir
+	u := int64(len(img))
+	pLo, pHi := p*u, (p+1)*u
+	for ; w.pos < len(dir)-1 && (dir[w.pos].start < pHi || last); w.pos++ {
+		lo, hi := dir[w.pos].start, dir[w.pos+1].start
+		end := lo + int64(dir[w.pos].fill)
+		cell := int(dir[w.pos].cell)
+		if end > hi {
+			w.problem(-1, cell, fmt.Errorf("cell %d fill %d outside its %d reserved bytes", cell, end-lo, hi-lo))
+			continue
+		}
+		if end == lo {
+			continue
+		}
+		w.damaged = w.damaged || damaged
+		if !w.damaged {
+			w.frame(cell, lo, img[max(lo, pLo)-pLo:min(end, pHi)-pLo], end <= pHi)
+		}
+		if end > pHi {
+			return // the cell goes on on the next page
+		}
+		w.off, w.n, w.carry, w.damaged = 0, 0, w.carry[:0], false
+	}
+}
+
+// frame splits the cell's bytes on one page into records with NextRecord.
+// On the cell's last page its records count, and whatever does not split
+// is broken framing.
+func (w *cellWalk) frame(cell int, lo int64, chunk []byte, last bool) {
+	data := chunk
+	if len(w.carry) > 0 {
+		w.carry = append(w.carry, chunk...)
+		data = w.carry
+	}
+	for len(data) > 0 {
+		_, rest, err := NextRecord(cell, data)
+		if err != nil {
+			break
+		}
+		w.off += int64(len(data) - len(rest))
+		w.n++
+		data = rest
+	}
+	if !last {
+		w.carry = append(w.carry[:0], data...)
+		return
+	}
+	w.records += w.n
+	if len(data) > 0 {
+		at := w.off
+		if int64(len(data)) >= FrameSize(0) {
+			at += FrameSize(0) // the header is whole: the record overruns the fill
+		}
+		w.problem((lo+at)/w.fs.layout.usable(), cell, fmt.Errorf("record framing broken at byte %d of cell %d's fill", at, cell))
+	}
+}
+
+func (w *cellWalk) problem(page int64, cell int, err error) {
+	o := w.fs.layout.order
+	w.problems = append(w.problems, VerifyProblem{Page: page, Cell: cell, Coords: o.Coords(cell, make([]int, len(o.Shape()))), Err: err})
 }
 
 // cellOnPage returns the first non-empty cell whose byte range intersects
@@ -176,35 +214,4 @@ func (fs *FileStore) cellOnPage(page int64) (int, []int) {
 		}
 	}
 	return -1, nil
-}
-
-// pagesTouchCorrupt reports whether the byte range [lo, hi) overlaps any
-// page in the corrupt set.
-func pagesTouchCorrupt(lo, hi, usable int64, corrupt map[int64]bool) bool {
-	if len(corrupt) == 0 || hi <= lo {
-		return false
-	}
-	for p := lo / usable; p <= (hi-1)/usable; p++ {
-		if corrupt[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// readFileRange reads logical bytes straight from the checksum layer,
-// bypassing the pool (for scrubbing: the pool would serve cached frames).
-func (fs *FileStore) readFileRange(dst []byte, off int64) error {
-	u := fs.layout.usable()
-	buf := make([]byte, u)
-	for len(dst) > 0 {
-		page := off / u
-		if err := fs.file.ReadPage(page, buf); err != nil {
-			return err
-		}
-		n := copy(dst, buf[off%u:])
-		dst = dst[n:]
-		off += int64(n)
-	}
-	return nil
 }

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -167,5 +171,175 @@ func TestOpenFileStoreValidatesFillAndGeometry(t *testing.T) {
 	}
 	if _, err := OpenFileStore(path, o, bytes, 64, 4, loaded); err == nil {
 		t.Error("truncated file should fail geometry validation")
+	}
+}
+
+// TestVerifyReadsEachPageOnce: on a clean store Verify and RepairCtx each
+// read every page of the file exactly once, and nothing else.
+func TestVerifyReadsEachPageOnce(t *testing.T) {
+	fs, _, path, bytes := buildFileStore(t, 4)
+	fs, cf := openGated(t, fs, path, fs.Layout().Order(), bytes, 4, nil)
+	defer fs.Close()
+	if err := fs.WriteParity(ParityPath(path), 0); err != nil {
+		t.Fatal(err)
+	}
+	total := fs.Layout().TotalPages()
+	for _, sweep := range []struct {
+		name string
+		run  func() (ok bool, err error)
+	}{
+		{"Verify", func() (bool, error) { rep, err := fs.Verify(); return rep != nil && rep.OK(), err }},
+		{"RepairCtx", func() (bool, error) { rep, err := fs.RepairCtx(context.Background()); return rep.OK(), err }},
+	} {
+		cf.mu.Lock()
+		cf.perPage = nil
+		cf.mu.Unlock()
+		before := cf.reads.Load()
+		ok, err := sweep.run()
+		if err != nil || !ok {
+			t.Fatalf("%s on a clean store: ok=%v err=%v", sweep.name, ok, err)
+		}
+		if got := cf.reads.Load() - before; got != total {
+			t.Errorf("%s issued %d page reads, want TotalPages() = %d", sweep.name, got, total)
+		}
+		for p := int64(0); p < total; p++ {
+			if n := cf.perPage[p]; n != 1 {
+				t.Errorf("%s read page %d %d times, want once", sweep.name, p, n)
+			}
+		}
+	}
+}
+
+// TestVerifyWalkMatchesTwoPassOracle holds the one scrub walk to the
+// two-pass scrub it replaced: on random unbalanced stores (records
+// straddling 64-byte pages, cells over several pages, reserved tails left
+// unwritten) under broken framing, single and double byte flips and a fill
+// past its reservation, both give the same pages, records and problems in
+// the same order.
+func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	ctx := context.Background()
+	for trial := 0; trial < 12; trial++ {
+		for oi, o := range diffOrders(t, rng) {
+			fs := buildDiffStore(t, rng, o, rng.Intn(2) == 0).fs
+			name := fmt.Sprintf("trial %d order %d", trial, oi)
+			check := func(step string) {
+				t.Helper()
+				want, werr := oracleVerify(ctx, fs)
+				got, gerr := fs.VerifyCtx(ctx)
+				if werr != nil || gerr != nil {
+					t.Fatalf("%s, %s: oracle err %v, walk err %v", name, step, werr, gerr)
+				}
+				sameVerifyReport(t, name+", "+step, got, want)
+			}
+			check("clean")
+			breakFraming(t, rng, fs)
+			check("broken framing")
+			flipStoredByte(t, rng, fs)
+			check("one flip")
+			flipStoredByte(t, rng, fs)
+			check("two flips")
+			if trial%3 == 0 {
+				pos := rng.Intn(o.Len())
+				fs.dir[pos].fill = uint32(fs.dir[pos+1].start-fs.dir[pos].start) + 1
+				check("fill past its reservation")
+			}
+		}
+	}
+	// The cells after a file that ends on a page boundary start past its
+	// last page; only their fill can be wrong.
+	o := rowMajor4x4(t)
+	sizes := make([]int64, o.Len())
+	sizes[o.CellAt(0)] = 64 - PageTrailerSize
+	fs, err := CreateFileStore(t.TempDir()+"/edge.db", o, sizes, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.PutRecord(o.CellAt(0), make([]byte, sizes[o.CellAt(0)]-FrameSize(0))); err != nil {
+		t.Fatal(err)
+	}
+	fs.dir[o.Len()-1].fill = 1
+	want, _ := oracleVerify(ctx, fs)
+	got, err := fs.VerifyCtx(ctx)
+	if err != nil || len(want.Problems) != 1 {
+		t.Fatalf("file-end case: walk err %v, oracle problems %v", err, want.Problems)
+	}
+	sameVerifyReport(t, "cell past the file end", got, want)
+}
+
+func sameVerifyReport(t *testing.T, name string, got, want *VerifyReport) {
+	t.Helper()
+	if got.Pages != want.Pages || got.Records != want.Records || len(got.Problems) != len(want.Problems) {
+		t.Fatalf("%s: walk %d pages %d records %d problems, oracle %d pages %d records %d problems\nwalk:   %v\noracle: %v",
+			name, got.Pages, got.Records, len(got.Problems), want.Pages, want.Records, len(want.Problems), got.Problems, want.Problems)
+	}
+	for i, w := range want.Problems {
+		g := got.Problems[i]
+		if g.Page != w.Page || g.Cell != w.Cell || !reflect.DeepEqual(g.Coords, w.Coords) ||
+			g.String() != w.String() || errors.Is(g.Err, ErrCorruptPage) != errors.Is(w.Err, ErrCorruptPage) {
+			t.Fatalf("%s: problem %d is %v, oracle has %v", name, i, g, w)
+		}
+	}
+	if (got.Err() == nil) != (want.Err() == nil) || got.Err() != nil && got.Err().Error() != want.Err().Error() {
+		t.Fatalf("%s: Err() %v, oracle %v", name, got.Err(), want.Err())
+	}
+}
+
+// breakFraming rewrites, through the pool (so checksums stay valid), one
+// record header of a random filled cell: the record overruns the fill by
+// far or by one byte, or ends 0-3 bytes short of it so what follows is a
+// partial header.
+func breakFraming(t *testing.T, rng *rand.Rand, fs *FileStore) {
+	t.Helper()
+	var filled []int
+	for pos := 0; pos < fs.layout.order.Len(); pos++ {
+		if fs.dir[pos].fill > 0 {
+			filled = append(filled, pos)
+		}
+	}
+	if len(filled) == 0 {
+		return
+	}
+	pos := filled[rng.Intn(len(filled))]
+	lo, fill := fs.dir[pos].start, int64(fs.dir[pos].fill)
+	data := make([]byte, fill)
+	if err := fs.pool.ReadAt(data, lo); err != nil {
+		t.Fatal(err)
+	}
+	var headers []int64
+	for off := int64(0); off < fill; {
+		headers = append(headers, off)
+		off += FrameSize(int(binary.LittleEndian.Uint32(data[off:])))
+	}
+	at := headers[rng.Intn(len(headers))]
+	rest := fill - at - FrameSize(0) // payload bytes left after the header
+	n := []int64{1 << 30, rest + 1, rest - 1, rest - 2, rest - 3}[rng.Intn(5)]
+	if n < 0 {
+		n = rest + 1
+	}
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
+	if err := fs.pool.WriteAt(hdr[:], lo+at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipStoredByte flips one bit of a random page on disk, under the pool:
+// anywhere in the data region or the trailer.
+func flipStoredByte(t *testing.T, rng *rand.Rand, fs *FileStore) {
+	t.Helper()
+	if err := fs.pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	inner := fs.file.inner
+	page := rng.Int63n(inner.Pages())
+	buf := make([]byte, inner.PageSize())
+	if err := inner.ReadPage(page, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[rng.Intn(len(buf))] ^= 1 << rng.Intn(8)
+	if err := inner.WritePage(page, buf); err != nil {
+		t.Fatal(err)
 	}
 }
