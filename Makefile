@@ -43,9 +43,11 @@ race:
 # Short bounded fuzz sessions over the catalog round-trip property, the
 # column decoder's decimal fast path (bit-identical to strconv.ParseFloat),
 # the row codec without and with a row dictionary (lossless, shape-sized,
-# column-for-column and sum-for-sum equal to the dictionary-free decoder)
-# and the exact sum (equal to a math/big oracle in any order). The codec
-# lives in internal/rowcodec; the first four drive it through its exported
+# column-for-column and sum-for-sum equal to the dictionary-free decoder),
+# packed blocks under a row template (lossless, and column-for-column and
+# sum-for-sum equal to the same rows framed, to the bit) and the exact sum
+# (equal to a math/big oracle in any order). The codec lives in
+# internal/rowcodec; the first five drive it through its exported
 # functions from cmd/snakestore, beside its caller. Their seed corpora run
 # as ordinary tests in `make check`.
 fuzz:
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzRowCodec$$ -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzRowCodecDict -fuzztime=10s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodecPacked -fuzztime=10s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s ./internal/rowcodec
 
 # stress re-runs the concurrency suite under the race detector several
@@ -92,7 +95,7 @@ trace-smoke:
 # the Go heap by their size, and an open store keeps 24 bytes a cell. Run
 # without the race detector, under which sync.Pool drops entries at random.
 alloc-gates:
-	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestRowCodecDictAllocs|TestSumKernelZeroAlloc|TestSumAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore ./internal/rowcodec
+	$(GO) test -count=1 -run 'TestWarmReadAllocatesPerRequestOnly|TestSumRunKernelZeroAlloc|TestUntracedReadPathZeroAlloc|TestPayloadColumn|TestRowCodecAllocs|TestRowCodecDictAllocs|TestSumKernelZeroAlloc|TestSumKernelCountsPackedRows|TestSumAllocs|TestPoolRecyclesFrames|TestPoolFramesOffHeap|TestOpenFileStoreBytesPerCell' ./internal/storage ./cmd/snakestore ./internal/rowcodec
 
 # benchmark-smoke keeps the measuring stick compiling: benchmark/ is its own
 # module, which `go build ./...` and `go test ./...` above never see, so

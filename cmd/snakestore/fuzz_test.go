@@ -12,10 +12,11 @@ import (
 // anything that parses, requires the atomic writer to reach a stable
 // fixpoint: write → load → write must reproduce the same bytes, so no
 // catalog state is lost or mangled across a save/restore cycle. Version 3,
-// 4 and 5 catalogs with load state are seeded, the last with a row
-// dictionary: all round-trip, and only the first is refused by the
-// row-format gate. A malformed dictionary is seeded too: loadCatalog
-// refuses it.
+// 4, 5 and 6 catalogs with load state are seeded, the last two with a row
+// dictionary and the last with a row template: all round-trip, and only the
+// first is refused by the row-format gate. A malformed dictionary and a
+// template whose code width is not its dictionary's are seeded too:
+// loadCatalog refuses them.
 func FuzzCatalogRoundTrip(f *testing.F) {
 	seedDir := f.TempDir()
 	seedCat := filepath.Join(seedDir, "cat.json")
@@ -32,10 +33,12 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"version":1,"schema":{},"strategy":{},"pageBytes":8192}`))
 	f.Add([]byte(`{"version":99,"schema":{},"strategy":{}}`))
 	f.Add([]byte(`{"version":2,"dirty":true,"schema":{},"strategy":{}}`))
-	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 3, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
-	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 4, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
-	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": 4, "skeletons": ["N", "R", "A"]}, {"column": 7, "skeletons": ["lineitem 9 v4 carefully", ""]}]`), 1))
-	f.Add(bytes.Replace(seed, []byte(`"version": 5`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": -4, "skeletons": ["N", "N"]}]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 3, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 4, "bytesPerCell": [8], "loadedBytes": [8]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": 4, "skeletons": ["N", "R", "A"]}, {"column": 7, "skeletons": ["lineitem 9 v4 carefully", ""]}]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 5, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": -4, "skeletons": ["N", "N"]}]`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 6, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": 1, "skeletons": ["N", "R", "A"]}, {"column": 2, "skeletons": ["lineitem 9 v4 carefully"]}], "template": {"decimals": [{"frac": 2, "digits": 8, "signed": true}], "coded": [{"codeBits": 2}, {"codeBits": 0, "runBits": [30, 14]}]}`), 1))
+	f.Add(bytes.Replace(seed, []byte(`"version": 6`), []byte(`"version": 6, "bytesPerCell": [8], "loadedBytes": [8], "dictionary": [{"column": 1, "skeletons": ["N", "R", "A"]}], "template": {"decimals": [{"frac": 2, "digits": 8}], "coded": [{"codeBits": 1}]}`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cat.json")

@@ -12,6 +12,18 @@ import (
 	snakes "repro"
 )
 
+// quarantined is what the daemon knows of one damaged page: the first error
+// seen for it and, once parity could not repair it, the store generation
+// and the reading of the page's parity clock (FileStore.ParityWrites) at
+// that failure. A repair fails the same way until one of the two moves, so
+// the scrubber does not retry it before then; POST /repair always does.
+type quarantined struct {
+	reason string
+	failed bool
+	gen    int64
+	parity uint64
+}
+
 // noteCorrupt records a corrupt page in the quarantine set.
 func (s *server) noteCorrupt(err error) {
 	var cpe *snakes.CorruptPageError
@@ -27,9 +39,19 @@ func (s *server) noteCorrupt(err error) {
 func (s *server) markQuarantined(page int64, reason string) {
 	s.mu.Lock()
 	if _, seen := s.quarantine[page]; !seen {
-		s.quarantine[page] = reason
+		s.quarantine[page] = quarantined{reason: reason}
 	}
 	s.mu.Unlock()
+}
+
+// unrepaired reports whether page failed a repair that would fail again:
+// parity could not rebuild it at this generation, and its parity group has
+// not been written since.
+func (s *server) unrepaired(st *snakes.FileStore, page int64) bool {
+	s.mu.Lock()
+	q, ok := s.quarantine[page]
+	s.mu.Unlock()
+	return ok && q.failed && q.gen == s.generation.Load() && q.parity == st.ParityWrites(page)
 }
 
 // clearQuarantined re-admits one page after it verified clean. The healing
@@ -73,20 +95,31 @@ func (s *server) healthState() string {
 // noteRepair books one page's repair outcome for the scrubber and for
 // POST /repair alike: the repair metrics, the quarantine (a repaired page
 // leaves it, damage repair cannot fix enters it with its typed error), the
-// healing flag and the log line.
-func (s *server) noteRepair(page int64, err error) {
+// healing flag and the log line. A failure is counted and logged once per
+// page and generation: a retry that fails again changes nothing but the
+// parity reading it waits on.
+func (s *server) noteRepair(st *snakes.FileStore, page int64, err error) {
 	if err == nil {
 		s.metrics.pagesRepaired.Inc()
 		s.clearQuarantined(page)
-		s.log.Info("repair", "page", page, "msg", "reconstructed from parity")
+		s.log.Info("repair", "page", page, "how", "reconstructed from parity")
 		return
 	}
-	s.metrics.repairFailures.Inc()
-	s.markQuarantined(page, err.Error())
+	gen := s.generation.Load()
 	s.mu.Lock()
+	q, seen := s.quarantine[page]
+	again := seen && q.failed && q.gen == gen
+	if !seen {
+		q.reason = err.Error()
+	}
+	q.failed, q.gen, q.parity = true, gen, st.ParityWrites(page)
+	s.quarantine[page] = q
 	s.healing = false // damage this pass cannot heal: back to degraded
 	s.mu.Unlock()
-	s.log.Warn("repair", "page", page, "err", err)
+	if !again {
+		s.metrics.repairFailures.Inc()
+		s.log.Warn("repair", "page", page, "err", err)
+	}
 }
 
 // runScrubLoop is the paced background scrubber: it walks the store's pages
@@ -139,8 +172,8 @@ func (s *server) scrubBatch(ctx context.Context, cursor, n int64) int64 {
 	sctx, ssp := snakes.StartTraceSpan(tctx, snakes.TraceKindScrub, "")
 	checked, repairs := int64(0), 0
 	check := func(p int64) {
-		if p >= total {
-			return // quarantined id from an older, larger generation
+		if p >= total || s.unrepaired(st, p) {
+			return // quarantined id from an older, larger generation, or a repair that would fail again
 		}
 		err := st.CheckPage(p)
 		checked++
@@ -161,7 +194,7 @@ func (s *server) scrubBatch(ctx context.Context, cursor, n int64) int64 {
 			err = st.RepairPage(p)
 			rsp.SetError(err)
 			rsp.End()
-			s.noteRepair(p, err)
+			s.noteRepair(st, p, err)
 		default:
 			s.log.Warn("scrub", "page", p, "err", err)
 		}
@@ -254,18 +287,18 @@ func (s *server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, p := range rep.Repaired {
-		s.noteRepair(p, nil)
+		s.noteRepair(st, p, nil)
 	}
 	failed := make([]string, 0, len(rep.Failed))
 	for _, pr := range rep.Failed {
-		s.noteRepair(pr.Page, pr.Err)
+		s.noteRepair(st, pr.Page, pr.Err)
 		failed = append(failed, pr.String())
 	}
 	s.mu.Lock()
 	if rep.OK() {
 		// Everything detectable was repaired: any quarantine leftovers are
 		// stale entries for pages that now read clean.
-		s.quarantine = make(map[int64]string)
+		s.quarantine = make(map[int64]quarantined)
 	}
 	s.healing = false
 	s.mu.Unlock()

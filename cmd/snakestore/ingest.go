@@ -164,34 +164,46 @@ func (s *server) registerIngestMetrics() {
 func (s *server) runCompactorLoop(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	oversize := false
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if s.draining.Load() {
+			if s.draining.Load() || !s.compactTick(ctx, &oversize) {
 				return
-			}
-			s.ing.mu.Lock()
-			st := s.st()
-			stats, err := s.ing.comp.Tick(ctx, st, s.ing.log)
-			s.ing.mu.Unlock()
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return
-				}
-				s.log.Warn("compact", "err", err)
-				continue
-			}
-			if stats.Oversize > 0 {
-				s.log.Warn("compact", "msg", "pending cells exceed their extents and stay in the delta log", "cells", stats.Oversize)
-			}
-			if stats.CellsApplied > 0 {
-				s.log.Info("compact", "cells", stats.CellsApplied, "bytes", stats.BytesApplied,
-					"regions", stats.Regions, "pendingCells", stats.PendingCells, "pendingBytes", stats.PendingBytes)
 			}
 		}
 	}
+}
+
+// compactTick runs one compaction tick and logs what it did; false when ctx
+// ended. Pending cells larger than their extents are logged when the set of
+// them becomes non-empty (WARN) and when it empties again (INFO), which
+// *oversize remembers between ticks, not on every tick they stay.
+func (s *server) compactTick(ctx context.Context, oversize *bool) bool {
+	s.ing.mu.Lock()
+	stats, err := s.ing.comp.Tick(ctx, s.st(), s.ing.log)
+	s.ing.mu.Unlock()
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return false
+		}
+		s.log.Warn("compact", "err", err)
+		return true
+	}
+	switch {
+	case stats.Oversize > 0 && !*oversize:
+		s.log.Warn("compact", "how", "pending cells exceed their extents and stay in the delta log", "cells", stats.Oversize)
+	case stats.Oversize == 0 && *oversize:
+		s.log.Info("compact", "how", "no pending cell exceeds its extent any more")
+	}
+	*oversize = stats.Oversize > 0
+	if stats.CellsApplied > 0 {
+		s.log.Info("compact", "cells", stats.CellsApplied, "bytes", stats.BytesApplied,
+			"regions", stats.Regions, "pendingCells", stats.PendingCells, "pendingBytes", stats.PendingBytes)
+	}
+	return true
 }
 
 // closeIngest flushes and closes the delta log on shutdown; acknowledged
@@ -203,7 +215,7 @@ func (s *server) closeIngest() {
 	s.ing.mu.Lock()
 	defer s.ing.mu.Unlock()
 	if err := s.ing.log.Close(); err != nil {
-		s.log.Warn("ingest", "msg", "closing delta log", "err", err)
+		s.log.Warn("ingest", "how", "closing delta log", "err", err)
 	}
 }
 
@@ -282,21 +294,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, usagef("cell %d: no rows", i))
 			return
 		}
-		// The cell's rows are encoded back to back into one buffer; a row
-		// encodes to at most its length plus one, so it never moves.
-		size := len(c.Rows)
-		for _, row := range c.Rows {
-			size += len(row)
-		}
-		enc := make([]byte, 0, size)
-		records := make([][]byte, len(c.Rows))
-		for j, row := range c.Rows {
-			at := len(enc)
-			enc = rowcodec.Encode(s.dict, enc, row)
-			records[j] = enc[at:]
-		}
 		cell := order.CellIndex(c.Coords)
-		framed := snakes.FrameRecords(records...)
+		framed := encodeCell(s.dict, c.Rows)
 		if cap := st.Layout().CellCapacity(cell); int64(len(framed)) > cap {
 			s.writeErr(w, usagef("cell %d: %d bytes of rows exceed cell capacity %d", i, len(framed), cap))
 			return
@@ -344,4 +343,41 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// encodeCell is a cell's rows framed as the store keeps them: one packed
+// block when they all fit the row template and packs chooses it, as build
+// does, the encoded rows otherwise. So a rewrite whose rows have the shape
+// of the ones it replaces — the same skeletons, decimals of the same
+// lengths and fraction counts — takes the bytes the cell has.
+func encodeCell(d *rowcodec.Dict, rows []string) []byte {
+	var framed int64
+	for _, row := range rows {
+		framed += snakes.FrameSize(rowcodec.EncodedLen(d, row))
+	}
+	if packs(d, len(rows), framed) {
+		block, ok := rowcodec.AppendTag(make([]byte, 0, d.PackedLen(len(rows)))), true
+		for _, row := range rows {
+			if block, ok = rowcodec.Pack(d, block, row); !ok {
+				break
+			}
+		}
+		if ok {
+			return snakes.FrameRecords(block)
+		}
+	}
+	// The rows are encoded back to back into one buffer; a row encodes to
+	// at most its length plus one, so it never moves.
+	size := len(rows)
+	for _, row := range rows {
+		size += len(row)
+	}
+	enc := make([]byte, 0, size)
+	records := make([][]byte, len(rows))
+	for j, row := range rows {
+		at := len(enc)
+		enc = rowcodec.Encode(d, enc, row)
+		records[j] = enc[at:]
+	}
+	return snakes.FrameRecords(records...)
 }

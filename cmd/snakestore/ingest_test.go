@@ -383,7 +383,7 @@ func runIngestCrashOps(dir, ops string) error {
 			}
 			cell := st.Layout().Order().CellIndex([]int{x, y})
 			srv.ing.mu.Lock()
-			err := srv.ing.log.Put(cell, snakes.FrameRecords(rowcodec.Encode(nil, nil, val)))
+			err := srv.ing.log.Put(cell, encodeCell(srv.dict, []string{val}))
 			srv.ing.mu.Unlock()
 			if err != nil {
 				return err

@@ -45,6 +45,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -63,13 +64,14 @@ import (
 
 // catalogVersion is the current catalog format. Version 4 says the store's
 // rows went through the row codec (internal/rowcodec); version 5 adds the
-// row dictionary build learns, and a version 4 store — rows coded without
-// one — still serves. Older versions are still readable — an optimize
-// output of any version feeds build, and verify works on the framing alone
-// — but a store loaded under one holds text rows, which nothing decodes any
-// more: loadServableCatalog refuses it. Writes always upgrade to the current
-// version.
-const catalogVersion = 5
+// row dictionary build learns, and version 6 the row template, under which
+// a cell whose rows all fit it is one packed block. Version 4 and 5 stores
+// (rows coded without a dictionary; framed rows only) still serve. Older
+// versions are still readable — an optimize output of any version feeds
+// build, and verify works on the framing alone — but a store loaded under
+// one holds text rows, which nothing decodes any more: loadServableCatalog
+// refuses it. Writes always upgrade to the current version.
+const catalogVersion = 6
 
 // minServableVersion is the oldest catalog whose store holds encoded rows.
 const minServableVersion = 4
@@ -116,6 +118,9 @@ type catalog struct {
 	// binary ones: fixed at build, used by every later encoder and decoder
 	// (/ingest, compaction, reorganization, /query), never changed by them.
 	Dict *rowcodec.Dict `json:"dictionary,omitempty"`
+	// Template is the row template build learned beside the dictionary:
+	// the fixed width every packed cell's rows have (rowcodec.Template).
+	Template *rowcodec.Template `json:"template,omitempty"`
 }
 
 // genPath returns the store file for a generation: the base path itself for
@@ -277,7 +282,7 @@ func cmdBuild(args []string) error {
 	// rows are coded against the old build's dictionary.
 	cat.Version = catalogVersion
 	cat.Dirty = true
-	cat.BytesPer, cat.LoadedBytes, cat.Dict = nil, nil, nil
+	cat.BytesPer, cat.LoadedBytes, cat.Dict, cat.Template = nil, nil, nil, nil
 	cat.Generation, cat.StoreFile = 0, ""
 	if err := writeCatalog(*catPath, cat); err != nil {
 		return err
@@ -289,29 +294,52 @@ func cmdBuild(args []string) error {
 		return err
 	}
 
-	// Pass 1: learn the row dictionary and size every cell by its rows'
-	// encoded lengths under it, in one scan: a row is sized under the
-	// dictionary as it stands once the row's own skeletons are admitted, and
-	// nothing admitted is taken back, so pass 2 encodes every row to the
-	// length sized here. The order comes first: it refuses a grid too large
-	// to index before anything is sized by its cell count.
+	// Pass 1: learn the row dictionary and the row template, and size every
+	// cell by its rows' encoded lengths under them, in one scan: a row is
+	// sized under the dictionary as it stands once the row's own skeletons
+	// are admitted, and nothing admitted is taken back, so pass 2 encodes
+	// every row to the length sized here. The template only widens, so a row
+	// that fits it here packs under the final one; a cell packs when all of
+	// its rows do and the block is no longer than its framed rows. The order
+	// comes first: it refuses a grid too large to index before anything is
+	// sized by its cell count.
 	order, err := strat.Materialize()
 	if err != nil {
 		return err
 	}
 	bytesPerCell := make([]int64, order.Len())
+	rows := make([]int32, order.Len())
+	misfit := make([]bool, order.Len())
 	dict := rowcodec.NewDict()
 	var plainBytes, codedBytes int64
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
-		n, plain := dict.Learn(row)
+		n, plain, fits := dict.Learn(row)
 		codedBytes += int64(n)
 		plainBytes += int64(plain)
 		bytesPerCell[cell] += snakes.FrameSize(n)
+		rows[cell]++
+		misfit[cell] = misfit[cell] || !fits
 		return nil
 	}); err != nil {
 		return err
 	}
-	// Pass 2: load, encoding every row into one buffer PutRecord copies from.
+	tmpl := dict.Template()
+	var packedCells, cells int64
+	for cell, n := range rows {
+		if n > 0 {
+			cells++
+		}
+		if n > 0 && !misfit[cell] && packs(dict, int(n), bytesPerCell[cell]) {
+			bytesPerCell[cell] = snakes.FrameSize(dict.PackedLen(int(n)))
+			packedCells++
+		} else {
+			rows[cell] = 0 // framed rows
+		}
+	}
+	// Pass 2: load. A packed cell's frame header goes in with its first
+	// row, sized from pass 1's count (rows[cell] then turns negative: the
+	// block is open), and every row appends its Width bytes to it; any other
+	// row is encoded into one buffer PutRecord copies from.
 	store, err := strat.CreateFileStore(*storePath, bytesPerCell, cat.PageBytes, *frames)
 	if err != nil {
 		return err
@@ -320,15 +348,29 @@ func cmdBuild(args []string) error {
 	var enc []byte
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
 		records++
-		enc = rowcodec.Encode(dict, enc[:0], row)
-		return store.PutRecord(cell, enc)
+		n := rows[cell]
+		if n == 0 {
+			enc = rowcodec.Encode(dict, enc[:0], row)
+			return store.PutRecord(cell, enc)
+		}
+		enc = enc[:0]
+		if n > 0 {
+			enc = binary.LittleEndian.AppendUint32(enc, uint32(dict.PackedLen(int(n))))
+			enc = rowcodec.AppendTag(enc)
+			rows[cell] = -n
+		}
+		var ok bool
+		if enc, ok = rowcodec.Pack(dict, enc, row); !ok {
+			return fmt.Errorf("row does not fit the row template pass 1 learned: the CSV changed during the build")
+		}
+		return store.AppendBytes(cell, enc)
 	}); err != nil {
 		store.Close()
 		return err
 	}
 	cat.BytesPer = bytesPerCell
 	cat.LoadedBytes = store.LoadedBytes()
-	cat.Dict = dict
+	cat.Dict, cat.Template = dict, tmpl
 	// Write the repair sidecar while the loaded store is still open: parity
 	// covers the flushed pages, so a later bit-flip on disk is repairable.
 	if *parityGroup > 0 {
@@ -348,6 +390,7 @@ func cmdBuild(args []string) error {
 	fmt.Printf("loaded %d records into %s (%d pages of %d B)\n",
 		records, *storePath, store.Layout().TotalPages(), cat.PageBytes)
 	fmt.Println(dictSummary(dict, records, plainBytes, codedBytes))
+	fmt.Printf("row template: %d B a row; %d of %d cells packed\n", dict.Width(), packedCells, cells)
 	if *parityGroup > 0 {
 		fmt.Printf("parity sidecar %s (group %d, %.1f%% overhead)\n",
 			snakes.ParityPath(*storePath), *parityGroup, 100.0/float64(*parityGroup))
@@ -658,6 +701,13 @@ func dictSummary(d *rowcodec.Dict, records, plainBytes, codedBytes int64) string
 		coded, perRow(plainBytes), perRow(codedBytes))
 }
 
+// packs is the rule that decides a cell's form, for build and POST /ingest
+// alike: rows rows that all fit d's row template are one packed block when
+// that is no longer than the framed bytes the same rows take encoded.
+func packs(d *rowcodec.Dict, rows int, framed int64) bool {
+	return d.Width() > 0 && snakes.FrameSize(d.PackedLen(rows)) <= framed
+}
+
 func numeric(s string) bool {
 	_, err := strconv.Atoi(strings.TrimSpace(s))
 	return err == nil
@@ -752,6 +802,14 @@ func loadCatalog(path string) (*catalog, *snakes.Schema, *snakes.Strategy, error
 	strat, err := snakes.UnmarshalStrategy(schema, cat.Strategy)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if cat.Template != nil {
+		if cat.Dict == nil {
+			return nil, nil, nil, fmt.Errorf("%s: a row template without a row dictionary", path)
+		}
+		if err := cat.Dict.SetTemplate(cat.Template); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	return &cat, schema, strat, nil
 }

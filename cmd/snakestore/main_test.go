@@ -93,7 +93,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	var got float64
 	var count int
 	if err := readRegion(context.Background(), fs, region, func(cell int, rec []byte) error {
-		v, err := rowcodec.Column(c.Dict, rec, 0)
+		v, err := rowcodec.Column(c.Dict, rec, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -280,70 +280,85 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 	}
 
 	// A version 4 store — rows encoded before there was a row dictionary, as
-	// that release's build wrote testdata/v4store — still serves, and answers
-	// every sum, and every error, as a rebuild of its CSV under the current
-	// version does.
-	v4, fresh := t.TempDir(), t.TempDir()
+	// that release's build wrote testdata/v4store — and a version 5 store —
+	// framed rows coded against one, built from the same CSV by the release
+	// before row templates (testdata/v5store) — still serve, and answer every
+	// sum, every record count and every error as a rebuild of that CSV under
+	// the current version, whose cells are packed blocks, does.
+	old := map[int]string{4: t.TempDir(), 5: t.TempDir()}
+	fresh := t.TempDir()
 	for _, name := range []string{"cat.json", "facts.csv", "facts.db", "facts.db.parity"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "v4store", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, dir := range []string{v4, fresh} {
+		for version, dir := range old {
+			data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("v%dstore", version), name))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if version == 4 {
+				if err := os.WriteFile(filepath.Join(fresh, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	v4Cat, v4Store := filepath.Join(v4, "cat.json"), filepath.Join(v4, "facts.db")
-	freshCat, freshStore := filepath.Join(fresh, "cat.json"), filepath.Join(fresh, "facts.db")
-	if c, _, _, err := loadServableCatalog(v4Cat); err != nil || c.Version != 4 || c.Dict != nil {
-		t.Fatalf("the version 4 catalog: %v", err)
+	for version, dir := range old {
+		c, _, _, err := loadServableCatalog(filepath.Join(dir, "cat.json"))
+		if err != nil || c.Version != version || (c.Dict != nil) != (version >= 5) || c.Template != nil {
+			t.Fatalf("the version %d catalog: %v", version, err)
+		}
 	}
+	freshCat, freshStore := filepath.Join(fresh, "cat.json"), filepath.Join(fresh, "facts.db")
 	if err := cmdBuild([]string{"-catalog", freshCat, "-csv", filepath.Join(fresh, "facts.csv"), "-store", freshStore, "-frames", "8"}); err != nil {
 		t.Fatal(err)
 	}
-	if c, _, _, err := loadCatalog(freshCat); err != nil || c.Version != catalogVersion || c.Dict == nil {
+	if c, _, _, err := loadCatalog(freshCat); err != nil || c.Version != catalogVersion || c.Dict == nil || c.Dict.Width() == 0 {
 		t.Fatalf("the rebuild's catalog: %v", err)
 	}
-	for _, region := range []snakes.Region{{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 3}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}}} {
+	for _, region := range []snakes.Region{{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 3}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}}, {{Lo: 3, Hi: 4}, {Lo: 5, Hi: 6}}} {
 		for col := 0; col < 4; col++ {
-			n4, s4 := cliSum(t, v4Cat, v4Store, region, col)
-			n5, s5 := cliSum(t, freshCat, freshStore, region, col)
-			if n4 != n5 || math.Float64bits(s4) != math.Float64bits(s5) {
-				t.Errorf("sum of column %d over %v: version 4 store %d records %v, rebuilt %d records %v", col, region, n4, s4, n5, s5)
+			n6, s6 := cliSum(t, freshCat, freshStore, region, col)
+			for version, dir := range old {
+				n, s := cliSum(t, filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), region, col)
+				if n != n6 || math.Float64bits(s) != math.Float64bits(s6) {
+					t.Errorf("sum of column %d over %v: version %d store %d records %v, rebuilt %d records %v", col, region, version, n, s, n6, s6)
+				}
 			}
 		}
 	}
 	for _, col := range []string{"4", "7", "8"} {
-		err4 := cmdQuery([]string{"-catalog", v4Cat, "-store", v4Store, "-sum", col})
-		err5 := cmdQuery([]string{"-catalog", freshCat, "-store", freshStore, "-sum", col})
-		if err4 == nil || err5 == nil || err4.Error() != err5.Error() {
-			t.Errorf("sum of text column %s: version 4 store %v, rebuilt %v", col, err4, err5)
+		err6 := cmdQuery([]string{"-catalog", freshCat, "-store", freshStore, "-sum", col})
+		for version, dir := range old {
+			err := cmdQuery([]string{"-catalog", filepath.Join(dir, "cat.json"), "-store", filepath.Join(dir, "facts.db"), "-sum", col})
+			if err == nil || err6 == nil || err.Error() != err6.Error() {
+				t.Errorf("sum of text column %s: version %d store %v, rebuilt %v", col, version, err, err6)
+			}
 		}
 	}
-	c, schema, strat, err := loadServableCatalog(v4Cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := strat.OpenFileStore(v4Store, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm, err := snakes.NewAdmission(64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
-	defer srv.closeStore()
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	region := snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}
-	_, want := cliSum(t, freshCat, freshStore, region, 0)
-	var q queryResponse
-	getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
-	if q.Records != 48 || q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
-		t.Errorf("serving the version 4 store: %d records sum %v, rebuilt store %v", q.Records, fmtSum(q.Sum), want)
+	_, want := cliSum(t, freshCat, freshStore, snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, 0)
+	for version, dir := range old {
+		c, schema, strat, err := loadServableCatalog(filepath.Join(dir, "cat.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := strat.OpenFileStore(filepath.Join(dir, "facts.db"), c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adm, err := snakes.NewAdmission(64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
+		ts := httptest.NewServer(srv.handler())
+		var q queryResponse
+		getJSON(t, ts, regionQuery(snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, 0), http.StatusOK, &q)
+		if q.Records != 48 || q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
+			t.Errorf("serving the version %d store: %d records sum %v, rebuilt store %v", version, q.Records, fmtSum(q.Sum), want)
+		}
+		ts.Close()
+		srv.closeStore()
 	}
 }
 

@@ -103,7 +103,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.reorg != nil {
 			if oerr := s.reorg.Observe(class); oerr != nil {
-				s.log.Warn("reorg", "msg", "observing query class", "err", oerr)
+				s.log.Warn("reorg", "how", "observing query class", "err", oerr)
 			}
 		}
 	}
@@ -180,7 +180,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // that does not read as a number, or a sum that is not a finite number, is a
 // usage error.
 func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, d *rowcodec.Dict, col int) (records int64, sum float64, err error) {
-	k := &sumKernel{col: col, sum: rowcodec.NewSum(d, col)}
+	k := &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
 	if err := st.ReadPlanCellsCtx(ctx, plan, k.cell); err != nil {
 		return 0, 0, err
 	}
@@ -192,11 +192,13 @@ func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, 
 	return k.records, sum, nil
 }
 
-// sumKernel walks each cell's framing in place, counts its records and adds
-// their column to the sum: a direct call per record, no allocation.
+// sumKernel walks each cell's framing in place, counts its rows — one a
+// framed row, Rows of a packed block — and adds their column to the sum: a
+// direct call per stored record, no allocation.
 type sumKernel struct {
 	records int64
 	col     int // -1: count only
+	d       *rowcodec.Dict
 	sum     rowcodec.Sum
 }
 
@@ -206,12 +208,17 @@ func (k *sumKernel) cell(cell int, framed []byte) error {
 		if end > uint64(len(framed)) {
 			break
 		}
-		k.records++
+		var rows int
+		var err error
 		if k.col >= 0 {
-			if err := k.sum.Add(framed[4:end]); err != nil {
-				return usagef("%v", err)
-			}
+			rows, err = k.sum.Add(framed[4:end])
+		} else {
+			rows, err = rowcodec.Rows(k.d, framed[4:end])
 		}
+		if err != nil {
+			return usagef("%v", err)
+		}
+		k.records += int64(rows)
 		framed = framed[end:]
 	}
 	if len(framed) > 0 {

@@ -54,7 +54,7 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	if err != nil {
 		return err
 	}
-	s.log.Info("reorg", "msg", "incremental region copy complete", "ticks", ticks, "gen", d.Generation)
+	s.log.Info("reorg", "how", "incremental region copy complete", "ticks", ticks, "gen", d.Generation)
 	s.armFragmentObserver(dst)
 	var newLog *snakes.DeltaLog
 	abort := func(err error) error {
@@ -149,10 +149,10 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 		s.ing.log = newLog
 		newLog = nil // the abort path must not remove the serving log
 		if cerr := oldLog.Close(); cerr != nil {
-			s.log.Warn("reorg", "msg", "closing retired delta log", "err", cerr)
+			s.log.Warn("reorg", "how", "closing retired delta log", "err", cerr)
 		}
 		if rerr := os.Remove(oldLog.Path()); rerr != nil && !os.IsNotExist(rerr) {
-			s.log.Warn("reorg", "msg", "removing retired delta log", "err", rerr)
+			s.log.Warn("reorg", "how", "removing retired delta log", "err", rerr)
 		}
 	}
 	unlockIngest()
@@ -162,7 +162,7 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	// degraded forever on damage that no longer exists. The post-swap scrub
 	// below re-detects anything actually wrong with the new generation.
 	s.mu.Lock()
-	s.quarantine = make(map[int64]string)
+	s.quarantine = make(map[int64]quarantined)
 	s.healing = false
 	s.mu.Unlock()
 
@@ -174,7 +174,7 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	pctx := context.WithoutCancel(ctx)
 	dsp := snakes.StartTraceLeaf(pctx, snakes.TraceKindDrain, "")
 	if err := old.Close(); err != nil && !errors.Is(err, snakes.ErrClosed) {
-		s.log.Warn("reorg", "msg", "closing old generation", "err", err)
+		s.log.Warn("reorg", "how", "closing old generation", "err", err)
 	}
 	dsp.End()
 	vctx, vsp := snakes.StartTraceSpan(pctx, snakes.TraceKindVerify, "")
@@ -192,15 +192,15 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 		}
 		// The swap stands (the catalog already points at the new
 		// generation) but the old file is kept as a recovery artifact.
-		s.log.Warn("reorg", "msg", "post-swap scrub not clean; keeping old generation file", "err", verr)
+		s.log.Warn("reorg", "how", "post-swap scrub not clean; keeping old generation file", "err", verr)
 		return nil
 	}
 	if oldPath != newPath {
 		if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "msg", "removing old generation file", "err", err)
+			s.log.Warn("reorg", "how", "removing old generation file", "err", err)
 		}
 		if err := os.Remove(snakes.ParityPath(oldPath)); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "msg", "removing old generation parity sidecar", "err", err)
+			s.log.Warn("reorg", "how", "removing old generation parity sidecar", "err", err)
 		}
 	}
 	return nil

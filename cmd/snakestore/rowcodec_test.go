@@ -24,11 +24,11 @@ import (
 func rawRow(text []byte) []byte { return append([]byte{0}, text...) }
 
 // parseDecimal is the codec's decimal parser on the field that starts b.
-func parseDecimal(b []byte) (float64, error) { return rowcodec.Column(nil, rawRow(b), 0) }
+func parseDecimal(b []byte) (float64, error) { return rowcodec.Column(nil, rawRow(b), 0, 0) }
 
 // payloadColumn is the idx-th column of a row held as text.
 func payloadColumn(row []byte, idx int) (float64, error) {
-	return rowcodec.Column(nil, rawRow(row), idx)
+	return rowcodec.Column(nil, rawRow(row), 0, idx)
 }
 
 // checkParseDecimal holds parseDecimal to strconv.ParseFloat on the field
@@ -100,7 +100,7 @@ func TestPayloadColumn(t *testing.T) {
 	raw := rawRow(rec)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 2; idx++ {
-			v, _ := rowcodec.Column(nil, raw, idx)
+			v, _ := rowcodec.Column(nil, raw, 0, idx)
 			sink += v
 		}
 	}); allocs != 0 {
@@ -131,12 +131,14 @@ func checkRowCodec(t *testing.T, d *rowcodec.Dict, row []byte) []byte {
 	plain := rowcodec.Encode(nil, nil, row)
 	for idx := 0; idx <= bytes.Count(row, []byte(","))+1; idx++ {
 		want, wantErr := payloadColumn(row, idx)
-		got, gotErr := rowcodec.Column(d, enc, idx)
+		got, gotErr := rowcodec.Column(d, enc, 0, idx)
 		sameReading(t, fmt.Sprintf("row %q column %d", row, idx), got, gotErr, want, wantErr)
 		ws, gs := rowcodec.NewSum(nil, idx), rowcodec.NewSum(d, idx)
-		wantErr, gotErr = ws.Add(plain), gs.Add(enc)
+		_, wantErr = ws.Add(plain)
+		_, gotErr = gs.Add(enc)
 		if wantErr == nil && gotErr == nil {
-			wantErr, gotErr = ws.Add(plain), gs.Add(enc)
+			_, wantErr = ws.Add(plain)
+			_, gotErr = gs.Add(enc)
 		}
 		want, _ = ws.Total()
 		got, _ = gs.Total()
@@ -219,7 +221,7 @@ func TestRowCodecRejectsMalformed(t *testing.T) {
 		}
 	}
 	for _, rec := range [][]byte{nil, {0x01}, {0x01, 0x04, 1, 2}, {0x02, 0x01, 5}} {
-		if v, err := rowcodec.Column(nil, rec, 1); err == nil {
+		if v, err := rowcodec.Column(nil, rec, 0, 1); err == nil {
 			t.Errorf("rowcodec.Column(%x, 1) = %v, want an error", rec, v)
 		}
 	}
@@ -235,7 +237,7 @@ func TestRowCodecAllocs(t *testing.T) {
 	var size int
 	if allocs := testing.AllocsPerRun(1000, func() {
 		for idx := 0; idx < 4; idx++ {
-			v, _ := rowcodec.Column(nil, enc, idx)
+			v, _ := rowcodec.Column(nil, enc, 0, idx)
 			sink += v
 		}
 		size += rowcodec.EncodedLen(nil, row) + rowcodec.EncodedLen(nil, rowSeeds[0])
@@ -255,7 +257,7 @@ func FuzzRowCodec(f *testing.F) {
 		// The same bytes read as an encoded row: an answer or an error.
 		rowcodec.Decode(nil, nil, in)
 		for idx := 0; idx < 18; idx++ {
-			rowcodec.Column(nil, in, idx)
+			rowcodec.Column(nil, in, 0, idx)
 		}
 	})
 }
@@ -298,7 +300,7 @@ func TestRowCodecDict(t *testing.T) {
 	sized := make([]int, len(dictSeeds))
 	for i, s := range dictSeeds {
 		var plain int
-		if sized[i], plain = learned.Learn([]byte(s)); plain != rowcodec.EncodedLen(nil, s) {
+		if sized[i], plain, _ = learned.Learn([]byte(s)); plain != rowcodec.EncodedLen(nil, s) {
 			t.Fatalf("Learn says %q is %d bytes without a dictionary, EncodedLen says %d", s, plain, rowcodec.EncodedLen(nil, s))
 		}
 	}
@@ -321,7 +323,7 @@ func TestRowCodecDict(t *testing.T) {
 	if _, err := rowcodec.Decode(nil, nil, enc); !errors.Is(err, rowcodec.ErrMalformed) {
 		t.Errorf("a coded row decoded without its dictionary: %v, want ErrMalformed", err)
 	}
-	if _, err := rowcodec.Column(nil, enc, 7); !errors.Is(err, rowcodec.ErrMalformed) {
+	if _, err := rowcodec.Column(nil, enc, 0, 7); !errors.Is(err, rowcodec.ErrMalformed) {
 		t.Errorf("a coded column read without its dictionary: %v, want ErrMalformed", err)
 	}
 	for _, free := range []string{
@@ -349,7 +351,7 @@ func TestRowCodecDictAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		size += rowcodec.EncodedLen(d, row)
 		buf = rowcodec.Encode(d, buf[:0], row)
-		if err := sum.Add(buf); err != nil {
+		if _, err := sum.Add(buf); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -373,7 +375,7 @@ func FuzzRowCodecDict(f *testing.F) {
 		// answer or an error.
 		rowcodec.Decode(seedDict, nil, in)
 		for idx := 0; idx < 18; idx++ {
-			rowcodec.Column(seedDict, in, idx)
+			rowcodec.Column(seedDict, in, 0, idx)
 			s := rowcodec.NewSum(seedDict, idx)
 			s.Add(in)
 		}
@@ -448,5 +450,123 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	getJSON(t, ts, regionQuery(region, 0), http.StatusOK, &q)
 	if q.Sum == nil || math.Float64bits(*q.Sum) != math.Float64bits(want) {
 		t.Errorf("daemon sum %v, exact total %v", fmtSum(q.Sum), want)
+	}
+}
+
+// packedSeeds are blocks of rows, one a line, for FuzzRowCodecPacked: the
+// benchmark's rows, decimals that widen, flip sign or change fraction
+// count, skeletons with runs of every length up to 19 (a 64-bit slot), and
+// rows of other shapes that stay framed.
+var packedSeeds = func() []string {
+	seeds := []string{
+		strings.Join(dictSeeds[len(rowSeeds):len(rowSeeds)+7], "\n"),
+		"1.5,N,x 12\n22.5,R,x 7\n-0.5,A,x 99\n-0.0,N,x 00",
+		"7\n8\n-9\n123456789012345\n0",
+		"a\nb\nc\na",
+		"\n\n",
+		"1,2\n1,2,3\n1.5,2\n1,x\n12,34",
+		"x,7777777777777777777-0000000000000000000\nx,1-2\ny,9999999999999999999-1",
+		"0.05,0.10\n0.00,9.99\n1.25,0.5\n0.5,1.25",
+		"9007199254740992\n1\n-9007199254740992",
+		"val00,7.5\nval01,7.5\nXXX00,9.5\nval02,17.5",
+		"1,v 1\n1,v 12\n1,w 123 4\n1,w 1 12",
+	}
+	return seeds
+}()
+
+func FuzzRowCodecPacked(f *testing.F) {
+	for _, s := range packedSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) { checkPacked(t, in) })
+}
+
+// TestRowCodecPacked runs FuzzRowCodecPacked's property over blocks of the
+// benchmark's rows, and over random blocks of the seeds' rows.
+func TestRowCodecPacked(t *testing.T) {
+	for i := len(rowSeeds); i+8 <= len(dictSeeds); i += 4 {
+		checkPacked(t, []byte(strings.Join(dictSeeds[i:i+8], "\n")))
+	}
+	for i := 0; i+5 <= len(rowSeeds); i++ {
+		checkPacked(t, []byte(strings.Join(rowSeeds[i:i+5], "\n")))
+	}
+}
+
+// checkPacked learns a Dict and row template from the lines of in, as build
+// does, and holds the packed block of the rows that fit to the framed rows
+// they would otherwise be: every row Learn said fits packs; the block
+// decodes to exactly those rows; Rows counts them; and Column on every row
+// and column and Sum of every column agree with the framed rows to the bit,
+// errors to the letter. Any row Pack takes, fitted or not, decodes to
+// itself.
+func checkPacked(t *testing.T, in []byte) {
+	t.Helper()
+	lines := bytes.Split(in[:min(len(in), 1024)], []byte("\n"))
+	if len(lines) > 16 {
+		lines = lines[:16]
+	}
+	d := rowcodec.NewDict()
+	var fit [][]byte
+	cols := 0
+	for _, line := range lines {
+		if _, _, ok := d.Learn(line); ok {
+			fit = append(fit, line)
+		}
+		cols = max(cols, bytes.Count(line, []byte(","))+1)
+	}
+	if d.Template() == nil {
+		if len(fit) > 0 {
+			t.Fatalf("rows %q fit, but no template was learned", fit)
+		}
+		return
+	}
+	block := rowcodec.AppendTag(nil)
+	for _, row := range fit {
+		var ok bool
+		if block, ok = rowcodec.Pack(d, block, row); !ok {
+			t.Fatalf("Learn said %q fits, Pack refuses it", row)
+		}
+	}
+	if len(block) != d.PackedLen(len(fit)) {
+		t.Fatalf("block of %d rows is %d bytes, PackedLen says %d", len(fit), len(block), d.PackedLen(len(fit)))
+	}
+	if n, err := rowcodec.Rows(d, block); err != nil || n != len(fit) {
+		t.Fatalf("Rows = %d, %v; want %d", n, err, len(fit))
+	}
+	if text, err := rowcodec.Decode(d, nil, block); err != nil || !bytes.Equal(text, bytes.Join(fit, []byte("\n"))) {
+		t.Fatalf("block of %q decodes to %q, %v", fit, text, err)
+	}
+	framed := make([][]byte, len(fit))
+	for r, row := range fit {
+		framed[r] = rowcodec.Encode(d, nil, row)
+	}
+	for idx := 0; idx <= min(cols+1, 12); idx++ {
+		for r := range fit {
+			pv, pe := rowcodec.Column(d, block, r, idx)
+			fv, fe := rowcodec.Column(d, framed[r], 0, idx)
+			if math.Float64bits(pv) != math.Float64bits(fv) || fmt.Sprint(pe) != fmt.Sprint(fe) {
+				t.Fatalf("column %d of %q: packed %v, %v; framed %v, %v", idx, fit[r], pv, pe, fv, fe)
+			}
+		}
+		ps, fs := rowcodec.NewSum(d, idx), rowcodec.NewSum(d, idx)
+		_, perr := ps.Add(block)
+		var ferr error
+		for _, rec := range framed {
+			if _, ferr = fs.Add(rec); ferr != nil {
+				break
+			}
+		}
+		pt, pte := ps.Total()
+		ft, fte := fs.Total()
+		if fmt.Sprint(perr) != fmt.Sprint(ferr) || perr == nil && (math.Float64bits(pt) != math.Float64bits(ft) || fmt.Sprint(pte) != fmt.Sprint(fte)) {
+			t.Fatalf("sum of column %d over %q: packed %v, %v, %v; framed %v, %v, %v", idx, fit, pt, pte, perr, ft, fte, ferr)
+		}
+	}
+	for _, line := range lines {
+		if one, ok := rowcodec.Pack(d, rowcodec.AppendTag(nil), line); ok {
+			if text, err := rowcodec.Decode(d, nil, one); err != nil || !bytes.Equal(text, line) {
+				t.Fatalf("Pack takes %q, which decodes to %q, %v", line, text, err)
+			}
+		}
 	}
 }

@@ -101,9 +101,9 @@ type server struct {
 	parityGroup int
 
 	mu         sync.Mutex
-	quarantine map[int64]string // corrupt page -> first error seen
-	healing    bool             // a repair pass is actively working the quarantine
-	lastScrub  string           // outcome of the most recent /verify
+	quarantine map[int64]quarantined // corrupt page -> what is known of it
+	healing    bool                  // a repair pass is actively working the quarantine
+	lastScrub  string                // outcome of the most recent /verify
 }
 
 func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm *snakes.Admission, reqTimeout time.Duration, tcfg snakes.TraceConfig) *server {
@@ -116,7 +116,7 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm
 		reqTimeout:  reqTimeout,
 		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
 		flushLog:    func() {},
-		quarantine:  make(map[int64]string),
+		quarantine:  make(map[int64]quarantined),
 		parityGroup: snakes.DefaultParityGroup,
 		traces:      snakes.NewTraceRecorder(tcfg),
 		started:     time.Now(),
@@ -359,7 +359,7 @@ const defaultEventCapacity = 1024
 func (s *server) beginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.metrics.draining.Set(1)
-		s.log.Info("drain", "msg", "graceful shutdown started")
+		s.log.Info("drain", "how", "graceful shutdown started")
 		s.flushLog()
 	}
 }

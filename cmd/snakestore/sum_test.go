@@ -198,3 +198,49 @@ func TestSumKernelZeroAlloc(t *testing.T) {
 		t.Errorf("truncated cell: %v", err)
 	}
 }
+
+// TestSumKernelCountsPackedRows: the kernel counts rows, not stored
+// records — a packed block is Rows of them, a framed row one — on a cell
+// that holds both (as an overlay rewrite can), sums them as it counts
+// without allocating, and takes a block whose length is not a whole number
+// of rows for the malformed bytes it is.
+func TestSumKernelCountsPackedRows(t *testing.T) {
+	rows := []string{"12345.67,17,N,x 042", "-0.25,3,O,x 007", "99999.99,50,N,x 999", "0.10,1,O,x 000"}
+	d := rowcodec.NewDict()
+	for _, row := range rows {
+		if _, _, fits := d.Learn([]byte(row)); !fits {
+			t.Fatalf("%q does not fit", row)
+		}
+	}
+	d.Template()
+	block := rowcodec.AppendTag(nil)
+	for _, row := range rows {
+		block, _ = rowcodec.Pack(d, block, row)
+	}
+	framed := snakes.FrameRecords(block, rowcodec.Encode(d, nil, "1.5,2,N,x 1234"), block)
+	wants := []float64{2*(12345.67-0.25+99999.99+0.10) + 1.5, 2*(17+3+50+1) + 2}
+	for col, want := range wants {
+		k := &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := k.cell(3, framed); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("column %d: the kernel allocates %v times per cell, want 0", col, allocs)
+		}
+		if k.records != 9*101 {
+			t.Errorf("column %d: %d rows counted, want %d", col, k.records, 9*101)
+		}
+		k = &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
+		if err := k.cell(3, framed); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := k.sum.Total(); err != nil || math.Abs(got-want) > 1e-6 {
+			t.Errorf("column %d: sum %v, %v; want %v", col, got, err, want)
+		}
+	}
+	k := &sumKernel{col: -1, d: d}
+	if err := k.cell(3, snakes.FrameRecords(block[:len(block)-1])); err == nil || err.Error() != "usage error: "+rowcodec.ErrMalformed.Error() {
+		t.Errorf("a block one byte short: %v, want the malformed-row error", err)
+	}
+}

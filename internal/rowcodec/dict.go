@@ -32,6 +32,11 @@ var runWidth = [maxRun + 1]uint8{0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7,
 // between goroutines.
 type Dict struct {
 	cols []dictColumn // by payload column index
+
+	// The row template: learning widens shape row by row, Template or
+	// SetTemplate fixes tmpl, which Pack and the packed decoders read.
+	shape *Template
+	tmpl  *Template
 }
 
 type dictColumn struct {
@@ -56,9 +61,13 @@ func NewDict() *Dict { return &Dict{} }
 // yet, each into its column while that has room, and returns EncodedLen(d,
 // t) under the dictionary as it then stands, and EncodedLen(nil, t). An
 // entry is never taken back, so a row Learn sized encodes to that length
-// under the final dictionary.
-func (d *Dict) Learn(t []byte) (size, plain int) {
-	return encodedLen(d, t, true)
+// under the final dictionary. In the same scan it widens the row template
+// to t (see Template): fits reports that t packs under the template
+// Template fixes once learning is done.
+func (d *Dict) Learn(t []byte) (size, plain int, fits bool) {
+	var sh rowShape
+	size, plain = encodedLen(d, t, true, &sh)
+	return size, plain, d.learnShape(&sh)
 }
 
 // Entries returns how many skeletons each payload column holds, by column
@@ -273,8 +282,9 @@ func lookup[T text](d *Dict, col int, t T, dst []byte, emit, learn bool) (out []
 // its comma (the last column has none). With emit the columns are also
 // appended to dst, each scanned once: its runs are written as they are
 // read, behind a code byte filled in once the column is known. learn admits
-// skeletons first.
-func codedTail[T text](d *Dict, dst []byte, t T, pos, n int, emit, learn bool) ([]byte, int) {
+// skeletons first. With sh, the columns are counted into sh.tail, and
+// sh.escaped is set when one of them has no skeleton in d.
+func codedTail[T text](d *Dict, dst []byte, t T, pos, n int, emit, learn bool, sh *rowShape) ([]byte, int) {
 	size := 0
 	for col := n; ; col++ {
 		mark := len(dst)
@@ -291,6 +301,10 @@ func codedTail[T text](d *Dict, dst []byte, t T, pos, n int, emit, learn bool) (
 			}
 		} else if emit {
 			dst[mark] = code
+		}
+		if sh != nil {
+			sh.tail++
+			sh.escaped = sh.escaped || code == escape
 		}
 		size += 1 + body
 		if pos += end + 1; pos > len(t) {
@@ -316,17 +330,24 @@ func expand(dst []byte, e *dictEntry, rec []byte, p int) ([]byte, int, error) {
 			v = v<<8 | uint64(rec[i])
 		}
 		p += w
-		at := len(dst)
-		dst = append(dst, zeros[:L]...)
-		for i := len(dst) - 1; i >= at && v > 0; i-- {
-			dst[i] = byte('0' + v%10)
-			v /= 10
-		}
-		if v > 0 {
-			return dst, p, ErrMalformed // more digits than the run has
+		var ok bool
+		if dst, ok = appendRun(dst, v, int(L)); !ok {
+			return dst, p, ErrMalformed
 		}
 	}
 	return append(dst, e.lits[len(e.runs)]...), p, nil
+}
+
+// appendRun appends v as a digit run of L digits, zero-padded; ok is false
+// when v has more digits than that.
+func appendRun(dst []byte, v uint64, L int) ([]byte, bool) {
+	at := len(dst)
+	dst = append(dst, zeros[:L]...)
+	for i := len(dst) - 1; i >= at && v > 0; i-- {
+		dst[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return dst, v == 0
 }
 
 // decodeCoded appends the text of the coded columns at rec[p:], the first

@@ -35,6 +35,36 @@
 // than a byte is stored raw: two rows whose columns have the same lengths,
 // the same canonical run and the same skeletons (or misses) encode to the
 // same length, which is what lets a cell be rewritten in place.
+//
+// A cell whose rows all fit the Dict's row Template is stored instead as
+// one packed block, every row the same width W:
+//
+//	block    = tag row*         (len(block) − 1) / W rows
+//	tag      = 0x40             header bit 6, which no row above sets
+//	row      = W bytes: the fields below, one after the other, least
+//	           significant bit first, zero bits to the byte boundary
+//	decimal  = [sign] mantissa  one per binary column; the sign bit only
+//	           when the template's column is signed, the mantissa in
+//	           ⌈D·log₂10⌉ bits for the column's D digits
+//	coded    = code run*        one per coded column; the code in
+//	           ⌈log₂ entries⌉ bits, then one slot per digit run, slot k
+//	           ⌈L·log₂10⌉ bits for the longest run k of the column's
+//	           entries (a skeleton with fewer runs leaves the rest 0)
+//	template = per binary column its fraction count, its digits D and
+//	           whether it is signed; per coded column its code width and
+//	           run widths; W is the bytes all the fields take, at least 1
+//
+// A row fits when it has the template's columns: binary columns that are
+// canonical decimals with the template's fraction counts, no more digits
+// and a sign only where the template has one, then coded columns whose
+// skeletons the Dict holds, and nothing after them. The widths follow text
+// length and skeletons, as the framed sizes do, so a rewrite of the same
+// shape packs into the same W bytes. build learns the template in the scan
+// that learns the Dict (Learn only widens it, so a row it said fits packs
+// under the final template) and packs a cell when all its rows fit and the
+// block is no longer than the framed rows; every other cell keeps framed
+// rows. Decode, Column, Sum and Rows read both forms; the store frames a
+// block as one record.
 package rowcodec
 
 import (
@@ -100,13 +130,17 @@ func scanCanonical[T text](t T) (mant uint64, meta byte, end int, ok bool) {
 }
 
 // encodedLen is the encoded length of row t under d, and its length with
-// no dictionary; learn admits the tail's skeletons into d first.
-func encodedLen[T text](d *Dict, t T, learn bool) (size, plain int) {
+// no dictionary; learn admits the tail's skeletons into d first. With sh,
+// it also records the row's shape for the row template.
+func encodedLen[T text](d *Dict, t T, learn bool, sh *rowShape) (size, plain int) {
 	size, n, pos := 1, 0, 0
 	for n < maxBinaryCols {
 		_, meta, end, ok := scanCanonical(t[pos:])
 		if !ok {
 			break
+		}
+		if sh != nil {
+			sh.meta[n], sh.digits[n] = meta, uint8(end-int(meta>>7)-min(int(meta>>3&maxFrac), 1))
 		}
 		size += 1 + int(meta&7)
 		n++
@@ -115,6 +149,9 @@ func encodedLen[T text](d *Dict, t T, learn bool) (size, plain int) {
 			break
 		}
 		pos++
+	}
+	if sh != nil {
+		sh.n = n
 	}
 	raw := len(t) + 1
 	if pos < 0 {
@@ -125,7 +162,7 @@ func encodedLen[T text](d *Dict, t T, learn bool) (size, plain int) {
 		plain = min(size+len(t)-pos, raw)
 	}
 	if d != nil {
-		if _, coded := codedTail(d, nil, t, pos, n, false, learn); coded < len(t)-pos {
+		if _, coded := codedTail(d, nil, t, pos, n, false, learn, sh); coded < len(t)-pos {
 			return min(size+coded, raw), plain
 		}
 	}
@@ -161,7 +198,7 @@ func Encode[T text](d *Dict, dst []byte, t T) []byte {
 		if d != nil {
 			mark := len(dst)
 			var size int
-			dst, size = codedTail(d, dst, t, pos, n, true, false)
+			dst, size = codedTail(d, dst, t, pos, n, true, false, nil)
 			if coded = size < len(t)-pos; !coded {
 				dst = dst[:mark] // no shorter than the text
 			}
@@ -183,7 +220,7 @@ func Encode[T text](d *Dict, dst []byte, t T) []byte {
 
 // EncodedLen is len(Encode(d, nil, t)) without writing anything.
 func EncodedLen[T text](d *Dict, t T) int {
-	size, _ := encodedLen(d, t, false)
+	size, _ := encodedLen(d, t, false, nil)
 	return size
 }
 
@@ -204,9 +241,13 @@ func binaryColumn(rec []byte, p int) (mant uint64, meta byte, next int, err erro
 	return mant, meta, next, nil
 }
 
-// Decode appends the text of an encoded row to dst: the exact bytes
-// Encode was given, with the same d.
+// Decode appends the text of a stored record to dst: for an encoded row,
+// the exact bytes Encode was given, with the same d; for a packed block,
+// the exact rows Pack was given, joined by '\n'.
 func Decode(d *Dict, dst, rec []byte) ([]byte, error) {
+	if d.packed(rec) {
+		return d.decodePacked(dst, rec)
+	}
 	if len(rec) == 0 || rec[0]&^(hdrTail|hdrCoded|maxBinaryCols) != 0 || rec[0]&(hdrTail|hdrCoded) == hdrTail|hdrCoded || rec[0] == hdrTail {
 		return dst, ErrMalformed
 	}
@@ -220,29 +261,7 @@ func Decode(d *Dict, dst, rec []byte) ([]byte, error) {
 		if c > 0 {
 			dst = append(dst, ',')
 		}
-		if meta&0x80 != 0 {
-			dst = append(dst, '-')
-		}
-		var buf [20]byte
-		digits := strconv.AppendUint(buf[:0], mant, 10)
-		frac := int(meta >> 3 & maxFrac)
-		if frac == 0 {
-			dst = append(dst, digits...)
-			continue
-		}
-		// The integer part is what is left of the last frac digits, "0"
-		// when the mantissa has no more than those.
-		whole := len(digits) - frac
-		if whole <= 0 {
-			dst = append(dst, '0')
-		} else {
-			dst = append(dst, digits[:whole]...)
-		}
-		dst = append(dst, '.')
-		for ; whole < 0; whole++ {
-			dst = append(dst, '0')
-		}
-		dst = append(dst, digits[whole:]...)
+		dst = appendDecimal(dst, mant, meta>>3&maxFrac, meta&0x80 != 0)
 	}
 	switch {
 	case rec[0]&hdrCoded != 0:
@@ -258,15 +277,47 @@ func Decode(d *Dict, dst, rec []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Column extracts the idx-th payload column of an encoded row as a
-// float64 without allocating: the value one column reads as on its own.
+// appendDecimal appends the canonical spelling of ±mant / 10^frac.
+func appendDecimal(dst []byte, mant uint64, frac uint8, neg bool) []byte {
+	if neg {
+		dst = append(dst, '-')
+	}
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], mant, 10)
+	if frac == 0 {
+		return append(dst, digits...)
+	}
+	// The integer part is what is left of the last frac digits, "0" when
+	// the mantissa has no more than those.
+	whole := len(digits) - int(frac)
+	if whole <= 0 {
+		dst = append(dst, '0')
+	} else {
+		dst = append(dst, digits[:whole]...)
+	}
+	dst = append(dst, '.')
+	for ; whole < 0; whole++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits[whole:]...)
+}
+
+// Column extracts the idx-th payload column of row r of a stored record as
+// a float64 without allocating: the value one column reads as on its own.
+// An encoded row is one row, r = 0; a packed block holds Rows(d, rec).
 // A binary column is float64(mantissa) / 10^fraction, the value
 // parseDecimal gives the column's text, to the bit; any other column is
 // read from the row's text by parseDecimal — a coded column from its text
 // rebuilt under d — so a short row or a non-numeric column reads the same
 // as it did as text. Sums do not add these values up: they go through
 // Sum, which adds the decimals exactly.
-func Column(d *Dict, rec []byte, idx int) (float64, error) {
+func Column(d *Dict, rec []byte, r, idx int) (float64, error) {
+	if d.packed(rec) {
+		return d.packedColumn(rec, r, idx)
+	}
+	if r != 0 {
+		return 0, fmt.Errorf("row %d of a record of 1 row", r)
+	}
 	mant, meta, rest, e, at, err := locate(d, rec, idx)
 	switch {
 	case err != nil:

@@ -42,7 +42,7 @@ func BenchmarkSumColumn(b *testing.B) {
 	})
 	b.Run("encoded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			v, _ := Column(nil, enc, 0)
+			v, _ := Column(nil, enc, 0, 0)
 			sink += v
 		}
 	})
@@ -73,7 +73,7 @@ func BenchmarkSumColumn(b *testing.B) {
 	b.Run("learn", func(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
-			size, _ := d.Learn(row)
+			size, _, _ := d.Learn(row)
 			n += size
 		}
 	})

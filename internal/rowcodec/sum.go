@@ -37,27 +37,32 @@ type Sum struct {
 // d (nil: no dictionary).
 func NewSum(d *Dict, col int) Sum { return Sum{col: col, d: d} }
 
-// Add adds column col of the encoded row rec. Its errors are Column's: a
-// short row, a column ParseFloat rejects, bytes no encoder wrote.
-func (s *Sum) Add(rec []byte) error {
+// Add adds column col of every row of the stored record rec, an encoded
+// row or a packed block, and returns how many rows that was (Rows). Its
+// errors are Column's: a short row, a column ParseFloat rejects, bytes no
+// encoder wrote.
+func (s *Sum) Add(rec []byte) (rows int, err error) {
+	if s.d.packed(rec) {
+		return s.addPacked(rec)
+	}
 	mant, meta, rest, e, at, err := locate(s.d, rec, s.col)
 	switch {
 	case err != nil:
-		return err
+		return 0, err
 	case e != nil:
 		if s.buf == nil {
 			s.buf = new([maxColumnText]byte)
 		}
 		text, _, err := expand(s.buf[:0], e, rec, at)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return s.addText(text)
+		return 1, s.addText(text)
 	case rest != nil:
-		return s.addText(rest)
+		return 1, s.addText(rest)
 	}
 	s.add(mant, int(meta>>3&maxFrac), meta&0x80 != 0)
-	return nil
+	return 1, nil
 }
 
 // add adds ±mant / 10^frac.

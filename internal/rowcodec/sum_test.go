@@ -25,7 +25,7 @@ func bigSum(rows [][]byte, col int) (float64, error) {
 	var total big.Rat
 	odd := 0.0
 	for _, row := range rows {
-		if _, err := Column(nil, append([]byte{0}, row...), col); err != nil {
+		if _, err := Column(nil, append([]byte{0}, row...), 0, col); err != nil {
 			return 0, err
 		}
 		text := strings.Split(string(row), ",")[col]
@@ -51,7 +51,7 @@ func bigSum(rows [][]byte, col int) (float64, error) {
 func encodedSum(rows [][]byte, order []int, col int) (float64, error) {
 	s := NewSum(nil, col)
 	for _, i := range order {
-		if err := s.Add(Encode(nil, nil, rows[i])); err != nil {
+		if _, err := s.Add(Encode(nil, nil, rows[i])); err != nil {
 			return 0, err
 		}
 	}
@@ -142,7 +142,7 @@ func TestExactSumMatchesBig(t *testing.T) {
 		// Mostly sum a numeric column: draw again over words in it.
 		for i, row := range rows {
 			for k := 0; k < 20; k++ {
-				if _, err := Column(nil, append([]byte{0}, row...), col); err == nil {
+				if _, err := Column(nil, append([]byte{0}, row...), 0, col); err == nil {
 					break
 				}
 				fields := bytes.Split(row, []byte(","))
@@ -201,7 +201,7 @@ func TestExactSumNonFinite(t *testing.T) {
 	} {
 		s := NewSum(nil, 1)
 		for _, row := range tc.rows {
-			if err := s.Add(Encode(nil, nil, row)); err != nil {
+			if _, err := s.Add(Encode(nil, nil, row)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -39,14 +39,15 @@ type FileStore struct {
 	// mutex serializing repairs and sidecar swaps. repairMu guards the
 	// parity pointer and the stale flag; fs.mu (read) is held across every
 	// parity operation so Close cannot race a repair.
-	repairMu sync.Mutex
-	parity   *parityState
+	repairMu    sync.Mutex
+	parity      *parityState
+	parityClock uint64 // counts sidecar attaches and group patches (ParityWrites)
 
-	// epoch counts base writes (PutRecord, PutCellBytes); guarded by mu. A
-	// QueryPlan's seek runs depend on which cells are filled, so it is valid
-	// only for the epoch it was planned under (see plan.go). fillEpoch counts
-	// the writes among them that changed a cell's fill, which is what a
-	// persisted LoadedBytes copy goes stale by.
+	// epoch counts base writes (PutRecord, AppendBytes, PutCellBytes);
+	// guarded by mu. A QueryPlan's seek runs depend on which cells are
+	// filled, so it is valid only for the epoch it was planned under (see
+	// plan.go). fillEpoch counts the writes among them that changed a cell's
+	// fill, which is what a persisted LoadedBytes copy goes stale by.
 	epoch, fillEpoch uint64
 
 	// Read executor state (exec.go): the optional per-fragment completion
@@ -179,6 +180,22 @@ func (fs *FileStore) FillEpoch() uint64 {
 
 // PutRecord appends a length-prefixed record to the cell, through the pool.
 func (fs *FileStore) PutRecord(cell int, payload []byte) error {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	return fs.appendBytes(cell, hdr[:], payload)
+}
+
+// AppendBytes appends b to the cell's content as it is, through the pool:
+// a caller that writes one record in pieces writes its frame header first,
+// declaring the payload length (see FrameSize), and then that many bytes in
+// as many calls as it likes. Until the last piece lands the cell ends in a
+// partial record, which a read or scrub reports as broken framing.
+func (fs *FileStore) AppendBytes(cell int, b []byte) error {
+	return fs.appendBytes(cell, b, nil)
+}
+
+// appendBytes appends a, then b, to the cell.
+func (fs *FileStore) appendBytes(cell int, a, b []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -187,27 +204,22 @@ func (fs *FileStore) PutRecord(cell int, payload []byte) error {
 	pos := fs.layout.order.PosOf(cell)
 	e := &fs.dir[pos]
 	lo, hi := e.start, fs.dir[pos+1].start
-	need := FrameSize(len(payload))
+	need := int64(len(a) + len(b))
 	off := lo + int64(e.fill)
 	if off+need > hi {
 		return fmt.Errorf("storage: cell %d overflows its %d reserved bytes", cell, hi-lo)
 	}
 	old := fs.capturePreWrite(off, need)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if err := fs.pool.WriteAt(hdr[:], off); err != nil {
+	if err := fs.pool.WriteAt(a, off); err != nil {
 		return err
 	}
-	if err := fs.pool.WriteAt(payload, off+4); err != nil {
+	if err := fs.pool.WriteAt(b, off+int64(len(a))); err != nil {
 		return err
 	}
 	e.fill += uint32(need)
 	fs.fillEpoch++
 	if old != nil {
-		neu := make([]byte, need)
-		copy(neu, hdr[:])
-		copy(neu[4:], payload)
-		fs.patchParity(off, old, neu)
+		fs.patchParity(off, old, append(append(make([]byte, 0, need), a...), b...))
 	}
 	fs.epoch++
 	return nil
@@ -367,6 +379,11 @@ func (fs *FileStore) patchParity(off int64, old, neu []byte) {
 			}
 		}
 		if changed {
+			if ps.changed == nil {
+				ps.changed = make(map[int64]uint64)
+			}
+			fs.parityClock++
+			ps.changed[page/k] = fs.parityClock
 			pp := 1 + page/k
 			if err := ps.file.ReadPage(pp, buf); err != nil {
 				ps.stale = true

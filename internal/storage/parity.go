@@ -91,6 +91,11 @@ type parityState struct {
 	group int
 	path  string
 	stale bool
+	// since is the store's parity clock when the sidecar was attached;
+	// changed holds, per group a base write has patched since, the clock at
+	// its last patch (see ParityWrites).
+	since   uint64
+	changed map[int64]uint64
 }
 
 func (ps *parityState) groups(dataPages int64) int64 {
@@ -146,6 +151,20 @@ func (fs *FileStore) HasParity() bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.parity != nil && !fs.parity.stale
+}
+
+// ParityWrites is a clock reading that moves whenever the parity page
+// covering data page page changes: a base write patches its group, or a
+// sidecar is attached or rebuilt. A repair of the page that failed fails
+// the same way until it moves.
+func (fs *FileStore) ParityWrites(page int64) uint64 {
+	fs.repairMu.Lock()
+	defer fs.repairMu.Unlock()
+	ps := fs.parity
+	if ps == nil {
+		return fs.parityClock
+	}
+	return max(ps.since, ps.changed[page/int64(ps.group)])
 }
 
 // ParityGroup returns the attached sidecar's group size (0 when none).
@@ -283,7 +302,8 @@ func (fs *FileStore) attachParityLocked(path string) error {
 	}
 	fs.repairMu.Lock()
 	old := fs.parity
-	fs.parity = &parityState{file: cf, inner: pf, group: group, path: path}
+	fs.parityClock++
+	fs.parity = &parityState{file: cf, inner: pf, group: group, path: path, since: fs.parityClock}
 	fs.repairMu.Unlock()
 	if old != nil {
 		old.inner.Close()

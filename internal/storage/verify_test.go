@@ -7,8 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 func TestVerifyCleanStore(t *testing.T) {
@@ -246,6 +250,30 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 			}
 		}
 	}
+	// A store of packed and framed cells, as snakestore build writes one: a
+	// packed cell is one record, its frame header and tag appended first and
+	// then each row's bytes, and one of them straddles a page.
+	for trial := 0; trial < 12; trial++ {
+		for oi, o := range diffOrders(t, rng) {
+			fs := buildPackedStore(t, rng, o)
+			name := fmt.Sprintf("packed trial %d order %d", trial, oi)
+			check := func(step string) {
+				t.Helper()
+				want, werr := oracleVerify(ctx, fs)
+				got, gerr := fs.VerifyCtx(ctx)
+				if werr != nil || gerr != nil {
+					t.Fatalf("%s, %s: oracle err %v, walk err %v", name, step, werr, gerr)
+				}
+				sameVerifyReport(t, name+", "+step, got, want)
+			}
+			check("clean")
+			breakFraming(t, rng, fs)
+			check("broken framing")
+			flipStoredByte(t, rng, fs)
+			check("one flip")
+		}
+	}
+
 	// The cells after a file that ends on a page boundary start past its
 	// last page; only their fill can be wrong.
 	o := rowMajor4x4(t)
@@ -342,4 +370,99 @@ func flipStoredByte(t *testing.T, rng *rand.Rand, fs *FileStore) {
 	if err := inner.WritePage(page, buf); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// buildPackedStore loads o's cells the way snakestore build does under a
+// row template: a cell whose rows all fit it is one packed block, written
+// as its frame header and tag and then one AppendBytes a row; the others
+// are framed rows, one PutRecord each. The first packed cell holds enough
+// rows to straddle a 64-byte page, and the walk's record count is checked
+// against the records written.
+func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore {
+	t.Helper()
+	d := rowcodec.NewDict()
+	row := func(misfits bool) string {
+		if misfits && rng.Intn(5) == 0 {
+			return fmt.Sprintf("%d,misfit %d", rng.Intn(100), rng.Intn(10))
+		}
+		return fmt.Sprintf("%d.%02d,%c,item %04d", rng.Intn(1000), rng.Intn(100), "NRA"[rng.Intn(3)], rng.Intn(10000))
+	}
+	d.Learn([]byte(row(false))) // the first row learned sets the template's shape
+	n := o.Len()
+	rows := make([][]string, n)
+	packed := make([]bool, n)
+	for c := 0; c < n; c++ {
+		if c != n/2 && rng.Intn(4) == 0 {
+			continue
+		}
+		k := 1 + rng.Intn(3)
+		if c == n/2 {
+			k = 12 // 12 rows of 4 bytes: past one page's 56 usable bytes with the frame
+		}
+		packed[c] = true
+		for ; k > 0; k-- {
+			r := row(c != n/2)
+			rows[c] = append(rows[c], r)
+			_, _, fits := d.Learn([]byte(r))
+			packed[c] = packed[c] && fits
+		}
+	}
+	d.Template()
+	sizes := make([]int64, n)
+	for c, rs := range rows {
+		if packed[c] && len(rs) > 0 {
+			sizes[c] = FrameSize(d.PackedLen(len(rs)))
+			continue
+		}
+		for _, r := range rs {
+			sizes[c] += FrameSize(rowcodec.EncodedLen(d, r))
+		}
+	}
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "packed.db"), o, sizes, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	for c, rs := range rows {
+		if !packed[c] || len(rs) == 0 {
+			for _, r := range rs {
+				if err := fs.PutRecord(c, rowcodec.Encode(d, nil, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		head := binary.LittleEndian.AppendUint32(nil, uint32(d.PackedLen(len(rs))))
+		if err := fs.AppendBytes(c, rowcodec.AppendTag(head)); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			b, ok := rowcodec.Pack(d, nil, r)
+			if !ok {
+				t.Fatalf("%q fit at learning, not at packing", r)
+			}
+			if err := fs.AppendBytes(c, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if pos := o.PosOf(n / 2); fs.dir[pos].start/fs.layout.usable() == (fs.dir[pos+1].start-1)/fs.layout.usable() {
+		t.Fatalf("the packed cell of %d rows of %d bytes does not straddle a page", len(rows[n/2]), d.Width())
+	}
+	rep, err := fs.VerifyCtx(context.Background())
+	if err != nil || !rep.OK() {
+		t.Fatalf("packed store does not verify clean: %v %v", err, rep.Problems)
+	}
+	var records int64
+	for c, rs := range rows {
+		if packed[c] && len(rs) > 0 {
+			records++
+		} else {
+			records += int64(len(rs))
+		}
+	}
+	if rep.Records != records {
+		t.Fatalf("walk counts %d records, %d written", rep.Records, records)
+	}
+	return fs
 }
