@@ -49,14 +49,15 @@ race:
 # (equal to a math/big oracle in any order). The codec lives in
 # internal/rowcodec; the first five drive it through its exported
 # functions from cmd/snakestore, beside its caller. Their seed corpora run
-# as ordinary tests in `make check`.
+# as ordinary tests in `make check`. Minimizing a new interesting input is
+# bounded to 1s, so a 10s run spends its time exploring.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzRowCodec$$ -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzRowCodecDict -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzRowCodecPacked -fuzztime=10s ./cmd/snakestore
-	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s ./internal/rowcodec
+	$(GO) test -run=^$$ -fuzz=FuzzCatalogRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodec$$ -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodecDict -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzRowCodecPacked -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
+	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s -fuzzminimizetime=1s ./internal/rowcodec
 
 # stress re-runs the concurrency suite under the race detector several
 # times: the serving stress test (goroutines + faults + cancellation +
@@ -127,11 +128,12 @@ paper:
 
 # chaos runs the deterministic self-healing suite under the race
 # detector: seeded fault schedules against parity repair, the live serve
-# loop with the paced scrubber, repair-under-migration, the scrub walk
-# (TestVerify*), and the storm / crash-point storage tests. Every schedule
+# loop with the maintainer's scrub, repair-under-migration, the scrub walk
+# and its windows (TestVerify*, TestScrub*), the maintainer's budget
+# (TestMaintainer*), and the storm / crash-point storage tests. Every schedule
 # is a pure function of its seed, so a failure replays exactly.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestParity|TestRepair|TestVerify|TestMigrate|TestStorm|TestCrashPoint|TestPlan|TestSchedule' ./internal/chaos ./internal/storage ./cmd/snakestore
+	$(GO) test -race -count=1 -run 'TestChaos|TestParity|TestRepair|TestVerify|TestScrub|TestMaintainer|TestMigrate|TestStorm|TestCrashPoint|TestPlan|TestSchedule' ./internal/chaos ./internal/storage ./cmd/snakestore
 
 # chaos-long is the randomized long-haul variant: fresh seeds each run,
 # logged (go test -v) so any failure can be replayed deterministically.

@@ -113,11 +113,19 @@ func chaosRound(t *testing.T, srv *server, storePath string, pageBytes int, seed
 	}
 	hurt := 0
 	for _, e := range sched.Events {
-		if st.CheckPage(e.Page) != nil {
+		if pageDamaged(st, e.Page) {
 			hurt++
 		}
 	}
 	return sched, hurt
+}
+
+// pageDamaged reports whether a one-page scrub window finds page p damaged:
+// a window's page problems come first, in page order, so a damaged first
+// page is its first problem.
+func pageDamaged(st *snakes.FileStore, p int64) bool {
+	rep, err := st.ScrubRange(context.Background(), snakes.ScrubCursor{Page: p}, p+1, false)
+	return err != nil || len(rep.Problems) > 0 && rep.Problems[0].Page == p
 }
 
 // TestChaosRepairConvergence is the deterministic core of `make chaos`:
@@ -178,7 +186,7 @@ func TestChaosLiveScrubConvergence(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, ln, srv, 5*time.Second) }()
-	go srv.runScrubLoop(ctx, 500) // ~50-page batches every 100ms: whole store per tick
+	srv.startMaintainer(ctx, 100*time.Millisecond, 0) // 1 MiB a tick: the whole store
 	base := fmt.Sprintf("http://%s", ln.Addr())
 
 	stop := make(chan struct{})
@@ -325,9 +333,9 @@ func TestChaosReorgUnderFaults(t *testing.T) {
 	}
 	hurt := 0
 	for _, e := range sched.Events {
-		if st.CheckPage(e.Page) != nil {
+		if pageDamaged(st, e.Page) {
 			hurt++
-			srv.markQuarantined(e.Page, "chaos")
+			srv.noteCorrupt(&snakes.CorruptPageError{Page: e.Page, Reason: "chaos"})
 		}
 	}
 	if hurt == 0 {

@@ -50,9 +50,9 @@ func TestServeScrubRetriesUnrepairableOnce(t *testing.T) {
 	flipPageByte(t, storePath, pageBytes, 1)
 
 	before := srv.metrics.repairFailures.Value()
-	var cursor int64
+	srv.maint = newMaintainer(int64(pageBytes)) // one page of scrub a tick
 	for batch := 0; batch < 24; batch++ {
-		cursor = srv.scrubBatch(context.Background(), cursor, 1)
+		srv.maintainTick(context.Background())
 	}
 	if got := srv.metrics.repairFailures.Value() - before; got != 2 {
 		t.Errorf("repair failures counted %d times over 24 batches, want 2 (one per page)", got)
@@ -148,19 +148,17 @@ func TestCompactionOversizeWarnsOnce(t *testing.T) {
 		}
 	}
 	put(snakes.FrameRecords([]byte(strings.Repeat("a row much longer than the extent build sized ", 4))))
-	oversize := false
+	srv.maint = newMaintainer(maintainBudget)
 	for tick := 0; tick < 6; tick++ {
-		if !srv.compactTick(context.Background(), &oversize) {
-			t.Fatal("tick reported a cancelled context")
-		}
+		srv.maintainTick(context.Background())
 	}
-	if n := strings.Count(buf.String(), "level=WARN"); n != 1 || !oversize {
+	if n := strings.Count(buf.String(), "level=WARN"); n != 1 || !srv.maint.oversize {
 		t.Errorf("%d WARN lines over 6 ticks with a cell pending oversize, want 1:\n%s", n, buf.String())
 	}
 	put(encodeCell(srv.dict, []string{"12.0"}))
-	srv.compactTick(context.Background(), &oversize)
-	srv.compactTick(context.Background(), &oversize)
-	if n := strings.Count(buf.String(), "no pending cell exceeds its extent"); n != 1 || oversize || strings.Count(buf.String(), "level=WARN") != 1 {
+	srv.maintainTick(context.Background())
+	srv.maintainTick(context.Background())
+	if n := strings.Count(buf.String(), "no pending cell exceeds its extent"); n != 1 || srv.maint.oversize || strings.Count(buf.String(), "level=WARN") != 1 {
 		t.Errorf("after a fitting rewrite: %d all-clear lines, want 1:\n%s", n, buf.String())
 	}
 }

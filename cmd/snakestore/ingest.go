@@ -35,16 +35,12 @@ type ingestState struct {
 	rate *snakes.RateTracker
 }
 
-// ingestConfig carries the -compact-* flags.
-type ingestConfig struct {
-	regionCells int
-	tickBytes   int64
-}
-
 // enableIngest opens the active generation's delta log, replays any
 // entries a crash left pending into the base store (redo recovery), and
-// wires the compactor and its metrics. Must run before serving starts.
-func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snakes.DeltaOptions, cfg ingestConfig) error {
+// wires the compactor (scoring regionCells positions a window, folding up to
+// a maintenance tick's budget) and its metrics. Must run before serving
+// starts.
+func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snakes.DeltaOptions, regionCells int) error {
 	s.catPath, s.storeBase, s.cat = catPath, storeBase, cat
 	active := activeStorePath(cat, storeBase)
 	l, err := snakes.OpenDeltaLog(snakes.DeltaPath(active), int64(cat.Generation), dopt)
@@ -84,8 +80,8 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 		log: l,
 		opt: dopt,
 		comp: snakes.NewCompactor(snakes.CompactorConfig{
-			RegionCells:     cfg.regionCells,
-			MaxBytesPerTick: cfg.tickBytes,
+			RegionCells:     regionCells,
+			MaxBytesPerTick: maintainBudget,
 			Commit:          s.commitFills,
 		}),
 		rate: snakes.NewRateTracker(time.Minute),
@@ -158,52 +154,33 @@ func (s *server) registerIngestMetrics() {
 	s.metrics.reg.CounterFunc("snakestore_compaction_bytes_total", "delta payload bytes folded into the base file", comp(func(_, _, b int64) int64 { return b }))
 }
 
-// runCompactorLoop folds the delta backlog into the base file on a fixed
-// cadence. Drain-aware: once shutdown begins the loop stops touching the
-// store (the log is durable; the next startup recovers what remains).
-func (s *server) runCompactorLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	oversize := false
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if s.draining.Load() || !s.compactTick(ctx, &oversize) {
-				return
-			}
-		}
-	}
-}
-
-// compactTick runs one compaction tick and logs what it did; false when ctx
-// ended. Pending cells larger than their extents are logged when the set of
-// them becomes non-empty (WARN) and when it empties again (INFO), which
-// *oversize remembers between ticks, not on every tick they stay.
-func (s *server) compactTick(ctx context.Context, oversize *bool) bool {
+// fold runs one compaction tick and logs what it did; it returns the delta
+// payload bytes folded, the maintainer's charge for it. Pending cells larger
+// than their extents are logged when the set of them becomes non-empty
+// (WARN) and when it empties again (INFO), not on every tick they stay.
+func (s *server) fold(ctx context.Context) int64 {
+	m := s.maint
 	s.ing.mu.Lock()
 	stats, err := s.ing.comp.Tick(ctx, s.st(), s.ing.log)
 	s.ing.mu.Unlock()
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return false
+		if ctx.Err() == nil {
+			s.log.Warn("compact", "err", err)
 		}
-		s.log.Warn("compact", "err", err)
-		return true
+		return stats.BytesApplied
 	}
 	switch {
-	case stats.Oversize > 0 && !*oversize:
+	case stats.Oversize > 0 && !m.oversize:
 		s.log.Warn("compact", "how", "pending cells exceed their extents and stay in the delta log", "cells", stats.Oversize)
-	case stats.Oversize == 0 && *oversize:
+	case stats.Oversize == 0 && m.oversize:
 		s.log.Info("compact", "how", "no pending cell exceeds its extent any more")
 	}
-	*oversize = stats.Oversize > 0
+	m.oversize = stats.Oversize > 0
 	if stats.CellsApplied > 0 {
 		s.log.Info("compact", "cells", stats.CellsApplied, "bytes", stats.BytesApplied,
 			"regions", stats.Regions, "pendingCells", stats.PendingCells, "pendingBytes", stats.PendingBytes)
 	}
-	return true
+	return stats.BytesApplied
 }
 
 // closeIngest flushes and closes the delta log on shutdown; acknowledged

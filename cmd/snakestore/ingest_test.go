@@ -28,15 +28,14 @@ func testDeltaOptions() snakes.DeltaOptions {
 	return snakes.DeltaOptions{Policy: snakes.SyncAlways}
 }
 
-func testIngestConfig() ingestConfig {
-	return ingestConfig{regionCells: 4, tickBytes: 1 << 20}
-}
+// testIngestConfig is the compaction scoring window the ingest tests use.
+func testIngestConfig() int { return 4 }
 
 // buildIngestServed is buildChaosServed plus the write path: parity
 // attached (so compaction exercises the in-place parity patch) and ingest
 // enabled with an always-sync delta log. The compactor loop is NOT
 // started; tests tick it by hand for determinism.
-func buildIngestServed(t *testing.T, dopt snakes.DeltaOptions, cfg ingestConfig) (srv *server, catPath, storePath string, want float64) {
+func buildIngestServed(t *testing.T, dopt snakes.DeltaOptions, regionCells int) (srv *server, catPath, storePath string, want float64) {
 	t.Helper()
 	srv, storePath, _, want = buildChaosServed(t)
 	catPath = filepath.Join(filepath.Dir(storePath), "cat.json")
@@ -44,7 +43,7 @@ func buildIngestServed(t *testing.T, dopt snakes.DeltaOptions, cfg ingestConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.enableIngest(catPath, storePath, c, dopt, cfg); err != nil {
+	if err := srv.enableIngest(catPath, storePath, c, dopt, regionCells); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.closeIngest)

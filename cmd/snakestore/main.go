@@ -471,6 +471,7 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	defer store.Close()
+	store.SetRowCounter(countRows(cat.Dict))
 	if *repair {
 		if err := store.AttachParity(snakes.ParityPath(active)); err != nil {
 			return fmt.Errorf("-repair needs the parity sidecar: %w", err)
@@ -494,7 +495,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return fmt.Errorf("scrub aborted: %w", err)
 	}
-	fmt.Printf("scrubbed %d pages, %d records\n", rep.Pages, rep.Records)
+	fmt.Printf("scrubbed %d pages, %d records (%d stored records)\n", rep.Pages, rep.Rows, rep.Records)
 	for _, p := range rep.Problems {
 		fmt.Fprintln(os.Stderr, "snakestore: corrupt:", p.String())
 	}
@@ -509,6 +510,12 @@ func cmdVerify(args []string) error {
 	}
 	fmt.Println("store is clean")
 	return nil
+}
+
+// countRows is the scrub walk's row counter under the row dictionary d, the
+// count /query gives; a block that is not whole rows is one record.
+func countRows(d *rowcodec.Dict) func(rec []byte) int {
+	return func(rec []byte) int { n, _ := rowcodec.Rows(d, rec); return max(n, 1) }
 }
 
 // reportCorruption runs a scrub after a query tripped over ErrCorruptPage,

@@ -55,8 +55,8 @@ type serverMetrics struct {
 	reorgSeconds  *obs.Histogram
 	reorgOutcome  map[string]*obs.Counter
 
-	// Self-healing: pages checked by the background scrubber (and repair
-	// sweeps), pages reconstructed from parity, and repair attempts that
+	// Self-healing: pages read by repairing scrub windows (the maintainer's
+	// and POST /repair's), pages reconstructed from parity, and repair attempts that
 	// found the damage beyond parity's single-fault budget.
 	scrubPages     *obs.Counter
 	pagesRepaired  *obs.Counter

@@ -48,14 +48,21 @@ func (s *server) enableReorg(catPath, storeBase string, frames int, cat *catalog
 func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) error {
 	old := s.st()
 	newPath := genPath(s.storeBase, d.Generation)
-	// The copy is paced by the policy's budget (d.Migrate), never the whole
-	// file in one burst; upserts pending in old's overlay ride along.
-	dst, ticks, err := d.Strategy.MigrateCtx(ctx, old, newPath, s.frames, d.Migrate)
+	// The copy is paced, never the whole file in one burst: by the
+	// maintainer's grants when it runs, else by the policy's own pacing
+	// (d.Migrate). Upserts pending in old's overlay ride along.
+	opt := d.Migrate
+	if m := s.maint; m != nil {
+		opt.Pace = m.pace
+		m.migrating.Store(true)
+		defer m.migrating.Store(false)
+	}
+	dst, ticks, err := d.Strategy.MigrateCtx(ctx, old, newPath, s.frames, opt)
 	if err != nil {
 		return err
 	}
 	s.log.Info("reorg", "how", "incremental region copy complete", "ticks", ticks, "gen", d.Generation)
-	s.armFragmentObserver(dst)
+	s.armStore(dst)
 	var newLog *snakes.DeltaLog
 	abort := func(err error) error {
 		if newLog != nil {
@@ -246,32 +253,19 @@ func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runReorgLoop is the daemon's background reorganization ticker: each tick
-// runs one policy step under a forced trace, so a migration's DP, copy,
-// flush, catalog-commit, swap, drain, and verify spans all land in
-// /debug/traces. Ticks where the policy declines (or a migration is
-// already running) discard their candidate trace — an uneventful tick is
-// not worth a retained slot. Errors are absorbed into the reorganizer's
-// status and metrics, exactly like Reorganizer.Run; only ctx ends the loop.
-func (s *server) runReorgLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			tctx, tr := s.traces.StartForced(ctx, "reorg-tick")
-			_, err := s.reorg.Trigger(tctx, false)
-			switch {
-			case snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress):
-				tr.Discard()
-			default:
-				res := tr.Finish(err)
-				if tr != nil {
-					s.metrics.observeTrace(tr, res)
-				}
-			}
+// reorgStep runs one policy step under a forced trace, so a migration's
+// spans land in /debug/traces; a step where the policy declines discards
+// it. Errors are absorbed into the reorganizer's status and metrics.
+func (s *server) reorgStep(ctx context.Context) {
+	tctx, tr := s.traces.StartForced(ctx, "reorg-tick")
+	_, err := s.reorg.Trigger(tctx, false)
+	switch {
+	case snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress):
+		tr.Discard()
+	default:
+		res := tr.Finish(err)
+		if tr != nil {
+			s.metrics.observeTrace(tr, res)
 		}
 	}
 }

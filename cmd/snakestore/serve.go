@@ -94,16 +94,18 @@ type server struct {
 	reqID    atomic.Uint64 // request id sequence for log correlation
 
 	// Self-healing: the parity group size for regenerated sidecars and the
-	// health state machine. Health is derived from quarantine plus the
-	// healing flag: ok (quarantine empty) → degraded (corruption detected)
-	// → healing (repairs in progress) → back to ok when the quarantine
-	// empties, or degraded again when damage proves unrepairable.
+	// health state machine, derived from the quarantine and the healing
+	// flag: ok (quarantine empty), degraded (damage found), healing (a
+	// POST /repair sweep is working the quarantine).
 	parityGroup int
 
 	mu         sync.Mutex
 	quarantine map[int64]quarantined // corrupt page -> what is known of it
-	healing    bool                  // a repair pass is actively working the quarantine
-	lastScrub  string                // outcome of the most recent /verify
+	healing    bool                  // a POST /repair sweep is working the quarantine
+	lastScrub  string                // outcome of the last whole scrub: /verify, /repair or a maintainer pass
+
+	// Background upkeep (maintain.go); nil until startMaintainer.
+	maint *maintainer
 }
 
 func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm *snakes.Admission, reqTimeout time.Duration, tcfg snakes.TraceConfig) *server {
@@ -185,7 +187,7 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm
 	}
 	s.registerResidentBytes()
 	s.metrics.reg.GaugeFunc("snakestore_calibration_seek_correction", "global observed/predicted seek ratio applied to the reorg policy's deployed cost", func() float64 { return s.calib.SeekCorrection() })
-	s.armFragmentObserver(store)
+	s.armStore(store)
 	return s
 }
 
@@ -301,14 +303,15 @@ func (s *server) enableSLO(cfg snakes.SLOConfig) error {
 	return nil
 }
 
-// armFragmentObserver routes a store's per-fragment completion samples
-// from the read executor into the fragment latency histogram. Called
-// for every store generation that starts serving, since the observer lives
-// on the store, not the server.
-func (s *server) armFragmentObserver(st *snakes.FileStore) {
+// armStore routes a store's per-fragment completion samples from the read
+// executor into the fragment latency histogram and has its scrub walk count
+// rows with the catalog's codec. Called for every store generation that
+// starts serving, since both hooks live on the store, not the server.
+func (s *server) armStore(st *snakes.FileStore) {
 	st.SetFragmentObserver(func(_ int64, seconds float64) {
 		s.metrics.fragSeconds.Observe(seconds)
 	})
+	st.SetRowCounter(countRows(s.dict))
 }
 
 // st returns the store currently serving. Handlers call it once per request
@@ -329,10 +332,10 @@ func (s *server) closeStore() error {
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.instrument("query", true, s.handleQuery))
-	mux.HandleFunc("/verify", s.instrument("verify", true, s.handleVerify))
+	mux.HandleFunc("/verify", s.instrument("verify", true, s.handleScrub(false)))
 	mux.HandleFunc("/healthz", s.instrument("healthz", false, s.handleHealthz))
 	mux.HandleFunc("/reorg", s.instrument("reorg", true, s.handleReorg))
-	mux.HandleFunc("/repair", s.instrument("repair", true, s.handleRepair))
+	mux.HandleFunc("/repair", s.instrument("repair", true, s.handleScrub(true)))
 	mux.HandleFunc("/ingest", s.instrument("ingest", true, s.handleIngest))
 	mux.HandleFunc("/debug/traces", s.instrument("traces", false, s.handleTraces))
 	mux.HandleFunc("/debug/events", s.instrument("events", false, s.handleEvents))
@@ -415,13 +418,12 @@ func cmdServe(args []string) error {
 	// seek runs in order, in span windows sized by -frames.
 	fs.Int("read-parallel", 1, "ignored: kept so existing command lines start")
 	fs.Int("read-ahead", 8, "ignored: kept so existing command lines start")
-	scrubRate := fs.Float64("scrub-rate", 128, "background scrub pace in pages/sec; 0 disables the scrubber")
 	parityGroup := fs.Int("parity-group", snakes.DefaultParityGroup, "data pages per parity page when (re)building sidecars")
 	traceSample := fs.Int("trace-sample", 16, "trace every Nth request for /debug/traces; 0 disables head sampling")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow; 0 disables")
 	traceCapacity := fs.Int("trace-capacity", 256, "retained sampled traces (slow/errored traces keep a quarter of this on top)")
 	adapt := fs.Bool("adapt", false, "re-cluster the store automatically when the live workload drifts")
-	adaptInterval := fs.Duration("adapt-interval", 30*time.Second, "how often the reorg policy re-evaluates the workload")
+	adaptInterval := fs.Duration("adapt-interval", 30*time.Second, "how often the reorg policy re-evaluates the workload (on a maintenance tick)")
 	adaptHalfLife := fs.Duration("adapt-half-life", 15*time.Minute, "decay half-life of the live workload estimate")
 	adaptThreshold := fs.Float64("adapt-threshold", 1.2, "cost regret factor that arms a reorganization (must exceed 1)")
 	adaptHysteresis := fs.Int("adapt-hysteresis", 3, "consecutive over-threshold evaluations required before acting")
@@ -432,13 +434,15 @@ func cmdServe(args []string) error {
 	ingestSync := fs.String("ingest-sync", "batch", "delta log fsync policy: always, batch, or none")
 	ingestBatchKB := fs.Int("ingest-batch-kb", 256, "fsync batch size in KiB for -ingest-sync=batch")
 	ingestMaxPendingMB := fs.Int("ingest-max-pending-mb", 64, "delta backlog ceiling in MiB before puts shed with 503; 0 = unbounded")
-	compactInterval := fs.Duration("compact-interval", time.Second, "background compaction tick interval")
+	maintainInterval := fs.Duration("maintain-interval", time.Second, "background maintenance tick: each folds deltas, advances a migration and scrubs, 1 MiB of I/O in all")
 	compactRegion := fs.Int("compact-region", 64, "compaction scoring window in linearization positions")
-	compactTickKB := fs.Int("compact-tick-kb", 1024, "delta bytes in KiB folded into the base file per compaction tick")
 	eventCap := fs.Int("event-capacity", defaultEventCapacity, "wide events retained for /debug/events")
 	sloSpec := fs.String("slo", "", "per-class latency objectives, e.g. 'default=250ms@99.9;0,2=50ms@99'; empty disables the SLO engine")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *maintainInterval <= 0 {
+		return usagef("-maintain-interval %v is not a positive tick", *maintainInterval)
 	}
 	cat, schema, strat, err := loadServableCatalog(*catPath)
 	if err != nil {
@@ -509,9 +513,6 @@ func cmdServe(args []string) error {
 			return usagef("%v", serr)
 		}
 	}
-	if *scrubRate > 0 {
-		go srv.runScrubLoop(ctx, *scrubRate)
-	}
 	if *ingestOn {
 		pol, perr := snakes.ParseSyncPolicy(*ingestSync)
 		if perr != nil {
@@ -523,14 +524,10 @@ func cmdServe(args []string) error {
 			BatchBytes:      int64(*ingestBatchKB) << 10,
 			MaxPendingBytes: int64(*ingestMaxPendingMB) << 20,
 		}
-		if err := srv.enableIngest(*catPath, *storePath, cat, dopt, ingestConfig{
-			regionCells: *compactRegion,
-			tickBytes:   int64(*compactTickKB) << 10,
-		}); err != nil {
+		if err := srv.enableIngest(*catPath, *storePath, cat, dopt, *compactRegion); err != nil {
 			store.Close()
 			return err
 		}
-		go srv.runCompactorLoop(ctx, *compactInterval)
 	}
 	if *adapt {
 		srv.calibrateRegret = *adaptCalibrated
@@ -545,8 +542,8 @@ func cmdServe(args []string) error {
 			store.Close()
 			return usagef("%v", err)
 		}
-		go srv.runReorgLoop(ctx, cfg.CheckInterval)
 	}
+	srv.startMaintainer(ctx, *maintainInterval, *adaptInterval)
 	fmt.Printf("serving %s (generation %d) on http://%s (capacity %d pages, queue timeout %v, adapt %v, ingest %v)\n",
 		active, cat.Generation, ln.Addr(), *maxInflight, *queueTimeout, *adapt, *ingestOn)
 	if err := serve(ctx, ln, srv, *drainTimeout); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -67,10 +67,10 @@ type Config struct {
 }
 
 // Pacing is the controller's I/O budget for a reorganization, in the
-// migrator's own terms: copying in region-scored ticks of at most
-// MaxCellsPerTick cells with Pause slept between them, a re-cluster never
-// rewrites the whole file in one burst and concurrent queries keep their
-// latency. The controller sets Progress itself, on each decision.
+// migrator's own terms: copying in region-scored ticks of the bytes the
+// Pace hook grants, a re-cluster never rewrites the whole file in one burst
+// and concurrent queries keep their latency. The controller sets Progress
+// itself, on each decision.
 type Pacing = storage.MigrateOptions
 
 // Defaults returns a conservative production-shaped policy.
@@ -84,10 +84,27 @@ func Defaults() Config {
 		Hysteresis:      3,
 		MinInterval:     10 * time.Minute,
 		Pacing: Pacing{
-			RegionCells:     64,
-			MaxCellsPerTick: 256,
-			Pause:           10 * time.Millisecond,
+			RegionCells: 64,
+			Pace:        sleepPace(10*time.Millisecond, 16<<10),
 		},
+	}
+}
+
+// sleepPace is a migration pace that sleeps d before each tick and grants
+// it bytes: 16 KiB is about 256 cells of 64 bytes.
+func sleepPace(d time.Duration, bytes int64) func(context.Context, int64, bool) (int64, error) {
+	return func(ctx context.Context, _ int64, last bool) (int64, error) {
+		if last {
+			return 0, nil
+		}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-t.C:
+			return bytes, nil
+		}
 	}
 }
 
@@ -110,8 +127,8 @@ func (c Config) validate() error {
 	if c.MinInterval < 0 {
 		return fmt.Errorf("adaptive: negative MinInterval %v", c.MinInterval)
 	}
-	if c.Pacing.RegionCells < 0 || c.Pacing.MaxCellsPerTick < 0 || c.Pacing.Pause < 0 {
-		return fmt.Errorf("adaptive: negative pacing: %d cells a region, %d a tick, pause %v", c.Pacing.RegionCells, c.Pacing.MaxCellsPerTick, c.Pacing.Pause)
+	if c.Pacing.RegionCells < 0 {
+		return fmt.Errorf("adaptive: negative pacing: %d cells a region", c.Pacing.RegionCells)
 	}
 	return nil
 }

@@ -140,8 +140,11 @@ func TestScheduleRepairRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range sched.Events {
-			if err := fs.CheckPage(e.Page); !errors.Is(err, storage.ErrCorruptPage) {
-				t.Fatalf("seed %d: %s left page clean (CheckPage = %v)", seed, e, err)
+			// A window's page problems come first, in page order: a damaged
+			// first page is the first problem of a window starting on it.
+			rep, err := fs.ScrubRange(context.Background(), storage.ScrubCursor{Page: e.Page}, e.Page+1, false)
+			if err != nil || len(rep.Problems) == 0 || rep.Problems[0].Page != e.Page || !errors.Is(rep.Problems[0].Err, storage.ErrCorruptPage) {
+				t.Fatalf("seed %d: %s left page clean (one-page scrub = %v, %v)", seed, e, rep, err)
 			}
 		}
 		rep, err := fs.RepairCtx(context.Background())
@@ -246,7 +249,7 @@ func TestCrashPointMidMigrate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	crashAt := 12 // half of the 24 cells
-	_, _, err = storage.MigrateCtx(ctx, fs, newPath, newOrder, 8, storage.MigrateOptions{MaxCellsPerTick: 1, Progress: func(done, total int) {
+	_, _, err = storage.MigrateCtx(ctx, fs, newPath, newOrder, 8, storage.MigrateOptions{Pace: func(context.Context, int64, bool) (int64, error) { return 1, nil }, Progress: func(done, total int) {
 		if done == crashAt {
 			cancel()
 		}

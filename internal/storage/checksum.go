@@ -56,11 +56,10 @@ func (cf *ChecksumFile) PageSize() int { return cf.inner.PageSize() - PageTraile
 // Pages returns the number of pages in the file.
 func (cf *ChecksumFile) Pages() int64 { return cf.inner.Pages() }
 
-// ReadPage reads and verifies one page, filling buf with its data region; a
-// nil buf asks for the verdict alone (the scrubber's read).
+// ReadPage reads and verifies one page, filling buf with its data region.
 func (cf *ChecksumFile) ReadPage(page int64, buf []byte) error {
 	usable := cf.PageSize()
-	if buf != nil && len(buf) != usable {
+	if len(buf) != usable {
 		return fmt.Errorf("storage: read buffer is %d bytes, want %d", len(buf), usable)
 	}
 	sp := cf.scratch.Get().(*[]byte)

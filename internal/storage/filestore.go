@@ -54,6 +54,8 @@ type FileStore struct {
 	// observer.
 	fragObs atomic.Pointer[func(pagesRead int64, seconds float64)]
 
+	rowCount atomic.Pointer[func(rec []byte) int] // the scrub walk's (SetRowCounter)
+
 	// Prepared-plan cache: region → plan. Plans are immutable, so concurrent
 	// queries share one entry; an entry from an older epoch is replaced at
 	// its next lookup. Guarded by planMu, not fs.mu: the cache is touched
@@ -347,7 +349,7 @@ func (fs *FileStore) capturePreWrite(off, n int64) []byte {
 // patchParity folds old⊕new into the parity page(s) covering [off,
 // off+len(new)) — the in-place alternative to rebuilding the whole sidecar
 // on every write, keeping self-healing live under ingest. Parity tracks the
-// store's logical content (the pool included); RepairPage flushes the pool
+// store's logical content (the pool included); a repair flushes the pool
 // before reconstructing so the on-disk siblings it XORs match. Any patch
 // failure degrades the sidecar to stale instead of failing the write: the
 // data write has already succeeded, and a stale sidecar is exactly the

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/linear"
 	"repro/internal/trace"
@@ -18,13 +18,14 @@ type MigrateOptions struct {
 	// RegionCells is the copy unit in consecutive target positions
 	// (default: every cell, one region).
 	RegionCells int
-	// MaxCellsPerTick bounds the cells copied per tick (default: one
-	// region). The migration never rewrites the whole file in one tick as
-	// long as this is below the cell count.
-	MaxCellsPerTick int
-	// Pause is slept between ticks (0 = no pacing), keeping the copy's I/O
-	// from starving concurrent queries.
-	Pause time.Duration
+	// Pace, when non-nil, meters the copy's I/O in bytes written (records,
+	// framed). It is called before the first tick and after each with the
+	// bytes that tick copied, last set after the final one or when the copy
+	// fails (its bytes then 0). Unless last, it returns the bytes the next
+	// tick may copy, blocking until they are granted if it likes; an error
+	// aborts the migration. A tick copies cells while they fit its bytes, and
+	// always at least one; without Pace the copy is one unbounded tick.
+	Pace func(ctx context.Context, copied int64, last bool) (budget int64, err error)
 	// Progress, when non-nil, is called after each tick with (cellsCopied,
 	// totalCells); it runs on the migrating goroutine and must be cheap.
 	Progress func(done, total int)
@@ -40,25 +41,23 @@ type MigrateOptions struct {
 //
 // where deltaBytes is what the old store's overlay holds pending for the
 // region's cells and violation is the mean |targetPos − deployedPos| of
-// those cells, and are copied worst-first in ticks of at most
-// MaxCellsPerTick cells with Pause slept between ticks. Reads of the old
-// store are overlay-aware, so a cell with a pending delta is copied with
-// its freshest content; entries put *during* the copy are the caller's to
-// carry over at cutover.
+// those cells, and are copied worst-first in ticks of the bytes Pace
+// grants. Reads of the old store are overlay-aware, so a cell with a
+// pending delta is copied with its freshest content; entries put *during*
+// the copy are the caller's to carry over at cutover.
 //
 // Each cell is read under the old store's shared lock but the lock is
 // released between cells, so in-flight readers and even a concurrent Close
 // interleave cleanly: Close surfaces here as a typed ErrClosed instead of
 // a race on the underlying file. Cancellation is checked between cells,
-// inside each cell read and during a pause. A corrupt source page is
+// inside each cell read. A corrupt source page is
 // repaired from the old store's parity sidecar and the cell re-read.
 //
 // On any failure — including cancellation — the partial output file is
 // deleted, so newPath either holds a complete, flushed store or does not
 // exist. Returns the new store, flushed and ready to query, and the number
-// of ticks the copy took (at least ⌈cells / MaxCellsPerTick⌉). The old
-// store is left open and untouched; callers typically Close and delete it
-// after the swap.
+// of ticks the copy took. The old store is left open and untouched; callers
+// typically Close and delete it after the swap.
 func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames int, opt MigrateOptions) (*FileStore, int, error) {
 	oldOrder := old.layout.order
 	total := oldOrder.Len()
@@ -77,8 +76,8 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	if opt.RegionCells <= 0 {
 		opt.RegionCells = total
 	}
-	if opt.MaxCellsPerTick <= 0 {
-		opt.MaxCellsPerTick = opt.RegionCells
+	if opt.Pace == nil {
+		opt.Pace = func(context.Context, int64, bool) (int64, error) { return math.MaxInt64, nil }
 	}
 	bytesPerCell := make([]int64, total)
 	for cell := range bytesPerCell {
@@ -95,6 +94,7 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	// abort drops the partial output unflushed: its dirty frames belong to a
 	// file that is about to be removed.
 	abort := func(sp trace.SpanRef, err error) (*FileStore, int, error) {
+		opt.Pace(ctx, 0, true)
 		sp.SetError(err)
 		sp.End()
 		dst.discard()
@@ -135,29 +135,13 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	})
 	copySpan.SetAttr("regions", int64(len(regions)))
 
-	var pause *time.Timer
-	if opt.Pause > 0 {
-		pause = time.NewTimer(opt.Pause)
-		pause.Stop()
-		defer pause.Stop()
+	budget, err := opt.Pace(ctx, 0, false)
+	if err != nil {
+		return abort(copySpan, err)
 	}
-	done, ticks, inTick := 0, 0, 0
+	done, ticks, inTick, tickBytes := 0, 0, 0, int64(0)
 	for _, rg := range regions {
 		for pos := rg.lo; pos < rg.hi; pos++ {
-			if inTick >= opt.MaxCellsPerTick {
-				ticks++
-				inTick = 0
-				if opt.Progress != nil {
-					opt.Progress(done, total)
-				}
-				if pause != nil {
-					pause.Reset(opt.Pause)
-					select {
-					case <-ctx.Done():
-					case <-pause.C:
-					}
-				}
-			}
 			if err := ctx.Err(); err != nil {
 				return abort(copySpan, err)
 			}
@@ -166,6 +150,20 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 			if err != nil {
 				return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
 			}
+			var size int64
+			for _, rec := range records {
+				size += FrameSize(len(rec))
+			}
+			if inTick > 0 && tickBytes+size > budget {
+				ticks++
+				if opt.Progress != nil {
+					opt.Progress(done, total)
+				}
+				if budget, err = opt.Pace(ctx, tickBytes, false); err != nil {
+					return abort(copySpan, err)
+				}
+				inTick, tickBytes = 0, 0
+			}
 			for _, rec := range records {
 				if err := dst.PutRecord(cell, rec); err != nil {
 					return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
@@ -173,6 +171,7 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 			}
 			done++
 			inTick++
+			tickBytes += size
 		}
 	}
 	if inTick > 0 {
@@ -180,6 +179,9 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	}
 	if opt.Progress != nil {
 		opt.Progress(done, total)
+	}
+	if _, err := opt.Pace(ctx, tickBytes, true); err != nil {
+		return abort(copySpan, err)
 	}
 	copySpan.SetAttr("ticks", int64(ticks))
 	copySpan.End()
@@ -203,7 +205,7 @@ const migrateRepairAttempts = 16
 // when possible. Records are buffered — not streamed to the destination —
 // because a retry re-reads the whole cell and the destination's fill state
 // cannot be rewound, so streaming would duplicate records copied before
-// the error. Each repair is a trace span with the page attached.
+// the error. Each repair is a one-page repairing scrub window.
 func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte, error) {
 	var records [][]byte
 	read := func() error {
@@ -219,14 +221,13 @@ func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte,
 		if !errors.As(err, &cpe) || !old.HasParity() {
 			return nil, err
 		}
-		rsp := trace.StartLeaf(ctx, trace.KindRepair, "")
-		rsp.SetAttr("page", cpe.Page)
-		if rerr := old.RepairPage(cpe.Page); rerr != nil {
-			rsp.SetError(rerr)
-			rsp.End()
+		rep, rerr := old.ScrubRange(ctx, ScrubCursor{Page: cpe.Page}, cpe.Page+1, true)
+		if rerr == nil && len(rep.Problems) > 0 && rep.Problems[0].Page == cpe.Page {
+			rerr = rep.Problems[0].Err // a window's first problem is its damaged first page
+		}
+		if rerr != nil {
 			return nil, fmt.Errorf("repairing source page %d: %w", cpe.Page, rerr)
 		}
-		rsp.End()
 		err = read()
 	}
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hierarchy"
@@ -171,6 +170,10 @@ func newMigrateSource(t *testing.T, dir string) (*FileStore, *linear.Order, *lin
 	return src, colMajor, rowMajor
 }
 
+// oneCellATick paces a migration at one cell a tick: a tick always copies
+// at least one cell, and no second fits in a byte.
+func oneCellATick(context.Context, int64, bool) (int64, error) { return 1, nil }
+
 // TestMigrateCtxCancelCleansUp cancels the migration from its own progress
 // callback, partway through the copy: MigrateCtx must return the context
 // error and leave no partial output file behind.
@@ -183,7 +186,7 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	defer cancel()
 	newPath := filepath.Join(dir, "new.db")
 	var calls int
-	_, _, err := MigrateCtx(ctx, src, newPath, better, 4, MigrateOptions{MaxCellsPerTick: 1, Progress: func(done, total int) {
+	_, _, err := MigrateCtx(ctx, src, newPath, better, 4, MigrateOptions{Pace: oneCellATick, Progress: func(done, total int) {
 		calls++
 		if done == total/2 {
 			cancel()
@@ -221,20 +224,24 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	}
 }
 
-// TestMigrateCtxProgress checks the pacing contract: 16 cells at no more
-// than 5 a tick take ⌈16/5⌉ ticks with a pause between them, and progress
-// runs once per tick with (done, total) pairs ending at (total, total).
+// TestMigrateCtxProgress checks the pacing contract: 16 one-record cells in
+// ticks of five cells' bytes take ⌈16/5⌉ ticks with the pace hook called
+// before each and once after the last, and progress runs once per tick with
+// (done, total) pairs ending at (total, total).
 func TestMigrateCtxProgress(t *testing.T) {
 	dir := t.TempDir()
 	src, _, better := newMigrateSource(t, dir)
 	defer src.Close()
 
 	var got [][2]int
+	var paced []bool
 	dst, ticks, err := MigrateCtx(context.Background(), src, filepath.Join(dir, "new.db"), better, 4, MigrateOptions{
-		RegionCells:     4,
-		MaxCellsPerTick: 5,
-		Pause:           time.Microsecond,
-		Progress:        func(done, total int) { got = append(got, [2]int{done, total}) },
+		RegionCells: 4,
+		Pace: func(_ context.Context, _ int64, last bool) (int64, error) {
+			paced = append(paced, last)
+			return 5 * FrameSize(8), nil // five of the source's one-record cells
+		},
+		Progress: func(done, total int) { got = append(got, [2]int{done, total}) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +249,9 @@ func TestMigrateCtxProgress(t *testing.T) {
 	defer dst.Close()
 	if want := [][2]int{{5, 16}, {10, 16}, {15, 16}, {16, 16}}; ticks != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%d ticks reported %v, want %d reporting %v", ticks, got, len(want), want)
+	}
+	if want := "[false false false false true]"; fmt.Sprint(paced) != want {
+		t.Fatalf("pace calls (last) %v, want %s", paced, want)
 	}
 }
 
@@ -341,9 +351,9 @@ func buildMigrateCase(t *testing.T, rng *rand.Rand, o *linear.Order, exact bool)
 // unbalanced hierarchies, between every pair of order kinds, with random
 // fills and a random overlay, at every pacing, the migrated store holds in
 // every cell exactly the records of a fresh build under the new order from
-// the plain cell → records map, scrubs clean, took at least
-// ⌈N/MaxCellsPerTick⌉ ticks, and — once exactly filled — answers cold
-// reads in the pages and seeks its layout predicts.
+// the plain cell → records map, scrubs clean, took a tick for each cell
+// with records when paced at one cell a tick, and — once exactly filled —
+// answers cold reads in the pages and seeks its layout predicts.
 func TestMigrateMatchesFreshBuild(t *testing.T) {
 	ctx := context.Background()
 	cellRecords := func(fs *FileStore, cell int) [][]byte {
@@ -379,15 +389,25 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 				for c := range freshCells {
 					freshCells[c] = fmt.Sprintf("%q", cellRecords(fresh, c))
 				}
+				filled := 0
+				for _, recs := range mc.truth {
+					if len(recs) > 0 {
+						filled++
+					}
+				}
 				for _, regionCells := range []int{1, 7, n} {
-					for _, perTick := range []int{1, n} {
-						label := fmt.Sprintf("seed %d %s -> %s exact=%v RegionCells=%d MaxCellsPerTick=%d", seed, oldOrder.Name, newOrder.Name, exact, regionCells, perTick)
+					for _, paced := range []bool{true, false} {
+						label := fmt.Sprintf("seed %d %s -> %s exact=%v RegionCells=%d paced=%v", seed, oldOrder.Name, newOrder.Name, exact, regionCells, paced)
 						path := filepath.Join(t.TempDir(), "migrated.db")
-						dst, ticks, err := MigrateCtx(ctx, mc.src, path, newOrder, int(fresh.Layout().TotalPages())+8, MigrateOptions{RegionCells: regionCells, MaxCellsPerTick: perTick})
+						opt, want := MigrateOptions{RegionCells: regionCells}, 1
+						if paced {
+							opt.Pace, want = oneCellATick, filled // an empty cell costs no bytes
+						}
+						dst, ticks, err := MigrateCtx(ctx, mc.src, path, newOrder, int(fresh.Layout().TotalPages())+8, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if want := (n + perTick - 1) / perTick; ticks < want {
+						if ticks < want {
 							t.Errorf("%s: %d ticks, want at least %d", label, ticks, want)
 						}
 						for c := 0; c < n; c++ {
@@ -558,10 +578,21 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 	t.Logf("%d queries; expected seeks row-major %.3f, optimal %.3f (regret %.2f)", len(queries), rowSeeks, optSeeks, rowSeeks/optSeeks)
 
 	var perTick []int
+	var tickBytes []int64
 	copied := 0
+	var budget int64 // an eighth of the store a tick
+	for _, b := range sizes {
+		budget += b
+	}
+	budget = budget/8 + 1
 	opt := MigrateOptions{
-		RegionCells:     8,
-		MaxCellsPerTick: rowOrder.Len()/8 + 1,
+		RegionCells: 8,
+		Pace: func(_ context.Context, bytes int64, _ bool) (int64, error) {
+			if bytes > 0 {
+				tickBytes = append(tickBytes, bytes)
+			}
+			return budget, nil
+		},
 		Progress: func(done, _ int) {
 			perTick = append(perTick, done-copied)
 			copied = done
@@ -576,8 +607,8 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 		t.Fatalf("%d ticks, progress %v copied %d of %d cells: want an incremental copy of every cell", ticks, perTick, copied, rowOrder.Len())
 	}
 	for i, n := range perTick {
-		if n <= 0 || n > opt.MaxCellsPerTick {
-			t.Errorf("tick %d copied %d cells, want 1..%d", i, n, opt.MaxCellsPerTick)
+		if n <= 0 || n == rowOrder.Len() || (n > 1 && tickBytes[i] > budget) {
+			t.Errorf("tick %d copied %d cells in %d bytes, want part of the file within %d bytes, or one cell", i, n, tickBytes[i], budget)
 		}
 	}
 

@@ -169,6 +169,7 @@ func oracleVerify(ctx context.Context, fs *FileStore) (*VerifyReport, error) {
 				ok = false
 				break
 			}
+			rep.Rows += fs.rowsOf(data[off : off+n])
 			off += n
 			rep.Records++
 		}

@@ -179,6 +179,7 @@ type BufferPool struct {
 	retry   RetryPolicy
 
 	hits, misses, evictions, writes, retries, sfWaits atomic.Int64
+	dirty                                             atomic.Int64 // frames holding writes the file has not seen
 }
 
 // frame is one cached page. The latch guards data and dirty; the pool mutex
@@ -470,6 +471,7 @@ func (bp *BufferPool) evictLocked(ctx context.Context, tally *PoolTally) (*frame
 				tally.writes.Add(1)
 			}
 			fr.dirty = false
+			bp.dirty.Add(-1)
 		}
 		bp.unlinkLocked(fr)
 		delete(bp.table, fr.page)
@@ -822,6 +824,9 @@ func (bp *BufferPool) WriteAtCtx(ctx context.Context, src []byte, off int64) err
 		}
 		fr.mu.Lock()
 		n := copy(fr.data[off%ps:], src)
+		if !fr.dirty {
+			bp.dirty.Add(1)
+		}
 		fr.dirty = true
 		fr.mu.Unlock()
 		bp.unpin(fr)
@@ -867,6 +872,7 @@ func (bp *BufferPool) FlushCtx(ctx context.Context) error {
 			} else {
 				bp.writes.Add(1)
 				fr.dirty = false
+				bp.dirty.Add(-1)
 			}
 		}
 		fr.mu.Unlock()

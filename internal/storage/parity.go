@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/trace"
 )
 
 // Parity sidecar: the self-healing layer of the file store. Beside every
@@ -146,7 +144,7 @@ func decodeParityHeader(buf []byte, dataPages, pageSize int64) (int, error) {
 }
 
 // HasParity reports whether a usable (attached and non-stale) parity
-// sidecar backs RepairPage.
+// sidecar backs repairs.
 func (fs *FileStore) HasParity() bool {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -311,48 +309,17 @@ func (fs *FileStore) attachParityLocked(path string) error {
 	return nil
 }
 
-// CheckPage re-reads one physical page from disk through the checksum
-// layer, bypassing the pool cache — the scrubber's primitive. A clean page
-// returns nil; damage returns the typed CorruptPageError. Safe to call
-// concurrently with queries.
-func (fs *FileStore) CheckPage(page int64) error {
-	return fs.onPage(page, func() error { return fs.file.ReadPage(page, nil) })
-}
-
-// onPage runs op under the store's read lock once page is known to be a
-// page of an open store.
-func (fs *FileStore) onPage(page int64, op func() error) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if fs.closed {
-		return ErrClosed
-	}
-	if page < 0 || page >= fs.layout.TotalPages() {
-		return fmt.Errorf("storage: page %d out of range [0,%d)", page, fs.layout.TotalPages())
-	}
-	return op()
-}
-
-// RepairPage reconstructs a damaged page from its parity group: XOR of the
-// group's parity page and every sibling data page, rewritten through the
-// ChecksumFile (fresh trailer) and re-verified from disk. A page that
-// already reads clean is a no-op, so racing repairers are harmless. The
-// typed errors: ErrNoParity when no usable sidecar is attached,
-// ErrUnrepairable (an UnrepairableError with coordinates) when more than
-// one page of the group — or the parity page itself — is damaged, or when
-// the reconstruction fails re-verification.
-//
-// Repairs are serialized by an internal mutex but run concurrently with
-// queries: the reconstruction restores the page's original bytes, so any
-// clean frame the pool already caches stays consistent, and a failed pool
-// load never leaves a frame behind to go stale.
-func (fs *FileStore) RepairPage(page int64) error {
-	return fs.onPage(page, func() error { return fs.repairPageLocked(page, make([]byte, fs.layout.usable())) })
-}
-
-// repairPageLocked is RepairPage for a caller holding fs.mu for reading (a
-// second RLock deadlocks against a waiting writer). img is one usable page
-// of scratch; on success it holds the page's verified data region.
+// repairPageLocked reconstructs a damaged page from its parity group: XOR
+// of the group's parity page and every sibling data page, rewritten through
+// the ChecksumFile (fresh trailer) and re-verified from disk into img, one
+// usable page of scratch. A page that already reads clean is a no-op, so
+// racing repairers are harmless. The typed errors: ErrNoParity when no
+// usable sidecar is attached, ErrUnrepairable (an UnrepairableError with
+// coordinates) when more than one page of the group — or the parity page
+// itself — is damaged, or when the reconstruction fails re-verification.
+// The caller holds fs.mu for reading; repairs are serialized by repairMu
+// but run beside queries: the reconstruction restores the page's original
+// bytes, so any clean frame the pool caches stays consistent.
 func (fs *FileStore) repairPageLocked(page int64, img []byte) error {
 	fs.repairMu.Lock()
 	defer fs.repairMu.Unlock()
@@ -431,34 +398,16 @@ type RepairReport struct {
 // OK reports whether the sweep left the store clean.
 func (r *RepairReport) OK() bool { return len(r.Failed) == 0 }
 
-// RepairCtx is VerifyCtx's walk healing as it goes: a page that fails its
-// checksum is repaired from parity under the walk's read lock, and its
-// cells are walked from the repaired image. What repair cannot fix — a
-// page it could not reconstruct, with its typed error, or fill and framing
-// damage — lands in Failed, in VerifyReport order. The error is VerifyCtx's;
-// the sweep is a scrub span with one repair child per damaged page.
+// RepairCtx is the repairing scrub window over every page: a page that
+// fails its checksum is repaired from parity under the walk's read lock,
+// and its cells are walked from the repaired image. What repair cannot fix
+// — a page it could not reconstruct, with its typed error, or fill and
+// framing damage — lands in Failed, in VerifyReport order. The error is
+// VerifyCtx's; the sweep is a scrub span with one repair child per damaged
+// page.
 func (fs *FileStore) RepairCtx(ctx context.Context) (*RepairReport, error) {
-	rep := &RepairReport{}
-	sctx, ssp := trace.Start(ctx, trace.KindScrub, "")
-	vrep, err := fs.scrub(ctx, func(page int64, img []byte) error {
-		rsp := trace.StartLeaf(sctx, trace.KindRepair, "")
-		rsp.SetAttr("page", page)
-		err := fs.repairPageLocked(page, img)
-		rsp.SetError(err)
-		rsp.End()
-		if err == nil {
-			rep.Repaired = append(rep.Repaired, page)
-		}
-		return err
-	})
-	if vrep != nil {
-		rep.Pages, rep.Failed = vrep.Pages, vrep.Problems
-	}
-	ssp.SetAttr("pages", rep.Pages)
-	ssp.SetAttr("repaired", int64(len(rep.Repaired)))
-	ssp.SetError(err)
-	ssp.End()
-	return rep, err
+	rep, err := fs.ScrubRange(ctx, ScrubCursor{}, fs.layout.TotalPages(), true)
+	return &RepairReport{Pages: rep.Pages, Repaired: rep.Repaired, Failed: rep.Problems}, err
 }
 
 // xorInto accumulates src into dst byte-wise.

@@ -104,7 +104,7 @@ func assertTruth(t *testing.T, fs *FileStore, truth map[int][]string) {
 }
 
 // TestParityRepairEveryPageSingleFault corrupts every physical page index
-// in turn (one bit each, different bit positions) and asserts RepairPage
+// in turn (one bit each, different bit positions) and asserts a repairing window
 // restores the store byte-exactly, verified by a clean scrub and a
 // ground-truth scan. This is the satellite's single-fault sweep.
 func TestParityRepairEveryPageSingleFault(t *testing.T) {
@@ -117,14 +117,14 @@ func TestParityRepairEveryPageSingleFault(t *testing.T) {
 	for p := int64(0); p < total; p++ {
 		bit := int(7+13*p) % (pageSize * 8)
 		corruptOnDisk(t, path, pageSize, p, bit)
-		if err := fs.CheckPage(p); !errors.Is(err, ErrCorruptPage) {
-			t.Fatalf("page %d after bit flip: CheckPage = %v, want ErrCorruptPage", p, err)
+		if err := pageErr(fs, p, false); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("page %d after bit flip: one-page scrub = %v, want ErrCorruptPage", p, err)
 		}
-		if err := fs.RepairPage(p); err != nil {
-			t.Fatalf("RepairPage(%d) = %v, want success", p, err)
+		if err := pageErr(fs, p, true); err != nil {
+			t.Fatalf("repairing page %d = %v, want success", p, err)
 		}
-		if err := fs.CheckPage(p); err != nil {
-			t.Fatalf("page %d after repair: CheckPage = %v, want clean", p, err)
+		if err := pageErr(fs, p, false); err != nil {
+			t.Fatalf("page %d after repair: one-page scrub = %v, want clean", p, err)
 		}
 	}
 	rep, err := fs.Verify()
@@ -155,9 +155,9 @@ func TestParityRepairDoubleFaultUnrepairable(t *testing.T) {
 		}
 		corruptOnDisk(t, path, pageSize, p0, 3)
 		corruptOnDisk(t, path, pageSize, p1, 9)
-		err := fs.RepairPage(p0)
+		err := pageErr(fs, p0, true)
 		if !errors.Is(err, ErrUnrepairable) {
-			t.Fatalf("group %d double fault: RepairPage = %v, want ErrUnrepairable", g, err)
+			t.Fatalf("group %d double fault: repair = %v, want ErrUnrepairable", g, err)
 		}
 		var ue *UnrepairableError
 		if !errors.As(err, &ue) {
@@ -173,8 +173,8 @@ func TestParityRepairDoubleFaultUnrepairable(t *testing.T) {
 		// sibling content is impossible here, so un-flip the bits) and
 		// confirm parity repair of the remaining single fault works.
 		corruptOnDisk(t, path, pageSize, p1, 9) // un-flip: XOR is its own inverse
-		if err := fs.RepairPage(p0); err != nil {
-			t.Fatalf("group %d single fault after un-flip: RepairPage = %v", g, err)
+		if err := pageErr(fs, p0, true); err != nil {
+			t.Fatalf("group %d single fault after un-flip: repair = %v", g, err)
 		}
 	}
 	rep, err := fs.Verify()
@@ -196,9 +196,9 @@ func TestParityRepairParityPageDamage(t *testing.T) {
 	// Damage parity page of group 0 (sidecar page 1) and data page 0.
 	corruptOnDisk(t, ParityPath(path), pageSize, 1, 5)
 	corruptOnDisk(t, path, pageSize, 0, 5)
-	err := fs.RepairPage(0)
+	err := pageErr(fs, 0, true)
 	if !errors.Is(err, ErrUnrepairable) {
-		t.Fatalf("RepairPage with damaged parity = %v, want ErrUnrepairable", err)
+		t.Fatalf("repair with damaged parity = %v, want ErrUnrepairable", err)
 	}
 	// Un-flip the data page; rebuild parity; damage data again; repair works.
 	corruptOnDisk(t, path, pageSize, 0, 5)
@@ -206,8 +206,8 @@ func TestParityRepairParityPageDamage(t *testing.T) {
 		t.Fatalf("parity rebuild: %v", err)
 	}
 	corruptOnDisk(t, path, pageSize, 0, 5)
-	if err := fs.RepairPage(0); err != nil {
-		t.Fatalf("RepairPage after parity rebuild = %v, want success", err)
+	if err := pageErr(fs, 0, true); err != nil {
+		t.Fatalf("repair after parity rebuild = %v, want success", err)
 	}
 }
 
@@ -252,10 +252,10 @@ func TestParityLiveAfterWrite(t *testing.T) {
 	if err := fs2.Pool().Reset(context.Background()); err != nil { // drop cached frames so reads see the damage
 		t.Fatal(err)
 	}
-	if err := fs2.CheckPage(0); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("CheckPage after corruption = %v, want ErrCorruptPage", err)
+	if err := pageErr(fs2, 0, false); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("one-page scrub after corruption = %v, want ErrCorruptPage", err)
 	}
-	if err := fs2.RepairPage(0); err != nil {
+	if err := pageErr(fs2, 0, true); err != nil {
 		t.Fatalf("repair after write: %v", err)
 	}
 	var got []string
@@ -417,8 +417,8 @@ func TestMigrateUnrepairableSourceFails(t *testing.T) {
 	}
 }
 
-// TestRepairWithoutParityIsTyped: repair on a store that never attached a
-// sidecar fails with the typed ErrNoParity.
+// TestRepairWithoutParityIsTyped: repairing a damaged page of a store that
+// never attached a sidecar fails with the typed ErrNoParity.
 func TestRepairWithoutParityIsTyped(t *testing.T) {
 	o := testOrder(t)
 	bytesPerCell := make([]int64, o.Len())
@@ -431,8 +431,9 @@ func TestRepairWithoutParityIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if err := fs.RepairPage(0); !errors.Is(err, ErrNoParity) {
-		t.Errorf("RepairPage without sidecar = %v, want ErrNoParity", err)
+	corruptOnDisk(t, filepath.Join(dir, "f.db"), 64, 0, 3)
+	if err := pageErr(fs, 0, true); !errors.Is(err, ErrNoParity) {
+		t.Errorf("repairing a damaged page without sidecar = %v, want ErrNoParity", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/linear"
@@ -194,6 +195,8 @@ func TestVerifyReadsEachPageOnce(t *testing.T) {
 	}{
 		{"Verify", func() (bool, error) { rep, err := fs.Verify(); return rep != nil && rep.OK(), err }},
 		{"RepairCtx", func() (bool, error) { rep, err := fs.RepairCtx(context.Background()); return rep.OK(), err }},
+		{"one-page windows", func() (bool, error) { return cleanWindows(t, fs, 1, false) }},
+		{"repairing windows of two pages", func() (bool, error) { return cleanWindows(t, fs, 2, true) }},
 	} {
 		cf.mu.Lock()
 		cf.perPage = nil
@@ -209,6 +212,160 @@ func TestVerifyReadsEachPageOnce(t *testing.T) {
 		for p := int64(0); p < total; p++ {
 			if n := cf.perPage[p]; n != 1 {
 				t.Errorf("%s read page %d %d times, want once", sweep.name, p, n)
+			}
+		}
+	}
+}
+
+// cleanWindows scrubs fs in windows of size pages, each starting at the last
+// one's Next, and reports whether they all came back clean. Each window
+// reads exactly its pages, and at least one must carry a cell open across
+// its edge.
+func cleanWindows(t *testing.T, fs *FileStore, size int64, repair bool) (bool, error) {
+	t.Helper()
+	ok, split := true, false
+	for at := (ScrubCursor{}); at.Page < fs.Layout().TotalPages(); {
+		hi := min(at.Page+size, fs.Layout().TotalPages())
+		rep, err := fs.ScrubRange(context.Background(), at, hi, repair)
+		if err != nil {
+			return false, err
+		}
+		if rep.Pages != hi-at.Page || rep.Next.Page != hi {
+			t.Fatalf("window [%d, %d) read %d pages and ends at %d", at.Page, hi, rep.Pages, rep.Next.Page)
+		}
+		ok = ok && rep.OK()
+		split = split || rep.Next.open != nil
+		at = rep.Next
+	}
+	if !split {
+		t.Errorf("no window of %d page(s) had a cell across its edge", size)
+	}
+	return ok, nil
+}
+
+// scrubInWindows covers fs with windows of random sizes, each starting at
+// the last one's Next, and adds up what they found.
+func scrubInWindows(t *testing.T, rng *rand.Rand, fs *FileStore) *VerifyReport {
+	t.Helper()
+	sum := &VerifyReport{}
+	for at := (ScrubCursor{}); at.Page < fs.Layout().TotalPages(); {
+		hi := min(at.Page+1+rng.Int63n(4), fs.Layout().TotalPages())
+		rep, err := fs.ScrubRange(context.Background(), at, hi, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pages != hi-at.Page || rep.Next.Page != hi {
+			t.Fatalf("window [%d, %d) read %d pages and ends at %d", at.Page, hi, rep.Pages, rep.Next.Page)
+		}
+		sum.Pages += rep.Pages
+		sum.Records += rep.Records
+		sum.Rows += rep.Rows
+		sum.Problems = append(sum.Problems, rep.Problems...)
+		at = rep.Next
+	}
+	return sum
+}
+
+// TestScrubCarryAfterWrite: a cell open across a window edge and rewritten
+// before the next window, with other record boundaries, is walked again
+// from its first page — not judged from the stale bytes before the edge:
+// the rest of the pass reads clean and counts the cell's new records.
+func TestScrubCarryAfterWrite(t *testing.T) {
+	ctx := context.Background()
+	fs, values, _, _ := buildFileStore(t, 4)
+	defer fs.Close()
+	at, total := ScrubCursor{}, fs.Layout().TotalPages()
+	var records int64
+	for at.open == nil && at.Page < total {
+		rep, err := fs.ScrubRange(ctx, at, at.Page+1, false)
+		if err != nil || !rep.OK() {
+			t.Fatalf("window at page %d: %v %v", at.Page, err, rep.Err())
+		}
+		records, at = records+rep.Records, rep.Next
+	}
+	if at.open == nil {
+		t.Fatal("no one-page window left a cell open")
+	}
+	cell := int(fs.dir[at.open.pos].cell)
+	fill := FrameSize(8) * int64(len(values[cell]))
+	framed, n := FrameRecords(make([]byte, fill-FrameSize(0))), 1 // one record where there were several
+	if len(values[cell]) == 1 {
+		framed, n = FrameRecords(make([]byte, 2), make([]byte, fill-2*FrameSize(0)-2)), 2
+	}
+	if err := fs.PutCellBytes(cell, framed); err != nil {
+		t.Fatal(err)
+	}
+	for at.Page < total {
+		rep, err := fs.ScrubRange(ctx, at, at.Page+1, false)
+		if err != nil || !rep.OK() {
+			t.Fatalf("window at page %d after rewriting open cell %d: %v %v", at.Page, cell, err, rep.Err())
+		}
+		records, at = records+rep.Records, rep.Next
+	}
+	want := int64(n)
+	for c, v := range values {
+		if c != cell {
+			want += int64(len(v))
+		}
+	}
+	if records != want {
+		t.Errorf("the pass counted %d records, want %d: cell %d's %d new ones and every other cell's", records, want, cell, n)
+	}
+}
+
+// TestScrubWindowsMatchVerify: random sequences of scrub windows that cover
+// random framed and packed stores, under the damage of
+// TestVerifyWalkMatchesTwoPassOracle, report the pages, records, rows and
+// problems of one VerifyCtx and of the two-pass oracle.
+func TestScrubWindowsMatchVerify(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ctx := context.Background()
+	problems := func(r *VerifyReport) []string {
+		out := make([]string, len(r.Problems))
+		for i, p := range r.Problems {
+			out[i] = p.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(name string, fs *FileStore) {
+		t.Helper()
+		oracle, oerr := oracleVerify(ctx, fs)
+		whole, werr := fs.VerifyCtx(ctx)
+		if oerr != nil || werr != nil {
+			t.Fatalf("%s: oracle err %v, walk err %v", name, oerr, werr)
+		}
+		got := scrubInWindows(t, rng, fs)
+		for _, want := range []*VerifyReport{whole, oracle} {
+			if got.Pages != want.Pages || got.Records != want.Records || got.Rows != want.Rows ||
+				!reflect.DeepEqual(problems(got), problems(want)) {
+				t.Fatalf("%s: windows %d pages %d records %d rows %v, want %d pages %d records %d rows %v",
+					name, got.Pages, got.Records, got.Rows, problems(got), want.Pages, want.Records, want.Rows, problems(want))
+			}
+		}
+	}
+	for trial := 0; trial < 8; trial++ {
+		for oi, o := range diffOrders(t, rng) {
+			for _, packed := range []bool{false, true} {
+				var fs *FileStore
+				if packed {
+					fs = buildPackedStore(t, rng, o)
+				} else {
+					fs = buildDiffStore(t, rng, o, rng.Intn(2) == 0).fs
+				}
+				name := fmt.Sprintf("trial %d order %d packed %v", trial, oi, packed)
+				check(name+", clean", fs)
+				breakFraming(t, rng, fs)
+				check(name+", broken framing", fs)
+				flipStoredByte(t, rng, fs)
+				check(name+", one flip", fs)
+				flipStoredByte(t, rng, fs)
+				check(name+", two flips", fs)
+				if trial%3 == 0 {
+					pos := rng.Intn(o.Len())
+					fs.dir[pos].fill = uint32(fs.dir[pos+1].start-fs.dir[pos].start) + 1
+					check(name+", fill past its reservation", fs)
+				}
 			}
 		}
 	}
@@ -296,6 +453,17 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 	sameVerifyReport(t, "cell past the file end", got, want)
 }
 
+// pageErr is a one-page scrub window's verdict on page p, repairing it from
+// parity first when repair is set: the window's first problem when it is on
+// p (a damaged first page comes first), nil when p reads clean.
+func pageErr(fs *FileStore, p int64, repair bool) error {
+	rep, err := fs.ScrubRange(context.Background(), ScrubCursor{Page: p}, p+1, repair)
+	if err == nil && len(rep.Problems) > 0 && rep.Problems[0].Page == p {
+		err = rep.Problems[0].Err
+	}
+	return err
+}
+
 func sameVerifyReport(t *testing.T, name string, got, want *VerifyReport) {
 	t.Helper()
 	if got.Pages != want.Pages || got.Records != want.Records || len(got.Problems) != len(want.Problems) {
@@ -354,13 +522,17 @@ func breakFraming(t *testing.T, rng *rand.Rand, fs *FileStore) {
 }
 
 // flipStoredByte flips one bit of a random page on disk, under the pool:
-// anywhere in the data region or the trailer.
+// anywhere in the data region or the trailer. A store of no pages keeps
+// its bits.
 func flipStoredByte(t *testing.T, rng *rand.Rand, fs *FileStore) {
 	t.Helper()
 	if err := fs.pool.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	inner := fs.file.inner
+	if inner.Pages() == 0 {
+		return
+	}
 	page := rng.Int63n(inner.Pages())
 	buf := make([]byte, inner.PageSize())
 	if err := inner.ReadPage(page, buf); err != nil {
@@ -423,6 +595,10 @@ func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
+	fs.SetRowCounter(func(rec []byte) int {
+		n, _ := rowcodec.Rows(d, rec)
+		return n
+	})
 	for c, rs := range rows {
 		if !packed[c] || len(rs) == 0 {
 			for _, r := range rs {
@@ -453,16 +629,17 @@ func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore 
 	if err != nil || !rep.OK() {
 		t.Fatalf("packed store does not verify clean: %v %v", err, rep.Problems)
 	}
-	var records int64
+	var records, rowsWritten int64
 	for c, rs := range rows {
 		if packed[c] && len(rs) > 0 {
 			records++
 		} else {
 			records += int64(len(rs))
 		}
+		rowsWritten += int64(len(rs))
 	}
-	if rep.Records != records {
-		t.Fatalf("walk counts %d records, %d written", rep.Records, records)
+	if rep.Records != records || rep.Rows != rowsWritten {
+		t.Fatalf("walk counts %d records %d rows, %d and %d written", rep.Records, rep.Rows, records, rowsWritten)
 	}
 	return fs
 }

@@ -411,6 +411,15 @@ type CorruptPageError = storage.CorruptPageError
 // re-reads every page from disk and checks checksums and fill invariants.
 type VerifyReport = storage.VerifyReport
 
+// ScrubReport is the outcome of FileStore.ScrubRange, one window of the
+// scrub walk: a VerifyReport plus the pages it repaired and the cursor the
+// next window starts at.
+type ScrubReport = storage.ScrubReport
+
+// ScrubCursor is where a sequence of scrub windows stands: a page, and a
+// cell the last window left open across it.
+type ScrubCursor = storage.ScrubCursor
+
 // VerifyProblem is one defect in a VerifyReport, locating the damage by
 // page, cell, and grid coordinates.
 type VerifyProblem = storage.VerifyProblem
