@@ -153,7 +153,7 @@ ingest-smoke:
 # once under the race detector: automatic trigger, hot swap under load,
 # crash recovery, and the failure/cancellation paths.
 reorg-smoke:
-	$(GO) test -race -count=1 -run 'TestServeAdaptive|TestServeReorg' ./cmd/snakestore
+	$(GO) test -race -count=1 -run 'TestServeAdaptive|TestServeReorg|TestMaintainerPacesMigration|TestMaintainerCopiesWholeGrant' ./cmd/snakestore
 
 # staticcheck is optional tooling: run it when installed, skip quietly
 # when not (the container has no network to fetch it).

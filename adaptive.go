@@ -86,22 +86,33 @@ func (s *Schema) ClassOfRegion(r Region) (Class, error) {
 	return c, nil
 }
 
-// MigrateOptions paces a migration; the zero value copies the whole file
-// in one unpaced tick. See Strategy.MigrateCtx.
-type MigrateOptions = storage.MigrateOptions
+// Migration is a re-clustering copy in progress; see
+// Strategy.StartMigration.
+type Migration = storage.Migration
 
-// MigrateCtx physically re-clusters a file store onto this strategy's
-// order, writing the new store at newPath: the worst-clustered regions of
-// the target order first, in ticks paced by opt, with the upserts pending
-// in the old store's delta overlay riding along. On any failure (including
-// cancellation, honored between cells) the partial output is deleted.
-// Returns the new store, flushed and ready to query, and the tick count.
-func (st *Strategy) MigrateCtx(ctx context.Context, old *FileStore, newPath string, poolFrames int, opt MigrateOptions) (*FileStore, int, error) {
+// StartMigration begins physically re-clustering a file store onto this
+// strategy's order, creating the new store at newPath: each Step copies the
+// worst-clustered regions of regionCells target positions first, within
+// its byte budget, with the upserts pending in the old store's delta
+// overlay riding along; Finish flushes and returns the new store. Any Step
+// or Finish error, or Abort, deletes the partial output.
+func (st *Strategy) StartMigration(ctx context.Context, old *FileStore, newPath string, poolFrames, regionCells int) (*Migration, error) {
 	o, err := st.Materialize()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return storage.MigrateCtx(ctx, old, newPath, o, poolFrames, opt)
+	return storage.StartMigration(ctx, old, newPath, o, poolFrames, regionCells)
+}
+
+// MigrateCtx is a whole migration in one call: StartMigration, one
+// unbounded Step and Finish. On any failure, cancellation included, the
+// partial output is deleted.
+func (st *Strategy) MigrateCtx(ctx context.Context, old *FileStore, newPath string, poolFrames int) (*FileStore, error) {
+	o, err := st.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	return storage.MigrateCtx(ctx, old, newPath, o, poolFrames)
 }
 
 // ReorgConfig tunes the adaptive reorganizer's decision policy; see
@@ -124,14 +135,13 @@ var ErrReorgInProgress = adaptive.ErrReorgInProgress
 
 // ReorgSkipped reports whether a Trigger error means the policy declined
 // (regret under threshold, hysteresis window open, or too little evidence)
-// rather than a migration failure.
+// rather than a failure.
 func ReorgSkipped(err error) bool { return adaptive.Skipped(err) }
 
-// ReorgDecision is what the reorganizer hands the migrator when the policy
-// fires: the new strategy, the evidence behind it, and the generation the
-// new store assumes on success. Migrate is the policy's pacing plus the
-// progress hook behind status reporting, ready to hand to
-// Strategy.MigrateCtx.
+// ReorgDecision is what Trigger hands its caller when the policy fires: the
+// new strategy, the evidence behind it, and the generation the new store
+// assumes on success. The caller migrates (Strategy.StartMigration or
+// MigrateCtx), swaps, and reports the outcome with Reorganizer.Finish.
 type ReorgDecision struct {
 	Strategy    *Strategy
 	Workload    *Workload
@@ -139,33 +149,15 @@ type ReorgDecision struct {
 	OptimalCost float64
 	Regret      float64
 	Generation  int
-	Migrate     MigrateOptions
+	d           *adaptive.Decision
 }
-
-func newReorgDecision(schema *Schema, d *adaptive.Decision) *ReorgDecision {
-	return &ReorgDecision{
-		Strategy:    &Strategy{schema: schema, Path: d.Path, Snaked: d.Snaked},
-		Workload:    &Workload{schema: schema, w: d.Workload},
-		CurrentCost: d.CurrentCost,
-		OptimalCost: d.OptimalCost,
-		Regret:      d.Regret,
-		Generation:  d.Generation,
-		Migrate:     d.Migrate,
-	}
-}
-
-// ReorgMigrator executes a reorganization decision: build the new
-// generation (typically Strategy.MigrateCtx), persist metadata, swap the
-// serving store, clean up. A nil error commits the reorganizer to the
-// decision; any error leaves it on the old generation.
-type ReorgMigrator func(ctx context.Context, d *ReorgDecision) error
 
 // Reorganizer closes the loop between the optimizer and a serving store:
 // it learns the live class distribution (decayed), recomputes the optimal
-// strategy, and invokes the migrator when the deployed strategy's expected
+// strategy, and decides to re-cluster when the deployed strategy's expected
 // cost exceeds the optimum's by the configured regret factor, sustained
-// across the hysteresis window. Observe is safe from every serving
-// goroutine; Run, Trigger, and Status may be used concurrently with it.
+// across the hysteresis window. One decision runs at a time. Every method
+// is safe for concurrent use.
 type Reorganizer struct {
 	schema *Schema
 	c      *adaptive.Controller
@@ -173,20 +165,12 @@ type Reorganizer struct {
 
 // NewReorganizer returns a reorganizer deployed on the given strategy and
 // generation.
-func NewReorganizer(st *Strategy, generation int, migrate ReorgMigrator, cfg ReorgConfig) (*Reorganizer, error) {
-	if migrate == nil {
-		return nil, fmt.Errorf("snakes: nil reorg migrator")
-	}
-	r := &Reorganizer{schema: st.schema}
-	inner := func(ctx context.Context, d *adaptive.Decision) error {
-		return migrate(ctx, newReorgDecision(st.schema, d))
-	}
-	c, err := adaptive.New(st.schema.lat, st.Path, st.Snaked, generation, inner, cfg)
+func NewReorganizer(st *Strategy, generation int, cfg ReorgConfig) (*Reorganizer, error) {
+	c, err := adaptive.New(st.schema.lat, st.Path, st.Snaked, generation, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.c = c
-	return r, nil
+	return &Reorganizer{schema: st.schema, c: c}, nil
 }
 
 // Observe records one served query of the given class.
@@ -214,34 +198,50 @@ func (r *Reorganizer) Strategy() *Strategy {
 func (r *Reorganizer) Status() ReorgStatus { return r.c.Status() }
 
 // OnEvaluate installs a hook observing every policy evaluation (e.g. a
-// regret gauge). Install hooks before Run or Trigger.
+// regret gauge). Install hooks before Trigger.
 func (r *Reorganizer) OnEvaluate(fn func(ReorgEvaluation)) { r.c.OnEvaluate = fn }
 
 // OnReorg installs a hook observing every reorganization outcome
-// ("success", "failed", or "canceled") and its duration.
+// ("success", "failed", or "canceled") and its duration from the decision,
+// called by Finish.
 func (r *Reorganizer) OnReorg(fn func(outcome string, d time.Duration)) { r.c.OnReorg = fn }
 
 // SetCostCorrection installs a hook that scales the deployed strategy's
 // analytic cost by a live observed/predicted ratio before regret is
 // computed — typically Calibration.SeekCorrection, so a buffer pool or
 // delta overlay that absorbs predicted seeks weakens the case for
-// migrating. Returns <= 0, NaN, or Inf are ignored. Install before Run
-// or Trigger.
+// migrating. Returns <= 0, NaN, or Inf are ignored. Install before
+// Trigger.
 func (r *Reorganizer) SetCostCorrection(fn func() float64) { r.c.CostCorrection = fn }
 
-// Run evaluates the policy every CheckInterval until ctx ends,
-// reorganizing when it fires; evaluation and migration errors are absorbed
-// into Status (the loop keeps running).
-func (r *Reorganizer) Run(ctx context.Context) { r.c.Run(ctx) }
-
-// Trigger forces one policy step now; with force the thresholds are
-// bypassed and the current optimum deployed unconditionally. Returns the
-// decision acted on, or an error for which ReorgSkipped reports whether
-// the policy merely declined.
+// Trigger runs one policy step now and, when the policy fires, claims the
+// one in-progress slot and returns the decision: the caller migrates and
+// must report the outcome with Finish. With force the thresholds are
+// bypassed and the current optimum decided unconditionally. While another
+// decision holds the slot it returns ErrReorgInProgress; ReorgSkipped
+// reports whether an error means the policy merely declined.
 func (r *Reorganizer) Trigger(ctx context.Context, force bool) (*ReorgDecision, error) {
 	d, err := r.c.Trigger(ctx, force)
-	if d == nil {
+	if err != nil {
 		return nil, err
 	}
-	return newReorgDecision(r.schema, d), err
+	return &ReorgDecision{
+		Strategy:    &Strategy{schema: r.schema, Path: d.Path, Snaked: d.Snaked},
+		Workload:    &Workload{schema: r.schema, w: d.Workload},
+		CurrentCost: d.CurrentCost,
+		OptimalCost: d.OptimalCost,
+		Regret:      d.Regret,
+		Generation:  d.Generation,
+		d:           d,
+	}, nil
 }
+
+// Progress records how far the running decision's migration has copied,
+// for Status.
+func (r *Reorganizer) Progress(done, total int) { r.c.Progress(done, total) }
+
+// Finish ends the decision Trigger returned: a nil err commits the
+// reorganizer to its strategy and generation, any error rolls back to the
+// old one ("canceled" when err is a cancellation, else "failed"). Call it
+// exactly once per decision.
+func (r *Reorganizer) Finish(d *ReorgDecision, err error) { r.c.Finish(d.d, err) }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
-	"time"
 
 	snakes "repro"
 )
@@ -120,12 +119,11 @@ func TestReorganizerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The migrator mirrors the daemon's mechanism in miniature: migrate,
-	// swap the local store variable, close the old generation.
-	var r *snakes.Reorganizer
+	// The caller's mechanism mirrors the daemon's in miniature: migrate,
+	// swap the local store variable, close the old generation, Finish.
 	migrate := func(ctx context.Context, d *snakes.ReorgDecision) error {
 		newPath := filepath.Join(dir, "g1.db")
-		dst, _, err := d.Strategy.MigrateCtx(ctx, fs, newPath, 8, d.Migrate)
+		dst, err := d.Strategy.MigrateCtx(ctx, fs, newPath, 8)
 		if err != nil {
 			return err
 		}
@@ -134,13 +132,12 @@ func TestReorganizerEndToEnd(t *testing.T) {
 		return old.Close()
 	}
 	cfg := snakes.ReorgConfig{
-		CheckInterval:   time.Millisecond,
 		Smoothing:       0.01,
 		MinWeight:       1,
 		RegretThreshold: 1.05,
 		Hysteresis:      2,
 	}
-	r, err = snakes.NewReorganizer(stA, 0, migrate, cfg)
+	r, err := snakes.NewReorganizer(stA, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +159,14 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatalf("reorganizer never fired: %v", err)
+	}
+	if _, err := r.Trigger(context.Background(), true); !errors.Is(err, snakes.ErrReorgInProgress) {
+		t.Fatalf("trigger while a decision runs = %v, want ErrReorgInProgress", err)
+	}
+	err = migrate(context.Background(), d)
+	r.Finish(d, err)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if d.Generation != 1 || r.Generation() != 1 {
 		t.Fatalf("generation after reorg: decision %d, reorganizer %d", d.Generation, r.Generation())
@@ -238,13 +243,12 @@ func TestReorganizerFailedMigrationKeepsOldStrategy(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	cfg := snakes.ReorgConfig{
-		CheckInterval:   time.Millisecond,
 		Smoothing:       0.01,
 		MinWeight:       1,
 		RegretThreshold: 1.05,
 		Hysteresis:      1,
 	}
-	r, err := snakes.NewReorganizer(stA, 0, func(context.Context, *snakes.ReorgDecision) error { return boom }, cfg)
+	r, err := snakes.NewReorganizer(stA, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +257,11 @@ func TestReorganizerFailedMigrationKeepsOldStrategy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Trigger(context.Background(), false); !errors.Is(err, boom) {
-		t.Fatalf("trigger error = %v, want the migrator's", err)
+	d, err := r.Trigger(context.Background(), false)
+	if err != nil {
+		t.Fatalf("trigger: %v", err)
 	}
+	r.Finish(d, boom)
 	st := r.Status()
 	if st.Generation != 0 || st.Failures != 1 || st.LastOutcome != "failed" {
 		t.Errorf("failure status = %+v", st)

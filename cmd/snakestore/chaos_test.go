@@ -342,12 +342,10 @@ func TestChaosReorgUnderFaults(t *testing.T) {
 		t.Fatalf("schedule %v corrupted nothing", sched)
 	}
 
-	d, err := srv.reorg.Trigger(context.Background(), true)
-	if err != nil {
-		t.Fatalf("forced reorg over a corrupt (repairable) source: %v", err)
-	}
-	if d.Generation != 1 {
-		t.Fatalf("post-reorg generation = %d, want 1", d.Generation)
+	if st := forceReorg(t, srv, ts); st.LastOutcome != "success" {
+		t.Fatalf("forced reorg over a corrupt (repairable) source: %+v", st)
+	} else if st.Generation != 1 {
+		t.Fatalf("post-reorg generation = %d, want 1", st.Generation)
 	}
 
 	// The swap cleared the quarantine (stale generation-0 page ids) and the

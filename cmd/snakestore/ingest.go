@@ -23,10 +23,9 @@ import (
 // still in the log (startup recovery replays it).
 
 // ingestState is the server's write-path machinery; nil when -ingest is
-// off. mu serializes puts, compaction ticks, and the reorganization
-// cutover against each other: puts hold it briefly to append, a tick holds
-// it for one bounded apply pass, and a reorg holds it while folding the
-// log's tail into the new generation and swapping in its fresh log.
+// off. mu serializes puts against the maintainer's folds and cutovers:
+// puts hold it briefly to append, a fold for one bounded apply pass, and a
+// cutover while it carries the log's tail and swaps in a fresh log.
 type ingestState struct {
 	mu   sync.Mutex
 	log  *snakes.DeltaLog

@@ -586,12 +586,10 @@ func TestReorgCarriesDeltas(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		getJSON(t, ts, "/query?where=y%3D3..4", http.StatusOK, nil)
 	}
-	d, err := srv.reorg.Trigger(context.Background(), true)
-	if err != nil {
-		t.Fatalf("forced reorg with pending deltas: %v", err)
-	}
-	if d.Generation != 1 {
-		t.Fatalf("post-reorg generation = %d, want 1", d.Generation)
+	if st := forceReorg(t, srv, ts); st.LastOutcome != "success" {
+		t.Fatalf("forced reorg with pending deltas: %+v", st)
+	} else if st.Generation != 1 {
+		t.Fatalf("post-reorg generation = %d, want 1", st.Generation)
 	}
 
 	// The delta rode along: folded into the new base, not pending.

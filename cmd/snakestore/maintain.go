@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	snakes "repro"
@@ -15,17 +15,21 @@ import (
 // of 8 KiB.
 const maintainBudget = 1 << 20
 
-// maintainer is the loop's state. A migration's goroutine owns owed; the
-// loop's goroutine owns the scrub cursor and pass.
+// errMaintStopped ends a reorganization the maintainer's loop can no longer
+// run: outcome "canceled", answered 503.
+var errMaintStopped = fmt.Errorf("maintenance stopped: %w: %w", snakes.ErrClosed, context.Canceled)
+
+// maintainer is the loop's state, owned by the loop's goroutine except the
+// reorganization slot, which POST /reorg may fill under mu.
 type maintainer struct {
-	budget    int64
-	grants    chan int64    // a tick's bytes, offered to a migration waiting in pace
-	used      chan int64    // what the granted migration tick copied
-	owed      bool          // pace holds a grant it has not reported on
-	stopped   chan struct{} // closed when the loop ends
-	migrating atomic.Bool   // a reorganization is between its copy and its cutover
-	stepping  atomic.Bool   // a reorg policy step is running
-	oversize  bool          // pending cells exceed their extents (logged on change)
+	budget     int64
+	adaptEvery time.Duration // how often a tick runs the reorg policy step
+	lastStep   time.Time     // when it last did
+	oversize   bool          // pending cells exceed their extents (logged on change)
+
+	mu    sync.Mutex
+	job   *reorgJob // the running reorganization, if any
+	ended bool      // the loop has ended and takes no more reorganizations
 
 	// The scrub pass: its generation, where its next window starts, and
 	// what its windows found so far.
@@ -37,36 +41,34 @@ type maintainer struct {
 // tickSpend is what one tick spent of its budget, by step.
 type tickSpend struct{ fold, copy, scrub int64 }
 
-func newMaintainer(budget int64) *maintainer {
-	return &maintainer{budget: budget, grants: make(chan int64), used: make(chan int64), stopped: make(chan struct{})}
-}
+func newMaintainer(budget int64) *maintainer { return &maintainer{budget: budget} }
 
-// startMaintainer installs the maintainer and ticks it every interval until
-// ctx ends or the daemon drains. With -adapt, the first tick at least
-// adaptEvery after the last reorg policy step starts the next one, off the
-// loop's goroutine: the migration it may start waits on the loop's grants.
+// startMaintainer ticks the maintainer every interval until ctx ends or the
+// daemon drains, running the reorg policy step every adaptEvery. A
+// reorganization still running when the loop ends is aborted as canceled.
 func (s *server) startMaintainer(ctx context.Context, interval, adaptEvery time.Duration) {
-	m := newMaintainer(maintainBudget)
-	s.maint = m
+	m := s.maint
+	m.adaptEvery, m.lastStep = adaptEvery, time.Now()
 	go func() {
-		defer close(m.stopped)
+		defer func() {
+			m.mu.Lock()
+			m.ended = true
+			j := m.job
+			m.mu.Unlock()
+			if j != nil {
+				j.mig.Abort()
+				s.endReorg(j, errMaintStopped)
+			}
+		}()
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		lastStep := time.Now()
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case now := <-t.C:
+			case <-t.C:
 				if s.draining.Load() {
 					return
-				}
-				if s.reorg != nil && now.Sub(lastStep) >= adaptEvery && m.stepping.CompareAndSwap(false, true) {
-					lastStep = now
-					go func() {
-						defer m.stepping.Store(false)
-						s.reorgStep(ctx)
-					}()
 				}
 				s.maintainTick(ctx)
 			}
@@ -74,51 +76,41 @@ func (s *server) startMaintainer(ctx context.Context, interval, adaptEvery time.
 	}()
 }
 
-// maintainTick spends one tick's budget in a fixed order: fold pending
-// deltas into the base file (charged in payload bytes), grant what is left
-// to a reorganization's copy (in bytes copied), and scrub with the rest.
-// Folding waits while a reorganization runs: its cutover carries every
-// pending delta into the new generation, and a fold would checkpoint away
-// an upsert to a cell the copy had already passed.
+// maintainTick spends one tick's budget in a fixed order: run the reorg
+// policy step when it is due and no reorganization runs; then either copy
+// the running reorganization's next cells (in bytes copied), cutting over
+// once the copy is done, or fold pending deltas (in payload bytes); then
+// scrub with the rest. No fold runs beside a reorganization: its cutover
+// carries every pending delta, and a fold would checkpoint away an upsert
+// to a cell the copy had already passed.
 func (s *server) maintainTick(ctx context.Context) tickSpend {
 	m := s.maint
 	var spent tickSpend
-	if s.ing != nil && !m.migrating.Load() {
-		spent.fold = s.fold(ctx)
+	m.mu.Lock()
+	j := m.job
+	m.mu.Unlock()
+	if j == nil && s.reorg != nil && time.Since(m.lastStep) >= m.adaptEvery {
+		m.lastStep = time.Now()
+		j, _ = s.startReorg(ctx, false) // errors are in the reorganizer's status
 	}
-	if left := m.budget - spent.fold; left > 0 {
-		select {
-		case m.grants <- left:
-			spent.copy = <-m.used
-		default:
+	if j != nil {
+		var err error
+		spent.copy, err = j.mig.Step(j.ctx, m.budget)
+		j.ticks++
+		s.reorg.Progress(j.mig.Progress())
+		switch {
+		case err != nil:
+			s.endReorg(j, err)
+		case j.mig.Done():
+			s.endReorg(j, s.cutover(j))
 		}
+	} else if s.ing != nil {
+		spent.fold = s.fold(ctx)
 	}
 	if left := m.budget - spent.fold - spent.copy; left > 0 && ctx.Err() == nil {
 		spent.scrub = s.scrub(ctx, left)
 	}
 	return spent
-}
-
-// pace is a migration's pace hook under the maintainer: it reports what the
-// last tick copied to the tick that granted it, then, unless the copy is
-// over, waits for the next grant.
-func (m *maintainer) pace(ctx context.Context, copied int64, last bool) (int64, error) {
-	if m.owed {
-		m.used <- copied
-		m.owed = false
-	}
-	if last {
-		return 0, nil
-	}
-	select {
-	case bytes := <-m.grants:
-		m.owed = true
-		return bytes, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	case <-m.stopped:
-		return 0, fmt.Errorf("maintenance stopped: %w", snakes.ErrClosed)
-	}
 }
 
 // scrub spends bytes on repairing scrub windows, at the store's page size: a
@@ -166,7 +158,7 @@ func (s *server) scrub(ctx context.Context, bytes int64) int64 {
 	}
 	if !found {
 		tr.Discard()
-	} else if tr != nil {
+	} else {
 		s.metrics.observeTrace(tr, tr.Finish(nil))
 	}
 	return read * pageBytes

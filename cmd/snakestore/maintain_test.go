@@ -225,7 +225,7 @@ func TestServeRejectsNonPositiveMaintainInterval(t *testing.T) {
 func TestMaintainerPacesMigration(t *testing.T) {
 	srv, ts, stored := buildMaintainedReorg(t)
 	const budget = 64
-	copied := migrateInTicks(t, srv, budget, func() {
+	copied := migrateInTicks(t, srv, ts, budget, func() {
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 6; y++ {
 				ingestOne(t, ts, []int{x, y}, fmt.Sprintf("%d.5", 10*x+y))
@@ -253,8 +253,8 @@ func TestMaintainerPacesMigration(t *testing.T) {
 // A store smaller than one tick's budget, in one-cell regions, is copied
 // in one tick.
 func TestMaintainerCopiesWholeGrant(t *testing.T) {
-	srv, _, stored := buildMaintainedReorg(t)
-	if copied := migrateInTicks(t, srv, maintainBudget, nil); len(copied) != 1 || copied[0] != stored {
+	srv, ts, stored := buildMaintainedReorg(t)
+	if copied := migrateInTicks(t, srv, ts, maintainBudget, nil); len(copied) != 1 || copied[0] != stored {
 		t.Errorf("copy ticks %v, want the store's %d bytes in one", copied, stored)
 	}
 }
@@ -263,9 +263,8 @@ func TestMaintainerCopiesWholeGrant(t *testing.T) {
 // one-cell regions, after a workload that makes a reorganization pay; it
 // returns the store's loaded bytes.
 func buildMaintainedReorg(t *testing.T) (*server, *httptest.Server, int64) {
-	cfg := adaptiveConfig()
-	cfg.Pacing.RegionCells = 1
-	srv, catPath, storePath, _ := buildAdaptiveServed(t, cfg)
+	srv, catPath, storePath, _ := buildAdaptiveServed(t, adaptiveConfig())
+	srv.regionCells = 1
 	t.Cleanup(func() { srv.closeStore() })
 	if err := srv.enableIngest(catPath, storePath, srv.cat, testDeltaOptions(), testIngestConfig()); err != nil {
 		t.Fatal(err)
@@ -286,24 +285,12 @@ func buildMaintainedReorg(t *testing.T) (*server, *httptest.Server, int64) {
 // bytes a tick and ticks it until the reorganization ends, returning what
 // each tick that copied copied. No tick may fold while it runs. afterFirst,
 // if set, runs once after the first tick that copied.
-func migrateInTicks(t *testing.T, srv *server, budget int64, afterFirst func()) []int64 {
+func migrateInTicks(t *testing.T, srv *server, ts *httptest.Server, budget int64, afterFirst func()) []int64 {
 	t.Helper()
 	srv.maint = newMaintainer(budget)
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.reorg.Trigger(context.Background(), true)
-		done <- err
-	}()
+	postJSON(t, ts, "/reorg?force=1", nil, http.StatusAccepted, nil)
 	var copied []int64
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("forced reorg under the maintainer: %v", err)
-			}
-			return copied
-		default:
-		}
+	for srv.reorg.Status().InProgress {
 		spent := srv.maintainTick(context.Background())
 		if spent.fold != 0 {
 			t.Errorf("a tick folded %d bytes during the migration", spent.fold)
@@ -314,8 +301,11 @@ func migrateInTicks(t *testing.T, srv *server, budget int64, afterFirst func()) 
 				afterFirst()
 			}
 		}
-		time.Sleep(time.Millisecond)
 	}
+	if st := srv.reorg.Status(); st.LastOutcome != "success" {
+		t.Fatalf("forced reorg under the maintainer: %+v", st)
+	}
+	return copied
 }
 
 // TestVerifyCountsRows: on a store whose cells pack several rows each,

@@ -19,7 +19,7 @@ const metricsPrefix = "snakestore_"
 // an explicit list.
 var (
 	handlerNames  = []string{"query", "verify", "healthz", "metrics", "reorg", "repair", "traces", "ingest", "events"}
-	responseCodes = []int{200, 400, 404, 409, 500, 503, 504}
+	responseCodes = []int{200, 202, 400, 404, 409, 500, 503, 504}
 	reorgOutcomes = []string{"success", "failed", "canceled"}
 	healthStates  = []string{"ok", "degraded", "healing"}
 )
@@ -81,6 +81,9 @@ type serverMetrics struct {
 // latencyBuckets spans 0.5 ms – ~4 s, the daemon's plausible request range.
 var latencyBuckets = obs.ExpBuckets(0.0005, 2, 14)
 
+// reorgBuckets spans 0.1 s – ~55 min: a reorganization copies 1 MiB a tick.
+var reorgBuckets = obs.ExpBuckets(0.1, 2, 16)
+
 // pageBuckets spans 1 – 2048 pages/seeks per query.
 var pageBuckets = obs.ExpBuckets(1, 2, 12)
 
@@ -137,7 +140,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 
 		classObserved: make(map[string]*obs.Counter, schema.NumClasses()),
 		reorgRegret:   reg.Gauge("snakestore_reorg_regret", "deployed strategy cost over DP-optimal cost at the last policy evaluation"),
-		reorgSeconds:  reg.Histogram("snakestore_reorg_migration_seconds", "wall time of reorganization attempts", latencyBuckets),
+		reorgSeconds:  reg.Histogram("snakestore_reorg_migration_seconds", "wall time of reorganization attempts", reorgBuckets),
 		reorgOutcome:  make(map[string]*obs.Counter, len(reorgOutcomes)),
 
 		scrubPages:     reg.Counter("snakestore_scrub_pages_total", "pages checked by the background scrubber and repair sweeps"),

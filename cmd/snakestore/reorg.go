@@ -14,11 +14,11 @@ import (
 )
 
 // enableReorg wires the adaptive reorganizer onto the server: the policy
-// watches the classes handleQuery observes, and when it fires the server's
-// reorgMigrate runs the migration and the generation swap.
-func (s *server) enableReorg(catPath, storeBase string, frames int, cat *catalog, strat *snakes.Strategy, cfg snakes.ReorgConfig) error {
-	s.catPath, s.storeBase, s.frames, s.cat = catPath, storeBase, frames, cat
-	r, err := snakes.NewReorganizer(strat, cat.Generation, s.reorgMigrate, cfg)
+// watches the classes handleQuery observes, and the maintainer copies what
+// it decides in scoring regions of regionCells target positions.
+func (s *server) enableReorg(catPath, storeBase string, frames, regionCells int, cat *catalog, strat *snakes.Strategy, cfg snakes.ReorgConfig) error {
+	s.catPath, s.storeBase, s.frames, s.regionCells, s.cat = catPath, storeBase, frames, regionCells, cat
+	r, err := snakes.NewReorganizer(strat, cat.Generation, cfg)
 	if err != nil {
 		return err
 	}
@@ -33,152 +33,98 @@ func (s *server) enableReorg(catPath, storeBase string, frames int, cat *catalog
 		s.log.Info("reorg", "outcome", outcome, "dur", d.Round(time.Millisecond), "gen", s.generation.Load())
 	})
 	s.reorg = r
-	s.generation.Store(int64(cat.Generation))
 	return nil
 }
 
-// reorgMigrate is the mechanism half of a reorganization: copy the store
-// into the next generation file under the new strategy, persist the catalog
-// (atomically, before anything is deleted), hot-swap the serving pointer,
-// drain readers off the old generation, and delete the old file only after
-// the new one passes a full scrub. A failure at any point before the
-// catalog write aborts with the old generation untouched and no partial
-// files; a crash after the catalog write leaves at most a stale file that
-// startup cleanup removes.
-func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) error {
+// reorgJob is a running reorganization: the decision, its copy, and its
+// trace, open from the decision to the cutover, with the migrate span on ctx.
+type reorgJob struct {
+	d     *snakes.ReorgDecision
+	mig   *snakes.Migration
+	ctx   context.Context
+	span  snakes.TraceSpanRef
+	tr    *snakes.Trace
+	ticks int
+}
+
+// startReorg runs one policy step under a forced trace, discarded when the
+// policy declines; when it decides, it starts the migration into the next
+// generation file and hands it to the maintainer's slot.
+func (s *server) startReorg(ctx context.Context, force bool) (*reorgJob, error) {
+	tctx, tr := s.traces.StartForced(ctx, "reorg")
+	d, err := s.reorg.Trigger(tctx, force)
+	if err != nil {
+		if snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress) {
+			tr.Discard()
+		} else {
+			s.metrics.observeTrace(tr, tr.Finish(err))
+		}
+		return nil, err
+	}
+	j := &reorgJob{d: d, tr: tr}
+	j.ctx, j.span = snakes.StartTraceSpan(tctx, snakes.TraceKindMigrate, "")
+	j.span.SetAttr("generation", int64(d.Generation))
+	if j.mig, err = d.Strategy.StartMigration(j.ctx, s.st(), genPath(s.storeBase, d.Generation), s.frames, s.regionCells); err != nil {
+		s.endReorg(j, err)
+		return nil, err
+	}
+	s.reorg.Progress(j.mig.Progress())
+	m := s.maint
+	m.mu.Lock()
+	if m.ended {
+		m.mu.Unlock()
+		j.mig.Abort()
+		s.endReorg(j, errMaintStopped)
+		return nil, errMaintStopped
+	}
+	m.job = j
+	m.mu.Unlock()
+	return j, nil
+}
+
+// endReorg empties the maintainer's slot, reports the reorganization's
+// outcome to the reorganizer and closes its trace. The slot holds j or
+// nothing: Trigger's claim, released by Finish, admits one reorganization
+// at a time.
+func (s *server) endReorg(j *reorgJob, err error) {
+	m := s.maint
+	m.mu.Lock()
+	m.job = nil
+	m.mu.Unlock()
+	j.span.SetError(err)
+	j.span.End()
+	s.reorg.Finish(j.d, err)
+	s.metrics.observeTrace(j.tr, j.tr.Finish(err))
+}
+
+// cutover runs on the maintainer's loop once the copy is done: flush and
+// commit the new generation, drain readers off the old one, and delete the
+// old file only after the new one passes a full scrub. A crash after the
+// catalog commit leaves at most a stale file that startup cleanup removes.
+func (s *server) cutover(j *reorgJob) error {
 	old := s.st()
-	newPath := genPath(s.storeBase, d.Generation)
-	// The copy is paced, never the whole file in one burst: by the
-	// maintainer's grants when it runs, else by the policy's own pacing
-	// (d.Migrate). Upserts pending in old's overlay ride along.
-	opt := d.Migrate
-	if m := s.maint; m != nil {
-		opt.Pace = m.pace
-		m.migrating.Store(true)
-		defer m.migrating.Store(false)
-	}
-	dst, ticks, err := d.Strategy.MigrateCtx(ctx, old, newPath, s.frames, opt)
+	dst, err := j.mig.Finish(j.ctx)
 	if err != nil {
 		return err
 	}
-	s.log.Info("reorg", "how", "incremental region copy complete", "ticks", ticks, "gen", d.Generation)
+	s.log.Info("reorg", "how", "incremental region copy complete", "ticks", j.ticks, "gen", j.d.Generation)
 	s.armStore(dst)
-	var newLog *snakes.DeltaLog
-	abort := func(err error) error {
-		if newLog != nil {
-			newLog.Close()
-			os.Remove(newLog.Path())
-		}
-		dst.Close()
-		os.Remove(newPath)
-		os.Remove(snakes.ParityPath(newPath))
+	oldPath, err := s.commitGeneration(j.ctx, j.d, dst)
+	if err != nil {
 		return err
 	}
-	// Cutover: block puts and compaction ticks, fold every entry still in
-	// the log into the new generation (upserts that landed during the copy,
-	// plus already-copied ones — PutCellBytes is an idempotent replace), and
-	// open the new generation's fresh log. ing.mu is held through the swap
-	// below so no put can land in the old log after its tail was carried.
-	ingLocked := false
-	unlockIngest := func() {
-		if ingLocked {
-			s.ing.mu.Unlock()
-			ingLocked = false
-		}
-	}
-	if s.ing != nil {
-		s.ing.mu.Lock()
-		ingLocked = true
-	}
-	defer unlockIngest()
-	if s.ing != nil {
-		for _, p := range s.ing.log.SnapshotPending() {
-			if perr := dst.PutCellBytes(p.Cell, p.Payload); perr != nil {
-				return abort(fmt.Errorf("reorg: carrying delta for cell %d: %w", p.Cell, perr))
-			}
-		}
-		if ferr := dst.Pool().Flush(); ferr != nil {
-			return abort(ferr)
-		}
-		newLog, err = snakes.OpenDeltaLog(snakes.DeltaPath(newPath), int64(d.Generation), s.ing.opt)
-		if err != nil {
-			return abort(err)
-		}
-		snakes.AttachDeltaLog(dst, newLog)
-	}
-	// The new generation's parity sidecar is written before the catalog
-	// commit, so a generation is never live without its repair coverage; a
-	// crash in between leaves stale files that startup cleanup sweeps.
-	if err := dst.WriteParity(snakes.ParityPath(newPath), s.parityGroup); err != nil {
-		return abort(err)
-	}
-	stratJSON, err := snakes.MarshalStrategy(d.Strategy)
-	if err != nil {
-		return abort(err)
-	}
 
-	// Commit point: catalog first (atomic rename), then the serving
-	// pointer, all under swapMu so a concurrent drain either beats the
-	// commit (we abort) or closes the store we just installed. Each phase
-	// gets its own span, so a migration trace shows catalog commit, swap,
-	// drain, and verify separately.
-	s.swapMu.Lock()
-	if s.draining.Load() {
-		s.swapMu.Unlock()
-		return abort(fmt.Errorf("reorg aborted: daemon draining: %w", snakes.ErrClosed))
-	}
-	oldPath := activeStorePath(s.cat, s.storeBase)
-	cat := *s.cat
-	cat.Version = catalogVersion
-	cat.Strategy = stratJSON
-	cat.Generation = d.Generation
-	cat.StoreFile = filepath.Base(newPath)
-	csp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
-	if err := s.commitCatalog(cat, dst); err != nil {
-		csp.SetError(err)
-		csp.End()
-		s.swapMu.Unlock()
-		return abort(err)
-	}
-	csp.End()
-	ssp := snakes.StartTraceLeaf(ctx, snakes.TraceKindSwap, "")
-	ssp.SetAttr("generation", int64(d.Generation))
-	s.store.Store(dst)
-	s.generation.Store(int64(d.Generation))
-	ssp.End()
-	s.swapMu.Unlock()
-
-	// The new generation is serving; retire the old delta log. Its entries
-	// were all folded into dst under ing.mu above, so the file is dead
-	// weight (and would fail its generation check on the next startup).
-	if s.ing != nil {
-		oldLog := s.ing.log
-		s.ing.log = newLog
-		newLog = nil // the abort path must not remove the serving log
-		if cerr := oldLog.Close(); cerr != nil {
-			s.log.Warn("reorg", "how", "closing retired delta log", "err", cerr)
-		}
-		if rerr := os.Remove(oldLog.Path()); rerr != nil && !os.IsNotExist(rerr) {
-			s.log.Warn("reorg", "how", "removing retired delta log", "err", rerr)
-		}
-	}
-	unlockIngest()
-
-	// The quarantine describes pages of the generation that just retired;
-	// carrying its page ids against the new file would keep /healthz
-	// degraded forever on damage that no longer exists. The post-swap scrub
-	// below re-detects anything actually wrong with the new generation.
+	// The quarantine's page ids belong to the retired generation; the
+	// post-swap scrub below re-detects anything wrong with the new one.
 	s.mu.Lock()
-	s.quarantine = make(map[int64]quarantined)
-	s.healing = false
+	s.quarantine, s.healing = make(map[int64]quarantined), false
 	s.mu.Unlock()
 
-	// The swap is committed: new requests already run on dst. Close the
-	// old generation — Close blocks until its in-flight readers drain —
-	// then gate the old file's deletion on a clean scrub of the new one.
-	// The post-swap work keeps the trace but drops ctx's cancellation: a
-	// canceled trigger must not abandon a committed swap half-tidied.
-	pctx := context.WithoutCancel(ctx)
+	// New requests already run on dst. Close the old generation — Close
+	// waits for its in-flight readers — then gate the old file's deletion on
+	// a clean scrub of the new one, past any cancellation of ctx: a
+	// committed swap must not be abandoned half-tidied.
+	pctx := context.WithoutCancel(j.ctx)
 	dsp := snakes.StartTraceLeaf(pctx, snakes.TraceKindDrain, "")
 	if err := old.Close(); err != nil && !errors.Is(err, snakes.ErrClosed) {
 		s.log.Warn("reorg", "how", "closing old generation", "err", err)
@@ -188,36 +134,121 @@ func (s *server) reorgMigrate(ctx context.Context, d *snakes.ReorgDecision) erro
 	rep, verr := dst.VerifyCtx(vctx)
 	vsp.SetError(verr)
 	vsp.End()
-	if verr != nil || !rep.OK() {
-		if verr == nil {
-			verr = fmt.Errorf("%d problem(s)", len(rep.Problems))
-			for _, p := range rep.Problems {
-				if errors.Is(p.Err, snakes.ErrCorruptPage) {
-					s.noteCorrupt(fmt.Errorf("post-reorg scrub: %w", p.Err))
-				}
+	if verr == nil && !rep.OK() {
+		verr = fmt.Errorf("%d problem(s)", len(rep.Problems))
+		for _, p := range rep.Problems {
+			if errors.Is(p.Err, snakes.ErrCorruptPage) {
+				s.noteCorrupt(fmt.Errorf("post-reorg scrub: %w", p.Err))
 			}
 		}
+	}
+	if verr != nil {
 		// The swap stands (the catalog already points at the new
 		// generation) but the old file is kept as a recovery artifact.
 		s.log.Warn("reorg", "how", "post-swap scrub not clean; keeping old generation file", "err", verr)
 		return nil
 	}
-	if oldPath != newPath {
-		if err := os.Remove(oldPath); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "how", "removing old generation file", "err", err)
-		}
-		if err := os.Remove(snakes.ParityPath(oldPath)); err != nil && !os.IsNotExist(err) {
-			s.log.Warn("reorg", "how", "removing old generation parity sidecar", "err", err)
+	for _, p := range []string{oldPath, snakes.ParityPath(oldPath)} {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			s.log.Warn("reorg", "how", "removing old generation file", "path", p, "err", err)
 		}
 	}
 	return nil
 }
 
+// commitGeneration makes dst, the finished copy for d, the serving
+// generation — deltas carried, parity written, catalog committed, pointer
+// swapped, old delta log retired — and returns the old generation's path.
+// On failure everything written for dst is removed and the old one serves.
+func (s *server) commitGeneration(ctx context.Context, d *snakes.ReorgDecision, dst *snakes.FileStore) (oldPath string, err error) {
+	newPath := genPath(s.storeBase, d.Generation)
+	var newLog *snakes.DeltaLog
+	defer func() {
+		if err != nil {
+			if newLog != nil {
+				newLog.Close()
+				os.Remove(newLog.Path())
+			}
+			dst.Close()
+			os.Remove(newPath)
+			os.Remove(snakes.ParityPath(newPath))
+		}
+	}()
+	if s.ing != nil {
+		// Fold every entry still in the log into dst (PutCellBytes is an
+		// idempotent replace), holding puts off through the swap so none
+		// lands in the old log after its tail was carried.
+		s.ing.mu.Lock()
+		defer s.ing.mu.Unlock()
+		for _, p := range s.ing.log.SnapshotPending() {
+			if err := dst.PutCellBytes(p.Cell, p.Payload); err != nil {
+				return "", fmt.Errorf("reorg: carrying delta for cell %d: %w", p.Cell, err)
+			}
+		}
+		if err := dst.Pool().Flush(); err != nil {
+			return "", err
+		}
+		if newLog, err = snakes.OpenDeltaLog(snakes.DeltaPath(newPath), int64(d.Generation), s.ing.opt); err != nil {
+			return "", err
+		}
+		snakes.AttachDeltaLog(dst, newLog)
+	}
+	// The parity sidecar is written before the catalog commit, so a
+	// generation is never live without its repair coverage; a crash in
+	// between leaves stale files that startup cleanup sweeps.
+	if err := dst.WriteParity(snakes.ParityPath(newPath), s.parityGroup); err != nil {
+		return "", err
+	}
+	stratJSON, err := snakes.MarshalStrategy(d.Strategy)
+	if err != nil {
+		return "", err
+	}
+
+	// Commit point: catalog first, then the serving pointer, under swapMu
+	// so a concurrent drain either beats the commit (we abort) or closes
+	// the store we just installed.
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
+	if s.draining.Load() {
+		return "", fmt.Errorf("reorg aborted: daemon draining: %w", snakes.ErrClosed)
+	}
+	oldPath = activeStorePath(s.cat, s.storeBase)
+	cat := *s.cat
+	cat.Version, cat.Strategy, cat.Generation, cat.StoreFile = catalogVersion, stratJSON, d.Generation, filepath.Base(newPath)
+	csp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
+	err = s.commitCatalog(cat, dst)
+	csp.SetError(err)
+	csp.End()
+	if err != nil {
+		return "", err
+	}
+	ssp := snakes.StartTraceLeaf(ctx, snakes.TraceKindSwap, "")
+	ssp.SetAttr("generation", int64(d.Generation))
+	s.store.Store(dst)
+	s.generation.Store(int64(d.Generation))
+	ssp.End()
+
+	// Retire the old delta log: its entries are all in dst, and it would
+	// fail its generation check on the next startup.
+	if s.ing != nil {
+		oldLog := s.ing.log
+		s.ing.log = newLog
+		if err := oldLog.Close(); err != nil {
+			s.log.Warn("reorg", "how", "closing retired delta log", "err", err)
+		}
+		if err := os.Remove(oldLog.Path()); err != nil && !os.IsNotExist(err) {
+			s.log.Warn("reorg", "how", "removing retired delta log", "err", err)
+		}
+	}
+	return oldPath, nil
+}
+
 // handleReorg exposes the adaptive reorganizer: GET reports the policy's
 // status (generation, regret, hysteresis, migration progress, last
-// outcome), POST triggers one policy step now — with ?force=1 the
-// thresholds are bypassed and the current DP optimum deployed
-// unconditionally. A POST while a migration is already running answers 409.
+// outcome); POST runs one policy step now (?force=1 bypasses the
+// thresholds) and, when it decides, starts the migration and answers 202,
+// leaving the copy and cutover to the maintainer's ticks, or 409 while a
+// reorganization runs.
 func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	switch r.Method {
@@ -232,17 +263,11 @@ func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, usagef("adaptive reorganization is disabled; restart serve with -adapt"))
 			return
 		}
-		// Migrations can legitimately outlast the per-request timeout, so
-		// the trigger runs under the raw request context: a disconnecting
-		// client cancels the migration cleanly (partial output removed).
-		d, err := s.reorg.Trigger(r.Context(), r.URL.Query().Get("force") == "1")
+		j, err := s.startReorg(context.WithoutCancel(r.Context()), r.URL.Query().Get("force") == "1")
 		switch {
 		case err == nil:
-			json.NewEncoder(w).Encode(map[string]any{
-				"triggered":  true,
-				"generation": d.Generation,
-				"regret":     d.Regret,
-			})
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(map[string]any{"triggered": true, "generation": j.d.Generation, "regret": j.d.Regret})
 		case snakes.ReorgSkipped(err):
 			json.NewEncoder(w).Encode(map[string]any{"triggered": false, "reason": err.Error()})
 		default:
@@ -250,22 +275,5 @@ func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		s.writeErr(w, usagef("method %s not allowed on /reorg", r.Method))
-	}
-}
-
-// reorgStep runs one policy step under a forced trace, so a migration's
-// spans land in /debug/traces; a step where the policy declines discards
-// it. Errors are absorbed into the reorganizer's status and metrics.
-func (s *server) reorgStep(ctx context.Context) {
-	tctx, tr := s.traces.StartForced(ctx, "reorg-tick")
-	_, err := s.reorg.Trigger(tctx, false)
-	switch {
-	case snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress):
-		tr.Discard()
-	default:
-		res := tr.Finish(err)
-		if tr != nil {
-			s.metrics.observeTrace(tr, res)
-		}
 	}
 }

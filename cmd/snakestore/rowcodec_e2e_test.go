@@ -177,7 +177,7 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 	}
 	srv := newServer(store, schema, c, adm, 0, snakes.TraceConfig{})
 	defer func() { srv.closeStore() }()
-	if err := srv.enableReorg(catPath, storePath, 8, c, strat, adaptiveConfig()); err != nil {
+	if err := srv.enableReorg(catPath, storePath, 8, 64, c, strat, adaptiveConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.enableIngest(catPath, storePath, srv.cat, testDeltaOptions(), testIngestConfig()); err != nil {
@@ -285,8 +285,8 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		getJSON(t, ts, "/query?where=y%3D3..4", http.StatusOK, nil)
 	}
-	if d, err := srv.reorg.Trigger(context.Background(), true); err != nil || d.Generation != 1 {
-		t.Fatalf("forced reorganization: %+v, %v", d, err)
+	if st := forceReorg(t, srv, ts); st.LastOutcome != "success" || st.Generation != 1 {
+		t.Fatalf("forced reorganization: %+v", st)
 	}
 	agree("after the cutover")
 

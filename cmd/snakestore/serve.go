@@ -87,6 +87,7 @@ type server struct {
 	catPath         string
 	storeBase       string
 	frames          int
+	regionCells     int      // a migration's scoring region, in target positions (-compact-region)
 	cat             *catalog // kept without its per-cell arrays; see commitCatalog
 	catFill         uint64   // the serving store's FillEpoch the catalog on disk records
 
@@ -104,7 +105,7 @@ type server struct {
 	healing    bool                  // a POST /repair sweep is working the quarantine
 	lastScrub  string                // outcome of the last whole scrub: /verify, /repair or a maintainer pass
 
-	// Background upkeep (maintain.go); nil until startMaintainer.
+	// Background upkeep (maintain.go), ticked by startMaintainer.
 	maint *maintainer
 }
 
@@ -125,6 +126,7 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm
 		clock:       time.Now,
 		events:      snakes.NewEventRing(defaultEventCapacity),
 		calib:       snakes.NewCalibration(snakes.DefaultCalibrationAlpha, snakes.DefaultCalibrationThreshold, snakes.DefaultCalibrationMinWeight),
+		maint:       newMaintainer(maintainBudget),
 	}
 	s.store.Store(store)
 	s.generation.Store(int64(gen))
@@ -423,7 +425,7 @@ func cmdServe(args []string) error {
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow; 0 disables")
 	traceCapacity := fs.Int("trace-capacity", 256, "retained sampled traces (slow/errored traces keep a quarter of this on top)")
 	adapt := fs.Bool("adapt", false, "re-cluster the store automatically when the live workload drifts")
-	adaptInterval := fs.Duration("adapt-interval", 30*time.Second, "how often the reorg policy re-evaluates the workload (on a maintenance tick)")
+	adaptInterval := fs.Duration("adapt-interval", 30*time.Second, "how often the reorg policy re-evaluates the workload, on a maintenance tick (0: every tick)")
 	adaptHalfLife := fs.Duration("adapt-half-life", 15*time.Minute, "decay half-life of the live workload estimate")
 	adaptThreshold := fs.Float64("adapt-threshold", 1.2, "cost regret factor that arms a reorganization (must exceed 1)")
 	adaptHysteresis := fs.Int("adapt-hysteresis", 3, "consecutive over-threshold evaluations required before acting")
@@ -435,7 +437,7 @@ func cmdServe(args []string) error {
 	ingestBatchKB := fs.Int("ingest-batch-kb", 256, "fsync batch size in KiB for -ingest-sync=batch")
 	ingestMaxPendingMB := fs.Int("ingest-max-pending-mb", 64, "delta backlog ceiling in MiB before puts shed with 503; 0 = unbounded")
 	maintainInterval := fs.Duration("maintain-interval", time.Second, "background maintenance tick: each folds deltas, advances a migration and scrubs, 1 MiB of I/O in all")
-	compactRegion := fs.Int("compact-region", 64, "compaction scoring window in linearization positions")
+	compactRegion := fs.Int("compact-region", 64, "scoring window in linearization positions, for compaction and a reorganization's copy")
 	eventCap := fs.Int("event-capacity", defaultEventCapacity, "wide events retained for /debug/events")
 	sloSpec := fs.String("slo", "", "per-class latency objectives, e.g. 'default=250ms@99.9;0,2=50ms@99'; empty disables the SLO engine")
 	if err := fs.Parse(args); err != nil {
@@ -531,14 +533,9 @@ func cmdServe(args []string) error {
 	}
 	if *adapt {
 		srv.calibrateRegret = *adaptCalibrated
-		cfg := snakes.DefaultReorgConfig()
-		cfg.CheckInterval = *adaptInterval
-		cfg.HalfLife = *adaptHalfLife
-		cfg.RegretThreshold = *adaptThreshold
-		cfg.Hysteresis = *adaptHysteresis
-		cfg.MinInterval = *adaptMinInterval
-		cfg.MinWeight = *adaptMinWeight
-		if err := srv.enableReorg(*catPath, *storePath, *frames, cat, strat, cfg); err != nil {
+		cfg := snakes.ReorgConfig{HalfLife: *adaptHalfLife, Smoothing: snakes.DefaultReorgConfig().Smoothing, MinWeight: *adaptMinWeight,
+			RegretThreshold: *adaptThreshold, Hysteresis: *adaptHysteresis, MinInterval: *adaptMinInterval}
+		if err := srv.enableReorg(*catPath, *storePath, *frames, *compactRegion, cat, strat, cfg); err != nil {
 			store.Close()
 			return usagef("%v", err)
 		}

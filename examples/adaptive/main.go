@@ -8,9 +8,9 @@
 // background, and the same scans get cheaper.
 //
 // This drives the real subsystem end to end: a paged FileStore on disk, a
-// snakes.Reorganizer running its policy loop, and a physical MigrateCtx
-// hot-swap — the same mechanism `snakestore serve -adapt` uses, minus the
-// HTTP layer and catalog.
+// snakes.Reorganizer deciding between batches of queries, and a physical
+// MigrateCtx hot-swap — the mechanism `snakestore serve -adapt` runs in
+// its maintenance ticks, in one call and minus the HTTP layer and catalog.
 package main
 
 import (
@@ -68,27 +68,27 @@ func main() {
 	fmt.Printf("generation 0 deployed on %v\n", st0.Path)
 
 	// The serving store lives behind an atomic pointer, exactly as in the
-	// daemon: queries snapshot it, the migrator swaps it.
+	// daemon: queries snapshot it, a reorganization swaps it.
 	var store atomic.Pointer[snakes.FileStore]
 	store.Store(fs)
 
-	// The migrator is the mechanism half of the loop: physically re-cluster
-	// into the next generation file, swap the serving store, drop the old
-	// one. The daemon does the same plus catalog persistence and a scrub.
+	// migrate is the mechanism half of the loop: physically re-cluster into
+	// the next generation file, swap the serving store, drop the old one.
+	// The daemon does the same in paced steps, plus catalog persistence and
+	// a scrub.
 	newPath := func(gen int) string {
 		return filepath.Join(dir, fmt.Sprintf("metrics.g%d.db", gen))
 	}
 	migrate := func(ctx context.Context, d *snakes.ReorgDecision) error {
 		old := store.Load()
-		dst, _, err := d.Strategy.MigrateCtx(ctx, old, newPath(d.Generation), 16, d.Migrate)
+		dst, err := d.Strategy.MigrateCtx(ctx, old, newPath(d.Generation), 16)
 		if err != nil {
 			return err
 		}
 		store.Store(dst)
 		return old.Close() // drains in-flight readers, then frees the file
 	}
-	reorg, err := snakes.NewReorganizer(st0, 0, migrate, snakes.ReorgConfig{
-		CheckInterval:   5 * time.Millisecond,
+	reorg, err := snakes.NewReorganizer(st0, 0, snakes.ReorgConfig{
 		HalfLife:        2 * time.Second, // old traffic fades fast in this demo
 		Smoothing:       0.1,
 		MinWeight:       50,
@@ -161,28 +161,38 @@ func main() {
 	fmt.Printf("drifted: %d fleet scans cost %.1f seeks each on the stale layout\n",
 		driftQueries, float64(driftSeeks)/driftQueries)
 
-	// Now start the policy loop, exactly as the daemon runs it, and keep
-	// serving while it works: regret above threshold, sustained across the
-	// hysteresis window, triggers the background migration and hot-swap
-	// under live traffic.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go reorg.Run(ctx)
+	// Now run the policy step between batches of queries, as the daemon's
+	// maintenance tick does: regret above threshold, sustained across the
+	// hysteresis window, makes Trigger decide; the example then migrates,
+	// hot-swaps, and reports the outcome with Finish.
+	ctx := context.Background()
 	deadline := time.Now().Add(10 * time.Second)
 	for reorg.Generation() == 0 {
 		if time.Now().After(deadline) {
 			log.Fatalf("reorganizer never fired: %+v", reorg.Status())
 		}
-		serve(incident())
+		for i := 0; i < 10; i++ {
+			serve(incident())
+		}
+		d, err := reorg.Trigger(ctx, false)
+		if snakes.ReorgSkipped(err) {
+			continue
+		}
+		if err == nil {
+			err = migrate(ctx, d)
+			reorg.Finish(d, err)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	status := reorg.Status()
-	fmt.Printf("reorganized at regret %.2f: generation %d on %v (%d/%d cells in %.0f ms)\n",
+	fmt.Printf("reorganized at regret %.2f: generation %d on %v (%d cells in %.0f ms)\n",
 		math.Float64frombits(tripRegret.Load()), status.Generation, reorg.Strategy().Path,
-		status.MigratedCells, status.TotalCells, status.LastReorgSecs*1e3)
+		schema.NumCells(), status.LastReorgSecs*1e3)
 
 	// Reopen the new generation cold (migration wrote through its pool) and
 	// replay the incident scans: the seeks drop to the new layout's optimum.
-	cancel() // stop the policy loop before manually swapping the store
 	warm := store.Load()
 	loaded := warm.LoadedBytes()
 	if err := warm.Close(); err != nil {

@@ -57,7 +57,7 @@ func TestFileStoreFacadeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	migrated, _, err := rm.MigrateCtx(context.Background(), fs2, filepath.Join(dir, "facts2.db"), 8, MigrateOptions{})
+	migrated, err := rm.MigrateCtx(context.Background(), fs2, filepath.Join(dir, "facts2.db"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

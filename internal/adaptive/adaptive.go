@@ -3,14 +3,14 @@
 // stream (exponentially decayed, so old traffic fades), periodically re-runs
 // the Figure-4 DP against that estimate, and — when the deployed
 // linearization's expected cost exceeds the new optimum's by a configurable
-// regret factor, persistently enough to clear a hysteresis window — invokes
-// a caller-supplied migrator that re-clusters the store in the background
-// and hot-swaps the daemon onto the new generation.
+// regret factor, persistently enough to clear a hysteresis window — hands
+// its caller a decision to re-cluster the store onto the new optimum.
 //
-// The controller owns the decision policy (what to track, when to act); the
-// migrator owns the mechanism (copy, catalog, swap, cleanup). That split
-// keeps the policy unit-testable without a disk store and lets the daemon
-// implement the swap against its own catalog and metrics.
+// The controller owns the decision policy (what to track, when to act) and
+// the one in-progress slot; whoever holds a decision owns the mechanism
+// (copy, catalog, swap, cleanup) and reports its outcome with Finish. That
+// split keeps the policy unit-testable without a disk store and lets the
+// daemon run the copy inside its own maintenance tick.
 package adaptive
 
 import (
@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lattice"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -39,8 +38,6 @@ var errSkipped = errors.New("adaptive: reorganization not warranted")
 // Config tunes the controller's decision policy. The zero value is not
 // usable; use Defaults() as a base.
 type Config struct {
-	// CheckInterval is how often Run re-evaluates the workload.
-	CheckInterval time.Duration
 	// HalfLife is the decay half-life of the workload estimator; 0
 	// disables time decay (observations never fade).
 	HalfLife time.Duration
@@ -62,56 +59,21 @@ type Config struct {
 	Hysteresis int
 	// MinInterval is the minimum time between reorganization attempts.
 	MinInterval time.Duration
-	// Pacing bounds the incremental migrator the decision is handed to.
-	Pacing Pacing
 }
-
-// Pacing is the controller's I/O budget for a reorganization, in the
-// migrator's own terms: copying in region-scored ticks of the bytes the
-// Pace hook grants, a re-cluster never rewrites the whole file in one burst
-// and concurrent queries keep their latency. The controller sets Progress
-// itself, on each decision.
-type Pacing = storage.MigrateOptions
 
 // Defaults returns a conservative production-shaped policy.
 func Defaults() Config {
 	return Config{
-		CheckInterval:   30 * time.Second,
 		HalfLife:        15 * time.Minute,
 		Smoothing:       0.5,
 		MinWeight:       100,
 		RegretThreshold: 1.2,
 		Hysteresis:      3,
 		MinInterval:     10 * time.Minute,
-		Pacing: Pacing{
-			RegionCells: 64,
-			Pace:        sleepPace(10*time.Millisecond, 16<<10),
-		},
-	}
-}
-
-// sleepPace is a migration pace that sleeps d before each tick and grants
-// it bytes: 16 KiB is about 256 cells of 64 bytes.
-func sleepPace(d time.Duration, bytes int64) func(context.Context, int64, bool) (int64, error) {
-	return func(ctx context.Context, _ int64, last bool) (int64, error) {
-		if last {
-			return 0, nil
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-t.C:
-			return bytes, nil
-		}
 	}
 }
 
 func (c Config) validate() error {
-	if c.CheckInterval <= 0 {
-		return fmt.Errorf("adaptive: CheckInterval %v must be positive", c.CheckInterval)
-	}
 	if c.HalfLife < 0 {
 		return fmt.Errorf("adaptive: negative HalfLife %v", c.HalfLife)
 	}
@@ -127,16 +89,12 @@ func (c Config) validate() error {
 	if c.MinInterval < 0 {
 		return fmt.Errorf("adaptive: negative MinInterval %v", c.MinInterval)
 	}
-	if c.Pacing.RegionCells < 0 {
-		return fmt.Errorf("adaptive: negative pacing: %d cells a region", c.Pacing.RegionCells)
-	}
 	return nil
 }
 
-// Decision is what the controller hands the migrator when it decides to
-// re-cluster: the new strategy, the evidence, and the generation number the
-// new store file should carry. Migrate is the configured pacing plus the
-// progress hook behind Status, ready to hand to storage.MigrateCtx.
+// Decision is what Trigger hands its caller when it decides to re-cluster:
+// the new strategy, the evidence, and the generation number the new store
+// file should carry.
 type Decision struct {
 	Path        *core.Path
 	Snaked      bool
@@ -145,15 +103,7 @@ type Decision struct {
 	OptimalCost float64 // expected seeks/query of Path
 	Regret      float64 // CurrentCost / OptimalCost
 	Generation  int     // generation the new store assumes on success
-	Migrate     storage.MigrateOptions
 }
-
-// Migrator performs the mechanism of a reorganization: build the new
-// generation, persist the catalog, swap the serving store, clean up. A nil
-// error commits the controller to the decision's strategy and generation;
-// any error (including ctx cancellation) leaves the controller on the old
-// generation, ready to retry after MinInterval.
-type Migrator func(ctx context.Context, d *Decision) error
 
 // Evaluation is one regret measurement, surfaced by Status and the
 // OnEvaluate hook.
@@ -188,13 +138,11 @@ type Status struct {
 }
 
 // Controller tracks the live workload and decides when to reorganize.
-// Observe is safe to call from every serving goroutine; Run, Trigger, and
-// Status may be used concurrently with it.
+// Every method is safe for concurrent use.
 type Controller struct {
-	cfg     Config
-	lat     *lattice.Lattice
-	est     *workload.DecayingEstimator
-	migrate Migrator
+	cfg Config
+	lat *lattice.Lattice
+	est *workload.DecayingEstimator
 
 	mu         sync.Mutex
 	path       *core.Path // deployed strategy
@@ -203,7 +151,7 @@ type Controller struct {
 	evals      uint64
 	lastRegret float64
 	trips      int       // consecutive evaluations above threshold
-	lastReorg  time.Time // last attempt (success or failure)
+	lastReorg  time.Time // last attempt (success or failure): when its slot was claimed
 	reorgs     uint64
 	failures   uint64
 	inProgress bool
@@ -213,12 +161,12 @@ type Controller struct {
 	lastErr    string
 	lastSecs   float64
 
-	// OnEvaluate and OnReorg, when set before Run/Trigger, observe policy
+	// OnEvaluate and OnReorg, when set before Trigger, observe policy
 	// activity for metrics; they are called without the controller lock.
 	OnEvaluate func(Evaluation)
 	OnReorg    func(outcome string, d time.Duration)
 
-	// CostCorrection, when set before Run/Trigger, scales the deployed
+	// CostCorrection, when set before Trigger, scales the deployed
 	// strategy's analytic cost by a live observed/predicted seek ratio
 	// (the obsevent calibration watch) before regret is computed. The
 	// optimum stays analytic: regret then compares what the store is
@@ -231,14 +179,9 @@ type Controller struct {
 }
 
 // New returns a controller deployed on the given strategy and generation.
-// The migrator is invoked from Run's goroutine (or Trigger's caller) when
-// the policy fires.
-func New(lat *lattice.Lattice, path *core.Path, snaked bool, generation int, migrate Migrator, cfg Config) (*Controller, error) {
+func New(lat *lattice.Lattice, path *core.Path, snaked bool, generation int, cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if migrate == nil {
-		return nil, fmt.Errorf("adaptive: nil migrator")
 	}
 	est, err := workload.NewDecayingEstimator(lat, cfg.HalfLife)
 	if err != nil {
@@ -248,7 +191,6 @@ func New(lat *lattice.Lattice, path *core.Path, snaked bool, generation int, mig
 		cfg:        cfg,
 		lat:        lat,
 		est:        est,
-		migrate:    migrate,
 		path:       path,
 		snaked:     snaked,
 		generation: generation,
@@ -302,7 +244,7 @@ func (c *Controller) Status() Status {
 // Evaluate runs one policy step: estimate the workload, re-run the DP,
 // compute regret, and update the hysteresis counter. It returns the
 // measurement and, when the policy says to act, a non-nil Decision.
-// Evaluate itself never migrates.
+// Evaluate never claims the in-progress slot.
 func (c *Controller) Evaluate() (Evaluation, *Decision, error) {
 	return c.evaluate(context.Background())
 }
@@ -369,7 +311,6 @@ func (c *Controller) evaluate(ctx context.Context) (_ Evaluation, _ *Decision, r
 			OptimalCost: optCost,
 			Regret:      ev.Regret,
 			Generation:  c.generation + 1,
-			Migrate:     c.cfg.Pacing,
 		}
 	}
 	c.mu.Unlock()
@@ -379,32 +320,14 @@ func (c *Controller) evaluate(ctx context.Context) (_ Evaluation, _ *Decision, r
 	return ev, d, nil
 }
 
-// Run evaluates the policy every CheckInterval and reorganizes when it
-// fires, until ctx is cancelled. Errors from individual evaluations or
-// migrations are absorbed into Status/metrics (the loop keeps serving the
-// policy); only ctx ends the loop.
-func (c *Controller) Run(ctx context.Context) {
-	t := time.NewTicker(c.cfg.CheckInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_, d, err := c.evaluate(ctx)
-			if err != nil || d == nil {
-				continue
-			}
-			c.reorganize(ctx, d) // outcome recorded in Status
-		}
-	}
-}
-
-// Trigger forces one policy step now. With force, the regret threshold,
-// hysteresis, minimum weight, and minimum interval are bypassed and the
-// current DP optimum is deployed unconditionally (the operator's "/reorg
-// POST" path). Returns the decision it acted on, or nil when the policy
-// declined (never nil alongside a nil error when force is set).
+// Trigger runs one policy step now and, when it decides, claims the single
+// in-progress slot for the decision: the caller then owns the migration and
+// must report its outcome with Finish. Trigger itself never migrates. With
+// force, the regret threshold, hysteresis, minimum weight, and minimum
+// interval are bypassed and the current DP optimum is decided
+// unconditionally (the operator's "/reorg POST" path). Returns
+// ErrReorgInProgress while another decision holds the slot, and an error
+// for which Skipped reports true when the policy declined.
 func (c *Controller) Trigger(ctx context.Context, force bool) (*Decision, error) {
 	ev, d, err := c.evaluate(ctx)
 	if err != nil {
@@ -441,52 +364,55 @@ func (c *Controller) Trigger(ctx context.Context, force bool) (*Decision, error)
 			OptimalCost: ev.OptimalCost,
 			Regret:      ev.Regret,
 			Generation:  c.generation + 1,
-			Migrate:     c.cfg.Pacing,
 		}
 		c.mu.Unlock()
 	}
-	if err := c.reorganize(ctx, d); err != nil {
-		return d, err
+	if err := c.claim(d); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// Skipped reports whether a Trigger error means "policy declined" rather
-// than a failed migration.
-func Skipped(err error) bool { return errors.Is(err, errSkipped) }
-
-// reorganize claims the single in-progress slot, runs the migrator, and
-// commits or rolls back the controller state.
-func (c *Controller) reorganize(ctx context.Context, d *Decision) error {
+// claim takes the single in-progress slot for d. A decision made while
+// another held the slot, or one a concurrent reorganization landed under,
+// is stale.
+func (c *Controller) claim(d *Decision) error {
 	c.mu.Lock()
-	if c.inProgress {
-		c.mu.Unlock()
-		return ErrReorgInProgress
-	}
-	if d.Generation != c.generation+1 {
-		// A concurrent reorg landed between Evaluate and here.
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.inProgress || d.Generation != c.generation+1 {
 		return ErrReorgInProgress
 	}
 	c.inProgress = true
 	c.migrated, c.totalCells = 0, 0
 	c.lastReorg = c.now()
-	c.mu.Unlock()
+	return nil
+}
 
-	d.Migrate.Progress = func(done, total int) {
-		c.mu.Lock()
-		c.migrated, c.totalCells = done, total
-		c.mu.Unlock()
-	}
-	start := c.now()
-	mctx, msp := trace.Start(ctx, trace.KindMigrate, "")
-	msp.SetAttr("generation", int64(d.Generation))
-	err := c.migrate(mctx, d)
-	msp.SetError(err)
-	msp.End()
-	dur := c.now().Sub(start)
+// Skipped reports whether a Trigger error means "policy declined" rather
+// than a failure.
+func Skipped(err error) bool { return errors.Is(err, errSkipped) }
 
+// Progress records how far the claimed decision's migration has copied,
+// for Status.
+func (c *Controller) Progress(done, total int) {
 	c.mu.Lock()
+	c.migrated, c.totalCells = done, total
+	c.mu.Unlock()
+}
+
+// Finish ends the reorganization d claimed by Trigger and frees the slot. A
+// nil err commits the controller to d's strategy and generation; any error
+// (a cancellation counts as "canceled", anything else as "failed") leaves
+// it on the old generation, ready to retry after MinInterval. OnReorg then
+// sees the outcome and the time since the claim. Call it exactly once per
+// decision; a call without a claim is ignored.
+func (c *Controller) Finish(d *Decision, err error) {
+	c.mu.Lock()
+	if !c.inProgress || d.Generation != c.generation+1 {
+		c.mu.Unlock()
+		return
+	}
+	dur := c.now().Sub(c.lastReorg)
 	c.inProgress = false
 	c.lastSecs = dur.Seconds()
 	outcome := "success"
@@ -514,5 +440,4 @@ func (c *Controller) reorganize(ctx context.Context, d *Decision) error {
 	if c.OnReorg != nil {
 		c.OnReorg(outcome, dur)
 	}
-	return err
 }

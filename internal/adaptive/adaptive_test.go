@@ -3,8 +3,10 @@ package adaptive
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +44,6 @@ func optimalFor(t *testing.T, l *lattice.Lattice, c lattice.Point) *core.Path {
 // waiting.
 func testConfig() Config {
 	return Config{
-		CheckInterval:   time.Millisecond,
 		HalfLife:        0,
 		Smoothing:       0.01,
 		MinWeight:       1,
@@ -52,45 +53,25 @@ func testConfig() Config {
 	}
 }
 
-// recordingMigrator collects the decisions it was asked to execute.
-type recordingMigrator struct {
-	mu        sync.Mutex
-	decisions []*Decision
-	err       error
-	block     chan struct{} // when non-nil, migration waits here
-}
-
-func (m *recordingMigrator) migrate(ctx context.Context, d *Decision) error {
-	if m.block != nil {
-		select {
-		case <-m.block:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	m.mu.Lock()
-	m.decisions = append(m.decisions, d)
-	m.mu.Unlock()
-	if d.Migrate.Progress != nil {
-		d.Migrate.Progress(16, 16)
-	}
-	return m.err
-}
-
-func (m *recordingMigrator) count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.decisions)
-}
-
-func newTestController(t *testing.T, cfg Config, m *recordingMigrator) *Controller {
+func newTestController(t *testing.T, cfg Config) *Controller {
 	t.Helper()
 	l := testLattice()
-	c, err := New(l, optimalFor(t, l, rowClass), true, 0, m.migrate, cfg)
+	c, err := New(l, optimalFor(t, l, rowClass), true, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// reorganize is what a caller does with an evaluated decision: claim the
+// slot, migrate (here: report a 16-cell copy and end with err), Finish.
+func reorganize(c *Controller, d *Decision, err error) error {
+	if cerr := c.claim(d); cerr != nil {
+		return cerr
+	}
+	c.Progress(16, 16)
+	c.Finish(d, err)
+	return err
 }
 
 func observeN(t *testing.T, c *Controller, class lattice.Point, n int) {
@@ -103,8 +84,7 @@ func observeN(t *testing.T, c *Controller, class lattice.Point, n int) {
 }
 
 func TestControllerReorganizesOnSustainedRegret(t *testing.T) {
-	m := &recordingMigrator{}
-	c := newTestController(t, testConfig(), m)
+	c := newTestController(t, testConfig())
 
 	// Matching traffic: regret stays at 1, the policy never fires.
 	observeN(t, c, rowClass, 50)
@@ -146,11 +126,8 @@ func TestControllerReorganizesOnSustainedRegret(t *testing.T) {
 		t.Errorf("decision path %v, want the column optimum %v", d.Path, want)
 	}
 
-	if err := c.reorganize(context.Background(), d); err != nil {
+	if err := reorganize(c, d, nil); err != nil {
 		t.Fatal(err)
-	}
-	if m.count() != 1 {
-		t.Fatalf("migrator ran %d times, want 1", m.count())
 	}
 	st := c.Status()
 	if st.Generation != 1 || st.Reorgs != 1 || st.LastOutcome != "success" {
@@ -175,10 +152,9 @@ func TestControllerReorganizesOnSustainedRegret(t *testing.T) {
 }
 
 func TestControllerHysteresisResetsOnTransientSpike(t *testing.T) {
-	m := &recordingMigrator{}
 	cfg := testConfig()
 	cfg.Hysteresis = 3
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, cfg)
 
 	observeN(t, c, colClass, 100)
 	if _, d, err := c.Evaluate(); err != nil || d != nil {
@@ -192,18 +168,17 @@ func TestControllerHysteresisResetsOnTransientSpike(t *testing.T) {
 	if st := c.Status(); st.Trips != 0 {
 		t.Errorf("trips = %d after recovery, want 0", st.Trips)
 	}
-	if m.count() != 0 {
-		t.Errorf("migrator ran %d times on an oscillating workload", m.count())
+	if st := c.Status(); st.InProgress || st.Reorgs != 0 {
+		t.Errorf("an oscillating workload reorganized: %+v", st)
 	}
 }
 
 func TestControllerMinIntervalAndMinWeight(t *testing.T) {
-	m := &recordingMigrator{}
 	cfg := testConfig()
 	cfg.Hysteresis = 1
 	cfg.MinInterval = time.Hour
 	cfg.MinWeight = 50
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, cfg)
 	clk := time.Unix(1_000_000, 0)
 	c.now = func() time.Time { return clk }
 
@@ -220,7 +195,7 @@ func TestControllerMinIntervalAndMinWeight(t *testing.T) {
 	if err != nil || d == nil {
 		t.Fatalf("weighted evaluation should act (err=%v)", err)
 	}
-	if err := c.reorganize(context.Background(), d); err != nil {
+	if err := reorganize(c, d, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,18 +212,15 @@ func TestControllerMinIntervalAndMinWeight(t *testing.T) {
 }
 
 func TestControllerFailedMigrationRollsBack(t *testing.T) {
-	m := &recordingMigrator{err: errors.New("disk full")}
 	cfg := testConfig()
 	cfg.Hysteresis = 1
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, cfg)
 	observeN(t, c, colClass, 100)
 	_, d, err := c.Evaluate()
 	if err != nil || d == nil {
 		t.Fatalf("expected a decision (err=%v)", err)
 	}
-	if err := c.reorganize(context.Background(), d); err == nil {
-		t.Fatal("failed migration should surface its error")
-	}
+	reorganize(c, d, errors.New("disk full"))
 	st := c.Status()
 	if st.Generation != 0 || st.Failures != 1 || st.LastOutcome != "failed" || st.LastError == "" {
 		t.Errorf("failure status = %+v", st)
@@ -260,20 +232,15 @@ func TestControllerFailedMigrationRollsBack(t *testing.T) {
 }
 
 func TestControllerCanceledMigration(t *testing.T) {
-	m := &recordingMigrator{block: make(chan struct{})}
 	cfg := testConfig()
 	cfg.Hysteresis = 1
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, cfg)
 	observeN(t, c, colClass, 100)
 	_, d, err := c.Evaluate()
 	if err != nil || d == nil {
 		t.Fatalf("expected a decision (err=%v)", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.reorganize(ctx, d); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled migration error = %v", err)
-	}
+	reorganize(c, d, fmt.Errorf("maintenance stopped: %w", context.Canceled))
 	st := c.Status()
 	if st.LastOutcome != "canceled" || st.Generation != 0 {
 		t.Errorf("cancel status = %+v", st)
@@ -281,43 +248,40 @@ func TestControllerCanceledMigration(t *testing.T) {
 }
 
 func TestControllerSerializesReorgs(t *testing.T) {
-	m := &recordingMigrator{block: make(chan struct{})}
 	cfg := testConfig()
 	cfg.Hysteresis = 1
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, cfg)
 	observeN(t, c, colClass, 100)
-	_, d, err := c.Evaluate()
+	d, err := c.Trigger(context.Background(), false)
 	if err != nil || d == nil {
-		t.Fatalf("expected a decision (err=%v)", err)
+		t.Fatalf("expected a claimed decision (err=%v)", err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- c.reorganize(context.Background(), d) }()
-	// Wait until the first reorg holds the slot.
-	for {
-		if c.Status().InProgress {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if !c.Status().InProgress {
+		t.Fatal("a decision from Trigger does not hold the slot")
 	}
 	if _, err := c.Trigger(context.Background(), true); !errors.Is(err, ErrReorgInProgress) {
 		t.Fatalf("concurrent trigger error = %v", err)
 	}
-	close(m.block)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	c.Finish(d, nil)
+	if st := c.Status(); st.Generation != 1 || st.InProgress {
+		t.Errorf("status after the serialized reorg = %+v, want generation 1 with the slot free", st)
 	}
-	if c.Status().Generation != 1 {
-		t.Errorf("generation = %d after serialized reorg", c.Status().Generation)
+	// A second Finish of the same decision changes nothing.
+	c.Finish(d, errors.New("late"))
+	if st := c.Status(); st.Generation != 1 || st.Reorgs != 1 || st.Failures != 0 {
+		t.Errorf("status after a repeated Finish = %+v", st)
 	}
 }
 
 func TestControllerForceTrigger(t *testing.T) {
-	m := &recordingMigrator{}
-	c := newTestController(t, testConfig(), m)
-	// Low regret, zero trips — but force deploys the optimum anyway.
+	c := newTestController(t, testConfig())
+	// Low regret, zero trips — but force decides on the optimum anyway.
 	observeN(t, c, rowClass, 100)
 	if _, err := c.Trigger(context.Background(), false); !Skipped(err) {
 		t.Fatalf("unforced trigger on a happy workload: %v", err)
+	}
+	if c.Status().InProgress {
+		t.Fatal("a declined trigger holds the slot")
 	}
 	d, err := c.Trigger(context.Background(), true)
 	if err != nil {
@@ -326,90 +290,114 @@ func TestControllerForceTrigger(t *testing.T) {
 	if d == nil || d.Generation != 1 {
 		t.Fatalf("forced trigger decision = %+v", d)
 	}
+	if st := c.Status(); st.Generation != 0 || !st.InProgress {
+		t.Errorf("forced trigger status = %+v, want generation 0 in progress until Finish", st)
+	}
+	c.Finish(d, nil)
 	if c.Status().Generation != 1 {
-		t.Errorf("forced trigger did not commit")
+		t.Errorf("Finish did not commit the forced decision")
 	}
 }
 
 // TestControllerTracedTriggerRecordsDPAndMigrate: a traced policy step
-// that fires records exactly one DP rerun and one migrate span carrying the
-// new generation, and runs the migrator under the migrate span, so the copy
-// and flush spans of storage.MigrateCtx (TestTracedMigrationRecordsCopyAndFlush)
-// nest beneath it — a slow reorganization is attributable to its phase.
+// that fires records exactly one DP rerun and no migrate span, since
+// Trigger never migrates; the caller's migrate span, carrying the new
+// generation, and the copy beneath it join the same trace, and Finish
+// reports the outcome once, timed from the claim.
 func TestControllerTracedTriggerRecordsDPAndMigrate(t *testing.T) {
-	l := testLattice()
-	migrate := func(ctx context.Context, d *Decision) error {
-		trace.StartLeaf(ctx, trace.KindCopy, "").End()
-		return nil
-	}
 	cfg := testConfig()
 	cfg.Hysteresis = 1
-	c, err := New(l, optimalFor(t, l, rowClass), true, 0, migrate, cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := newTestController(t, cfg)
+	clk := time.Unix(1_000_000, 0)
+	c.now = func() time.Time { return clk }
+	var outcomes []string
+	var durs []time.Duration
+	c.OnReorg = func(outcome string, d time.Duration) {
+		outcomes, durs = append(outcomes, outcome), append(durs, d)
 	}
 	observeN(t, c, colClass, 500)
 	rec := trace.NewRecorder(trace.Config{Capacity: 1, RetainedCapacity: 1})
-	ctx, tr := rec.StartForced(context.Background(), "reorg-tick")
+	ctx, tr := rec.StartForced(context.Background(), "reorg")
 	d, err := c.Trigger(ctx, false)
-	tr.Finish(err)
 	if err != nil || d == nil || d.Generation != 1 {
-		t.Fatalf("traced trigger = %+v, %v; want a generation-1 reorganization", d, err)
+		t.Fatalf("traced trigger = %+v, %v; want a generation-1 decision", d, err)
 	}
-	kinds := map[string][]trace.Span{}
-	for _, sp := range tr.Spans() {
-		kinds[sp.Kind] = append(kinds[sp.Kind], sp)
+	kinds := func() map[string][]trace.Span {
+		out := map[string][]trace.Span{}
+		for _, sp := range tr.Spans() {
+			out[sp.Kind] = append(out[sp.Kind], sp)
+		}
+		return out
 	}
-	if len(kinds[trace.KindDP]) != 1 || len(kinds[trace.KindMigrate]) != 1 || len(kinds[trace.KindCopy]) != 1 {
+	if k := kinds(); len(k[trace.KindDP]) != 1 || len(k[trace.KindMigrate]) != 0 {
+		t.Fatalf("trace after Trigger has %d dp and %d migrate spans, want 1 and 0: %+v", len(k[trace.KindDP]), len(k[trace.KindMigrate]), tr.Spans())
+	}
+	mctx, msp := trace.Start(ctx, trace.KindMigrate, "")
+	msp.SetAttr("generation", int64(d.Generation))
+	trace.StartLeaf(mctx, trace.KindCopy, "").End()
+	msp.End()
+	clk = clk.Add(3 * time.Second)
+	c.Finish(d, nil)
+	tr.Finish(nil)
+	k := kinds()
+	if len(k[trace.KindDP]) != 1 || len(k[trace.KindMigrate]) != 1 || len(k[trace.KindCopy]) != 1 {
 		t.Fatalf("trace has %d dp, %d migrate, %d copy spans, want one each: %+v",
-			len(kinds[trace.KindDP]), len(kinds[trace.KindMigrate]), len(kinds[trace.KindCopy]), tr.Spans())
+			len(k[trace.KindDP]), len(k[trace.KindMigrate]), len(k[trace.KindCopy]), tr.Spans())
 	}
-	mig := kinds[trace.KindMigrate][0]
+	mig := k[trace.KindMigrate][0]
 	if len(mig.Attrs) != 1 || mig.Attrs[0].Key != "generation" || mig.Attrs[0].Value != 1 {
 		t.Errorf("migrate span attrs = %+v, want generation 1", mig.Attrs)
 	}
-	if cp := kinds[trace.KindCopy][0]; cp.Parent != mig.ID {
-		t.Errorf("the migrator's copy span has parent %d, want the migrate span %d", cp.Parent, mig.ID)
+	if dp, cp := k[trace.KindDP][0], k[trace.KindCopy][0]; dp.Parent != 0 || mig.Parent != 0 || cp.Parent != mig.ID {
+		t.Errorf("dp parent %d, migrate parent %d, copy parent %d; want the root, the root and the migrate span %d", dp.Parent, mig.Parent, cp.Parent, mig.ID)
+	}
+	if fmt.Sprint(outcomes) != "[success]" || durs[0] != 3*time.Second {
+		t.Errorf("OnReorg saw %v after %v, want one success after 3s", outcomes, durs)
 	}
 }
 
+// TestControllerRunLoop: Trigger and Finish serialize the one slot. Callers
+// racing forced triggers, each finishing what it claimed, never hold the
+// slot two at a time, and every claim commits exactly one generation.
 func TestControllerRunLoop(t *testing.T) {
-	m := &recordingMigrator{}
-	cfg := testConfig()
-	cfg.Hysteresis = 2
-	c := newTestController(t, cfg, m)
+	c := newTestController(t, testConfig())
 	observeN(t, c, colClass, 500)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	loopDone := make(chan struct{})
-	go func() { c.Run(ctx); close(loopDone) }()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Status().Reorgs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("run loop never reorganized: %+v", c.Status())
-		}
-		time.Sleep(5 * time.Millisecond)
+	var reorgs atomic.Int64
+	c.OnReorg = func(string, time.Duration) { reorgs.Add(1) }
+	var holders, claims atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				d, err := c.Trigger(context.Background(), true)
+				if errors.Is(err, ErrReorgInProgress) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n := holders.Add(1); n != 1 {
+					t.Errorf("%d callers hold the slot at once", n)
+				}
+				claims.Add(1)
+				holders.Add(-1)
+				c.Finish(d, nil)
+			}
+		}()
 	}
-	cancel()
-	<-loopDone
-	if got := c.Status().Generation; got != 1 {
-		t.Errorf("generation = %d, want 1", got)
-	}
-	// Regret math is visible in the executed decision.
-	m.mu.Lock()
-	d := m.decisions[0]
-	m.mu.Unlock()
-	if d.Regret <= 1.05 || d.CurrentCost <= d.OptimalCost {
-		t.Errorf("decision evidence: regret=%v cur=%v opt=%v", d.Regret, d.CurrentCost, d.OptimalCost)
+	wg.Wait()
+	st := c.Status()
+	if n := claims.Load(); n == 0 || st.Generation != int(n) || st.Reorgs != uint64(n) || reorgs.Load() != n || st.InProgress {
+		t.Errorf("%d claims: status %+v and %d OnReorg calls, want generation, reorgs and calls equal to the claims", n, st, reorgs.Load())
 	}
 }
 
 func TestControllerRegretMatchesCostModel(t *testing.T) {
 	l := testLattice()
-	m := &recordingMigrator{}
-	c, err := New(l, optimalFor(t, l, rowClass), true, 0, m.migrate, testConfig())
+	c, err := New(l, optimalFor(t, l, rowClass), true, 0, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,31 +429,31 @@ func TestControllerRegretMatchesCostModel(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	l := testLattice()
 	p := optimalFor(t, l, rowClass)
-	mig := func(context.Context, *Decision) error { return nil }
 	bad := []Config{
 		{},
-		{CheckInterval: time.Second, RegretThreshold: 1.0, Hysteresis: 1},
-		{CheckInterval: time.Second, RegretThreshold: 1.2, Hysteresis: 0},
-		{CheckInterval: time.Second, RegretThreshold: 1.2, Hysteresis: 1, Smoothing: -1},
-		{CheckInterval: time.Second, RegretThreshold: 1.2, Hysteresis: 1, HalfLife: -time.Second},
-		{CheckInterval: time.Second, RegretThreshold: 1.2, Hysteresis: 1, MinInterval: -time.Second},
+		{RegretThreshold: 1.0, Hysteresis: 1},
+		{RegretThreshold: 1.2, Hysteresis: 0},
+		{RegretThreshold: 1.2, Hysteresis: 1, Smoothing: -1},
+		{RegretThreshold: 1.2, Hysteresis: 1, HalfLife: -time.Second},
+		{RegretThreshold: 1.2, Hysteresis: 1, MinInterval: -time.Second},
 	}
 	for i, cfg := range bad {
-		if _, err := New(l, p, true, 0, mig, cfg); err == nil {
+		if _, err := New(l, p, true, 0, cfg); err == nil {
 			t.Errorf("config %d should be rejected: %+v", i, cfg)
 		}
 	}
-	if _, err := New(l, p, true, 0, nil, Defaults()); err == nil {
-		t.Error("nil migrator should be rejected")
-	}
-	if _, err := New(l, p, true, 0, mig, Defaults()); err != nil {
+	if _, err := New(l, p, true, 0, Defaults()); err != nil {
 		t.Errorf("Defaults rejected: %v", err)
+	}
+	// The smallest usable policy: a threshold above 1 and a one-evaluation
+	// window; every other setting may stay zero.
+	if _, err := New(l, p, true, 0, Config{RegretThreshold: 1.2, Hysteresis: 1}); err != nil {
+		t.Errorf("minimal config rejected: %v", err)
 	}
 }
 
 func TestControllerCostCorrection(t *testing.T) {
-	m := &recordingMigrator{}
-	c := newTestController(t, testConfig(), m)
+	c := newTestController(t, testConfig())
 	observeN(t, c, colClass, 500)
 
 	base, _, err := c.Evaluate()

@@ -249,18 +249,20 @@ func TestCrashPointMidMigrate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	crashAt := 12 // half of the 24 cells
-	_, _, err = storage.MigrateCtx(ctx, fs, newPath, newOrder, 8, storage.MigrateOptions{Pace: func(context.Context, int64, bool) (int64, error) { return 1, nil }, Progress: func(done, total int) {
-		if done == crashAt {
+	m, err := storage.StartMigration(ctx, fs, newPath, newOrder, 8, 0)
+	for err == nil && !m.Done() {
+		_, err = m.Step(ctx, 1) // one cell a step
+		if done, _ := m.Progress(); done == crashAt {
 			cancel()
 		}
-	}})
+	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("migrate with mid-flight crash = %v, want context.Canceled", err)
 	}
 	if _, statErr := storage.OpenPageFile(newPath, 64); statErr == nil {
 		t.Fatal("crashed migration left a partial output file")
 	}
-	dst, _, err := storage.MigrateCtx(context.Background(), fs, newPath, newOrder, 8, storage.MigrateOptions{})
+	dst, err := storage.MigrateCtx(context.Background(), fs, newPath, newOrder, 8)
 	if err != nil {
 		t.Fatalf("retry after crash: %v", err)
 	}

@@ -323,7 +323,7 @@ func TestCloseWhileReadersInFlight(t *testing.T) {
 		t.Errorf("read after Close = %v, want ErrClosed", err)
 	}
 	newPath := filepath.Join(t.TempDir(), "new.db")
-	if _, _, err := MigrateCtx(context.Background(), fs, newPath, o, 4, MigrateOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := MigrateCtx(context.Background(), fs, newPath, o, 4); !errors.Is(err, ErrClosed) {
 		t.Errorf("MigrateCtx after Close = %v, want ErrClosed", err)
 	}
 	if _, err := os.Stat(newPath); !os.IsNotExist(err) {
@@ -371,7 +371,7 @@ func TestMigrateWhileReadersInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, _, err := MigrateCtx(context.Background(), fs, filepath.Join(dir, "new.db"), newOrder, 16, MigrateOptions{})
+	dst, err := MigrateCtx(context.Background(), fs, filepath.Join(dir, "new.db"), newOrder, 16)
 	close(stop)
 	wg.Wait()
 	if err != nil {

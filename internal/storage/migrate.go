@@ -12,72 +12,59 @@ import (
 	"repro/internal/trace"
 )
 
-// MigrateOptions paces a migration. The zero value copies the whole file
-// as one region in one unpaced tick.
-type MigrateOptions struct {
-	// RegionCells is the copy unit in consecutive target positions
-	// (default: every cell, one region).
-	RegionCells int
-	// Pace, when non-nil, meters the copy's I/O in bytes written (records,
-	// framed). It is called before the first tick and after each with the
-	// bytes that tick copied, last set after the final one or when the copy
-	// fails (its bytes then 0). Unless last, it returns the bytes the next
-	// tick may copy, blocking until they are granted if it likes; an error
-	// aborts the migration. A tick copies cells while they fit its bytes, and
-	// always at least one; without Pace the copy is one unbounded tick.
-	Pace func(ctx context.Context, copied int64, last bool) (budget int64, err error)
-	// Progress, when non-nil, is called after each tick with (cellsCopied,
-	// totalCells); it runs on the migrating goroutine and must be cheap.
-	Progress func(done, total int)
+// Migration is a re-clustering copy in progress: StartMigration sets it up,
+// each Step copies the next cells within a byte budget, Finish flushes and
+// returns the new store, and Abort deletes the partial output. A Step or
+// Finish error aborts the migration too, so its path ends up holding either
+// a complete, flushed store or nothing. A Migration is for one goroutine.
+type Migration struct {
+	old, dst *FileStore
+	path     string
+	order    *linear.Order
+	rest     []migrateRegion // regions not yet copied, worst first
+	done     int
+	copySpan trace.SpanRef
 }
 
-// MigrateCtx re-clusters a file store onto a new linearization, writing the
-// new store at newPath packed along newOrder. Cell payload capacities carry
-// over (they are a property of the data, not the order). The target order
-// is cut into regions of RegionCells consecutive positions, so each copied
+// migrateRegion is target positions [lo, hi) and their copy priority.
+type migrateRegion struct {
+	lo, hi int
+	score  float64
+}
+
+// StartMigration begins re-clustering a file store onto a new
+// linearization, creating the new store at newPath packed along newOrder.
+// Cell payload capacities carry over (they are a property of the data, not
+// the order). The target order is cut into regions of regionCells
+// consecutive positions (every cell when regionCells <= 0), so each copied
 // region lands contiguously in the destination; regions are scored
 //
 //	(1 + deltaBytes) × (1 + violation)
 //
 // where deltaBytes is what the old store's overlay holds pending for the
 // region's cells and violation is the mean |targetPos − deployedPos| of
-// those cells, and are copied worst-first in ticks of the bytes Pace
-// grants. Reads of the old store are overlay-aware, so a cell with a
-// pending delta is copied with its freshest content; entries put *during*
-// the copy are the caller's to carry over at cutover.
-//
-// Each cell is read under the old store's shared lock but the lock is
-// released between cells, so in-flight readers and even a concurrent Close
-// interleave cleanly: Close surfaces here as a typed ErrClosed instead of
-// a race on the underlying file. Cancellation is checked between cells,
-// inside each cell read. A corrupt source page is
-// repaired from the old store's parity sidecar and the cell re-read.
-//
-// On any failure — including cancellation — the partial output file is
-// deleted, so newPath either holds a complete, flushed store or does not
-// exist. Returns the new store, flushed and ready to query, and the number
-// of ticks the copy took. The old store is left open and untouched; callers
-// typically Close and delete it after the swap.
-func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames int, opt MigrateOptions) (*FileStore, int, error) {
+// those cells, and are copied worst-first. Reads of the old store are
+// overlay-aware, so a cell with a pending delta is copied with its freshest
+// content; entries put *during* the copy are the caller's to carry over at
+// cutover. The old store is left open and untouched; callers typically
+// Close and delete it after the swap.
+func StartMigration(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames, regionCells int) (*Migration, error) {
 	oldOrder := old.layout.order
 	total := oldOrder.Len()
 	if newOrder.Len() != total {
-		return nil, 0, fmt.Errorf("storage: migrating %d cells onto an order with %d", total, newOrder.Len())
+		return nil, fmt.Errorf("storage: migrating %d cells onto an order with %d", total, newOrder.Len())
 	}
 	old.mu.RLock()
 	closed := old.closed
 	old.mu.RUnlock()
 	if closed {
-		return nil, 0, fmt.Errorf("storage: migrating from a closed store: %w", ErrClosed)
+		return nil, fmt.Errorf("storage: migrating from a closed store: %w", ErrClosed)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if opt.RegionCells <= 0 {
-		opt.RegionCells = total
-	}
-	if opt.Pace == nil {
-		opt.Pace = func(context.Context, int64, bool) (int64, error) { return math.MaxInt64, nil }
+	if regionCells <= 0 {
+		regionCells = total
 	}
 	bytesPerCell := make([]int64, total)
 	for cell := range bytesPerCell {
@@ -85,31 +72,12 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 	}
 	dst, err := CreateFileStore(newPath, newOrder, bytesPerCell, int(old.layout.pageSize), poolFrames)
 	if err != nil {
-		return nil, 0, err
-	}
-	// The copy is one span (cells, regions and ticks attached) and the final
-	// flush another, so a migration trace shows where the time went.
-	cctx, copySpan := trace.Start(ctx, trace.KindCopy, "")
-	copySpan.SetAttr("cells", int64(total))
-	// abort drops the partial output unflushed: its dirty frames belong to a
-	// file that is about to be removed.
-	abort := func(sp trace.SpanRef, err error) (*FileStore, int, error) {
-		opt.Pace(ctx, 0, true)
-		sp.SetError(err)
-		sp.End()
-		dst.discard()
-		os.Remove(newPath)
-		return nil, 0, err
-	}
-
-	type region struct {
-		lo, hi int // target positions [lo, hi)
-		score  float64
+		return nil, err
 	}
 	ov := old.overlayFn()
-	regions := make([]region, 0, (total+opt.RegionCells-1)/opt.RegionCells)
-	for lo := 0; lo < total; lo += opt.RegionCells {
-		hi := min(lo+opt.RegionCells, total)
+	regions := make([]migrateRegion, 0, (total+regionCells-1)/regionCells)
+	for lo := 0; lo < total; lo += regionCells {
+		hi := min(lo+regionCells, total)
 		var delta, violation int64
 		for pos := lo; pos < hi; pos++ {
 			cell := newOrder.CellAt(pos)
@@ -125,7 +93,7 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 			}
 		}
 		mean := float64(violation) / float64(hi-lo)
-		regions = append(regions, region{lo: lo, hi: hi, score: (1 + float64(delta)) * (1 + mean)})
+		regions = append(regions, migrateRegion{lo: lo, hi: hi, score: (1 + float64(delta)) * (1 + mean)})
 	}
 	sort.Slice(regions, func(i, j int) bool {
 		if regions[i].score != regions[j].score {
@@ -133,64 +101,114 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 		}
 		return regions[i].lo < regions[j].lo
 	})
-	copySpan.SetAttr("regions", int64(len(regions)))
+	// The copy is one span across every step (cells and regions attached) and Finish's flush another, so a migration trace shows
+	// where the time went.
+	sp := trace.StartLeaf(ctx, trace.KindCopy, "")
+	sp.SetAttr("cells", int64(total))
+	sp.SetAttr("regions", int64(len(regions)))
+	return &Migration{old: old, dst: dst, path: newPath, order: newOrder, rest: regions, copySpan: sp}, nil
+}
 
-	budget, err := opt.Pace(ctx, 0, false)
-	if err != nil {
-		return abort(copySpan, err)
+// Step copies the next cells, worst region first, while they fit in bytes
+// (records, framed), and always at least one; an empty cell costs nothing.
+// It returns the bytes it copied. Each cell is read under the old store's
+// shared lock, released between cells, so in-flight readers and even a
+// concurrent Close interleave cleanly: Close surfaces as a typed ErrClosed.
+// Cancellation is checked between cells and inside each cell read. A
+// corrupt source page is repaired from the old store's parity sidecar and
+// the cell re-read.
+func (m *Migration) Step(ctx context.Context, bytes int64) (int64, error) {
+	if m.dst == nil {
+		return 0, fmt.Errorf("storage: migration to %s is over: %w", m.path, ErrClosed)
 	}
-	done, ticks, inTick, tickBytes := 0, 0, 0, int64(0)
-	for _, rg := range regions {
-		for pos := rg.lo; pos < rg.hi; pos++ {
-			if err := ctx.Err(); err != nil {
-				return abort(copySpan, err)
+	var copied int64
+	for cells := 0; len(m.rest) > 0; cells++ {
+		if err := ctx.Err(); err != nil {
+			return copied, m.fail(err)
+		}
+		rg := &m.rest[0]
+		cell := m.order.CellAt(rg.lo)
+		records, err := readCellRepairing(ctx, m.old, cell)
+		if err != nil {
+			return copied, m.fail(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
+		}
+		var size int64
+		for _, rec := range records {
+			size += FrameSize(len(rec))
+		}
+		if cells > 0 && copied+size > bytes {
+			break // the cell is read again by the next step
+		}
+		for _, rec := range records {
+			if err := m.dst.PutRecord(cell, rec); err != nil {
+				return copied, m.fail(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
 			}
-			cell := newOrder.CellAt(pos)
-			records, err := readCellRepairing(cctx, old, cell)
-			if err != nil {
-				return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
-			}
-			var size int64
-			for _, rec := range records {
-				size += FrameSize(len(rec))
-			}
-			if inTick > 0 && tickBytes+size > budget {
-				ticks++
-				if opt.Progress != nil {
-					opt.Progress(done, total)
-				}
-				if budget, err = opt.Pace(ctx, tickBytes, false); err != nil {
-					return abort(copySpan, err)
-				}
-				inTick, tickBytes = 0, 0
-			}
-			for _, rec := range records {
-				if err := dst.PutRecord(cell, rec); err != nil {
-					return abort(copySpan, fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
-				}
-			}
-			done++
-			inTick++
-			tickBytes += size
+		}
+		copied += size
+		m.done++
+		if rg.lo++; rg.lo == rg.hi {
+			m.rest = m.rest[1:]
 		}
 	}
-	if inTick > 0 {
-		ticks++
+	if m.Done() {
+		m.copySpan.End()
 	}
-	if opt.Progress != nil {
-		opt.Progress(done, total)
+	return copied, nil
+}
+
+// Done reports whether every cell has been copied.
+func (m *Migration) Done() bool { return len(m.rest) == 0 }
+
+// Progress reports the cells copied so far and the store's cell count.
+func (m *Migration) Progress() (done, total int) { return m.done, m.order.Len() }
+
+// Finish flushes the copied store and returns it, ready to query. The copy
+// must be Done.
+func (m *Migration) Finish(ctx context.Context) (*FileStore, error) {
+	if m.dst == nil || !m.Done() {
+		return nil, m.fail(fmt.Errorf("storage: finishing migration to %s before its copy is done", m.path))
 	}
-	if _, err := opt.Pace(ctx, tickBytes, true); err != nil {
-		return abort(copySpan, err)
+	sp := trace.StartLeaf(ctx, trace.KindFlush, "")
+	err := m.dst.pool.Flush()
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		return nil, m.fail(fmt.Errorf("storage: migration flush: %w", err))
 	}
-	copySpan.SetAttr("ticks", int64(ticks))
-	copySpan.End()
-	fsp := trace.StartLeaf(ctx, trace.KindFlush, "")
-	if err := dst.pool.Flush(); err != nil {
-		return abort(fsp, fmt.Errorf("storage: migration flush: %w", err))
+	dst := m.dst
+	m.dst = nil
+	return dst, nil
+}
+
+// Abort deletes the partial output. It is a no-op once the migration has
+// finished or failed.
+func (m *Migration) Abort() { m.fail(errors.New("storage: migration aborted")) }
+
+// fail drops the partial output unflushed, its dirty frames belonging to a
+// file about to be removed, and returns err.
+func (m *Migration) fail(err error) error {
+	if m.dst != nil {
+		m.copySpan.SetError(err)
+		m.copySpan.End()
+		m.dst.discard()
+		os.Remove(m.path)
+		m.dst = nil
 	}
-	fsp.End()
-	return dst, ticks, nil
+	return err
+}
+
+// MigrateCtx is a whole migration in one call: StartMigration with the
+// whole order as one region, one unbounded Step and Finish. On any failure,
+// cancellation included, the partial output file is deleted.
+func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *linear.Order, poolFrames int) (*FileStore, error) {
+	m, err := StartMigration(ctx, old, newPath, newOrder, poolFrames, 0)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := m.Step(ctx, math.MaxInt64); err != nil {
+		return nil, err
+	}
+	return m.Finish(ctx)
 }
 
 // migrateRepairAttempts bounds the repair-and-reread loop per cell. A cell

@@ -45,7 +45,7 @@ func TestMigratePreservesDataAndImprovesLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, _, err := MigrateCtx(context.Background(), src, filepath.Join(dir, "new.db"), better, 16, MigrateOptions{})
+	dst, err := MigrateCtx(context.Background(), src, filepath.Join(dir, "new.db"), better, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMigrateCleansUpOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	newPath := filepath.Join(dir, "new.db")
-	if _, _, err := MigrateCtx(context.Background(), src, newPath, better, 4, MigrateOptions{}); err == nil {
+	if _, err := MigrateCtx(context.Background(), src, newPath, better, 4); err == nil {
 		t.Fatal("migration over a failing source should fail")
 	} else if !errors.Is(err, ErrInjected) {
 		t.Fatalf("migration error is untyped: %v", err)
@@ -170,13 +170,31 @@ func newMigrateSource(t *testing.T, dir string) (*FileStore, *linear.Order, *lin
 	return src, colMajor, rowMajor
 }
 
-// oneCellATick paces a migration at one cell a tick: a tick always copies
-// at least one cell, and no second fits in a byte.
-func oneCellATick(context.Context, int64, bool) (int64, error) { return 1, nil }
+// migrateInSteps runs a migration in steps of bytes each and returns the
+// new store and, per step, the cells and the bytes it copied.
+func migrateInSteps(ctx context.Context, old *FileStore, path string, order *linear.Order, frames, regionCells int, bytes int64) (*FileStore, [][2]int64, error) {
+	m, err := StartMigration(ctx, old, path, order, frames, regionCells)
+	if err != nil {
+		return nil, nil, err
+	}
+	var steps [][2]int64
+	for !m.Done() {
+		before, _ := m.Progress()
+		n, err := m.Step(ctx, bytes)
+		if err != nil {
+			return nil, steps, err
+		}
+		after, _ := m.Progress()
+		steps = append(steps, [2]int64{int64(after - before), n})
+	}
+	dst, err := m.Finish(ctx)
+	return dst, steps, err
+}
 
-// TestMigrateCtxCancelCleansUp cancels the migration from its own progress
-// callback, partway through the copy: MigrateCtx must return the context
-// error and leave no partial output file behind.
+// TestMigrateCtxCancelCleansUp cancels the migration between its steps,
+// partway through the copy: the next Step must return the context error
+// and leave no partial output file behind, and so must MigrateCtx under a
+// context cancelled before it starts.
 func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	src, _, better := newMigrateSource(t, dir)
@@ -185,13 +203,18 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	newPath := filepath.Join(dir, "new.db")
+	m, err := StartMigration(ctx, src, newPath, better, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var calls int
-	_, _, err := MigrateCtx(ctx, src, newPath, better, 4, MigrateOptions{Pace: oneCellATick, Progress: func(done, total int) {
+	for err == nil && !m.Done() {
+		_, err = m.Step(ctx, 1) // one cell a step: no second fits in a byte
 		calls++
-		if done == total/2 {
+		if done, total := m.Progress(); done == total/2 {
 			cancel()
 		}
-	}})
+	}
 	if err == nil {
 		t.Fatal("cancelled migration should fail")
 	}
@@ -199,7 +222,7 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 		t.Fatalf("cancelled migration error is untyped: %v", err)
 	}
 	if calls >= 16 {
-		t.Errorf("progress ran %d times; cancellation should have cut the copy short", calls)
+		t.Errorf("%d steps ran; cancellation should have cut the copy short", calls)
 	}
 	if _, err := os.Stat(newPath); !os.IsNotExist(err) {
 		t.Fatalf("partial migration output %s was not removed (stat err: %v)", newPath, err)
@@ -207,7 +230,7 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	// A context cancelled before the copy starts must also leave nothing.
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()
-	if _, _, err := MigrateCtx(pre, src, newPath, better, 4, MigrateOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := MigrateCtx(pre, src, newPath, better, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled migration: %v", err)
 	}
 	if _, err := os.Stat(newPath); !os.IsNotExist(err) {
@@ -224,34 +247,45 @@ func TestMigrateCtxCancelCleansUp(t *testing.T) {
 	}
 }
 
-// TestMigrateCtxProgress checks the pacing contract: 16 one-record cells in
-// ticks of five cells' bytes take ⌈16/5⌉ ticks with the pace hook called
-// before each and once after the last, and progress runs once per tick with
-// (done, total) pairs ending at (total, total).
+// TestMigrateCtxProgress checks the step contract: 16 one-record cells in
+// steps of five cells' bytes take ⌈16/5⌉ steps, each reporting the bytes it
+// copied, with Progress after each step giving (done, total) pairs ending
+// at (total, total), and Done only after the last.
 func TestMigrateCtxProgress(t *testing.T) {
 	dir := t.TempDir()
 	src, _, better := newMigrateSource(t, dir)
 	defer src.Close()
 
+	ctx := context.Background()
+	m, err := StartMigration(ctx, src, filepath.Join(dir, "new.db"), better, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got [][2]int
-	var paced []bool
-	dst, ticks, err := MigrateCtx(context.Background(), src, filepath.Join(dir, "new.db"), better, 4, MigrateOptions{
-		RegionCells: 4,
-		Pace: func(_ context.Context, _ int64, last bool) (int64, error) {
-			paced = append(paced, last)
-			return 5 * FrameSize(8), nil // five of the source's one-record cells
-		},
-		Progress: func(done, total int) { got = append(got, [2]int{done, total}) },
-	})
+	var copied []int64
+	var done []bool
+	for steps := 0; !m.Done() && steps < 16; steps++ {
+		n, err := m.Step(ctx, 5*FrameSize(8)) // five of the source's one-record cells
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, total := m.Progress()
+		got, copied, done = append(got, [2]int{d, total}), append(copied, n), append(done, m.Done())
+	}
+	dst, err := m.Finish(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	if want := [][2]int{{5, 16}, {10, 16}, {15, 16}, {16, 16}}; ticks != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%d ticks reported %v, want %d reporting %v", ticks, got, len(want), want)
+	if want := [][2]int{{5, 16}, {10, 16}, {15, 16}, {16, 16}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d steps reported %v, want %d reporting %v", len(got), got, len(want), want)
 	}
-	if want := "[false false false false true]"; fmt.Sprint(paced) != want {
-		t.Fatalf("pace calls (last) %v, want %s", paced, want)
+	f := FrameSize(8)
+	if want := fmt.Sprint([]int64{5 * f, 5 * f, 5 * f, f}); fmt.Sprint(copied) != want {
+		t.Fatalf("steps copied %v bytes, want %s", copied, want)
+	}
+	if want := "[false false false true]"; fmt.Sprint(done) != want {
+		t.Fatalf("Done after each step %v, want %s", done, want)
 	}
 }
 
@@ -272,7 +306,7 @@ func TestMigrateShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, _, err := MigrateCtx(context.Background(), src, filepath.Join(t.TempDir(), "d.db"), o2, 2, MigrateOptions{}); err == nil {
+	if _, err := MigrateCtx(context.Background(), src, filepath.Join(t.TempDir(), "d.db"), o2, 2); err == nil {
 		t.Error("cell-count mismatch should fail")
 	}
 }
@@ -349,11 +383,11 @@ func buildMigrateCase(t *testing.T, rng *rand.Rand, o *linear.Order, exact bool)
 
 // TestMigrateMatchesFreshBuild is the migration differential: on random
 // unbalanced hierarchies, between every pair of order kinds, with random
-// fills and a random overlay, at every pacing, the migrated store holds in
-// every cell exactly the records of a fresh build under the new order from
-// the plain cell → records map, scrubs clean, took a tick for each cell
-// with records when paced at one cell a tick, and — once exactly filled —
-// answers cold reads in the pages and seeks its layout predicts.
+// fills and a random overlay, in one-byte steps or one unbounded step, the
+// migrated store holds in every cell exactly the records of a fresh build
+// under the new order from the plain cell → records map, scrubs clean, took
+// a step for each cell with records when stepped a byte at a time, and —
+// once exactly filled — answers cold reads in the pages and seeks its layout predicts.
 func TestMigrateMatchesFreshBuild(t *testing.T) {
 	ctx := context.Background()
 	cellRecords := func(fs *FileStore, cell int) [][]byte {
@@ -399,16 +433,16 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 					for _, paced := range []bool{true, false} {
 						label := fmt.Sprintf("seed %d %s -> %s exact=%v RegionCells=%d paced=%v", seed, oldOrder.Name, newOrder.Name, exact, regionCells, paced)
 						path := filepath.Join(t.TempDir(), "migrated.db")
-						opt, want := MigrateOptions{RegionCells: regionCells}, 1
+						budget, want := int64(math.MaxInt64), 1
 						if paced {
-							opt.Pace, want = oneCellATick, filled // an empty cell costs no bytes
+							budget, want = 1, filled // one cell a step; an empty cell costs no bytes
 						}
-						dst, ticks, err := MigrateCtx(ctx, mc.src, path, newOrder, int(fresh.Layout().TotalPages())+8, opt)
+						dst, steps, err := migrateInSteps(ctx, mc.src, path, newOrder, int(fresh.Layout().TotalPages())+8, regionCells, budget)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if ticks < want {
-							t.Errorf("%s: %d ticks, want at least %d", label, ticks, want)
+						if len(steps) < want {
+							t.Errorf("%s: %d steps, want at least %d", label, len(steps), want)
 						}
 						for c := 0; c < n; c++ {
 							if got := fmt.Sprintf("%q", cellRecords(dst, c)); got != freshCells[c] {
@@ -442,7 +476,7 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 
 // TestMigrateReclustersRowMajorOntoOptimum is incremental re-clustering on
 // a tiny TPC-D warehouse: a store loaded row-major, with one pending overlay
-// delta, migrates in bounded ticks onto the DP-optimal snaked order of the
+// delta, migrates in bounded steps onto the DP-optimal snaked order of the
 // featured workload. Row-major predicts more expected seeks than the
 // optimum; afterwards every query of the workload reads, cold, exactly the
 // pages and seeks the optimal layout predicts — regret 1, not merely near
@@ -577,38 +611,26 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 	}
 	t.Logf("%d queries; expected seeks row-major %.3f, optimal %.3f (regret %.2f)", len(queries), rowSeeks, optSeeks, rowSeeks/optSeeks)
 
-	var perTick []int
-	var tickBytes []int64
-	copied := 0
-	var budget int64 // an eighth of the store a tick
+	var budget int64 // an eighth of the store a step
 	for _, b := range sizes {
 		budget += b
 	}
 	budget = budget/8 + 1
-	opt := MigrateOptions{
-		RegionCells: 8,
-		Pace: func(_ context.Context, bytes int64, _ bool) (int64, error) {
-			if bytes > 0 {
-				tickBytes = append(tickBytes, bytes)
-			}
-			return budget, nil
-		},
-		Progress: func(done, _ int) {
-			perTick = append(perTick, done-copied)
-			copied = done
-		},
-	}
-	dst, ticks, err := MigrateCtx(ctx, src, filepath.Join(dir, "optimal.db"), optOrder, 64, opt)
+	dst, steps, err := migrateInSteps(ctx, src, filepath.Join(dir, "optimal.db"), optOrder, 64, 8, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	if ticks < 2 || ticks != len(perTick) || copied != rowOrder.Len() {
-		t.Fatalf("%d ticks, progress %v copied %d of %d cells: want an incremental copy of every cell", ticks, perTick, copied, rowOrder.Len())
+	copied := 0
+	for _, st := range steps {
+		copied += int(st[0])
 	}
-	for i, n := range perTick {
-		if n <= 0 || n == rowOrder.Len() || (n > 1 && tickBytes[i] > budget) {
-			t.Errorf("tick %d copied %d cells in %d bytes, want part of the file within %d bytes, or one cell", i, n, tickBytes[i], budget)
+	if len(steps) < 2 || copied != rowOrder.Len() {
+		t.Fatalf("%d steps %v copied %d of %d cells: want an incremental copy of every cell", len(steps), steps, copied, rowOrder.Len())
+	}
+	for i, st := range steps {
+		if n := int(st[0]); n <= 0 || n == rowOrder.Len() || (n > 1 && st[1] > budget) {
+			t.Errorf("step %d copied %d cells in %d bytes, want part of the file within %d bytes, or one cell", i, n, st[1], budget)
 		}
 	}
 

@@ -380,7 +380,7 @@ func TestMigrateRepairsCorruptSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	newPath := filepath.Join(t.TempDir(), "migrated.db")
-	dst, _, err := MigrateCtx(context.Background(), fs, newPath, newOrder, 8, MigrateOptions{})
+	dst, err := MigrateCtx(context.Background(), fs, newPath, newOrder, 8)
 	if err != nil {
 		t.Fatalf("MigrateCtx with repairable source corruption = %v, want success", err)
 	}
@@ -409,7 +409,7 @@ func TestMigrateUnrepairableSourceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	newPath := filepath.Join(t.TempDir(), "migrated.db")
-	if _, _, err := MigrateCtx(context.Background(), fs, newPath, newOrder, 8, MigrateOptions{}); !errors.Is(err, ErrUnrepairable) {
+	if _, err := MigrateCtx(context.Background(), fs, newPath, newOrder, 8); !errors.Is(err, ErrUnrepairable) {
 		t.Fatalf("MigrateCtx with double fault = %v, want ErrUnrepairable", err)
 	}
 	if _, err := os.Stat(newPath); !os.IsNotExist(err) {

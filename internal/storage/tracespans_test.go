@@ -109,7 +109,7 @@ func TestTracedMigrationRecordsCopyAndFlush(t *testing.T) {
 	defer fs.Close()
 	rec := trace.NewRecorder(trace.Config{SampleEvery: 1})
 	ctx, tr := rec.Start(context.Background(), "migrate")
-	dst, _, err := MigrateCtx(ctx, fs, path+".new", fs.Layout().Order(), 64, MigrateOptions{})
+	dst, err := MigrateCtx(ctx, fs, path+".new", fs.Layout().Order(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
