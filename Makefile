@@ -44,11 +44,13 @@ race:
 # column decoder's decimal fast path (bit-identical to strconv.ParseFloat),
 # the row codec without and with a row dictionary (lossless, shape-sized,
 # column-for-column and sum-for-sum equal to the dictionary-free decoder),
-# packed blocks under a row template (lossless, and column-for-column and
-# sum-for-sum equal to the same rows framed, to the bit) and the exact sum
-# (equal to a math/big oracle in any order). The codec lives in
-# internal/rowcodec; the first five drive it through its exported
-# functions from cmd/snakestore, beside its caller. Their seed corpora run
+# frameless packed cells under a row template (lossless, and row-for-row
+# and sum-for-sum equal to the same rows framed behind the marker, to the
+# bit), the exact sum (equal to a math/big oracle in any order) and the
+# cell check (never panics on any bytes, and a cell it accepts has the rows
+# CellRows, DecodeCell and Sum find). The codec lives in internal/rowcodec;
+# the first five drive it through its exported functions from
+# cmd/snakestore, beside its caller. Their seed corpora run
 # as ordinary tests in `make check`. Minimizing a new interesting input is
 # bounded to 1s, so a 10s run spends its time exploring.
 fuzz:
@@ -58,6 +60,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzRowCodecDict -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzRowCodecPacked -fuzztime=10s -fuzzminimizetime=1s ./cmd/snakestore
 	$(GO) test -run=^$$ -fuzz=FuzzExactSum -fuzztime=10s -fuzzminimizetime=1s ./internal/rowcodec
+	$(GO) test -run=^$$ -fuzz=FuzzCellCheck -fuzztime=10s -fuzzminimizetime=1s ./internal/rowcodec
 
 # stress re-runs the concurrency suite under the race detector several
 # times: the serving stress test (goroutines + faults + cancellation +

@@ -114,7 +114,7 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < s.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := fs.PutRecord(c, buf); err != nil {
+		if err := snakes.PutRecord(fs, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,10 +194,10 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = fs.ReadPlanCtx(ctx, plan, func(cell int, rec []byte) error {
+	err = fs.ReadPlanCellsCtx(ctx, plan, snakes.Records(func(cell int, rec []byte) error {
 		sum += math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +219,10 @@ func TestReorganizerEndToEnd(t *testing.T) {
 	if plan, err = fs.Plan(context.Background(), all); err != nil {
 		t.Fatal(err)
 	}
-	err = fs.ReadPlanCtx(context.Background(), plan, func(_ int, rec []byte) error {
+	err = fs.ReadPlanCellsCtx(context.Background(), plan, snakes.Records(func(_ int, rec []byte) error {
 		total += math.Float64frombits(binary.LittleEndian.Uint64(rec[:8]))
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 	"repro/internal/workload"
@@ -382,7 +383,7 @@ func BenchmarkStoreSum(b *testing.B) {
 	}
 	bytes := make([]int64, o.Len())
 	for i := range bytes {
-		bytes[i] = storage.FrameSize(8)
+		bytes[i] = rowcodec.FrameSize(8)
 	}
 	st, err := storage.CreateFileStore(filepath.Join(b.TempDir(), "bench.db"), o, bytes, 256, 1024)
 	if err != nil {
@@ -391,7 +392,7 @@ func BenchmarkStoreSum(b *testing.B) {
 	defer st.Close()
 	rec := make([]byte, 8)
 	for c := 0; c < o.Len(); c++ {
-		if err := st.PutRecord(c, rec); err != nil {
+		if err := PutRecord(st, c, rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +401,7 @@ func BenchmarkStoreSum(b *testing.B) {
 	count := func(ctx context.Context) (n int) {
 		plan, err := st.Plan(ctx, region)
 		if err == nil {
-			err = st.ReadPlanCtx(ctx, plan, func(int, []byte) error { n++; return nil })
+			err = st.ReadPlanCellsCtx(ctx, plan, Records(func(int, []byte) error { n++; return nil }))
 		}
 		if err != nil {
 			b.Fatal(err)

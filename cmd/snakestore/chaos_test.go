@@ -32,7 +32,7 @@ func buildChaosServed(t *testing.T) (srv *server, storePath string, pageBytes in
 	storePath = filepath.Join(dir, "facts.db")
 	csvPath := filepath.Join(dir, "facts.csv")
 	want = writeFactsCSV(t, csvPath)
-	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", cat}); err != nil {
+	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "32", "-catalog", cat}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdBuild([]string{

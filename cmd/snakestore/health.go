@@ -179,7 +179,7 @@ func (s *server) handleScrub(repair bool) http.HandlerFunc {
 				s.noteCorrupt(fmt.Errorf("scrub: %w", p.Err))
 			}
 		}
-		body := map[string]any{"pages": rep.Pages, "records": rep.Rows, "storedRecords": rep.Records, "ok": rep.OK(), "problems": problems}
+		body := map[string]any{"pages": rep.Pages, "records": rep.Rows, "cells": rep.Cells, "ok": rep.OK(), "problems": problems}
 		how := "GET /verify"
 		if repair {
 			how = "POST /repair"

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // flipPageByte flips one bit of the data region of page page on disk.
@@ -155,7 +156,7 @@ func TestCompactionOversizeWarnsOnce(t *testing.T) {
 	if n := strings.Count(buf.String(), "level=WARN"); n != 1 || !srv.maint.oversize {
 		t.Errorf("%d WARN lines over 6 ticks with a cell pending oversize, want 1:\n%s", n, buf.String())
 	}
-	put(encodeCell(srv.dict, []string{"12.0"}))
+	put(rowcodec.EncodeCell(srv.dict, []string{"12.0"}))
 	srv.maintainTick(context.Background())
 	srv.maintainTick(context.Background())
 	if n := strings.Count(buf.String(), "no pending cell exceeds its extent"); n != 1 || srv.maint.oversize || strings.Count(buf.String(), "level=WARN") != 1 {

@@ -113,9 +113,12 @@ func (s *server) commitFills(ctx context.Context, st *snakes.FileStore) error {
 // durable, makes it the daemon's catalog and remembers which of st's fills it
 // recorded. The daemon keeps cat without its two per-cell arrays (cmdServe
 // drops them once the store has validated them): the file gets them read back
-// from the store. Callers hold swapMu (or run before serving starts).
+// from the store. Like every catalog write it upgrades the version; the
+// template says what the cells are. Callers hold swapMu (or run before
+// serving starts).
 func (s *server) commitCatalog(cat catalog, st *snakes.FileStore) error {
 	fill := st.FillEpoch()
+	cat.Version = catalogVersion
 	full := cat
 	full.BytesPer = make([]int64, st.Layout().Order().Len())
 	for cell := range full.BytesPer {
@@ -250,11 +253,11 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	order := st.Layout().Order()
 	shape := order.Shape()
-	type framedCell struct {
-		cell   int
-		framed []byte
+	type encodedCell struct {
+		cell int
+		enc  []byte
 	}
-	batch := make([]framedCell, 0, len(req.Cells))
+	batch := make([]encodedCell, 0, len(req.Cells))
 	for i, c := range req.Cells {
 		if len(c.Coords) != len(shape) {
 			s.writeErr(w, usagef("cell %d: %d coords for a %d-dimensional grid", i, len(c.Coords), len(shape)))
@@ -271,12 +274,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cell := order.CellIndex(c.Coords)
-		framed := encodeCell(s.dict, c.Rows)
-		if cap := st.Layout().CellCapacity(cell); int64(len(framed)) > cap {
-			s.writeErr(w, usagef("cell %d: %d bytes of rows exceed cell capacity %d", i, len(framed), cap))
+		enc := rowcodec.EncodeCell(s.dict, c.Rows)
+		if cap := st.Layout().CellCapacity(cell); int64(len(enc)) > cap {
+			s.writeErr(w, usagef("cell %d: %d bytes of rows exceed cell capacity %d", i, len(enc), cap))
 			return
 		}
-		batch = append(batch, framedCell{cell: cell, framed: framed})
+		batch = append(batch, encodedCell{cell: cell, enc: enc})
 	}
 	resp := ingestResponse{Generation: s.generation.Load()}
 	if tr := snakes.TraceFromContext(ctx); tr != nil {
@@ -292,7 +295,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	asp.SetAttr("cells", int64(len(batch)))
 	s.ing.mu.Lock()
 	for _, fc := range batch {
-		if err := s.ing.log.Put(fc.cell, fc.framed); err != nil {
+		if err := s.ing.log.Put(fc.cell, fc.enc); err != nil {
 			s.ing.mu.Unlock()
 			asp.SetError(err)
 			asp.End()
@@ -304,7 +307,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Accepted++
-		resp.Bytes += int64(len(fc.framed))
+		resp.Bytes += int64(len(fc.enc))
 	}
 	resp.PendingCells = s.ing.log.PendingCells()
 	resp.PendingBytes = s.ing.log.PendingBytes()
@@ -319,41 +322,4 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// encodeCell is a cell's rows framed as the store keeps them: one packed
-// block when they all fit the row template and packs chooses it, as build
-// does, the encoded rows otherwise. So a rewrite whose rows have the shape
-// of the ones it replaces — the same skeletons, decimals of the same
-// lengths and fraction counts — takes the bytes the cell has.
-func encodeCell(d *rowcodec.Dict, rows []string) []byte {
-	var framed int64
-	for _, row := range rows {
-		framed += snakes.FrameSize(rowcodec.EncodedLen(d, row))
-	}
-	if packs(d, len(rows), framed) {
-		block, ok := rowcodec.AppendTag(make([]byte, 0, d.PackedLen(len(rows)))), true
-		for _, row := range rows {
-			if block, ok = rowcodec.Pack(d, block, row); !ok {
-				break
-			}
-		}
-		if ok {
-			return snakes.FrameRecords(block)
-		}
-	}
-	// The rows are encoded back to back into one buffer; a row encodes to
-	// at most its length plus one, so it never moves.
-	size := len(rows)
-	for _, row := range rows {
-		size += len(row)
-	}
-	enc := make([]byte, 0, size)
-	records := make([][]byte, len(rows))
-	for j, row := range rows {
-		at := len(enc)
-		enc = rowcodec.Encode(d, enc, row)
-		records[j] = enc[at:]
-	}
-	return snakes.FrameRecords(records...)
 }

@@ -189,9 +189,20 @@ func TestIngestMergeOnReadAndCompaction(t *testing.T) {
 // same-length rewrites leaves the catalog file alone (it already says what
 // the store holds) yet still checkpoints; a fold that moves a fill rewrites
 // it with both per-cell arrays read back from the store — the daemon keeps
-// neither; and a commit that failed is retried by the next tick.
+// neither; and a commit that failed is retried by the next tick. A packed
+// cell has no slack, so the fill that moves is a cell of three rows
+// rewritten as one.
 func TestCompactionCommitsCatalogOnlyWhenFillsMove(t *testing.T) {
-	srv, catPath, storePath, _ := buildIngestServed(t, testDeltaOptions(), testIngestConfig())
+	catPath, storePath, _ := buildPackedRows(t)
+	srv := servePackedRows(t, catPath, storePath)
+	c, _, _, err := loadCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.closeIngest)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	built, _, _, err := loadCatalog(catPath)
@@ -209,7 +220,7 @@ func TestCompactionCommitsCatalogOnlyWhenFillsMove(t *testing.T) {
 	}
 
 	before := stat()
-	ingestOne(t, ts, []int{1, 2}, "99.0") // replaces "12.0": same shape, same length
+	ingestOne(t, ts, []int{0, 2}, "9.7", "9.8", "9.9") // replaces "2.0", "2.1", "2.2": same shape, same length
 	if stats := tickIngest(t, srv); stats.CellsApplied != 1 || stats.PendingCells != 0 {
 		t.Fatalf("tick = %+v, want 1 cell applied and an empty backlog", stats)
 	}
@@ -217,9 +228,9 @@ func TestCompactionCommitsCatalogOnlyWhenFillsMove(t *testing.T) {
 		t.Error("a tick of same-length rewrites replaced the catalog file")
 	}
 
-	// A shorter row moves the cell's fill. The first commit fails (its
+	// One row for three moves the cell's fill. The first commit fails (its
 	// directory is gone), so the entry stays pending; the next tick retries.
-	ingestOne(t, ts, []int{1, 2}, "9")
+	ingestOne(t, ts, []int{0, 2}, "9.5")
 	srv.catPath = filepath.Join(filepath.Dir(catPath), "missing", "cat.json")
 	srv.ing.mu.Lock()
 	_, err = srv.ing.comp.Tick(context.Background(), srv.st(), srv.ing.log)
@@ -300,10 +311,13 @@ func TestIngestValidation(t *testing.T) {
 // (typed overload), while a same-size replacement of an already-pending
 // cell still fits (it grows the backlog by nothing).
 func TestIngestBacklogSheds(t *testing.T) {
-	one := int64(len(snakes.FrameRecords([]byte("99.0"))))
+	const one = 2 // "99.0" packs into one 2-byte row of the store's template
 	dopt := testDeltaOptions()
 	dopt.MaxPendingBytes = one
 	srv, _, _, _ := buildIngestServed(t, dopt, testIngestConfig())
+	if n := len(rowcodec.EncodeCell(srv.dict, []string{"99.0"})); n != one {
+		t.Fatalf("a cell of one row is %d bytes, want %d", n, one)
+	}
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -382,7 +396,7 @@ func runIngestCrashOps(dir, ops string) error {
 			}
 			cell := st.Layout().Order().CellIndex([]int{x, y})
 			srv.ing.mu.Lock()
-			err := srv.ing.log.Put(cell, encodeCell(srv.dict, []string{val}))
+			err := srv.ing.log.Put(cell, rowcodec.EncodeCell(srv.dict, []string{val}))
 			srv.ing.mu.Unlock()
 			if err != nil {
 				return err
@@ -444,16 +458,16 @@ func runCrashHelper(t *testing.T, dir, ops, crashPoint string) int {
 
 const crashExitCode = 42
 
-// cellRecord reads the single record of grid cell (x, y), failing if the
-// cell does not hold exactly one record.
+// cellRecord reads the single row of grid cell (x, y), failing if the
+// cell does not hold exactly one row.
 func cellRecord(t *testing.T, srv *server, x, y int) string {
 	t.Helper()
 	st := srv.st()
 	cell := st.Layout().Order().CellIndex([]int{x, y})
 	var rows []string
-	if err := st.ReadCellCtx(context.Background(), cell, func(rec []byte) error {
-		row, err := rowcodec.Decode(srv.dict, nil, rec)
-		rows = append(rows, string(row))
+	if err := st.ReadCellCtx(context.Background(), cell, func(b []byte) error {
+		text, err := rowcodec.DecodeCell(srv.dict, nil, b)
+		rows = strings.Split(string(text), "\n")
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -578,7 +592,7 @@ func TestReorgCarriesDeltas(t *testing.T) {
 
 	var q0 queryResponse
 	getJSON(t, ts, chaosRegion, http.StatusOK, &q0)
-	ingestOne(t, ts, []int{1, 3}, "77.0")
+	ingestOne(t, ts, []int{1, 3}, "77.0", "0.0") // both rows of the cell
 	wantHot := *q0.Sum - 13 + 77
 
 	// Shift the workload to column queries so the forced reorg has a
@@ -595,7 +609,7 @@ func TestReorgCarriesDeltas(t *testing.T) {
 	// The delta rode along: folded into the new base, not pending.
 	var q1 queryResponse
 	getJSON(t, ts, chaosRegion, http.StatusOK, &q1)
-	if q1.Generation != 1 || q1.Records != 4 || q1.Sum == nil || math.Abs(*q1.Sum-wantHot) > 1e-9 {
+	if q1.Generation != 1 || q1.Records != q0.Records || q1.Sum == nil || math.Abs(*q1.Sum-wantHot) > 1e-9 {
 		t.Fatalf("post-reorg answer = %+v, want generation 1 summing %v", q1, wantHot)
 	}
 	if q1.DeltaCells != 0 {

@@ -45,7 +45,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -64,14 +63,16 @@ import (
 
 // catalogVersion is the current catalog format. Version 4 says the store's
 // rows went through the row codec (internal/rowcodec); version 5 adds the
-// row dictionary build learns, and version 6 the row template, under which
-// a cell whose rows all fit it is one packed block. Version 4 and 5 stores
-// (rows coded without a dictionary; framed rows only) still serve. Older
-// versions are still readable — an optimize output of any version feeds
-// build, and verify works on the framing alone — but a store loaded under
-// one holds text rows, which nothing decodes any more: loadServableCatalog
-// refuses it. Writes always upgrade to the current version.
-const catalogVersion = 6
+// row dictionary build learns, version 6 the row template, under which a
+// cell whose rows all fit it is one packed block, and version 7 frameless
+// cells: a packed cell is its rows alone. Version 4 to 6 stores still
+// serve. Older versions are still readable — an optimize output of any
+// version feeds build, and verify works on the framing alone — but a store
+// loaded under one holds text rows, which nothing decodes any more:
+// loadServableCatalog refuses it. Writes always upgrade to the current
+// version, so what a cell's bytes are comes from the template (whether it
+// reserves the marker bit), never from the version.
+const catalogVersion = 7
 
 // minServableVersion is the oldest catalog whose store holds encoded rows.
 const minServableVersion = 4
@@ -298,27 +299,31 @@ func cmdBuild(args []string) error {
 	// cell by its rows' encoded lengths under them, in one scan: a row is
 	// sized under the dictionary as it stands once the row's own skeletons
 	// are admitted, and nothing admitted is taken back, so pass 2 encodes
-	// every row to the length sized here. The template only widens, so a row
-	// that fits it here packs under the final one; a cell packs when all of
-	// its rows do and the block is no longer than its framed rows. The order
-	// comes first: it refuses a grid too large to index before anything is
-	// sized by its cell count.
+	// every row to the length sized here. The scan also counts the rows of
+	// each shape; the template is the most common one's, and a cell packs
+	// when all of its rows have that shape and the packed cell is no longer
+	// than its framed rows (CellLen). The order comes first: it refuses a
+	// grid too large to index before anything is sized by its cell count.
 	order, err := strat.Materialize()
 	if err != nil {
 		return err
 	}
 	bytesPerCell := make([]int64, order.Len())
 	rows := make([]int32, order.Len())
-	misfit := make([]bool, order.Len())
+	shapes := make([]int32, order.Len()) // the shape of a cell's rows, NoShape when they differ
 	dict := rowcodec.NewDict()
 	var plainBytes, codedBytes int64
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
-		n, plain, fits := dict.Learn(row)
+		n, plain, shape := dict.Learn(row)
 		codedBytes += int64(n)
 		plainBytes += int64(plain)
-		bytesPerCell[cell] += snakes.FrameSize(n)
+		bytesPerCell[cell] += rowcodec.FrameSize(n)
+		if rows[cell] == 0 {
+			shapes[cell] = int32(shape)
+		} else if shapes[cell] != int32(shape) {
+			shapes[cell] = rowcodec.NoShape
+		}
 		rows[cell]++
-		misfit[cell] = misfit[cell] || !fits
 		return nil
 	}); err != nil {
 		return err
@@ -326,20 +331,21 @@ func cmdBuild(args []string) error {
 	tmpl := dict.Template()
 	var packedCells, cells int64
 	for cell, n := range rows {
-		if n > 0 {
-			cells++
+		if n == 0 {
+			continue
 		}
-		if n > 0 && !misfit[cell] && packs(dict, int(n), bytesPerCell[cell]) {
-			bytesPerCell[cell] = snakes.FrameSize(dict.PackedLen(int(n)))
+		cells++
+		var packed bool
+		bytesPerCell[cell], packed = dict.CellLen(int(n), bytesPerCell[cell], dict.Fits(int(shapes[cell])))
+		if packed {
 			packedCells++
 		} else {
 			rows[cell] = 0 // framed rows
 		}
 	}
-	// Pass 2: load. A packed cell's frame header goes in with its first
-	// row, sized from pass 1's count (rows[cell] then turns negative: the
-	// block is open), and every row appends its Width bytes to it; any other
-	// row is encoded into one buffer PutRecord copies from.
+	// Pass 2: load, a row at a time. A packed cell's rows are appended one
+	// after the other; a framed cell's first row goes in after the marker
+	// (rows[cell] then turns negative), and every row with its frame.
 	store, err := strat.CreateFileStore(*storePath, bytesPerCell, cat.PageBytes, *frames)
 	if err != nil {
 		return err
@@ -348,22 +354,19 @@ func cmdBuild(args []string) error {
 	var enc []byte
 	if err := scanCSV(*csvPath, k, order, func(cell int, row []byte) error {
 		records++
-		n := rows[cell]
-		if n == 0 {
-			enc = rowcodec.Encode(dict, enc[:0], row)
-			return store.PutRecord(cell, enc)
+		if rows[cell] > 0 {
+			var ok bool
+			if enc, ok = rowcodec.Pack(dict, enc[:0], row); !ok {
+				return fmt.Errorf("row does not fit the row template pass 1 learned: the CSV changed during the build")
+			}
+			return store.AppendBytes(cell, enc)
 		}
 		enc = enc[:0]
-		if n > 0 {
-			enc = binary.LittleEndian.AppendUint32(enc, uint32(dict.PackedLen(int(n))))
-			enc = rowcodec.AppendTag(enc)
-			rows[cell] = -n
+		if rows[cell] == 0 {
+			enc = dict.AppendMarker(enc)
+			rows[cell] = -1
 		}
-		var ok bool
-		if enc, ok = rowcodec.Pack(dict, enc, row); !ok {
-			return fmt.Errorf("row does not fit the row template pass 1 learned: the CSV changed during the build")
-		}
-		return store.AppendBytes(cell, enc)
+		return store.AppendBytes(cell, rowcodec.AppendFramedRow(dict, enc, row))
 	}); err != nil {
 		store.Close()
 		return err
@@ -445,7 +448,7 @@ func cmdQuery(args []string) error {
 }
 
 // cmdVerify scrubs the store: every page re-read from disk with its
-// checksum verified, every cell's record framing walked, and the catalog's
+// checksum verified, every cell checked by the row codec, and the catalog's
 // dirty flag surfaced. With -repair, corrupt pages are reconstructed from
 // the parity sidecar instead of only reported: exit 0 when everything was
 // repaired (the store re-verifies clean), 1 when damage is unrepairable.
@@ -471,7 +474,7 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	defer store.Close()
-	store.SetRowCounter(countRows(cat.Dict))
+	store.SetCellCheck(cellCheck(cat.Dict))
 	if *repair {
 		if err := store.AttachParity(snakes.ParityPath(active)); err != nil {
 			return fmt.Errorf("-repair needs the parity sidecar: %w", err)
@@ -495,7 +498,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return fmt.Errorf("scrub aborted: %w", err)
 	}
-	fmt.Printf("scrubbed %d pages, %d records (%d stored records)\n", rep.Pages, rep.Rows, rep.Records)
+	fmt.Printf("scrubbed %d pages, %d records (%d cells)\n", rep.Pages, rep.Rows, rep.Cells)
 	for _, p := range rep.Problems {
 		fmt.Fprintln(os.Stderr, "snakestore: corrupt:", p.String())
 	}
@@ -512,10 +515,10 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-// countRows is the scrub walk's row counter under the row dictionary d, the
-// count /query gives; a block that is not whole rows is one record.
-func countRows(d *rowcodec.Dict) func(rec []byte) int {
-	return func(rec []byte) int { n, _ := rowcodec.Rows(d, rec); return max(n, 1) }
+// cellCheck is the scrub walk's check of a cell under the row dictionary d
+// and its template: its rows are the count /query gives.
+func cellCheck(d *rowcodec.Dict) func(cell []byte) (int, error) {
+	return func(cell []byte) (int, error) { return rowcodec.CheckCell(d, cell) }
 }
 
 // reportCorruption runs a scrub after a query tripped over ErrCorruptPage,
@@ -708,13 +711,6 @@ func dictSummary(d *rowcodec.Dict, records, plainBytes, codedBytes int64) string
 		coded, perRow(plainBytes), perRow(codedBytes))
 }
 
-// packs is the rule that decides a cell's form, for build and POST /ingest
-// alike: rows rows that all fit d's row template are one packed block when
-// that is no longer than the framed bytes the same rows take encoded.
-func packs(d *rowcodec.Dict, rows int, framed int64) bool {
-	return d.Width() > 0 && snakes.FrameSize(d.PackedLen(rows)) <= framed
-}
-
 func numeric(s string) bool {
 	_, err := strconv.Atoi(strings.TrimSpace(s))
 	return err == nil
@@ -783,11 +779,7 @@ func writeCatalog(path string, cat *catalog) error {
 		os.Remove(tmp)
 		return err
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return snakes.SyncDir(filepath.Dir(path))
 }
 
 func loadCatalog(path string) (*catalog, *snakes.Schema, *snakes.Strategy, error) {

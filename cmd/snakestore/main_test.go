@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -92,8 +93,8 @@ func TestEndToEndWorkflow(t *testing.T) {
 	defer fs.Close()
 	var got float64
 	var count int
-	if err := readRegion(context.Background(), fs, region, func(cell int, rec []byte) error {
-		v, err := rowcodec.Column(c.Dict, rec, 0, 0)
+	if err := readRegion(context.Background(), fs, region, c.Dict, func(cell int, row []byte) error {
+		v, err := strconv.ParseFloat(string(bytes.SplitN(row, []byte(","), 2)[0]), 64)
 		if err != nil {
 			return err
 		}
@@ -280,12 +281,14 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 	}
 
 	// A version 4 store — rows encoded before there was a row dictionary, as
-	// that release's build wrote testdata/v4store — and a version 5 store —
+	// that release's build wrote testdata/v4store —, a version 5 store —
 	// framed rows coded against one, built from the same CSV by the release
-	// before row templates (testdata/v5store) — still serve, and answer every
-	// sum, every record count and every error as a rebuild of that CSV under
-	// the current version, whose cells are packed blocks, does.
-	old := map[int]string{4: t.TempDir(), 5: t.TempDir()}
+	// before row templates (testdata/v5store) — and a version 6 store —
+	// packed blocks framed as tagged records, built from that CSV by the
+	// release before frameless cells (testdata/v6store) — still serve, and
+	// answer every sum, every record count and every error as a rebuild of
+	// that CSV under the current version, whose cells are frameless, does.
+	old := map[int]string{4: t.TempDir(), 5: t.TempDir(), 6: t.TempDir()}
 	fresh := t.TempDir()
 	for _, name := range []string{"cat.json", "facts.csv", "facts.db", "facts.db.parity"} {
 		for version, dir := range old {
@@ -305,7 +308,7 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 	}
 	for version, dir := range old {
 		c, _, _, err := loadServableCatalog(filepath.Join(dir, "cat.json"))
-		if err != nil || c.Version != version || (c.Dict != nil) != (version >= 5) || c.Template != nil {
+		if err != nil || c.Version != version || (c.Dict != nil) != (version >= 5) || (c.Template != nil) != (version >= 6) || c.Dict.Frameless() {
 			t.Fatalf("the version %d catalog: %v", version, err)
 		}
 	}
@@ -313,7 +316,7 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 	if err := cmdBuild([]string{"-catalog", freshCat, "-csv", filepath.Join(fresh, "facts.csv"), "-store", freshStore, "-frames", "8"}); err != nil {
 		t.Fatal(err)
 	}
-	if c, _, _, err := loadCatalog(freshCat); err != nil || c.Version != catalogVersion || c.Dict == nil || c.Dict.Width() == 0 {
+	if c, _, _, err := loadCatalog(freshCat); err != nil || c.Version != catalogVersion || c.Dict == nil || c.Dict.Width() == 0 || !c.Dict.Frameless() {
 		t.Fatalf("the rebuild's catalog: %v", err)
 	}
 	for _, region := range []snakes.Region{{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 3}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}}, {{Lo: 3, Hi: 4}, {Lo: 5, Hi: 6}}} {
@@ -638,11 +641,211 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 }
 
-// readRegion plans r and reads its records, as a record caller does.
-func readRegion(ctx context.Context, st *snakes.FileStore, r snakes.Region, fn func(cell int, rec []byte) error) error {
+// readRegion plans r and reads its rows, each cell decoded under d, as a
+// row caller does.
+func readRegion(ctx context.Context, st *snakes.FileStore, r snakes.Region, d *rowcodec.Dict, fn func(cell int, row []byte) error) error {
 	plan, err := st.Plan(ctx, r)
 	if err != nil {
 		return err
 	}
-	return st.ReadPlanCtx(ctx, plan, fn)
+	return st.ReadPlanCellsCtx(ctx, plan, func(cell int, b []byte) error {
+		text, err := rowcodec.DecodeCell(d, nil, b)
+		if err != nil || len(b) == 0 {
+			return err
+		}
+		for _, row := range bytes.Split(text, []byte("\n")) {
+			if err := fn(cell, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// TestBuildTemplateFromCommonShape: build takes the row template from the
+// shape most rows have, not from the first row. With an outlier first — a
+// row with another fraction count — every cell of rows of the common shape
+// is packed, W bytes a row with nothing else, the outlier's cell alone
+// framed, and every row reads back. (A CSV row with one column more is
+// refused by the CSV reader; the codec's test covers that outlier.)
+func TestBuildTemplateFromCommonShape(t *testing.T) {
+	for _, outlier := range []float64{5.25, 5} {
+		dir := t.TempDir()
+		cat, store, csvPath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db"), filepath.Join(dir, "facts.csv")
+		var csv strings.Builder
+		fmt.Fprintf(&csv, "0,0,%v\n", outlier)
+		want := outlier
+		for x := 0; x < 4; x++ {
+			for y := 0; y < 6; y++ {
+				if x+y > 0 {
+					fmt.Fprintf(&csv, "%d,%d,%d.5\n", x, y, 10*x+y)
+					want += float64(10*x+y) + 0.5
+				}
+			}
+		}
+		if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", cat}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", store}); err != nil {
+			t.Fatal(err)
+		}
+		c, _, strat, err := loadServableCatalog(cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := strat.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := int64(c.Dict.Width())
+		for x := 0; x < 4; x++ {
+			for y := 0; y < 6; y++ {
+				got := c.LoadedBytes[o.CellIndex([]int{x, y})]
+				if packed := got == w; packed != (x+y > 0) {
+					t.Errorf("outlier %v first: cell (%d,%d) holds %d bytes at W = %d", outlier, x, y, got, w)
+				}
+			}
+		}
+		if n, sum := cliSum(t, cat, store, snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, 0); n != 24 || sum != want {
+			t.Errorf("outlier %v first: %d rows sum %v, want 24 rows sum %v", outlier, n, sum, want)
+		}
+	}
+}
+
+// TestVersion6StoreIngestRestart: a version 6 store served by this binary
+// takes an ingest whose fold moves a fill, which re-commits its catalog at
+// the current version. The template still has no marker bit, so after a
+// restart the cells still read as version 6 cells: every sum is the one the
+// daemon answered before, verify is clean, and a migration of the store
+// copies every cell byte for byte and answers the same sums.
+func TestVersion6StoreIngestRestart(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"cat.json", "facts.csv", "facts.db", "facts.db.parity"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v6store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catPath, storePath := filepath.Join(dir, "cat.json"), filepath.Join(dir, "facts.db")
+	regions := []snakes.Region{{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, {{Lo: 0, Hi: 1}, {Lo: 0, Hi: 6}}, {{Lo: 1, Hi: 3}, {Lo: 2, Hi: 5}}}
+	serve := func() (*server, *httptest.Server) {
+		c, schema, strat, err := loadServableCatalog(catPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := strat.OpenFileStore(storePath, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adm, err := snakes.NewAdmission(64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
+		if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return srv, httptest.NewServer(srv.handler())
+	}
+	sums := func(ts *httptest.Server) []queryResponse {
+		var out []queryResponse
+		for _, r := range regions {
+			for col := 0; col < 4; col++ {
+				var q queryResponse
+				getJSON(t, ts, regionQuery(r, col), http.StatusOK, &q)
+				q.Pages, q.PagesRead, q.Seeks, q.DeltaCells, q.TraceID = 0, 0, 0, 0, 0
+				out = append(out, q)
+			}
+		}
+		return out
+	}
+
+	srv, ts := serve()
+	before, _, _, err := loadCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cell (0,1) holds two rows; one of the same shape in their place is a
+	// shorter version 6 packed block.
+	row := "1158.38,3,0.02,0.02,R,O,SHIP,lineitem 000209458 v0000 carefully final deposits sl"
+	ingestOne(t, ts, []int{0, 1}, row)
+	if stats := tickIngest(t, srv); stats.CellsApplied != 1 || stats.PendingCells != 0 {
+		t.Fatalf("tick = %+v, want the cell folded", stats)
+	}
+	want := sums(ts)
+	ts.Close()
+	srv.closeIngest()
+	srv.closeStore()
+	after, _, _, err := loadServableCatalog(catPath)
+	if err != nil || after.Version != catalogVersion || reflect.DeepEqual(after.LoadedBytes, before.LoadedBytes) || after.Dict.Frameless() {
+		t.Fatalf("the re-committed catalog: version %d, fills moved %v, frameless %v, %v",
+			after.Version, !reflect.DeepEqual(after.LoadedBytes, before.LoadedBytes), after.Dict.Frameless(), err)
+	}
+
+	srv, ts = serve()
+	if got := sums(ts); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the restart: %+v\nbefore it: %+v", got, want)
+	}
+	var q queryResponse
+	getJSON(t, ts, regionQuery(snakes.Region{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0), http.StatusOK, &q)
+	if q.Records != 1 || q.Sum == nil || *q.Sum != 1158.38 {
+		t.Errorf("the rewritten cell reads %+v, want its one row", q)
+	}
+	ts.Close()
+	srv.closeIngest()
+	srv.closeStore()
+	if err := cmdVerify([]string{"-catalog", catPath, "-store", storePath}); err != nil {
+		t.Fatalf("verify after the restart: %v", err)
+	}
+
+	migratesByteForByte(t, catPath, storePath)
+
+	// So does a version 7 store, built from the same CSV.
+	freshCat, freshStore := filepath.Join(dir, "v7.json"), filepath.Join(dir, "v7.db")
+	data, err := os.ReadFile(filepath.Join("testdata", "v6store", "cat.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(freshCat, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuild([]string{"-catalog", freshCat, "-csv", filepath.Join(dir, "facts.csv"), "-store", freshStore}); err != nil {
+		t.Fatal(err)
+	}
+	migratesByteForByte(t, freshCat, freshStore)
+}
+
+// migratesByteForByte migrates the store onto its own strategy and holds
+// every cell of the copy to the source's bytes.
+func migratesByteForByte(t *testing.T, catPath, storePath string) {
+	t.Helper()
+	c, _, strat, err := loadServableCatalog(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := strat.OpenFileStore(storePath, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	moved, err := strat.MigrateCtx(context.Background(), st, storePath+".moved", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Close()
+	o := st.Layout().Order()
+	for cell := 0; cell < o.Len(); cell++ {
+		var a, b []byte
+		st.ReadCellCtx(context.Background(), cell, func(cb []byte) error { a = append([]byte(nil), cb...); return nil })
+		moved.ReadCellCtx(context.Background(), cell, func(cb []byte) error { b = append([]byte(nil), cb...); return nil })
+		if !bytes.Equal(a, b) || len(a) == 0 {
+			t.Fatalf("%s: cell %d migrated as %x, was %x", catPath, cell, b, a)
+		}
+	}
 }

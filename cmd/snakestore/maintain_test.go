@@ -17,6 +17,7 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/rowcodec"
 )
 
 // TestMaintainerQuarantinesFramingDamage: a cell's record header broken
@@ -82,14 +83,14 @@ func TestScrubWindowKeepsOpenCellQuarantined(t *testing.T) {
 	for pos := 0; pos < l.Order().Len(); pos++ {
 		c := l.Order().CellAt(pos)
 		fill := st.LoadedBytes()[c]
-		if fill > 0 && start%usable < usable-4 && (start+fill-1)/usable > start/usable { // the damage is on a page the cell runs on from
+		if fill > 0 && (start+fill-1)/usable > start/usable { // the damage is on a page the cell runs on from
 			cell = c
 			break
 		}
 		start += l.CellCapacity(c)
 	}
 	if cell < 0 {
-		t.Fatal("no cell runs across a page boundary after a whole record header")
+		t.Fatal("no cell runs across a page boundary")
 	}
 	breakHeaderOnDisk(t, st, storePath, cell)
 	if err := st.Pool().Reset(context.Background()); err != nil {
@@ -116,10 +117,10 @@ func TestScrubWindowKeepsOpenCellQuarantined(t *testing.T) {
 	}
 }
 
-// breakHeaderOnDisk overwrites the record header at the start of cell's
-// extent on disk with 0x7fffffff and re-seals the page's checksum trailer
-// (magic, then CRC-32C of the data region), so the page reads clean and the
-// cell's framing is broken.
+// breakHeaderOnDisk overwrites the first byte of cell's extent on disk with
+// 0xff — neither a packed row's first byte nor the framed-cell marker — and
+// re-seals the page's checksum trailer (magic, then CRC-32C of the data
+// region), so the page reads clean and the cell fails its check.
 func breakHeaderOnDisk(t *testing.T, st *snakes.FileStore, storePath string, cell int) {
 	t.Helper()
 	l := st.Layout()
@@ -129,9 +130,7 @@ func breakHeaderOnDisk(t *testing.T, st *snakes.FileStore, storePath string, cel
 	}
 	pageBytes := l.PageSize()
 	usable := pageBytes - l.TrailerBytes()
-	if start%usable > usable-4 {
-		t.Fatalf("cell %d's header runs across a page boundary", cell)
-	}
+
 	f, err := os.OpenFile(storePath, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +141,7 @@ func breakHeaderOnDisk(t *testing.T, st *snakes.FileStore, storePath string, cel
 	if _, err := f.ReadAt(page, off); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(page[start%usable:], 0x7fffffff)
+	page[start%usable] = 0xff
 	binary.LittleEndian.PutUint32(page[usable+4:], crc32.Checksum(page[:usable], crc32.MakeTable(crc32.Castagnoli)))
 	if _, err := f.WriteAt(page, off); err != nil {
 		t.Fatal(err)
@@ -181,11 +180,11 @@ func TestMaintainerFoldsBeforeScrub(t *testing.T) {
 	ctx := context.Background()
 	st := srv.st()
 	pageBytes := st.Layout().PageSize()
-	var folded int64 // a rewrite of every cell: more than two pages of payload
+	var folded int64 // a rewrite of every cell: more than a page of payload
 	srv.ing.mu.Lock()
 	for x := 0; x < 4; x++ {
 		for y := 0; y < 6; y++ {
-			framed := encodeCell(srv.dict, []string{fmt.Sprintf("%d.5", 10*x+y)})
+			framed := rowcodec.EncodeCell(srv.dict, []string{fmt.Sprintf("%d.5", 10*x+y)})
 			if err := srv.ing.log.Put(st.Layout().Order().CellIndex([]int{x, y}), framed); err != nil {
 				t.Fatal(err)
 			}
@@ -193,17 +192,17 @@ func TestMaintainerFoldsBeforeScrub(t *testing.T) {
 		}
 	}
 	srv.ing.mu.Unlock()
-	if folded <= 2*pageBytes {
-		t.Fatalf("backlog of %d bytes, want more than two %d-byte pages", folded, pageBytes)
+	if folded <= pageBytes || st.Layout().TotalPages() < 2 {
+		t.Fatalf("backlog of %d bytes over %d pages, want more than one %d-byte page over two or more", folded, st.Layout().TotalPages(), pageBytes)
 	}
-	srv.maint = newMaintainer(folded + 2*pageBytes)
+	srv.maint = newMaintainer(folded + pageBytes)
 	spent := srv.maintainTick(ctx)
-	if spent.fold != folded || spent.copy != 0 || spent.scrub != 2*pageBytes || srv.maint.cur.Page != 2 || srv.ing.log.PendingBytes() != 0 {
-		t.Fatalf("tick with a %d-byte backlog spent %+v to page %d, want the fold and then a two-page window", folded, spent, srv.maint.cur.Page)
+	if spent.fold != folded || spent.copy != 0 || spent.scrub != pageBytes || srv.maint.cur.Page != 1 || srv.ing.log.PendingBytes() != 0 {
+		t.Fatalf("tick with a %d-byte backlog spent %+v to page %d, want the fold and then a one-page window", folded, spent, srv.maint.cur.Page)
 	}
-	want := min(srv.maint.budget/pageBytes, st.Layout().TotalPages()-2) * pageBytes
+	want := min(srv.maint.budget/pageBytes, st.Layout().TotalPages()-1) * pageBytes
 	if spent = srv.maintainTick(ctx); spent.fold != 0 || spent.scrub != want {
-		t.Fatalf("tick with no backlog spent %+v, want a scrub window of %d bytes from page 2", spent, want)
+		t.Fatalf("tick with no backlog spent %+v, want a scrub window of %d bytes from page 1", spent, want)
 	}
 }
 
@@ -224,11 +223,11 @@ func TestServeRejectsNonPositiveMaintainInterval(t *testing.T) {
 // the first grant, all reach the new generation through the cutover.
 func TestMaintainerPacesMigration(t *testing.T) {
 	srv, ts, stored := buildMaintainedReorg(t)
-	const budget = 64
+	const budget = 16
 	copied := migrateInTicks(t, srv, ts, budget, func() {
 		for x := 0; x < 4; x++ {
 			for y := 0; y < 6; y++ {
-				ingestOne(t, ts, []int{x, y}, fmt.Sprintf("%d.5", 10*x+y))
+				ingestOne(t, ts, []int{x, y}, fmt.Sprintf("%d.5", 10*x+y), "0.0")
 			}
 		}
 	})
@@ -310,8 +309,9 @@ func migrateInTicks(t *testing.T, srv *server, ts *httptest.Server, budget int64
 
 // TestVerifyCountsRows: on a store whose cells pack several rows each,
 // verify counts rows, as /query does — the CLI line, /verify and the
-// maintainer's pass agree with /query's records over the whole grid — and
-// names the stored records, one a packed cell, as such.
+// maintainer's pass agree with /query's records over the whole grid, the
+// cell check counting each frameless cell's rows, one of them across a page
+// boundary — and names the cells it checked as such.
 func TestVerifyCountsRows(t *testing.T) {
 	catPath, storePath, rows := buildPackedRows(t)
 	stdout := os.Stdout
@@ -327,7 +327,7 @@ func TestVerifyCountsRows(t *testing.T) {
 	if verr != nil {
 		t.Fatal(verr)
 	}
-	if want := fmt.Sprintf(" pages, %d records (24 stored records)\n", rows); !strings.Contains(string(out), want) {
+	if want := fmt.Sprintf(" pages, %d records (24 cells)\n", rows); !strings.Contains(string(out), want) {
 		t.Errorf("verify printed %q, want …%q", out, want)
 	}
 
@@ -337,12 +337,22 @@ func TestVerifyCountsRows(t *testing.T) {
 	var q queryResponse
 	getJSON(t, ts, "/query", http.StatusOK, &q)
 	var v struct {
-		Records       int64 `json:"records"`
-		StoredRecords int64 `json:"storedRecords"`
+		Records int64 `json:"records"`
+		Cells   int64 `json:"cells"`
 	}
 	getJSON(t, ts, "/verify", http.StatusOK, &v)
-	if q.Records != int64(rows) || v.Records != q.Records || v.StoredRecords != 24 {
-		t.Errorf("/query counts %d records, /verify %d in %d stored; want %d rows in 24 packed cells", q.Records, v.Records, v.StoredRecords, rows)
+	if q.Records != int64(rows) || v.Records != q.Records || v.Cells != 24 {
+		t.Errorf("/query counts %d records, /verify %d in %d cells; want %d rows in 24 packed cells", q.Records, v.Records, v.Cells, rows)
+	}
+	l, loaded := srv.st().Layout(), srv.st().LoadedBytes()
+	usable, start, across := l.PageSize()-l.TrailerBytes(), int64(0), false
+	for pos := 0; pos < l.Order().Len(); pos++ {
+		c := l.Order().CellAt(pos)
+		across = across || loaded[c] > 0 && (start+loaded[c]-1)/usable > start/usable
+		start += l.CellCapacity(c)
+	}
+	if !across {
+		t.Error("no cell runs across a page boundary")
 	}
 	srv.maint = newMaintainer(maintainBudget)
 	srv.maintainTick(context.Background())
@@ -375,7 +385,7 @@ func buildPackedRows(t *testing.T) (catPath, storePath string, rows int) {
 	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", catPath}); err != nil {
+	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "48", "-catalog", catPath}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdBuild([]string{"-catalog", catPath, "-csv", csvPath, "-store", storePath}); err != nil {

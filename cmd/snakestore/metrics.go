@@ -152,7 +152,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 		spanSeconds: make(map[string]*obs.Histogram, len(snakes.TraceSpanKinds())),
 
 		ingestPuts:      reg.Counter("snakestore_ingest_puts_total", "cell upserts accepted into the delta store"),
-		ingestBytes:     reg.Counter("snakestore_ingest_bytes_total", "framed payload bytes accepted into the delta store"),
+		ingestBytes:     reg.Counter("snakestore_ingest_bytes_total", "cell bytes accepted into the delta store"),
 		ingestRejected:  reg.Counter("snakestore_ingest_rejected_total", "cell upserts shed on delta backlog pressure or put failure"),
 		queryDeltaCells: reg.Counter("snakestore_query_delta_cells_total", "cells queries served from the delta store via merge-on-read"),
 	}

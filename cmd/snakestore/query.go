@@ -2,10 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -81,15 +82,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	q := r.URL.Query()
+	if err := queryParams(q); err != nil {
+		s.writeErr(w, err)
+		return
+	}
 	region, err := parseRegion(s.schema, s.dims, q["where"])
 	if err != nil {
 		s.writeErr(w, usagef("%v", err))
 		return
 	}
 	sumCol := -1
-	if v := q.Get("sum"); v != "" {
-		if sumCol, err = strconv.Atoi(v); err != nil || sumCol < 0 {
-			s.writeErr(w, usagef("sum=%q: want a non-negative column index", v))
+	if v, ok := q["sum"]; ok {
+		if sumCol, err = strconv.Atoi(v[0]); err != nil || sumCol < 0 {
+			s.writeErr(w, usagef("sum=%q: want a non-negative column index", v[0]))
 			return
 		}
 	}
@@ -174,6 +179,25 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// queryParams refuses the parameters /query does not read — anything but
+// where and one sum — by name, so a misspelt restriction is an error and not
+// a scan of the whole store. The first name in byte order is the one named.
+func queryParams(q url.Values) error {
+	bad, found := "", false
+	for k, v := range q {
+		if k != "where" && (k != "sum" || len(v) > 1) && (!found || k < bad) {
+			bad, found = k, true
+		}
+	}
+	switch {
+	case !found:
+		return nil
+	case bad == "sum":
+		return usagef("sum given %d times: want one column", len(q["sum"]))
+	}
+	return usagef("unknown parameter %q: /query takes where and sum", bad)
+}
+
 // readSum executes plan through the one record kernel /query and the query
 // subcommand share: the region's record count and, for col >= 0, the exact
 // sum of payload column col (rowcodec.Sum) of rows encoded under d. A column
@@ -192,9 +216,9 @@ func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, 
 	return k.records, sum, nil
 }
 
-// sumKernel walks each cell's framing in place, counts its rows — one a
-// framed row, Rows of a packed block — and adds their column to the sum: a
-// direct call per stored record, no allocation.
+// sumKernel counts each cell's rows and adds their column to the sum: a
+// packed cell in one strided call, a framed one a record at a time, with no
+// allocation.
 type sumKernel struct {
 	records int64
 	col     int // -1: count only
@@ -202,29 +226,21 @@ type sumKernel struct {
 	sum     rowcodec.Sum
 }
 
-func (k *sumKernel) cell(cell int, framed []byte) error {
-	for len(framed) >= 4 {
-		end := 4 + uint64(binary.LittleEndian.Uint32(framed))
-		if end > uint64(len(framed)) {
-			break
-		}
-		var rows int
-		var err error
-		if k.col >= 0 {
-			rows, err = k.sum.Add(framed[4:end])
-		} else {
-			rows, err = rowcodec.Rows(k.d, framed[4:end])
-		}
-		if err != nil {
-			return usagef("%v", err)
-		}
-		k.records += int64(rows)
-		framed = framed[end:]
+func (k *sumKernel) cell(cell int, b []byte) error {
+	var rows int
+	var err error
+	if k.col >= 0 {
+		rows, err = k.sum.AddCell(b)
+	} else {
+		rows, err = rowcodec.CellRows(k.d, b)
 	}
-	if len(framed) > 0 {
-		_, _, err := snakes.NextRecord(cell, framed) // the broken framing, in the store's words
-		return err
+	switch {
+	case errors.Is(err, rowcodec.ErrFraming):
+		return fmt.Errorf("cell %d: %w", cell, err)
+	case err != nil:
+		return usagef("%v", err)
 	}
+	k.records += int64(rows)
 	return nil
 }
 

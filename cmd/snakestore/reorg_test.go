@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -38,6 +39,20 @@ func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig) (*server, string,
 	storePath := filepath.Join(dir, "facts.db")
 	csvPath := filepath.Join(dir, "facts.csv")
 	writeFactsCSV(t, csvPath)
+	// A second row of 0.0 in every cell leaves every sum as it is and spreads
+	// the store over enough pages that the layout decides a query's seeks.
+	f, err := os.OpenFile(csvPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < 4; x++ {
+		for y := 0; y < 6; y++ {
+			fmt.Fprintf(f, "%d,%d,0.0\n", x, y)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := cmdOptimize([]string{
 		"-dims", "x:2,2 y:3,2", "-workload", "0,2:1", "-page", "32", "-catalog", catPath,
 	}); err != nil {
@@ -228,7 +243,7 @@ func TestServeAdaptiveReorgEndToEnd(t *testing.T) {
 	var tally snakes.PoolTally
 	qctx := snakes.WithPoolTally(context.Background(), &tally)
 	var records int64
-	if err := readRegion(qctx, store, region, func(cell int, rec []byte) error {
+	if err := readRegion(qctx, store, region, c2.Dict, func(cell int, row []byte) error {
 		records++
 		return nil
 	}); err != nil {
@@ -454,7 +469,7 @@ func awaitReorgOver(t *testing.T, srv *server) snakes.ReorgStatus {
 }
 
 // drainMidMigration runs the maintainer's loop at a tick an hour, starts a
-// forced reorganization, copies one 64-byte step of it by hand and ends the
+// forced reorganization, copies one 16-byte step of it by hand and ends the
 // loop's context, as a drain does: the copy is canceled, its partial store
 // file removed, and the reorganizer stays on generation 0 with one more
 // canceled reorganization, finished once.
@@ -464,7 +479,7 @@ func drainMidMigration(t *testing.T, srv *server, ts *httptest.Server, storePath
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv.startMaintainer(ctx, time.Hour, time.Hour)
-	srv.maint.budget = 64
+	srv.maint.budget = 16
 	postJSON(t, ts, "/reorg?force=1", nil, http.StatusAccepted, nil)
 	srv.maintainTick(context.Background())
 	if st := srv.reorg.Status(); !st.InProgress || st.MigratedCells == 0 || st.MigratedCells >= st.TotalCells {
@@ -535,7 +550,7 @@ func TestServeReorgDrainMidMigration(t *testing.T) {
 
 // TestServeReorgPostReturnsBeforeCopy: POST /reorg answers 202 once the
 // migration has started, with the copy left to the maintainer's ticks — a
-// 64-byte budget takes several. While it runs GET /reorg reads it in
+// 16-byte budget takes several. While it runs GET /reorg reads it in
 // progress part-way and a second POST answers 409; further ticks cut over
 // and /query serves generation 1. The reorganization is one trace from the
 // decision to the cutover, and Finish runs exactly once for each outcome:
@@ -548,7 +563,7 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		getJSON(t, ts, "/query?where=y%3D3..4", http.StatusOK, nil)
 	}
-	srv.maint = newMaintainer(64)
+	srv.maint = newMaintainer(16)
 	c, _, _, err := loadCatalog(catPath)
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +623,7 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 		srv.maintainTick(context.Background())
 	}
 	if ticks < 3 {
-		t.Errorf("the copy took %d ticks, want several of a 64-byte budget", ticks)
+		t.Errorf("the copy took %d ticks, want several of a 16-byte budget", ticks)
 	}
 	var q queryResponse
 	getJSON(t, ts, "/query?where=y%3D3..4&sum=0", http.StatusOK, &q)

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	snakes "repro"
-	"repro/internal/rowcodec"
 )
 
 // measureRows is a 4x6 warehouse of rows shaped like the benchmark's: three
@@ -192,22 +191,19 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 		{{Lo: 2, Hi: 4}, {Lo: 2, Hi: 6}}, {{Lo: 1, Hi: 2}, {Lo: 3, Hi: 4}}, {{Lo: 0, Hi: 2}, {Lo: 0, Hi: 3}},
 	}
 	// agree holds the daemon to the oracle on every region and column, and
-	// every row of every stored or pending record — a framed row or a packed
-	// block — to its text.
+	// every row of every stored or pending cell, framed or packed, to its
+	// text.
 	agree := func(when string) {
 		t.Helper()
 		st := srv.st()
 		for _, region := range regions {
 			texts := regionRows(st, rows, region)
 			i := 0
-			if err := readRegion(context.Background(), st, region, func(_ int, rec []byte) error {
-				text, err := rowcodec.Decode(srv.dict, nil, rec)
-				for _, row := range strings.Split(string(text), "\n") {
-					if err != nil || i >= len(texts) || row != texts[i] {
-						return fmt.Errorf("row %d decodes to %q, %v; the CSV has %q", i, row, err, texts[min(i, len(texts)-1)])
-					}
-					i++
+			if err := readRegion(context.Background(), st, region, srv.dict, func(_ int, row []byte) error {
+				if i >= len(texts) || string(row) != texts[i] {
+					return fmt.Errorf("row %d decodes to %q; the CSV has %q", i, row, texts[min(i, len(texts)-1)])
 				}
+				i++
 				return nil
 			}); err != nil || i != len(texts) {
 				t.Fatalf("%s, region %v: %d of %d rows read back: %v", when, region, i, len(texts), err)

@@ -453,10 +453,11 @@ func TestQuerySumOneDecoder(t *testing.T) {
 	}
 }
 
-// packedSeeds are blocks of rows, one a line, for FuzzRowCodecPacked: the
+// packedSeeds are cells of rows, one a line, for FuzzRowCodecPacked: the
 // benchmark's rows, decimals that widen, flip sign or change fraction
-// count, skeletons with runs of every length up to 19 (a 64-bit slot), and
-// rows of other shapes that stay framed.
+// count, skeletons with runs of every length up to 19 (a 64-bit slot), rows
+// of other shapes that stay framed, a one-row cell, and cells longer than a
+// 64-byte page holds, packed and framed.
 var packedSeeds = func() []string {
 	seeds := []string{
 		strings.Join(dictSeeds[len(rowSeeds):len(rowSeeds)+7], "\n"),
@@ -470,6 +471,10 @@ var packedSeeds = func() []string {
 		"9007199254740992\n1\n-9007199254740992",
 		"val00,7.5\nval01,7.5\nXXX00,9.5\nval02,17.5",
 		"1,v 1\n1,v 12\n1,w 123 4\n1,w 1 12",
+		"1079.19,2,0.01,0.01,N,F,MAIL,lineitem 000104729 v0000 carefully final deposits sl",
+		"12.5,N\n1.25,R,x\n13.5,A\n99.5,N",
+		strings.Join(dictSeeds[len(rowSeeds):len(rowSeeds)+12], "\n"),
+		"val00 0001,7.5\nval01 0002,7.5\nval02 0003,7.5\nval03 0004,7.5\nval04 0005,7.5\nval05 0006,7.5",
 	}
 	return seeds
 }()
@@ -481,8 +486,8 @@ func FuzzRowCodecPacked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) { checkPacked(t, in) })
 }
 
-// TestRowCodecPacked runs FuzzRowCodecPacked's property over blocks of the
-// benchmark's rows, and over random blocks of the seeds' rows.
+// TestRowCodecPacked runs FuzzRowCodecPacked's property over cells of the
+// benchmark's rows, and over random cells of the seeds' rows.
 func TestRowCodecPacked(t *testing.T) {
 	for i := len(rowSeeds); i+8 <= len(dictSeeds); i += 4 {
 		checkPacked(t, []byte(strings.Join(dictSeeds[i:i+8], "\n")))
@@ -493,12 +498,13 @@ func TestRowCodecPacked(t *testing.T) {
 }
 
 // checkPacked learns a Dict and row template from the lines of in, as build
-// does, and holds the packed block of the rows that fit to the framed rows
-// they would otherwise be: every row Learn said fits packs; the block
-// decodes to exactly those rows; Rows counts them; and Column on every row
-// and column and Sum of every column agree with the framed rows to the bit,
-// errors to the letter. Any row Pack takes, fitted or not, decodes to
-// itself.
+// does, and holds the frameless packed cell of the rows that fit to the
+// marker-framed cell they would otherwise be: every row of the template's
+// shape packs; the packed cell is its rows alone, W bytes each; both cells
+// pass the cell check and decode to exactly those rows; CellRows counts
+// them; Sum of every column agrees between them to the bit, errors to the
+// letter; and EncodeCell picks one of the two. Any row Pack takes, fitted
+// or not, decodes to itself.
 func checkPacked(t *testing.T, in []byte) {
 	t.Helper()
 	lines := bytes.Split(in[:min(len(in), 1024)], []byte("\n"))
@@ -506,65 +512,73 @@ func checkPacked(t *testing.T, in []byte) {
 		lines = lines[:16]
 	}
 	d := rowcodec.NewDict()
-	var fit [][]byte
+	shapes := make([]int, len(lines))
 	cols := 0
-	for _, line := range lines {
-		if _, _, ok := d.Learn(line); ok {
-			fit = append(fit, line)
-		}
+	for i, line := range lines {
+		_, _, shapes[i] = d.Learn(line)
 		cols = max(cols, bytes.Count(line, []byte(","))+1)
 	}
 	if d.Template() == nil {
-		if len(fit) > 0 {
-			t.Fatalf("rows %q fit, but no template was learned", fit)
+		for i, line := range lines {
+			if shapes[i] != rowcodec.NoShape {
+				t.Fatalf("%q has a shape, but no template was learned", line)
+			}
 		}
 		return
 	}
-	block := rowcodec.AppendTag(nil)
-	for _, row := range fit {
+	var fit [][]byte
+	var packed []byte
+	for i, line := range lines {
+		if !d.Fits(shapes[i]) {
+			continue
+		}
+		fit = append(fit, line)
 		var ok bool
-		if block, ok = rowcodec.Pack(d, block, row); !ok {
-			t.Fatalf("Learn said %q fits, Pack refuses it", row)
+		if packed, ok = rowcodec.Pack(d, packed, line); !ok {
+			t.Fatalf("%q has the template's shape, Pack refuses it", line)
 		}
 	}
-	if len(block) != d.PackedLen(len(fit)) {
-		t.Fatalf("block of %d rows is %d bytes, PackedLen says %d", len(fit), len(block), d.PackedLen(len(fit)))
+	if !d.Frameless() || len(packed) != len(fit)*d.Width() || int64(len(packed)) != d.PackedLen(len(fit)) {
+		t.Fatalf("packed cell of %d rows is %d bytes, W %d, PackedLen %d", len(fit), len(packed), d.Width(), d.PackedLen(len(fit)))
 	}
-	if n, err := rowcodec.Rows(d, block); err != nil || n != len(fit) {
-		t.Fatalf("Rows = %d, %v; want %d", n, err, len(fit))
+	framed := d.AppendMarker(nil)
+	var size int64
+	for _, row := range fit {
+		framed = rowcodec.AppendFramedRow(d, framed, row)
+		size += rowcodec.FrameSize(rowcodec.EncodedLen(d, row))
 	}
-	if text, err := rowcodec.Decode(d, nil, block); err != nil || !bytes.Equal(text, bytes.Join(fit, []byte("\n"))) {
-		t.Fatalf("block of %q decodes to %q, %v", fit, text, err)
+	want := bytes.Join(fit, []byte("\n"))
+	for _, c := range []struct {
+		name string
+		cell []byte
+	}{{"packed", packed}, {"framed", framed}} {
+		if n, err := rowcodec.CheckCell(d, c.cell); err != nil || n != len(fit) {
+			t.Fatalf("%s cell of %q: CheckCell = %d, %v", c.name, fit, n, err)
+		}
+		if n, err := rowcodec.CellRows(d, c.cell); err != nil || n != len(fit) {
+			t.Fatalf("%s cell of %q: CellRows = %d, %v", c.name, fit, n, err)
+		}
+		if text, err := rowcodec.DecodeCell(d, nil, c.cell); err != nil || !bytes.Equal(text, want) {
+			t.Fatalf("%s cell of %q decodes to %q, %v", c.name, fit, text, err)
+		}
 	}
-	framed := make([][]byte, len(fit))
-	for r, row := range fit {
-		framed[r] = rowcodec.Encode(d, nil, row)
+	enc := rowcodec.EncodeCell(d, fit)
+	if n, isPacked := d.CellLen(len(fit), size, true); int64(len(enc)) != n || !bytes.Equal(enc, packed) && !bytes.Equal(enc, framed) || isPacked != bytes.Equal(enc, packed) {
+		t.Fatalf("EncodeCell(%q) = %x, CellLen %d %v; packed %x, framed %x", fit, enc, n, isPacked, packed, framed)
 	}
 	for idx := 0; idx <= min(cols+1, 12); idx++ {
-		for r := range fit {
-			pv, pe := rowcodec.Column(d, block, r, idx)
-			fv, fe := rowcodec.Column(d, framed[r], 0, idx)
-			if math.Float64bits(pv) != math.Float64bits(fv) || fmt.Sprint(pe) != fmt.Sprint(fe) {
-				t.Fatalf("column %d of %q: packed %v, %v; framed %v, %v", idx, fit[r], pv, pe, fv, fe)
-			}
-		}
 		ps, fs := rowcodec.NewSum(d, idx), rowcodec.NewSum(d, idx)
-		_, perr := ps.Add(block)
-		var ferr error
-		for _, rec := range framed {
-			if _, ferr = fs.Add(rec); ferr != nil {
-				break
-			}
-		}
+		pn, perr := ps.AddCell(packed)
+		fn, ferr := fs.AddCell(framed)
 		pt, pte := ps.Total()
 		ft, fte := fs.Total()
-		if fmt.Sprint(perr) != fmt.Sprint(ferr) || perr == nil && (math.Float64bits(pt) != math.Float64bits(ft) || fmt.Sprint(pte) != fmt.Sprint(fte)) {
-			t.Fatalf("sum of column %d over %q: packed %v, %v, %v; framed %v, %v, %v", idx, fit, pt, pte, perr, ft, fte, ferr)
+		if fmt.Sprint(perr) != fmt.Sprint(ferr) || perr == nil && (pn != fn || math.Float64bits(pt) != math.Float64bits(ft) || fmt.Sprint(pte) != fmt.Sprint(fte)) {
+			t.Fatalf("sum of column %d over %q: packed %d rows %v, %v, %v; framed %d rows %v, %v, %v", idx, fit, pn, pt, pte, perr, fn, ft, fte, ferr)
 		}
 	}
 	for _, line := range lines {
-		if one, ok := rowcodec.Pack(d, rowcodec.AppendTag(nil), line); ok {
-			if text, err := rowcodec.Decode(d, nil, one); err != nil || !bytes.Equal(text, line) {
+		if one, ok := rowcodec.Pack(d, nil, line); ok {
+			if text, err := rowcodec.DecodeCell(d, nil, one); err != nil || !bytes.Equal(text, line) {
 				t.Fatalf("Pack takes %q, which decodes to %q, %v", line, text, err)
 			}
 		}

@@ -306,14 +306,14 @@ func (s *server) enableSLO(cfg snakes.SLOConfig) error {
 }
 
 // armStore routes a store's per-fragment completion samples from the read
-// executor into the fragment latency histogram and has its scrub walk count
-// rows with the catalog's codec. Called for every store generation that
+// executor into the fragment latency histogram and has its scrub walk check
+// cells with the catalog's codec. Called for every store generation that
 // starts serving, since both hooks live on the store, not the server.
 func (s *server) armStore(st *snakes.FileStore) {
 	st.SetFragmentObserver(func(_ int64, seconds float64) {
 		s.metrics.fragSeconds.Observe(seconds)
 	})
-	st.SetRowCounter(countRows(s.dict))
+	st.SetCellCheck(cellCheck(s.dict))
 }
 
 // st returns the store currently serving. Handlers call it once per request

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +28,7 @@ func buildServed(t *testing.T, capacity int64, queueTimeout, reqTimeout time.Dur
 	storePath := filepath.Join(dir, "facts.db")
 	csvPath := filepath.Join(dir, "facts.csv")
 	want := writeFactsCSV(t, csvPath)
-	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "64", "-catalog", cat}); err != nil {
+	if err := cmdOptimize([]string{"-dims", "x:2,2 y:3,2", "-page", "32", "-catalog", cat}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdBuild([]string{"-catalog", cat, "-csv", csvPath, "-store", storePath, "-frames", "8"}); err != nil {
@@ -273,5 +275,42 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting after drain")
+	}
+}
+
+// TestQueryRejectsUnknownParams: /query reads where and one sum and
+// nothing else. An unknown parameter, a repeated or empty sum and an empty
+// where answer 400 with the parameter named, before any page is read;
+// where repeated once per dimension is a query.
+func TestQueryRejectsUnknownParams(t *testing.T) {
+	srv, _ := buildServed(t, 64, time.Second, 5*time.Second)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		query, status, want string
+	}{
+		{"bogus=1&sum=1", "400", `unknown parameter "bogus"`},
+		{"sum=0&zz=1&aa=2", "400", `unknown parameter "aa"`},
+		{"where=x%3D1..2&Sum=0", "400", `unknown parameter "Sum"`},
+		{"=1", "400", `unknown parameter ""`},
+		{"sum=0&sum=0", "400", "sum given 2 times"},
+		{"sum=", "400", `sum="": want a non-negative column index`},
+		{"where=", "400", "usage error"},
+		{"where=x%3D1..2&where=y%3D2..6&sum=0", "200", ""},
+		{"", "200", ""},
+	} {
+		resp, err := http.Get(ts.URL + "/query?" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if strconv.Itoa(resp.StatusCode) != c.status || !strings.Contains(body.Error, c.want) {
+			t.Errorf("/query?%s = %d %q, want %s with %q", c.query, resp.StatusCode, body.Error, c.status, c.want)
+		}
+	}
+	if pages := srv.st().Pool().Stats().Misses; pages != srv.st().Layout().TotalPages() {
+		t.Errorf("the refused queries read pages: %d misses over a store of %d pages", pages, srv.st().Layout().TotalPages())
 	}
 }

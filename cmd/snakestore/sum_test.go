@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -170,77 +172,143 @@ func TestNonFiniteSumIsUsageError(t *testing.T) {
 	}
 }
 
-// TestSumKernelZeroAlloc: the record kernel /query and the query
-// subcommand share walks a warm cell of binary and text columns without
-// allocating.
+// TestSumKernelZeroAlloc: the cell kernel /query and the query subcommand
+// share walks a warm cell of binary and text columns without allocating: a
+// framed cell of a store without a template, and a frameless packed cell and
+// a marker-framed cell under a template.
 func TestSumKernelZeroAlloc(t *testing.T) {
 	var recs [][]byte
 	for _, row := range []string{"12345.67,17,0.05,N,comment", "-0.25,3,0.10,O,x", "+1.75,007,.5,A,raw"} {
 		recs = append(recs, rowcodec.Encode(nil, nil, row))
 	}
 	framed := snakes.FrameRecords(recs...)
-	for col := 0; col < 3; col++ {
-		k := &sumKernel{col: col, sum: rowcodec.NewSum(nil, col)}
-		if allocs := testing.AllocsPerRun(1000, func() {
-			if err := k.cell(3, framed); err != nil {
-				t.Fatal(err)
+	d, packed, marked := frameless(t, []string{"12345.67,17,N,x 042", "-0.25,3,O,x 007", "99999.99,50,N,x 999"})
+	for _, c := range []struct {
+		name string
+		d    *rowcodec.Dict
+		cell []byte
+		cols int
+	}{{"framed", nil, framed, 3}, {"packed", d, packed, 2}, {"marker-framed", d, marked, 2}} {
+		for col := 0; col < c.cols; col++ {
+			k := &sumKernel{col: col, d: c.d, sum: rowcodec.NewSum(c.d, col)}
+			if allocs := testing.AllocsPerRun(1000, func() {
+				if err := k.cell(3, c.cell); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s cell, column %d: the kernel allocates %v times per cell, want 0", c.name, col, allocs)
 			}
-		}); allocs != 0 {
-			t.Errorf("column %d: the kernel allocates %v times per cell, want 0", col, allocs)
-		}
-		if k.records != 3*1001 {
-			t.Errorf("column %d: %d records counted, want %d", col, k.records, 3*1001)
+			if k.records != 3*1001 {
+				t.Errorf("%s cell, column %d: %d records counted, want %d", c.name, col, k.records, 3*1001)
+			}
 		}
 	}
-	// Broken framing is the store's error, in the store's words.
+	// Broken framing is the codec's error, naming the cell.
 	k := &sumKernel{col: -1}
-	if err := k.cell(3, framed[:len(framed)-1]); err == nil || err.Error() != "storage: truncated record in cell 3" {
+	if err := k.cell(3, framed[:len(framed)-1]); !errors.Is(err, rowcodec.ErrFraming) || err.Error() != "cell 3: broken record framing: truncated record" {
 		t.Errorf("truncated cell: %v", err)
 	}
 }
 
-// TestSumKernelCountsPackedRows: the kernel counts rows, not stored
-// records — a packed block is Rows of them, a framed row one — on a cell
-// that holds both (as an overlay rewrite can), sums them as it counts
-// without allocating, and takes a block whose length is not a whole number
-// of rows for the malformed bytes it is.
-func TestSumKernelCountsPackedRows(t *testing.T) {
-	rows := []string{"12345.67,17,N,x 042", "-0.25,3,O,x 007", "99999.99,50,N,x 999", "0.10,1,O,x 000"}
-	d := rowcodec.NewDict()
-	for _, row := range rows {
-		if _, _, fits := d.Learn([]byte(row)); !fits {
-			t.Fatalf("%q does not fit", row)
-		}
+// frameless learns a Dict and template from rows, which must all fit it,
+// and returns the rows as a frameless packed cell and as a framed cell
+// behind the marker.
+func frameless(t *testing.T, rows []string) (d *rowcodec.Dict, packed, marked []byte) {
+	t.Helper()
+	d = rowcodec.NewDict()
+	shapes := make([]int, len(rows))
+	for i, row := range rows {
+		_, _, shapes[i] = d.Learn([]byte(row))
 	}
 	d.Template()
-	block := rowcodec.AppendTag(nil)
-	for _, row := range rows {
-		block, _ = rowcodec.Pack(d, block, row)
+	for i, row := range rows {
+		if !d.Fits(shapes[i]) {
+			t.Fatalf("%q does not fit", row)
+		}
+		var ok bool
+		if packed, ok = rowcodec.Pack(d, packed, row); !ok {
+			t.Fatalf("%q does not pack", row)
+		}
 	}
-	framed := snakes.FrameRecords(block, rowcodec.Encode(d, nil, "1.5,2,N,x 1234"), block)
-	wants := []float64{2*(12345.67-0.25+99999.99+0.10) + 1.5, 2*(17+3+50+1) + 2}
-	for col, want := range wants {
-		k := &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := k.cell(3, framed); err != nil {
+	if !d.Frameless() || int64(len(packed)) != d.PackedLen(len(rows)) {
+		t.Fatalf("a template without the marker bit, or a packed cell of %d bytes for %d rows of %d", len(packed), len(rows), d.Width())
+	}
+	marked = d.AppendMarker(nil)
+	for _, row := range rows {
+		marked = rowcodec.AppendFramedRow(d, marked, row)
+	}
+	return d, packed, marked
+}
+
+// TestSumKernelCountsPackedRows: the kernel counts rows, not stored
+// records — a frameless packed cell is fill / W of them, with no frame or
+// tag, a marker-framed cell one a record, and under a version 6 template a
+// tagged block is Rows of them beside framed rows — sums them as it counts
+// without allocating, and takes a packed cell whose length is not a whole
+// number of rows, or a first byte that is neither a row's nor the marker,
+// for the damage it is.
+func TestSumKernelCountsPackedRows(t *testing.T) {
+	rows := []string{"12345.67,17,N,x 042", "-0.25,3,O,x 007", "99999.99,50,N,x 999", "0.10,1,O,x 000"}
+	d, packed, marked := frameless(t, rows)
+	if len(packed) != 4*d.Width() {
+		t.Fatalf("a packed cell of 4 rows is %d bytes, want 4 × %d", len(packed), d.Width())
+	}
+	// The same Dict under its template without the marker bit, as a
+	// version 6 catalog keeps it: a packed cell is a tagged framed record.
+	tj, _ := json.Marshal(d.Template())
+	tj = bytes.Replace(tj, []byte(`,"marker":true`), nil, 1)
+	var v6t rowcodec.Template
+	dj, _ := json.Marshal(d)
+	v6 := new(rowcodec.Dict)
+	if err := json.Unmarshal(dj, v6); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(tj, &v6t); err != nil || v6.SetTemplate(&v6t) != nil || v6.Frameless() {
+		t.Fatalf("a version 6 template: %s, %v", tj, err)
+	}
+	block := rowcodec.EncodeCell(v6, rows)
+	v6cell := append(append([]byte(nil), block...), rowcodec.AppendFramedRow(v6, nil, "1.5,2,N,x 1234")...)
+	v6cell = append(v6cell, block...)
+	sum := 12345.67 - 0.25 + 99999.99 + 0.10
+	for _, c := range []struct {
+		name  string
+		d     *rowcodec.Dict
+		cell  []byte
+		rows  int
+		wants []float64
+	}{
+		{"packed", d, packed, 4, []float64{sum, 17 + 3 + 50 + 1}},
+		{"marker-framed", d, marked, 4, []float64{sum, 17 + 3 + 50 + 1}},
+		{"version 6", v6, v6cell, 9, []float64{2*sum + 1.5, 2*(17+3+50+1) + 2}},
+	} {
+		for col, want := range c.wants {
+			k := &sumKernel{col: col, d: c.d, sum: rowcodec.NewSum(c.d, col)}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if err := k.cell(3, c.cell); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s cell, column %d: the kernel allocates %v times per cell, want 0", c.name, col, allocs)
+			}
+			if k.records != int64(c.rows)*101 {
+				t.Errorf("%s cell, column %d: %d rows counted, want %d", c.name, col, k.records, c.rows*101)
+			}
+			k = &sumKernel{col: col, d: c.d, sum: rowcodec.NewSum(c.d, col)}
+			if err := k.cell(3, c.cell); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs != 0 {
-			t.Errorf("column %d: the kernel allocates %v times per cell, want 0", col, allocs)
-		}
-		if k.records != 9*101 {
-			t.Errorf("column %d: %d rows counted, want %d", col, k.records, 9*101)
-		}
-		k = &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
-		if err := k.cell(3, framed); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := k.sum.Total(); err != nil || math.Abs(got-want) > 1e-6 {
-			t.Errorf("column %d: sum %v, %v; want %v", col, got, err, want)
+			if got, err := k.sum.Total(); err != nil || math.Abs(got-want) > 1e-6 {
+				t.Errorf("%s cell, column %d: sum %v, %v; want %v", c.name, col, got, err, want)
+			}
 		}
 	}
-	k := &sumKernel{col: -1, d: d}
-	if err := k.cell(3, snakes.FrameRecords(block[:len(block)-1])); err == nil || err.Error() != "usage error: "+rowcodec.ErrMalformed.Error() {
-		t.Errorf("a block one byte short: %v, want the malformed-row error", err)
+	for _, col := range []int{-1, 0} {
+		k := &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
+		if err := k.cell(3, packed[:len(packed)-1]); err == nil || err.Error() != "usage error: "+rowcodec.ErrMalformed.Error() {
+			t.Errorf("column %d, a packed cell one byte short: %v, want the malformed-row error", col, err)
+		}
+		if err := k.cell(3, append([]byte{0x03}, packed...)); !errors.Is(err, rowcodec.ErrFraming) {
+			t.Errorf("column %d, a cell behind an unknown marker: %v, want a framing error", col, err)
+		}
 	}
 }

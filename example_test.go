@@ -104,7 +104,7 @@ func ExampleFileStore_concurrent() {
 	rec := make([]byte, 8)
 	for c := 0; c < cells; c++ {
 		binary.LittleEndian.PutUint64(rec, math.Float64bits(float64(c)))
-		store.PutRecord(c, rec)
+		snakes.PutRecord(store, c, rec)
 	}
 
 	quadrants := []snakes.Region{
@@ -124,10 +124,10 @@ func ExampleFileStore_concurrent() {
 			if err != nil {
 				return
 			}
-			store.ReadPlanCtx(ctx, plan, func(_ int, rec []byte) error {
+			store.ReadPlanCellsCtx(ctx, plan, snakes.Records(func(_ int, rec []byte) error {
 				sums[i] += math.Float64frombits(binary.LittleEndian.Uint64(rec))
 				return nil
-			})
+			}))
 		}(i, q)
 	}
 	wg.Wait()

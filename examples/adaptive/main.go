@@ -61,7 +61,7 @@ func main() {
 	buf := make([]byte, 8)
 	for c := 0; c < schema.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := fs.PutRecord(c, buf); err != nil {
+		if err := snakes.PutRecord(fs, c, buf); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func main() {
 			st := store.Load()
 			plan, err := st.Plan(qctx, r)
 			if err == nil {
-				err = st.ReadPlanCtx(qctx, plan, func(int, []byte) error { return nil })
+				err = st.ReadPlanCellsCtx(qctx, plan, func(int, []byte) error { return nil })
 			}
 			if errors.Is(err, snakes.ErrClosed) {
 				continue

@@ -67,7 +67,7 @@ func main() {
 	for c := range sales {
 		sales[c] = float64(100 + rng.Intn(900))
 		binary.LittleEndian.PutUint64(buf, uint64(sales[c]))
-		if err := store.PutRecord(c, buf); err != nil {
+		if err := snakes.PutRecord(store, c, buf); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -107,10 +107,10 @@ func main() {
 			log.Fatal(err)
 		}
 		var total uint64
-		if err := store.ReadPlanCtx(qctx, plan, func(_ int, rec []byte) error {
+		if err := store.ReadPlanCellsCtx(qctx, plan, snakes.Records(func(_ int, rec []byte) error {
 			total += binary.LittleEndian.Uint64(rec)
 			return nil
-		}); err != nil {
+		})); err != nil {
 			log.Fatal(err)
 		}
 		if err := est.Observe(class); err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
@@ -92,7 +93,7 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 	bytes := make([]int64, len(ds.BytesPerCell))
 	for i, b := range ds.BytesPerCell {
 		records := b / int64(ds.Config.RecordBytes)
-		bytes[i] = records * storage.FrameSize(4)
+		bytes[i] = records * rowcodec.FrameSize(4)
 	}
 	dir, err := os.MkdirTemp("", "tpcd-example")
 	if err != nil {
@@ -118,7 +119,7 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 		p, s, d := li.Cell()
 		binary.LittleEndian.PutUint32(payload, uint32(li.Quantity))
 		cell := order.CellIndex([]int{p, s, d})
-		if err := store.PutRecord(cell, payload); err != nil {
+		if err := rowcodec.PutRecord(store, cell, payload); err != nil {
 			log.Fatal(err)
 		}
 		coords[0], coords[1], coords[2] = p, s, d
@@ -139,10 +140,10 @@ func runAggregate(ds *tpcd.Dataset, opt core.Result) {
 		log.Fatal(err)
 	}
 	var got int64
-	if err := store.ReadPlanCtx(qctx, plan, func(_ int, rec []byte) error {
+	if err := store.ReadPlanCellsCtx(qctx, plan, rowcodec.Records(func(_ int, rec []byte) error {
 		got += int64(binary.LittleEndian.Uint32(rec))
 		return nil
-	}); err != nil {
+	})); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nSUM(quantity) for manufacturer 2 × year 1: %d (expected %d)\n", got, want)

@@ -30,7 +30,7 @@ func TestFileStoreFacadeLifecycle(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < s.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(1))
-		if err := fs.PutRecord(c, buf); err != nil {
+		if err := PutRecord(fs, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestFileStoreFacadeVerifyDetectsCorruption(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < s.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := fs.PutRecord(c, buf); err != nil {
+		if err := PutRecord(fs, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

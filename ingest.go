@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ingest"
-	"repro/internal/storage"
+	"repro/internal/rowcodec"
 	"repro/internal/workload"
 )
 
@@ -71,10 +71,9 @@ type CompactionTick = ingest.TickStats
 // NewCompactor builds a paced compactor; see CompactorConfig.
 func NewCompactor(cfg CompactorConfig) *Compactor { return ingest.NewCompactor(cfg) }
 
-// FrameRecords packs records into the length-prefixed framing a cell
-// stores on disk — the payload format DeltaLog.Put and
-// FileStore.PutCellBytes expect.
-func FrameRecords(records ...[]byte) []byte { return storage.FrameRecords(records...) }
+// FrameRecords frames records back to back: a cell of framed records, as
+// DeltaLog.Put and FileStore.PutCellBytes take a cell's bytes.
+func FrameRecords(records ...[]byte) []byte { return rowcodec.FrameRecords(records...) }
 
 // RecoverDeltas replays every pending delta-log entry into the base store
 // and flushes it — the startup redo pass after a crash. Returns the

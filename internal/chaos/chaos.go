@@ -13,7 +13,7 @@
 //     storage.FaultInjector, exercising the buffer pool's retry policy
 //     and crash points mid-migration.
 //
-// The package itself never decides pass/fail; tests and snakebench own
+// The package itself never decides pass/fail; the tests that use it own
 // the assertions.
 package chaos
 

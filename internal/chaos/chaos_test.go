@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 )
 
@@ -31,7 +32,7 @@ func chaosFixture(t *testing.T, pageSize, group int) (*storage.FileStore, string
 	o := chaosOrder(t)
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = 4 * storage.FrameSize(11)
+		bytesPerCell[c] = 4 * rowcodec.FrameSize(11)
 	}
 	path := filepath.Join(t.TempDir(), "facts.db")
 	fs, err := storage.CreateFileStore(path, o, bytesPerCell, pageSize, 8)
@@ -43,7 +44,7 @@ func chaosFixture(t *testing.T, pageSize, group int) (*storage.FileStore, string
 	for c := 0; c < o.Len(); c++ {
 		for r := 0; r < 4; r++ {
 			rec := fmt.Sprintf("cell%03d-r%02d", c, r)
-			if err := fs.PutRecord(c, []byte(rec)); err != nil {
+			if err := rowcodec.PutRecord(fs, c, []byte(rec)); err != nil {
 				t.Fatal(err)
 			}
 			truth[c] = append(truth[c], rec)
@@ -62,7 +63,7 @@ func scan(fs *storage.FileStore, r linear.Region, fn func(cell int, record []byt
 	if err != nil {
 		return err
 	}
-	return fs.ReadPlanCtx(ctx, p, fn)
+	return fs.ReadPlanCellsCtx(ctx, p, rowcodec.Records(fn))
 }
 
 func assertTruth(t *testing.T, fs *storage.FileStore, truth map[int][]string) {
@@ -174,7 +175,7 @@ func stormFixture(t *testing.T, faults []storage.Fault) *storage.FileStore {
 	o := chaosOrder(t)
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = 4 * storage.FrameSize(11)
+		bytesPerCell[c] = 4 * rowcodec.FrameSize(11)
 	}
 	path := filepath.Join(t.TempDir(), "facts.db")
 	fs, err := storage.CreateFileStore(path, o, bytesPerCell, 64, 8)
@@ -183,7 +184,7 @@ func stormFixture(t *testing.T, faults []storage.Fault) *storage.FileStore {
 	}
 	for c := 0; c < o.Len(); c++ {
 		for r := 0; r < 4; r++ {
-			if err := fs.PutRecord(c, []byte(fmt.Sprintf("cell%03d-r%02d", c, r))); err != nil {
+			if err := rowcodec.PutRecord(fs, c, []byte(fmt.Sprintf("cell%03d-r%02d", c, r))); err != nil {
 				t.Fatal(err)
 			}
 		}

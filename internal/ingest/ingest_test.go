@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 )
 
@@ -33,7 +34,7 @@ func testStore(t *testing.T, o *linear.Order, perCell, filled, recLen int) (*sto
 	t.Helper()
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = int64(perCell) * storage.FrameSize(recLen)
+		bytesPerCell[c] = int64(perCell) * rowcodec.FrameSize(recLen)
 	}
 	path := filepath.Join(t.TempDir(), "facts.db")
 	fs, err := storage.CreateFileStore(path, o, bytesPerCell, 256, 8)
@@ -43,7 +44,7 @@ func testStore(t *testing.T, o *linear.Order, perCell, filled, recLen int) (*sto
 	t.Cleanup(func() { fs.Close() })
 	for c := 0; c < o.Len(); c++ {
 		for r := 0; r < filled; r++ {
-			if err := fs.PutRecord(c, []byte(baseRec(c, r, recLen))); err != nil {
+			if err := rowcodec.PutRecord(fs, c, []byte(baseRec(c, r, recLen))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,9 +71,11 @@ func deltaRec(cell, r, n int) string {
 func readCell(t *testing.T, fs *storage.FileStore, cell int) []string {
 	t.Helper()
 	var got []string
-	if err := fs.ReadCellCtx(context.Background(), cell, func(rec []byte) error {
-		got = append(got, string(rec))
-		return nil
+	if err := fs.ReadCellCtx(context.Background(), cell, func(b []byte) error {
+		return rowcodec.WalkRecords(0, b, func(_ int, rec []byte) error {
+			got = append(got, string(rec))
+			return nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +91,8 @@ func TestLogRoundTrip(t *testing.T) {
 	want := map[int][]byte{}
 	for cell := 0; cell < 7; cell++ {
 		// Two puts per cell: the second must win.
-		stale := storage.FrameRecords([]byte(fmt.Sprintf("old-%d", cell)))
-		fresh := storage.FrameRecords([]byte(fmt.Sprintf("new-%d", cell)), []byte("tail"))
+		stale := rowcodec.FrameRecords([]byte(fmt.Sprintf("old-%d", cell)))
+		fresh := rowcodec.FrameRecords([]byte(fmt.Sprintf("new-%d", cell)), []byte("tail"))
 		if err := l.Put(cell, stale); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +139,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := storage.FrameRecords([]byte("survives"))
+	good := rowcodec.FrameRecords([]byte("survives"))
 	if err := l.Put(5, good); err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +188,9 @@ func TestLogCheckpointKeepsNewerPuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	a := storage.FrameRecords([]byte("a"))
-	b := storage.FrameRecords([]byte("b"))
-	c := storage.FrameRecords([]byte("c"))
+	a := rowcodec.FrameRecords([]byte("a"))
+	b := rowcodec.FrameRecords([]byte("b"))
+	c := rowcodec.FrameRecords([]byte("c"))
 	if err := l.Put(1, a); err != nil {
 		t.Fatal(err)
 	}
@@ -236,16 +239,16 @@ func TestLogBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	small := storage.FrameRecords([]byte("fits"))
+	small := rowcodec.FrameRecords([]byte("fits"))
 	if err := l.Put(1, small); err != nil {
 		t.Fatal(err)
 	}
-	big := storage.FrameRecords(bytes.Repeat([]byte{7}, 80))
+	big := rowcodec.FrameRecords(bytes.Repeat([]byte{7}, 80))
 	if err := l.Put(2, big); !errors.Is(err, ErrBacklog) {
 		t.Fatalf("oversized put: err = %v, want ErrBacklog", err)
 	}
 	// Replacing a cell's payload counts only the delta against the budget.
-	if err := l.Put(1, storage.FrameRecords([]byte("also"))); err != nil {
+	if err := l.Put(1, rowcodec.FrameRecords([]byte("also"))); err != nil {
 		t.Fatalf("same-size replacement rejected: %v", err)
 	}
 }
@@ -272,7 +275,7 @@ func TestCompactorDrainsWorstFirst(t *testing.T) {
 			recs = append(recs, []byte(rec))
 			want[cell] = append(want[cell], rec)
 		}
-		framed := storage.FrameRecords(recs...)
+		framed := rowcodec.FrameRecords(recs...)
 		if err := log.Put(cell, framed); err != nil {
 			t.Fatal(err)
 		}
@@ -347,10 +350,10 @@ func TestCompactorLeavesOversizeCellPending(t *testing.T) {
 	defer log.Close()
 	fs.SetOverlay(log.Overlay())
 	big := []byte(deltaRec(3, 0, 40))
-	if err := log.Put(3, storage.FrameRecords(big)); err != nil {
+	if err := log.Put(3, rowcodec.FrameRecords(big)); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Put(4, storage.FrameRecords([]byte(deltaRec(4, 0, 11)))); err != nil {
+	if err := log.Put(4, rowcodec.FrameRecords([]byte(deltaRec(4, 0, 11)))); err != nil {
 		t.Fatal(err)
 	}
 	comp := NewCompactor(CompactorConfig{})
@@ -382,7 +385,7 @@ func TestRecoverReplaysPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	framed := storage.FrameRecords([]byte(deltaRec(7, 0, 11)))
+	framed := rowcodec.FrameRecords([]byte(deltaRec(7, 0, 11)))
 	if err := log.Put(7, framed); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +434,7 @@ func TestCompactorTicksBesideConcurrentReads(t *testing.T) {
 	}
 	for c := 0; c < o.Len(); c++ {
 		for _, rec := range version(0, c) {
-			if err := fs.PutRecord(c, rec); err != nil {
+			if err := rowcodec.PutRecord(fs, c, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -488,10 +491,10 @@ func TestCompactorTicksBesideConcurrentReads(t *testing.T) {
 				cells := map[int][]string{}
 				p, err := fs.Plan(ctx, full)
 				if err == nil {
-					err = fs.ReadPlanCtx(ctx, p, func(cell int, rec []byte) error {
+					err = fs.ReadPlanCellsCtx(ctx, p, rowcodec.Records(func(cell int, rec []byte) error {
 						cells[cell] = append(cells[cell], string(rec))
 						return nil
-					})
+					}))
 				}
 				if err != nil {
 					errs <- err
@@ -512,7 +515,7 @@ func TestCompactorTicksBesideConcurrentReads(t *testing.T) {
 	for i := 0; i < 20*o.Len(); i++ {
 		c := (7 * i) % o.Len()
 		last[c] = 1 - last[c]
-		if err := log.Put(c, storage.FrameRecords(version(last[c], c)...)); err != nil {
+		if err := log.Put(c, rowcodec.FrameRecords(version(last[c], c)...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,7 +550,7 @@ func TestCompactorTicksBesideConcurrentReads(t *testing.T) {
 		tctx := storage.WithPoolTally(ctx, &tally)
 		p, err := fs.Plan(tctx, r)
 		if err == nil {
-			err = fs.ReadPlanCtx(tctx, p, func(int, []byte) error { return nil })
+			err = fs.ReadPlanCellsCtx(tctx, p, rowcodec.Records(func(int, []byte) error { return nil }))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -25,6 +25,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/storage"
 	"unsafe"
 )
 
@@ -201,11 +203,7 @@ func (l *Log) writeHeader(f *os.File) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return storage.SyncDir(filepath.Dir(l.path))
 }
 
 // replay validates the header, loads every complete record into the index,
@@ -277,18 +275,18 @@ func (l *Log) replay() error {
 	return nil
 }
 
-// Put upserts a cell's full framed content: the bytes replace whatever the
-// cell holds, both in the overlay and — after compaction — in the base
+// Put upserts a cell's full content, as the store keeps it: the bytes
+// replace whatever the cell holds, both in the overlay and — after compaction — in the base
 // file. The record is written (and, per policy, fsynced) before Put
 // returns; the payload is copied, so callers may reuse the slice.
-func (l *Log) Put(cell int, framed []byte) error {
+func (l *Log) Put(cell int, b []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return os.ErrClosed
 	}
 	if l.opt.MaxPendingBytes > 0 {
-		grow := int64(len(framed))
+		grow := int64(len(b))
 		if old, ok := l.index[cell]; ok {
 			grow -= int64(len(old.payload))
 		}
@@ -296,11 +294,11 @@ func (l *Log) Put(cell int, framed []byte) error {
 			return fmt.Errorf("%w: %d pending bytes, ceiling %d", ErrBacklog, l.pending, l.opt.MaxPendingBytes)
 		}
 	}
-	rec := make([]byte, recordOverhead+len(framed))
+	rec := make([]byte, recordOverhead+len(b))
 	binary.LittleEndian.PutUint32(rec[0:], uint32(cell))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(framed)))
-	copy(rec[8:], framed)
-	binary.LittleEndian.PutUint32(rec[8+len(framed):], crc32.Checksum(rec[:8+len(framed)], castagnoli))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(b)))
+	copy(rec[8:], b)
+	binary.LittleEndian.PutUint32(rec[8+len(b):], crc32.Checksum(rec[:8+len(b)], castagnoli))
 	if l.crash == "mid-append" {
 		// Orchestrated crash: half the record reaches the file, then the
 		// process dies. Recovery must truncate this torn tail.
@@ -327,13 +325,13 @@ func (l *Log) Put(cell int, framed []byte) error {
 			l.unsynced = 0
 		}
 	}
-	payload := rec[8 : 8+len(framed) : 8+len(framed)]
+	payload := rec[8 : 8+len(b) : 8+len(b)]
 	l.seq++
 	if old, ok := l.index[cell]; ok {
 		l.pending -= int64(len(old.payload))
 	}
 	l.index[cell] = entry{payload: payload, seq: l.seq, at: time.Now()}
-	l.pending += int64(len(framed))
+	l.pending += int64(len(b))
 	l.puts++
 	return nil
 }
@@ -449,15 +447,13 @@ func (l *Log) Checkpoint(applied map[int]uint64) error {
 	if err := os.Rename(tmp, l.path); err != nil {
 		return abort(err)
 	}
-	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
+	// The new file is the log from here on, whether or not the directory
+	// sync that makes the rename durable succeeds.
 	l.f.Close()
 	l.f = nf
 	l.size = off
 	l.unsynced = 0
-	return nil
+	return storage.SyncDir(filepath.Dir(l.path))
 }
 
 // PendingBytes returns the payload bytes awaiting compaction.

@@ -33,10 +33,14 @@ var runWidth = [maxRun + 1]uint8{0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7,
 type Dict struct {
 	cols []dictColumn // by payload column index
 
-	// The row template: learning widens shape row by row, Template or
-	// SetTemplate fixes tmpl, which Pack and the packed decoders read.
-	shape *Template
-	tmpl  *Template
+	// The row template: Learn counts the shapes rows have, Template fixes
+	// tmpl from the most common one (shapes[chosen]) or SetTemplate from a
+	// catalog, and Pack and the packed decoders read it.
+	shapes    []learnedShape
+	shapeIDs  map[shapeKey]int
+	lastShape int // 1 + the shape of the last row learned, the first one tried; 0 before any
+	chosen    int
+	tmpl      *Template
 }
 
 type dictColumn struct {
@@ -61,10 +65,11 @@ func NewDict() *Dict { return &Dict{} }
 // yet, each into its column while that has room, and returns EncodedLen(d,
 // t) under the dictionary as it then stands, and EncodedLen(nil, t). An
 // entry is never taken back, so a row Learn sized encodes to that length
-// under the final dictionary. In the same scan it widens the row template
-// to t (see Template): fits reports that t packs under the template
-// Template fixes once learning is done.
-func (d *Dict) Learn(t []byte) (size, plain int, fits bool) {
+// under the final dictionary. In the same scan it counts t's shape for the
+// row template and returns it (NoShape when no template can hold t): once
+// learning is done, Template picks the most common shape, and Fits(shape)
+// reports that t packs under it.
+func (d *Dict) Learn(t []byte) (size, plain, shape int) {
 	var sh rowShape
 	size, plain = encodedLen(d, t, true, &sh)
 	return size, plain, d.learnShape(&sh)

@@ -246,7 +246,7 @@ func binaryColumn(rec []byte, p int) (mant uint64, meta byte, next int, err erro
 // the exact rows Pack was given, joined by '\n'.
 func Decode(d *Dict, dst, rec []byte) ([]byte, error) {
 	if d.packed(rec) {
-		return d.decodePacked(dst, rec)
+		return d.decodeRows(dst, rec[1:])
 	}
 	if len(rec) == 0 || rec[0]&^(hdrTail|hdrCoded|maxBinaryCols) != 0 || rec[0]&(hdrTail|hdrCoded) == hdrTail|hdrCoded || rec[0] == hdrTail {
 		return dst, ErrMalformed
@@ -313,7 +313,7 @@ func appendDecimal(dst []byte, mant uint64, frac uint8, neg bool) []byte {
 // Sum, which adds the decimals exactly.
 func Column(d *Dict, rec []byte, r, idx int) (float64, error) {
 	if d.packed(rec) {
-		return d.packedColumn(rec, r, idx)
+		return d.packedColumn(rec[1:], r, idx)
 	}
 	if r != 0 {
 		return 0, fmt.Errorf("row %d of a record of 1 row", r)

@@ -23,27 +23,29 @@ import (
 // first coded column added, whose text is rebuilt in buf so it reads exactly
 // as it did as text.
 type Sum struct {
-	col  int
-	d    *Dict
-	used uint32                // bit k: a value with k fraction digits was added
-	lo   [maxDigits + 1]uint64 // per fraction count, the low and high words
-	hi   [maxDigits + 1]int64  // of a 128-bit two's-complement mantissa sum
-	rat  *big.Rat              // the long plain decimals and ParseFloat's finite values
-	odd  float64               // the sum of the infinities and NaNs added
-	buf  *[maxColumnText]byte  // a coded column's text; made when first needed
+	col    int
+	d      *Dict
+	packed bool                  // d.Frameless(): a cell may be packed rows
+	used   uint32                // bit k: a value with k fraction digits was added
+	lo     [maxDigits + 1]uint64 // per fraction count, the low and high words
+	hi     [maxDigits + 1]int64  // of a 128-bit two's-complement mantissa sum
+	rat    *big.Rat              // the long plain decimals and ParseFloat's finite values
+	odd    float64               // the sum of the infinities and NaNs added
+	buf    *[maxColumnText]byte  // a coded column's text; made when first needed
 }
 
 // NewSum returns an empty sum of payload column col of rows encoded under
 // d (nil: no dictionary).
-func NewSum(d *Dict, col int) Sum { return Sum{col: col, d: d} }
+func NewSum(d *Dict, col int) Sum { return Sum{col: col, d: d, packed: d.Frameless()} }
 
-// Add adds column col of every row of the stored record rec, an encoded
-// row or a packed block, and returns how many rows that was (Rows). Its
+// Add adds column col of every row of the framed record rec, an encoded
+// row or a version 6 packed block, and returns how many rows that was
+// (Rows). Its
 // errors are Column's: a short row, a column ParseFloat rejects, bytes no
 // encoder wrote.
 func (s *Sum) Add(rec []byte) (rows int, err error) {
 	if s.d.packed(rec) {
-		return s.addPacked(rec)
+		return s.addRows(rec[1:])
 	}
 	mant, meta, rest, e, at, err := locate(s.d, rec, s.col)
 	switch {

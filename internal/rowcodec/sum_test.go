@@ -228,6 +228,25 @@ func TestSumAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a sum over binary and plain text columns allocates %v times, want 0", allocs)
 	}
+	// A frameless packed cell and a marker-framed one, under a template.
+	_, _, d := cellDicts(t)
+	rows := benchRows(4)
+	packed := EncodeCell(d, rows)
+	framed := d.AppendMarker(nil)
+	for _, r := range rows {
+		framed = AppendFramedRow(d, framed, r)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		for col := 0; col < 4; col++ {
+			s := NewSum(d, col)
+			s.AddCell(packed)
+			s.AddCell(framed)
+			v, _ := s.Total()
+			sink += v
+		}
+	}); allocs != 0 || packed[0]&1 != 0 || framed[0] != marker {
+		t.Errorf("a sum over packed and framed cells allocates %v times, want 0", allocs)
+	}
 }
 
 var sumSeeds = []string{

@@ -8,8 +8,8 @@ import (
 )
 
 const (
-	// tagPacked is the first byte of a packed block: bit 6, which no framed
-	// row's header sets.
+	// tagPacked is the first byte of a packed block in a version 6 store's
+	// framed records: bit 6, which no encoded row's header sets.
 	tagPacked = 0x40
 	// maxDecDigits is the most digits a canonical decimal has: its mantissa
 	// is at most 2^53 and its integer part has no leading zero.
@@ -42,19 +42,44 @@ type rowShape struct {
 	escaped bool
 }
 
+// NoShape is Learn's shape for a row no template can hold: one of its
+// columns after the binary ones has no skeleton in the Dict.
+const NoShape = -1
+
+// shapeKey is what rows must share to pack under one template: the
+// fraction count of each binary column and the number of columns after
+// them. Digit counts and signs only widen the template.
+type shapeKey struct {
+	n, tail int
+	frac    [maxBinaryCols]uint8
+}
+
+// learnedShape is one shape Learn has seen: how many rows had it, and its
+// binary columns widened to all of them.
+type learnedShape struct {
+	key  shapeKey
+	rows int64
+	decs []decField
+}
+
 // Template is the row template: one fixed width W for every row of one
-// shape, so that a cell whose rows all have it is stored as one packed
-// block instead of framed rows. build learns it in the scan that learns the
-// Dict (Learn) and fixes it there (Template); the catalog keeps it beside
-// the Dict (SetTemplate). Its columns are the shape of a framed row: the
-// leading binary columns, each a canonical decimal with a fixed fraction
-// count, then the coded columns, each a code against its Dict column plus
-// the values of the skeleton's digit runs.
+// shape, so that a cell whose rows all have it is stored packed instead of
+// as framed rows. build learns it in the scan that learns the Dict (Learn)
+// and fixes it there (Template); the catalog keeps it beside the Dict
+// (SetTemplate). Its columns are the shape of a framed row: the leading
+// binary columns, each a canonical decimal with a fixed fraction count,
+// then the coded columns, each a code against its Dict column plus the
+// values of the skeleton's digit runs. A template with the marker bit lays
+// its fields out from bit 1, so bit 0 of every packed row is 0 and a cell
+// says by its first byte which form it has (see CheckCell); one without it
+// is a version 6 template, whose packed cells are tagged framed records.
 type Template struct {
-	decs  []decField
-	coded []codedField
-	width int    // W, bytes of one packed row
-	recip uint64 // ⌊2^64 / W⌋ + 1: x / W is the high word of x · recip for x < 2^32
+	decs   []decField
+	coded  []codedField
+	marker bool   // fields start at bit 1: the store's cells are frameless
+	bits   int    // the bits the marker and the fields take; the rest of W is 0
+	width  int    // W, bytes of one packed row
+	recip  uint64 // ⌊2^64 / W⌋ + 1: x / W is the high word of x · recip for x < 2^32
 }
 
 // decField is a binary column: a sign bit when signed, then the mantissa
@@ -74,55 +99,73 @@ type codedField struct {
 	off      int
 }
 
-// learnShape widens the template being learned to a row of shape sh and
-// reports whether the row has the template's shape: the same binary
-// columns with the same fraction counts, the same number of columns after
-// them, each with a skeleton in the Dict. The first row with a skeleton for
-// every column sets the shape. Widening only ever admits more — a longer
-// decimal, a sign, more skeletons — so a row that fits here fits the
-// template Template fixes.
-func (d *Dict) learnShape(sh *rowShape) bool {
+// learnShape counts a row of shape sh and returns the shape's id, widening
+// the shape's binary columns to the row: a longer decimal or a sign only
+// ever admits more, so a row counted under a shape packs under the template
+// Template fixes from it. NoShape for a row with a column the Dict holds no
+// skeleton for.
+func (d *Dict) learnShape(sh *rowShape) int {
 	if sh.escaped {
-		return false
+		return NoShape
 	}
-	s := d.shape
-	if s == nil {
-		s = &Template{decs: make([]decField, sh.n), coded: make([]codedField, sh.tail)}
-		for i := range s.decs {
-			s.decs[i] = decField{frac: sh.meta[i] >> 3 & maxFrac, digits: sh.digits[i], signed: sh.meta[i]&0x80 != 0}
+	k := shapeKey{n: sh.n, tail: sh.tail}
+	for i := 0; i < sh.n; i++ {
+		k.frac[i] = sh.meta[i] >> 3 & maxFrac
+	}
+	id := d.lastShape - 1
+	if id < 0 || d.shapes[id].key != k {
+		var ok bool
+		if id, ok = d.shapeIDs[k]; !ok {
+			if d.shapeIDs == nil {
+				d.shapeIDs = make(map[shapeKey]int)
+			}
+			id = len(d.shapes)
+			d.shapeIDs[k] = id
+			decs := make([]decField, sh.n)
+			for i := range decs {
+				decs[i].frac = k.frac[i]
+			}
+			d.shapes = append(d.shapes, learnedShape{key: k, decs: decs})
 		}
-		d.shape = s
-		return true
+		d.lastShape = id + 1
 	}
-	if sh.n != len(s.decs) || sh.tail != len(s.coded) {
-		return false
-	}
-	for i := range s.decs {
-		if sh.meta[i]>>3&maxFrac != s.decs[i].frac {
-			return false
-		}
-	}
+	s := &d.shapes[id]
+	s.rows++
 	for i := range s.decs {
 		f := &s.decs[i]
 		f.digits = max(f.digits, sh.digits[i])
 		f.signed = f.signed || sh.meta[i]&0x80 != 0
 	}
-	return true
+	return id
 }
 
-// Template fixes the row template Learn widened and returns it, nil when no
-// row set a shape: from then on Pack packs every row Learn said fits. The
-// coded columns take their widths from the Dict as it stands, so Template
-// comes after the last Learn.
+// Template fixes the row template from the shape most rows Learn saw have
+// (the first seen of those that tie) and returns it, nil when no row had a
+// shape: from then on Pack packs every row of that shape, and Fits names
+// it. The template reserves the marker bit. The coded columns take their
+// widths from the Dict as it stands, so Template comes after the last Learn.
 func (d *Dict) Template() *Template {
-	if d.shape == nil {
+	best := -1
+	for i := range d.shapes {
+		if best < 0 || d.shapes[i].rows > d.shapes[best].rows {
+			best = i
+		}
+	}
+	if best < 0 {
 		return nil
 	}
-	t := &Template{decs: append([]decField(nil), d.shape.decs...)}
-	t.coded = d.codedFields(len(t.decs), len(d.shape.coded))
+	s := &d.shapes[best]
+	t := &Template{decs: append([]decField(nil), s.decs...), marker: true}
+	t.coded = d.codedFields(s.key.n, s.key.tail)
 	t.layout()
-	d.tmpl = t
+	d.tmpl, d.chosen = t, best
 	return t
+}
+
+// Fits reports whether rows of shape, as Learn returned it, pack under the
+// template Template fixed.
+func (d *Dict) Fits(shape int) bool {
+	return d.tmpl != nil && shape != NoShape && shape == d.chosen
 }
 
 // codedFields are the widths of count coded columns from payload column
@@ -151,9 +194,13 @@ func (d *Dict) codedFields(first, count int) []codedField {
 }
 
 // layout places the fields one after another, least significant bit
-// first, and sets the width: the bytes they take, at least one.
+// first and after the marker bit when the template reserves it, and sets
+// the width: the bytes they take, at least one.
 func (t *Template) layout() {
 	off := 0
+	if t.marker {
+		off = 1
+	}
 	for i := range t.decs {
 		f := &t.decs[i]
 		f.off = off
@@ -170,7 +217,7 @@ func (t *Template) layout() {
 			off += int(b)
 		}
 	}
-	t.width = max(1, (off+7)/8)
+	t.bits, t.width = off, max(1, (off+7)/8)
 	t.recip = ^uint64(0)/uint64(t.width) + 1 // 0 for W = 1, which rows divides by itself
 }
 
@@ -192,7 +239,7 @@ func (d *Dict) SetTemplate(t *Template) error {
 		}
 	}
 	t.layout()
-	d.tmpl = t
+	d.tmpl, d.chosen = t, NoShape // no shape Learn counted is this template's
 	return nil
 }
 
@@ -204,42 +251,46 @@ func (d *Dict) Width() int {
 	return d.tmpl.width
 }
 
-// PackedLen is the length of a packed block of rows rows: the tag byte,
-// then Width bytes a row.
-func (d *Dict) PackedLen(rows int) int { return 1 + rows*d.Width() }
-
-// AppendTag starts a packed block in dst: the tag byte, after which Pack
-// appends the rows.
-func AppendTag(dst []byte) []byte { return append(dst, tagPacked) }
-
-// packed reports whether rec is a packed block: d has a row template and
-// rec starts with the tag. Anything else is a framed row.
-func (d *Dict) packed(rec []byte) bool {
-	return d != nil && d.tmpl != nil && len(rec) > 0 && rec[0] == tagPacked
+// PackedLen is the length of a packed cell of rows rows as the store keeps
+// it: Width bytes a row, and under a template without the marker bit the
+// frame header and tag of the one record they are.
+func (d *Dict) PackedLen(rows int) int64 {
+	n := int64(rows) * int64(d.Width())
+	if !d.Frameless() {
+		n = FrameSize(1 + int(n))
+	}
+	return n
 }
 
-// Rows is the number of rows the stored record rec holds: (len(rec) − 1)
-// / Width for a packed block, 1 for a framed row.
+// packed reports whether the framed record rec is a version 6 packed
+// block: d's template has no marker bit and rec starts with the tag.
+// Anything else is an encoded row.
+func (d *Dict) packed(rec []byte) bool {
+	return d != nil && d.tmpl != nil && !d.tmpl.marker && len(rec) > 0 && rec[0] == tagPacked
+}
+
+// Rows is the number of rows the framed record rec holds: (len(rec) − 1)
+// / Width for a version 6 packed block, 1 for an encoded row.
 func Rows(d *Dict, rec []byte) (int, error) {
 	if !d.packed(rec) {
 		return 1, nil
 	}
-	return d.tmpl.rows(rec)
+	return d.tmpl.count(len(rec) - 1)
 }
 
-// rows is Rows of a packed block. A block is one stored record, shorter than
-// 2^32 bytes, so the quotient is a multiply: a division per cell is a
+// count is the number of rows in n bytes of packed rows. A cell is shorter
+// than 2^32 bytes, so the quotient is a multiply: a division per cell is a
 // visible share of a query that sums thousands of one-row cells.
-func (t *Template) rows(rec []byte) (int, error) {
-	body := uint64(len(rec) - 1)
-	n, _ := bits.Mul64(body, t.recip)
+func (t *Template) count(n int) (int, error) {
+	body := uint64(n)
+	q, _ := bits.Mul64(body, t.recip)
 	if t.recip == 0 {
-		n = body
+		q = body
 	}
-	if body >= 1<<32 || n*uint64(t.width) != body {
+	if body >= 1<<32 || q*uint64(t.width) != body {
 		return 0, ErrMalformed
 	}
-	return int(n), nil
+	return int(q), nil
 }
 
 // Pack appends the packed form of row t to dst, Width bytes, and reports
@@ -367,19 +418,19 @@ func (d *Dict) appendCoded(dst, row []byte, c int) ([]byte, error) {
 	return append(dst, e.lits[len(e.runs)]...), nil
 }
 
-// decodePacked appends the text of every row of the packed block rec, one
+// decodeRows appends the text of every row of the packed rows body, one
 // line each, joined by '\n'.
-func (d *Dict) decodePacked(dst, rec []byte) ([]byte, error) {
-	n, err := Rows(d, rec)
+func (d *Dict) decodeRows(dst, body []byte) ([]byte, error) {
+	tm := d.tmpl
+	n, err := tm.count(len(body))
 	if err != nil {
 		return dst, err
 	}
-	tm := d.tmpl
 	for r := 0; r < n; r++ {
 		if r > 0 {
 			dst = append(dst, '\n')
 		}
-		row := rec[1+r*tm.width:]
+		row := body[r*tm.width:]
 		for c := range tm.decs {
 			if c > 0 {
 				dst = append(dst, ',')
@@ -402,9 +453,57 @@ func (d *Dict) decodePacked(dst, rec []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// packedColumn is Column on row r of the packed block rec.
-func (d *Dict) packedColumn(rec []byte, r, idx int) (float64, error) {
-	n, err := Rows(d, rec)
+// checkRows is the number of rows in the packed rows body when every field
+// of every row decodes and no other bit is set: each decimal within its
+// digits, each code an entry of its Dict column and each of the entry's
+// runs within its length, the run slots the entry does not use, the marker
+// bit and the bits past the fields 0 — the bits Pack writes.
+func (d *Dict) checkRows(body []byte) (int, error) {
+	tm := d.tmpl
+	n, err := tm.count(len(body))
+	if err != nil {
+		return 0, err
+	}
+	for r := 0; r < n; r++ {
+		row := body[r*tm.width : (r+1)*tm.width]
+		if tm.marker && row[0]&1 != 0 {
+			return 0, ErrMalformed
+		}
+		for c := range tm.decs {
+			if _, _, err := tm.decimal(row, c); err != nil {
+				return 0, err
+			}
+		}
+		for i := range tm.coded {
+			f := &tm.coded[i]
+			e, ok := d.entry(len(tm.decs)+i, byte(getBits(row, f.off, int(f.codeBits))))
+			if !ok {
+				return 0, ErrMalformed
+			}
+			off := f.off + int(f.codeBits)
+			for k, b := range f.runBits {
+				limit := uint64(1) // an unused slot holds 0
+				if k < len(e.runs) {
+					limit = pow10u[e.runs[k]]
+				}
+				if getBits(row, off, int(b)) >= limit {
+					return 0, ErrMalformed
+				}
+				off += int(b)
+			}
+		}
+		for off := tm.bits; off < 8*tm.width; off += 8 {
+			if getBits(row, off, min(8, 8*tm.width-off)) != 0 {
+				return 0, ErrMalformed
+			}
+		}
+	}
+	return n, nil
+}
+
+// packedColumn is Column on row r of the packed rows body.
+func (d *Dict) packedColumn(body []byte, r, idx int) (float64, error) {
+	n, err := d.tmpl.count(len(body))
 	switch tm := d.tmpl; {
 	case err != nil:
 		return 0, err
@@ -413,7 +512,7 @@ func (d *Dict) packedColumn(rec []byte, r, idx int) (float64, error) {
 	case idx < 0 || idx >= len(tm.decs)+len(tm.coded):
 		return 0, shortRow(len(tm.decs)+len(tm.coded), idx)
 	case idx < len(tm.decs):
-		mant, neg, err := tm.decimal(rec[1+r*tm.width:], idx)
+		mant, neg, err := tm.decimal(body[r*tm.width:], idx)
 		if err != nil {
 			return 0, err
 		}
@@ -424,7 +523,7 @@ func (d *Dict) packedColumn(rec []byte, r, idx int) (float64, error) {
 		return f, nil
 	default:
 		var buf [maxColumnText]byte
-		text, err := d.appendCoded(buf[:0], rec[1+r*tm.width:], idx)
+		text, err := d.appendCoded(buf[:0], body[r*tm.width:], idx)
 		if err != nil {
 			return 0, err
 		}
@@ -432,14 +531,13 @@ func (d *Dict) packedColumn(rec []byte, r, idx int) (float64, error) {
 	}
 }
 
-// addPacked adds column s.col of every row of the packed block rec and
+// addRows adds column s.col of every row of the packed rows body and
 // returns how many rows it holds. A binary column is a strided integer
 // loop: its field sits at the same bit offset of every row, so a row is one
-// unaligned 8-byte load, a shift and a mask, while 8 bytes are left in the
-// block.
-func (s *Sum) addPacked(rec []byte) (int, error) {
+// unaligned 8-byte load, a shift and a mask, while 8 bytes are left.
+func (s *Sum) addRows(body []byte) (int, error) {
 	tm := s.d.tmpl
-	n, err := tm.rows(rec)
+	n, err := tm.count(len(body))
 	switch {
 	case err != nil:
 		return 0, err
@@ -452,7 +550,7 @@ func (s *Sum) addPacked(rec []byte) (int, error) {
 			s.buf = new([maxColumnText]byte)
 		}
 		for r := 0; r < n; r++ {
-			text, err := s.d.appendCoded(s.buf[:0], rec[1+r*tm.width:], s.col)
+			text, err := s.d.appendCoded(s.buf[:0], body[r*tm.width:], s.col)
 			if err != nil {
 				return 0, err
 			}
@@ -463,7 +561,7 @@ func (s *Sum) addPacked(rec []byte) (int, error) {
 		return n, nil
 	}
 	f := &tm.decs[s.col]
-	frac, w, body := int(f.frac), tm.width, rec[1:]
+	frac, w := int(f.frac), tm.width
 	r := 0
 	if !f.signed {
 		at, shift := f.off>>3, f.off&7
@@ -506,6 +604,7 @@ func (e *TemplateError) Error() string {
 type templateJSON struct {
 	Decimals []decJSON   `json:"decimals"`
 	Coded    []codedJSON `json:"coded"`
+	Marker   bool        `json:"marker,omitempty"`
 }
 
 type decJSON struct {
@@ -521,7 +620,7 @@ type codedJSON struct {
 
 // MarshalJSON writes the template's columns.
 func (t *Template) MarshalJSON() ([]byte, error) {
-	out := templateJSON{Decimals: []decJSON{}, Coded: []codedJSON{}}
+	out := templateJSON{Decimals: []decJSON{}, Coded: []codedJSON{}, Marker: t.marker}
 	for _, f := range t.decs {
 		out.Decimals = append(out.Decimals, decJSON{int(f.frac), int(f.digits), f.signed})
 	}
@@ -549,7 +648,7 @@ func (t *Template) UnmarshalJSON(data []byte) error {
 	if n := len(in.Decimals) + len(in.Coded); n == 0 || n > maxDictColumns {
 		return &TemplateError{0, fmt.Sprintf("%d columns, want 1 to %d", n, maxDictColumns)}
 	}
-	var nt Template
+	nt := Template{marker: in.Marker}
 	for c, f := range in.Decimals {
 		if f.Frac < 0 || f.Frac > maxFrac || f.Digits <= f.Frac || f.Digits > maxDecDigits {
 			return &TemplateError{c, fmt.Sprintf("a decimal of %d digits with %d after the point", f.Digits, f.Frac)}

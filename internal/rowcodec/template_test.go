@@ -16,52 +16,58 @@ func benchRows(n int) []string {
 	rows := make([]string, n)
 	for i := range rows {
 		rows[i] = fmt.Sprintf("%d.%02d,%d,0.%02d,0.%02d,%c,%c,%s,lineitem %09d v%04d carefully final deposits sl",
-			900+i*7919%104000, i*13%100, 1+i%50, i%11, i%9, "ANR"[i%3], "OF"[i%2], modes[i%7], i*104729, i%3)
+			900+i*7919%99000, i*13%100, 1+i%50, i%11, i%9, "ANR"[i%3], "OF"[i%2], modes[i%7], i*104729, i%3)
 	}
 	return rows
 }
 
 // TestTemplateBenchmarkRow: the benchmark's rows all fit one template of
-// 13 bytes a row — decimals of 8, 2, 3 and 3 digits, codes of 2, 1, 3 and
-// 0 bits and the comment's runs of 9 and 4 digits — and a packed block of
-// them decodes, reads and sums as the framed rows do.
+// 13 bytes a row — the marker bit, decimals of 7, 2, 3 and 3 digits, codes
+// of 2, 1, 3 and 0 bits and the comment's runs of 9 and 4 digits — and a
+// packed cell of them is 13 bytes a row with nothing else, and decodes,
+// reads and sums as the framed rows do.
 func TestTemplateBenchmarkRow(t *testing.T) {
 	rows := benchRows(64)
 	d := NewDict()
-	for _, r := range rows {
-		if _, _, fits := d.Learn([]byte(r)); !fits {
-			t.Fatalf("%q does not fit the template", r)
-		}
+	shapes := make([]int, len(rows))
+	for i, r := range rows {
+		_, _, shapes[i] = d.Learn([]byte(r))
 	}
 	tm := d.Template()
-	if d.Width() != 13 {
+	if d.Width() != 13 || !d.Frameless() {
 		data, _ := json.Marshal(tm)
-		t.Fatalf("row width %d, want 13: %s", d.Width(), data)
+		t.Fatalf("row width %d, want 13 with the marker bit: %s", d.Width(), data)
 	}
-	block := AppendTag(nil)
-	for _, r := range rows {
+	var cell []byte
+	for i, r := range rows {
 		var ok bool
-		if block, ok = Pack(d, block, r); !ok {
+		if !d.Fits(shapes[i]) {
+			t.Fatalf("%q does not fit the template", r)
+		}
+		if cell, ok = Pack(d, cell, r); !ok {
 			t.Fatalf("Learn said %q fits, Pack refuses it", r)
 		}
 	}
-	if n, err := Rows(d, block); err != nil || n != len(rows) || len(block) != d.PackedLen(len(rows)) {
-		t.Fatalf("Rows = %d, %v; block of %d bytes, PackedLen %d", n, err, len(block), d.PackedLen(len(rows)))
+	if n, err := CellRows(d, cell); err != nil || n != len(rows) || len(cell) != 13*len(rows) || int64(len(cell)) != d.PackedLen(len(rows)) {
+		t.Fatalf("CellRows = %d, %v; cell of %d bytes, PackedLen %d", n, err, len(cell), d.PackedLen(len(rows)))
 	}
-	text, err := Decode(d, nil, block)
+	if n, err := CheckCell(d, cell); err != nil || n != len(rows) {
+		t.Fatalf("CheckCell = %d, %v", n, err)
+	}
+	text, err := DecodeCell(d, nil, cell)
 	if err != nil || string(text) != strings.Join(rows, "\n") {
-		t.Fatalf("Decode: %v\n%s", err, text)
+		t.Fatalf("DecodeCell: %v\n%s", err, text)
 	}
 	for col := 0; col < 9; col++ {
 		packed, framed := NewSum(d, col), NewSum(d, col)
-		_, perr := packed.Add(block)
+		_, perr := packed.AddCell(cell)
 		var ferr error
 		for r, row := range rows {
 			enc := Encode(d, nil, row)
 			if _, err := framed.Add(enc); err != nil && ferr == nil {
 				ferr = err
 			}
-			pv, pe := Column(d, block, r, col)
+			pv, pe := d.packedColumn(cell, r, col)
 			fv, fe := Column(d, enc, 0, col)
 			if math.Float64bits(pv) != math.Float64bits(fv) || fmt.Sprint(pe) != fmt.Sprint(fe) {
 				t.Fatalf("column %d of row %d: packed %v, %v; framed %v, %v", col, r, pv, pe, fv, fe)
@@ -71,6 +77,28 @@ func TestTemplateBenchmarkRow(t *testing.T) {
 		ft, fe := framed.Total()
 		if fmt.Sprint(perr) != fmt.Sprint(ferr) || math.Float64bits(pt) != math.Float64bits(ft) || fmt.Sprint(pe) != fmt.Sprint(fe) {
 			t.Errorf("sum of column %d: packed %v, %v, %v; framed %v, %v, %v", col, pt, pe, perr, ft, fe, ferr)
+		}
+	}
+}
+
+// TestTemplateMostCommonShape: the template is the shape most rows have,
+// not the first row's: a first row with another fraction count, or with
+// one column more, leaves every row of the common shape fitting, and only
+// those.
+func TestTemplateMostCommonShape(t *testing.T) {
+	for _, outlier := range []string{"1.5,N,x 12", "10.25,N,x 12,extra"} {
+		rows := []string{outlier, "10.25,N,x 12", "9.75,R,x 7", "-1.05,A,x 99", "3.10,N,x 1"}
+		d := NewDict()
+		shapes := make([]int, len(rows))
+		for i, r := range rows {
+			_, _, shapes[i] = d.Learn([]byte(r))
+		}
+		d.Template()
+		for i, r := range rows {
+			_, packs := Pack(d, nil, r)
+			if fits := d.Fits(shapes[i]); fits != (i > 0) || packs != fits {
+				t.Errorf("outlier %q first: %q fits %v and packs %v, want %v", outlier, r, fits, packs, i > 0)
+			}
 		}
 	}
 }
@@ -88,7 +116,7 @@ func TestTemplateJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"decimals":[{"frac":1,"digits":3,"signed":true}],"coded":[{"codeBits":1},{"codeBits":1,"runBits":[7]}]}`
+	const want = `{"decimals":[{"frac":1,"digits":3,"signed":true}],"coded":[{"codeBits":1},{"codeBits":1,"runBits":[7]}],"marker":true}`
 	if string(data) != want {
 		t.Fatalf("template JSON %s, want %s", data, want)
 	}
@@ -101,12 +129,12 @@ func TestTemplateJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &backT); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.SetTemplate(&backT); err != nil || back.Width() != d.Width() {
-		t.Fatalf("SetTemplate: %v, width %d, want %d", err, back.Width(), d.Width())
+	if err := back.SetTemplate(&backT); err != nil || back.Width() != d.Width() || !back.Frameless() {
+		t.Fatalf("SetTemplate: %v, width %d, want %d, frameless %v", err, back.Width(), d.Width(), back.Frameless())
 	}
-	block, _ := Pack(d, AppendTag(nil), "-9.5,R,x 99")
-	if text, err := Decode(&back, nil, block); err != nil || string(text) != "-9.5,R,x 99" {
-		t.Errorf("a block through the catalog: %q, %v", text, err)
+	cell, _ := Pack(d, nil, "-9.5,R,x 99")
+	if text, err := DecodeCell(&back, nil, cell); err != nil || string(text) != "-9.5,R,x 99" {
+		t.Errorf("a cell through the catalog: %q, %v", text, err)
 	}
 	for _, bad := range []string{
 		`{"decimals":[{"frac":2,"digits":2}],"coded":[]}`,

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // gatedFile is a PagedFile whose reads block until the gate opens, for
@@ -134,7 +135,7 @@ func loadConcurrentStore(t *testing.T, fs *FileStore, o *linear.Order) float64 {
 			v := float64(c*10 + i)
 			total += v
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if err := fs.PutRecord(c, buf); err != nil {
+			if err := rowcodec.PutRecord(fs, c, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,7 +148,7 @@ func loadConcurrentStore(t *testing.T, fs *FileStore, o *linear.Order) float64 {
 
 func TestConcurrentQueriesSeeConsistentData(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	path := filepath.Join(t.TempDir(), "conc.db")
 	fs, err := CreateFileStore(path, o, bytes, 128, 4) // tiny pool: constant eviction
 	if err != nil {
@@ -179,7 +180,7 @@ func TestConcurrentQueriesSeeConsistentData(t *testing.T) {
 
 func TestReadQueryCtxCancellation(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	path := filepath.Join(t.TempDir(), "cancel.db")
 	fs, err := CreateFileStore(path, o, bytes, 128, 8)
 	if err != nil {
@@ -220,7 +221,7 @@ func TestReadQueryCtxCancellation(t *testing.T) {
 
 func TestReadCellCtxReadsOneCell(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	path := filepath.Join(t.TempDir(), "cell.db")
 	fs, err := CreateFileStore(path, o, bytes, 128, 8)
 	if err != nil {
@@ -228,15 +229,20 @@ func TestReadCellCtxReadsOneCell(t *testing.T) {
 	}
 	defer fs.Close()
 	loadConcurrentStore(t, fs, o)
-	got := 0.0
-	if err := fs.ReadCellCtx(context.Background(), 7, func(rec []byte) error {
-		got += decodeF64(rec)
-		return nil
+	got, calls := 0.0, 0
+	if err := fs.ReadCellCtx(context.Background(), 7, func(b []byte) error {
+		if calls++; int64(len(b)) != fs.LoadedBytes()[7] {
+			t.Errorf("handed %d bytes of cell 7, which holds %d", len(b), fs.LoadedBytes()[7])
+		}
+		return rowcodec.WalkRecords(0, b, func(_ int, rec []byte) error {
+			got += decodeF64(rec)
+			return nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := float64(7*10 + 7*10 + 1); math.Abs(got-want) > 1e-9 {
-		t.Errorf("cell 7 sum = %v, want %v", got, want)
+	if want := float64(7*10 + 7*10 + 1); math.Abs(got-want) > 1e-9 || calls != 1 {
+		t.Errorf("cell 7 sum = %v in %d calls, want %v in one", got, calls, want)
 	}
 }
 
@@ -277,7 +283,7 @@ func TestRetryBackoffIsContextAware(t *testing.T) {
 
 func TestCloseWhileReadersInFlight(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	path := filepath.Join(t.TempDir(), "close.db")
 	fs, err := CreateFileStore(path, o, bytes, 128, 16)
 	if err != nil {
@@ -313,7 +319,7 @@ func TestCloseWhileReadersInFlight(t *testing.T) {
 	if err := fs.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close = %v, want ErrClosed", err)
 	}
-	if err := fs.PutRecord(0, make([]byte, 8)); !errors.Is(err, ErrClosed) {
+	if err := rowcodec.PutRecord(fs, 0, make([]byte, 8)); !errors.Is(err, ErrClosed) {
 		t.Errorf("PutRecord after Close = %v, want ErrClosed", err)
 	}
 	if _, err := fs.Verify(); !errors.Is(err, ErrClosed) {
@@ -333,7 +339,7 @@ func TestCloseWhileReadersInFlight(t *testing.T) {
 
 func TestMigrateWhileReadersInFlight(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	dir := t.TempDir()
 	fs, err := CreateFileStore(filepath.Join(dir, "old.db"), o, bytes, 128, 16)
 	if err != nil {
@@ -395,7 +401,7 @@ func TestMigrateWhileReadersInFlight(t *testing.T) {
 // shutdown.
 func TestConcurrentStress(t *testing.T) {
 	o := concurrentOrder(t)
-	bytes := uniformBytes(o.Len(), 2*FrameSize(8))
+	bytes := uniformBytes(o.Len(), 2*rowcodec.FrameSize(8))
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stress.db")
 
@@ -471,7 +477,7 @@ func TestConcurrentStress(t *testing.T) {
 				binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(cell*100+i)))
 				recs[i] = append([]byte(nil), buf...)
 			}
-			err := fs.PutCellBytes(cell, FrameRecords(recs...))
+			err := fs.PutCellBytes(cell, rowcodec.FrameRecords(recs...))
 			if err == nil {
 				writes.Add(1)
 				continue
@@ -610,7 +616,7 @@ func TestConcurrentStress(t *testing.T) {
 // pool serves other pages normally afterwards.
 func TestPermanentFaultDoesNotPoisonPool(t *testing.T) {
 	o := rowMajor4x4(t)
-	bytes := uniformBytes(o.Len(), FrameSize(8))
+	bytes := uniformBytes(o.Len(), rowcodec.FrameSize(8))
 	path := filepath.Join(t.TempDir(), "perm.db")
 	fs, err := CreateFileStore(path, o, bytes, 64, 4)
 	if err != nil {
@@ -619,7 +625,7 @@ func TestPermanentFaultDoesNotPoisonPool(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < o.Len(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := fs.PutRecord(c, buf); err != nil {
+		if err := rowcodec.PutRecord(fs, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -667,7 +673,7 @@ func TestPermanentFaultDoesNotPoisonPool(t *testing.T) {
 // context ends returns its context's error.
 func TestPoolMissWaitsForUnpin(t *testing.T) {
 	o := concurrentOrder(t)
-	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "wait.db"), o, uniformBytes(o.Len(), 2*FrameSize(8)), 128, 3)
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "wait.db"), o, uniformBytes(o.Len(), 2*rowcodec.FrameSize(8)), 128, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"time"
 
@@ -16,13 +14,13 @@ import (
 // seek runs in disk order. The body walks a run's cells holding one pin
 // window and one page latch — consecutive pages are pinned a window at a
 // time with one pool round trip and, for runs of misses, loaded with one
-// physical span read — and hands over each filled or overlaid cell's framed
-// bytes once: in place when the cell lies inside one page, gathered into the
+// physical span read — and hands over each filled or overlaid cell's bytes
+// once: in place when the cell lies inside one page, gathered into the
 // run's spill buffer when it straddles pages.
 //
 // In-place contract: fn runs under a page latch and must not retain the
-// cell's bytes or call back into the store. Record-at-a-time readers
-// (ReadPlanCtx) are walkRecords over this stream.
+// cell's bytes or call back into the store. Record-at-a-time readers walk
+// each cell's records themselves (rowcodec.Records).
 //
 // Accounting: each run is one fragment. It counts its pool traffic in a
 // private tally whose physical reads ascend page by page, so its seek count
@@ -53,7 +51,7 @@ type execution struct {
 	plan   *QueryPlan
 	tally  *PoolTally // the request tally, or nil
 	ov     func(cell int) ([]byte, bool)
-	fn     func(cell int, framed []byte) error
+	fn     func(cell int, b []byte) error
 	traced bool
 	window int
 }
@@ -68,24 +66,14 @@ type runScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// ReadPlanCtx executes a prepared plan: every record of its region is
-// delivered to fn in exact disk order on the caller's goroutine —
-// ReadPlanCellsCtx with each cell's framing walked.
-func (fs *FileStore) ReadPlanCtx(ctx context.Context, p *QueryPlan, fn func(cell int, record []byte) error) error {
-	return fs.ReadPlanCellsCtx(ctx, p, func(cell int, framed []byte) error {
-		return walkRecords(cell, framed, fn)
-	})
-}
-
 // ReadPlanCellsCtx executes a prepared plan a cell at a time: every filled
-// or overlaid cell of its region is handed to fn once, as its framed
-// records (see FrameRecords), in exact disk order on the caller's
-// goroutine. A plan whose write epoch has passed is re-planned here, under
+// or overlaid cell of its region is handed to fn once, as its bytes, in
+// exact disk order on the caller's goroutine. A plan whose write epoch has passed is re-planned here, under
 // the same read lock the read runs under. When ctx carries a trace, each
 // seek run is recorded as a fragment span with its tally (pages_read,
 // seeks, pool_hits) attached. Returns ErrClosed if the store has been
 // closed.
-func (fs *FileStore) ReadPlanCellsCtx(ctx context.Context, p *QueryPlan, fn func(cell int, framed []byte) error) error {
+func (fs *FileStore) ReadPlanCellsCtx(ctx context.Context, p *QueryPlan, fn func(cell int, b []byte) error) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -264,55 +252,25 @@ func (x *execution) readRun(ctx context.Context, run *planRun, sc *runScratch) (
 	return nil
 }
 
-// walkRecords parses the length-prefixed framing of one cell's filled
-// bytes, calling fn per record.
-func walkRecords(cell int, buf []byte, fn func(cell int, record []byte) error) error {
-	for len(buf) > 0 {
-		rec, rest, err := NextRecord(cell, buf)
-		if err != nil {
-			return err
-		}
-		if err := fn(cell, rec); err != nil {
-			return err
-		}
-		buf = rest
-	}
-	return nil
-}
-
-// NextRecord splits the first record off a non-empty run of the cell's
-// framed bytes (see FrameRecords): its payload, and the bytes after it. A
-// cell's records are NextRecord applied until nothing is left; a reader of
-// ReadPlanCellsCtx that walks the framing itself calls it for the error
-// when the framing is broken, so the error reads the same.
-func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
-	if len(framed) < 4 {
-		return nil, nil, fmt.Errorf("storage: corrupt record header in cell %d", cell)
-	}
-	end := 4 + uint64(binary.LittleEndian.Uint32(framed))
-	if end > uint64(len(framed)) {
-		return nil, nil, fmt.Errorf("storage: truncated record in cell %d", cell)
-	}
-	return framed[4:end:end], framed[end:], nil
-}
-
-// ReadQueryOptCtx plans the region and reads it with ReadPlanCtx; opt is
-// ignored.
+// ReadQueryOptCtx plans the region and reads it with ReadPlanCellsCtx,
+// each cell handed to fn as one record; opt is ignored.
 //
-// Deprecated: use Plan and ReadPlanCtx. Kept only for the benchmark module,
-// whose re-baseline removes its last call (ROADMAP item 1); it goes then.
+// Deprecated: use Plan and ReadPlanCellsCtx. Kept only for the benchmark
+// module, whose re-baseline removes its last call (ROADMAP item 1); it
+// goes then.
 func (fs *FileStore) ReadQueryOptCtx(ctx context.Context, r linear.Region, _ ReadOptions, fn func(cell int, record []byte) error) error {
 	p, err := fs.Plan(ctx, r)
 	if err != nil {
 		return err
 	}
-	return fs.ReadPlanCtx(ctx, p, fn)
+	return fs.ReadPlanCellsCtx(ctx, p, fn)
 }
 
-// ReadCellCtx streams the records of a single cell through the executor's
-// run body, one page at a time, under the same cancellation contract as
-// ReadPlanCtx. It is not a fragment: no span, no observer call.
-func (fs *FileStore) ReadCellCtx(ctx context.Context, cell int, fn func(record []byte) error) error {
+// ReadCellCtx hands the bytes of a single cell, when it has any, to fn
+// through the executor's run body, one page at a time, under the same
+// cancellation contract as ReadPlanCellsCtx. It is not a fragment: no
+// span, no observer call.
+func (fs *FileStore) ReadCellCtx(ctx context.Context, cell int, fn func(b []byte) error) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if fs.closed {
@@ -325,9 +283,7 @@ func (fs *FileStore) ReadCellCtx(ctx context.Context, cell int, fn func(record [
 	b := planBuilder{fs: fs, p: new(QueryPlan)}
 	b.addFragment(pos, pos+1)
 	x := &execution{fs: fs, plan: b.p, ov: fs.overlayFn(), window: 1,
-		fn: func(cell int, framed []byte) error {
-			return walkRecords(cell, framed, func(_ int, record []byte) error { return fn(record) })
-		}}
+		fn: func(_ int, b []byte) error { return fn(b) }}
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
 	sc.tally.reset()

@@ -15,6 +15,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // diffOrders builds one order of every kind the store is deployed or
@@ -97,7 +98,7 @@ func buildDiffStore(t *testing.T, rng *rand.Rand, o *linear.Order, loaded bool) 
 		}
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			rec := diffRecord(rng)
-			sizes[c] += FrameSize(len(rec))
+			sizes[c] += rowcodec.FrameSize(len(rec))
 			if loaded || rng.Intn(3) > 0 { // otherwise reserved, not written
 				records[c] = append(records[c], rec)
 			}
@@ -113,9 +114,10 @@ func buildDiffStore(t *testing.T, rng *rand.Rand, o *linear.Order, loaded bool) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
+	fs.SetCellCheck(framedCheck)
 	for c, recs := range records {
 		for _, rec := range recs {
-			if err := fs.PutRecord(c, rec); err != nil {
+			if err := rowcodec.PutRecord(fs, c, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -124,9 +126,9 @@ func buildDiffStore(t *testing.T, rng *rand.Rand, o *linear.Order, loaded bool) 
 	for c := 0; c < n; c++ {
 		switch rng.Intn(8) {
 		case 0: // replaces whatever the base holds; on an empty cell, overlay-only
-			ds.overlay[c] = FrameRecords(diffRecord(rng), diffRecord(rng))
+			ds.overlay[c] = rowcodec.FrameRecords(diffRecord(rng), diffRecord(rng))
 		case 1:
-			ds.overlay[c] = FrameRecords() // the cell was emptied
+			ds.overlay[c] = rowcodec.FrameRecords() // the cell was emptied
 		}
 	}
 	return ds
@@ -334,7 +336,7 @@ func TestReadCancelledMidRunStopsAtPageBoundary(t *testing.T) {
 // plan's stale fills or stale run extents.
 func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 	o := concurrentOrder(t)
-	sizes := uniformBytes(o.Len(), 3*FrameSize(40))
+	sizes := uniformBytes(o.Len(), 3*rowcodec.FrameSize(40))
 	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "epoch.db"), o, sizes, 64, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -344,11 +346,11 @@ func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 	full := linear.Region{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}
 	read := func(p *QueryPlan) (cells []int, n int) {
 		t.Helper()
-		if err := fs.ReadPlanCtx(ctx, p, func(cell int, rec []byte) error {
+		if err := fs.ReadPlanCellsCtx(ctx, p, rowcodec.Records(func(cell int, rec []byte) error {
 			cells = append(cells, cell)
 			n += len(rec)
 			return nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		return cells, n
@@ -361,7 +363,7 @@ func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 	// the stale plan has no pages at all.
 	big := bytes.Repeat([]byte{'a'}, 40)
 	for _, cell := range []int{0, 63} {
-		if err := fs.PutCellBytes(cell, FrameRecords(big, big, big)); err != nil {
+		if err := fs.PutCellBytes(cell, rowcodec.FrameRecords(big, big, big)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,10 +375,10 @@ func TestPlanRevalidatedAcrossWriteEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutCellBytes(63, FrameRecords([]byte("z"))); err != nil {
+	if err := fs.PutCellBytes(63, rowcodec.FrameRecords([]byte("z"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutCellBytes(30, FrameRecords(big)); err != nil {
+	if err := fs.PutCellBytes(30, rowcodec.FrameRecords(big)); err != nil {
 		t.Fatal(err)
 	}
 	if cells, n := read(stale); fmt.Sprint(cells) != "[0 0 0 30 63]" || n != 4*40+1 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // faultFixture is the shared workload for fault testing: a 4×4 grid with
@@ -36,7 +37,7 @@ func newFaultFixture(t *testing.T) *faultFixture {
 			fx.values[c][i] = v
 			fx.want += v
 		}
-		fx.bytes[c] = int64(n) * FrameSize(8)
+		fx.bytes[c] = int64(n) * rowcodec.FrameSize(8)
 	}
 	layout, err := NewFileLayout(o, fx.bytes, 64)
 	if err != nil {
@@ -64,7 +65,7 @@ func (fx *faultFixture) run(pf PagedFile) ([]int64, error) {
 	for c, vs := range fx.values {
 		for _, v := range vs {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if err := fs.PutRecord(c, buf); err != nil {
+			if err := rowcodec.PutRecord(fs, c, buf); err != nil {
 				return nil, err
 			}
 		}
@@ -172,7 +173,7 @@ func TestCloseSurfacesSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.pool.SetRetry(RetryPolicy{MaxRetries: 3, Backoff: 0})
-	if err := fs.PutRecord(0, make([]byte, 8)); err != nil {
+	if err := rowcodec.PutRecord(fs, 0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); !errors.Is(err, ErrInjected) {

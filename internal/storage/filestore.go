@@ -2,13 +2,13 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // FileStore is the queryable packed fact table: records are packed along
@@ -18,10 +18,15 @@ import (
 // ChecksumFile, so every pool miss verifies the page's CRC32C trailer and
 // surfaces silent corruption as ErrCorruptPage.
 //
+// A cell is bytes [0, fill) of its extent, and the store frames nothing:
+// what the bytes are is the row codec's to say (internal/rowcodec). The
+// scrub walk judges them with the cell check a caller installs
+// (SetCellCheck).
+//
 // Concurrency contract: a FileStore may be shared freely across
-// goroutines. Reads (ReadPlanCtx, ReadPlanCellsCtx, ReadCellCtx, Verify)
-// run concurrently with each other under a read lock; writers (PutRecord,
-// Close) are exclusive. Close is safe to call while readers are in flight:
+// goroutines. Reads (ReadPlanCellsCtx, ReadCellCtx, Verify) run
+// concurrently with each other under a read lock; writers (AppendBytes,
+// PutCellBytes, Close) are exclusive. Close is safe to call while readers are in flight:
 // it waits for them to drain, and any operation issued after (or a second
 // Close) fails with the typed ErrClosed instead of racing on the
 // underlying file. Context-accepting methods check cancellation between
@@ -43,7 +48,7 @@ type FileStore struct {
 	parity      *parityState
 	parityClock uint64 // counts sidecar attaches and group patches (ParityWrites)
 
-	// epoch counts base writes (PutRecord, AppendBytes, PutCellBytes);
+	// epoch counts base writes (AppendBytes, PutCellBytes);
 	// guarded by mu. A QueryPlan's seek runs depend on which cells are
 	// filled, so it is valid only for the epoch it was planned under (see
 	// plan.go). fillEpoch counts the writes among them that changed a cell's
@@ -54,7 +59,7 @@ type FileStore struct {
 	// observer.
 	fragObs atomic.Pointer[func(pagesRead int64, seconds float64)]
 
-	rowCount atomic.Pointer[func(rec []byte) int] // the scrub walk's (SetRowCounter)
+	cellCheck atomic.Pointer[func(cell []byte) (int, error)] // the scrub walk's (SetCellCheck)
 
 	// Prepared-plan cache: region → plan. Plans are immutable, so concurrent
 	// queries share one entry; an entry from an older epoch is replaced at
@@ -66,8 +71,8 @@ type FileStore struct {
 	planInvAll  atomic.Int64 // entries dropped by the overflow drop-all
 
 	// Delta overlay (merge-on-read): when set, reads consult it per cell
-	// before touching base pages, and a hit substitutes the overlay's framed
-	// bytes for the cell's base content. Swapped atomically so readers never
+	// before touching base pages, and a hit substitutes the overlay's bytes
+	// for the cell's base content. Swapped atomically so readers never
 	// block on ingest; the function itself must be safe for concurrent use.
 	overlay atomic.Pointer[func(cell int) ([]byte, bool)]
 }
@@ -180,24 +185,9 @@ func (fs *FileStore) FillEpoch() uint64 {
 	return fs.fillEpoch
 }
 
-// PutRecord appends a length-prefixed record to the cell, through the pool.
-func (fs *FileStore) PutRecord(cell int, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	return fs.appendBytes(cell, hdr[:], payload)
-}
-
-// AppendBytes appends b to the cell's content as it is, through the pool:
-// a caller that writes one record in pieces writes its frame header first,
-// declaring the payload length (see FrameSize), and then that many bytes in
-// as many calls as it likes. Until the last piece lands the cell ends in a
-// partial record, which a read or scrub reports as broken framing.
+// AppendBytes appends b to the cell's content, through the pool: build
+// writes a cell a row at a time.
 func (fs *FileStore) AppendBytes(cell int, b []byte) error {
-	return fs.appendBytes(cell, b, nil)
-}
-
-// appendBytes appends a, then b, to the cell.
-func (fs *FileStore) appendBytes(cell int, a, b []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -206,39 +196,32 @@ func (fs *FileStore) appendBytes(cell int, a, b []byte) error {
 	pos := fs.layout.order.PosOf(cell)
 	e := &fs.dir[pos]
 	lo, hi := e.start, fs.dir[pos+1].start
-	need := int64(len(a) + len(b))
+	need := int64(len(b))
 	off := lo + int64(e.fill)
 	if off+need > hi {
 		return fmt.Errorf("storage: cell %d overflows its %d reserved bytes", cell, hi-lo)
 	}
 	old := fs.capturePreWrite(off, need)
-	if err := fs.pool.WriteAt(a, off); err != nil {
-		return err
-	}
-	if err := fs.pool.WriteAt(b, off+int64(len(a))); err != nil {
+	if err := fs.pool.WriteAt(b, off); err != nil {
 		return err
 	}
 	e.fill += uint32(need)
 	fs.fillEpoch++
 	if old != nil {
-		fs.patchParity(off, old, append(append(make([]byte, 0, need), a...), b...))
+		fs.patchParity(off, old, b)
 	}
 	fs.epoch++
 	return nil
 }
 
-// PutCellBytes replaces the entire record content of a cell with framed —
-// a sequence of length-prefixed records (see FrameRecords) — resetting the
-// cell's fill to len(framed). Shrinking zeroes the abandoned tail so record
-// framing never resurrects stale bytes. The replace is idempotent: applying
-// the same bytes twice converges to the same state, which is what makes the
-// delta log's redo-on-recovery protocol safe. Like PutRecord, the write
-// patches an attached parity sidecar in place and moves the write epoch,
-// so plans prepared before it are re-planned.
-func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
-	if err := walkRecords(cell, framed, func(int, []byte) error { return nil }); err != nil {
-		return fmt.Errorf("storage: PutCellBytes rejects malformed framing: %w", err)
-	}
+// PutCellBytes replaces the entire content of a cell with b, resetting the
+// cell's fill to len(b). Shrinking zeroes the abandoned tail so stale bytes
+// never come back. The replace is idempotent: applying the same bytes twice
+// converges to the same state, which is what makes the delta log's
+// redo-on-recovery protocol safe. Like AppendBytes, the write patches an
+// attached parity sidecar in place and moves the write epoch, so plans
+// prepared before it are re-planned.
+func (fs *FileStore) PutCellBytes(cell int, b []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -247,7 +230,7 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 	pos := fs.layout.order.PosOf(cell)
 	e := &fs.dir[pos]
 	lo, hi := e.start, fs.dir[pos+1].start
-	need := int64(len(framed))
+	need := int64(len(b))
 	if need > hi-lo {
 		return fmt.Errorf("storage: cell %d replacement of %d bytes overflows its %d reserved bytes", cell, need, hi-lo)
 	}
@@ -258,7 +241,7 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 	}
 	old := fs.capturePreWrite(lo, span)
 	if need > 0 {
-		if err := fs.pool.WriteAt(framed, lo); err != nil {
+		if err := fs.pool.WriteAt(b, lo); err != nil {
 			return err
 		}
 	}
@@ -276,37 +259,23 @@ func (fs *FileStore) PutCellBytes(cell int, framed []byte) error {
 	}
 	if old != nil {
 		neu := make([]byte, span)
-		copy(neu, framed)
+		copy(neu, b)
 		fs.patchParity(lo, old, neu)
 	}
 	fs.epoch++
 	return nil
 }
 
-// FrameSize returns the stored size of a payload of the given length under
-// the store's length-prefixed record framing, for sizing bytesPerCell.
-func FrameSize(payloadLen int) int64 { return int64(4 + payloadLen) }
-
-// FrameRecords packs records into the store's length-prefixed cell framing
-// — the byte shape PutCellBytes replaces a cell with and walkRecords parses.
-func FrameRecords(records ...[]byte) []byte {
-	n := int64(0)
-	for _, rec := range records {
-		n += FrameSize(len(rec))
-	}
-	buf := make([]byte, 0, n)
-	var hdr [4]byte
-	for _, rec := range records {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, rec...)
-	}
-	return buf
-}
+// FrameRecords frames records back to back.
+//
+// Deprecated: the framed form is the row codec's (rowcodec.FrameRecords).
+// Kept only for the benchmark module, whose re-baseline removes its last
+// use (ROADMAP item 1); it goes then.
+func FrameRecords(records ...[]byte) []byte { return rowcodec.FrameRecords(records...) }
 
 // SetOverlay installs (or, with nil, removes) the delta overlay consulted
-// by every read path: a function returning the freshest framed content for
-// a cell, or ok=false when the base file is current. The ingest layer's
+// by every read path: a function returning the freshest content for a
+// cell, or ok=false when the base file is current. The ingest layer's
 // delta-log index is the intended implementation. The function must be
 // safe for concurrent calls and the returned bytes immutable; readers
 // parse them without copying.

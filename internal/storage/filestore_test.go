@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 func TestPageFileBasics(t *testing.T) {
@@ -180,7 +181,7 @@ func buildFileStore(t *testing.T, frames int) (*FileStore, [][]float64, string, 
 		for i := range values[c] {
 			values[c][i] = float64(c*10 + i)
 		}
-		bytes[c] = int64(n) * FrameSize(8)
+		bytes[c] = int64(n) * rowcodec.FrameSize(8)
 	}
 	path := filepath.Join(t.TempDir(), "store.db")
 	fs, err := CreateFileStore(path, o, bytes, 64, frames)
@@ -191,7 +192,7 @@ func buildFileStore(t *testing.T, frames int) (*FileStore, [][]float64, string, 
 	for c, vs := range values {
 		for _, v := range vs {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if err := fs.PutRecord(c, buf); err != nil {
+			if err := rowcodec.PutRecord(fs, c, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -289,17 +290,17 @@ func TestFileStorePoolPressure(t *testing.T) {
 func TestFileStoreErrors(t *testing.T) {
 	o := rowMajor4x4(t)
 	bytes := make([]int64, o.Len())
-	bytes[0] = FrameSize(4)
+	bytes[0] = rowcodec.FrameSize(4)
 	dir := t.TempDir()
 	fs, err := CreateFileStore(filepath.Join(dir, "s.db"), o, bytes, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if err := fs.PutRecord(0, make([]byte, 4)); err != nil {
+	if err := rowcodec.PutRecord(fs, 0, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutRecord(0, make([]byte, 4)); err == nil {
+	if err := rowcodec.PutRecord(fs, 0, make([]byte, 4)); err == nil {
 		t.Error("overflow should fail")
 	}
 	if _, err := OpenFileStore(filepath.Join(dir, "missing.db"), o, bytes, 64, 2, nil); err == nil {
@@ -352,14 +353,14 @@ func buildStore(t *testing.T, recsPerCell func(cell int) int) (*FileStore, [][]f
 		for i := range values[c] {
 			values[c][i] = float64(rng.Intn(100))
 		}
-		bytes[c] = int64(n) * FrameSize(8)
+		bytes[c] = int64(n) * rowcodec.FrameSize(8)
 	}
 	st := newTempStore(t, o, bytes, 64)
 	buf := make([]byte, 8)
 	for c, vs := range values {
 		for _, v := range vs {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if err := st.PutRecord(c, buf); err != nil {
+			if err := rowcodec.PutRecord(st, c, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -389,7 +390,7 @@ func readRegion(ctx context.Context, fs *FileStore, r linear.Region, fn func(cel
 	if err != nil {
 		return err
 	}
-	return fs.ReadPlanCtx(ctx, p, fn)
+	return fs.ReadPlanCellsCtx(ctx, p, rowcodec.Records(fn))
 }
 
 // sumRegion reads r and totals decode over its records in disk order, with
@@ -500,16 +501,16 @@ func TestStoreEmptyCells(t *testing.T) {
 func TestStorePutOverflow(t *testing.T) {
 	o := rowMajor4x4(t)
 	bytes := make([]int64, o.Len())
-	bytes[0] = FrameSize(8)
+	bytes[0] = rowcodec.FrameSize(8)
 	st := newTempStore(t, o, bytes, 64)
 	rec := make([]byte, 8)
-	if err := st.PutRecord(0, rec); err != nil {
+	if err := rowcodec.PutRecord(st, 0, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutRecord(0, rec); err == nil {
+	if err := rowcodec.PutRecord(st, 0, rec); err == nil {
 		t.Error("second record should overflow the cell's reservation")
 	}
-	if err := st.PutRecord(1, rec); err == nil {
+	if err := rowcodec.PutRecord(st, 1, rec); err == nil {
 		t.Error("record in a zero-capacity cell should fail")
 	}
 }
@@ -544,12 +545,12 @@ func TestVariableLengthRecords(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("longer record"), []byte("xx")}
 	var reserve int64
 	for _, p := range payloads {
-		reserve += FrameSize(len(p))
+		reserve += rowcodec.FrameSize(len(p))
 	}
 	bytes[5] = reserve
 	st := newTempStore(t, o, bytes, 16)
 	for _, p := range payloads {
-		if err := st.PutRecord(5, p); err != nil {
+		if err := rowcodec.PutRecord(st, 5, p); err != nil {
 			t.Fatal(err)
 		}
 	}

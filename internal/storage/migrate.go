@@ -109,9 +109,10 @@ func StartMigration(ctx context.Context, old *FileStore, newPath string, newOrde
 	return &Migration{old: old, dst: dst, path: newPath, order: newOrder, rest: regions, copySpan: sp}, nil
 }
 
-// Step copies the next cells, worst region first, while they fit in bytes
-// (records, framed), and always at least one; an empty cell costs nothing.
-// It returns the bytes it copied. Each cell is read under the old store's
+// Step copies the next cells, worst region first, each whole and as it is,
+// while their bytes fit in bytes, and always at least one; an empty cell
+// costs nothing. It returns the bytes it copied. Each cell is read under
+// the old store's
 // shared lock, released between cells, so in-flight readers and even a
 // concurrent Close interleave cleanly: Close surfaces as a typed ErrClosed.
 // Cancellation is checked between cells and inside each cell read. A
@@ -128,21 +129,16 @@ func (m *Migration) Step(ctx context.Context, bytes int64) (int64, error) {
 		}
 		rg := &m.rest[0]
 		cell := m.order.CellAt(rg.lo)
-		records, err := readCellRepairing(ctx, m.old, cell)
+		b, err := readCellRepairing(ctx, m.old, cell)
 		if err != nil {
 			return copied, m.fail(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
 		}
-		var size int64
-		for _, rec := range records {
-			size += FrameSize(len(rec))
-		}
+		size := int64(len(b))
 		if cells > 0 && copied+size > bytes {
 			break // the cell is read again by the next step
 		}
-		for _, rec := range records {
-			if err := m.dst.PutRecord(cell, rec); err != nil {
-				return copied, m.fail(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
-			}
+		if err := m.dst.AppendBytes(cell, b); err != nil {
+			return copied, m.fail(fmt.Errorf("storage: migration copy of cell %d: %w", cell, err))
 		}
 		copied += size
 		m.done++
@@ -218,18 +214,14 @@ func MigrateCtx(ctx context.Context, old *FileStore, newPath string, newOrder *l
 // reread getting further.
 const migrateRepairAttempts = 16
 
-// readCellRepairing reads all of a cell's records into memory, repairing
-// the source store's corrupt pages from its parity sidecar and retrying
-// when possible. Records are buffered — not streamed to the destination —
-// because a retry re-reads the whole cell and the destination's fill state
-// cannot be rewound, so streaming would duplicate records copied before
-// the error. Each repair is a one-page repairing scrub window.
-func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte, error) {
-	var records [][]byte
+// readCellRepairing copies a cell's bytes out of the source store,
+// repairing its corrupt pages from its parity sidecar and retrying when
+// possible. Each repair is a one-page repairing scrub window.
+func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([]byte, error) {
+	var b []byte
 	read := func() error {
-		records = records[:0]
-		return old.ReadCellCtx(ctx, cell, func(record []byte) error {
-			records = append(records, append([]byte(nil), record...))
+		return old.ReadCellCtx(ctx, cell, func(cb []byte) error {
+			b = append(b[:0], cb...)
 			return nil
 		})
 	}
@@ -251,5 +243,5 @@ func readCellRepairing(ctx context.Context, old *FileStore, cell int) ([][]byte,
 	if err != nil {
 		return nil, err
 	}
-	return records, nil
+	return b, nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/tpcd"
 )
 
@@ -25,7 +26,7 @@ func TestMigratePreservesDataAndImprovesLayout(t *testing.T) {
 	}
 	bytes := make([]int64, 16)
 	for i := range bytes {
-		bytes[i] = FrameSize(8)
+		bytes[i] = rowcodec.FrameSize(8)
 	}
 	dir := t.TempDir()
 	src, err := CreateFileStore(filepath.Join(dir, "old.db"), rowMajor, bytes, 32, 16)
@@ -36,7 +37,7 @@ func TestMigratePreservesDataAndImprovesLayout(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < 16; c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := src.PutRecord(c, buf); err != nil {
+		if err := rowcodec.PutRecord(src, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +93,7 @@ func TestMigrateCleansUpOnFailure(t *testing.T) {
 	}
 	bytes := make([]int64, 16)
 	for i := range bytes {
-		bytes[i] = FrameSize(8)
+		bytes[i] = rowcodec.FrameSize(8)
 	}
 	layout, err := NewFileLayout(colMajor, bytes, 32)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestMigrateCleansUpOnFailure(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < 16; c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := src.PutRecord(c, buf); err != nil {
+		if err := rowcodec.PutRecord(src, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +149,7 @@ func newMigrateSource(t *testing.T, dir string) (*FileStore, *linear.Order, *lin
 	}
 	bytes := make([]int64, 16)
 	for i := range bytes {
-		bytes[i] = FrameSize(8)
+		bytes[i] = rowcodec.FrameSize(8)
 	}
 	src, err := CreateFileStore(filepath.Join(dir, "old.db"), colMajor, bytes, 32, 16)
 	if err != nil {
@@ -157,7 +158,7 @@ func newMigrateSource(t *testing.T, dir string) (*FileStore, *linear.Order, *lin
 	buf := make([]byte, 8)
 	for c := 0; c < 16; c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := src.PutRecord(c, buf); err != nil {
+		if err := rowcodec.PutRecord(src, c, buf); err != nil {
 			src.Close()
 			t.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func TestMigrateCtxProgress(t *testing.T) {
 	var copied []int64
 	var done []bool
 	for steps := 0; !m.Done() && steps < 16; steps++ {
-		n, err := m.Step(ctx, 5*FrameSize(8)) // five of the source's one-record cells
+		n, err := m.Step(ctx, 5*rowcodec.FrameSize(8)) // five of the source's one-record cells
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +281,7 @@ func TestMigrateCtxProgress(t *testing.T) {
 	if want := [][2]int{{5, 16}, {10, 16}, {15, 16}, {16, 16}}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%d steps reported %v, want %d reporting %v", len(got), got, len(want), want)
 	}
-	f := FrameSize(8)
+	f := rowcodec.FrameSize(8)
 	if want := fmt.Sprint([]int64{5 * f, 5 * f, 5 * f, f}); fmt.Sprint(copied) != want {
 		t.Fatalf("steps copied %v bytes, want %s", copied, want)
 	}
@@ -350,21 +351,21 @@ func buildMigrateCase(t *testing.T, rng *rand.Rand, o *linear.Order, exact bool)
 		var recs [][]byte
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			rec := diffRecord(rng)
-			mc.sizes[c] += FrameSize(len(rec))
+			mc.sizes[c] += rowcodec.FrameSize(len(rec))
 			recs = append(recs, rec)
 		}
 		switch pick := rng.Intn(6); {
 		case pick == 0: // the overlay rewrites the cell in place
 			base[c], mc.truth[c] = sameShape(recs), recs
-			overlay[c] = FrameRecords(recs...)
+			overlay[c] = rowcodec.FrameRecords(recs...)
 		case pick == 1: // reserved, never written; the overlay fills it
 			mc.truth[c] = recs
-			overlay[c] = FrameRecords(recs...)
+			overlay[c] = rowcodec.FrameRecords(recs...)
 		case pick == 2 && !exact: // partially filled
 			base[c], mc.truth[c] = recs[:len(recs)-1], recs[:len(recs)-1]
 		case pick == 3 && !exact: // emptied by the overlay
 			base[c] = recs
-			overlay[c] = FrameRecords()
+			overlay[c] = rowcodec.FrameRecords()
 		default:
 			base[c], mc.truth[c] = recs, recs
 		}
@@ -372,7 +373,7 @@ func buildMigrateCase(t *testing.T, rng *rand.Rand, o *linear.Order, exact bool)
 	mc.src = newTempStore(t, o, mc.sizes, 64)
 	for c, recs := range base {
 		for _, rec := range recs {
-			if err := mc.src.PutRecord(c, rec); err != nil {
+			if err := rowcodec.PutRecord(mc.src, c, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -393,9 +394,11 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 	cellRecords := func(fs *FileStore, cell int) [][]byte {
 		t.Helper()
 		var out [][]byte
-		if err := fs.ReadCellCtx(ctx, cell, func(rec []byte) error {
-			out = append(out, append([]byte(nil), rec...))
-			return nil
+		if err := fs.ReadCellCtx(ctx, cell, func(b []byte) error {
+			return rowcodec.WalkRecords(0, b, func(_ int, rec []byte) error {
+				out = append(out, append([]byte(nil), rec...))
+				return nil
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +417,7 @@ func TestMigrateMatchesFreshBuild(t *testing.T) {
 				fresh := newTempStore(t, newOrder, mc.sizes, 64)
 				for c, recs := range mc.truth {
 					for _, rec := range recs {
-						if err := fresh.PutRecord(c, rec); err != nil {
+						if err := rowcodec.PutRecord(fresh, c, rec); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -514,7 +517,7 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 	// keeps each cell's measures in load order.
 	sizes := make([]int64, len(ds.BytesPerCell))
 	for c, b := range ds.BytesPerCell {
-		sizes[c] = b / int64(cfg.RecordBytes) * FrameSize(cfg.RecordBytes)
+		sizes[c] = b / int64(cfg.RecordBytes) * rowcodec.FrameSize(cfg.RecordBytes)
 	}
 	dir := t.TempDir()
 	src, err := CreateFileStore(filepath.Join(dir, "rowmajor.db"), rowOrder, sizes, int(cfg.PageBytes), 64)
@@ -534,7 +537,7 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 	ds.EachRecord(func(li *tpcd.LineItem) bool {
 		cell := cellOf(li.Cell())
 		truth[cell] = append(truth[cell], li.ExtendedPrice)
-		loadErr = src.PutRecord(cell, record(li.ExtendedPrice))
+		loadErr = rowcodec.PutRecord(src, cell, record(li.ExtendedPrice))
 		return loadErr == nil
 	})
 	if loadErr != nil {
@@ -555,7 +558,7 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 		truth[pending][i] += 1000
 		recs[i] = record(truth[pending][i])
 	}
-	framed := FrameRecords(recs...)
+	framed := rowcodec.FrameRecords(recs...)
 	src.SetOverlay(func(cell int) ([]byte, bool) { return framed, cell == pending })
 
 	// Every query of the workload, weighted by its probability: a class's
@@ -636,9 +639,11 @@ func TestMigrateReclustersRowMajorOntoOptimum(t *testing.T) {
 
 	// The migrated store has no overlay: the delta lives in its pages now.
 	var got []float64
-	if err := dst.ReadCellCtx(ctx, pending, func(rec []byte) error {
-		got = append(got, decodeF64(rec[:8]))
-		return nil
+	if err := dst.ReadCellCtx(ctx, pending, func(b []byte) error {
+		return rowcodec.WalkRecords(0, b, func(_ int, rec []byte) error {
+			got = append(got, decodeF64(rec[:8]))
+			return nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

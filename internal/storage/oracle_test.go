@@ -2,11 +2,11 @@ package storage
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // The implementations the read pipeline and the one scrub walk replaced,
@@ -92,15 +92,14 @@ func oracleCells(ctx context.Context, fs *FileStore, r linear.Region, fn func(ce
 	return nil
 }
 
-// oracleRead is oracleCells with each cell parsed by walkRecords.
+// oracleRead is oracleCells with each cell walked as framed records.
 func oracleRead(ctx context.Context, fs *FileStore, r linear.Region, fn func(cell int, record []byte) error) error {
-	return oracleCells(ctx, fs, r, func(cell int, framed []byte) error { return walkRecords(cell, framed, fn) })
+	return oracleCells(ctx, fs, r, func(cell int, framed []byte) error { return rowcodec.WalkRecords(cell, framed, fn) })
 }
 
 // oracleVerify is the two-pass VerifyCtx: a page pass through the checksum
 // layer, then every filled cell re-read page by page (skipped when it
-// touches a corrupt page) and its framing walked by an inline length
-// parser.
+// touches a corrupt page) and handed whole to the cell check.
 func oracleVerify(ctx context.Context, fs *FileStore) (*VerifyReport, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -131,7 +130,7 @@ func oracleVerify(ctx context.Context, fs *FileStore) (*VerifyReport, error) {
 		}
 		return rep, err
 	}
-	// Fill invariants and record framing, cell by cell.
+	// Fill invariants and the cell check, cell by cell.
 	for pos := 0; pos < fs.layout.order.Len(); pos++ {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -156,29 +155,20 @@ func oracleVerify(ctx context.Context, fs *FileStore) (*VerifyReport, error) {
 		if err := oracleReadFileRange(fs, data, lo); err != nil {
 			return rep, err
 		}
-		off := int64(0)
-		ok := true
-		for off < filled {
-			if filled-off < 4 {
-				ok = false
-				break
-			}
-			n := int64(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			if off+n > filled {
-				ok = false
-				break
-			}
-			rep.Rows += fs.rowsOf(data[off : off+n])
-			off += n
-			rep.Records++
+		rep.Cells++
+		check := fs.cellCheck.Load()
+		if check == nil {
+			continue
 		}
-		if !ok {
+		n, err := (*check)(data)
+		if err != nil {
 			rep.Problems = append(rep.Problems, VerifyProblem{
-				Page: (lo + off) / u, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
-				Err: fmt.Errorf("record framing broken at byte %d of cell %d's fill", off, cell),
+				Page: lo / u, Cell: cell, Coords: fs.layout.order.Coords(cell, make([]int, len(fs.layout.order.Shape()))),
+				Err: fmt.Errorf("cell %d fails its check: %w", cell, err),
 			})
+			continue
 		}
+		rep.Rows += int64(n)
 	}
 	return rep, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/trace"
 )
 
@@ -39,7 +40,7 @@ func buildParallelStore(t *testing.T, frames int) (*FileStore, *linear.Order, []
 			binary.LittleEndian.PutUint64(p, math.Float64bits(v))
 			total += v
 			payloads[c] = append(payloads[c], p)
-			sizes[c] += FrameSize(len(p))
+			sizes[c] += rowcodec.FrameSize(len(p))
 		}
 	}
 	path := filepath.Join(t.TempDir(), "par.db")
@@ -49,7 +50,7 @@ func buildParallelStore(t *testing.T, frames int) (*FileStore, *linear.Order, []
 	}
 	for c, ps := range payloads {
 		for _, p := range ps {
-			if err := fs.PutRecord(c, p); err != nil {
+			if err := rowcodec.PutRecord(fs, c, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -474,7 +475,7 @@ func TestParallelClosedStore(t *testing.T) {
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ReadPlanCtx(context.Background(), p, func(int, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := fs.ReadPlanCellsCtx(context.Background(), p, rowcodec.Records(func(int, []byte) error { return nil })); !errors.Is(err, ErrClosed) {
 		t.Errorf("ReadPlanCtx err = %v, want ErrClosed", err)
 	}
 	if _, err := fs.Plan(context.Background(), r); !errors.Is(err, ErrClosed) {
@@ -506,7 +507,7 @@ func TestSumRunKernelZeroAlloc(t *testing.T) {
 		return nil
 	}
 	x := &execution{fs: fs, plan: p, fn: func(cell int, framed []byte) error {
-		return walkRecords(cell, framed, add)
+		return rowcodec.WalkRecords(cell, framed, add)
 	}}
 	sc := &runScratch{}
 	for _, x.window = range []int{1, 4} {
@@ -605,13 +606,13 @@ func TestRecordWalkerMatchesWalkRecords(t *testing.T) {
 				t.Fatalf("trial %d window %d: cells %v, want %v", trial, window, got, want)
 			}
 			var wantRecs, gotRecs [][]byte
-			wantErr := walkRecords(want[0], buf, func(_ int, rec []byte) error { wantRecs = append(wantRecs, rec); return nil })
-			gotErr := fs.ReadPlanCtx(ctx, plan, func(cell int, rec []byte) error {
+			wantErr := rowcodec.WalkRecords(want[0], buf, func(_ int, rec []byte) error { wantRecs = append(wantRecs, rec); return nil })
+			gotErr := fs.ReadPlanCellsCtx(ctx, plan, rowcodec.Records(func(cell int, rec []byte) error {
 				if cell == want[0] {
 					gotRecs = append(gotRecs, append([]byte(nil), rec...))
 				}
 				return nil
-			})
+			}))
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(gotRecs) != fmt.Sprint(wantRecs) {
 				t.Fatalf("trial %d window %d buf %x: records %x err %v; walkRecords %x err %v", trial, window, buf, gotRecs, gotErr, wantRecs, wantErr)
 			}
@@ -714,7 +715,7 @@ func TestPlanCacheInvalidatedByPut(t *testing.T) {
 	n := o.Len()
 	sizes := make([]int64, n)
 	for c := range sizes {
-		sizes[c] = 4 * FrameSize(8) // room for four records; we load one
+		sizes[c] = 4 * rowcodec.FrameSize(8) // room for four records; we load one
 	}
 	path := filepath.Join(t.TempDir(), "plancache.db")
 	fs, err := CreateFileStore(path, o, sizes, 64, 128)
@@ -725,7 +726,7 @@ func TestPlanCacheInvalidatedByPut(t *testing.T) {
 	put := func(cell int, v float64) {
 		p := make([]byte, 8)
 		binary.LittleEndian.PutUint64(p, math.Float64bits(v))
-		if err := fs.PutRecord(cell, p); err != nil {
+		if err := rowcodec.PutRecord(fs, cell, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -252,11 +252,21 @@ func (fs *FileStore) WriteParity(path string, groupSize int) error {
 		os.Remove(tmp)
 		return err
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		return err
 	}
 	return fs.attachParityLocked(path)
+}
+
+// SyncDir fsyncs the directory dir, so that a file created or renamed in it
+// survives a crash. A directory that cannot be opened is an error too, not
+// a sync skipped.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // AttachParity opens an existing parity sidecar and validates it against

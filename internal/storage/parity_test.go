@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hierarchy"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 )
 
 // parityFixture builds a loaded file store with an attached parity sidecar
@@ -20,7 +21,7 @@ func parityFixture(t *testing.T, pageSize, groupSize int) (*FileStore, string, m
 	o := testOrder(t)
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = 4 * FrameSize(11)
+		bytesPerCell[c] = 4 * rowcodec.FrameSize(11)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "facts.db")
@@ -36,7 +37,7 @@ func parityFixture(t *testing.T, pageSize, groupSize int) (*FileStore, string, m
 			if len(rec) != 11 {
 				t.Fatalf("fixture record %q is %d bytes, want 11", rec, len(rec))
 			}
-			if err := fs.PutRecord(c, []byte(rec)); err != nil {
+			if err := rowcodec.PutRecord(fs, c, []byte(rec)); err != nil {
 				t.Fatal(err)
 			}
 			truth[c] = append(truth[c], rec)
@@ -219,7 +220,7 @@ func TestParityLiveAfterWrite(t *testing.T) {
 	o := testOrder(t)
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = 8 * FrameSize(11)
+		bytesPerCell[c] = 8 * rowcodec.FrameSize(11)
 	}
 	dir := t.TempDir()
 	p2 := filepath.Join(dir, "facts2.db")
@@ -228,16 +229,16 @@ func TestParityLiveAfterWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs2.Close()
-	if err := fs2.PutRecord(0, []byte("cell000-r00")); err != nil {
+	if err := rowcodec.PutRecord(fs2, 0, []byte("cell000-r00")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs2.WriteParity(ParityPath(p2), 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs2.PutRecord(0, []byte("cell000-r01")); err != nil {
+	if err := rowcodec.PutRecord(fs2, 0, []byte("cell000-r01")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs2.PutCellBytes(1, FrameRecords([]byte("cell001-rXX"))); err != nil {
+	if err := fs2.PutCellBytes(1, rowcodec.FrameRecords([]byte("cell001-rXX"))); err != nil {
 		t.Fatal(err)
 	}
 	if !fs2.HasParity() {
@@ -259,9 +260,11 @@ func TestParityLiveAfterWrite(t *testing.T) {
 		t.Fatalf("repair after write: %v", err)
 	}
 	var got []string
-	if err := fs2.ReadCellCtx(context.Background(), 0, func(rec []byte) error {
-		got = append(got, string(rec))
-		return nil
+	if err := fs2.ReadCellCtx(context.Background(), 0, func(b []byte) error {
+		return rowcodec.WalkRecords(0, b, func(_ int, rec []byte) error {
+			got = append(got, string(rec))
+			return nil
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +345,7 @@ func TestRepairCtxSweep(t *testing.T) {
 func TestRepairCtxWalksRepairedPage(t *testing.T) {
 	const pageSize = 64
 	fs, path, _ := parityFixture(t, pageSize, 4)
+	fs.SetCellCheck(framedCheck)
 	lo := fs.dir[1].start
 	if err := fs.pool.WriteAt([]byte{0xff, 0xff, 0xff, 0x7f}, lo); err != nil {
 		t.Fatal(err)
@@ -423,7 +427,7 @@ func TestRepairWithoutParityIsTyped(t *testing.T) {
 	o := testOrder(t)
 	bytesPerCell := make([]int64, o.Len())
 	for c := range bytesPerCell {
-		bytesPerCell[c] = FrameSize(11)
+		bytesPerCell[c] = rowcodec.FrameSize(11)
 	}
 	dir := t.TempDir()
 	fs, err := CreateFileStore(filepath.Join(dir, "f.db"), o, bytesPerCell, 64, 8)

@@ -11,10 +11,10 @@ import (
 // QueryPlan is a region prepared once per request: its analytic cost (the
 // embedded Stats are exactly Layout.Query's numbers — admission weighs the
 // query by plan.Pages and the wide event records them) and the seek runs the
-// executor walks (FileStore.ReadPlanCtx). A plan is immutable and may be
+// executor walks (FileStore.ReadPlanCellsCtx). A plan is immutable and may be
 // shared between requests. Its seek runs depend on which cells are filled,
 // so it is bound to the store's write epoch: the executor re-plans when a
-// PutRecord or PutCellBytes has moved the epoch since, and reads the fills
+// AppendBytes or PutCellBytes has moved the epoch since, and reads the fills
 // themselves live, so a read never runs on stale extents or stale fills.
 type QueryPlan struct {
 	Stats
@@ -140,7 +140,7 @@ func (fs *FileStore) lookupPlan(r linear.Region) (p *QueryPlan, hit bool) {
 // when the same shape was planned since the last write. The lookup is
 // attributed to the request's PoolTally (when ctx carries one), so each
 // served query reports whether it paid for planning. Hand the plan to
-// ReadPlanCtx; it stays valid across writes (the executor revalidates it).
+// ReadPlanCellsCtx; it stays valid across writes (the executor revalidates it).
 func (fs *FileStore) Plan(ctx context.Context, r linear.Region) (*QueryPlan, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()

@@ -33,8 +33,8 @@ func (p VerifyProblem) String() string {
 // VerifyReport is the outcome of a scrub pass.
 type VerifyReport struct {
 	Pages    int64 // pages scanned
-	Records  int64 // stored records whose framing was walked
-	Rows     int64 // rows in those records, by the row counter (SetRowCounter)
+	Cells    int64 // filled cells whose every page read clean
+	Rows     int64 // rows in those cells, by the cell check (SetCellCheck)
 	Problems []VerifyProblem
 }
 
@@ -80,10 +80,14 @@ type ScrubCursor struct {
 	open *cellWalk // nil when no cell is open across Page
 }
 
-// SetRowCounter installs fn to count the rows in one stored record for the
-// scrub walk's Rows; without one a record is a row. fn runs under the
-// walk's read lock and must be safe for concurrent use.
-func (fs *FileStore) SetRowCounter(fn func(rec []byte) int) { fs.rowCount.Store(&fn) }
+// SetCellCheck installs the scrub walk's check of one cell's bytes: the
+// rows they hold, or why they are not a cell (rowcodec.CheckCell). Without
+// one the walk checks checksums and fills only, and counts no rows. fn runs
+// under the walk's read lock, once per cell, and must be safe for
+// concurrent use.
+func (fs *FileStore) SetCellCheck(fn func(cell []byte) (rows int, err error)) {
+	fs.cellCheck.Store(&fn)
+}
 
 // Verify scrubs the store; it is VerifyCtx without a deadline.
 func (fs *FileStore) Verify() (*VerifyReport, error) {
@@ -99,21 +103,22 @@ func (fs *FileStore) VerifyCtx(ctx context.Context) (*VerifyReport, error) {
 // ScrubRange is the window of the scrub walk over pages [from.Page, hi),
 // under the store's read lock: it flushes the pool if it holds writes,
 // reads each page once, in order, through the checksum layer (the pool's
-// cached frames could mask on-disk damage), and checks the fill and record
-// framing of every cell whose first byte is in the window or that from
-// holds open. A cell that runs on past hi is carried open in Next, so
-// windows that each start at the last one's Next read every page and walk
-// every cell once; a cell across from.Page that from does not hold open
-// belongs to an earlier window. After a write to the store between two
-// windows the open cell is walked again from its first page, which the
-// window then reads a second time (not counted in Pages).
-// Problems list damaged pages in page order, then fill and framing damage
-// in cell order; a cell with data on a damaged page gets no framing check.
-// With repair, a damaged page is rebuilt from parity in place and its
-// cells walked from the rebuilt image, in a scrub span with a repair child
-// per page. The error is an I/O failure or cancellation (checked between
-// pages) that cut the walk short, or ErrClosed; the report then holds what
-// the walk did. Queries run beside a window; writers wait.
+// cached frames could mask on-disk damage), and checks the fill of every
+// cell whose first byte is in the window or that from holds open, and its
+// bytes with the cell check. A cell that runs on past hi is carried open
+// in Next, so windows that each start at the last one's Next read every
+// page and walk every cell once; a cell across from.Page that from does
+// not hold open belongs to an earlier window. After a write to the store
+// between two windows the open cell is walked again from its first page,
+// which the window then reads a second time (not counted in Pages).
+// Problems list damaged pages in page order, then fills and cells that
+// fail the check in cell order, the latter on the cell's first page; a
+// cell with data on a damaged page is not checked. With repair, a damaged
+// page is rebuilt from parity in place and its cells walked from the
+// rebuilt image, in a scrub span with a repair child per page. The error
+// is an I/O failure or cancellation (checked between pages) that cut the
+// walk short, or ErrClosed; the report then holds what the walk did.
+// Queries run beside a window; writers wait.
 func (fs *FileStore) ScrubRange(ctx context.Context, from ScrubCursor, hi int64, repair bool) (rep *ScrubReport, err error) {
 	var ssp trace.SpanRef
 	if repair {
@@ -136,11 +141,14 @@ func (fs *FileStore) ScrubRange(ctx context.Context, from ScrubCursor, hi int64,
 	u, total, lo := fs.layout.usable(), fs.layout.TotalPages(), from.Page
 	hi = min(hi, total)
 	w := cellWalk{fs: fs, epoch: fs.epoch, pos: sort.Search(len(fs.dir)-1, func(i int) bool { return fs.dir[i].start >= lo*u })}
+	if c := fs.cellCheck.Load(); c != nil {
+		w.check = *c
+	}
 	img := make([]byte, u)
 	if o := from.open; o != nil && o.fs == fs {
 		w.pos = o.pos
 		if o.epoch == fs.epoch {
-			w.off, w.n, w.nRows, w.damaged = o.off, o.n, o.nRows, o.damaged
+			w.damaged = o.damaged
 			w.carry = append([]byte(nil), o.carry...)
 		} else {
 			// A write since the last window may have rewritten the open
@@ -175,7 +183,7 @@ func (fs *FileStore) ScrubRange(ctx context.Context, from ScrubCursor, hi int64,
 		}
 		w.page(p, img, err != nil, p == total-1)
 	}
-	rep.Records, rep.Rows = w.records, w.rows
+	rep.Cells, rep.Rows = w.cells, w.rows
 	rep.Problems = append(rep.Problems, w.problems...)
 	rep.Next, rep.Settled = ScrubCursor{Page: max(lo, hi)}, max(lo, hi)
 	if w.pos < len(fs.dir)-1 && fs.dir[w.pos].start < hi*u {
@@ -186,19 +194,18 @@ func (fs *FileStore) ScrubRange(ctx context.Context, from ScrubCursor, hi int64,
 	return rep, nil
 }
 
-// cellWalk checks fill and record framing from page images handed to it in
-// page order. The bytes of a record that straddles pages are carried over;
-// a cell's framing is judged once its last byte has been seen.
+// cellWalk checks fills, and cells with the cell check, from page images
+// handed to it in page order. The bytes of a cell that straddles pages are
+// carried over; the cell is judged once its last byte has been seen.
 type cellWalk struct {
 	fs       *FileStore
-	epoch    uint64 // fs's write epoch during the walk
-	pos      int    // the cell being walked
-	off      int64  // its bytes split into whole records so far
-	n, nRows int64  // and the records and rows in them
-	carry    []byte // its bytes since, from earlier pages
-	damaged  bool   // it has data on a damaged page
-	records  int64  // records of finished cells without damaged pages
-	rows     int64  // and the rows in them
+	check    func(cell []byte) (int, error) // nil: fills only
+	epoch    uint64                         // fs's write epoch during the walk
+	pos      int                            // the cell being walked
+	carry    []byte                         // its bytes from earlier pages, when checked
+	damaged  bool                           // it has data on a damaged page
+	cells    int64                          // finished cells without damaged pages
+	rows     int64                          // and the rows in them
 	problems []VerifyProblem
 }
 
@@ -221,55 +228,37 @@ func (w *cellWalk) page(p int64, img []byte, damaged, last bool) {
 			continue
 		}
 		w.damaged = w.damaged || damaged
-		if !w.damaged {
-			w.frame(cell, lo, img[max(lo, pLo)-pLo:min(end, pHi)-pLo], end <= pHi)
-		}
+		chunk := img[max(lo, pLo)-pLo : min(end, pHi)-pLo]
 		if end > pHi {
+			if w.check != nil && !w.damaged {
+				w.carry = append(w.carry, chunk...)
+			}
 			return // the cell goes on on the next page
 		}
-		w.off, w.n, w.nRows, w.carry, w.damaged = 0, 0, 0, w.carry[:0], false
+		if !w.damaged {
+			w.judge(cell, lo, chunk)
+		}
+		w.carry, w.damaged = w.carry[:0], false
 	}
 }
 
-// frame splits the cell's bytes on one page into records with NextRecord.
-// On the cell's last page its records count, and whatever does not split
-// is broken framing.
-func (w *cellWalk) frame(cell int, lo int64, chunk []byte, last bool) {
-	data := chunk
-	if len(w.carry) > 0 {
-		w.carry = append(w.carry, chunk...)
-		data = w.carry
-	}
-	for len(data) > 0 {
-		rec, rest, err := NextRecord(cell, data)
-		if err != nil {
-			break
-		}
-		w.off += int64(len(data) - len(rest))
-		w.n++
-		w.nRows += w.fs.rowsOf(rec)
-		data = rest
-	}
-	if !last {
-		w.carry = append(w.carry[:0], data...)
+// judge counts a cell whose last bytes, chunk, are in hand and checks its
+// bytes.
+func (w *cellWalk) judge(cell int, lo int64, chunk []byte) {
+	w.cells++
+	if w.check == nil {
 		return
 	}
-	w.records, w.rows = w.records+w.n, w.rows+w.nRows
-	if len(data) > 0 {
-		at := w.off
-		if int64(len(data)) >= FrameSize(0) {
-			at += FrameSize(0) // the header is whole: the record overruns the fill
-		}
-		w.problem((lo+at)/w.fs.layout.usable(), cell, fmt.Errorf("record framing broken at byte %d of cell %d's fill", at, cell))
+	if len(w.carry) > 0 {
+		w.carry = append(w.carry, chunk...)
+		chunk = w.carry
 	}
-}
-
-// rowsOf counts the rows in one stored record with the row counter.
-func (fs *FileStore) rowsOf(rec []byte) int64 {
-	if count := fs.rowCount.Load(); count != nil && *count != nil {
-		return int64((*count)(rec))
+	n, err := w.check(chunk)
+	if err != nil {
+		w.problem(lo/w.fs.layout.usable(), cell, fmt.Errorf("cell %d fails its check: %w", cell, err))
+		return
 	}
-	return 1
+	w.rows += int64(n)
 }
 
 func (w *cellWalk) problem(page int64, cell int, err error) {

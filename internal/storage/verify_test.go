@@ -16,9 +16,14 @@ import (
 	"repro/internal/rowcodec"
 )
 
+// framedCheck is the cell check of a store of framed records with no row
+// template: every record a row.
+func framedCheck(cell []byte) (int, error) { return rowcodec.CheckCell(nil, cell) }
+
 func TestVerifyCleanStore(t *testing.T) {
 	fs, values, _, _ := buildFileStore(t, 4)
 	defer fs.Close()
+	fs.SetCellCheck(framedCheck)
 	rep, err := fs.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -29,12 +34,15 @@ func TestVerifyCleanStore(t *testing.T) {
 	if rep.Pages != fs.Layout().TotalPages() {
 		t.Errorf("scanned %d pages, want %d", rep.Pages, fs.Layout().TotalPages())
 	}
-	var records int64
+	var records, cells int64
 	for _, vs := range values {
 		records += int64(len(vs))
+		if len(vs) > 0 {
+			cells++
+		}
 	}
-	if rep.Records != records {
-		t.Errorf("walked %d records, want %d", rep.Records, records)
+	if rep.Rows != records || rep.Cells != cells {
+		t.Errorf("walked %d cells of %d records, want %d of %d", rep.Cells, rep.Rows, cells, records)
 	}
 	if rep.Err() != nil {
 		t.Errorf("clean report Err() = %v", rep.Err())
@@ -120,6 +128,10 @@ func TestVerifyDetectsEveryDataByteFlip(t *testing.T) {
 func TestVerifyReportsFramingDamage(t *testing.T) {
 	fs, _, _, _ := buildFileStore(t, 8)
 	defer fs.Close()
+	if rep, err := fs.Verify(); err != nil || !rep.OK() {
+		t.Fatalf("a clean store: %v %v", rep, err)
+	}
+	fs.SetCellCheck(framedCheck)
 	// Overwrite the first cell's length prefix with a giant value through
 	// the pool, so checksums stay valid but the framing is broken.
 	pos := 0
@@ -258,7 +270,7 @@ func scrubInWindows(t *testing.T, rng *rand.Rand, fs *FileStore) *VerifyReport {
 			t.Fatalf("window [%d, %d) read %d pages and ends at %d", at.Page, hi, rep.Pages, rep.Next.Page)
 		}
 		sum.Pages += rep.Pages
-		sum.Records += rep.Records
+		sum.Cells += rep.Cells
 		sum.Rows += rep.Rows
 		sum.Problems = append(sum.Problems, rep.Problems...)
 		at = rep.Next
@@ -274,6 +286,7 @@ func TestScrubCarryAfterWrite(t *testing.T) {
 	ctx := context.Background()
 	fs, values, _, _ := buildFileStore(t, 4)
 	defer fs.Close()
+	fs.SetCellCheck(framedCheck)
 	at, total := ScrubCursor{}, fs.Layout().TotalPages()
 	var records int64
 	for at.open == nil && at.Page < total {
@@ -281,16 +294,16 @@ func TestScrubCarryAfterWrite(t *testing.T) {
 		if err != nil || !rep.OK() {
 			t.Fatalf("window at page %d: %v %v", at.Page, err, rep.Err())
 		}
-		records, at = records+rep.Records, rep.Next
+		records, at = records+rep.Rows, rep.Next
 	}
 	if at.open == nil {
 		t.Fatal("no one-page window left a cell open")
 	}
 	cell := int(fs.dir[at.open.pos].cell)
-	fill := FrameSize(8) * int64(len(values[cell]))
-	framed, n := FrameRecords(make([]byte, fill-FrameSize(0))), 1 // one record where there were several
+	fill := rowcodec.FrameSize(8) * int64(len(values[cell]))
+	framed, n := rowcodec.FrameRecords(make([]byte, fill-rowcodec.FrameSize(0))), 1 // one record where there were several
 	if len(values[cell]) == 1 {
-		framed, n = FrameRecords(make([]byte, 2), make([]byte, fill-2*FrameSize(0)-2)), 2
+		framed, n = rowcodec.FrameRecords(make([]byte, 2), make([]byte, fill-2*rowcodec.FrameSize(0)-2)), 2
 	}
 	if err := fs.PutCellBytes(cell, framed); err != nil {
 		t.Fatal(err)
@@ -300,7 +313,7 @@ func TestScrubCarryAfterWrite(t *testing.T) {
 		if err != nil || !rep.OK() {
 			t.Fatalf("window at page %d after rewriting open cell %d: %v %v", at.Page, cell, err, rep.Err())
 		}
-		records, at = records+rep.Records, rep.Next
+		records, at = records+rep.Rows, rep.Next
 	}
 	want := int64(n)
 	for c, v := range values {
@@ -337,10 +350,10 @@ func TestScrubWindowsMatchVerify(t *testing.T) {
 		}
 		got := scrubInWindows(t, rng, fs)
 		for _, want := range []*VerifyReport{whole, oracle} {
-			if got.Pages != want.Pages || got.Records != want.Records || got.Rows != want.Rows ||
+			if got.Pages != want.Pages || got.Cells != want.Cells || got.Rows != want.Rows ||
 				!reflect.DeepEqual(problems(got), problems(want)) {
-				t.Fatalf("%s: windows %d pages %d records %d rows %v, want %d pages %d records %d rows %v",
-					name, got.Pages, got.Records, got.Rows, problems(got), want.Pages, want.Records, want.Rows, problems(want))
+				t.Fatalf("%s: windows %d pages %d cells %d rows %v, want %d pages %d cells %d rows %v",
+					name, got.Pages, got.Cells, got.Rows, problems(got), want.Pages, want.Cells, want.Rows, problems(want))
 			}
 		}
 	}
@@ -355,7 +368,7 @@ func TestScrubWindowsMatchVerify(t *testing.T) {
 				}
 				name := fmt.Sprintf("trial %d order %d packed %v", trial, oi, packed)
 				check(name+", clean", fs)
-				breakFraming(t, rng, fs)
+				breakFraming(t, rng, fs, packed)
 				check(name+", broken framing", fs)
 				flipStoredByte(t, rng, fs)
 				check(name+", one flip", fs)
@@ -394,7 +407,7 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 				sameVerifyReport(t, name+", "+step, got, want)
 			}
 			check("clean")
-			breakFraming(t, rng, fs)
+			breakFraming(t, rng, fs, false)
 			check("broken framing")
 			flipStoredByte(t, rng, fs)
 			check("one flip")
@@ -407,9 +420,10 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 			}
 		}
 	}
-	// A store of packed and framed cells, as snakestore build writes one: a
-	// packed cell is one record, its frame header and tag appended first and
-	// then each row's bytes, and one of them straddles a page.
+	// A frameless store of packed and framed cells, as snakestore build
+	// writes one: a packed cell is its rows alone, appended a row at a time,
+	// a framed cell the marker and then framed rows, and a packed cell
+	// straddles a page.
 	for trial := 0; trial < 12; trial++ {
 		for oi, o := range diffOrders(t, rng) {
 			fs := buildPackedStore(t, rng, o)
@@ -424,7 +438,7 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 				sameVerifyReport(t, name+", "+step, got, want)
 			}
 			check("clean")
-			breakFraming(t, rng, fs)
+			breakFraming(t, rng, fs, true)
 			check("broken framing")
 			flipStoredByte(t, rng, fs)
 			check("one flip")
@@ -441,7 +455,7 @@ func TestVerifyWalkMatchesTwoPassOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if err := fs.PutRecord(o.CellAt(0), make([]byte, sizes[o.CellAt(0)]-FrameSize(0))); err != nil {
+	if err := rowcodec.PutRecord(fs, o.CellAt(0), make([]byte, sizes[o.CellAt(0)]-rowcodec.FrameSize(0))); err != nil {
 		t.Fatal(err)
 	}
 	fs.dir[o.Len()-1].fill = 1
@@ -466,9 +480,9 @@ func pageErr(fs *FileStore, p int64, repair bool) error {
 
 func sameVerifyReport(t *testing.T, name string, got, want *VerifyReport) {
 	t.Helper()
-	if got.Pages != want.Pages || got.Records != want.Records || len(got.Problems) != len(want.Problems) {
-		t.Fatalf("%s: walk %d pages %d records %d problems, oracle %d pages %d records %d problems\nwalk:   %v\noracle: %v",
-			name, got.Pages, got.Records, len(got.Problems), want.Pages, want.Records, len(want.Problems), got.Problems, want.Problems)
+	if got.Pages != want.Pages || got.Cells != want.Cells || got.Rows != want.Rows || len(got.Problems) != len(want.Problems) {
+		t.Fatalf("%s: walk %d pages %d cells %d rows %d problems, oracle %d pages %d cells %d rows %d problems\nwalk:   %v\noracle: %v",
+			name, got.Pages, got.Cells, got.Rows, len(got.Problems), want.Pages, want.Cells, want.Rows, len(want.Problems), got.Problems, want.Problems)
 	}
 	for i, w := range want.Problems {
 		g := got.Problems[i]
@@ -482,11 +496,14 @@ func sameVerifyReport(t *testing.T, name string, got, want *VerifyReport) {
 	}
 }
 
-// breakFraming rewrites, through the pool (so checksums stay valid), one
-// record header of a random filled cell: the record overruns the fill by
-// far or by one byte, or ends 0-3 bytes short of it so what follows is a
-// partial header.
-func breakFraming(t *testing.T, rng *rand.Rand, fs *FileStore) {
+// breakFraming rewrites, through the pool (so checksums stay valid), a
+// random filled cell so that the cell check refuses it. A framed cell has
+// one record header rewritten: the record overruns the fill by far or by
+// one byte, or ends 0-3 bytes short of it so what follows is a partial
+// header. In a frameless store (a template with the marker bit) a framed
+// cell's records start after the marker, and a packed cell gets a first
+// byte that is neither a row's nor the marker, or loses its last byte.
+func breakFraming(t *testing.T, rng *rand.Rand, fs *FileStore, frameless bool) {
 	t.Helper()
 	var filled []int
 	for pos := 0; pos < fs.layout.order.Len(); pos++ {
@@ -503,13 +520,29 @@ func breakFraming(t *testing.T, rng *rand.Rand, fs *FileStore) {
 	if err := fs.pool.ReadAt(data, lo); err != nil {
 		t.Fatal(err)
 	}
+	if frameless {
+		if data[0]&1 == 0 {
+			if rng.Intn(2) == 0 {
+				fs.dir[pos].fill--
+				return
+			}
+			if err := fs.pool.WriteAt([]byte{data[0] | 3}, lo); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		lo, fill, data = lo+1, fill-1, data[1:]
+		if fill == 0 {
+			return
+		}
+	}
 	var headers []int64
 	for off := int64(0); off < fill; {
 		headers = append(headers, off)
-		off += FrameSize(int(binary.LittleEndian.Uint32(data[off:])))
+		off += rowcodec.FrameSize(int(binary.LittleEndian.Uint32(data[off:])))
 	}
 	at := headers[rng.Intn(len(headers))]
-	rest := fill - at - FrameSize(0) // payload bytes left after the header
+	rest := fill - at - rowcodec.FrameSize(0) // payload bytes left after the header
 	n := []int64{1 << 30, rest + 1, rest - 1, rest - 2, rest - 3}[rng.Intn(5)]
 	if n < 0 {
 		n = rest + 1
@@ -545,11 +578,12 @@ func flipStoredByte(t *testing.T, rng *rand.Rand, fs *FileStore) {
 }
 
 // buildPackedStore loads o's cells the way snakestore build does under a
-// row template: a cell whose rows all fit it is one packed block, written
-// as its frame header and tag and then one AppendBytes a row; the others
-// are framed rows, one PutRecord each. The first packed cell holds enough
-// rows to straddle a 64-byte page, and the walk's record count is checked
-// against the records written.
+// row template with the marker bit: a cell whose rows all have the
+// template's shape is its packed rows alone, one AppendBytes a row; the
+// others are the marker and then framed rows, one AppendBytes a row. The
+// cell check is the codec's. The packed cell of 12 rows straddles a 64-byte
+// page, and the walk's cell and row counts are checked against what was
+// written.
 func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore {
 	t.Helper()
 	d := rowcodec.NewDict()
@@ -559,35 +593,36 @@ func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore 
 		}
 		return fmt.Sprintf("%d.%02d,%c,item %04d", rng.Intn(1000), rng.Intn(100), "NRA"[rng.Intn(3)], rng.Intn(10000))
 	}
-	d.Learn([]byte(row(false))) // the first row learned sets the template's shape
 	n := o.Len()
 	rows := make([][]string, n)
-	packed := make([]bool, n)
+	shapes := make([][]int, n)
 	for c := 0; c < n; c++ {
 		if c != n/2 && rng.Intn(4) == 0 {
 			continue
 		}
 		k := 1 + rng.Intn(3)
 		if c == n/2 {
-			k = 12 // 12 rows of 4 bytes: past one page's 56 usable bytes with the frame
+			k = 12 // 12 rows of 5 bytes: past one page's 56 usable bytes
 		}
-		packed[c] = true
 		for ; k > 0; k-- {
 			r := row(c != n/2)
 			rows[c] = append(rows[c], r)
-			_, _, fits := d.Learn([]byte(r))
-			packed[c] = packed[c] && fits
+			_, _, shape := d.Learn([]byte(r))
+			shapes[c] = append(shapes[c], shape)
 		}
 	}
 	d.Template()
 	sizes := make([]int64, n)
+	packed := make([]bool, n)
 	for c, rs := range rows {
-		if packed[c] && len(rs) > 0 {
-			sizes[c] = FrameSize(d.PackedLen(len(rs)))
-			continue
+		fits := true
+		var framed int64
+		for i, r := range rs {
+			fits = fits && d.Fits(shapes[c][i])
+			framed += rowcodec.FrameSize(rowcodec.EncodedLen(d, r))
 		}
-		for _, r := range rs {
-			sizes[c] += FrameSize(rowcodec.EncodedLen(d, r))
+		if len(rs) > 0 {
+			sizes[c], packed[c] = d.CellLen(len(rs), framed, fits)
 		}
 	}
 	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "packed.db"), o, sizes, 64, 64)
@@ -595,51 +630,42 @@ func buildPackedStore(t *testing.T, rng *rand.Rand, o *linear.Order) *FileStore 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	fs.SetRowCounter(func(rec []byte) int {
-		n, _ := rowcodec.Rows(d, rec)
-		return n
-	})
+	fs.SetCellCheck(func(cell []byte) (int, error) { return rowcodec.CheckCell(d, cell) })
 	for c, rs := range rows {
-		if !packed[c] || len(rs) == 0 {
-			for _, r := range rs {
-				if err := fs.PutRecord(c, rowcodec.Encode(d, nil, r)); err != nil {
-					t.Fatal(err)
+		for i, r := range rs {
+			var b []byte
+			if packed[c] {
+				var ok bool
+				if b, ok = rowcodec.Pack(d, nil, r); !ok {
+					t.Fatalf("%q has the template's shape, Pack refuses it", r)
 				}
-			}
-			continue
-		}
-		head := binary.LittleEndian.AppendUint32(nil, uint32(d.PackedLen(len(rs))))
-		if err := fs.AppendBytes(c, rowcodec.AppendTag(head)); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			b, ok := rowcodec.Pack(d, nil, r)
-			if !ok {
-				t.Fatalf("%q fit at learning, not at packing", r)
+			} else {
+				if i == 0 {
+					b = d.AppendMarker(nil)
+				}
+				b = rowcodec.AppendFramedRow(d, b, r)
 			}
 			if err := fs.AppendBytes(c, b); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if pos := o.PosOf(n / 2); fs.dir[pos].start/fs.layout.usable() == (fs.dir[pos+1].start-1)/fs.layout.usable() {
-		t.Fatalf("the packed cell of %d rows of %d bytes does not straddle a page", len(rows[n/2]), d.Width())
+	if pos := o.PosOf(n / 2); !packed[n/2] || fs.dir[pos].start/fs.layout.usable() == (fs.dir[pos+1].start-1)/fs.layout.usable() {
+		t.Fatalf("the cell of %d rows of %d bytes is not packed across a page", len(rows[n/2]), d.Width())
 	}
 	rep, err := fs.VerifyCtx(context.Background())
 	if err != nil || !rep.OK() {
 		t.Fatalf("packed store does not verify clean: %v %v", err, rep.Problems)
 	}
-	var records, rowsWritten int64
-	for c, rs := range rows {
-		if packed[c] && len(rs) > 0 {
-			records++
-		} else {
-			records += int64(len(rs))
+	var cells, rowsWritten int64
+	for _, rs := range rows {
+		if len(rs) > 0 {
+			cells++
 		}
 		rowsWritten += int64(len(rs))
 	}
-	if rep.Records != records || rep.Rows != rowsWritten {
-		t.Fatalf("walk counts %d records %d rows, %d and %d written", rep.Records, rep.Rows, records, rowsWritten)
+	if rep.Cells != cells || rep.Rows != rowsWritten {
+		t.Fatalf("walk counts %d cells %d rows, %d and %d written", rep.Cells, rep.Rows, cells, rowsWritten)
 	}
 	return fs
 }

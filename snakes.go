@@ -10,6 +10,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/lattice"
 	"repro/internal/linear"
+	"repro/internal/rowcodec"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -279,25 +280,46 @@ func (st *Strategy) Pack(bytesPerCell []int64, pageSize int64) (*Layout, error) 
 	return storage.NewLayout(o, bytesPerCell, pageSize)
 }
 
-// FrameSize returns the stored size of one record payload under the
-// FileStore's length-prefixed framing, for sizing a cell's capacity.
-func FrameSize(payloadLen int) int64 { return storage.FrameSize(payloadLen) }
+// A FileStore frames nothing: a cell is the bytes written into it. These
+// helpers keep a cell as length-prefixed records, the framed form of the
+// row codec (internal/rowcodec), for callers that store records of their
+// own.
 
-// NextRecord splits the first record off a non-empty run of a cell's
-// framed bytes, as FileStore.ReadPlanCellsCtx hands them over: its payload
-// and the bytes after it, or the framing error that names the cell.
-func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
-	return storage.NextRecord(cell, framed)
+// FrameSize returns the bytes one record payload takes framed, for sizing
+// a cell's capacity.
+func FrameSize(payloadLen int) int64 { return rowcodec.FrameSize(payloadLen) }
+
+// PutRecord appends payload to the cell as one framed record.
+func PutRecord(fs *FileStore, cell int, payload []byte) error {
+	return rowcodec.PutRecord(fs, cell, payload)
 }
 
+// Records turns a record reader into the cell reader
+// FileStore.ReadPlanCellsCtx takes: each cell is walked as framed records.
+func Records(fn func(cell int, rec []byte) error) func(cell int, framed []byte) error {
+	return rowcodec.Records(fn)
+}
+
+// NextRecord splits the first record off a non-empty run of a cell's
+// framed records: its payload and the bytes after it, or the framing error
+// that names the cell.
+func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
+	return rowcodec.NextRecord(cell, framed)
+}
+
+// SyncDir fsyncs a directory, so a file created or renamed in it survives a
+// crash; a directory that cannot be opened is an error.
+func SyncDir(dir string) error { return storage.SyncDir(dir) }
+
 // QueryPlan is a region prepared once by FileStore.Plan: its analytic cost
-// and its seek runs, executed by ReadPlanCtx or ReadPlanCellsCtx.
+// and its seek runs, executed by ReadPlanCellsCtx.
 type QueryPlan = storage.QueryPlan
 
-// FileStore is the queryable packed fact table: Put records into cells,
-// then Plan grid queries and read them with ReadPlanCtx (records) or
-// ReadPlanCellsCtx (whole cells; rowcodec sums them exactly). Each query
-// reads its seek runs in disk order, in span windows sized by the pool.
+// FileStore is the queryable packed fact table: write cells (AppendBytes,
+// PutCellBytes, or PutRecord for framed records), then Plan grid queries
+// and read them with ReadPlanCellsCtx, a cell at a time (Records walks
+// them as records; rowcodec sums them exactly). Each query reads its seek
+// runs in disk order, in span windows sized by the pool.
 // Records live in a fixed-page file accessed
 // through an LRU buffer pool, so real page traffic can be compared against
 // the analytic model (Layout().Query). See Strategy.MigrateCtx for physical
@@ -306,8 +328,8 @@ type QueryPlan = storage.QueryPlan
 // A FileStore may be shared across goroutines: reads run concurrently, the
 // pool coalesces concurrent misses on the same page into one disk read, and
 // Close waits for in-flight readers before releasing the file.
-// Context-accepting methods (ReadPlanCtx, ReadPlanCellsCtx, VerifyCtx) stop
-// between page reads when the context ends.
+// Context-accepting methods (ReadPlanCellsCtx, VerifyCtx) stop between
+// page reads when the context ends.
 type FileStore = storage.FileStore
 
 // ReadOptions is accepted and ignored by FileStore.ReadQueryOptCtx.

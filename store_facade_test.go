@@ -59,7 +59,7 @@ func TestStoreFacadeEndToEnd(t *testing.T) {
 	buf := make([]byte, 8)
 	for c := 0; c < s.NumCells(); c++ {
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(c)))
-		if err := store.PutRecord(c, buf); err != nil {
+		if err := PutRecord(store, c, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,9 +88,9 @@ func sumFloat64s(ctx context.Context, fs *FileStore, r Region) (float64, error) 
 		return 0, err
 	}
 	total := 0.0
-	err = fs.ReadPlanCtx(ctx, plan, func(_ int, rec []byte) error {
+	err = fs.ReadPlanCellsCtx(ctx, plan, Records(func(_ int, rec []byte) error {
 		total += math.Float64frombits(binary.LittleEndian.Uint64(rec))
 		return nil
-	})
+	}))
 	return total, err
 }
