@@ -116,15 +116,8 @@ func (st *Strategy) MigrateCtx(ctx context.Context, old *FileStore, newPath stri
 }
 
 // ReorgConfig tunes the adaptive reorganizer's decision policy; see
-// DefaultReorgConfig for a production-shaped baseline.
+// internal/adaptive's Defaults for a production-shaped baseline.
 type ReorgConfig = adaptive.Config
-
-// DefaultReorgConfig returns the conservative default policy.
-func DefaultReorgConfig() ReorgConfig { return adaptive.Defaults() }
-
-// ReorgStatus is the reorganizer's externally visible state, shaped for a
-// status endpoint.
-type ReorgStatus = adaptive.Status
 
 // ReorgEvaluation is one regret measurement, delivered to OnEvaluate.
 type ReorgEvaluation = adaptive.Evaluation
@@ -195,7 +188,7 @@ func (r *Reorganizer) Strategy() *Strategy {
 }
 
 // Status snapshots the reorganizer's state.
-func (r *Reorganizer) Status() ReorgStatus { return r.c.Status() }
+func (r *Reorganizer) Status() adaptive.Status { return r.c.Status() }
 
 // OnEvaluate installs a hook observing every policy evaluation (e.g. a
 // regret gauge). Install hooks before Trigger.

@@ -16,6 +16,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/chaos"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // chaosRegion is the canonical query whose answer is the ground truth for
@@ -49,15 +51,14 @@ func buildChaosServed(t *testing.T) (srv *server, storePath string, pageBytes in
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	if err := store.AttachParity(snakes.ParityPath(storePath)); err != nil {
+	if err := store.AttachParity(storage.ParityPath(storePath)); err != nil {
 		t.Fatal(err)
 	}
-	adm, err := snakes.NewAdmission(64, time.Second)
+	adm, err := storage.NewAdmission(64, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
-	srv.parityGroup = store.ParityGroup()
+	srv = newServer(store, schema, c, adm, 5*time.Second, trace.Config{})
 	return srv, storePath, c.PageBytes, want
 }
 
@@ -124,7 +125,7 @@ func chaosRound(t *testing.T, srv *server, storePath string, pageBytes int, seed
 // a window's page problems come first, in page order, so a damaged first
 // page is its first problem.
 func pageDamaged(st *snakes.FileStore, p int64) bool {
-	rep, err := st.ScrubRange(context.Background(), snakes.ScrubCursor{Page: p}, p+1, false)
+	rep, err := st.ScrubRange(context.Background(), storage.ScrubCursor{Page: p}, p+1, false)
 	return err != nil || len(rep.Problems) > 0 && rep.Problems[0].Page == p
 }
 
@@ -309,10 +310,9 @@ func TestChaosLiveScrubConvergence(t *testing.T) {
 func TestChaosReorgUnderFaults(t *testing.T) {
 	srv, _, storePath, _ := buildAdaptiveServed(t, adaptiveConfig())
 	defer srv.closeStore()
-	if err := srv.st().AttachParity(snakes.ParityPath(storePath)); err != nil {
+	if err := srv.st().AttachParity(storage.ParityPath(storePath)); err != nil {
 		t.Fatal(err)
 	}
-	srv.parityGroup = srv.st().ParityGroup()
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -335,7 +335,7 @@ func TestChaosReorgUnderFaults(t *testing.T) {
 	for _, e := range sched.Events {
 		if pageDamaged(st, e.Page) {
 			hurt++
-			srv.noteCorrupt(&snakes.CorruptPageError{Page: e.Page, Reason: "chaos"})
+			srv.noteCorrupt(&storage.CorruptPageError{Page: e.Page, Reason: "chaos"})
 		}
 	}
 	if hurt == 0 {
@@ -361,7 +361,7 @@ func TestChaosReorgUnderFaults(t *testing.T) {
 	if !srv.st().HasParity() {
 		t.Error("new generation has no parity attached after the swap")
 	}
-	if _, err := os.Stat(snakes.ParityPath(genPath(storePath, 1))); err != nil {
+	if _, err := os.Stat(storage.ParityPath(genPath(storePath, 1))); err != nil {
 		t.Errorf("new generation parity sidecar missing on disk: %v", err)
 	}
 

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/obsevent"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // quarantined is what the daemon knows of one damaged page: the first error
@@ -26,7 +29,7 @@ type quarantined struct {
 // noteCorrupt records a corrupt page in the quarantine set, keeping the
 // first error seen for it.
 func (s *server) noteCorrupt(err error) {
-	var cpe *snakes.CorruptPageError
+	var cpe *storage.CorruptPageError
 	page := int64(-1)
 	if errors.As(err, &cpe) {
 		page = cpe.Page
@@ -113,7 +116,7 @@ func (s *server) noteRepair(st *snakes.FileStore, page int64, err error) {
 // /repair alike: its pages, each page it repaired and each problem repair
 // could not fix through noteRepair; a quarantined page it read clean, and
 // whose cells it judged, leaves the quarantine.
-func (s *server) bookScrub(st *snakes.FileStore, lo int64, rep *snakes.ScrubReport) {
+func (s *server) bookScrub(st *snakes.FileStore, lo int64, rep *storage.ScrubReport) {
 	s.metrics.scrubPages.Add(rep.Pages)
 	bad := make(map[int64]bool, len(rep.Problems))
 	for _, p := range rep.Repaired {
@@ -161,7 +164,7 @@ func (s *server) handleScrub(repair bool) http.HandlerFunc {
 			s.healing = len(s.quarantine) > 0
 		}
 		s.mu.Unlock()
-		rep, err := st.ScrubRange(ctx, snakes.ScrubCursor{}, st.Layout().TotalPages(), repair)
+		rep, err := st.ScrubRange(ctx, storage.ScrubCursor{}, st.Layout().TotalPages(), repair)
 		s.mu.Lock()
 		s.healing = s.healing && !repair
 		if err != nil {
@@ -175,7 +178,7 @@ func (s *server) handleScrub(repair bool) http.HandlerFunc {
 		problems := make([]string, 0, len(rep.Problems))
 		for _, p := range rep.Problems {
 			problems = append(problems, p.String())
-			if !repair && errors.Is(p.Err, snakes.ErrCorruptPage) {
+			if !repair && errors.Is(p.Err, storage.ErrCorruptPage) {
 				s.noteCorrupt(fmt.Errorf("scrub: %w", p.Err))
 			}
 		}
@@ -192,11 +195,11 @@ func (s *server) handleScrub(repair bool) http.HandlerFunc {
 				s.mu.Unlock()
 			}
 			s.log.Info("repair", "req", reqIDFrom(ctx), "pages", rep.Pages, "repaired", len(rep.Repaired), "failed", len(rep.Problems))
-			if ev := snakes.EventFromContext(ctx); ev != nil {
+			if ev := obsevent.FromContext(ctx); ev != nil {
 				ev.Records = rep.Pages
 			}
 			body["repaired"], body["failed"], body["health"] = rep.Repaired, problems, s.healthState()
-			if tr := snakes.TraceFromContext(ctx); tr != nil {
+			if tr := trace.FromContext(ctx); tr != nil {
 				body["traceId"] = tr.ID()
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	snakes "repro"
 	"repro/internal/rowcodec"
 )
 
@@ -148,7 +147,7 @@ func TestCompactionOversizeWarnsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	put(snakes.FrameRecords([]byte(strings.Repeat("a row much longer than the extent build sized ", 4))))
+	put(rowcodec.FrameRecords([]byte(strings.Repeat("a row much longer than the extent build sized ", 4))))
 	srv.maint = newMaintainer(maintainBudget)
 	for tick := 0; tick < 6; tick++ {
 		srv.maintainTick(context.Background())

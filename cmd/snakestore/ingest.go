@@ -11,7 +11,12 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/ingest"
+	"repro/internal/obsevent"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // The daemon's write path: POST /ingest lands whole-cell upserts in a
@@ -28,10 +33,13 @@ import (
 // cutover while it carries the log's tail and swaps in a fresh log.
 type ingestState struct {
 	mu   sync.Mutex
-	log  *snakes.DeltaLog
-	comp *snakes.Compactor
-	opt  snakes.DeltaOptions
-	rate *snakes.RateTracker
+	log  *ingest.Log
+	comp *ingest.Compactor
+	opt  ingest.Options
+	rate *workload.RateTracker
+	// poisoned is the log whose refusal of writes was logged, so the
+	// transition is one WARN line, not one per request.
+	poisoned *ingest.Log
 }
 
 // enableIngest opens the active generation's delta log, replays any
@@ -39,16 +47,16 @@ type ingestState struct {
 // wires the compactor (scoring regionCells positions a window, folding up to
 // a maintenance tick's budget) and its metrics. Must run before serving
 // starts.
-func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snakes.DeltaOptions, regionCells int) error {
+func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt ingest.Options, regionCells int) error {
 	s.catPath, s.storeBase, s.cat = catPath, storeBase, cat
 	active := activeStorePath(cat, storeBase)
-	l, err := snakes.OpenDeltaLog(snakes.DeltaPath(active), int64(cat.Generation), dopt)
+	l, err := ingest.Open(ingest.DeltaPath(active), int64(cat.Generation), dopt)
 	if err != nil {
 		return err
 	}
 	st := s.st()
 	if l.PendingCells() > 0 {
-		applied, n, err := snakes.RecoverDeltas(context.Background(), st, l)
+		applied, n, err := ingest.Recover(context.Background(), st, l)
 		if err != nil {
 			l.Close()
 			return fmt.Errorf("delta recovery: %w", err)
@@ -57,7 +65,7 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 		// base pages that never reached disk, so after the redo pass the
 		// sidecar is rebuilt from the recovered base content.
 		if st.HasParity() {
-			if perr := st.WriteParity(snakes.ParityPath(active), st.ParityGroup()); perr != nil {
+			if perr := st.WriteParity(storage.ParityPath(active), st.ParityGroup()); perr != nil {
 				fmt.Fprintf(os.Stderr, "snakestore: rebuilding parity after delta recovery: %v\n", perr)
 			}
 		}
@@ -74,16 +82,16 @@ func (s *server) enableIngest(catPath, storeBase string, cat *catalog, dopt snak
 		fmt.Fprintf(os.Stderr, "snakestore: recovered %d pending delta entr%s into %s\n",
 			n, map[bool]string{true: "y", false: "ies"}[n == 1], active)
 	}
-	snakes.AttachDeltaLog(st, l)
+	st.SetOverlay(l.Overlay())
 	s.ing = &ingestState{
 		log: l,
 		opt: dopt,
-		comp: snakes.NewCompactor(snakes.CompactorConfig{
+		comp: ingest.NewCompactor(ingest.CompactorConfig{
 			RegionCells:     regionCells,
 			MaxBytesPerTick: maintainBudget,
 			Commit:          s.commitFills,
 		}),
-		rate: snakes.NewRateTracker(time.Minute),
+		rate: workload.NewRateTracker(time.Minute),
 	}
 	s.registerIngestMetrics()
 	return nil
@@ -102,7 +110,7 @@ func (s *server) commitFills(ctx context.Context, st *snakes.FileStore) error {
 	if st.FillEpoch() == s.catFill {
 		return nil
 	}
-	sp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
+	sp := trace.StartLeaf(ctx, trace.KindCatalogCommit, "")
 	err := s.commitCatalog(*s.cat, st)
 	sp.SetError(err)
 	sp.End()
@@ -137,16 +145,16 @@ func (s *server) commitCatalog(cat catalog, st *snakes.FileStore) error {
 // log: backlog gauges, compaction progress, and the decayed write rate.
 func (s *server) registerIngestMetrics() {
 	ing := s.ing
-	pending := func(f func(*snakes.DeltaLog) float64) func() float64 {
+	pending := func(f func(*ingest.Log) float64) func() float64 {
 		return func() float64 {
 			ing.mu.Lock()
 			defer ing.mu.Unlock()
 			return f(ing.log)
 		}
 	}
-	s.metrics.reg.GaugeFunc("snakestore_delta_pending_bytes", "delta payload bytes awaiting compaction", pending(func(l *snakes.DeltaLog) float64 { return float64(l.PendingBytes()) }))
-	s.metrics.reg.GaugeFunc("snakestore_delta_pending_cells", "cells with pending delta upserts", pending(func(l *snakes.DeltaLog) float64 { return float64(l.PendingCells()) }))
-	s.metrics.reg.GaugeFunc("snakestore_compaction_lag_seconds", "age of the oldest delta entry not yet folded into the base file", pending(func(l *snakes.DeltaLog) float64 { return l.OldestPendingAge(time.Now()).Seconds() }))
+	s.metrics.reg.GaugeFunc("snakestore_delta_pending_bytes", "delta payload bytes awaiting compaction", pending(func(l *ingest.Log) float64 { return float64(l.PendingBytes()) }))
+	s.metrics.reg.GaugeFunc("snakestore_delta_pending_cells", "cells with pending delta upserts", pending(func(l *ingest.Log) float64 { return float64(l.PendingCells()) }))
+	s.metrics.reg.GaugeFunc("snakestore_compaction_lag_seconds", "age of the oldest delta entry not yet folded into the base file", pending(func(l *ingest.Log) float64 { return l.OldestPendingAge(time.Now()).Seconds() }))
 	s.metrics.reg.GaugeFunc("snakestore_ingest_write_rate_bytes", "decayed accepted upsert bytes per second", func() float64 { return ing.rate.Rate(time.Now()) })
 	comp := func(f func(ticks, cells, bytes int64) int64) func() int64 {
 		return func() int64 { return f(ing.comp.Ticks()) }
@@ -220,7 +228,9 @@ type ingestResponse struct {
 // each entry replaces the named cell's records, durably per the
 // -ingest-sync policy, visible to queries immediately via merge-on-read.
 // The batch is validated in full before any cell is accepted, so a 400
-// never leaves a partial batch behind; a full backlog sheds with 503.
+// never leaves a partial batch behind. Cells are then appended in order: a
+// put that fails (a full backlog sheds with 503) leaves the cells before it
+// accepted, and the error body's accepted and bytes say how many.
 // Like /query, the request runs under the per-request deadline with the
 // log append in its own span, so slow ingests surface in /debug/traces
 // and the slow-query log the same way slow reads do.
@@ -236,7 +246,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		s.writeErr(w, fmt.Errorf("draining: %w", snakes.ErrClosed))
+		s.writeErr(w, fmt.Errorf("draining: %w", storage.ErrClosed))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -282,7 +292,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		batch = append(batch, encodedCell{cell: cell, enc: enc})
 	}
 	resp := ingestResponse{Generation: s.generation.Load()}
-	if tr := snakes.TraceFromContext(ctx); tr != nil {
+	if tr := trace.FromContext(ctx); tr != nil {
 		resp.TraceID = tr.ID()
 	}
 	// If the deadline already expired (e.g. a slow client body), shed
@@ -291,20 +301,17 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	asp := snakes.StartTraceLeaf(ctx, snakes.TraceKindDeltaAppend, "")
+	asp := trace.StartLeaf(ctx, trace.KindDeltaAppend, "")
 	asp.SetAttr("cells", int64(len(batch)))
+	var err error
 	s.ing.mu.Lock()
 	for _, fc := range batch {
-		if err := s.ing.log.Put(fc.cell, fc.enc); err != nil {
-			s.ing.mu.Unlock()
-			asp.SetError(err)
-			asp.End()
-			s.metrics.ingestRejected.Inc()
-			if errors.Is(err, snakes.ErrIngestBacklog) {
-				err = fmt.Errorf("%w: %v", snakes.ErrOverloaded, err)
+		if err = s.ing.log.Put(fc.cell, fc.enc); err != nil {
+			if errors.Is(err, ingest.ErrLogPoisoned) && s.ing.poisoned != s.ing.log {
+				s.ing.poisoned = s.ing.log
+				s.log.Warn("ingest", "how", "delta log refuses writes until restart", "err", err)
 			}
-			s.writeErr(w, err)
-			return
+			break
 		}
 		resp.Accepted++
 		resp.Bytes += int64(len(fc.enc))
@@ -313,12 +320,23 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	resp.PendingBytes = s.ing.log.PendingBytes()
 	s.ing.mu.Unlock()
 	asp.SetAttr("bytes", resp.Bytes)
+	asp.SetError(err)
 	asp.End()
-	s.ing.rate.Observe(float64(resp.Bytes), time.Now())
-	s.metrics.ingestPuts.Add(int64(resp.Accepted))
-	s.metrics.ingestBytes.Add(resp.Bytes)
-	if ev := snakes.EventFromContext(ctx); ev != nil {
+	if resp.Accepted > 0 {
+		s.ing.rate.Observe(float64(resp.Bytes), time.Now())
+		s.metrics.ingestPuts.Add(int64(resp.Accepted))
+		s.metrics.ingestBytes.Add(resp.Bytes)
+	}
+	if ev := obsevent.FromContext(ctx); ev != nil {
 		ev.Records = int64(resp.Accepted)
+	}
+	if err != nil {
+		s.metrics.ingestRejected.Inc()
+		if errors.Is(err, ingest.ErrBacklog) {
+			err = fmt.Errorf("%w: %v", storage.ErrOverloaded, err)
+		}
+		s.writeErrBody(w, err, map[string]any{"error": err.Error(), "accepted": resp.Accepted, "bytes": resp.Bytes})
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

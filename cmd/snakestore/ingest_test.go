@@ -18,14 +18,16 @@ import (
 	"testing"
 	"time"
 
-	snakes "repro"
+	"repro/internal/ingest"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // testDeltaOptions is the crash-safe default for tests: every Put is
 // durable the moment it is acknowledged.
-func testDeltaOptions() snakes.DeltaOptions {
-	return snakes.DeltaOptions{Policy: snakes.SyncAlways}
+func testDeltaOptions() ingest.Options {
+	return ingest.Options{Policy: ingest.SyncAlways}
 }
 
 // testIngestConfig is the compaction scoring window the ingest tests use.
@@ -35,7 +37,7 @@ func testIngestConfig() int { return 4 }
 // attached (so compaction exercises the in-place parity patch) and ingest
 // enabled with an always-sync delta log. The compactor loop is NOT
 // started; tests tick it by hand for determinism.
-func buildIngestServed(t *testing.T, dopt snakes.DeltaOptions, regionCells int) (srv *server, catPath, storePath string, want float64) {
+func buildIngestServed(t *testing.T, dopt ingest.Options, regionCells int) (srv *server, catPath, storePath string, want float64) {
 	t.Helper()
 	srv, storePath, _, want = buildChaosServed(t)
 	catPath = filepath.Join(filepath.Dir(storePath), "cat.json")
@@ -84,7 +86,7 @@ func ingestOne(t *testing.T, ts *httptest.Server, coords []int, rows ...string) 
 
 // tickIngest runs one compaction tick under the same lock the background
 // loop would hold.
-func tickIngest(t *testing.T, srv *server) snakes.CompactionTick {
+func tickIngest(t *testing.T, srv *server) ingest.TickStats {
 	t.Helper()
 	srv.ing.mu.Lock()
 	defer srv.ing.mu.Unlock()
@@ -337,6 +339,43 @@ func TestIngestBacklogSheds(t *testing.T) {
 	}
 }
 
+// TestIngestPartialBatchCounted: a batch whose second put hits the backlog
+// ceiling keeps its first cell, which /query already serves, so the 503
+// says so (accepted 1 and its bytes) and the put counter counts it.
+func TestIngestPartialBatchCounted(t *testing.T) {
+	const one = 2 // "99.0" packs into one 2-byte row of the store's template
+	dopt := testDeltaOptions()
+	dopt.MaxPendingBytes = one
+	srv, _, _, _ := buildIngestServed(t, dopt, testIngestConfig())
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	var shed struct {
+		Error    string `json:"error"`
+		Accepted int    `json:"accepted"`
+		Bytes    int64  `json:"bytes"`
+	}
+	postJSON(t, ts, "/ingest", ingestRequest{Cells: []ingestCellReq{
+		{Coords: []int{1, 2}, Rows: []string{"99.0"}},
+		{Coords: []int{1, 3}, Rows: []string{"77.0"}},
+	}}, http.StatusServiceUnavailable, &shed)
+	if shed.Accepted != 1 || shed.Bytes != one || shed.Error == "" {
+		t.Fatalf("503 body = %+v, want accepted 1, bytes %d and the error", shed, one)
+	}
+	var q queryResponse
+	getJSON(t, ts, chaosRegion, http.StatusOK, &q)
+	if q.Sum == nil || math.Abs(*q.Sum-(54-12+99)) > 1e-9 {
+		t.Fatalf("sum = %v, want the accepted first cell visible and the second not", q.Sum)
+	}
+	m, _ := scrape(t, ts.URL)
+	if got := m["snakestore_ingest_puts_total"]; got != 1 {
+		t.Errorf("snakestore_ingest_puts_total = %v, want 1", got)
+	}
+	if got := m["snakestore_ingest_bytes_total"]; got != one {
+		t.Errorf("snakestore_ingest_bytes_total = %v, want %d", got, one)
+	}
+}
+
 // --- kill-subprocess crash matrix ---------------------------------------
 
 // openIngestServer opens an existing store directory the way `serve
@@ -355,17 +394,16 @@ func openIngestServer(dir string) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := store.AttachParity(snakes.ParityPath(active)); err != nil {
+	if err := store.AttachParity(storage.ParityPath(active)); err != nil {
 		store.Close()
 		return nil, err
 	}
-	adm, err := snakes.NewAdmission(8, time.Second)
+	adm, err := storage.NewAdmission(8, time.Second)
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
-	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
-	srv.parityGroup = store.ParityGroup()
+	srv := newServer(store, schema, c, adm, 5*time.Second, trace.Config{})
 	if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
 		store.Close()
 		return nil, err
@@ -618,10 +656,10 @@ func TestReorgCarriesDeltas(t *testing.T) {
 	if n := srv.ing.log.PendingCells(); n != 0 {
 		t.Errorf("pending cells = %d after cutover, want 0", n)
 	}
-	if _, err := os.Stat(snakes.DeltaPath(storePath)); !os.IsNotExist(err) {
+	if _, err := os.Stat(ingest.DeltaPath(storePath)); !os.IsNotExist(err) {
 		t.Errorf("old generation delta log still on disk (err=%v)", err)
 	}
-	if _, err := os.Stat(snakes.DeltaPath(genPath(storePath, 1))); err != nil {
+	if _, err := os.Stat(ingest.DeltaPath(genPath(storePath, 1))); err != nil {
 		t.Errorf("new generation delta log missing: %v", err)
 	}
 
@@ -634,5 +672,15 @@ func TestReorgCarriesDeltas(t *testing.T) {
 	getJSON(t, ts, chaosRegion, http.StatusOK, &q2)
 	if q2.Sum == nil || math.Abs(*q2.Sum-(wantHot-12+88)) > 1e-9 || q2.DeltaCells != 1 {
 		t.Fatalf("post-swap merge-on-read = %+v, want sum %v with 1 delta cell", q2, wantHot-12+88)
+	}
+}
+
+// TestWriteErrLogPoisonedIs503: a delta log that refuses writes after a
+// failed write or fsync sheds like a full backlog, with 503.
+func TestWriteErrLogPoisonedIs503(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&server{}).writeErr(rec, fmt.Errorf("%w: %w", ingest.ErrLogPoisoned, os.ErrClosed))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("writeErr(ErrLogPoisoned) = %d, want 503", rec.Code)
 	}
 }

@@ -58,7 +58,9 @@ import (
 	"strings"
 
 	snakes "repro"
+	"repro/internal/ingest"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
 )
 
 // catalogVersion is the current catalog format. Version 4 says the store's
@@ -160,7 +162,7 @@ func cleanStaleGenerations(base, active string) ([]string, error) {
 			continue
 		}
 		p := filepath.Join(dir, e.Name())
-		if p == active || p == snakes.ParityPath(active) || p == snakes.DeltaPath(active) {
+		if p == active || p == storage.ParityPath(active) || p == ingest.DeltaPath(active) {
 			continue
 		}
 		if err := os.Remove(p); err != nil {
@@ -261,7 +263,7 @@ func cmdBuild(args []string) error {
 	csvPath := fs.String("csv", "", "input CSV: k leaf coordinates then payload columns")
 	storePath := fs.String("store", "facts.db", "output page file")
 	frames := fs.Int("frames", 1024, "buffer pool frames")
-	parityGroup := fs.Int("parity-group", snakes.DefaultParityGroup, "data pages per parity page in the repair sidecar; 0 skips parity")
+	parityGroup := fs.Int("parity-group", storage.DefaultParityGroup, "data pages per parity page in the repair sidecar; 0 skips parity")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -291,7 +293,7 @@ func cmdBuild(args []string) error {
 	if _, err := cleanStaleGenerations(*storePath, *storePath); err != nil {
 		return err
 	}
-	if err := os.Remove(snakes.DeltaPath(*storePath)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(ingest.DeltaPath(*storePath)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 
@@ -377,7 +379,7 @@ func cmdBuild(args []string) error {
 	// Write the repair sidecar while the loaded store is still open: parity
 	// covers the flushed pages, so a later bit-flip on disk is repairable.
 	if *parityGroup > 0 {
-		if err := store.WriteParity(snakes.ParityPath(*storePath), *parityGroup); err != nil {
+		if err := store.WriteParity(storage.ParityPath(*storePath), *parityGroup); err != nil {
 			store.Close()
 			return fmt.Errorf("building parity sidecar: %w", err)
 		}
@@ -396,7 +398,7 @@ func cmdBuild(args []string) error {
 	fmt.Printf("row template: %d B a row; %d of %d cells packed\n", dict.Width(), packedCells, cells)
 	if *parityGroup > 0 {
 		fmt.Printf("parity sidecar %s (group %d, %.1f%% overhead)\n",
-			snakes.ParityPath(*storePath), *parityGroup, 100.0/float64(*parityGroup))
+			storage.ParityPath(*storePath), *parityGroup, 100.0/float64(*parityGroup))
 	}
 	return nil
 }
@@ -433,7 +435,7 @@ func cmdQuery(args []string) error {
 	}
 	count, total, err := readSum(ctx, store, plan, cat.Dict, *sumCol)
 	if err != nil {
-		if errors.Is(err, snakes.ErrCorruptPage) {
+		if errors.Is(err, storage.ErrCorruptPage) {
 			reportCorruption(store, err)
 		}
 		return err
@@ -476,7 +478,7 @@ func cmdVerify(args []string) error {
 	defer store.Close()
 	store.SetCellCheck(cellCheck(cat.Dict))
 	if *repair {
-		if err := store.AttachParity(snakes.ParityPath(active)); err != nil {
+		if err := store.AttachParity(storage.ParityPath(active)); err != nil {
 			return fmt.Errorf("-repair needs the parity sidecar: %w", err)
 		}
 		rrep, err := store.RepairCtx(context.Background())
@@ -491,7 +493,7 @@ func cmdVerify(args []string) error {
 			fmt.Fprintln(os.Stderr, "snakestore: unrepairable:", p.String())
 		}
 		if !rrep.OK() {
-			return fmt.Errorf("repair failed: %d page(s) unrepairable: %w", len(rrep.Failed), snakes.ErrUnrepairable)
+			return fmt.Errorf("repair failed: %d page(s) unrepairable: %w", len(rrep.Failed), storage.ErrUnrepairable)
 		}
 	}
 	rep, err := store.Verify()
@@ -504,9 +506,9 @@ func cmdVerify(args []string) error {
 	}
 	if !rep.OK() {
 		if *repair {
-			return fmt.Errorf("repair left %d problem(s): %w", len(rep.Problems), snakes.ErrCorruptPage)
+			return fmt.Errorf("repair left %d problem(s): %w", len(rep.Problems), storage.ErrCorruptPage)
 		}
-		return fmt.Errorf("verify failed: %d problem(s): %w", len(rep.Problems), snakes.ErrCorruptPage)
+		return fmt.Errorf("verify failed: %d problem(s): %w", len(rep.Problems), storage.ErrCorruptPage)
 	}
 	if cat.Dirty {
 		return fmt.Errorf("store pages are clean but catalog %s is dirty: a build was interrupted; re-run build", *catPath)
@@ -524,7 +526,7 @@ func cellCheck(d *rowcodec.Dict) func(cell []byte) (int, error) {
 // reportCorruption runs a scrub after a query tripped over ErrCorruptPage,
 // printing each damaged page with its cell coordinates.
 func reportCorruption(store *snakes.FileStore, cause error) {
-	var cpe *snakes.CorruptPageError
+	var cpe *storage.CorruptPageError
 	if errors.As(cause, &cpe) {
 		fmt.Fprintf(os.Stderr, "snakestore: corruption detected on page %d; scrubbing store\n", cpe.Page)
 	}
@@ -779,7 +781,7 @@ func writeCatalog(path string, cat *catalog) error {
 		os.Remove(tmp)
 		return err
 	}
-	return snakes.SyncDir(filepath.Dir(path))
+	return storage.SyncDir(filepath.Dir(path))
 }
 
 func loadCatalog(path string) (*catalog, *snakes.Schema, *snakes.Strategy, error) {

@@ -19,6 +19,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // writeFactsCSV writes a small deterministic fact file and returns the
@@ -150,12 +152,12 @@ func TestVerifyDetectsFlippedByte(t *testing.T) {
 	f.Close()
 
 	err = cmdVerify([]string{"-catalog", cat, "-store", store})
-	if !errors.Is(err, snakes.ErrCorruptPage) {
+	if !errors.Is(err, storage.ErrCorruptPage) {
 		t.Fatalf("verify over a flipped byte: err = %v, want ErrCorruptPage", err)
 	}
 	// The query path trips over the same damage instead of returning
 	// silently wrong numbers.
-	if err := cmdQuery([]string{"-catalog", cat, "-store", store}); !errors.Is(err, snakes.ErrCorruptPage) {
+	if err := cmdQuery([]string{"-catalog", cat, "-store", store}); !errors.Is(err, storage.ErrCorruptPage) {
 		t.Fatalf("query over a flipped byte: err = %v, want ErrCorruptPage", err)
 	}
 }
@@ -243,7 +245,7 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 		if err := os.Rename(store, genPath(store, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Rename(snakes.ParityPath(store), snakes.ParityPath(genPath(store, 1))); err != nil {
+		if err := os.Rename(storage.ParityPath(store), storage.ParityPath(genPath(store, 1))); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(store, []byte("stale generation 0"), 0o644); err != nil {
@@ -349,11 +351,11 @@ func TestOldStoreRefusedUntilRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adm, err := snakes.NewAdmission(64, 0)
+		adm, err := storage.NewAdmission(64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
+		srv := newServer(st, schema, c, adm, 0, trace.Config{})
 		ts := httptest.NewServer(srv.handler())
 		var q queryResponse
 		getJSON(t, ts, regionQuery(snakes.Region{{Lo: 0, Hi: 4}, {Lo: 0, Hi: 6}}, 0), http.StatusOK, &q)
@@ -743,11 +745,11 @@ func TestVersion6StoreIngestRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adm, err := snakes.NewAdmission(64, 0)
+		adm, err := storage.NewAdmission(64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newServer(st, schema, c, adm, 0, snakes.TraceConfig{})
+		srv := newServer(st, schema, c, adm, 0, trace.Config{})
 		if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	snakes "repro"
+	"repro/internal/storage"
 )
 
 // maintainBudget is the I/O of one tick of the daemon's one background loop:
@@ -17,7 +17,7 @@ const maintainBudget = 1 << 20
 
 // errMaintStopped ends a reorganization the maintainer's loop can no longer
 // run: outcome "canceled", answered 503.
-var errMaintStopped = fmt.Errorf("maintenance stopped: %w: %w", snakes.ErrClosed, context.Canceled)
+var errMaintStopped = fmt.Errorf("maintenance stopped: %w: %w", storage.ErrClosed, context.Canceled)
 
 // maintainer is the loop's state, owned by the loop's goroutine except the
 // reorganization slot, which POST /reorg may fill under mu.
@@ -34,7 +34,7 @@ type maintainer struct {
 	// The scrub pass: its generation, where its next window starts, and
 	// what its windows found so far.
 	gen, passPages, passRows int64
-	cur                      snakes.ScrubCursor
+	cur                      storage.ScrubCursor
 	passProblems             int
 }
 
@@ -121,15 +121,15 @@ func (s *server) scrub(ctx context.Context, bytes int64) int64 {
 	m, st := s.maint, s.st()
 	total, pageBytes := st.Layout().TotalPages(), st.Layout().PageSize()
 	if gen := s.generation.Load(); gen != m.gen || m.cur.Page >= total {
-		m.gen, m.cur, m.passPages, m.passRows, m.passProblems = gen, snakes.ScrubCursor{}, 0, 0, 0
+		m.gen, m.cur, m.passPages, m.passRows, m.passProblems = gen, storage.ScrubCursor{}, 0, 0, 0
 	}
 	tctx, tr := s.traces.StartForced(ctx, "scrub")
 	budget, read, found := bytes/pageBytes, int64(0), false
-	window := func(from snakes.ScrubCursor, hi int64) *snakes.ScrubReport {
+	window := func(from storage.ScrubCursor, hi int64) *storage.ScrubReport {
 		rep, err := st.ScrubRange(tctx, from, hi, true)
 		if err != nil {
 			// ErrClosed: a swap or shutdown closed st; the next tick takes the new one.
-			if !errors.Is(err, snakes.ErrClosed) && ctx.Err() == nil {
+			if !errors.Is(err, storage.ErrClosed) && ctx.Err() == nil {
 				s.log.Warn("scrub", "page", from.Page, "err", err)
 			}
 			return nil
@@ -143,7 +143,7 @@ func (s *server) scrub(ctx context.Context, bytes int64) int64 {
 		if read >= budget {
 			break
 		}
-		if p >= 0 && p < total && !s.unrepaired(st, p) && window(snakes.ScrubCursor{Page: p}, p+1) == nil {
+		if p >= 0 && p < total && !s.unrepaired(st, p) && window(storage.ScrubCursor{Page: p}, p+1) == nil {
 			break
 		}
 	}

@@ -18,6 +18,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // TestMaintainerQuarantinesFramingDamage: a cell's record header broken
@@ -37,7 +39,7 @@ func TestMaintainerQuarantinesFramingDamage(t *testing.T) {
 	if err := st.Pool().Reset(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteParity(snakes.ParityPath(storePath), st.ParityGroup()); err != nil {
+	if err := st.WriteParity(storage.ParityPath(storePath), st.ParityGroup()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := st.VerifyCtx(context.Background())
@@ -406,9 +408,9 @@ func servePackedRows(t *testing.T, catPath, storePath string) *server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	adm, err := snakes.NewAdmission(64, time.Second)
+	adm, err := storage.NewAdmission(64, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
+	return newServer(store, schema, c, adm, 5*time.Second, trace.Config{})
 }

@@ -6,6 +6,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // metricsPrefix namespaces every daemon metric; the metrics-name lint
@@ -103,24 +105,24 @@ func classLabel(c snakes.Class) string {
 // the adaptive reorganization families. The store is read through an
 // accessor because reorganization hot-swaps it at runtime; the schema fixes
 // the closed per-class label set.
-func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, schema *snakes.Schema) *serverMetrics {
+func newServerMetrics(store func() *snakes.FileStore, adm *storage.Admission, schema *snakes.Schema) *serverMetrics {
 	reg := obs.NewRegistry(metricsPrefix)
-	pool := func(f func(snakes.PoolStats) int64) func() int64 {
+	pool := func(f func(storage.PoolStats) int64) func() int64 {
 		return func() int64 { return f(store().Pool().Stats()) }
 	}
-	reg.CounterFunc("snakestore_pool_hits_total", "buffer pool page pins served from a resident frame", pool(func(s snakes.PoolStats) int64 { return s.Hits }))
-	reg.CounterFunc("snakestore_pool_misses_total", "buffer pool physical page loads", pool(func(s snakes.PoolStats) int64 { return s.Misses }))
-	reg.CounterFunc("snakestore_pool_evictions_total", "buffer pool frame evictions", pool(func(s snakes.PoolStats) int64 { return s.Evictions }))
-	reg.CounterFunc("snakestore_pool_writes_total", "buffer pool physical page write-backs", pool(func(s snakes.PoolStats) int64 { return s.Writes }))
-	reg.CounterFunc("snakestore_pool_retries_total", "transient I/O errors ridden out by the retry policy", pool(func(s snakes.PoolStats) int64 { return s.Retries }))
-	reg.CounterFunc("snakestore_pool_single_flight_waits_total", "goroutines that waited on another goroutine's in-flight load", pool(func(s snakes.PoolStats) int64 { return s.SingleFlightWaits }))
+	reg.CounterFunc("snakestore_pool_hits_total", "buffer pool page pins served from a resident frame", pool(func(s storage.PoolStats) int64 { return s.Hits }))
+	reg.CounterFunc("snakestore_pool_misses_total", "buffer pool physical page loads", pool(func(s storage.PoolStats) int64 { return s.Misses }))
+	reg.CounterFunc("snakestore_pool_evictions_total", "buffer pool frame evictions", pool(func(s storage.PoolStats) int64 { return s.Evictions }))
+	reg.CounterFunc("snakestore_pool_writes_total", "buffer pool physical page write-backs", pool(func(s storage.PoolStats) int64 { return s.Writes }))
+	reg.CounterFunc("snakestore_pool_retries_total", "transient I/O errors ridden out by the retry policy", pool(func(s storage.PoolStats) int64 { return s.Retries }))
+	reg.CounterFunc("snakestore_pool_single_flight_waits_total", "goroutines that waited on another goroutine's in-flight load", pool(func(s storage.PoolStats) int64 { return s.SingleFlightWaits }))
 
-	admf := func(f func(snakes.AdmissionStats) float64) func() float64 {
+	admf := func(f func(storage.AdmissionStats) float64) func() float64 {
 		return func() float64 { return f(adm.StatsSnapshot()) }
 	}
-	reg.GaugeFunc("snakestore_admission_capacity_pages", "total admission weight capacity", admf(func(s snakes.AdmissionStats) float64 { return float64(s.Capacity) }))
-	reg.GaugeFunc("snakestore_admission_in_use_pages", "admission weight currently admitted", admf(func(s snakes.AdmissionStats) float64 { return float64(s.InUse) }))
-	reg.GaugeFunc("snakestore_admission_queue_depth", "queries waiting for admission", admf(func(s snakes.AdmissionStats) float64 { return float64(s.QueueDepth) }))
+	reg.GaugeFunc("snakestore_admission_capacity_pages", "total admission weight capacity", admf(func(s storage.AdmissionStats) float64 { return float64(s.Capacity) }))
+	reg.GaugeFunc("snakestore_admission_in_use_pages", "admission weight currently admitted", admf(func(s storage.AdmissionStats) float64 { return float64(s.InUse) }))
+	reg.GaugeFunc("snakestore_admission_queue_depth", "queries waiting for admission", admf(func(s storage.AdmissionStats) float64 { return float64(s.QueueDepth) }))
 	reg.CounterFunc("snakestore_admission_admitted_total", "queries admitted", func() int64 { return adm.StatsSnapshot().Admitted })
 	reg.CounterFunc("snakestore_admission_rejected_total", "queries shed on admission queue timeout", func() int64 { return adm.StatsSnapshot().Rejected })
 	reg.CounterFunc("snakestore_admission_canceled_total", "queries whose context ended while waiting for admission", func() int64 { return adm.StatsSnapshot().Canceled })
@@ -149,7 +151,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 
 		slowQuery:   reg.Counter("snakestore_slow_query_total", "traced requests at or past the slow-query threshold"),
 		httpPanics:  reg.Counter("snakestore_http_panics_total", "handler panics recovered by the serving middleware"),
-		spanSeconds: make(map[string]*obs.Histogram, len(snakes.TraceSpanKinds())),
+		spanSeconds: make(map[string]*obs.Histogram, len(trace.Kinds())),
 
 		ingestPuts:      reg.Counter("snakestore_ingest_puts_total", "cell upserts accepted into the delta store"),
 		ingestBytes:     reg.Counter("snakestore_ingest_bytes_total", "cell bytes accepted into the delta store"),
@@ -166,7 +168,7 @@ func newServerMetrics(store func() *snakes.FileStore, adm *snakes.Admission, sch
 			return all
 		}, "scope", scope)
 	}
-	for _, k := range snakes.TraceSpanKinds() {
+	for _, k := range trace.Kinds() {
 		m.spanSeconds[k] = reg.Histogram("snakestore_trace_span_seconds", "span time in finished traces by span kind", latencyBuckets, "kind", k)
 	}
 	for _, c := range schema.Classes() {
@@ -221,7 +223,7 @@ func (m *serverMetrics) observeReorg(outcome string, seconds float64) {
 // histograms and counts it against the slow-query series when the recorder
 // classified it slow. Span kinds are a closed set fixed at registration;
 // anything else (there should be nothing else) is ignored.
-func (m *serverMetrics) observeTrace(tr *snakes.Trace, res snakes.TraceResult) {
+func (m *serverMetrics) observeTrace(tr *trace.Trace, res trace.Result) {
 	if res.Slow {
 		m.slowQuery.Inc()
 	}

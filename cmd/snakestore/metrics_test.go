@@ -16,7 +16,8 @@ import (
 	"testing"
 	"time"
 
-	snakes "repro"
+	"repro/internal/obsevent"
+	"repro/internal/trace"
 )
 
 // parseMetrics parses a Prometheus text exposition into per-series samples
@@ -240,7 +241,7 @@ func TestMetricsLint(t *testing.T) {
 // the retention counters follow the recorder: tracing every request moves
 // started/kept, and the per-kind span histograms see the request's spans.
 func TestMetricsTraceFamilies(t *testing.T) {
-	srv := buildServedTrace(t, snakes.TraceConfig{SampleEvery: 1})
+	srv := buildServedTrace(t, trace.Config{SampleEvery: 1})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	getJSON(t, ts, "/query?where=x%3D1..2&where=y%3D2..6", http.StatusOK, nil)
@@ -533,7 +534,7 @@ const maxLabelCardinality = 32
 // `make metrics-lint` runs this.
 func TestMetricsLintCardinality(t *testing.T) {
 	srv, _ := buildServed(t, 64, time.Second, 5*time.Second)
-	cfg, err := snakes.ParseSLOSpec("default=250ms@99.9")
+	cfg, err := obsevent.ParseSLOSpec("default=250ms@99.9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +576,7 @@ func TestMetricsLintCardinality(t *testing.T) {
 // fixed counter/counter/gauge triple. `make metrics-lint` runs this.
 func TestMetricsLintObsFamilies(t *testing.T) {
 	srv, _ := buildServed(t, 64, time.Second, 5*time.Second)
-	cfg, err := snakes.ParseSLOSpec("default=250ms@99.9")
+	cfg, err := obsevent.ParseSLOSpec("default=250ms@99.9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +606,7 @@ func TestMetricsLintObsFamilies(t *testing.T) {
 		}
 	}
 	states := map[string]bool{}
-	for _, st := range snakes.SLOStates() {
+	for _, st := range obsevent.SLOStates() {
 		states[st] = true
 	}
 	stateSum := map[string]float64{} // class -> Σ state gauges (one-hot)

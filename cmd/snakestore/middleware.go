@@ -11,6 +11,10 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/ingest"
+	"repro/internal/obsevent"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // statusWriter captures the response code for metrics and logs, and
@@ -19,7 +23,7 @@ import (
 type statusWriter struct {
 	http.ResponseWriter
 	code int
-	ev   *snakes.Event
+	ev   *obsevent.Event
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -69,7 +73,7 @@ func (s *server) instrument(name string, traced bool, fn http.HandlerFunc) http.
 		s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
 		start := s.clock()
-		ev := &snakes.Event{
+		ev := &obsevent.Event{
 			TimeUnixNs: start.UnixNano(),
 			Handler:    name,
 			Method:     r.Method,
@@ -78,8 +82,8 @@ func (s *server) instrument(name string, traced bool, fn http.HandlerFunc) http.
 		}
 		sw := &statusWriter{ResponseWriter: w, ev: ev}
 		ctx := context.WithValue(r.Context(), reqIDKey{}, id)
-		ctx = snakes.WithEvent(ctx, ev)
-		var tr *snakes.Trace
+		ctx = obsevent.WithEvent(ctx, ev)
+		var tr *trace.Trace
 		if traced {
 			ctx, tr = s.traces.Start(ctx, name)
 			if tr != nil {
@@ -95,7 +99,7 @@ func (s *server) instrument(name string, traced bool, fn http.HandlerFunc) http.
 		hm.response(code)
 		hm.latency.Observe(elapsed.Seconds())
 		ev.Status = code
-		ev.Outcome = snakes.EventOutcomeOf(code)
+		ev.Outcome = obsevent.OutcomeOf(code)
 		ev.LatencyNs = elapsed.Nanoseconds()
 		if panicErr != nil && ev.Error == "" {
 			ev.Error = panicErr.Error()
@@ -133,7 +137,7 @@ func (s *server) instrument(name string, traced bool, fn http.HandlerFunc) http.
 // event is the single source, so the log carries exactly what
 // /debug/events retains. Attribution fields appear only when set, keeping
 // healthz/metrics probes to one short line.
-func (s *server) logEvent(ev *snakes.Event) {
+func (s *server) logEvent(ev *obsevent.Event) {
 	args := []any{
 		"req", ev.RequestID, "handler", ev.Handler, "method", ev.Method, "path", ev.Path,
 		"status", ev.Status, "outcome", ev.Outcome,
@@ -180,7 +184,7 @@ func (s *server) callHandler(w *statusWriter, r *http.Request, fn http.HandlerFu
 
 // spanBreakdown renders a finished trace's non-root spans as
 // "kind×count=totalms" pairs for the slow-query log line.
-func spanBreakdown(spans []snakes.TraceSpan) string {
+func spanBreakdown(spans []trace.Span) string {
 	type agg struct {
 		n  int
 		ns int64
@@ -188,7 +192,7 @@ func spanBreakdown(spans []snakes.TraceSpan) string {
 	byKind := make(map[string]*agg)
 	var order []string
 	for _, sp := range spans {
-		if sp.Kind == snakes.TraceKindRequest || sp.Dur < 0 {
+		if sp.Kind == trace.KindRequest || sp.Dur < 0 {
 			continue
 		}
 		a := byKind[sp.Kind]
@@ -208,9 +212,16 @@ func spanBreakdown(spans []snakes.TraceSpan) string {
 }
 
 // writeErr maps the serving error taxonomy onto HTTP statuses: bad input
-// 400, a reorganization already running 409, shed or closed 503, timed out
-// 504, corruption 500 (after quarantining the page).
+// 400, a reorganization already running 409, shed, closed or a delta log
+// that refuses writes 503, timed out 504, corruption 500 (after
+// quarantining the page).
 func (s *server) writeErr(w http.ResponseWriter, err error) {
+	s.writeErrBody(w, err, map[string]string{"error": err.Error()})
+}
+
+// writeErrBody is writeErr with a JSON body of the caller's, which carries
+// err's text under "error".
+func (s *server) writeErrBody(w http.ResponseWriter, err error, body any) {
 	if sw, ok := w.(*statusWriter); ok && sw.ev != nil {
 		sw.ev.Error = err.Error()
 	}
@@ -220,14 +231,14 @@ func (s *server) writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, snakes.ErrReorgInProgress):
 		status = http.StatusConflict
-	case errors.Is(err, snakes.ErrOverloaded), errors.Is(err, snakes.ErrClosed):
+	case errors.Is(err, storage.ErrOverloaded), errors.Is(err, storage.ErrClosed), errors.Is(err, ingest.ErrLogPoisoned):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
-	case errors.Is(err, snakes.ErrCorruptPage):
+	case errors.Is(err, storage.ErrCorruptPage):
 		s.noteCorrupt(err)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	json.NewEncoder(w).Encode(body)
 }

@@ -12,16 +12,17 @@ import (
 	"testing"
 	"time"
 
-	snakes "repro"
+	"repro/internal/obsevent"
+	"repro/internal/trace"
 )
 
 // eventsResp is the /debug/events response shape.
 type eventsResp struct {
-	Published   uint64         `json:"published"`
-	Overwritten uint64         `json:"overwritten"`
-	Capacity    int            `json:"capacity"`
-	Returned    int            `json:"returned"`
-	Events      []snakes.Event `json:"events"`
+	Published   uint64           `json:"published"`
+	Overwritten uint64           `json:"overwritten"`
+	Capacity    int              `json:"capacity"`
+	Returned    int              `json:"returned"`
+	Events      []obsevent.Event `json:"events"`
 }
 
 // healthzObs is the /healthz observability surface: the event-ring block,
@@ -35,13 +36,13 @@ type healthzObs struct {
 		Capacity    int    `json:"capacity"`
 	} `json:"events"`
 	Calibration *struct {
-		Classes []snakes.ClassCalibration `json:"classes"`
-		Drifted []string                  `json:"drifted"`
+		Classes []obsevent.ClassCalibration `json:"classes"`
+		Drifted []string                    `json:"drifted"`
 	} `json:"calibration"`
 	SLOState string `json:"sloState"`
 	SLO      *struct {
-		State   string                  `json:"state"`
-		Classes []snakes.SLOClassStatus `json:"classes"`
+		State   string                    `json:"state"`
+		Classes []obsevent.SLOClassStatus `json:"classes"`
 	} `json:"slo"`
 }
 
@@ -112,7 +113,7 @@ func TestServeWideEventsAndCalibration(t *testing.T) {
 		t.Fatalf("handler=query outcome=ok returned %d events, want %d", er.Returned, n)
 	}
 	for _, ev := range er.Events {
-		if ev.Class == "" || ev.Status != http.StatusOK || ev.Outcome != snakes.EventOutcomeOK {
+		if ev.Class == "" || ev.Status != http.StatusOK || ev.Outcome != obsevent.OutcomeOK {
 			t.Errorf("query event missing attribution: %+v", ev)
 		}
 		if ev.PredictedPages <= 0 || ev.PagesRead != ev.PredictedPages || ev.SeeksObserved != ev.PredictedSeeks {
@@ -209,7 +210,7 @@ func TestServeSLOBurnRateTransitions(t *testing.T) {
 	fc := &fakeClock{}
 	fc.now.Store(time.Date(2026, 8, 7, 12, 0, 30, 0, time.UTC).UnixNano())
 	srv.clock = fc.Now
-	cfg, err := snakes.ParseSLOSpec("default=5ms@99.9")
+	cfg, err := obsevent.ParseSLOSpec("default=5ms@99.9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +233,8 @@ func TestServeSLOBurnRateTransitions(t *testing.T) {
 	// Phase 1: the clock does not advance inside requests, so every query
 	// meets the 5ms objective.
 	getJSON(t, ts, chaosRegion, http.StatusOK, nil)
-	if got := state(); got != snakes.SLOStateOK {
-		t.Fatalf("healthy phase state = %q, want %q", got, snakes.SLOStateOK)
+	if got := state(); got != obsevent.SLOStateOK {
+		t.Fatalf("healthy phase state = %q, want %q", got, obsevent.SLOStateOK)
 	}
 
 	// Phase 2: a 10ms-per-clock-read regression makes every query blow the
@@ -245,8 +246,8 @@ func TestServeSLOBurnRateTransitions(t *testing.T) {
 		getJSON(t, ts, chaosRegion, http.StatusOK, nil)
 	}
 	fc.step.Store(0)
-	if got := state(); got != snakes.SLOStateBurning {
-		t.Fatalf("regression phase state = %q, want %q", got, snakes.SLOStateBurning)
+	if got := state(); got != obsevent.SLOStateBurning {
+		t.Fatalf("regression phase state = %q, want %q", got, obsevent.SLOStateBurning)
 	}
 
 	samples, _ := scrape(t, ts.URL)
@@ -276,26 +277,26 @@ func TestServeSLOBurnRateTransitions(t *testing.T) {
 	}
 	// The state gauge is one-hot on burning for the damaged class.
 	hot := 0.0
-	for _, st := range snakes.SLOStates() {
+	for _, st := range obsevent.SLOStates() {
 		hot += samples[fmt.Sprintf("snakestore_slo_state{class=%q,state=%q}", class, st)]
 	}
-	if hot != 1 || samples[fmt.Sprintf("snakestore_slo_state{class=%q,state=%q}", class, snakes.SLOStateBurning)] != 1 {
+	if hot != 1 || samples[fmt.Sprintf("snakestore_slo_state{class=%q,state=%q}", class, obsevent.SLOStateBurning)] != 1 {
 		t.Errorf("slo state gauges not one-hot burning: sum %v", hot)
 	}
 
 	// Phase 3: ten minutes on, the 5m window is clean but the hour window
 	// still holds the burn — at risk, not burning.
 	fc.Advance(10 * time.Minute)
-	if got := state(); got != snakes.SLOStateAtRisk {
-		t.Fatalf("post-regression state = %q, want %q", got, snakes.SLOStateAtRisk)
+	if got := state(); got != obsevent.SLOStateAtRisk {
+		t.Fatalf("post-regression state = %q, want %q", got, obsevent.SLOStateAtRisk)
 	}
 
 	// Phase 4: past the long window the damage ages out entirely, and fresh
 	// healthy traffic confirms ok.
 	fc.Advance(2 * time.Hour)
 	getJSON(t, ts, chaosRegion, http.StatusOK, nil)
-	if got := state(); got != snakes.SLOStateOK {
-		t.Fatalf("recovered state = %q, want %q", got, snakes.SLOStateOK)
+	if got := state(); got != obsevent.SLOStateOK {
+		t.Fatalf("recovered state = %q, want %q", got, obsevent.SLOStateOK)
 	}
 }
 
@@ -321,7 +322,7 @@ func waitForLogLine(t *testing.T, buf *syncBuf, what string, pred func(line stri
 // and both publish attributed wide events.
 func TestServeIngestRepairObservability(t *testing.T) {
 	srv, _, _, _ := buildIngestServed(t, testDeltaOptions(), testIngestConfig())
-	srv.traces = snakes.NewTraceRecorder(snakes.TraceConfig{SampleEvery: 1, SlowThreshold: time.Nanosecond})
+	srv.traces = trace.NewRecorder(trace.Config{SampleEvery: 1, SlowThreshold: time.Nanosecond})
 	var buf syncBuf
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.handler())
@@ -331,13 +332,13 @@ func TestServeIngestRepairObservability(t *testing.T) {
 	if resp.TraceID == 0 {
 		t.Fatal("traced ingest response carries no traceId")
 	}
-	var detail snakes.TraceDetail
+	var detail trace.Detail
 	getJSON(t, ts, "/debug/traces?id="+jsonUint(resp.TraceID), http.StatusOK, &detail)
 	kinds := map[string]int{}
 	for _, sp := range detail.Spans {
 		kinds[sp.Kind]++
 	}
-	if kinds[snakes.TraceKindRequest] == 0 || kinds[snakes.TraceKindDeltaAppend] == 0 {
+	if kinds[trace.KindRequest] == 0 || kinds[trace.KindDeltaAppend] == 0 {
 		t.Errorf("ingest trace spans = %v, want a request root with a delta_append child", kinds)
 	}
 
@@ -355,7 +356,7 @@ func TestServeIngestRepairObservability(t *testing.T) {
 	for _, sp := range detail.Spans {
 		kinds[sp.Kind]++
 	}
-	if kinds[snakes.TraceKindRequest] == 0 || kinds[snakes.TraceKindScrub] == 0 {
+	if kinds[trace.KindRequest] == 0 || kinds[trace.KindScrub] == 0 {
 		t.Errorf("repair trace spans = %v, want a request root with scrub children", kinds)
 	}
 
@@ -392,7 +393,7 @@ func TestServeCalibrationDriftAndCompaction(t *testing.T) {
 	// Fast decay so the test converges in a handful of observations:
 	// half-life one observation, default threshold, and a minimum weight
 	// under the decayed mass's 1/(1-α)=2 asymptote so it is reachable.
-	srv.calib = snakes.NewCalibration(0.5, snakes.DefaultCalibrationThreshold, 1.5)
+	srv.calib = obsevent.NewCalibration(0.5, obsevent.DefaultCalibrationThreshold, 1.5)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -418,7 +419,7 @@ func TestServeCalibrationDriftAndCompaction(t *testing.T) {
 		}
 	}
 	cc, ok := srv.calib.Class(class)
-	if !ok || !cc.Drifted || cc.PageRatio >= 1-snakes.DefaultCalibrationThreshold {
+	if !ok || !cc.Drifted || cc.PageRatio >= 1-obsevent.DefaultCalibrationThreshold {
 		t.Fatalf("overlay-heavy calibration = %+v, want the class flagged with a collapsed page ratio", cc)
 	}
 	var h healthzObs
@@ -451,7 +452,7 @@ func TestServeCalibrationDriftAndCompaction(t *testing.T) {
 	if cc, _ = srv.calib.Class(class); cc.Drifted {
 		t.Fatalf("drift flag never cleared after compaction: %+v", cc)
 	}
-	if math.Abs(cc.PageRatio-1) > snakes.DefaultCalibrationThreshold || math.Abs(cc.SeekRatio-1) > snakes.DefaultCalibrationThreshold {
+	if math.Abs(cc.PageRatio-1) > obsevent.DefaultCalibrationThreshold || math.Abs(cc.SeekRatio-1) > obsevent.DefaultCalibrationThreshold {
 		t.Errorf("restored ratios = %+v, want back within the drift threshold", cc)
 	}
 	getJSON(t, ts, "/healthz", http.StatusOK, &h)

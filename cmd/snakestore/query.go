@@ -11,7 +11,10 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/obsevent"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // handleEvents serves GET /debug/events: the ring's retained wide events
@@ -20,7 +23,7 @@ import (
 // an archive — overwritten counts what scrolled off.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	f := snakes.EventFilter{
+	f := obsevent.Filter{
 		Handler: q.Get("handler"),
 		Class:   q.Get("class"),
 		Outcome: q.Get("outcome"),
@@ -98,7 +101,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ev := snakes.EventFromContext(ctx)
+	ev := obsevent.FromContext(ctx)
 	// Every valid query is demand evidence, observed before admission so
 	// shed load still teaches the reorganizer what clients wanted.
 	if class, cerr := s.schema.ClassOfRegion(region); cerr == nil {
@@ -118,8 +121,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// even if a reorganization swaps the pointer mid-request.
 	st := s.st()
 	gen := s.generation.Load()
-	var tally snakes.PoolTally
-	ctx = snakes.WithPoolTally(ctx, &tally)
+	var tally storage.PoolTally
+	ctx = storage.WithPoolTally(ctx, &tally)
 	plan, err := st.Plan(ctx, region)
 	if err != nil {
 		s.writeErr(w, err)
@@ -133,7 +136,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admission weight is the query's analytic page count, so one huge scan
 	// and many point queries draw from the same budget.
-	asp := snakes.StartTraceLeaf(ctx, snakes.TraceKindAdmission, "")
+	asp := trace.StartLeaf(ctx, trace.KindAdmission, "")
 	asp.SetAttr("weight_pages", plan.Pages)
 	admStart := s.clock()
 	if err := s.adm.Acquire(ctx, plan.Pages); err != nil {
@@ -149,7 +152,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.Release(plan.Pages)
 
 	resp := queryResponse{Region: region.String(), Pages: plan.Pages, Generation: gen}
-	if tr := snakes.TraceFromContext(ctx); tr != nil {
+	if tr := trace.FromContext(ctx); tr != nil {
 		resp.TraceID = tr.ID()
 	}
 	var total float64
@@ -203,7 +206,7 @@ func queryParams(q url.Values) error {
 // sum of payload column col (rowcodec.Sum) of rows encoded under d. A column
 // that does not read as a number, or a sum that is not a finite number, is a
 // usage error.
-func readSum(ctx context.Context, st *snakes.FileStore, plan *snakes.QueryPlan, d *rowcodec.Dict, col int) (records int64, sum float64, err error) {
+func readSum(ctx context.Context, st *snakes.FileStore, plan *storage.QueryPlan, d *rowcodec.Dict, col int) (records int64, sum float64, err error) {
 	k := &sumKernel{col: col, d: d, sum: rowcodec.NewSum(d, col)}
 	if err := st.ReadPlanCellsCtx(ctx, plan, k.cell); err != nil {
 		return 0, 0, err
@@ -267,7 +270,7 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.traces.Snapshot()
-	sums := make([]snakes.TraceSummary, 0, len(snap))
+	sums := make([]trace.Summary, 0, len(snap))
 	for _, tr := range snap {
 		sums = append(sums, tr.Summarize())
 	}

@@ -11,6 +11,10 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/adaptive"
+	"repro/internal/ingest"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // enableReorg wires the adaptive reorganizer onto the server: the policy
@@ -42,8 +46,8 @@ type reorgJob struct {
 	d     *snakes.ReorgDecision
 	mig   *snakes.Migration
 	ctx   context.Context
-	span  snakes.TraceSpanRef
-	tr    *snakes.Trace
+	span  trace.SpanRef
+	tr    *trace.Trace
 	ticks int
 }
 
@@ -54,7 +58,7 @@ func (s *server) startReorg(ctx context.Context, force bool) (*reorgJob, error) 
 	tctx, tr := s.traces.StartForced(ctx, "reorg")
 	d, err := s.reorg.Trigger(tctx, force)
 	if err != nil {
-		if snakes.ReorgSkipped(err) || errors.Is(err, snakes.ErrReorgInProgress) {
+		if adaptive.Skipped(err) || errors.Is(err, snakes.ErrReorgInProgress) {
 			tr.Discard()
 		} else {
 			s.metrics.observeTrace(tr, tr.Finish(err))
@@ -62,7 +66,7 @@ func (s *server) startReorg(ctx context.Context, force bool) (*reorgJob, error) 
 		return nil, err
 	}
 	j := &reorgJob{d: d, tr: tr}
-	j.ctx, j.span = snakes.StartTraceSpan(tctx, snakes.TraceKindMigrate, "")
+	j.ctx, j.span = trace.Start(tctx, trace.KindMigrate, "")
 	j.span.SetAttr("generation", int64(d.Generation))
 	if j.mig, err = d.Strategy.StartMigration(j.ctx, s.st(), genPath(s.storeBase, d.Generation), s.frames, s.regionCells); err != nil {
 		s.endReorg(j, err)
@@ -125,19 +129,19 @@ func (s *server) cutover(j *reorgJob) error {
 	// a clean scrub of the new one, past any cancellation of ctx: a
 	// committed swap must not be abandoned half-tidied.
 	pctx := context.WithoutCancel(j.ctx)
-	dsp := snakes.StartTraceLeaf(pctx, snakes.TraceKindDrain, "")
-	if err := old.Close(); err != nil && !errors.Is(err, snakes.ErrClosed) {
+	dsp := trace.StartLeaf(pctx, trace.KindDrain, "")
+	if err := old.Close(); err != nil && !errors.Is(err, storage.ErrClosed) {
 		s.log.Warn("reorg", "how", "closing old generation", "err", err)
 	}
 	dsp.End()
-	vctx, vsp := snakes.StartTraceSpan(pctx, snakes.TraceKindVerify, "")
+	vctx, vsp := trace.Start(pctx, trace.KindVerify, "")
 	rep, verr := dst.VerifyCtx(vctx)
 	vsp.SetError(verr)
 	vsp.End()
 	if verr == nil && !rep.OK() {
 		verr = fmt.Errorf("%d problem(s)", len(rep.Problems))
 		for _, p := range rep.Problems {
-			if errors.Is(p.Err, snakes.ErrCorruptPage) {
+			if errors.Is(p.Err, storage.ErrCorruptPage) {
 				s.noteCorrupt(fmt.Errorf("post-reorg scrub: %w", p.Err))
 			}
 		}
@@ -148,7 +152,7 @@ func (s *server) cutover(j *reorgJob) error {
 		s.log.Warn("reorg", "how", "post-swap scrub not clean; keeping old generation file", "err", verr)
 		return nil
 	}
-	for _, p := range []string{oldPath, snakes.ParityPath(oldPath)} {
+	for _, p := range []string{oldPath, storage.ParityPath(oldPath)} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			s.log.Warn("reorg", "how", "removing old generation file", "path", p, "err", err)
 		}
@@ -162,7 +166,7 @@ func (s *server) cutover(j *reorgJob) error {
 // On failure everything written for dst is removed and the old one serves.
 func (s *server) commitGeneration(ctx context.Context, d *snakes.ReorgDecision, dst *snakes.FileStore) (oldPath string, err error) {
 	newPath := genPath(s.storeBase, d.Generation)
-	var newLog *snakes.DeltaLog
+	var newLog *ingest.Log
 	defer func() {
 		if err != nil {
 			if newLog != nil {
@@ -171,7 +175,7 @@ func (s *server) commitGeneration(ctx context.Context, d *snakes.ReorgDecision, 
 			}
 			dst.Close()
 			os.Remove(newPath)
-			os.Remove(snakes.ParityPath(newPath))
+			os.Remove(storage.ParityPath(newPath))
 		}
 	}()
 	if s.ing != nil {
@@ -188,15 +192,16 @@ func (s *server) commitGeneration(ctx context.Context, d *snakes.ReorgDecision, 
 		if err := dst.Pool().Flush(); err != nil {
 			return "", err
 		}
-		if newLog, err = snakes.OpenDeltaLog(snakes.DeltaPath(newPath), int64(d.Generation), s.ing.opt); err != nil {
+		if newLog, err = ingest.Open(ingest.DeltaPath(newPath), int64(d.Generation), s.ing.opt); err != nil {
 			return "", err
 		}
-		snakes.AttachDeltaLog(dst, newLog)
+		dst.SetOverlay(newLog.Overlay())
 	}
 	// The parity sidecar is written before the catalog commit, so a
 	// generation is never live without its repair coverage; a crash in
-	// between leaves stale files that startup cleanup sweeps.
-	if err := dst.WriteParity(snakes.ParityPath(newPath), s.parityGroup); err != nil {
+	// between leaves stale files that startup cleanup sweeps. It keeps the
+	// serving generation's group (0, the default, when that has none).
+	if err := dst.WriteParity(storage.ParityPath(newPath), s.st().ParityGroup()); err != nil {
 		return "", err
 	}
 	stratJSON, err := snakes.MarshalStrategy(d.Strategy)
@@ -210,19 +215,19 @@ func (s *server) commitGeneration(ctx context.Context, d *snakes.ReorgDecision, 
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.draining.Load() {
-		return "", fmt.Errorf("reorg aborted: daemon draining: %w", snakes.ErrClosed)
+		return "", fmt.Errorf("reorg aborted: daemon draining: %w", storage.ErrClosed)
 	}
 	oldPath = activeStorePath(s.cat, s.storeBase)
 	cat := *s.cat
 	cat.Version, cat.Strategy, cat.Generation, cat.StoreFile = catalogVersion, stratJSON, d.Generation, filepath.Base(newPath)
-	csp := snakes.StartTraceLeaf(ctx, snakes.TraceKindCatalogCommit, "")
+	csp := trace.StartLeaf(ctx, trace.KindCatalogCommit, "")
 	err = s.commitCatalog(cat, dst)
 	csp.SetError(err)
 	csp.End()
 	if err != nil {
 		return "", err
 	}
-	ssp := snakes.StartTraceLeaf(ctx, snakes.TraceKindSwap, "")
+	ssp := trace.StartLeaf(ctx, trace.KindSwap, "")
 	ssp.SetAttr("generation", int64(d.Generation))
 	s.store.Store(dst)
 	s.generation.Store(int64(d.Generation))
@@ -268,7 +273,7 @@ func (s *server) handleReorg(w http.ResponseWriter, r *http.Request) {
 		case err == nil:
 			w.WriteHeader(http.StatusAccepted)
 			json.NewEncoder(w).Encode(map[string]any{"triggered": true, "generation": j.d.Generation, "regret": j.d.Regret})
-		case snakes.ReorgSkipped(err):
+		case adaptive.Skipped(err):
 			json.NewEncoder(w).Encode(map[string]any{"triggered": false, "reason": err.Error()})
 		default:
 			s.writeErr(w, err)

@@ -14,6 +14,9 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/adaptive"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // adaptiveConfig is an aggressive policy for tests: act after two
@@ -31,8 +34,8 @@ func adaptiveConfig() snakes.ReorgConfig {
 // row-query workload (class {0,2}: one x leaf, all of y) and returns a
 // server with adaptive reorganization enabled, plus the catalog, base store
 // path, and deployed strategy. Pages are 32 bytes so the 4x6 grid spans
-// enough pages for layouts to differ physically.
-func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig) (*server, string, string, *snakes.Strategy) {
+// enough pages for layouts to differ physically; buildArgs go to build.
+func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig, buildArgs ...string) (*server, string, string, *snakes.Strategy) {
 	t.Helper()
 	dir := t.TempDir()
 	catPath := filepath.Join(dir, "cat.json")
@@ -58,7 +61,7 @@ func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig) (*server, string,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdBuild([]string{"-catalog", catPath, "-csv", csvPath, "-store", storePath, "-frames", "8"}); err != nil {
+	if err := cmdBuild(append([]string{"-catalog", catPath, "-csv", csvPath, "-store", storePath, "-frames", "8"}, buildArgs...)); err != nil {
 		t.Fatal(err)
 	}
 	c, schema, strat, err := loadCatalog(catPath)
@@ -69,11 +72,11 @@ func buildAdaptiveServed(t *testing.T, cfg snakes.ReorgConfig) (*server, string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm, err := snakes.NewAdmission(1024, time.Second)
+	adm, err := storage.NewAdmission(1024, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 5*time.Second, trace.Config{})
 	if err := srv.enableReorg(catPath, storePath, 8, 64, c, strat, cfg); err != nil {
 		store.Close()
 		t.Fatal(err)
@@ -240,8 +243,8 @@ func TestServeAdaptiveReorgEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := store.Layout().Query(region)
-	var tally snakes.PoolTally
-	qctx := snakes.WithPoolTally(context.Background(), &tally)
+	var tally storage.PoolTally
+	qctx := storage.WithPoolTally(context.Background(), &tally)
 	var records int64
 	if err := readRegion(qctx, store, region, c2.Dict, func(cell int, row []byte) error {
 		records++
@@ -279,7 +282,7 @@ func TestServeReorgCrashRecovery(t *testing.T) {
 	// Keep generation 0's files as they are before the reorganization: a
 	// crash after the catalog commit and before their deletion leaves them.
 	stale := map[string][]byte{}
-	for _, p := range []string{storePath, snakes.ParityPath(storePath)} {
+	for _, p := range []string{storePath, storage.ParityPath(storePath)} {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +320,7 @@ func TestServeReorgCrashRecovery(t *testing.T) {
 	}
 	// Both the stale generation-0 file and its parity sidecar (written by
 	// build) are swept; the active generation and its sidecar survive.
-	want := map[string]bool{storePath: true, snakes.ParityPath(storePath): true}
+	want := map[string]bool{storePath: true, storage.ParityPath(storePath): true}
 	if len(removed) != len(want) {
 		t.Fatalf("stale cleanup removed %v, want exactly %v", removed, want)
 	}
@@ -417,7 +420,7 @@ func TestServeReorgFailureKeepsServing(t *testing.T) {
 			continue
 		}
 		switch filepath.Join(filepath.Dir(storePath), name) {
-		case storePath, newPath, snakes.ParityPath(storePath):
+		case storePath, newPath, storage.ParityPath(storePath):
 		default:
 			t.Errorf("unexpected store artifact %s after failed migrations", name)
 		}
@@ -427,13 +430,46 @@ func TestServeReorgFailureKeepsServing(t *testing.T) {
 // forceReorg posts a forced reorganization, which answers 202 with the copy
 // still to run, then ticks the maintainer until the reorganization is over;
 // it returns the reorganizer's status.
-func forceReorg(t *testing.T, srv *server, ts *httptest.Server) snakes.ReorgStatus {
+func forceReorg(t *testing.T, srv *server, ts *httptest.Server) adaptive.Status {
 	t.Helper()
 	postJSON(t, ts, "/reorg?force=1", nil, http.StatusAccepted, nil)
 	for srv.reorg.Status().InProgress {
 		srv.maintainTick(context.Background())
 	}
 	return srv.reorg.Status()
+}
+
+// TestServeReorgKeepsParityGroup: build chooses the parity group and the
+// sidecar records it, so a reorganization writes the new generation's
+// sidecar at the serving generation's group, not at a default of serve's.
+func TestServeReorgKeepsParityGroup(t *testing.T) {
+	srv, _, storePath, _ := buildAdaptiveServed(t, adaptiveConfig(), "-parity-group", "2")
+	defer srv.closeStore()
+	if err := srv.st().AttachParity(storage.ParityPath(storePath)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	if st := forceReorg(t, srv, ts); st.Generation != 1 {
+		t.Fatalf("after a forced reorganization: generation %d, last outcome %q; want generation 1", st.Generation, st.LastOutcome)
+	}
+	// Reopen the new generation's sidecar from disk.
+	c, _, strat, err := loadCatalog(srv.catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := activeStorePath(c, storePath)
+	store, err := strat.OpenFileStore(active, c.BytesPer, c.PageBytes, 8, c.LoadedBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.AttachParity(storage.ParityPath(active)); err != nil {
+		t.Fatal(err)
+	}
+	if g := store.ParityGroup(); g != 2 {
+		t.Errorf("generation 1's parity sidecar has group %d, want 2 as built", g)
+	}
 }
 
 // reorgCounts scrapes the reorganization outcome counters and the number of
@@ -449,7 +485,7 @@ func reorgCounts(t *testing.T, ts *httptest.Server) (success, failed, canceled, 
 // sidecar exists.
 func assertNoNextGeneration(t *testing.T, storePath string, gen int) {
 	t.Helper()
-	for _, p := range []string{genPath(storePath, gen), snakes.ParityPath(genPath(storePath, gen))} {
+	for _, p := range []string{genPath(storePath, gen), storage.ParityPath(genPath(storePath, gen))} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s is on disk after an aborted reorganization (stat err: %v)", p, err)
 		}
@@ -457,7 +493,7 @@ func assertNoNextGeneration(t *testing.T, storePath string, gen int) {
 }
 
 // awaitReorgOver waits for the reorganizer to leave its in-progress state.
-func awaitReorgOver(t *testing.T, srv *server) snakes.ReorgStatus {
+func awaitReorgOver(t *testing.T, srv *server) adaptive.Status {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if st := srv.reorg.Status(); !st.InProgress {
@@ -465,7 +501,7 @@ func awaitReorgOver(t *testing.T, srv *server) snakes.ReorgStatus {
 		}
 	}
 	t.Fatalf("reorganization still in progress: %+v", srv.reorg.Status())
-	return snakes.ReorgStatus{}
+	return adaptive.Status{}
 }
 
 // drainMidMigration runs the maintainer's loop at a tick an hour, starts a
@@ -587,7 +623,7 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 	}
 
 	// A cutover that fails: the parity sidecar's path is taken.
-	if err := os.Mkdir(snakes.ParityPath(genPath(storePath, 1)), 0o755); err != nil {
+	if err := os.Mkdir(storage.ParityPath(genPath(storePath, 1)), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if st := forceReorg(t, srv, ts); st.Generation != 0 || st.LastOutcome != "failed" {
@@ -609,7 +645,7 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 		t.Fatalf("POST /reorg = %+v, want triggered generation 1 with its regret", accepted)
 	}
 	var rs struct {
-		Status snakes.ReorgStatus `json:"status"`
+		Status adaptive.Status `json:"status"`
 	}
 	ticks := 0
 	for ; srv.reorg.Status().InProgress; ticks++ {
@@ -640,7 +676,7 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 
 	// One trace per reorganization: the success's holds every phase under
 	// its migrate span, beside the DP run that decided it.
-	var tr *snakes.Trace
+	var tr *trace.Trace
 	for _, x := range srv.traces.Snapshot() {
 		if x.Name() == "reorg" && x.Err() == "" {
 			tr = x
@@ -649,18 +685,18 @@ func TestServeReorgPostReturnsBeforeCopy(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no clean reorg trace retained")
 	}
-	kinds := map[string][]snakes.TraceSpan{}
+	kinds := map[string][]trace.Span{}
 	for _, sp := range tr.Spans() {
 		kinds[sp.Kind] = append(kinds[sp.Kind], sp)
 	}
-	mig := kinds[snakes.TraceKindMigrate]
-	if len(kinds[snakes.TraceKindDP]) == 0 || kinds[snakes.TraceKindDP][0].Parent != 0 || len(mig) != 1 || mig[0].Parent != 0 {
-		t.Fatalf("reorg trace: dp %+v, migrate %+v; want both under the root, one migrate", kinds[snakes.TraceKindDP], mig)
+	mig := kinds[trace.KindMigrate]
+	if len(kinds[trace.KindDP]) == 0 || kinds[trace.KindDP][0].Parent != 0 || len(mig) != 1 || mig[0].Parent != 0 {
+		t.Fatalf("reorg trace: dp %+v, migrate %+v; want both under the root, one migrate", kinds[trace.KindDP], mig)
 	}
 	if len(mig[0].Attrs) == 0 || mig[0].Attrs[0].Key != "generation" || mig[0].Attrs[0].Value != 1 {
 		t.Errorf("migrate span attrs = %+v, want generation 1", mig[0].Attrs)
 	}
-	for _, k := range []string{snakes.TraceKindCopy, snakes.TraceKindFlush, snakes.TraceKindCatalogCommit, snakes.TraceKindSwap, snakes.TraceKindDrain, snakes.TraceKindVerify} {
+	for _, k := range []string{trace.KindCopy, trace.KindFlush, trace.KindCatalogCommit, trace.KindSwap, trace.KindDrain, trace.KindVerify} {
 		if sp := kinds[k]; len(sp) != 1 || sp[0].Parent != mig[0].ID {
 			t.Errorf("reorg trace has %d %s spans %+v, want one under the migrate span %d", len(sp), k, sp, mig[0].ID)
 		}

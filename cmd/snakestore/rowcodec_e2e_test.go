@@ -18,6 +18,10 @@ import (
 	"testing"
 
 	snakes "repro"
+	"repro/internal/ingest"
+	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // measureRows is a 4x6 warehouse of rows shaped like the benchmark's: three
@@ -139,7 +143,7 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 		for y := 0; y < 6; y++ {
 			for _, row := range rows[[2]int{x, y}] {
 				fmt.Fprintf(&csv, "%d,%d,%s\n", x, y, row)
-				textBytes += snakes.FrameSize(len(row))
+				textBytes += rowcodec.FrameSize(len(row))
 			}
 		}
 	}
@@ -167,14 +171,14 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm, err := snakes.NewAdmission(1024, 0)
+	adm, err := storage.NewAdmission(1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Dict == nil {
 		t.Fatal("build wrote no row dictionary")
 	}
-	srv := newServer(store, schema, c, adm, 0, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 0, trace.Config{})
 	defer func() { srv.closeStore() }()
 	if err := srv.enableReorg(catPath, storePath, 8, 64, c, strat, adaptiveConfig()); err != nil {
 		t.Fatal(err)
@@ -304,7 +308,7 @@ func TestEncodedRowsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = newServer(restarted, schemaR, cr, adm, 0, snakes.TraceConfig{})
+	srv = newServer(restarted, schemaR, cr, adm, 0, trace.Config{})
 	if err := srv.enableIngest(catPath, storePath, cr, testDeltaOptions(), testIngestConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +387,7 @@ func TestRebuildDropsPendingDeltas(t *testing.T) {
 		}
 		return c
 	}
-	adm, err := snakes.NewAdmission(1024, 0)
+	adm, err := storage.NewAdmission(1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +401,7 @@ func TestRebuildDropsPendingDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newServer(store, schema, c, adm, 0, snakes.TraceConfig{})
+		srv := newServer(store, schema, c, adm, 0, trace.Config{})
 		if err := srv.enableIngest(catPath, storePath, c, testDeltaOptions(), testIngestConfig()); err != nil {
 			srv.closeStore()
 			t.Fatal(err)
@@ -430,7 +434,7 @@ func TestRebuildDropsPendingDeltas(t *testing.T) {
 	if mustJSON(t, second.Dict) == mustJSON(t, first.Dict) {
 		t.Fatalf("both builds learned the dictionary %s: the test needs other codes", mustJSON(t, first.Dict))
 	}
-	if _, err := os.Stat(snakes.DeltaPath(storePath)); !os.IsNotExist(err) {
+	if _, err := os.Stat(ingest.DeltaPath(storePath)); !os.IsNotExist(err) {
 		t.Fatalf("the rebuild kept the delta log: %v", err)
 	}
 	srv, ts = serve()

@@ -15,6 +15,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // These tests hold internal/rowcodec to its contract through the functions
@@ -411,11 +413,11 @@ func TestQuerySumOneDecoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	adm, err := snakes.NewAdmission(64, time.Second)
+	adm, err := storage.NewAdmission(64, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fs, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
+	srv := newServer(fs, schema, c, adm, 5*time.Second, trace.Config{})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	var body struct{ Error string }

@@ -22,7 +22,12 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/adaptive"
+	"repro/internal/ingest"
+	"repro/internal/obsevent"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // buildVersion identifies the binary in snakestore_build_info; override at
@@ -54,13 +59,13 @@ type server struct {
 	schema     *snakes.Schema
 	dims       []snakes.Dimension
 	dict       *rowcodec.Dict // the catalog's row dictionary: fixed at build
-	adm        *snakes.Admission
+	adm        *storage.Admission
 	reqTimeout time.Duration
 	metrics    *serverMetrics
 	log        *slog.Logger
 	flushLog   func() // pushes out what log buffers; a no-op on an unbuffered log
 	pprof      bool   // mount /debug/pprof/ on the serving mux
-	traces     *snakes.TraceRecorder
+	traces     *trace.Recorder
 	started    time.Time
 	clock      func() time.Time // injectable for deterministic latency/SLO tests
 
@@ -68,9 +73,9 @@ type server struct {
 	// events (the ring behind /debug/events and the access log); query
 	// events additionally feed calib, the cost-model calibration watch.
 	// slo stays nil unless -slo configured objectives.
-	events *snakes.EventRing
-	calib  *snakes.Calibration
-	slo    *snakes.SLOEngine
+	events *obsevent.Ring
+	calib  *obsevent.Calibration
+	slo    *obsevent.SLOEngine
 
 	// Write path state; ing stays nil when -ingest is off.
 	ing *ingestState
@@ -94,12 +99,9 @@ type server struct {
 	draining atomic.Bool   // set once graceful shutdown begins
 	reqID    atomic.Uint64 // request id sequence for log correlation
 
-	// Self-healing: the parity group size for regenerated sidecars and the
-	// health state machine, derived from the quarantine and the healing
-	// flag: ok (quarantine empty), degraded (damage found), healing (a
-	// POST /repair sweep is working the quarantine).
-	parityGroup int
-
+	// Self-healing: the health state machine, derived from the quarantine
+	// and the healing flag: ok (quarantine empty), degraded (damage found),
+	// healing (a POST /repair sweep is working the quarantine).
 	mu         sync.Mutex
 	quarantine map[int64]quarantined // corrupt page -> what is known of it
 	healing    bool                  // a POST /repair sweep is working the quarantine
@@ -109,24 +111,23 @@ type server struct {
 	maint *maintainer
 }
 
-func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm *snakes.Admission, reqTimeout time.Duration, tcfg snakes.TraceConfig) *server {
+func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm *storage.Admission, reqTimeout time.Duration, tcfg trace.Config) *server {
 	gen := cat.Generation
 	s := &server{
-		schema:      schema,
-		dims:        schemaDims(cat),
-		dict:        cat.Dict,
-		adm:         adm,
-		reqTimeout:  reqTimeout,
-		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
-		flushLog:    func() {},
-		quarantine:  make(map[int64]quarantined),
-		parityGroup: snakes.DefaultParityGroup,
-		traces:      snakes.NewTraceRecorder(tcfg),
-		started:     time.Now(),
-		clock:       time.Now,
-		events:      snakes.NewEventRing(defaultEventCapacity),
-		calib:       snakes.NewCalibration(snakes.DefaultCalibrationAlpha, snakes.DefaultCalibrationThreshold, snakes.DefaultCalibrationMinWeight),
-		maint:       newMaintainer(maintainBudget),
+		schema:     schema,
+		dims:       schemaDims(cat),
+		dict:       cat.Dict,
+		adm:        adm,
+		reqTimeout: reqTimeout,
+		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		flushLog:   func() {},
+		quarantine: make(map[int64]quarantined),
+		traces:     trace.NewRecorder(tcfg),
+		started:    time.Now(),
+		clock:      time.Now,
+		events:     obsevent.NewRing(defaultEventCapacity),
+		calib:      obsevent.NewCalibration(obsevent.DefaultCalibrationAlpha, obsevent.DefaultCalibrationThreshold, obsevent.DefaultCalibrationMinWeight),
+		maint:      newMaintainer(maintainBudget),
 	}
 	s.store.Store(store)
 	s.generation.Store(int64(gen))
@@ -153,16 +154,16 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm
 		"version", buildVersion, "goversion", runtime.Version(), "generation", strconv.Itoa(gen))
 	// Trace retention counters read the recorder's atomics at scrape time,
 	// like the pool and admission families.
-	tst := func(f func(snakes.TraceStats) uint64) func() int64 {
+	tst := func(f func(trace.Stats) uint64) func() int64 {
 		return func() int64 { return int64(f(s.traces.Stats())) }
 	}
-	s.metrics.reg.CounterFunc("snakestore_traces_started_total", "requests that carried a candidate trace", tst(func(st snakes.TraceStats) uint64 { return st.Started }))
-	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st snakes.TraceStats) uint64 { return st.KeptSampled }), "reason", "sampled")
-	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st snakes.TraceStats) uint64 { return st.KeptSlow }), "reason", "slow")
-	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st snakes.TraceStats) uint64 { return st.KeptError }), "reason", "error")
-	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st snakes.TraceStats) uint64 { return st.KeptForced }), "reason", "forced")
-	s.metrics.reg.CounterFunc("snakestore_traces_discarded_total", "candidate traces finished without retention", tst(func(st snakes.TraceStats) uint64 { return st.Discarded }))
-	s.metrics.reg.CounterFunc("snakestore_trace_spans_dropped_total", "spans dropped from traces at the per-trace cap", tst(func(st snakes.TraceStats) uint64 { return st.DroppedSpans }))
+	s.metrics.reg.CounterFunc("snakestore_traces_started_total", "requests that carried a candidate trace", tst(func(st trace.Stats) uint64 { return st.Started }))
+	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st trace.Stats) uint64 { return st.KeptSampled }), "reason", "sampled")
+	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st trace.Stats) uint64 { return st.KeptSlow }), "reason", "slow")
+	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st trace.Stats) uint64 { return st.KeptError }), "reason", "error")
+	s.metrics.reg.CounterFunc("snakestore_traces_kept_total", "finished traces retained, by reason", tst(func(st trace.Stats) uint64 { return st.KeptForced }), "reason", "forced")
+	s.metrics.reg.CounterFunc("snakestore_traces_discarded_total", "candidate traces finished without retention", tst(func(st trace.Stats) uint64 { return st.Discarded }))
+	s.metrics.reg.CounterFunc("snakestore_trace_spans_dropped_total", "spans dropped from traces at the per-trace cap", tst(func(st trace.Stats) uint64 { return st.DroppedSpans }))
 	// Wide-event ring retention, read straight from the ring's atomics.
 	s.metrics.reg.CounterFunc("snakestore_event_published_total", "wide events published into the /debug/events ring", func() int64 { return int64(s.events.Published()) })
 	s.metrics.reg.CounterFunc("snakestore_event_overwritten_total", "wide events overwritten in the ring before being queried", func() int64 { return int64(s.events.Overwritten()) })
@@ -173,7 +174,7 @@ func newServer(store *snakes.FileStore, schema *snakes.Schema, cat *catalog, adm
 	// the query-class counters.
 	for _, c := range schema.Classes() {
 		lbl := classLabel(c)
-		calibView := func() snakes.ClassCalibration {
+		calibView := func() obsevent.ClassCalibration {
 			v, _ := s.calib.Class(lbl)
 			return v
 		}
@@ -250,7 +251,7 @@ func (s *server) registerResidentBytes() {
 // status, and the registry exports burn rates, one-hot states, and
 // good/bad totals for the classes the spec tracks. Per-class objective
 // keys must name schema classes — the metric label set is closed.
-func (s *server) enableSLO(cfg snakes.SLOConfig) error {
+func (s *server) enableSLO(cfg obsevent.SLOConfig) error {
 	known := make(map[string]bool, s.schema.NumClasses())
 	for _, c := range s.schema.Classes() {
 		known[classLabel(c)] = true
@@ -272,7 +273,7 @@ func (s *server) enableSLO(cfg snakes.SLOConfig) error {
 		sort.Strings(tracked)
 	}
 	if s.slo == nil {
-		s.slo = snakes.NewSLOEngineWithClock(cfg, func() time.Time { return s.clock() })
+		s.slo = obsevent.NewSLOEngineWithClock(cfg, func() time.Time { return s.clock() })
 	}
 	for _, lbl := range tracked {
 		lbl := lbl
@@ -284,7 +285,7 @@ func (s *server) enableSLO(cfg snakes.SLOConfig) error {
 			_, b60 := s.slo.BurnRates(lbl)
 			return b60
 		}, "class", lbl, "window", "1h")
-		for _, st := range snakes.SLOStates() {
+		for _, st := range obsevent.SLOStates() {
 			st := st
 			s.metrics.reg.GaugeFunc("snakestore_slo_state", "1 for the class's current SLO state, by state", func() float64 {
 				if s.slo.State(lbl) == st {
@@ -399,7 +400,7 @@ func serve(ctx context.Context, ln net.Listener, srv *server, drain time.Duratio
 	defer cancel()
 	shutdownErr := hs.Shutdown(sctx)
 	closeErr := srv.closeStore()
-	if closeErr != nil && !errors.Is(closeErr, snakes.ErrClosed) {
+	if closeErr != nil && !errors.Is(closeErr, storage.ErrClosed) {
 		return closeErr
 	}
 	return shutdownErr
@@ -420,7 +421,6 @@ func cmdServe(args []string) error {
 	// seek runs in order, in span windows sized by -frames.
 	fs.Int("read-parallel", 1, "ignored: kept so existing command lines start")
 	fs.Int("read-ahead", 8, "ignored: kept so existing command lines start")
-	parityGroup := fs.Int("parity-group", snakes.DefaultParityGroup, "data pages per parity page when (re)building sidecars")
 	traceSample := fs.Int("trace-sample", 16, "trace every Nth request for /debug/traces; 0 disables head sampling")
 	traceSlow := fs.Duration("trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow; 0 disables")
 	traceCapacity := fs.Int("trace-capacity", 256, "retained sampled traces (slow/errored traces keep a quarter of this on top)")
@@ -450,7 +450,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	adm, err := snakes.NewAdmission(*maxInflight, *queueTimeout)
+	adm, err := storage.NewAdmission(*maxInflight, *queueTimeout)
 	if err != nil {
 		return usagef("%v", err)
 	}
@@ -470,13 +470,15 @@ func cmdServe(args []string) error {
 	// 16-byte directory; a commit reads them back from it (commitCatalog).
 	cat.BytesPer, cat.LoadedBytes = nil, nil
 	// Attach the parity sidecar so the scrubber can repair, rebuilding it
-	// when missing or mismatched (older builds, changed geometry). A store
-	// too damaged to build parity still serves — detection keeps working,
+	// when missing or mismatched (older builds, changed geometry). Build
+	// chose the group and the sidecar's header records it; only a sidecar
+	// that cannot be read is rebuilt at the default group. A store too
+	// damaged to build parity still serves — detection keeps working,
 	// repair just has nothing to work from until the damage is resolved.
-	parityPath := snakes.ParityPath(active)
+	parityPath := storage.ParityPath(active)
 	if err := store.AttachParity(parityPath); err != nil {
 		fmt.Fprintf(os.Stderr, "snakestore: parity sidecar %s unusable (%v); rebuilding\n", parityPath, err)
-		if werr := store.WriteParity(parityPath, *parityGroup); werr != nil {
+		if werr := store.WriteParity(parityPath, storage.DefaultParityGroup); werr != nil {
 			fmt.Fprintf(os.Stderr, "snakestore: cannot build parity sidecar (%v); serving without repair\n", werr)
 		}
 	}
@@ -487,7 +489,7 @@ func cmdServe(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	tcfg := snakes.TraceConfig{
+	tcfg := trace.Config{
 		SampleEvery:      *traceSample,
 		SlowThreshold:    *traceSlow,
 		Capacity:         *traceCapacity,
@@ -498,14 +500,11 @@ func cmdServe(args []string) error {
 	srv.log, srv.flushLog, stopLog = newBufferedLogger(os.Stderr, accessLogFlushEvery)
 	defer stopLog()
 	srv.pprof = *pprofOn
-	if *parityGroup > 0 {
-		srv.parityGroup = *parityGroup
-	}
 	if *eventCap > 0 && *eventCap != defaultEventCapacity {
-		srv.events = snakes.NewEventRing(*eventCap)
+		srv.events = obsevent.NewRing(*eventCap)
 	}
 	if *sloSpec != "" {
-		cfg, serr := snakes.ParseSLOSpec(*sloSpec)
+		cfg, serr := obsevent.ParseSLOSpec(*sloSpec)
 		if serr != nil {
 			store.Close()
 			return usagef("%v", serr)
@@ -516,12 +515,12 @@ func cmdServe(args []string) error {
 		}
 	}
 	if *ingestOn {
-		pol, perr := snakes.ParseSyncPolicy(*ingestSync)
+		pol, perr := ingest.ParseSyncPolicy(*ingestSync)
 		if perr != nil {
 			store.Close()
 			return usagef("%v", perr)
 		}
-		dopt := snakes.DeltaOptions{
+		dopt := ingest.Options{
 			Policy:          pol,
 			BatchBytes:      int64(*ingestBatchKB) << 10,
 			MaxPendingBytes: int64(*ingestMaxPendingMB) << 20,
@@ -533,7 +532,7 @@ func cmdServe(args []string) error {
 	}
 	if *adapt {
 		srv.calibrateRegret = *adaptCalibrated
-		cfg := snakes.ReorgConfig{HalfLife: *adaptHalfLife, Smoothing: snakes.DefaultReorgConfig().Smoothing, MinWeight: *adaptMinWeight,
+		cfg := snakes.ReorgConfig{HalfLife: *adaptHalfLife, Smoothing: adaptive.Defaults().Smoothing, MinWeight: *adaptMinWeight,
 			RegretThreshold: *adaptThreshold, Hysteresis: *adaptHysteresis, MinInterval: *adaptMinInterval}
 		if err := srv.enableReorg(*catPath, *storePath, *frames, *compactRegion, cat, strat, cfg); err != nil {
 			store.Close()

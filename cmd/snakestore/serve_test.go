@@ -17,6 +17,8 @@ import (
 	"time"
 
 	snakes "repro"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // buildServed builds a small store via the real optimize/build pipeline and
@@ -43,11 +45,11 @@ func buildServed(t *testing.T, capacity int64, queueTimeout, reqTimeout time.Dur
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	adm, err := snakes.NewAdmission(capacity, queueTimeout)
+	adm, err := storage.NewAdmission(capacity, queueTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(store, schema, c, adm, reqTimeout, snakes.TraceConfig{}), want
+	return newServer(store, schema, c, adm, reqTimeout, trace.Config{}), want
 }
 
 func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out any) {
@@ -185,11 +187,11 @@ func TestServeQuarantinesCorruptPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	adm, err := snakes.NewAdmission(64, time.Second)
+	adm, err := storage.NewAdmission(64, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{})
+	srv := newServer(store, schema, c, adm, 5*time.Second, trace.Config{})
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

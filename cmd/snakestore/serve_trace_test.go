@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	snakes "repro"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // syncBuf is a concurrency-safe log sink: the middleware writes its access
@@ -52,18 +52,18 @@ func waitForLog(t *testing.T, buf *syncBuf, substr string) {
 
 // buildServedTrace is buildServed with a trace policy (and no fault
 // injection).
-func buildServedTrace(t *testing.T, tcfg snakes.TraceConfig) *server {
+func buildServedTrace(t *testing.T, tcfg trace.Config) *server {
 	t.Helper()
 	srv, _ := buildServed(t, 64, time.Second, 5*time.Second)
-	srv.traces = snakes.NewTraceRecorder(tcfg)
+	srv.traces = trace.NewRecorder(tcfg)
 	return srv
 }
 
 // tracesList is the /debug/traces listing shape.
 type tracesList struct {
-	Enabled bool                  `json:"enabled"`
-	Stats   snakes.TraceStats     `json:"stats"`
-	Traces  []snakes.TraceSummary `json:"traces"`
+	Enabled bool            `json:"enabled"`
+	Stats   trace.Stats     `json:"stats"`
+	Traces  []trace.Summary `json:"traces"`
 }
 
 // TestServeTraceSmoke drives the whole slow-query forensics path against a
@@ -105,12 +105,12 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.Pool().SetRetry(snakes.RetryPolicy{MaxRetries: 6, Backoff: 2 * time.Millisecond})
-	adm, err := snakes.NewAdmission(64, time.Second)
+	store.Pool().SetRetry(storage.RetryPolicy{MaxRetries: 6, Backoff: 2 * time.Millisecond})
+	adm, err := storage.NewAdmission(64, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, schema, c, adm, 5*time.Second, snakes.TraceConfig{SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
+	srv := newServer(store, schema, c, adm, 5*time.Second, trace.Config{SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
 	var buf syncBuf
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.handler())
@@ -127,7 +127,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	if !list.Enabled {
 		t.Error("/debug/traces reports tracing disabled")
 	}
-	var sum *snakes.TraceSummary
+	var sum *trace.Summary
 	for i := range list.Traces {
 		if list.Traces[i].ID == q.TraceID {
 			sum = &list.Traces[i]
@@ -143,19 +143,19 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Errorf("recorder stats = %+v, want a kept-slow trace", list.Stats)
 	}
 
-	var detail snakes.TraceDetail
+	var detail trace.Detail
 	getJSON(t, ts, "/debug/traces?id="+jsonUint(q.TraceID), http.StatusOK, &detail)
 	kinds := map[string]int{}
 	for _, sp := range detail.Spans {
 		kinds[sp.Kind]++
 	}
-	for _, k := range []string{snakes.TraceKindRequest, snakes.TraceKindAdmission, snakes.TraceKindFragment, snakes.TraceKindPageLoad} {
+	for _, k := range []string{trace.KindRequest, trace.KindAdmission, trace.KindFragment, trace.KindPageLoad} {
 		if kinds[k] == 0 {
 			t.Errorf("trace detail has no %s span: %v", k, kinds)
 		}
 	}
-	if kinds[snakes.TraceKindRetry] != 4 {
-		t.Errorf("trace detail has %d retry_backoff spans, want 4 (one per injected fault)", kinds[snakes.TraceKindRetry])
+	if kinds[trace.KindRetry] != 4 {
+		t.Errorf("trace detail has %d retry_backoff spans, want 4 (one per injected fault)", kinds[trace.KindRetry])
 	}
 
 	// Unknown and malformed ids answer 404 and 400, not 200-with-nothing.
@@ -188,7 +188,7 @@ func jsonUint(v uint64) string {
 // is not subject to the sampling rate — and its traceId must appear in
 // both the response and the access log.
 func TestServeSlowAlwaysRetained(t *testing.T) {
-	srv := buildServedTrace(t, snakes.TraceConfig{SampleEvery: 1 << 30, SlowThreshold: time.Nanosecond})
+	srv := buildServedTrace(t, trace.Config{SampleEvery: 1 << 30, SlowThreshold: time.Nanosecond})
 	var buf syncBuf
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.handler())
@@ -200,7 +200,7 @@ func TestServeSlowAlwaysRetained(t *testing.T) {
 		if q.TraceID == 0 {
 			t.Fatal("slow-threshold tracing returned no traceId")
 		}
-		var detail snakes.TraceDetail
+		var detail trace.Detail
 		getJSON(t, ts, "/debug/traces?id="+jsonUint(q.TraceID), http.StatusOK, &detail)
 		if detail.Kept != "slow" || !detail.Slow {
 			t.Errorf("request %d: trace %d = %+v, want retained as slow despite 1-in-2^30 sampling", i, q.TraceID, detail.Summary)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	snakes "repro"
+	"repro/internal/obsevent"
 )
 
 // cmdSLO is `snakestore slo`: parse and validate an objective spec before
@@ -23,11 +23,11 @@ func cmdSLO(args []string) error {
 	if *spec == "" {
 		return usagef("slo wants -spec, e.g. -spec 'default=250ms@99.9'")
 	}
-	cfg, err := snakes.ParseSLOSpec(*spec)
+	cfg, err := obsevent.ParseSLOSpec(*spec)
 	if err != nil {
 		return usagef("%v", err)
 	}
-	printObj := func(label string, o snakes.SLOObjective) {
+	printObj := func(label string, o obsevent.Objective) {
 		fmt.Printf("%-12s %v @ %.6g%% (budget %.6g%%)\n", label, o.Threshold, o.Target*100, (1-o.Target)*100)
 	}
 	if *catPath == "" {

@@ -18,6 +18,8 @@ import (
 
 	snakes "repro"
 	"repro/internal/rowcodec"
+	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // serveRows builds a 4×6 store (dimensions x and y) from rows and serves
@@ -52,11 +54,11 @@ func serveRows(t *testing.T, rows map[[2]int][]string) (srv *server, ts *httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm, err := snakes.NewAdmission(1024, 0)
+	adm, err := storage.NewAdmission(1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = newServer(store, schema, c, adm, 0, snakes.TraceConfig{})
+	srv = newServer(store, schema, c, adm, 0, trace.Config{})
 	t.Cleanup(func() { srv.closeStore() })
 	ts = httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
@@ -181,7 +183,7 @@ func TestSumKernelZeroAlloc(t *testing.T) {
 	for _, row := range []string{"12345.67,17,0.05,N,comment", "-0.25,3,0.10,O,x", "+1.75,007,.5,A,raw"} {
 		recs = append(recs, rowcodec.Encode(nil, nil, row))
 	}
-	framed := snakes.FrameRecords(recs...)
+	framed := rowcodec.FrameRecords(recs...)
 	d, packed, marked := frameless(t, []string{"12345.67,17,N,x 042", "-0.25,3,O,x 007", "99999.99,50,N,x 999"})
 	for _, c := range []struct {
 		name string

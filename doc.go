@@ -33,4 +33,11 @@
 // (linearizations: snaked paths, row-major, Hilbert, Z, Gray), and
 // internal/storage + internal/tpcd + internal/experiments (the store and
 // the Section-6 evaluation).
+//
+// This package is the paper's API and nothing more: a name that only
+// renames another package's stays here when an example or the benchmark
+// uses it, or when a method of this package takes or returns it. The serving
+// daemon (cmd/snakestore) reaches its machinery — admission, tracing, wide
+// events, the delta log, scrub and parity — through the internal packages
+// that define it; TestRootNamesHaveOutsideCallers keeps it so.
 package snakes

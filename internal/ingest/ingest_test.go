@@ -253,6 +253,45 @@ func TestLogBacklog(t *testing.T) {
 	}
 }
 
+// TestLogPoisonedAfterFailedWrite: once a Put fails to write, the log
+// refuses every later Put and Flush with ErrLogPoisoned wrapping the first
+// failure, even when the file works again, and the index keeps serving.
+func TestLogPoisonedAfterFailedWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "facts.db.delta")
+	l, err := Open(path, 1, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Put(1, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	working := l.f
+	broken, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Close()
+	l.f = broken
+	err = l.Put(2, []byte("lost"))
+	if !errors.Is(err, ErrLogPoisoned) || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("put on a closed file: err = %v, want ErrLogPoisoned wrapping os.ErrClosed", err)
+	}
+	l.f = working
+	if err := l.Put(3, []byte("late")); !errors.Is(err, ErrLogPoisoned) || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("put after a failed write: err = %v, want the first failure as ErrLogPoisoned", err)
+	}
+	if err := l.Flush(); !errors.Is(err, ErrLogPoisoned) {
+		t.Fatalf("flush after a failed write: err = %v, want ErrLogPoisoned", err)
+	}
+	if got, ok := l.Get(1); !ok || string(got) != "kept" {
+		t.Fatalf("Get(1) = %q, %v after poisoning; want the acknowledged put", got, ok)
+	}
+	if _, ok := l.Get(3); ok {
+		t.Fatal("a refused put reached the index")
+	}
+}
+
 func TestCompactorDrainsWorstFirst(t *testing.T) {
 	o := testOrder(t)
 	fs, path := testStore(t, o, 4, 2, 11)

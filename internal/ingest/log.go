@@ -77,6 +77,14 @@ func (p SyncPolicy) String() string {
 // retry rather than grow the index without bound. Match with errors.Is.
 var ErrBacklog = errors.New("ingest: delta backlog full")
 
+// ErrLogPoisoned is returned by every Put and Flush after one failed to write
+// or fsync the log, wrapping that first failure. After a failed fsync the
+// kernel may have dropped the record's pages, and replay truncates from the
+// first bad record, so a record appended behind it could be acknowledged and
+// later lost. Reads of the index keep working; reopening the log (a restart)
+// replays what is on disk. Match with errors.Is.
+var ErrLogPoisoned = errors.New("ingest: delta log refuses writes after a failed write")
+
 // logMagic marks a delta log header ("SNKD").
 const logMagic uint32 = 0x44_4B_4E_53
 
@@ -143,6 +151,7 @@ type Log struct {
 	pending  int64 // payload bytes awaiting compaction
 	puts     int64 // lifetime Put count
 	closed   bool
+	poisoned error // ErrLogPoisoned wrapping the first failed write or fsync
 
 	opt   Options
 	crash string
@@ -285,6 +294,9 @@ func (l *Log) Put(cell int, b []byte) error {
 	if l.closed {
 		return os.ErrClosed
 	}
+	if l.poisoned != nil {
+		return l.poisoned
+	}
 	if l.opt.MaxPendingBytes > 0 {
 		grow := int64(len(b))
 		if old, ok := l.index[cell]; ok {
@@ -307,23 +319,15 @@ func (l *Log) Put(cell int, b []byte) error {
 		os.Exit(crashExitCode)
 	}
 	if _, err := l.f.WriteAt(rec, l.size); err != nil {
-		return err
+		return l.poison(err)
 	}
 	l.size += int64(len(rec))
 	l.unsynced += int64(len(rec))
-	switch l.opt.Policy {
-	case SyncAlways:
+	if l.opt.Policy == SyncAlways || l.opt.Policy == SyncBatch && l.unsynced >= l.opt.BatchBytes {
 		if err := l.f.Sync(); err != nil {
-			return err
+			return l.poison(err)
 		}
 		l.unsynced = 0
-	case SyncBatch:
-		if l.unsynced >= l.opt.BatchBytes {
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
-			l.unsynced = 0
-		}
 	}
 	payload := rec[8 : 8+len(b) : 8+len(b)]
 	l.seq++
@@ -343,14 +347,24 @@ func (l *Log) Flush() error {
 	if l.closed {
 		return os.ErrClosed
 	}
+	if l.poisoned != nil {
+		return l.poisoned
+	}
 	if l.unsynced == 0 {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.poison(err)
 	}
 	l.unsynced = 0
 	return nil
+}
+
+// poison makes err, a failed write or fsync, the answer to every later Put
+// and Flush. Callers hold mu.
+func (l *Log) poison(err error) error {
+	l.poisoned = fmt.Errorf("%w: %w", ErrLogPoisoned, err)
+	return l.poisoned
 }
 
 // Get returns the freshest pending payload for a cell.

@@ -3,11 +3,11 @@ package snakes
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/hierarchy"
+	"repro/internal/ingest"
 	"repro/internal/lattice"
 	"repro/internal/linear"
 	"repro/internal/rowcodec"
@@ -300,21 +300,6 @@ func Records(fn func(cell int, rec []byte) error) func(cell int, framed []byte) 
 	return rowcodec.Records(fn)
 }
 
-// NextRecord splits the first record off a non-empty run of a cell's
-// framed records: its payload and the bytes after it, or the framing error
-// that names the cell.
-func NextRecord(cell int, framed []byte) (rec, rest []byte, err error) {
-	return rowcodec.NextRecord(cell, framed)
-}
-
-// SyncDir fsyncs a directory, so a file created or renamed in it survives a
-// crash; a directory that cannot be opened is an error.
-func SyncDir(dir string) error { return storage.SyncDir(dir) }
-
-// QueryPlan is a region prepared once by FileStore.Plan: its analytic cost
-// and its seek runs, executed by ReadPlanCellsCtx.
-type QueryPlan = storage.QueryPlan
-
 // FileStore is the queryable packed fact table: write cells (AppendBytes,
 // PutCellBytes, or PutRecord for framed records), then Plan grid queries
 // and read them with ReadPlanCellsCtx, a cell at a time (Records walks
@@ -338,9 +323,6 @@ type FileStore = storage.FileStore
 // the benchmark module until its re-baseline (ROADMAP item 1) drops it.
 type ReadOptions = storage.ReadOptions
 
-// PoolStats counts a FileStore buffer pool's traffic since creation.
-type PoolStats = storage.PoolStats
-
 // PoolTally accumulates the pool traffic of one request, including an
 // observed seek count; attach one to a query's context with WithPoolTally
 // to get exact per-request cost attribution under concurrency.
@@ -351,14 +333,6 @@ type PoolTally = storage.PoolTally
 func WithPoolTally(ctx context.Context, t *PoolTally) context.Context {
 	return storage.WithPoolTally(ctx, t)
 }
-
-// RetryPolicy configures how the buffer pool retries transient I/O errors;
-// its backoff sleeps are context-aware.
-type RetryPolicy = storage.RetryPolicy
-
-// ErrTransient marks a retryable I/O failure; the pool retries these under
-// its RetryPolicy before surfacing them.
-var ErrTransient = storage.ErrTransient
 
 // ErrClosed marks an operation issued against a FileStore after Close;
 // match with errors.Is.
@@ -371,26 +345,6 @@ var (
 	ErrGridTooLarge = linear.ErrGridTooLarge
 	ErrCellTooLarge = storage.ErrCellTooLarge
 )
-
-// ErrOverloaded marks a query shed by admission control; match with
-// errors.Is and surface backpressure (e.g. HTTP 503) instead of retrying
-// immediately.
-var ErrOverloaded = storage.ErrOverloaded
-
-// Admission bounds concurrent query weight against a store with a strict
-// FIFO weighted semaphore; see NewAdmission.
-type Admission = storage.Admission
-
-// AdmissionStats is a snapshot of an Admission controller's state.
-type AdmissionStats = storage.AdmissionStats
-
-// NewAdmission creates an admission controller with the given total weight
-// capacity and queue-wait timeout. Weight a grid query by its analytic page
-// count (Layout.Query(region).Pages) so one huge scan and many point
-// queries compete for the same budget.
-func NewAdmission(capacity int64, queueTimeout time.Duration) (*Admission, error) {
-	return storage.NewAdmission(capacity, queueTimeout)
-}
 
 // CreateFileStore materializes the strategy and creates a page file at
 // path sized for the given per-cell byte capacities.
@@ -416,69 +370,27 @@ func (st *Strategy) OpenFileStore(path string, bytesPerCell []int64, pageSize, p
 // DefaultPageSize is the paper's 8 KB disk page.
 const DefaultPageSize = storage.DefaultPageSize
 
-// PageTrailerSize is the per-page overhead of the file store's CRC32C
-// checksum trailer; each physical page holds PageSize−PageTrailerSize
-// usable bytes, and the analytic accounting agrees.
-const PageTrailerSize = storage.PageTrailerSize
-
 // ErrCorruptPage marks a file-store page that failed checksum or format
 // verification; match with errors.Is.
 var ErrCorruptPage = storage.ErrCorruptPage
-
-// CorruptPageError carries the physical page index of a verification
-// failure; extract with errors.As.
-type CorruptPageError = storage.CorruptPageError
 
 // VerifyReport is the outcome of FileStore.Verify, the scrub pass that
 // re-reads every page from disk and checks checksums and fill invariants.
 type VerifyReport = storage.VerifyReport
 
-// ScrubReport is the outcome of FileStore.ScrubRange, one window of the
-// scrub walk: a VerifyReport plus the pages it repaired and the cursor the
-// next window starts at.
-type ScrubReport = storage.ScrubReport
-
-// ScrubCursor is where a sequence of scrub windows stands: a page, and a
-// cell the last window left open across it.
-type ScrubCursor = storage.ScrubCursor
-
-// VerifyProblem is one defect in a VerifyReport, locating the damage by
-// page, cell, and grid coordinates.
-type VerifyProblem = storage.VerifyProblem
-
-// ErrUnrepairable marks a corrupt page whose parity group has more damage
-// than one XOR parity page can reconstruct; match with errors.Is.
-var ErrUnrepairable = storage.ErrUnrepairable
-
-// ErrNoParity marks a repair attempted on a store with no usable parity
-// sidecar (never written, or stale after later writes).
-var ErrNoParity = storage.ErrNoParity
-
-// UnrepairableError carries the coordinates of unrepairable damage: the
-// page asked about, its parity group, every bad page in the group, and the
-// cell/grid coordinates of the page; extract with errors.As.
-type UnrepairableError = storage.UnrepairableError
-
-// RepairReport is the outcome of FileStore.RepairCtx, the sweep that
-// repairs every corrupt page it can and reports the rest.
-type RepairReport = storage.RepairReport
-
-// DefaultParityGroup is the default number of data pages per XOR parity
-// page — 1/8 space overhead for one-bad-page-per-group repair.
-const DefaultParityGroup = storage.DefaultParityGroup
-
 // ParityPath returns the parity sidecar path for a store file
 // ("<store>.parity").
 func ParityPath(storePath string) string { return storage.ParityPath(storePath) }
+
+// DeltaPath returns the delta-log path for a store file ("<store>.delta"),
+// where the daemon's write path keeps upserts not yet folded into it.
+func DeltaPath(storePath string) string { return ingest.DeltaPath(storePath) }
 
 // Region is a grid query's footprint: one coordinate range per dimension.
 type Region = linear.Region
 
 // Range is one dimension's coordinate interval within a Region.
 type Range = linear.Range
-
-// QueryStats is the measured disk cost of one query.
-type QueryStats = storage.Stats
 
 // Distance returns the total-variation distance between two workloads over
 // the same schema, in [0, 1]: the re-clustering drift signal.
