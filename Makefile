@@ -95,7 +95,7 @@ trace-smoke:
 # one into a warm buffer — under a row dictionary too, where summing a
 # coded column allocates nothing either — and /query's record kernel and the exact sum's
 # integer legs allocate nothing — and the memory model: a miss on a full
-# pool allocates nothing (get and getSpan), touching frames does not grow
+# pool allocates nothing (one page or a window), touching frames does not grow
 # the Go heap by their size, and an open store keeps 24 bytes a cell. Run
 # without the race detector, under which sync.Pool drops entries at random.
 alloc-gates:

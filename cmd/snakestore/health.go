@@ -70,18 +70,31 @@ func (s *server) quarantinedPages() []int64 {
 	return pages
 }
 
-// healthState reports the serving health state machine's current state.
+// healthState reports the serving health state machine's current state: a
+// quarantined page or a delta log that refuses writes degrades it.
 func (s *server) healthState() string {
+	refusing := s.ingestRefusal() != nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case s.healing:
 		return "healing"
-	case len(s.quarantine) > 0:
+	case len(s.quarantine) > 0 || refusing:
 		return "degraded"
 	default:
 		return "ok"
 	}
+}
+
+// ingestRefusal returns why the serving delta log refuses writes, or nil
+// (also when ingest is off).
+func (s *server) ingestRefusal() error {
+	if s.ing == nil {
+		return nil
+	}
+	s.ing.mu.Lock()
+	defer s.ing.mu.Unlock()
+	return s.ing.log.Poisoned()
 }
 
 // noteRepair books one page's repair outcome: the repair metrics, the
@@ -270,6 +283,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"compactedBytes":     bytes,
 			"compactionLagSecs":  l.OldestPendingAge(time.Now()).Seconds(),
 			"writeRateBytesPerS": s.ing.rate.Rate(time.Now()),
+		}
+		if err := l.Poisoned(); err != nil {
+			ingest["refusingWrites"] = err.Error()
 		}
 		s.ing.mu.Unlock()
 		body["ingest"] = ingest

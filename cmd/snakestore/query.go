@@ -238,13 +238,14 @@ func (k *sumKernel) cell(cell int, b []byte) error {
 		rows, err = rowcodec.CellRows(k.d, b)
 	}
 	switch {
+	case err == nil:
+		k.records += int64(rows)
+		return nil
 	case errors.Is(err, rowcodec.ErrFraming):
 		return fmt.Errorf("cell %d: %w", cell, err)
-	case err != nil:
+	default:
 		return usagef("%v", err)
 	}
-	k.records += int64(rows)
-	return nil
 }
 
 // handleTraces serves /debug/traces: without parameters, the retained

@@ -367,6 +367,15 @@ func (l *Log) poison(err error) error {
 	return l.poisoned
 }
 
+// Poisoned returns the error every Put and Flush answers since a write or
+// fsync failed (ErrLogPoisoned wrapping that failure), or nil while the log
+// takes writes.
+func (l *Log) Poisoned() error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.poisoned
+}
+
 // Get returns the freshest pending payload for a cell.
 func (l *Log) Get(cell int) ([]byte, bool) {
 	l.mu.RLock()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -128,5 +129,58 @@ func TestChecksumFilePageTooSmall(t *testing.T) {
 	defer pf.Close()
 	if _, err := NewChecksumFile(pf); err == nil {
 		t.Error("trailer-sized pages should be rejected")
+	}
+}
+
+// TestChecksumFileReadPagesSpan: one ReadPages call fills bufs of one page
+// or several with consecutive verified pages, reports the first damaged
+// page of a span as its CorruptPageError, and refuses a span longer than
+// MaxSpanPages or a buf that is not whole pages.
+func TestChecksumFileReadPagesSpan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "span.db")
+	pf, err := CreatePageFile(path, 64, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	cf, err := NewChecksumFile(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := cf.PageSize()
+	for p := int64(0); p < 4; p++ {
+		if err := cf.WritePage(p, bytes.Repeat([]byte{byte(p + 1)}, u)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	two, one := make([]byte, 2*u), make([]byte, u)
+	if err := cf.ReadPages(1, two, one); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range append(two, one...) {
+		if want := byte(2 + i/u); b != want {
+			t.Fatalf("byte %d of the span = %d, want %d", i, b, want)
+		}
+	}
+
+	// Damage page 2 on disk: a span over it fails there, naming it.
+	raw := make([]byte, 64)
+	if err := pf.ReadPages(2, raw); err != nil {
+		t.Fatal(err)
+	}
+	raw[5] ^= 0x10
+	if err := pf.WritePage(2, raw); err != nil {
+		t.Fatal(err)
+	}
+	var cpe *CorruptPageError
+	if err := cf.ReadPages(0, make([]byte, 4*u)); !errors.As(err, &cpe) || cpe.Page != 2 {
+		t.Fatalf("span over damaged page 2: err = %v, want its CorruptPageError", err)
+	}
+
+	if err := cf.ReadPages(0, make([]byte, (MaxSpanPages+1)*u)); err == nil {
+		t.Error("a span longer than MaxSpanPages should fail")
+	}
+	if err := cf.ReadPages(0, make([]byte, u+1)); err == nil {
+		t.Error("a buf that is not whole pages should fail")
 	}
 }

@@ -30,11 +30,16 @@ type gatedFile struct {
 
 func (g *gatedFile) PageSize() int { return g.pageSize }
 func (g *gatedFile) Pages() int64  { return g.pages }
-func (g *gatedFile) ReadPage(page int64, buf []byte) error {
-	g.reads.Add(1)
+func (g *gatedFile) ReadPages(page int64, bufs ...[]byte) error {
+	for _, buf := range bufs {
+		g.reads.Add(int64(len(buf) / g.pageSize))
+	}
 	<-g.gate
-	for i := range buf {
-		buf[i] = byte(page)
+	for _, buf := range bufs {
+		for i := range buf {
+			buf[i] = byte(page + int64(i/g.pageSize))
+		}
+		page += int64(len(buf) / g.pageSize)
 	}
 	return nil
 }
@@ -254,7 +259,7 @@ type transientFile struct {
 
 func (f *transientFile) PageSize() int { return f.pageSize }
 func (f *transientFile) Pages() int64  { return f.pages }
-func (f *transientFile) ReadPage(page int64, _ []byte) error {
+func (f *transientFile) ReadPages(page int64, _ ...[]byte) error {
 	return fmt.Errorf("page %d: flaky disk: %w", page, ErrTransient)
 }
 func (f *transientFile) WritePage(int64, []byte) error { return nil }

@@ -153,30 +153,47 @@ func (fi *FaultInjector) PageSize() int { return fi.inner.PageSize() }
 // Pages returns the inner page count.
 func (fi *FaultInjector) Pages() int64 { return fi.inner.Pages() }
 
-// ReadPage reads through, applying any scheduled read fault.
-func (fi *FaultInjector) ReadPage(page int64, buf []byte) error {
+// ReadPages reads through in one inner call, drawing one read index per
+// page in page order, so Ops(OpRead) counts pages. A transient or permanent
+// fault fails the read at its page, and the pages behind it draw no index; a
+// bit flip lands in its page's bytes once the span is in.
+func (fi *FaultInjector) ReadPages(page int64, bufs ...[]byte) error {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	idx := fi.counts[OpRead]
-	fi.counts[OpRead]++
-	f := fi.match(OpRead, idx)
-	if f == nil {
-		return fi.inner.ReadPage(page, buf)
-	}
-	fi.injected++
-	switch f.Kind {
-	case FaultTransient:
-		return fmt.Errorf("read op %d on page %d: %w: %w", idx, page, ErrInjected, ErrTransient)
-	case FaultBitFlip:
-		if err := fi.inner.ReadPage(page, buf); err != nil {
-			return err
+	ps := fi.inner.PageSize()
+	first := fi.counts[OpRead]
+	for _, buf := range bufs {
+		for off := 0; off < len(buf); off += ps {
+			idx := fi.counts[OpRead]
+			fi.counts[OpRead]++
+			f := fi.match(OpRead, idx)
+			if f == nil {
+				continue
+			}
+			fi.injected++
+			switch f.Kind {
+			case FaultBitFlip: // lands once the read is in
+			case FaultTransient:
+				return fmt.Errorf("read op %d on page %d: %w: %w", idx, page+idx-first, ErrInjected, ErrTransient)
+			default:
+				return fmt.Errorf("read op %d on page %d: %w", idx, page+idx-first, ErrInjected)
+			}
 		}
-		bit := fi.bitFor(idx, len(buf)*8)
-		buf[bit/8] ^= 1 << (bit % 8)
-		return nil
-	default:
-		return fmt.Errorf("read op %d on page %d: %w", idx, page, ErrInjected)
 	}
+	if err := fi.inner.ReadPages(page, bufs...); err != nil {
+		return err
+	}
+	idx := first
+	for _, buf := range bufs {
+		for off := 0; off < len(buf); off += ps {
+			if f := fi.match(OpRead, idx); f != nil && f.Kind == FaultBitFlip {
+				bit := fi.bitFor(idx, ps*8)
+				buf[off+bit/8] ^= 1 << (bit % 8)
+			}
+			idx++
+		}
+	}
+	return nil
 }
 
 // WritePage writes through, applying any scheduled write fault.
@@ -197,7 +214,7 @@ func (fi *FaultInjector) WritePage(page int64, buf []byte) error {
 		// Persist only the first half; the tail keeps whatever the file
 		// held before, like a sector-aligned power cut.
 		torn := make([]byte, len(buf))
-		if err := fi.inner.ReadPage(page, torn); err != nil {
+		if err := fi.inner.ReadPages(page, torn); err != nil {
 			copy(torn, make([]byte, len(buf)))
 		}
 		copy(torn[:len(buf)/2], buf[:len(buf)/2])

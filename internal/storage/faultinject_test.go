@@ -1,16 +1,21 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/linear"
 	"repro/internal/rowcodec"
+	"repro/internal/trace"
 )
 
 // faultFixture is the shared workload for fault testing: a 4×4 grid with
@@ -116,11 +121,11 @@ func TestFaultInjectorCountsAndTransient(t *testing.T) {
 	// A transient error is typed and retryable.
 	fi2 := fx.newInjector(t, dir, "t.db", Fault{Op: OpRead, Index: 0, Kind: FaultTransient})
 	buf := make([]byte, 64)
-	err := fi2.ReadPage(0, buf)
+	err := fi2.ReadPages(0, buf)
 	if !errors.Is(err, ErrTransient) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("transient fault err = %v", err)
 	}
-	if err := fi2.ReadPage(0, buf); err != nil {
+	if err := fi2.ReadPages(0, buf); err != nil {
 		t.Fatalf("retry after transient should succeed: %v", err)
 	}
 
@@ -128,10 +133,10 @@ func TestFaultInjectorCountsAndTransient(t *testing.T) {
 	a := fx.newInjector(t, dir, "a.db", Fault{Op: OpRead, Index: 0, Kind: FaultBitFlip})
 	b := fx.newInjector(t, dir, "b.db", Fault{Op: OpRead, Index: 0, Kind: FaultBitFlip})
 	ba, bb := make([]byte, 64), make([]byte, 64)
-	if err := a.ReadPage(0, ba); err != nil {
+	if err := a.ReadPages(0, ba); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReadPage(0, bb); err != nil {
+	if err := b.ReadPages(0, bb); err != nil {
 		t.Fatal(err)
 	}
 	if string(ba) != string(bb) {
@@ -139,6 +144,53 @@ func TestFaultInjectorCountsAndTransient(t *testing.T) {
 	}
 	if allZero(ba) {
 		t.Fatal("bit flip did not flip anything")
+	}
+}
+
+// TestFaultInjectorReadPagesPerPage: a multi-page read draws one read index
+// per page in page order. A transient fault stops it at its page, so only
+// the pages up to it draw an index, and the retry draws fresh ones; a bit
+// flip changes one bit of its own page and leaves the others as on disk.
+func TestFaultInjectorReadPagesPerPage(t *testing.T) {
+	dir := t.TempDir()
+	pf, err := CreatePageFile(filepath.Join(dir, "pages.db"), 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	disk := make([]byte, 4*64)
+	for i := range disk {
+		disk[i] = byte(i)
+	}
+	for p := int64(0); p < 4; p++ {
+		if err := pf.WritePage(p, disk[p*64:(p+1)*64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fi := NewFaultInjector(pf, 42, Fault{Op: OpRead, Index: 2, Kind: FaultTransient})
+	buf := make([]byte, 4*64)
+	if err := fi.ReadPages(0, buf); !errors.Is(err, ErrTransient) || fi.Ops(OpRead) != 3 {
+		t.Fatalf("transient at op 2: err = %v after %d read ops, want ErrTransient after 3", err, fi.Ops(OpRead))
+	}
+	if err := fi.ReadPages(0, buf); err != nil || fi.Ops(OpRead) != 7 || !bytes.Equal(buf, disk) {
+		t.Fatalf("retry: err = %v after %d read ops, want the pages after 7", err, fi.Ops(OpRead))
+	}
+
+	fi = NewFaultInjector(pf, 42, Fault{Op: OpRead, Index: 1, Kind: FaultBitFlip})
+	a, b := make([]byte, 2*64), make([]byte, 2*64)
+	if err := fi.ReadPages(0, a, b); err != nil || fi.Ops(OpRead) != 4 {
+		t.Fatalf("flip at op 1: err = %v after %d read ops, want nil after 4", err, fi.Ops(OpRead))
+	}
+	got := append(a, b...)
+	for p := 0; p < 4; p++ {
+		flipped := 0
+		for i := p * 64; i < (p+1)*64; i++ {
+			flipped += bits.OnesCount8(got[i] ^ disk[i])
+		}
+		if want := map[bool]int{true: 1, false: 0}[p == 1]; flipped != want {
+			t.Errorf("page %d: %d bits flipped, want %d", p, flipped, want)
+		}
 	}
 }
 
@@ -278,5 +330,167 @@ func (fx *faultFixture) checkSurvivor(t *testing.T, dir, name string, loaded []i
 	}
 	if math.Abs(got-fx.want) > 1e-9 {
 		t.Fatalf("%s: silent corruption survived scrub: sum %v, want %v", label, got, fx.want)
+	}
+}
+
+// readCounter sits between a FaultInjector and the file under it and
+// records every ReadPages call that reaches the file as its first page and
+// page count.
+type readCounter struct {
+	PagedFile
+	mu    sync.Mutex
+	calls [][2]int64
+}
+
+func (rc *readCounter) ReadPages(page int64, bufs ...[]byte) error {
+	n := int64(0)
+	for _, buf := range bufs {
+		n += int64(len(buf) / rc.PageSize())
+	}
+	rc.mu.Lock()
+	rc.calls = append(rc.calls, [2]int64{page, n})
+	rc.mu.Unlock()
+	return rc.PagedFile.ReadPages(page, bufs...)
+}
+
+// pages expands the recorded calls into the pages they read, in order.
+func (rc *readCounter) pages() []int64 {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	var out []int64
+	for _, c := range rc.calls {
+		for p := c[0]; p < c[0]+c[1]; p++ {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// openInjected reopens the parallel store's file cold through a
+// FaultInjector over a readCounter, with a pool of frames frames and zero
+// retry backoff.
+func openInjected(t *testing.T, path string, o *linear.Order, sizes, loaded []int64, frames int, faults ...Fault) (*FileStore, *FaultInjector, *readCounter) {
+	t.Helper()
+	pf, err := OpenPageFile(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &readCounter{PagedFile: pf}
+	fi := NewFaultInjector(rc, 7, faults...)
+	fs, err := NewFileStoreOn(fi, o, sizes, frames, loaded)
+	if err != nil {
+		pf.Close()
+		t.Fatal(err)
+	}
+	fs.pool.SetRetry(RetryPolicy{MaxRetries: 3, Backoff: 0})
+	return fs, fi, rc
+}
+
+// TestChaosSpanReadOnePerGroup: under fault injection a cold query reads as
+// it does in service. Every page load the pool makes — one per contiguous
+// group of claimed pages, as its page_load spans record — reaches the file
+// as exactly one ReadPages call for exactly those pages, through the
+// injector and the checksum layer.
+func TestChaosSpanReadOnePerGroup(t *testing.T) {
+	built, o, sizes, path, _ := buildParallelStore(t, 128)
+	loaded := built.LoadedBytes()
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range parallelTestRegions() {
+		fs, fi, rc := openInjected(t, path, o, sizes, loaded, 128)
+		pred := fs.Layout().Query(r)
+		rec := trace.NewRecorder(trace.Config{SampleEvery: 1, MaxSpans: 4096})
+		ctx, tr := rec.Start(context.Background(), "query")
+		rc.calls = nil
+		before := fi.Ops(OpRead)
+		_, st, err := sumRegion(ctx, fs, r, decodeF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish(nil)
+		var loads [][2]int64
+		for _, sp := range tr.Spans() {
+			if sp.Kind == trace.KindPageLoad {
+				loads = append(loads, [2]int64{attrVal(t, sp, "page"), attrVal(t, sp, "pages")})
+			}
+		}
+		if !reflect.DeepEqual(rc.calls, loads) {
+			t.Errorf("region %v: the file saw reads %v, the pool loaded groups %v", r, rc.calls, loads)
+		}
+		if n := int64(len(rc.pages())); n != pred.Pages || n != st.Misses || fi.Ops(OpRead)-before != n {
+			t.Errorf("region %v: %d pages read, %d misses, %d read indices drawn; analytic %d", r, n, st.Misses, fi.Ops(OpRead)-before, pred.Pages)
+		}
+		if pred.Pages > pred.Seeks && int64(len(rc.calls)) >= pred.Pages {
+			t.Errorf("region %v: %d reads for %d pages in %d seeks: pages are read one at a time", r, len(rc.calls), pred.Pages, pred.Seeks)
+		}
+		fs.Close()
+	}
+}
+
+// TestChaosSpanReadFaultSweep injects one read fault at every read index a
+// cold query draws through windows of several pages, of every read kind in
+// turn: a transient is ridden out with the analytic pages and seeks and the
+// right sum; a permanent fault fails the query as an injected error, a bit
+// flip as the flipped page's CorruptPageError; and since a read fault never
+// reaches the disk, a clean reopen scrubs clean after each.
+func TestChaosSpanReadFaultSweep(t *testing.T) {
+	built, o, sizes, path, _ := buildParallelStore(t, 128)
+	loaded := built.LoadedBytes()
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const frames = 8 // windows of four pages
+	regions := []linear.Region{
+		{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}, // one run
+		{{Lo: 1, Hi: 6}, {Lo: 2, Hi: 7}}, // a run per row
+	}
+	for _, r := range regions {
+		fs, fi, rc := openInjected(t, path, o, sizes, loaded, frames)
+		pred := fs.Layout().Query(r)
+		first := fi.Ops(OpRead)
+		rc.calls = nil
+		want, _, err := sumRegion(context.Background(), fs, r, decodeF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := rc.pages()
+		if int64(len(pages)) != pred.Pages || len(rc.calls) >= len(pages) {
+			t.Fatalf("region %v: clean run read %d pages in %d calls, analytic %d", r, len(pages), len(rc.calls), pred.Pages)
+		}
+		fs.Close()
+		for i, page := range pages {
+			idx := first + int64(i)
+			for _, kind := range []FaultKind{FaultTransient, FaultPermanent, FaultBitFlip} {
+				label := fmt.Sprintf("region %v: %s read fault at op %d (page %d)", r, kind, idx, page)
+				fs, fi, _ := openInjected(t, path, o, sizes, loaded, frames, Fault{Op: OpRead, Index: idx, Kind: kind})
+				var tally PoolTally
+				got, _, err := sumRegion(WithPoolTally(context.Background(), &tally), fs, r, decodeF64)
+				var cpe *CorruptPageError
+				switch {
+				case fi.Injected() != 1:
+					t.Errorf("%s: %d faults fired, want 1", label, fi.Injected())
+				case kind == FaultTransient && err != nil:
+					t.Errorf("%s: not ridden out: %v", label, err)
+				case kind == FaultTransient && (got != want || tally.Stats().Misses != pred.Pages || tally.Seeks() != pred.Seeks):
+					t.Errorf("%s: sum %v, %d pages, %d seeks; want %v, %d, %d", label, got, tally.Stats().Misses, tally.Seeks(), want, pred.Pages, pred.Seeks)
+				case kind == FaultPermanent && !errors.Is(err, ErrInjected):
+					t.Errorf("%s: err = %v, want ErrInjected", label, err)
+				case kind == FaultBitFlip && (!errors.As(err, &cpe) || cpe.Page != page):
+					t.Errorf("%s: err = %v, want page %d's CorruptPageError", label, err, page)
+				}
+				if err := fs.Close(); err != nil {
+					t.Fatalf("%s: close: %v", label, err)
+				}
+				clean, err := OpenFileStore(path, o, sizes, 64, frames, loaded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep, err := clean.Verify(); err != nil || !rep.OK() {
+					t.Errorf("%s: scrub after the run: %v %v", label, err, rep.Problems)
+				}
+				clean.Close()
+			}
+		}
 	}
 }

@@ -30,19 +30,19 @@ func TestPageFileBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 128)
-	if err := pf.ReadPage(2, got); err != nil {
+	if err := pf.ReadPages(2, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0xAB || got[127] != 0xAB {
 		t.Error("page contents lost")
 	}
-	if err := pf.ReadPage(9, got); err == nil {
+	if err := pf.ReadPages(9, got); err == nil {
 		t.Error("out-of-range read should fail")
 	}
 	if err := pf.WritePage(-1, buf); err == nil {
 		t.Error("negative page should fail")
 	}
-	if err := pf.ReadPage(0, make([]byte, 64)); err == nil {
+	if err := pf.ReadPages(0, make([]byte, 64)); err == nil {
 		t.Error("short buffer should fail")
 	}
 	if err := pf.Sync(); err != nil {
@@ -70,7 +70,7 @@ func TestPageFileReopen(t *testing.T) {
 	}
 	defer pf2.Close()
 	got := make([]byte, 64)
-	if err := pf2.ReadPage(1, got); err != nil {
+	if err := pf2.ReadPages(1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 7 {
@@ -111,7 +111,7 @@ func TestBufferPoolLRUAndWriteBack(t *testing.T) {
 	}
 	// Page 0 was evicted and written back: the file has its data.
 	raw := make([]byte, 16)
-	if err := pf.ReadPage(0, raw); err != nil {
+	if err := pf.ReadPages(0, raw); err != nil {
 		t.Fatal(err)
 	}
 	if raw[0] != 1 {
@@ -129,7 +129,7 @@ func TestBufferPoolLRUAndWriteBack(t *testing.T) {
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.ReadPage(2, raw); err != nil {
+	if err := pf.ReadPages(2, raw); err != nil {
 		t.Fatal(err)
 	}
 	if raw[0] != 3 {

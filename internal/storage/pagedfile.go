@@ -10,18 +10,20 @@ import (
 // on: PageFile implements it against a real file, FaultInjector wraps any
 // implementation with deterministic failures, and ChecksumFile layers a
 // CRC32C trailer on top. Implementations must be safe for concurrent use of
-// ReadPage/WritePage/Sync: the BufferPool above them issues page loads and
+// ReadPages/WritePage/Sync: the BufferPool above them issues page loads and
 // write-backs from many goroutines at once. Close may assume no concurrent
 // operations (the FileStore's closed flag provides that guarantee).
 type PagedFile interface {
 	// PageSize returns the page size in bytes as seen by callers of
-	// ReadPage/WritePage (wrappers may expose a smaller logical page than
+	// ReadPages/WritePage (wrappers may expose a smaller logical page than
 	// the file underneath them).
 	PageSize() int
 	// Pages returns the number of pages in the file.
 	Pages() int64
-	// ReadPage fills buf (of exactly PageSize bytes) with the page.
-	ReadPage(page int64, buf []byte) error
+	// ReadPages fills bufs, each a whole number of PageSize units, with the
+	// consecutive pages starting at page: the only read in the stack, so a
+	// span of pages and a single page take the same path.
+	ReadPages(page int64, bufs ...[]byte) error
 	// WritePage writes buf (of exactly PageSize bytes) to the page.
 	WritePage(page int64, buf []byte) error
 	// Sync flushes buffered writes to stable storage.
@@ -30,27 +32,9 @@ type PagedFile interface {
 	Close() error
 }
 
-// BulkReader is an optional PagedFile capability: fill buf (a whole number
-// of PageSize units) with the consecutive pages starting at page, in one
-// positioned read. PageFile implements it with a single pread; wrappers that
-// do not (fault injectors, test counters) simply lack the method and force
-// callers back onto per-page ReadPage, preserving their per-page semantics.
-type BulkReader interface {
-	ReadPages(page int64, buf []byte) error
-}
-
-// PageSpanReader is an optional PagedFile capability consumed by the buffer
-// pool's span path: read len(bufs) consecutive pages starting at page,
-// scattering page+i into bufs[i] (each of exactly PageSize bytes).
-// ChecksumFile implements it, verifying every page's trailer and reporting
-// the first failure as that page's CorruptPageError.
-type PageSpanReader interface {
-	ReadPageSpan(page int64, bufs [][]byte) error
-}
-
-// MaxSpanPages bounds one span read: the buffer pool never asks a
-// PageSpanReader for more pages than this in a single call, so
-// implementations can size pooled scratch to MaxSpanPages physical pages.
+// MaxSpanPages bounds one read: the buffer pool never asks for more pages
+// than this in a single ReadPages call, so ChecksumFile sizes its pooled
+// scratch to MaxSpanPages physical pages and refuses longer spans.
 const MaxSpanPages = 32
 
 // ErrTransient marks an I/O error as retryable: the buffer pool retries

@@ -14,9 +14,8 @@ import (
 	"repro/internal/trace"
 )
 
-// PageFile is a fixed-page-size file: the real-disk counterpart of the
-// in-memory simulator, with the same page-granular access pattern.
-// ReadPage, ReadPages, WritePage, and Sync are safe for concurrent use (they
+// PageFile is a fixed-page-size file on disk, the bottom of the storage
+// stack. ReadPages, WritePage, and Sync are safe for concurrent use (they
 // map to positioned pread/pwrite on disjoint or idempotent ranges); Close
 // must not race with in-flight operations.
 type PageFile struct {
@@ -77,35 +76,23 @@ func (pf *PageFile) checkPage(page int64) error {
 	return nil
 }
 
-// ReadPage fills buf (of PageSize bytes) with the page's contents.
-func (pf *PageFile) ReadPage(page int64, buf []byte) error {
-	if err := pf.checkPage(page); err != nil {
-		return err
+// ReadPages fills bufs, each a whole number of PageSize units, with the
+// consecutive pages starting at page: one positioned read per buf.
+func (pf *PageFile) ReadPages(page int64, bufs ...[]byte) error {
+	for _, buf := range bufs {
+		if len(buf)%pf.pageSize != 0 {
+			return fmt.Errorf("storage: read buffer is %d bytes, not a multiple of the %d-byte page", len(buf), pf.pageSize)
+		}
+		n := int64(len(buf) / pf.pageSize)
+		if page < 0 || page+n > pf.pages {
+			return fmt.Errorf("storage: pages [%d,%d) out of range [0,%d)", page, page+n, pf.pages)
+		}
+		if _, err := pf.f.ReadAt(buf, page*int64(pf.pageSize)); err != nil {
+			return err
+		}
+		page += n
 	}
-	if len(buf) != pf.pageSize {
-		return fmt.Errorf("storage: read buffer is %d bytes, want %d", len(buf), pf.pageSize)
-	}
-	_, err := pf.f.ReadAt(buf, page*int64(pf.pageSize))
-	return err
-}
-
-// ReadPages fills buf — a whole number of PageSize units — with the
-// consecutive pages starting at page, in one positioned read. This is the
-// BulkReader fast path the span read stack bottoms out in: one pread per
-// span window instead of one per page.
-func (pf *PageFile) ReadPages(page int64, buf []byte) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if len(buf)%pf.pageSize != 0 {
-		return fmt.Errorf("storage: bulk read buffer is %d bytes, not a multiple of the %d-byte page", len(buf), pf.pageSize)
-	}
-	n := int64(len(buf) / pf.pageSize)
-	if page < 0 || page+n > pf.pages {
-		return fmt.Errorf("storage: pages [%d,%d) out of range [0,%d)", page, page+n, pf.pages)
-	}
-	_, err := pf.f.ReadAt(buf, page*int64(pf.pageSize))
-	return err
+	return nil
 }
 
 // WritePage writes buf (of PageSize bytes) to the page.
@@ -177,6 +164,8 @@ type BufferPool struct {
 
 	retryMu sync.Mutex
 	retry   RetryPolicy
+
+	spare atomic.Pointer[spanScratch] // get's scratch between calls; a get that finds it taken makes its own
 
 	hits, misses, evictions, writes, retries, sfWaits atomic.Int64
 	dirty                                             atomic.Int64 // frames holding writes the file has not seen
@@ -516,74 +505,21 @@ func (bp *BufferPool) finishLoadsLocked(claims, pinned []*frame, err error) {
 	}
 }
 
-// get returns the page's frame, pinned; the caller must unpin it. Traffic
-// is counted in tally (when non-nil) as well as in the pool's counters; the
-// caller resolves it from its context once, not per page. A miss
-// loads the page outside the pool mutex; concurrent misses on the same page
-// wait for the first loader instead of issuing duplicate reads. If the
-// loader abandons the load because its own context ended, waiters with a
-// live context retry the load themselves, so one query's cancellation never
-// surfaces as another query's error.
+// get returns the page's frame, pinned; the caller must unpin it. It is a
+// one-page getSpan on scratch the pool keeps between calls (a sync.Pool
+// would drop it at random under the race detector), so a get allocates
+// nothing unless another runs at the same time; the store's writes, which
+// get serves, hold the store's lock.
 func (bp *BufferPool) get(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
-	for {
-		fr, err := bp.getOnce(ctx, tally, page)
-		if err != nil && abandoned(err) && ctx.Err() == nil {
-			continue // the coalesced loader gave up, not us: reload
-		}
-		return fr, err
+	sc := bp.spare.Swap(nil)
+	if sc == nil {
+		sc = new(spanScratch)
 	}
-}
-
-func (bp *BufferPool) getOnce(ctx context.Context, tally *PoolTally, page int64) (*frame, error) {
-	bp.mu.Lock()
-	if fr := bp.table[page]; fr != nil {
-		fr.pins++
-		bp.touchLocked(fr)
-		loading := fr.loading
-		bp.mu.Unlock()
-		if !loading {
-			bp.hits.Add(1)
-			if tally != nil {
-				tally.hits.Add(1)
-			}
-			return fr, nil
-		}
-		// Someone else's load is in flight: wait for it.
-		bp.sfWaits.Add(1)
-		if tally != nil {
-			tally.sfWaits.Add(1)
-		}
-		if err := bp.awaitLoad(ctx, fr); err != nil {
-			bp.unpin(fr)
-			return nil, err
-		}
-		return fr, nil
-	}
-	fr, err := bp.claimLocked(ctx, tally, page)
-	if err == errPoolPinned {
-		if err := bp.awaitUnpin(ctx); err != nil {
-			return nil, err
-		}
-		return nil, errPoolPinned // get retries
-	}
-	bp.mu.Unlock()
-	if err != nil {
+	defer bp.spare.Store(sc)
+	if err := bp.getSpan(ctx, tally, page, 1, sc); err != nil {
 		return nil, err
 	}
-	sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
-	sp.SetAttr("page", page)
-	err = bp.withRetry(ctx, tally, func() error { return bp.pf.ReadPage(page, fr.data) })
-	sp.SetError(err)
-	sp.End()
-	one := [1]*frame{fr}
-	bp.finishLoads(one[:], one[:], err)
-	if err != nil {
-		return nil, err
-	}
-	if tally != nil {
-		tally.physRead(page)
-	}
-	return fr, nil
+	return sc.frames[0], nil
 }
 
 // unpin releases a pin taken by get.
@@ -607,17 +543,24 @@ func (bp *BufferPool) unpinSpan(frames []*frame) {
 type spanScratch struct {
 	frames []*frame // the span: frames[i] holds page lo+i, pinned and loaded
 	claims []*frame // the absent pages this call loads, ascending
-	bufs   [][]byte // one contiguous group of claims, as ReadPageSpan wants it
+	bufs   [][]byte // one contiguous group of claims, as ReadPages takes it
 }
 
 // getSpan leaves pinned, loaded frames for the n consecutive pages starting
-// at lo in sc.frames. Resident pages are pinned in one pool-mutex pass;
-// absent pages are claimed as loading frames and then fetched with as few
-// physical reads as possible — each contiguous group of absent pages becomes
-// one PageSpanReader call. Claims are published before the call waits on any
-// other goroutine's in-flight load, so two overlapping spans cannot deadlock
-// on each other. On error no pin is retained and sc.frames is empty; otherwise
-// the caller releases the span with unpinSpan(sc.frames).
+// at lo in sc.frames. Traffic is counted in tally (when non-nil) as well as
+// in the pool's counters; the caller resolves it from its context once, not
+// per page. Resident pages are pinned in one pool-mutex pass; absent pages
+// are claimed as loading frames and then fetched outside the mutex with as
+// few physical reads as possible — each contiguous group of absent pages
+// becomes one ReadPages call. Concurrent misses on a page wait for the
+// goroutine that claimed it instead of issuing duplicate reads. Claims are
+// published before the call waits on any other goroutine's in-flight load,
+// so two overlapping spans cannot deadlock on each other. If a load it waits
+// for is abandoned because the loader's own context ended, a caller with a
+// live context loads the page itself, so one query's cancellation never
+// surfaces as another query's error. On error no pin is retained and
+// sc.frames is empty; otherwise the caller releases the span with
+// unpinSpan(sc.frames).
 func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n int, sc *spanScratch) (err error) {
 	sc.frames = sc.frames[:0]
 	defer func() {
@@ -625,23 +568,9 @@ func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n
 			sc.frames = sc.frames[:0]
 		}
 	}()
-	sr, _ := bp.pf.(PageSpanReader)
-	if sr == nil || n == 1 {
-		// No span capability underneath (e.g. a bare test PagedFile):
-		// degrade to per-page gets with identical semantics.
-		for i := 0; i < n; i++ {
-			fr, err := bp.get(ctx, tally, lo+int64(i))
-			if err != nil {
-				bp.unpinSpan(sc.frames)
-				return err
-			}
-			sc.frames = append(sc.frames, fr)
-		}
-		return nil
-	}
 
-	// Counting mirrors getOnce: a resident frame whose page is in is a hit, one
-	// still loading a single-flight wait, a claim a miss.
+	// A resident frame whose page is in is a hit, one still loading a
+	// single-flight wait, a claim a miss.
 	var hits, waits int64
 	for {
 		sc.frames, sc.claims = sc.frames[:0], sc.claims[:0]
@@ -685,11 +614,17 @@ func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n
 			return err
 		}
 	}
-	bp.hits.Add(hits)
-	bp.sfWaits.Add(waits)
-	if tally != nil {
-		tally.hits.Add(hits)
-		tally.sfWaits.Add(waits)
+	if hits > 0 {
+		bp.hits.Add(hits)
+		if tally != nil {
+			tally.hits.Add(hits)
+		}
+	}
+	if waits > 0 {
+		bp.sfWaits.Add(waits)
+		if tally != nil {
+			tally.sfWaits.Add(waits)
+		}
 	}
 
 	// Load our claims: one span read per contiguous page group.
@@ -706,7 +641,7 @@ func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n
 		sp := trace.StartLeaf(ctx, trace.KindPageLoad, "")
 		sp.SetAttr("page", group[0].page)
 		sp.SetAttr("pages", int64(len(group)))
-		err = bp.withRetry(ctx, tally, func() error { return sr.ReadPageSpan(group[0].page, sc.bufs) })
+		err = bp.withRetry(ctx, tally, func() error { return bp.pf.ReadPages(group[0].page, sc.bufs...) })
 		sp.SetError(err)
 		sp.End()
 		if err != nil {
@@ -732,9 +667,9 @@ func (bp *BufferPool) getSpan(ctx context.Context, tally *PoolTally, lo int64, n
 		if err = bp.awaitLoad(ctx, fr); err == nil {
 			continue
 		}
-		// Our context ended or the peer's load failed. Mirror get(): if it was
-		// only the peer's cancellation and our context is live, reload the
-		// page ourselves; otherwise propagate.
+		// Our context ended or the peer's load failed. If it was only the
+		// peer's cancellation and our context is live, reload the page
+		// ourselves; otherwise propagate.
 		if abandoned(err) && ctx.Err() == nil {
 			bp.unpin(fr)
 			if sc.frames[idx], err = bp.get(ctx, tally, lo+int64(idx)); err == nil {

@@ -290,8 +290,9 @@ func TestParallelColdQueryReconcilesWithAnalytic(t *testing.T) {
 	}
 }
 
-// slowCountFile wraps a paged file, counting physical reads per page and
-// optionally holding every read on a gate until it is closed.
+// slowCountFile wraps a paged file, counting the pages it reads, in total
+// and per page, and optionally holding every read on a gate until it is
+// closed.
 type slowCountFile struct {
 	PagedFile
 	gate    chan struct{}
@@ -300,18 +301,24 @@ type slowCountFile struct {
 	reads   atomic.Int64
 }
 
-func (f *slowCountFile) ReadPage(page int64, buf []byte) error {
-	f.reads.Add(1)
+func (f *slowCountFile) ReadPages(page int64, bufs ...[]byte) error {
 	f.mu.Lock()
 	if f.perPage == nil {
 		f.perPage = make(map[int64]int)
 	}
-	f.perPage[page]++
+	p := page
+	for _, buf := range bufs {
+		for n := len(buf) / f.PageSize(); n > 0; n-- {
+			f.perPage[p]++
+			p++
+		}
+	}
 	f.mu.Unlock()
+	f.reads.Add(p - page)
 	if f.gate != nil {
 		<-f.gate
 	}
-	return f.PagedFile.ReadPage(page, buf)
+	return f.PagedFile.ReadPages(page, bufs...)
 }
 
 // openGated reopens the store behind a slowCountFile.

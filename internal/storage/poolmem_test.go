@@ -140,7 +140,7 @@ type failOnce struct {
 	err error
 }
 
-func (f *failOnce) ReadPage(page int64, buf []byte) error {
+func (f *failOnce) ReadPages(page int64, _ ...[]byte) error {
 	if page != f.bad {
 		return nil
 	}

@@ -19,17 +19,6 @@ func attrVal(t *testing.T, sp trace.Span, key string) int64 {
 	return 0
 }
 
-// loadedPages is the pages a page_load span read: its span's "pages", or
-// the one page of a single-page load.
-func loadedPages(sp trace.Span) int64 {
-	for _, a := range sp.Attrs {
-		if a.Key == "pages" {
-			return a.Value
-		}
-	}
-	return 1
-}
-
 // TestColdQueryFragmentSpansMatchTallyAndAnalytic is the tracing
 // counterpart of TestSumStatsColdMatchesAnalytic: on a cold pool, a traced
 // query's fragment spans must account for exactly the traffic the tally
@@ -78,7 +67,7 @@ func TestColdQueryFragmentSpansMatchTallyAndAnalytic(t *testing.T) {
 				spanPages += attrVal(t, sp, "pages_read")
 				spanHits += attrVal(t, sp, "pool_hits")
 			case trace.KindPageLoad:
-				loads += loadedPages(sp)
+				loads += attrVal(t, sp, "pages")
 			}
 		}
 		if frags != pred.Seeks {

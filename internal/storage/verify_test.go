@@ -568,7 +568,7 @@ func flipStoredByte(t *testing.T, rng *rand.Rand, fs *FileStore) {
 	}
 	page := rng.Int63n(inner.Pages())
 	buf := make([]byte, inner.PageSize())
-	if err := inner.ReadPage(page, buf); err != nil {
+	if err := inner.ReadPages(page, buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[rng.Intn(len(buf))] ^= 1 << rng.Intn(8)
